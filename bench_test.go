@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sdwp/internal/cube"
 	"sdwp/internal/geoidx"
 	"sdwp/internal/geom"
 	"sdwp/internal/obs"
@@ -983,6 +984,49 @@ func BenchmarkPackedPredicateKernel(b *testing.B) {
 			env.ds.Cube.SetPackedColumns(packed)
 			b.ReportAllocs()
 			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := env.ds.Cube.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMultiLevelGroupBy measures the dense composite-key group table
+// on two-level group-bys: Store x Family materializes 10 000 rows (the
+// drilldown shape — result materialization shows), City x Month a few
+// hundred (accumulation dominates). serial is the fused single-query path,
+// batch the staged executor on a batch of one — what the scheduler runs
+// for a lone query. allocs/op is the gated number: finalize allocates per
+// Result, not per row.
+func BenchmarkMultiLevelGroupBy(b *testing.B) {
+	env := getBenchEnv(b, 200000)
+	shapes := []struct {
+		name    string
+		groupBy []LevelRef
+	}{
+		{"StoreXFamily", []LevelRef{{Dimension: "Store", Level: "Store"}, {Dimension: "Product", Level: "Family"}}},
+		{"CityXMonth", []LevelRef{{Dimension: "Store", Level: "City"}, {Dimension: "Time", Level: "Month"}}},
+	}
+	for _, sh := range shapes {
+		q := Query{
+			Fact:       "Sales",
+			GroupBy:    sh.groupBy,
+			Aggregates: []MeasureAgg{{Measure: "UnitSales", Agg: SUM}},
+			OrderBy:    &cube.OrderBy{Agg: 0, Desc: true},
+		}
+		b.Run(sh.name+"/serial", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := env.ds.Cube.ExecuteParallel(q, nil, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(sh.name+"/batch", func(b *testing.B) {
+			qs := []Query{q}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := env.ds.Cube.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: 1}); err != nil {
 					b.Fatal(err)

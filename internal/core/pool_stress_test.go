@@ -8,8 +8,8 @@ package core
 // free (-race in CI; scripts/stress.sh runs the PooledPartial pattern),
 // batches must stay internally consistent, and the quiescent state must
 // match serial execution — pooled state bleeding between scans, or a
-// partial released while a sibling still aliases its arena, shows up here
-// as corrupted aggregates or detector reports.
+// partial released while its scan still reads it, shows up here as
+// corrupted aggregates or detector reports.
 
 import (
 	"fmt"

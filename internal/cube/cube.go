@@ -17,7 +17,9 @@ package cube
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -95,8 +97,11 @@ type DimData struct {
 	// ancMu guards ancCache: per target level, the ancestor of every
 	// finest-level member (computed lazily; queries then resolve roll-ups
 	// with one array lookup instead of climbing the parent chain per fact).
-	ancMu    sync.Mutex
-	ancCache map[int][]int32
+	// It also guards rankCache: per level, the members' name-order ranks
+	// (nameRanks), so result ordering compares integers, not strings.
+	ancMu     sync.Mutex
+	ancCache  map[int][]int32
+	rankCache map[int][]int32
 }
 
 // Level returns the level table by name, or nil.
@@ -154,10 +159,43 @@ func (dd *DimData) ancestorsFromFinest(to int) []int32 {
 	return out
 }
 
-// invalidateAncestors drops the roll-up cache after membership changes.
-func (dd *DimData) invalidateAncestors() {
+// nameRanks returns (building on first use) the name-order rank of every
+// group slot of the level at position li: slot m+1 is member m and slot 0
+// the "(none)" group of facts without an ancestor there. Equal names get
+// equal ranks, so comparing ranks is exactly comparing names.
+func (dd *DimData) nameRanks(li int) []int32 {
+	dd.ancMu.Lock()
+	defer dd.ancMu.Unlock()
+	if cached, ok := dd.rankCache[li]; ok {
+		return cached
+	}
+	names := dd.levels[li].names
+	name := func(slot int32) string { return slotName(names, slot) }
+	slots := make([]int32, len(names)+1)
+	for i := range slots {
+		slots[i] = int32(i)
+	}
+	slices.SortFunc(slots, func(a, b int32) int { return strings.Compare(name(a), name(b)) })
+	rank := make([]int32, len(slots))
+	for pos := 1; pos < len(slots); pos++ {
+		rank[slots[pos]] = rank[slots[pos-1]]
+		if name(slots[pos]) != name(slots[pos-1]) {
+			rank[slots[pos]]++
+		}
+	}
+	if dd.rankCache == nil {
+		dd.rankCache = map[int][]int32{}
+	}
+	dd.rankCache[li] = rank
+	return rank
+}
+
+// invalidateDerived drops the roll-up and name-rank caches after
+// membership or descriptor changes.
+func (dd *DimData) invalidateDerived() {
 	dd.ancMu.Lock()
 	dd.ancCache = nil
+	dd.rankCache = nil
 	dd.ancMu.Unlock()
 }
 
@@ -194,7 +232,7 @@ type FactData struct {
 	maskPool sync.Pool
 
 	// partialPool recycles per-worker partial aggregation tables (and the
-	// accumulator arenas behind them) across queries and batches; see
+	// cell stores behind them) across queries and batches; see
 	// FactData.getPartial in exec.go. A partial is rebound (fully reset) to
 	// its new plan on Get, so pooled entries may carry arbitrary state from
 	// any earlier query over this table.
@@ -449,7 +487,7 @@ func (c *Cube) AddMember(dim, level, descriptor string, parent int32) (int32, er
 				descriptor, dim, level, parent, up.Len())
 		}
 	}
-	dd.invalidateAncestors()
+	dd.invalidateDerived()
 	c.bumpFactVersions()
 	idx := int32(ld.Len())
 	ld.names = append(ld.names, descriptor)
@@ -486,6 +524,7 @@ func (c *Cube) SetMemberAttr(dim, level string, member int32, attr string, v any
 			return fmt.Errorf("cube: descriptor %q wants string", attr)
 		}
 		ld.names[member] = s
+		c.dims[dim].invalidateDerived()
 		return nil
 	}
 	col := ld.attrs[attr]

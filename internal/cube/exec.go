@@ -1,10 +1,11 @@
 package cube
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,11 +33,9 @@ import (
 // always had across differing worker counts.
 //
 // Partial tables themselves are pooled per fact table (FactData.getPartial):
-// a partial and the slab arena backing its accumulator cells are reset and
-// rebound to the new plan on Get, live for exactly one scan, and return to
-// the pool together after finalize (scanPartials.release) — merge moves
-// accumulator cells between sibling partials by reference, so partials of
-// one scan recycle only as a unit.
+// a partial and the flat cell store behind it are reset and rebound to the
+// new plan on Get, live for exactly one scan, and return to the pool after
+// finalize (scanPartials.release).
 
 // execChunkSize is the facts-per-chunk scan granularity. Chunks are the
 // unit of work interleaving: the shared-scan batch executor walks one
@@ -66,34 +65,83 @@ func chunkCount(n int) int {
 //
 // The serial and parallel single-query paths fuse the stages per fact
 // (process). The batch executor can instead materialize stages 1 and 2 as
-// shared artifacts — one filter bitmap per distinct filter set, one rolled-
-// up key column per distinct (dimension, level) grouping, keyed by the
+// shared artifacts — one filter bitmap per distinct filter set, one
+// composite roll-up key column per distinct group-by list, keyed by the
 // sub-fingerprints in fingerprint.go — and drive every query's stage 3 off
 // them (exec_shared.go).
 
 // groupSpec is one resolved group-by level. anc maps each finest-level
 // member to its ancestor at the group level (the roll-up cache), and keys
-// is the fact's key column for the dimension. key is the grouping's
-// sub-fingerprint — the identity under which a batch scan shares one
-// decoded key column among queries.
+// is the fact's key column for the dimension.
+//
+// A level contributes card+1 slots to the plan's group key space: slot
+// m+1 is member m and slot 0 is NoParent (the "(none)" group). names is
+// the level's descriptor column and rank the slots' positions in name
+// order (DimData.nameRanks), so finalize orders groups by comparing
+// integers. stride is the level's mixed-radix weight in the composite
+// group key of a dense plan (see queryPlan.denseCells), unused on hashed
+// plans.
 type groupSpec struct {
-	dd   *DimData
-	li   int
-	anc  []int32
-	keys []int32
-	key  string
+	dd     *DimData
+	li     int
+	anc    []int32
+	keys   []int32
+	names  []string
+	rank   []int32
+	stride int32
 }
 
 // decode is stage 2 for one fact: the member of the grouping level that
 // fact i rolls up to.
 func (g *groupSpec) decode(i int32) int32 { return g.anc[g.keys[i]] }
 
+// slotName is the display name of one group slot of a level with the
+// given descriptor column: slot 0 is the group of facts whose key has no
+// ancestor at the level.
+func slotName(names []string, slot int32) string {
+	if slot == 0 {
+		return "(none)"
+	}
+	return names[slot-1]
+}
+
+// maxDenseCells bounds the composite group-key space a plan aggregates
+// into an array-indexed table; above it the plan hashes. The table is one
+// int32 per key, so a pooled partial tops out at 1 MB of table — small
+// beside the fact columns — and every group-by of the paper's star schema
+// short of Store x Customer fits. A constant rather than a knob: hashing
+// costs more per fact than clearing and walking the whole table costs per
+// scan, so no workload on the dense side wants the other path.
+const maxDenseCells = 1 << 18
+
+// cellIndex is stage 2 for one fact of a dense plan: the composite group
+// key Σ (member_g + 1) · stride_g indexing partial.dense. A single level
+// is the one-stride case (member + 1); no levels is the one-cell table.
+func (p *queryPlan) cellIndex(i int32) int32 {
+	var ck int32
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		ck += (g.anc[g.keys[i]] + 1) * g.stride
+	}
+	return ck
+}
+
 // materializeGroupKeys runs stage 2 over facts [lo, hi) into the shared
-// key column (col[i] valid for i in [lo, hi) afterwards).
-func (g *groupSpec) materializeGroupKeys(lo, hi int, col []int32) {
-	anc, keys := g.anc, g.keys
-	for i := lo; i < hi; i++ {
-		col[i] = anc[keys[i]]
+// composite key column (col[i] = cellIndex(i) for i in [lo, hi)
+// afterwards), one pass per level so each pass streams two columns.
+func (p *queryPlan) materializeGroupKeys(lo, hi int, col []int32) {
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		anc, keys, stride := g.anc, g.keys, g.stride
+		if gi == 0 {
+			for i := lo; i < hi; i++ {
+				col[i] = (anc[keys[i]] + 1) * stride
+			}
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			col[i] += (anc[keys[i]] + 1) * stride
+		}
 	}
 }
 
@@ -192,9 +240,20 @@ type queryPlan struct {
 	// snapshots, so scanning by live fd.n would over-index them. A plan
 	// therefore always aggregates the table prefix that existed when it
 	// was compiled.
-	n       int
-	groups  []groupSpec
-	filters []filterSpec
+	n      int
+	groups []groupSpec
+	// denseCells is the size of the plan's array-indexed group table: the
+	// product of the levels' slot counts (1 without group-by) when that is
+	// at most maxDenseCells, else 0 — the plan then hashes its group keys.
+	denseCells int
+	// groupKey is the group-by list's sub-fingerprint ("" unless the plan
+	// is dense and has at least one level): the identity under which a
+	// batch scan shares one composite key column among queries.
+	groupKey string
+	// groupCols/aggCols are the Result column headers, built once here and
+	// shared read-only by every Result of the plan.
+	groupCols, aggCols []string
+	filters            []filterSpec
 	// filterKey is the filter set's sub-fingerprint ("" without filters):
 	// the identity under which a batch scan shares one materialized filter
 	// bitmap among queries.
@@ -202,9 +261,13 @@ type queryPlan struct {
 	// measureCols holds the measure column per aggregate (nil for COUNT),
 	// hoisted out of the scan loop.
 	measureCols [][]float64
+	// blankCell is the untouched-cell template partials append per new
+	// group (newBlankCell).
+	blankCell []float64
 	// kern is the stage-3 accumulate kernel selected for this plan (see
 	// exec_kernels.go); kernGeneric keeps the classic accumulateFact loop
-	// and is always used when packed execution is off (the oracle path).
+	// and is always used on hashed plans and when packed execution is off
+	// (the oracle path).
 	kern kernelKind
 }
 
@@ -271,22 +334,27 @@ func (c *Cube) compile(q Query) (*queryPlan, error) {
 			return nil, fmt.Errorf("cube: dimension %q has no level %q", g.Dimension, g.Level)
 		}
 		p.groups[i] = groupSpec{dd: dd, li: li, anc: dd.ancestorsFromFinest(li),
-			keys: fd.dimKeys[g.Dimension], key: g.Fingerprint()}
+			keys: fd.dimKeys[g.Dimension], names: dd.levels[li].names, rank: dd.nameRanks(li)}
+		p.groupCols = append(p.groupCols, g.String())
 	}
+	p.bindGroupTable()
 
 	// Resolve aggregates.
 	p.measureCols = make([][]float64, len(q.Aggregates))
+	p.blankCell = newBlankCell(len(q.Aggregates))
 	for j, a := range q.Aggregates {
 		if a.Agg < AggSum || a.Agg > AggMax {
 			return nil, fmt.Errorf("cube: invalid aggregation in query")
 		}
 		if a.Agg == AggCount {
+			p.aggCols = append(p.aggCols, "COUNT(*)")
 			continue
 		}
 		if fd.fact.Measure(a.Measure) == nil {
 			return nil, fmt.Errorf("cube: fact %q has no measure %q", q.Fact, a.Measure)
 		}
 		p.measureCols[j] = fd.measures[a.Measure]
+		p.aggCols = append(p.aggCols, a.Agg.String()+"("+a.Measure+")")
 	}
 
 	if q.OrderBy != nil && (q.OrderBy.Agg < 0 || q.OrderBy.Agg >= len(q.Aggregates)) {
@@ -339,6 +407,27 @@ func (c *Cube) compile(q Query) (*queryPlan, error) {
 	return p, nil
 }
 
+// bindGroupTable decides the plan's group-table shape. Each level's stride
+// is the product of the slot counts of the levels after it — the first
+// level is the most significant digit, so composite keys order like the
+// GroupBy list — and the plan is dense when the whole key space fits
+// maxDenseCells. The decision depends only on dimension cardinalities,
+// so a plan and its shard rebinds always agree on it.
+func (p *queryPlan) bindGroupTable() {
+	cells := 1
+	for gi := len(p.groups) - 1; gi >= 0; gi-- {
+		g := &p.groups[gi]
+		slots := len(g.names) + 1
+		if cells > maxDenseCells/slots {
+			return
+		}
+		g.stride = int32(cells)
+		cells *= slots
+	}
+	p.denseCells = cells
+	p.groupKey = p.q.GroupFingerprint()
+}
+
 // bindPacked attaches the compressed-column execution state to a plan's
 // filters: a packed snapshot of each filtered dimension's key column and
 // the predicate translated to its matching code set. The translation
@@ -362,112 +451,75 @@ func (p *queryPlan) bindPacked(fd *FactData) {
 	}
 }
 
-// accum is the aggregation state of one group.
-type accum struct {
-	members []int32
-	sums    []float64
-	mins    []float64
-	maxs    []float64
-	count   float64
-}
-
-// mergeFrom folds src into a: sums and counts add, MIN/MAX narrow. AVG
-// needs no state of its own — it divides sum by count at finalize.
-func (a *accum) mergeFrom(src *accum) {
-	a.count += src.count
-	for j := range a.sums {
-		a.sums[j] += src.sums[j]
-		if src.mins[j] < a.mins[j] {
-			a.mins[j] = src.mins[j]
-		}
-		if src.maxs[j] > a.maxs[j] {
-			a.maxs[j] = src.maxs[j]
-		}
-	}
-}
-
-// slab is a rewindable block allocator: take carves n elements off the
-// current block (growing by blockSize blocks as needed) and reset rewinds
-// every block for reuse without freeing. Carved slices alias the blocks,
-// so a slab may only rewind once nothing from the previous use is
-// referenced — the unit-release discipline scanPartials enforces.
-type slab[T any] struct {
-	blocks [][]T
-	bi     int // current block index
-	off    int // next free element of blocks[bi]
-}
-
-// take returns a capacity-capped slice of n elements. Contents are
-// whatever the previous use left behind; callers overwrite every element.
-func (s *slab[T]) take(n, blockSize int) []T {
-	for {
-		if s.bi == len(s.blocks) {
-			if blockSize < n {
-				blockSize = n
-			}
-			s.blocks = append(s.blocks, make([]T, blockSize))
-		}
-		if b := s.blocks[s.bi]; s.off+n <= len(b) {
-			out := b[s.off : s.off+n : s.off+n]
-			s.off += n
-			return out
-		}
-		s.bi++
-		s.off = 0
-	}
-}
-
-func (s *slab[T]) reset() { s.bi, s.off = 0, 0 }
-
-// Slab block sizes: large enough that a scan with thousands of groups
-// allocates a handful of blocks, small enough that a tiny shard's pooled
-// partial does not pin megabytes.
+// A group's aggregation state is a cell: 1+3n consecutive float64s for a
+// plan with n aggregates — the fact count, then n sums, n minima, n maxima
+// (AVG needs no state of its own; it divides sum by count at finalize). A
+// partial stores its cells back to back in one slice and names a cell by
+// its offset there, so a scan's random access over the touched groups
+// covers 32 bytes per group per aggregate, not a pointer-linked struct and
+// its slices.
 const (
-	accumBlockSize  = 256
-	floatBlockSize  = 4096
-	memberBlockSize = 1024
+	cellCount = 0 // offset of the fact count within a cell
+	cellSums  = 1 // offset of the first sum; minima and maxima follow
 )
 
-// accumArena backs every accumulator cell of one partial: the cells
-// themselves plus their members/sums/mins/maxs slices all come from slabs
-// that rewind when the partial is rebound, so a reused partial creates
-// cells without a single heap allocation.
-type accumArena struct {
-	cells   slab[accum]
-	floats  slab[float64]
-	members slab[int32]
+// newBlankCell builds the template of an untouched cell for a plan with n
+// aggregates: zero count and sums, minima at +Inf, maxima at -Inf — the
+// identities of their folds.
+func newBlankCell(n int) []float64 {
+	blank := make([]float64, 1+3*n)
+	for j := 0; j < n; j++ {
+		blank[cellSums+n+j] = math.Inf(1)
+		blank[cellSums+2*n+j] = math.Inf(-1)
+	}
+	return blank
 }
 
-func (a *accumArena) reset() {
-	a.cells.reset()
-	a.floats.reset()
-	a.members.reset()
+// mergeCell folds cell src into dst (both of a plan with n aggregates):
+// counts and sums add, MIN/MAX narrow.
+func mergeCell(dst, src []float64, n int) {
+	dst[cellCount] += src[cellCount]
+	for j := cellSums; j < cellSums+n; j++ {
+		dst[j] += src[j]
+		if src[j+n] < dst[j+n] {
+			dst[j+n] = src[j+n]
+		}
+		if src[j+2*n] > dst[j+2*n] {
+			dst[j+2*n] = src[j+2*n]
+		}
+	}
 }
 
 // partial is one thread-local partial aggregation table plus scan
-// statistics. Single-level group-bys (the common OLAP roll-up) use a dense
-// slice indexed by group member; multi-level group-bys hash a composite
-// key. Partials recycle through FactData.partialPool: rebind resets one
-// for its next plan, and every field below survives pooling as reusable
-// capacity (denseBuf, keyBuf, the arena blocks, the cells map's buckets).
+// statistics. A dense plan (queryPlan.denseCells > 0 — every group-by whose
+// composite key space is small, which includes single levels and grand
+// totals) finds a group's cell through dense, a slice indexed by composite
+// group key; only plans above maxDenseCells hash the key through cells.
+// Partials recycle through FactData.partialPool: rebind resets one for its
+// next plan, and every slice and map below survives pooling as reusable
+// capacity.
 type partial struct {
-	p         *queryPlan
-	fd        *FactData
-	cells     map[string]*accum
-	dense     []*accum
-	denseNone *accum // the NoParent group of the dense path
-	scanned   int
-	matched   int
+	p  *queryPlan
+	fd *FactData
+	// recs holds the cells back to back (see cellCount). Offset 0 is a
+	// reserved blank, so 0 means "no cell yet" in dense and cells.
+	recs  []float64
+	dense []int32          // composite group key → cell offset (dense plans)
+	cells map[string]int32 // group members' bytes → cell offset (hashed plans)
+	// members holds the hashed plans' group members, len(p.groups) per
+	// cell in creation order (cellMembers). A dense plan's cell is
+	// identified by its key and stores none.
+	members []int32
+	scanned int
+	matched int
 	// cost carries this partial's share of batch artifact bytes (set by
 	// the staged scan's attribution pass); merge sums it so the gathered
 	// per-shard partials conserve the batch totals.
 	cost obs.QueryCost
 
-	keyBuf        []byte
-	memberScratch []int32
-
-	denseBuf []*accum // backing storage dense reslices from
-	arena    accumArena
+	keyBuf   []byte   // builds the hashed path's map key
+	denseBuf []int32  // backing storage dense reslices from
+	order    []rowKey // finalize's sort scratch
 }
 
 // newPartial builds an unpooled partial — the fresh-allocation path the
@@ -479,39 +531,30 @@ func newPartial(p *queryPlan) *partial {
 }
 
 // rebind resets a partial for a new plan, recycling every allocation from
-// its previous life: the accumulator arena rewinds, the dense table
-// reslices (and clears) denseBuf to the new plan's group cardinality, and
-// the hash cells clear in place. After rebind the partial is
+// its previous life: the cell store truncates to the reserved blank, the
+// dense table clears and reslices denseBuf to the new plan's key space,
+// and the hash table clears in place. After rebind the partial is
 // indistinguishable from a freshly constructed one — the pooled-partial
 // hygiene test pins this.
 func (pt *partial) rebind(p *queryPlan) {
 	pt.p = p
 	pt.scanned, pt.matched = 0, 0
 	pt.cost = obs.QueryCost{}
-	pt.denseNone = nil
+	pt.recs = append(pt.recs[:0], p.blankCell...)
+	pt.members = pt.members[:0]
+	// Clearing the previous plan's extent keeps all of denseBuf zero:
+	// offsets are only ever stored within the table in use.
+	clear(pt.dense)
 	pt.dense = nil
-	// Clear the whole backing buffer, not just the new plan's prefix:
-	// cell pointers beyond it (from a wider previous plan, possibly moved
-	// in by merge from a sibling's arena) would otherwise pin dead arenas.
-	clear(pt.denseBuf)
-	if len(p.groups) == 1 {
-		l := p.groups[0].dd.levels[p.groups[0].li].Len()
-		if cap(pt.denseBuf) < l {
-			pt.denseBuf = make([]*accum, l)
+	clear(pt.cells)
+	if n := p.denseCells; n > 0 {
+		if cap(pt.denseBuf) < n {
+			pt.denseBuf = make([]int32, n)
 		}
-		pt.dense = pt.denseBuf[:l]
+		pt.dense = pt.denseBuf[:n]
+	} else if pt.cells == nil {
+		pt.cells = map[string]int32{}
 	}
-	if pt.cells == nil {
-		pt.cells = map[string]*accum{}
-	} else {
-		clear(pt.cells)
-	}
-	if cap(pt.memberScratch) < len(p.groups) {
-		pt.memberScratch = make([]int32, len(p.groups))
-	}
-	pt.memberScratch = pt.memberScratch[:len(p.groups)]
-	pt.keyBuf = pt.keyBuf[:0]
-	pt.arena.reset()
 }
 
 // getPartial takes a pooled (or fresh) partial rebound to the plan. The
@@ -528,11 +571,8 @@ func (fd *FactData) getPartial(p *queryPlan) (*partial, bool) {
 
 // scanPartials tracks every partial one scan (single-query or batch) took
 // from the per-table pools so the executor can return them together once
-// the Results are finalized. Unit release is load-bearing: merge moves
-// accumulator cells between sibling partials by reference, so recycling
-// one partial while a sibling is still live would hand out aliased arena
-// memory. Error paths may simply drop the tracker — unreleased partials
-// fall to the GC like pre-pool partials always did.
+// the Results are finalized. Error paths may simply drop the tracker —
+// unreleased partials fall to the GC like pre-pool partials always did.
 type scanPartials struct {
 	parts     []*partial
 	reused    int
@@ -567,88 +607,82 @@ func (sp *scanPartials) release() {
 	sp.parts = nil
 }
 
-func (pt *partial) newAccum(members []int32) *accum {
-	n := len(pt.p.q.Aggregates)
-	cell := &pt.arena.cells.take(1, accumBlockSize)[0]
-	m := pt.arena.members.take(len(members), memberBlockSize)
-	copy(m, members)
-	f := pt.arena.floats.take(3*n, floatBlockSize)
-	sums, mins, maxs := f[0:n:n], f[n:2*n:2*n], f[2*n:3*n]
-	for j := 0; j < n; j++ {
-		sums[j] = 0
-		mins[j] = math.Inf(1)
-		maxs[j] = math.Inf(-1)
-	}
-	*cell = accum{members: m, sums: sums, mins: mins, maxs: maxs}
-	return cell
+// newCell appends a blank cell and returns its offset. Appending may move
+// recs, so callers index pt.recs afresh after any call that can create a
+// cell instead of holding the slice across it.
+func (pt *partial) newCell() int32 {
+	off := len(pt.recs)
+	pt.recs = append(pt.recs, pt.p.blankCell...)
+	return int32(off)
 }
 
 // process folds fact instance i into the partial: the fused form of the
 // three-stage pipeline (filter, decode, accumulate — one fact at a time).
-func (pt *partial) process(i int32) {
+func (pt *partial) process(i int32, d *scanDrive) {
 	pt.scanned++
 	if !pt.p.matchFact(i) {
 		return
 	}
 	pt.matched++
-	pt.accumulateFact(i, nil)
+	pt.accumulateFact(i, d)
 }
 
 // accumulateFact is stage 3 for one fact that already passed the filters:
-// look up (or create) the fact's group cell and fold the measures in. A
-// non-nil keyCols supplies pre-decoded shared key columns per grouping
-// (stage 2 artifacts of a batch scan); nil entries — and a nil keyCols —
-// fall back to inline decode.
-func (pt *partial) accumulateFact(i int32, keyCols [][]int32) {
+// look up (or create) the fact's group cell and fold the measures in.
+func (pt *partial) accumulateFact(i int32, d *scanDrive) {
 	p := pt.p
-	var cell *accum
+	var off int32
 	if pt.dense != nil {
-		var anc int32
-		if keyCols != nil && keyCols[0] != nil {
-			anc = keyCols[0][i]
-		} else {
-			anc = p.groups[0].decode(i)
-		}
-		cell = pt.cellFor(anc)
+		off = pt.cellFor(d.key(i))
 	} else {
-		cell = pt.multiCell(i, keyCols)
+		off = pt.hashCell(i)
 	}
-	cell.count++
-	for j := range p.q.Aggregates {
-		col := p.measureCols[j]
+	n := len(p.measureCols)
+	cell := pt.recs[off:][:len(p.blankCell)]
+	cell[cellCount]++
+	for j, col := range p.measureCols {
 		if col == nil { // COUNT
 			continue
 		}
 		mv := col[i]
-		cell.sums[j] += mv
-		if mv < cell.mins[j] {
-			cell.mins[j] = mv
+		cell[cellSums+j] += mv
+		if mv < cell[cellSums+n+j] {
+			cell[cellSums+n+j] = mv
 		}
-		if mv > cell.maxs[j] {
-			cell.maxs[j] = mv
+		if mv > cell[cellSums+2*n+j] {
+			cell[cellSums+2*n+j] = mv
 		}
 	}
 }
 
-// scanRange folds facts [lo, hi) into the partial, visiting only mask bits
-// when a view mask is given (nil mask = the whole table). A plan with a
-// specialized stage-3 kernel runs it where the shape allows — whole-range
-// or mask-driven accumulation, and per-fact after a fused filter pass —
-// with scanned/matched kept exactly as the generic path counts them.
+// scanRange folds facts [lo, hi) into the partial with all three stages
+// fused per fact, visiting only mask bits when a view mask is given (nil
+// mask = the whole table).
 func (pt *partial) scanRange(lo, hi int, mask *bitset.Set) {
+	d := pt.p.drive(nil)
+	pt.scanFused(lo, hi, mask, &d)
+}
+
+// scanFused is scanRange over a given drive — the staged scan passes one
+// carrying a shared key column when only stage 2 was materialized. A plan
+// with a specialized stage-3 kernel runs it where the shape allows —
+// whole-range or mask-driven accumulation, and per-fact after a fused
+// filter pass — with scanned/matched kept exactly as the generic path
+// counts them.
+func (pt *partial) scanFused(lo, hi int, mask *bitset.Set, d *scanDrive) {
 	if p := pt.p; p.kern != kernGeneric {
 		if mask == nil {
 			if len(p.filters) == 0 {
 				pt.scanned += hi - lo
 				pt.matched += hi - lo
-				pt.accumRange(lo, hi, nil)
+				pt.accumRange(lo, hi, d)
 				return
 			}
 			for i := lo; i < hi; i++ {
 				pt.scanned++
 				if p.matchFact(int32(i)) {
 					pt.matched++
-					pt.accumOne(int32(i), nil)
+					pt.accumOne(int32(i), d)
 				}
 			}
 			return
@@ -657,19 +691,19 @@ func (pt *partial) scanRange(lo, hi int, mask *bitset.Set) {
 			c := mask.CountRange(lo, hi)
 			pt.scanned += c
 			pt.matched += c
-			pt.accumMask(mask, lo, hi, nil)
+			pt.accumMask(mask, lo, hi, d)
 			return
 		}
 	}
 	if mask != nil {
 		mask.ForEachRange(lo, hi, func(i int) bool {
-			pt.process(int32(i))
+			pt.process(int32(i), d)
 			return true
 		})
 		return
 	}
 	for i := lo; i < hi; i++ {
-		pt.process(int32(i))
+		pt.process(int32(i), d)
 	}
 }
 
@@ -679,69 +713,145 @@ func (pt *partial) scanRange(lo, hi int, mask *bitset.Set) {
 // MIN/MAX are order-insensitive and SUM folds are byte-stable whenever the
 // per-group sums are exact in float64 (see the file header).
 //
-// merge moves accumulator cells from src into pt by reference when pt has
-// no cell for the group yet — the reason a scan's partials recycle only as
-// a unit (scanPartials.release).
+// A group pt has no cell for yet takes a copy of src's cell as is (not a
+// fold into a blank one), so single-source groups keep their exact bits.
 func (pt *partial) merge(src *partial) {
 	pt.scanned += src.scanned
 	pt.matched += src.matched
 	pt.cost.Add(src.cost)
+	n, stride := len(pt.p.measureCols), len(pt.p.blankCell)
 	if pt.dense != nil {
-		for idx, cell := range src.dense {
-			if cell == nil {
+		for ck, so := range src.dense {
+			if so == 0 {
 				continue
 			}
-			if dst := pt.dense[idx]; dst == nil {
-				pt.dense[idx] = cell
+			if do := pt.dense[ck]; do != 0 {
+				mergeCell(pt.recs[do:], src.recs[so:], n)
 			} else {
-				dst.mergeFrom(cell)
-			}
-		}
-		if src.denseNone != nil {
-			if pt.denseNone == nil {
-				pt.denseNone = src.denseNone
-			} else {
-				pt.denseNone.mergeFrom(src.denseNone)
+				pt.dense[ck] = int32(len(pt.recs))
+				pt.recs = append(pt.recs, src.recs[so:int(so)+stride]...)
 			}
 		}
 		return
 	}
-	for k, cell := range src.cells {
-		if dst := pt.cells[k]; dst == nil {
-			pt.cells[k] = cell
-		} else {
-			dst.mergeFrom(cell)
+	for k, so := range src.cells {
+		if do, ok := pt.cells[k]; ok {
+			mergeCell(pt.recs[do:], src.recs[so:], n)
+			continue
 		}
+		pt.cells[k] = int32(len(pt.recs))
+		pt.recs = append(pt.recs, src.recs[so:int(so)+stride]...)
+		pt.members = append(pt.members, src.cellMembers(int(so)/stride-1)...)
 	}
 }
 
-// finalize turns a fully merged partial into the query Result: group names,
-// AVG division, ordering and limit.
-func (p *queryPlan) finalize(pt *partial) *Result {
-	res := &Result{ScannedFacts: pt.scanned, MatchedFacts: pt.matched}
-	for _, g := range p.q.GroupBy {
-		res.GroupCols = append(res.GroupCols, g.String())
+// cellMembers returns the group members of a hashed plan's c-th cell in
+// creation order (the cell at offset (c+1)·stride).
+func (pt *partial) cellMembers(c int) []int32 {
+	nl := len(pt.p.groups)
+	return pt.members[c*nl : (c+1)*nl]
+}
+
+// rowKey is one group's sort key in finalize: the OrderBy aggregate's
+// value (0 without OrderBy), the group's position in name order, and the
+// cell it stands for. Pointer-free, so the scratch slice pools on the
+// partial without pinning anything.
+type rowKey struct {
+	val float64
+	ord int32 // dense plans: composite of the levels' name ranks
+	idx int32 // dense plans: the group key; hashed: the cell's creation number
+}
+
+// aggValue is cell's final value for aggregate j (AVG divides here).
+func (p *queryPlan) aggValue(cell []float64, j int) float64 {
+	n := len(p.measureCols)
+	switch p.q.Aggregates[j].Agg {
+	case AggSum:
+		return cell[cellSums+j]
+	case AggCount:
+		return cell[cellCount]
+	case AggAvg:
+		return cell[cellSums+j] / cell[cellCount]
+	case AggMin:
+		return cell[cellSums+n+j]
+	default:
+		return cell[cellSums+2*n+j]
 	}
-	for _, a := range p.q.Aggregates {
-		if a.Agg == AggCount {
-			res.AggCols = append(res.AggCols, "COUNT(*)")
-		} else {
-			res.AggCols = append(res.AggCols, fmt.Sprintf("%s(%s)", a.Agg, a.Measure))
+}
+
+// nameOrder maps a dense plan's group key to the group's position in
+// group-name order: the same mixed-radix number with every slot replaced
+// by its name rank, so comparing two groups' names level by level is one
+// integer compare.
+func (p *queryPlan) nameOrder(ck int32) int32 {
+	var ord int32
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		slot := ck / g.stride
+		ck -= slot * g.stride
+		ord += g.rank[slot] * g.stride
+	}
+	return ord
+}
+
+// compareMembers orders two hashed cells by group names, level by level
+// through the name ranks; members break ties between same-named groups so
+// the order is total.
+func (p *queryPlan) compareMembers(a, b []int32) int {
+	for gi := range p.groups {
+		rank := p.groups[gi].rank
+		if c := cmp.Compare(rank[a[gi]+1], rank[b[gi]+1]); c != 0 {
+			return c
 		}
 	}
+	return slices.Compare(a, b)
+}
 
-	// Collect dense-path cells into the common row loop.
-	cells := pt.cells
-	if pt.dense != nil {
-		for _, cell := range pt.dense {
-			if cell != nil {
-				cells[string(appendInt32(nil, cell.members[0]))] = cell
+// finalize turns a fully merged partial into the query Result: AVG
+// division, ordering, limit, group names. It sorts pointer-free keys (one
+// per touched cell) rather than rows, then materializes only the rows
+// that survive Limit, carving their Groups and Values out of two flat
+// slabs — three allocations per Result however many rows, and a
+// truncated Result retains nothing sized by the groups it dropped.
+func (p *queryPlan) finalize(pt *partial) *Result {
+	res := &Result{GroupCols: p.groupCols, AggCols: p.aggCols,
+		ScannedFacts: pt.scanned, MatchedFacts: pt.matched}
+
+	// One key per touched cell. idx is the group key on a dense plan and
+	// the cell's creation number on a hashed one; cellAt maps it back.
+	dense := pt.dense != nil
+	nl, na, stride := len(p.groups), len(p.measureCols), len(p.blankCell)
+	cellAt := func(idx int32) []float64 {
+		off := (int(idx) + 1) * stride
+		if dense {
+			off = int(pt.dense[idx])
+		}
+		return pt.recs[off : off+stride]
+	}
+	ob := p.q.OrderBy
+	order := pt.order[:0]
+	add := func(idx int32) {
+		k := rowKey{idx: idx}
+		if ob != nil {
+			k.val = p.aggValue(cellAt(idx), ob.Agg)
+		}
+		if dense {
+			k.ord = p.nameOrder(idx)
+		}
+		order = append(order, k)
+	}
+	if dense {
+		for ck, off := range pt.dense {
+			if off != 0 {
+				add(int32(ck))
 			}
 		}
-		if pt.denseNone != nil {
-			cells[string(appendInt32(nil, NoParent))] = pt.denseNone
+	} else {
+		for c := range len(pt.recs)/stride - 1 {
+			add(int32(c))
 		}
 	}
+	pt.order = order
 
 	// The cost vector: artifact-byte shares accumulated on the partial
 	// by the staged scan, plus the scan counters and the distinct group
@@ -749,59 +859,56 @@ func (p *queryPlan) finalize(pt *partial) *Result {
 	res.Cost = pt.cost
 	res.Cost.FactsScanned += int64(pt.scanned)
 	res.Cost.FactsMatched += int64(pt.matched)
-	res.Cost.CellsTouched += int64(len(cells))
+	res.Cost.CellsTouched += int64(len(order))
 
-	// Materialize rows.
-	for _, cell := range cells {
-		row := Row{Values: make([]float64, len(p.q.Aggregates))}
-		for gi, gs := range p.groups {
-			name := "(none)"
-			if cell.members[gi] != NoParent {
-				name = gs.dd.levels[gs.li].Name(cell.members[gi])
+	desc := ob != nil && ob.Desc
+	slices.SortFunc(order, func(a, b rowKey) int {
+		if a.val != b.val {
+			if (a.val < b.val) != desc {
+				return -1
 			}
-			row.Groups = append(row.Groups, name)
+			return 1
 		}
-		for j, a := range p.q.Aggregates {
-			switch a.Agg {
-			case AggSum:
-				row.Values[j] = cell.sums[j]
-			case AggCount:
-				row.Values[j] = cell.count
-			case AggAvg:
-				row.Values[j] = cell.sums[j] / cell.count
-			case AggMin:
-				row.Values[j] = cell.mins[j]
-			case AggMax:
-				row.Values[j] = cell.maxs[j]
-			}
+		if !dense {
+			return p.compareMembers(pt.cellMembers(int(a.idx)), pt.cellMembers(int(b.idx)))
 		}
-		res.Rows = append(res.Rows, row)
-	}
-	byGroups := func(i, j int) bool {
-		a, b := res.Rows[i].Groups, res.Rows[j].Groups
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
+		if a.ord != b.ord {
+			return cmp.Compare(a.ord, b.ord)
 		}
-		return false
+		return cmp.Compare(a.idx, b.idx)
+	})
+	if p.q.Limit > 0 && len(order) > p.q.Limit {
+		order = order[:p.q.Limit]
 	}
-	if ob := p.q.OrderBy; ob != nil {
-		sort.Slice(res.Rows, func(i, j int) bool {
-			vi, vj := res.Rows[i].Values[ob.Agg], res.Rows[j].Values[ob.Agg]
-			if vi != vj {
-				if ob.Desc {
-					return vi > vj
-				}
-				return vi < vj
+	if len(order) == 0 {
+		return res
+	}
+
+	res.Rows = make([]Row, len(order))
+	names := make([]string, len(order)*nl)
+	values := make([]float64, len(order)*na)
+	for r, k := range order {
+		row := &res.Rows[r]
+		if nl > 0 {
+			row.Groups = names[r*nl : (r+1)*nl : (r+1)*nl]
+		}
+		ck := k.idx
+		for gi := range p.groups {
+			g := &p.groups[gi]
+			var slot int32
+			if dense {
+				slot = ck / g.stride
+				ck -= slot * g.stride
+			} else {
+				slot = pt.cellMembers(int(k.idx))[gi] + 1
 			}
-			return byGroups(i, j)
-		})
-	} else {
-		sort.Slice(res.Rows, byGroups)
-	}
-	if p.q.Limit > 0 && len(res.Rows) > p.q.Limit {
-		res.Rows = res.Rows[:p.q.Limit]
+			row.Groups[gi] = slotName(g.names, slot)
+		}
+		row.Values = values[r*na : (r+1)*na : (r+1)*na]
+		cell := cellAt(k.idx)
+		for j := range row.Values {
+			row.Values[j] = p.aggValue(cell, j)
+		}
 	}
 	return res
 }
@@ -1058,8 +1165,8 @@ type SharingStats struct {
 	// per-predicate sharing is disabled.
 	ComposedMasks int `json:"composedMasks"`
 	PartialMasks  int `json:"partialMasks"`
-	// GroupKeySets counts (query, grouping) pairs; DistinctGroupings the
-	// distinct (dimension, level) sub-fingerprints among them (= roll-up
+	// GroupKeySets counts queries with a dense, non-empty group-by;
+	// DistinctGroupings the distinct group-by lists among them (= roll-up
 	// key columns the scan conceptually needs).
 	GroupKeySets      int `json:"groupKeySets"`
 	DistinctGroupings int `json:"distinctGroupings"`
@@ -1153,8 +1260,8 @@ func (c *Cube) ExecuteBatchCompiled(cqs []*CompiledQuery, vs []*View, workers in
 // ExecuteBatchCompiledOpt runs one shared scan per fact table over
 // pre-compiled plans. Unless opts.DisableSharing is set, each fact group's
 // scan first materializes the shareable pipeline stages as batch-scoped
-// artifacts — one filter bitmap per distinct filter set and one roll-up
-// key column per distinct (dimension, level) grouping, identified by the
+// artifacts — one filter bitmap per distinct filter set and one composite
+// roll-up key column per distinct group-by list, identified by the
 // plans' sub-fingerprints — and then drives every query's accumulation off
 // the shared artifacts chunk by chunk, so queries that differ only in
 // selection mask or measure stop re-evaluating each other's filters and

@@ -11,8 +11,8 @@ import (
 // ArtifactCache is the cross-batch artifact cache: a byte-bounded LRU of
 // the batch executor's stage-1/2 artifacts — composed filter-set bitmaps
 // keyed by Query.FilterFingerprint, per-predicate bitmaps keyed by
-// AttrFilter.Fingerprint, and roll-up key columns keyed by
-// LevelRef.Fingerprint — so a hot dashboard filter or grouping survives
+// AttrFilter.Fingerprint, and composite roll-up key columns keyed by
+// Query.GroupFingerprint — so a hot dashboard filter or group-by survives
 // between scans instead of being re-materialized per batch.
 //
 // Entries are validated against the fact table's version (FactData bumps

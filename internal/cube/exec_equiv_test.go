@@ -13,8 +13,11 @@ package cube_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"sdwp/internal/cube"
@@ -597,5 +600,318 @@ func TestPerFilterArtifactCachePredicates(t *testing.T) {
 	if st.Doorkept < 3 || st.Entries < 3 {
 		t.Errorf("doorkeeper flow: want >= 3 doorkept (run 1) and >= 3 entries (run 2 admits the"+
 			" predicate bitmap and both set masks): %+v", st)
+	}
+}
+
+// naiveExecute is an executor-independent reference: one pass over the
+// fact table through the public accessors only — no plans, partials,
+// group tables or kernels — folding measures in fact order (the serial
+// fold order, so SUM/AVG bits match) and ordering rows by the documented
+// total order: OrderBy value, then group names level by level, then
+// member indices. It is what pins the dense and the hashed group tables
+// to the same semantics; every other comparison is executor vs executor.
+func naiveExecute(t *testing.T, c *cube.Cube, q cube.Query, v *cube.View) *cube.Result {
+	t.Helper()
+	fd := c.FactData(q.Fact)
+	type level struct {
+		dd *cube.DimData
+		li int
+	}
+	resolve := func(r cube.LevelRef) level {
+		dd := c.Dimension(r.Dimension)
+		return level{dd, dd.LevelIndex(r.Level)}
+	}
+	ancestor := func(l level, dim string, i int32) int32 {
+		key, _ := fd.DimKey(dim, i)
+		return l.dd.Ancestor(0, l.li, key)
+	}
+	passes := func(f cube.AttrFilter, i int32) bool {
+		l := resolve(f.LevelRef)
+		anc := ancestor(l, f.Dimension, i)
+		if anc == cube.NoParent {
+			return false
+		}
+		val, ok := l.dd.LevelAt(l.li).Attr(f.Attr, anc)
+		if !ok {
+			return false
+		}
+		if s, isStr := val.(string); isStr {
+			return (s == f.Value.(string)) == (f.Op == cube.OpEq)
+		}
+		a, b := val.(float64), f.Value.(float64)
+		switch f.Op {
+		case cube.OpEq:
+			return a == b
+		case cube.OpNe:
+			return a != b
+		case cube.OpLt:
+			return a < b
+		case cube.OpLe:
+			return a <= b
+		case cube.OpGt:
+			return a > b
+		default:
+			return a >= b
+		}
+	}
+
+	type group struct {
+		members          []int32
+		names            []string
+		count            float64
+		sums, mins, maxs []float64
+	}
+	res := &cube.Result{}
+	groups := map[string]*group{}
+	levels := make([]level, len(q.GroupBy))
+	for gi, g := range q.GroupBy {
+		levels[gi] = resolve(g)
+		res.GroupCols = append(res.GroupCols, g.Dimension+"."+g.Level)
+	}
+	for _, a := range q.Aggregates {
+		if a.Agg == cube.AggCount {
+			res.AggCols = append(res.AggCols, "COUNT(*)")
+		} else {
+			res.AggCols = append(res.AggCols, fmt.Sprintf("%s(%s)", a.Agg, a.Measure))
+		}
+	}
+facts:
+	for i := int32(0); int(i) < fd.Len(); i++ {
+		if v != nil && !v.FactVisible(q.Fact, i) {
+			continue
+		}
+		res.ScannedFacts++
+		for _, f := range q.Filters {
+			if !passes(f, i) {
+				continue facts
+			}
+		}
+		res.MatchedFacts++
+		members := make([]int32, len(levels))
+		for gi, l := range levels {
+			members[gi] = ancestor(l, q.GroupBy[gi].Dimension, i)
+		}
+		key := fmt.Sprint(members)
+		g := groups[key]
+		if g == nil {
+			g = &group{members: members}
+			for gi, l := range levels {
+				name := "(none)"
+				if members[gi] != cube.NoParent {
+					name = l.dd.LevelAt(l.li).Name(members[gi])
+				}
+				g.names = append(g.names, name)
+			}
+			for range q.Aggregates {
+				g.sums = append(g.sums, 0)
+				g.mins = append(g.mins, math.Inf(1))
+				g.maxs = append(g.maxs, math.Inf(-1))
+			}
+			groups[key] = g
+		}
+		g.count++
+		for j, a := range q.Aggregates {
+			if a.Agg == cube.AggCount {
+				continue
+			}
+			mv, _ := fd.Measure(a.Measure, i)
+			g.sums[j] += mv
+			g.mins[j] = math.Min(g.mins[j], mv)
+			g.maxs[j] = math.Max(g.maxs[j], mv)
+		}
+	}
+
+	value := func(g *group, j int) float64 {
+		switch q.Aggregates[j].Agg {
+		case cube.AggSum:
+			return g.sums[j]
+		case cube.AggCount:
+			return g.count
+		case cube.AggAvg:
+			return g.sums[j] / g.count
+		case cube.AggMin:
+			return g.mins[j]
+		default:
+			return g.maxs[j]
+		}
+	}
+	ordered := make([]*group, 0, len(groups))
+	for _, g := range groups {
+		ordered = append(ordered, g)
+	}
+	sort.Slice(ordered, func(x, y int) bool {
+		a, b := ordered[x], ordered[y]
+		if ob := q.OrderBy; ob != nil {
+			if va, vb := value(a, ob.Agg), value(b, ob.Agg); va != vb {
+				return (va < vb) != ob.Desc
+			}
+		}
+		if c := slices.Compare(a.names, b.names); c != 0 {
+			return c < 0
+		}
+		return slices.Compare(a.members, b.members) < 0
+	})
+	if q.Limit > 0 && len(ordered) > q.Limit {
+		ordered = ordered[:q.Limit]
+	}
+	for _, g := range ordered {
+		row := cube.Row{Groups: g.names}
+		for j := range q.Aggregates {
+			row.Values = append(row.Values, value(g, j))
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res
+}
+
+// keySpace is a group-by's composite key space — the product of the
+// levels' slot counts — which decides its side of cube.MaxDenseCells.
+func keySpace(c *cube.Cube, groupBy []cube.LevelRef) int {
+	cells := 1
+	for _, g := range groupBy {
+		cells *= c.Dimension(g.Dimension).Level(g.Level).Len() + 1
+	}
+	return cells
+}
+
+// TestMultiLevelGroupByEquivalence sweeps 2- and 3-level group-bys on both
+// sides of the dense-table constant — including two levels of one
+// dimension, NoParent groups (orphaned stores and cities), OrderBy over
+// heavily tied COUNTs, Limit below the row count, and views — through
+// every executor and sharing mode. The serial result must equal the
+// executor-independent reference, and everything else the serial result.
+func TestMultiLevelGroupByEquivalence(t *testing.T) {
+	// Three scan chunks of facts, so multi-worker runs really merge.
+	cfg := datagen.Config{
+		Seed: 5, States: 5, Cities: 15, Stores: 520, Customers: 520,
+		Products: 30, Days: 30, Sales: 20000,
+		AirportEvery: 5, TrainLines: 4, Hospitals: 5, Highways: 2,
+	}
+	ds, err := datagen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ds.Cube
+	for _, s := range []int32{3, 77, 300} {
+		cube.OrphanMember(c, "Store", "Store", s)
+	}
+	cube.OrphanMember(c, "Store", "City", 4)
+
+	ref := func(d, l string) cube.LevelRef { return cube.LevelRef{Dimension: d, Level: l} }
+	shapes := []struct {
+		groupBy []cube.LevelRef
+		dense   bool
+	}{
+		{[]cube.LevelRef{ref("Store", "Store"), ref("Product", "Family")}, true},
+		{[]cube.LevelRef{ref("Store", "City"), ref("Time", "Month")}, true},
+		{[]cube.LevelRef{ref("Store", "City"), ref("Store", "State")}, true},
+		{[]cube.LevelRef{ref("Store", "State"), ref("Product", "Family"), ref("Time", "Month")}, true},
+		{[]cube.LevelRef{ref("Store", "Store"), ref("Customer", "Segment"), ref("Time", "Day")}, true},
+		{[]cube.LevelRef{ref("Store", "Store"), ref("Customer", "Customer")}, false},
+		{[]cube.LevelRef{ref("Customer", "Customer"), ref("Store", "Store"), ref("Store", "City")}, false},
+		{[]cube.LevelRef{ref("Product", "Product"), ref("Customer", "Customer"), ref("Time", "Day")}, false},
+	}
+	for _, sh := range shapes {
+		if got := keySpace(c, sh.groupBy) <= cube.MaxDenseCells; got != sh.dense {
+			t.Fatalf("group-by %v: key space %d is on the wrong side of the dense constant %d",
+				sh.groupBy, keySpace(c, sh.groupBy), cube.MaxDenseCells)
+		}
+	}
+	aggPool := [][]cube.MeasureAgg{
+		{{Agg: cube.AggCount}}, // small integers: OrderBy ties everywhere
+		{{Measure: "UnitSales", Agg: cube.AggSum}},
+		{{Measure: "UnitSales", Agg: cube.AggAvg}},
+		{{Measure: "StoreCost", Agg: cube.AggMin}},
+		{{Measure: "StoreSales", Agg: cube.AggMax}, {Agg: cube.AggCount}, {Measure: "UnitSales", Agg: cube.AggSum}},
+	}
+	popFilter := cube.AttrFilter{LevelRef: ref("Store", "City"),
+		Attr: "population", Op: cube.OpGe, Value: float64(100000)}
+
+	rng := rand.New(rand.NewSource(5))
+	var qs []cube.Query
+	var vs []*cube.View
+	for _, sh := range shapes {
+		for k := 0; k < 2; k++ {
+			q := cube.Query{Fact: "Sales", GroupBy: sh.groupBy,
+				Aggregates: aggPool[rng.Intn(len(aggPool))]}
+			if rng.Intn(2) == 0 {
+				q.Filters = []cube.AttrFilter{popFilter}
+			}
+			if rng.Intn(3) > 0 {
+				q.OrderBy = &cube.OrderBy{Agg: rng.Intn(len(q.Aggregates)), Desc: rng.Intn(2) == 0}
+			}
+			if rng.Intn(2) == 0 {
+				q.Limit = 1 + rng.Intn(40)
+			}
+			qs = append(qs, q)
+			vs = append(vs, randomView(rng, c, cfg))
+		}
+	}
+	// Two copies of one plan sharing filter set and group-by list over the
+	// whole table, so the staged path materializes a composite key column
+	// for a dense multi-level plan.
+	for k := 0; k < 2; k++ {
+		qs = append(qs, cube.Query{Fact: "Sales", GroupBy: shapes[0].groupBy,
+			Aggregates: aggPool[1+k], Filters: []cube.AttrFilter{popFilter}})
+		vs = append(vs, nil)
+	}
+
+	serial := make([]*cube.Result, len(qs))
+	truncated := 0
+	unpackedOracle(c, func() {
+		for i := range qs {
+			if serial[i], err = c.Execute(qs[i], vs[i]); err != nil {
+				t.Fatalf("case %d: serial: %v", i, err)
+			}
+			diffResults(t, fmt.Sprintf("case %d serial vs reference", i),
+				serial[i], naiveExecute(t, c, qs[i], vs[i]))
+			if qs[i].Limit > 0 && int(serial[i].Cost.CellsTouched) > qs[i].Limit {
+				truncated++
+			}
+		}
+	})
+	if truncated == 0 {
+		t.Error("no case truncated its rows: Limit < rows is not covered")
+	}
+	sawNone := false
+	for _, res := range serial {
+		for _, row := range res.Rows {
+			for _, g := range row.Groups {
+				sawNone = sawNone || g == "(none)"
+			}
+		}
+	}
+	if !sawNone {
+		t.Error("no (none) group in any result: NoParent slots are not covered")
+	}
+
+	prev := c.PackedColumns()
+	defer c.SetPackedColumns(prev)
+	for _, pm := range packedModes {
+		c.SetPackedColumns(pm.on)
+		for i := range qs {
+			got, err := c.ExecuteParallel(qs[i], vs[i], 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffResults(t, fmt.Sprintf("case %d workers 3 %s", i, pm.name), got, serial[i])
+		}
+		for _, w := range []int{1, 4} {
+			for _, mode := range batchSharingModes {
+				opts := mode.opts
+				opts.Workers = w
+				batch, stats, err := c.ExecuteBatchOpt(qs, vs, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range qs {
+					diffResults(t, fmt.Sprintf("batch case %d workers %d mode %s %s",
+						i, w, mode.name, pm.name), batch[i], serial[i])
+				}
+				if !mode.opts.DisableSharing && stats.KeyColBytesBuilt == 0 {
+					t.Errorf("mode %s: no composite key column materialized", mode.name)
+				}
+			}
+		}
 	}
 }

@@ -7,14 +7,17 @@ import (
 )
 
 // This file is the stage-3 specialization layer: monomorphic accumulate
-// kernels per (measure-op, group-shape), selected once at plan compile
+// kernels per measure-op, selected once at plan compile
 // (selectKernel) instead of dispatched per fact. The generic
 // accumulateFact walks the aggregate list per fact, re-testing each
 // measure column for COUNT and updating sum, min and max whether the
 // query asked for them or not; a plan with exactly one aggregate — the
 // overwhelmingly common OLAP shape — instead runs a tight loop that
 // hoists the measure column, key column and roll-up table into locals
-// and performs only the one update its aggregate needs.
+// and performs only the one update its aggregate needs. The kernels run
+// on dense plans only (queryPlan.denseCells): the group shape is always
+// "index one table by one composite key", so there is one kernel per
+// measure-op and the group-by depth only changes how the key is decoded.
 //
 // Skipping the untouched accumulator fields is safe for byte-identical
 // results: finalize reads only the field its aggregate defines (sums for
@@ -32,210 +35,150 @@ type kernelKind uint8
 
 const (
 	kernGeneric kernelKind = iota
-	kernSingleSum
-	kernSingleCount
-	kernSingleAvg
-	kernSingleMin
-	kernSingleMax
-	kernMultiSum
-	kernMultiCount
-	kernMultiAvg
-	kernMultiMin
-	kernMultiMax
+	kernSum
+	kernCount
+	kernAvg
+	kernMin
+	kernMax
 )
 
-// selectKernel maps a plan to its accumulate kernel: one aggregate
-// specializes per op, with the group shape picking the dense single-level
-// variant or the hashed multi-level one (which also covers grand totals —
-// zero group-by levels). Multi-aggregate plans keep the generic loop.
+// selectKernel maps a plan to its accumulate kernel: a dense plan with
+// exactly one aggregate specializes per op — whatever its group-by depth,
+// since every dense plan indexes one table by one composite key.
+// Multi-aggregate plans and hashed plans keep the generic loop.
 func selectKernel(p *queryPlan) kernelKind {
-	if len(p.q.Aggregates) != 1 {
+	if len(p.q.Aggregates) != 1 || p.denseCells == 0 {
 		return kernGeneric
 	}
-	single := len(p.groups) == 1
 	switch p.q.Aggregates[0].Agg {
 	case AggSum:
-		if single {
-			return kernSingleSum
-		}
-		return kernMultiSum
+		return kernSum
 	case AggCount:
-		if single {
-			return kernSingleCount
-		}
-		return kernMultiCount
+		return kernCount
 	case AggAvg:
-		if single {
-			return kernSingleAvg
-		}
-		return kernMultiAvg
+		return kernAvg
 	case AggMin:
-		if single {
-			return kernSingleMin
-		}
-		return kernMultiMin
+		return kernMin
 	case AggMax:
-		if single {
-			return kernSingleMax
-		}
-		return kernMultiMax
+		return kernMax
 	}
 	return kernGeneric
 }
 
-// kernDrive is one scan range's hoisted kernel state: the measure column
-// and the single-group key source (shared decoded column when the batch
-// materialized one, else roll-up table + fact keys), loaded once per
-// range instead of once per fact.
-type kernDrive struct {
-	col  []float64 // the aggregate's measure column (nil for COUNT)
-	kc0  []int32   // shared decoded key column (nil → inline decode)
-	anc  []int32
-	keys []int32
-	kc   [][]int32 // per-grouping shared columns for the multi shape
+// scanDrive is one scan range's hoisted stage-2/3 state, loaded once per
+// range instead of once per fact: the group-key source (the shared
+// composite column when the batch materialized one, else inline decode)
+// and, for the kernels, the single aggregate's measure column.
+type scanDrive struct {
+	p   *queryPlan
+	col []float64 // first aggregate's measure column (nil for COUNT)
+	kc  []int32   // shared composite key column (nil → inline decode)
+	// anc/keys are the single-level inline decode (roll-up table + fact
+	// keys), nil for any other depth.
+	anc, keys []int32
 }
 
-func (p *queryPlan) kernDrive(kc [][]int32) kernDrive {
-	d := kernDrive{col: p.measureCols[0], kc: kc}
+// drive builds the plan's scanDrive over an optional shared composite key
+// column.
+func (p *queryPlan) drive(kc []int32) scanDrive {
+	d := scanDrive{p: p, col: p.measureCols[0], kc: kc}
 	if len(p.groups) == 1 {
-		g := &p.groups[0]
-		d.anc, d.keys = g.anc, g.keys
-		if kc != nil {
-			d.kc0 = kc[0]
-		}
+		d.anc, d.keys = p.groups[0].anc, p.groups[0].keys
 	}
 	return d
 }
 
-// key is stage 2 for one fact of a single-level plan.
-func (d *kernDrive) key(i int32) int32 {
-	if d.kc0 != nil {
-		return d.kc0[i]
+// key is stage 2 for one fact of a dense plan: its composite group key.
+func (d *scanDrive) key(i int32) int32 {
+	if d.kc != nil {
+		return d.kc[i]
 	}
-	return d.anc[d.keys[i]]
+	if d.anc != nil {
+		return d.anc[d.keys[i]] + 1
+	}
+	return d.p.cellIndex(i)
 }
 
-// cellFor is the dense-path cell fetch, shaped to inline into the kernel
-// loops (inline budget is why the body is only the single hottest
-// outcome): an existing dense cell returns directly, everything else —
-// the NoParent slot and the rare create path — is one outlined call.
-func (pt *partial) cellFor(a int32) *accum {
-	if a >= 0 {
-		if cell := pt.dense[a]; cell != nil {
-			return cell
-		}
+// cellFor is the dense table's cell fetch, shaped to inline into the
+// kernel loops: an existing cell's offset returns directly, creation is
+// one outlined call (newDenseCell must stay out of line, or it is inlined
+// here and pushes cellFor itself past the inline budget).
+func (pt *partial) cellFor(ck int32) int32 {
+	if off := pt.dense[ck]; off != 0 {
+		return off
 	}
-	return pt.cellForSlow(a)
+	return pt.newDenseCell(ck)
 }
 
-// cellForSlow is cellFor's outlined tail: the NoParent slot and cell
-// creation for member a (NoParent allowed).
-func (pt *partial) cellForSlow(a int32) *accum {
-	if a < 0 && pt.denseNone != nil {
-		return pt.denseNone
-	}
-	pt.memberScratch[0] = a
-	cell := pt.newAccum(pt.memberScratch)
-	if a >= 0 {
-		pt.dense[a] = cell
-	} else {
-		pt.denseNone = cell
-	}
-	return cell
+//go:noinline
+func (pt *partial) newDenseCell(ck int32) int32 {
+	off := pt.newCell()
+	pt.dense[ck] = off
+	return off
 }
 
-// multiCell is the hashed-path cell fetch for multi-level (or zero-level)
-// group keys — the composite-key half of accumulateFact, shared between
-// the generic loop and the multi kernels.
-func (pt *partial) multiCell(i int32, kc [][]int32) *accum {
+// hashCell is the hashed plans' cell fetch: the string-keyed fallback for
+// group key spaces above maxDenseCells.
+func (pt *partial) hashCell(i int32) int32 {
 	p := pt.p
 	pt.keyBuf = pt.keyBuf[:0]
 	for gi := range p.groups {
-		var a int32
-		if kc != nil && kc[gi] != nil {
-			a = kc[gi][i]
-		} else {
-			a = p.groups[gi].decode(i)
+		pt.keyBuf = appendInt32(pt.keyBuf, p.groups[gi].decode(i))
+	}
+	off, ok := pt.cells[string(pt.keyBuf)]
+	if !ok {
+		off = pt.newCell()
+		pt.cells[string(pt.keyBuf)] = off
+		for gi := range p.groups {
+			pt.members = append(pt.members, p.groups[gi].decode(i))
 		}
-		pt.memberScratch[gi] = a
-		pt.keyBuf = appendInt32(pt.keyBuf, a)
 	}
-	cell := pt.cells[string(pt.keyBuf)]
-	if cell == nil {
-		cell = pt.newAccum(pt.memberScratch)
-		pt.cells[string(pt.keyBuf)] = cell
-	}
-	return cell
+	return off
 }
+
+// The kernels below run on a plan with one aggregate, whose cells are
+// [count, sum, min, max]. Each takes the cell's offset first and indexes
+// pt.recs after: cellFor may append to recs.
+const (
+	kernCellSum = cellSums
+	kernCellMin = cellSums + 1
+	kernCellMax = cellSums + 2
+)
 
 // accumRange folds every fact in [lo, hi) through the plan's kernel —
 // the unfiltered, unmasked stage 3. Callers must only invoke it when
 // p.kern != kernGeneric.
-func (pt *partial) accumRange(lo, hi int, kc [][]int32) {
-	d := pt.p.kernDrive(kc)
+func (pt *partial) accumRange(lo, hi int, d *scanDrive) {
+	col := d.col
 	switch pt.p.kern {
-	case kernSingleSum:
-		col := d.col
+	case kernSum:
 		for i := lo; i < hi; i++ {
-			pt.cellFor(d.key(int32(i))).sums[0] += col[i]
+			off := pt.cellFor(d.key(int32(i)))
+			pt.recs[off+kernCellSum] += col[i]
 		}
-	case kernSingleCount:
+	case kernCount:
 		for i := lo; i < hi; i++ {
-			pt.cellFor(d.key(int32(i))).count++
+			off := pt.cellFor(d.key(int32(i)))
+			pt.recs[off+cellCount]++
 		}
-	case kernSingleAvg:
-		col := d.col
+	case kernAvg:
 		for i := lo; i < hi; i++ {
-			cell := pt.cellFor(d.key(int32(i)))
-			cell.count++
-			cell.sums[0] += col[i]
+			off := pt.cellFor(d.key(int32(i)))
+			pt.recs[off+cellCount]++
+			pt.recs[off+kernCellSum] += col[i]
 		}
-	case kernSingleMin:
-		col := d.col
+	case kernMin:
 		for i := lo; i < hi; i++ {
-			cell := pt.cellFor(d.key(int32(i)))
-			if mv := col[i]; mv < cell.mins[0] {
-				cell.mins[0] = mv
+			off := pt.cellFor(d.key(int32(i)))
+			if mv := col[i]; mv < pt.recs[off+kernCellMin] {
+				pt.recs[off+kernCellMin] = mv
 			}
 		}
-	case kernSingleMax:
-		col := d.col
+	case kernMax:
 		for i := lo; i < hi; i++ {
-			cell := pt.cellFor(d.key(int32(i)))
-			if mv := col[i]; mv > cell.maxs[0] {
-				cell.maxs[0] = mv
-			}
-		}
-	case kernMultiSum:
-		col := d.col
-		for i := lo; i < hi; i++ {
-			pt.multiCell(int32(i), kc).sums[0] += col[i]
-		}
-	case kernMultiCount:
-		for i := lo; i < hi; i++ {
-			pt.multiCell(int32(i), kc).count++
-		}
-	case kernMultiAvg:
-		col := d.col
-		for i := lo; i < hi; i++ {
-			cell := pt.multiCell(int32(i), kc)
-			cell.count++
-			cell.sums[0] += col[i]
-		}
-	case kernMultiMin:
-		col := d.col
-		for i := lo; i < hi; i++ {
-			cell := pt.multiCell(int32(i), kc)
-			if mv := col[i]; mv < cell.mins[0] {
-				cell.mins[0] = mv
-			}
-		}
-	case kernMultiMax:
-		col := d.col
-		for i := lo; i < hi; i++ {
-			cell := pt.multiCell(int32(i), kc)
-			if mv := col[i]; mv > cell.maxs[0] {
-				cell.maxs[0] = mv
+			off := pt.cellFor(d.key(int32(i)))
+			if mv := col[i]; mv > pt.recs[off+kernCellMax] {
+				pt.recs[off+kernCellMax] = mv
 			}
 		}
 	}
@@ -246,14 +189,13 @@ func (pt *partial) accumRange(lo, hi int, kc [][]int32) {
 // instead of taking a callback per fact. Bounds clamp to the mask's
 // capacity exactly as ForEachRange does. Callers must only invoke it
 // when p.kern != kernGeneric.
-func (pt *partial) accumMask(m *bitset.Set, lo, hi int, kc [][]int32) {
+func (pt *partial) accumMask(m *bitset.Set, lo, hi int, d *scanDrive) {
 	if hi > m.Len() {
 		hi = m.Len()
 	}
 	if lo >= hi {
 		return
 	}
-	d := pt.p.kernDrive(kc)
 	words := m.Words()
 	loW, hiW := lo>>6, (hi-1)>>6
 	for wi := loW; wi <= hiW; wi++ {
@@ -267,89 +209,53 @@ func (pt *partial) accumMask(m *bitset.Set, lo, hi int, kc [][]int32) {
 			}
 		}
 		if w != 0 {
-			pt.accumWord(w, int32(wi)<<6, &d)
+			pt.accumWord(w, int32(wi)<<6, d)
 		}
 	}
 }
 
 // accumWord folds the set bits of one mask word (facts [base, base+64))
 // through the kernel. The kind switch runs once per word, not per fact.
-func (pt *partial) accumWord(w uint64, base int32, d *kernDrive) {
+func (pt *partial) accumWord(w uint64, base int32, d *scanDrive) {
 	switch pt.p.kern {
-	case kernSingleSum:
+	case kernSum:
 		for w != 0 {
 			i := base + int32(bits.TrailingZeros64(w))
 			w &= w - 1
-			pt.cellFor(d.key(i)).sums[0] += d.col[i]
+			off := pt.cellFor(d.key(i))
+			pt.recs[off+kernCellSum] += d.col[i]
 		}
-	case kernSingleCount:
+	case kernCount:
 		for w != 0 {
 			i := base + int32(bits.TrailingZeros64(w))
 			w &= w - 1
-			pt.cellFor(d.key(i)).count++
+			off := pt.cellFor(d.key(i))
+			pt.recs[off+cellCount]++
 		}
-	case kernSingleAvg:
+	case kernAvg:
 		for w != 0 {
 			i := base + int32(bits.TrailingZeros64(w))
 			w &= w - 1
-			cell := pt.cellFor(d.key(i))
-			cell.count++
-			cell.sums[0] += d.col[i]
+			off := pt.cellFor(d.key(i))
+			pt.recs[off+cellCount]++
+			pt.recs[off+kernCellSum] += d.col[i]
 		}
-	case kernSingleMin:
+	case kernMin:
 		for w != 0 {
 			i := base + int32(bits.TrailingZeros64(w))
 			w &= w - 1
-			cell := pt.cellFor(d.key(i))
-			if mv := d.col[i]; mv < cell.mins[0] {
-				cell.mins[0] = mv
+			off := pt.cellFor(d.key(i))
+			if mv := d.col[i]; mv < pt.recs[off+kernCellMin] {
+				pt.recs[off+kernCellMin] = mv
 			}
 		}
-	case kernSingleMax:
+	case kernMax:
 		for w != 0 {
 			i := base + int32(bits.TrailingZeros64(w))
 			w &= w - 1
-			cell := pt.cellFor(d.key(i))
-			if mv := d.col[i]; mv > cell.maxs[0] {
-				cell.maxs[0] = mv
-			}
-		}
-	case kernMultiSum:
-		for w != 0 {
-			i := base + int32(bits.TrailingZeros64(w))
-			w &= w - 1
-			pt.multiCell(i, d.kc).sums[0] += d.col[i]
-		}
-	case kernMultiCount:
-		for w != 0 {
-			i := base + int32(bits.TrailingZeros64(w))
-			w &= w - 1
-			pt.multiCell(i, d.kc).count++
-		}
-	case kernMultiAvg:
-		for w != 0 {
-			i := base + int32(bits.TrailingZeros64(w))
-			w &= w - 1
-			cell := pt.multiCell(i, d.kc)
-			cell.count++
-			cell.sums[0] += d.col[i]
-		}
-	case kernMultiMin:
-		for w != 0 {
-			i := base + int32(bits.TrailingZeros64(w))
-			w &= w - 1
-			cell := pt.multiCell(i, d.kc)
-			if mv := d.col[i]; mv < cell.mins[0] {
-				cell.mins[0] = mv
-			}
-		}
-	case kernMultiMax:
-		for w != 0 {
-			i := base + int32(bits.TrailingZeros64(w))
-			w &= w - 1
-			cell := pt.multiCell(i, d.kc)
-			if mv := d.col[i]; mv > cell.maxs[0] {
-				cell.maxs[0] = mv
+			off := pt.cellFor(d.key(i))
+			if mv := d.col[i]; mv > pt.recs[off+kernCellMax] {
+				pt.recs[off+kernCellMax] = mv
 			}
 		}
 	}
@@ -358,35 +264,23 @@ func (pt *partial) accumWord(w uint64, base int32, d *kernDrive) {
 // accumOne folds a single already-matched fact through the plan's kernel
 // — stage 3 of the fused filter path. Callers must only invoke it when
 // p.kern != kernGeneric.
-func (pt *partial) accumOne(i int32, kc [][]int32) {
-	p := pt.p
-	var cell *accum
-	if pt.dense != nil {
-		var a int32
-		if kc != nil && kc[0] != nil {
-			a = kc[0][i]
-		} else {
-			a = p.groups[0].decode(i)
+func (pt *partial) accumOne(i int32, d *scanDrive) {
+	off := pt.cellFor(d.key(i))
+	switch pt.p.kern {
+	case kernSum:
+		pt.recs[off+kernCellSum] += d.col[i]
+	case kernCount:
+		pt.recs[off+cellCount]++
+	case kernAvg:
+		pt.recs[off+cellCount]++
+		pt.recs[off+kernCellSum] += d.col[i]
+	case kernMin:
+		if mv := d.col[i]; mv < pt.recs[off+kernCellMin] {
+			pt.recs[off+kernCellMin] = mv
 		}
-		cell = pt.cellFor(a)
-	} else {
-		cell = pt.multiCell(i, kc)
-	}
-	switch p.kern {
-	case kernSingleSum, kernMultiSum:
-		cell.sums[0] += p.measureCols[0][i]
-	case kernSingleCount, kernMultiCount:
-		cell.count++
-	case kernSingleAvg, kernMultiAvg:
-		cell.count++
-		cell.sums[0] += p.measureCols[0][i]
-	case kernSingleMin, kernMultiMin:
-		if mv := p.measureCols[0][i]; mv < cell.mins[0] {
-			cell.mins[0] = mv
-		}
-	case kernSingleMax, kernMultiMax:
-		if mv := p.measureCols[0][i]; mv > cell.maxs[0] {
-			cell.maxs[0] = mv
+	case kernMax:
+		if mv := d.col[i]; mv > pt.recs[off+kernCellMax] {
+			pt.recs[off+kernCellMax] = mv
 		}
 	}
 }

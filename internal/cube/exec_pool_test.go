@@ -7,11 +7,14 @@ package cube
 // longer allocates seven partial tables that scan nothing.
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"sdwp/internal/bitset"
+	"sdwp/internal/geomd"
+	"sdwp/internal/mdmodel"
 )
 
 func TestNormalizeWorkersClampsToChunkCount(t *testing.T) {
@@ -69,78 +72,124 @@ func TestTinyTableWorkersAllocateOnePartial(t *testing.T) {
 	}
 }
 
-// TestPartialPoolNoStateBleed runs two structurally different queries
-// back-to-back through one partial — exactly what the pool does on reuse —
-// and pins that rebind leaves no trace of the previous query: no stale
-// accumulator rows, no stale scan counters, results identical to a
+// wideWarehouse builds a warehouse whose A x B group-by has 601² keys —
+// past maxDenseCells, so it takes the hashed group table — while A x
+// B.region and A alone stay dense.
+func wideWarehouse(t testing.TB) *Cube {
+	t.Helper()
+	b := mdmodel.NewBuilder("Wide")
+	b.Dimension("A").Level("a", "name").Attr("weight", mdmodel.TypeNumber)
+	b.Dimension("B").Level("b", "name").Level("region", "name")
+	b.Fact("F").Measure("m").Measure("n").Uses("A", "B")
+	c := New(geomd.New(b.MustBuild()))
+	must := func(_ int32, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < 3; r++ {
+		must(c.AddMember("B", "region", fmt.Sprintf("r%d", r), NoParent))
+	}
+	for i := 0; i < 600; i++ {
+		must(c.AddMember("A", "a", fmt.Sprintf("a%03d", i), NoParent))
+		if err := c.SetMemberAttr("A", "a", int32(i), "weight", float64(i%7)); err != nil {
+			t.Fatal(err)
+		}
+		must(c.AddMember("B", "b", fmt.Sprintf("b%03d", i), int32(i%3)))
+	}
+	for i := 0; i < 3000; i++ {
+		err := c.AddFact("F",
+			map[string]int32{"A": int32(i * 7 % 600), "B": int32(i * 13 % 600)},
+			map[string]float64{"m": float64(i%11 + 1), "n": float64(i%5) / 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// TestPartialPoolNoStateBleed alternates a hashed plan, a dense
+// composite-key plan and a single-level kernel plan through one partial —
+// exactly what the pool does on reuse — and pins that rebind leaves no
+// trace of the previous query whatever shape it had: no stale cells in
+// either group table, no stale scan counters, results identical to a
 // freshly allocated partial's.
 func TestPartialPoolNoStateBleed(t *testing.T) {
-	c := testWarehouse(t)
-	// Query A: filtered, multi-group (hash-cells path), SUM + COUNT.
-	qA := Query{
-		Fact:    "Sales",
-		GroupBy: []LevelRef{{"Store", "State"}, {"Time", "Day"}},
+	c := wideWarehouse(t)
+	compile := func(q Query) *queryPlan {
+		t.Helper()
+		p, err := c.compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// Hashed: filtered, two aggregates.
+	pHash := compile(Query{
+		Fact:       "F",
+		GroupBy:    []LevelRef{{"A", "a"}, {"B", "b"}},
+		Aggregates: []MeasureAgg{{Measure: "m", Agg: AggSum}, {Agg: AggCount}},
+		Filters:    []AttrFilter{{LevelRef: LevelRef{"A", "a"}, Attr: "weight", Op: OpGt, Value: 2.0}},
+	})
+	// Dense composite key: unfiltered, three aggregates, a wider cell.
+	pDense := compile(Query{
+		Fact:    "F",
+		GroupBy: []LevelRef{{"A", "a"}, {"B", "region"}},
 		Aggregates: []MeasureAgg{
-			{Measure: "UnitSales", Agg: AggSum},
-			{Agg: AggCount},
+			{Measure: "n", Agg: AggMin},
+			{Measure: "n", Agg: AggMax},
+			{Measure: "m", Agg: AggAvg},
 		},
-		Filters: []AttrFilter{{
-			LevelRef: LevelRef{"Store", "City"}, Attr: "population",
-			Op: OpGt, Value: 300000.0,
-		}},
+	})
+	// Single level, one aggregate: the kernel path.
+	pSingle := compile(Query{
+		Fact:       "F",
+		GroupBy:    []LevelRef{{"B", "b"}},
+		Aggregates: []MeasureAgg{{Measure: "m", Agg: AggSum}},
+	})
+	if pHash.denseCells != 0 || pDense.denseCells != 601*4 || pSingle.denseCells != 601 ||
+		pSingle.kern != kernSum && c.PackedColumns() {
+		t.Fatalf("plans have the wrong shapes: dense cells %d/%d/%d, kernel %d",
+			pHash.denseCells, pDense.denseCells, pSingle.denseCells, pSingle.kern)
 	}
-	// Query B: unfiltered, single-group (dense path), different measure,
-	// different aggregate count — everything about its partial differs.
-	qB := Query{
-		Fact:    "Sales",
-		GroupBy: []LevelRef{{"Store", "City"}},
-		Aggregates: []MeasureAgg{
-			{Measure: "StoreCost", Agg: AggMin},
-			{Measure: "StoreCost", Agg: AggMax},
-			{Measure: "UnitSales", Agg: AggAvg},
-		},
-	}
-	pA, err := c.compile(qA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pB, err := c.compile(qB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := pA.fd.n
+
+	n := pHash.fd.n
 	run := func(p *queryPlan, pt *partial) *Result {
 		pt.scanRange(0, n, nil)
 		return p.finalize(pt)
 	}
-	wantA := run(pA, newPartial(pA))
-	wantB := run(pB, newPartial(pB))
-
-	pt := newPartial(pA)
-	if got := run(pA, pt); !reflect.DeepEqual(got, wantA) {
-		t.Fatalf("first use diverged:\ngot  %+v\nwant %+v", got, wantA)
-	}
-	// Rebind to B — the reset-on-get path — and check the partial is
-	// indistinguishable from fresh before it scans anything.
-	pt.rebind(pB)
-	if pt.scanned != 0 || pt.matched != 0 {
-		t.Fatalf("stale scan counters after rebind: %d/%d", pt.scanned, pt.matched)
-	}
-	if len(pt.cells) != 0 || pt.denseNone != nil {
-		t.Fatalf("stale accumulator rows after rebind: %d cells", len(pt.cells))
-	}
-	for i, cell := range pt.dense {
-		if cell != nil {
-			t.Fatalf("stale dense cell %d after rebind", i)
+	want := map[*queryPlan]*Result{}
+	for _, p := range []*queryPlan{pHash, pDense, pSingle} {
+		want[p] = run(p, newPartial(p))
+		if len(want[p].Rows) == 0 {
+			t.Fatal("empty reference result")
 		}
 	}
-	if got := run(pB, pt); !reflect.DeepEqual(got, wantB) {
-		t.Fatalf("reused partial diverged on B:\ngot  %+v\nwant %+v", got, wantB)
-	}
-	// And back to A: the arena has rewound twice, dense→cells→dense.
-	pt.rebind(pA)
-	if got := run(pA, pt); !reflect.DeepEqual(got, wantA) {
-		t.Fatalf("reused partial diverged on A:\ngot  %+v\nwant %+v", got, wantA)
+
+	pt := &partial{}
+	for step, p := range []*queryPlan{pHash, pDense, pSingle, pHash, pSingle, pDense, pHash} {
+		// Rebind — the reset-on-get path — and check the partial is
+		// indistinguishable from fresh before it scans anything.
+		pt.rebind(p)
+		if pt.scanned != 0 || pt.matched != 0 {
+			t.Fatalf("step %d: stale scan counters after rebind: %d/%d", step, pt.scanned, pt.matched)
+		}
+		if len(pt.cells) != 0 || len(pt.members) != 0 || len(pt.recs) != len(p.blankCell) {
+			t.Fatalf("step %d: stale cells after rebind: %d hashed, %d members, %d floats",
+				step, len(pt.cells), len(pt.members), len(pt.recs))
+		}
+		if len(pt.dense) != p.denseCells {
+			t.Fatalf("step %d: dense table has %d slots, want %d", step, len(pt.dense), p.denseCells)
+		}
+		for i, off := range pt.denseBuf[:cap(pt.denseBuf)] {
+			if off != 0 {
+				t.Fatalf("step %d: stale dense cell %d after rebind", step, i)
+			}
+		}
+		if got := run(p, pt); !reflect.DeepEqual(got, want[p]) {
+			t.Fatalf("step %d: reused partial diverged:\ngot  %+v\nwant %+v", step, got, want[p])
+		}
 	}
 }
 

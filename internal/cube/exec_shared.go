@@ -11,7 +11,8 @@ import (
 
 // This file is the sharing-aware batch executor: the explicit (non-fused)
 // form of the three-stage pipeline in exec.go. One shared scan first
-// materializes stage 1 (filter bitmaps) and stage 2 (roll-up key columns)
+// materializes stage 1 (filter bitmaps) and stage 2 (composite roll-up
+// key columns, one per distinct group-by list of dense plans)
 // as batch-scoped artifacts shared by every query whose sub-fingerprint
 // matches, then runs stage 3 (accumulation) for all queries chunk by
 // chunk off the shared artifacts. Queries that differ only in selection
@@ -21,7 +22,7 @@ import (
 //
 // Artifacts are only materialized when they pay for themselves (at least
 // two sharing queries whose combined visible fact mass exceeds a full
-// table pass — see buildArtifacts); a query whose filter set or grouping
+// table pass — see buildArtifacts); a query whose filter set or group-by
 // is unique in the batch, or a batch of narrowly personalized views,
 // keeps the fused per-fact path of exec.go and costs what PR 1's executor
 // cost. Materialized artifacts are also the natural per-shard exchange
@@ -45,7 +46,7 @@ type sharedArtifacts struct {
 	// Partial masks are not the set's semantic mask, so they are never
 	// cached and always return to the pool.
 	partialMasks map[string]*bitset.Set
-	keyCols      map[string][]int32 // grouping sub-fingerprint → key column
+	keyCols      map[string][]int32 // group-by list sub-fingerprint → composite key column
 	// cacheOwned marks sub-fingerprints whose artifact the cross-batch
 	// cache owns; releaseArtifacts must not pool those. One map serves all
 	// three keyspaces: set fingerprints start with a digit, predicate
@@ -85,8 +86,8 @@ func (fd *FactData) getMask() *bitset.Set {
 }
 
 // queryScan is one query's precomputed accumulation drive: which mask to
-// iterate, whether filters are pre-applied through it, and the shared key
-// columns (nil entries decode inline).
+// iterate, whether filters are pre-applied through it, and the shared
+// composite key column (nil decodes inline).
 type queryScan struct {
 	// view is the personalized visibility mask (nil = whole table); its
 	// per-chunk popcount is the query's ScannedFacts contribution.
@@ -103,14 +104,15 @@ type queryScan struct {
 	// predicates of a partially composed mask that must still be
 	// evaluated per fact (over the already-narrowed iteration domain).
 	residual []int
-	// keyCols holds the shared decoded key column per grouping (nil →
-	// inline decode in accumulateFact).
-	keyCols [][]int32
+	// keyCol is the plan's shared composite group-key column (nil → inline
+	// decode, scanDrive.key).
+	keyCol []int32
 }
 
 // scanRangeStaged is the staged counterpart of partial.scanRange: fold
 // facts [lo, hi) into pt, driving stage 3 off qs's masks and key columns.
 func (pt *partial) scanRangeStaged(lo, hi int, qs *queryScan) {
+	d := pt.p.drive(qs.keyCol)
 	if qs.prefiltered {
 		// Stage 1 (or part of it) ran ahead of the scan: ScannedFacts is
 		// the view's popcount (identical to the fused path, which counts
@@ -129,7 +131,7 @@ func (pt *partial) scanRangeStaged(lo, hi int, qs *queryScan) {
 			qs.iter.ForEachRange(lo, hi, func(i int) bool {
 				if pt.p.matchResidual(int32(i), qs.residual) {
 					pt.matched++
-					pt.accumulateFact(int32(i), qs.keyCols)
+					pt.accumulateFact(int32(i), &d)
 				}
 				return true
 			})
@@ -137,35 +139,18 @@ func (pt *partial) scanRangeStaged(lo, hi int, qs *queryScan) {
 		}
 		pt.matched += qs.iter.CountRange(lo, hi)
 		if pt.p.kern != kernGeneric {
-			pt.accumMask(qs.iter, lo, hi, qs.keyCols)
+			pt.accumMask(qs.iter, lo, hi, &d)
 			return
 		}
 		qs.iter.ForEachRange(lo, hi, func(i int) bool {
-			pt.accumulateFact(int32(i), qs.keyCols)
+			pt.accumulateFact(int32(i), &d)
 			return true
 		})
 		return
 	}
-	// Filters (if any) stay fused, but stage 2 may still come from shared
-	// key columns.
-	fold := func(i int32) {
-		pt.scanned++
-		if !pt.p.matchFact(i) {
-			return
-		}
-		pt.matched++
-		pt.accumulateFact(i, qs.keyCols)
-	}
-	if qs.iter == nil {
-		for i := lo; i < hi; i++ {
-			fold(int32(i))
-		}
-		return
-	}
-	qs.iter.ForEachRange(lo, hi, func(i int) bool {
-		fold(int32(i))
-		return true
-	})
+	// Filters (if any) stay fused, but stage 2 may still come from the
+	// shared key column.
+	pt.scanFused(lo, hi, qs.view, &d)
 }
 
 // parallelFill runs fill over [0, n) with the worker pool, morsel-driven
@@ -295,7 +280,7 @@ func buildArtifacts(idxs []int, plans []*queryPlan, masks []*bitset.Set, workers
 	cache := opts.Artifacts
 	stats := SharingStats{Queries: len(idxs)}
 	filterUses := map[string]int{} // set sub-fingerprint → queries using it
-	groupUses := map[string]int{}  // sub-fingerprint → (query, grouping) uses
+	groupUses := map[string]int{}  // group-by list sub-fingerprint → queries using it
 	filterMass := map[string]int{} // set sub-fingerprint → Σ visible facts
 	filterOwner := map[string]*queryPlan{}
 	setPreds := map[string][]string{}     // set sub-fingerprint → distinct predicate keys
@@ -303,9 +288,9 @@ func buildArtifacts(idxs []int, plans []*queryPlan, masks []*bitset.Set, workers
 	predSets := map[string]int{}          // predicate key → distinct sets containing it
 	predMass := map[string]int{}          // predicate key → Σ visible facts
 	predOwner := map[string]*filterSpec{} // any resolved spec for the predicate
-	groupOwner := map[string]*groupSpec{}
+	groupOwner := map[string]*queryPlan{}
 	// Artifact → using queries (indices into idxs/costs), for cost
-	// attribution; group users append one entry per (query, grouping) use.
+	// attribution.
 	setUsers := map[string][]int{}
 	predUsers := map[string][]int{}
 	groupUsers := map[string][]int{}
@@ -352,15 +337,14 @@ func buildArtifacts(idxs []int, plans []*queryPlan, masks []*bitset.Set, workers
 				predUsers[pk] = append(predUsers[pk], k)
 			}
 		}
-		for gi := range p.groups {
-			g := &p.groups[gi]
+		if p.groupKey != "" {
 			stats.GroupKeySets++
-			if groupUses[g.key] == 0 {
+			if groupUses[p.groupKey] == 0 {
 				stats.DistinctGroupings++
-				groupOwner[g.key] = g
+				groupOwner[p.groupKey] = p
 			}
-			groupUses[g.key]++
-			groupUsers[g.key] = append(groupUsers[g.key], k)
+			groupUses[p.groupKey]++
+			groupUsers[p.groupKey] = append(groupUsers[p.groupKey], k)
 		}
 	}
 
@@ -445,8 +429,8 @@ func buildArtifacts(idxs []int, plans []*queryPlan, masks []*bitset.Set, workers
 		if bound, ok := matchedBound[p.filterKey]; ok && p.filterKey != "" && bound < mass {
 			mass = bound
 		}
-		for gi := range p.groups {
-			groupMass[p.groups[gi].key] += mass
+		if p.groupKey != "" {
+			groupMass[p.groupKey] += mass
 		}
 	}
 	fillCols := map[string][]int32{}
@@ -648,13 +632,8 @@ func buildFilterMasksPerPredicate(art *sharedArtifacts, stats *SharingStats,
 
 // planScan builds one query's accumulation drive from the artifacts.
 func planScan(p *queryPlan, view *bitset.Set, art *sharedArtifacts) *queryScan {
-	qs := &queryScan{view: view, iter: view}
-	if len(p.groups) > 0 {
-		qs.keyCols = make([][]int32, len(p.groups))
-		for gi := range p.groups {
-			qs.keyCols[gi] = art.keyCols[p.groups[gi].key] // nil → inline decode
-		}
-	}
+	// A hashed or group-less plan has no groupKey, hence no column.
+	qs := &queryScan{view: view, iter: view, keyCol: art.keyCols[p.groupKey]}
 	// A view mask sized before AddFact grew the table cannot be
 	// intersected with a bitmap at the current capacity; such a query
 	// keeps the fused path (ForEachRange clamps, exactly as scanShared

@@ -1,0 +1,21 @@
+package cube
+
+// Test-only exports for the external (cube_test) harnesses.
+
+// MaxDenseCells is the dense/hashed group-table boundary, so tests can
+// assert which side of it a group-by falls on.
+const MaxDenseCells = maxDenseCells
+
+// OrphanMember cuts a member loose from its parent. The loading API never
+// produces orphans (AddMember validates parents), so this is the only way
+// to exercise the executor's NoParent group slots — facts rolling up
+// through an orphan land in the "(none)" group of every coarser level.
+func OrphanMember(c *Cube, dim, level string, member int32) {
+	ld, err := c.levelData(dim, level)
+	if err != nil {
+		panic(err)
+	}
+	ld.parents[member] = NoParent
+	c.dims[dim].invalidateDerived()
+	c.bumpFactVersions()
+}

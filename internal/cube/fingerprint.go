@@ -16,7 +16,7 @@ import (
 //
 // The batch executor shares work at a finer grain than whole plans: see
 // FilterFingerprint (the filter-set sub-fingerprint, order-insensitive)
-// and LevelRef.Fingerprint (the per-grouping sub-fingerprint).
+// and GroupFingerprint (the group-by list sub-fingerprint).
 func (q Query) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "f:%d:%s", len(q.Fact), q.Fact)
@@ -45,12 +45,19 @@ func (r LevelRef) appendFingerprint(b *strings.Builder) {
 	fmt.Fprintf(b, "g:%d:%s:%d:%s", len(r.Dimension), r.Dimension, len(r.Level), r.Level)
 }
 
-// Fingerprint returns the injective sub-fingerprint of one (dimension,
-// level) grouping: the sharing key under which the batch executor
-// materializes one roll-up key column per distinct grouping in a batch.
-func (r LevelRef) Fingerprint() string {
+// GroupFingerprint returns the injective sub-fingerprint of the query's
+// group-by list: the sharing key under which the batch executor
+// materializes one composite roll-up key column per distinct list in a
+// batch. It is order-sensitive — the composite key weighs levels by their
+// position — and "" without group-by.
+func (q Query) GroupFingerprint() string {
 	var b strings.Builder
-	r.appendFingerprint(&b)
+	for i, g := range q.GroupBy {
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		g.appendFingerprint(&b)
+	}
 	return b.String()
 }
 

@@ -136,28 +136,35 @@ func TestFilterFingerprintCollisionResistance(t *testing.T) {
 	}
 }
 
-// TestLevelRefFingerprint checks the grouping sub-fingerprint: distinct
-// (dimension, level) pairs get distinct keys, including across the
-// dimension/level boundary.
-func TestLevelRefFingerprint(t *testing.T) {
-	refs := []cube.LevelRef{
-		{Dimension: "Store", Level: "City"},
-		{Dimension: "Store", Level: "State"},
-		{Dimension: "City", Level: "Store"},
-		{Dimension: "ab", Level: "c"},
-		{Dimension: "a", Level: "bc"},
+// TestGroupFingerprint checks the group-by list sub-fingerprint: distinct
+// lists get distinct keys — across the dimension/level boundary, across
+// the boundary between levels, and across reorderings (the composite key
+// column a list shares depends on level order).
+func TestGroupFingerprint(t *testing.T) {
+	ref := func(d, l string) cube.LevelRef { return cube.LevelRef{Dimension: d, Level: l} }
+	lists := [][]cube.LevelRef{
+		{ref("Store", "City")},
+		{ref("Store", "State")},
+		{ref("City", "Store")},
+		{ref("ab", "c")},
+		{ref("a", "bc")},
+		{ref("Store", "City"), ref("Time", "Month")},
+		{ref("Time", "Month"), ref("Store", "City")},
+		{ref("Store", "City|g:4:Time:5:Month")},
 	}
-	seen := map[string]cube.LevelRef{}
-	for _, r := range refs {
-		fp := r.Fingerprint()
+	seen := map[string][]cube.LevelRef{}
+	for _, l := range lists {
+		fp := cube.Query{GroupBy: l}.GroupFingerprint()
 		if prev, dup := seen[fp]; dup {
-			t.Errorf("%v and %v collide: %q", r, prev, fp)
+			t.Errorf("%v and %v collide: %q", l, prev, fp)
 		}
-		seen[fp] = r
+		seen[fp] = l
 	}
-	r := cube.LevelRef{Dimension: "Store", Level: "City"}
-	if r.Fingerprint() != (cube.LevelRef{Dimension: "Store", Level: "City"}).Fingerprint() {
-		t.Error("equal groupings fingerprint differently")
+	if fp := (cube.Query{Fact: "Sales"}).GroupFingerprint(); fp != "" {
+		t.Errorf("no group-by fingerprints to %q, want \"\"", fp)
+	}
+	if (cube.Query{GroupBy: lists[5]}).GroupFingerprint() != (cube.Query{Fact: "x", GroupBy: lists[5]}).GroupFingerprint() {
+		t.Error("equal group-by lists fingerprint differently")
 	}
 }
 

@@ -42,7 +42,7 @@
 //
 // The scans themselves are sharing-aware: coalesced batches run through
 // cube.ExecuteBatchCompiledOpt, which materializes each distinct filter
-// set and (dimension, level) grouping once per scan and drives every
+// set and group-by list once per scan and drives every
 // query's accumulation off the shared artifacts (Stats reports the
 // achieved sharing ratios; Options.DisableSharedSubexpr reverts to
 // per-query evaluation).
@@ -1180,8 +1180,8 @@ type Stats struct {
 	// PredicateMasks the distinct single-filter sub-fingerprints among
 	// them, ComposedMasks the set masks produced by AND-composing
 	// per-predicate bitmaps (full or partial); GroupKeySets counts
-	// (query, grouping) pairs, GroupKeyCols the distinct roll-up key
-	// columns.
+	// queries with a dense, non-empty group-by, GroupKeyCols the distinct
+	// group-by lists among them (composite roll-up key columns).
 	FilterSets       int64 `json:"filterSets"`
 	FilterMasks      int64 `json:"filterMasks"`
 	FilterPredicates int64 `json:"filterPredicates"`

@@ -287,6 +287,75 @@ func TestShardedEquivalenceRandomized(t *testing.T) {
 	}
 }
 
+// TestShardedMultiLevelGroupBy gathers multi-level group-bys through
+// MergeFinalize on both sides of the executor's dense-table constant: the
+// dense composite-key tables (Store x Family, two levels of one dimension,
+// three levels) and the hashed fallback (Store x Customer is 521² keys)
+// must merge across shards into exactly the serial unsharded answer,
+// ordered, limited and under views.
+func TestShardedMultiLevelGroupBy(t *testing.T) {
+	cfg := datagen.Config{
+		Seed: 9, States: 5, Cities: 15, Stores: 520, Customers: 520,
+		Products: 30, Days: 30, Sales: 20000,
+		AirportEvery: 5, TrainLines: 4, Hospitals: 5, Highways: 2,
+	}
+	ds, err := datagen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := func(d, l string) cube.LevelRef { return cube.LevelRef{Dimension: d, Level: l} }
+	groupPool := [][]cube.LevelRef{
+		{ref("Store", "Store"), ref("Product", "Family")},
+		{ref("Store", "City"), ref("Store", "State")},
+		{ref("Store", "State"), ref("Product", "Family"), ref("Time", "Month")},
+		{ref("Store", "Store"), ref("Customer", "Customer")},
+		{ref("Customer", "Customer"), ref("Store", "Store"), ref("Store", "City")},
+	}
+	aggPool := [][]cube.MeasureAgg{
+		{{Agg: cube.AggCount}},
+		{{Measure: "UnitSales", Agg: cube.AggSum}},
+		{{Measure: "StoreCost", Agg: cube.AggMin}, {Measure: "UnitSales", Agg: cube.AggAvg}},
+	}
+	rng := rand.New(rand.NewSource(9))
+	var qs []cube.Query
+	var vs []*cube.View
+	for _, groupBy := range groupPool {
+		for k := 0; k < 3; k++ {
+			q := cube.Query{Fact: "Sales", GroupBy: groupBy, Aggregates: aggPool[rng.Intn(len(aggPool))]}
+			if rng.Intn(3) > 0 {
+				q.OrderBy = &cube.OrderBy{Agg: rng.Intn(len(q.Aggregates)), Desc: rng.Intn(2) == 0}
+			}
+			if rng.Intn(2) == 0 {
+				q.Limit = 1 + rng.Intn(40)
+			}
+			qs = append(qs, q)
+			vs = append(vs, randomView(rng, ds.Cube, cfg))
+		}
+	}
+	serial := make([]*cube.Result, len(qs))
+	prevPacked := ds.Cube.PackedColumns()
+	ds.Cube.SetPackedColumns(false)
+	for i := range qs {
+		if serial[i], err = ds.Cube.Execute(qs[i], vs[i]); err != nil {
+			t.Fatalf("case %d: serial: %v", i, err)
+		}
+	}
+	ds.Cube.SetPackedColumns(prevPacked)
+
+	for _, shards := range []int{2, 5} {
+		table := shard.New(ds.Cube, shard.Options{Shards: shards})
+		for _, w := range []int{1, 3} {
+			batch, _, err := table.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
+			if err != nil {
+				t.Fatalf("shards %d workers %d: %v", shards, w, err)
+			}
+			for i := range qs {
+				diffResults(t, fmt.Sprintf("case %d shards %d workers %d", i, shards, w), batch[i], serial[i])
+			}
+		}
+	}
+}
+
 // TestShardedArtifactCacheAcrossBatches checks the cross-batch artifact
 // cache end to end: a repeated sharing-heavy batch must hit the cache on
 // its second run, and ingest must invalidate (table-version bump → stale

@@ -59,6 +59,7 @@
 package webapi
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -129,10 +130,37 @@ type apiError struct {
 	RequestID string `json:"requestId,omitempty"`
 }
 
+// jsonBufPool recycles writeJSON's encode buffers. A buffer that grew past
+// maxPooledJSONBuf (room for a 10 000-row drilldown body after doubling
+// growth, not for a dump of the whole cube) is dropped rather than pinned
+// by the pool.
+var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledJSONBuf = 4 << 20
+
+// writeJSON encodes v into a pooled buffer and sends it in one Write with
+// Content-Length set — the bytes are exactly json.Encoder's (trailing
+// newline included), but a 500 KB result costs one write to the
+// connection instead of one per encoder flush, and a value that cannot be
+// encoded becomes a clean 500 instead of a truncated 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(apiError{
+			Error:     "encode response: " + err.Error(),
+			RequestID: w.Header().Get("X-Request-Id"),
+		})
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client went away
+	if buf.Cap() <= maxPooledJSONBuf {
+		jsonBufPool.Put(buf)
+	}
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"sdwp/internal/core"
+	"sdwp/internal/cube"
 	"sdwp/internal/datagen"
 	"sdwp/internal/prml"
 	"sdwp/internal/qsched"
@@ -815,5 +818,74 @@ func TestBatchCapConfigurable(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("over-limit error %q missing %q", msg, want)
 		}
+	}
+}
+
+// TestWriteJSONMatchesEncodingJSON pins the buffered response writer's
+// wire contract on randomized query and batch results: the body is
+// byte-for-byte what json.Encoder produces (trailing newline included),
+// Content-Length announces exactly that body, and buffers coming back
+// from the pool never leak a previous, longer response.
+func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	words := []string{"Store 7", "(none)", "Ünïcode <&> \"q\"", "", "Dairy", "a\nb"}
+	randResult := func() *cube.Result {
+		res := &cube.Result{ScannedFacts: rng.Intn(1 << 20), MatchedFacts: rng.Intn(1 << 20)}
+		nl, na := rng.Intn(4), 1+rng.Intn(3)
+		for g := 0; g < nl; g++ {
+			res.GroupCols = append(res.GroupCols, fmt.Sprintf("Dim%d.Level", g))
+		}
+		for a := 0; a < na; a++ {
+			res.AggCols = append(res.AggCols, fmt.Sprintf("SUM(m%d)", a))
+		}
+		for r := rng.Intn(300); r > 0; r-- {
+			row := cube.Row{Values: make([]float64, na)}
+			for g := 0; g < nl; g++ {
+				row.Groups = append(row.Groups, words[rng.Intn(len(words))])
+			}
+			for a := range row.Values {
+				row.Values[a] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-3))
+			}
+			res.Rows = append(res.Rows, row)
+		}
+		res.Cost.FactsScanned = int64(res.ScannedFacts)
+		return res
+	}
+	check := func(v any) {
+		t.Helper()
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			t.Fatalf("body differs from encoding/json:\ngot  %.200q\nwant %.200q", rec.Body.Bytes(), want.Bytes())
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(want.Len()) {
+			t.Fatalf("Content-Length = %q, want %d", cl, want.Len())
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" || rec.Code != http.StatusOK {
+			t.Fatalf("status/content-type = %d/%q", rec.Code, ct)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		check(randResult())
+		batch := batchQueryResponse{}
+		for n := rng.Intn(5); n > 0; n-- {
+			batch.Results = append(batch.Results, randResult())
+		}
+		check(batch)
+	}
+
+	// A value encoding/json refuses is a well-formed 500, not a 200 cut
+	// short.
+	rec := httptest.NewRecorder()
+	rec.Header().Set("X-Request-Id", "req-1")
+	writeJSON(rec, http.StatusOK, &cube.Result{Rows: []cube.Row{{Values: []float64{math.NaN()}}}})
+	var apiErr apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil || rec.Code != http.StatusInternalServerError ||
+		apiErr.Error == "" || apiErr.RequestID != "req-1" {
+		t.Fatalf("unencodable value: status %d body %q (%v)", rec.Code, rec.Body.Bytes(), err)
 	}
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench.sh — the benchmark-regression pipeline: run the core executor
-# benchmarks and emit BENCH_10.json (ns/op, allocs/op, sharing-ratio and
+# benchmarks and emit BENCH_<n>.json (ns/op, allocs/op, sharing-ratio and
 # pool-hit metrics) through cmd/benchjson. The manifest makes a renamed or
 # deleted benchmark fail the pipeline instead of silently dropping its
 # perf trajectory, and the baseline comparison fails the pipeline when a
@@ -19,7 +19,10 @@
 #              iterations:2 artifacts of BENCH_5 hid a 1.6MB/op mirage;
 #              use 1x only for a smoke pass)
 #   COUNT      go test -count value       (default 1)
-#   OUT        output artifact path       (default BENCH_8.json)
+#   OUT        output artifact path       (default BENCH_<n+1>.json, n
+#              the highest checked-in BENCH_<n>.json). The artifact's
+#              issue number is the <n> in OUT's name, or n+1 when OUT is
+#              not named BENCH_<n>.json.
 #   BASELINE   previous artifact to gate allocs/op against (default: the
 #              highest-numbered BENCH_<n>.json other than OUT; set to ""
 #              to skip the gate)
@@ -28,36 +31,52 @@ cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1s}"
 COUNT="${COUNT:-1}"
-OUT="${OUT:-BENCH_10.json}"
 
-# Pick the baseline by the highest <n> compared numerically. (The old
-# `sort -t_ -k2 -n` keyed on "<n>.json" strings, which happens to work
-# for GNU sort but is locale- and suffix-fragile; extracting the bare
-# number is unambiguous — BENCH_10 must outrank BENCH_9.)
-if [[ -z "${BASELINE+x}" ]]; then
-  BASELINE=""
-  best=-1
-  for f in BENCH_*.json; do
-    [[ -e "$f" && "$f" != "$OUT" ]] || continue
+# highest_bench prints the highest <n> among the given BENCH_<n>.json
+# names other than $1 (-1 when there is none), compared numerically —
+# BENCH_10 must outrank BENCH_9, which string sorts get wrong.
+highest_bench() {
+  local skip="$1" best=-1 f n
+  shift
+  for f in "$@"; do
+    [[ "$f" != "$skip" ]] || continue
     n="${f#BENCH_}"
     n="${n%.json}"
     [[ "$n" =~ ^[0-9]+$ ]] || continue
-    if ((n > best)); then
-      best=$n
-      BASELINE="$f"
-    fi
+    ((n > best)) && best=$n
   done
+  echo "$best"
+}
+
+# The checked-in artifacts number the next one; an uncommitted artifact
+# from an earlier run must not (a tarball without git falls back to the
+# files present).
+mapfile -t tracked < <(git ls-files 'BENCH_*.json' 2>/dev/null)
+((${#tracked[@]} > 0)) || tracked=(BENCH_*.json)
+NEXT=$(($(highest_bench "" "${tracked[@]}") + 1))
+OUT="${OUT:-BENCH_${NEXT}.json}"
+ISSUE="$NEXT"
+if [[ "$(basename "$OUT")" =~ ^BENCH_([0-9]+)\.json$ ]]; then
+  ISSUE="${BASH_REMATCH[1]}"
+fi
+
+if [[ -z "${BASELINE+x}" ]]; then
+  BASELINE=""
+  best=$(highest_bench "$OUT" BENCH_*.json)
+  if ((best >= 0)); then
+    BASELINE="BENCH_${best}.json"
+  fi
 fi
 
 # The manifest: the benchmarks whose trajectory the repo records. The
 # -bench regexp is derived from it, so one edit adds a benchmark to both
 # the run and the existence gate.
-MANIFEST="BenchmarkSharedSubexprBatch,BenchmarkParallelScan,BenchmarkBatchPartialPooling,BenchmarkShardedScan,BenchmarkArtifactCacheHit,BenchmarkPerFilterSharing,BenchmarkTraceOverhead,BenchmarkPackedScan,BenchmarkPackedPredicateKernel,BenchmarkCostAccountingOverhead,BenchmarkFairAdmissionOverhead"
+MANIFEST="BenchmarkSharedSubexprBatch,BenchmarkParallelScan,BenchmarkBatchPartialPooling,BenchmarkShardedScan,BenchmarkArtifactCacheHit,BenchmarkPerFilterSharing,BenchmarkTraceOverhead,BenchmarkPackedScan,BenchmarkPackedPredicateKernel,BenchmarkCostAccountingOverhead,BenchmarkFairAdmissionOverhead,BenchmarkMultiLevelGroupBy"
 
 go test -run '^$' \
   -bench "^(${MANIFEST//,/|})\$" \
   -benchtime "$BENCHTIME" -count "$COUNT" . \
-  | go run ./cmd/benchjson -issue 10 -out "$OUT" -manifest "$MANIFEST" \
+  | go run ./cmd/benchjson -issue "$ISSUE" -out "$OUT" -manifest "$MANIFEST" \
       -benchtime "$BENCHTIME" -count "$COUNT" \
       -nsop-gate '^(BenchmarkTraceOverhead/off|BenchmarkPackedScan/packed=true|BenchmarkCostAccountingOverhead/on|BenchmarkFairAdmissionOverhead/)' \
       ${BASELINE:+-baseline "$BASELINE"}
