@@ -253,6 +253,111 @@ func BenchmarkC3SessionStart(b *testing.B) {
 	}
 }
 
+// interestedEngine is a private engine over env's cube whose "alice" has
+// selected airport cities three times — the personalize workload's
+// priming — so her airport-city degree is past the threshold of 2 and
+// every login runs TrainAirportCity. It has its own user store, so the
+// priming leaves the shared engine's alice alone.
+func interestedEngine(b *testing.B, env *benchEnv) *Engine {
+	b.Helper()
+	users, err := NewSalesUserStore(map[string]string{"alice": "RegionalSalesManager"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := NewEngine(env.ds.Cube, users, EngineOptions{})
+	b.Cleanup(e.Close)
+	e.SetParam("threshold", Number(2))
+	if _, err := e.AddRules(PaperRules); err != nil {
+		b.Fatal(err)
+	}
+	s, err := e.StartSession("alice", env.ds.CityLocs[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.SpatialSelect("GeoMD.Store.City",
+			"Distance(GeoMD.Store.City.geometry, GeoMD.Airport.geometry) < 20km"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := e.EndSession(s); err != nil {
+		b.Fatal(err)
+	}
+	if d := s.User().Nav("dm2airportcity").GetNumber("degree"); d <= 2 {
+		b.Fatalf("priming left alice's airport-city degree at %v", d)
+	}
+	return e
+}
+
+// BenchmarkSessionStartInterested is the login the personalize workload
+// times, at its 400 000 facts: alice, primed past the threshold, so
+// addSpatiality, 5kmStores (the radius plan) and TrainAirportCity's triple
+// Foreach (12 trains x 60 cities x 12 airports) all run, and the view
+// materializes from the Sales postings. allocs/op is gated (< 1 000:
+// compiled plans allocate per login, not per loop iteration).
+func BenchmarkSessionStartInterested(b *testing.B) {
+	env := getBenchEnv(b, 400000)
+	e := interestedEngine(b, env)
+	loc := env.ds.CityLocs[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := e.StartSession("alice", loc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.EndSession(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkViewMaterialize builds a personalized view's Sales mask at
+// 400 000 facts from the member→facts postings: "session" is an
+// interested login after one airport-city selection (store and city masks
+// on the Store dimension), "threeDims" adds a product-family and a
+// customer-segment restriction and direct fact selections. Each iteration
+// materializes a fresh clone (the cache a selection invalidates).
+func BenchmarkViewMaterialize(b *testing.B) {
+	env := getBenchEnv(b, 400000)
+	e := interestedEngine(b, env)
+	s, err := e.StartSession("alice", env.ds.CityLocs[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.SpatialSelect("GeoMD.Store.City",
+		"Distance(GeoMD.Store.City.geometry, GeoMD.Airport.geometry) < 20km"); err != nil {
+		b.Fatal(err)
+	}
+	wide := s.View().Clone()
+	for _, sel := range []struct {
+		dim, level string
+		member     int32
+	}{{"Product", "Family", 0}, {"Product", "Family", 2}, {"Customer", "Segment", 1}} {
+		if err := wide.SelectMember(sel.dim, sel.level, sel.member); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := int32(0); i < 400000; i += 7 {
+		if err := wide.SelectFact("Sales", i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		v    *View
+	}{{"session", s.View()}, {"threeDims", wide}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if bc.v.Clone().Materialize("Sales") == nil {
+					b.Fatal("view left Sales unrestricted")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkC4RTreeVsLinear is experiment C4: radius queries through the
 // R-tree vs the linear baseline.
 func BenchmarkC4RTreeVsLinear(b *testing.B) {
@@ -624,7 +729,7 @@ func BenchmarkResultCacheHit(b *testing.B) {
 
 // BenchmarkAblationRuleOptimizer measures the DESIGN.md §6 ablation of the
 // radius-query rule plan: Example 5.2's rule executed through the R-tree
-// fast path vs the generic tree-walking interpreter.
+// fast path vs the generic compiled loop.
 func BenchmarkAblationRuleOptimizer(b *testing.B) {
 	for _, disable := range []bool{false, true} {
 		name := "optimized"

@@ -13,7 +13,9 @@
 // so allocation regressions (a pool no longer hit, an artifact no longer
 // released) break CI instead of drifting the trajectory; -nsop-gate opts
 // named benchmarks into a ns/op comparison too (the tracing-overhead
-// proof — see BenchmarkTraceOverhead). The run's
+// proof — see BenchmarkTraceOverhead), and -alloc-bars holds named
+// benchmarks under an absolute allocs/op ceiling, baseline or not. The
+// run's
 // -benchtime/-count settings are recorded in the artifact so readers can
 // tell a 1x smoke pass from a duration-based measurement.
 //
@@ -78,7 +80,14 @@ func main() {
 		"regexp of benchmark names whose ns/op is ALSO gated against -baseline (empty = none: wall time is too noisy to gate broadly; scope this to overhead-proof benchmarks such as ^BenchmarkTraceOverhead)")
 	nsopTol := flag.Float64("nsop-tolerance", 0.30,
 		"allowed fractional ns/op growth over -baseline for -nsop-gate benchmarks")
+	allocBars := flag.String("alloc-bars", "",
+		"comma-separated Name=N absolute allocs/op ceilings (prefix match, like -manifest): a benchmark at or above its bar fails the run, baseline or not")
 	flag.Parse()
+	bars, err := parseBars(*allocBars)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
 
 	rep := report{Issue: *issue, Generated: time.Now().UTC().Format(time.RFC3339),
 		Benchtime: *benchtime, Count: *count}
@@ -178,8 +187,11 @@ func main() {
 	// (with a looser tolerance) — the overhead-proof ones, where "tracing
 	// off costs nothing" is the claim under test and wall time IS the
 	// metric.
+	code := checkBars(&rep, "allocs/op", bars)
 	if *baseline != "" {
-		code := compareMetric(*baseline, &rep, "allocs/op", nil, *allocTol, 0.5)
+		if c := compareMetric(*baseline, &rep, "allocs/op", nil, *allocTol, 0.5); c != 0 {
+			code = c
+		}
 		if *nsopGate != "" {
 			re, err := regexp.Compile(*nsopGate)
 			if err != nil {
@@ -190,10 +202,49 @@ func main() {
 				code = c
 			}
 		}
-		if code != 0 {
-			os.Exit(code)
+	}
+	if code != 0 {
+		os.Exit(code)
+	}
+}
+
+// parseBars parses -alloc-bars' "Name=N,..." list.
+func parseBars(spec string) (map[string]float64, error) {
+	bars := map[string]float64{}
+	for _, kv := range strings.Split(spec, ",") {
+		if kv = strings.TrimSpace(kv); kv == "" {
+			continue
+		}
+		name, v, ok := strings.Cut(kv, "=")
+		bar, err := strconv.ParseFloat(v, 64)
+		if !ok || err != nil || bar <= 0 {
+			return nil, fmt.Errorf("bad -alloc-bars entry %q (want Name=N)", kv)
+		}
+		bars[name] = bar
+	}
+	return bars, nil
+}
+
+// checkBars returns a non-zero exit code when a benchmark (or one of its
+// sub-benchmarks) reports the metric at or above its absolute bar — the
+// gate for a new benchmark, which has no baseline trajectory yet.
+func checkBars(cur *report, metric string, bars map[string]float64) int {
+	failed := 0
+	for _, b := range cur.Benchmarks {
+		for name, bar := range bars {
+			if b.Name != name && !strings.HasPrefix(b.Name, name+"/") {
+				continue
+			}
+			if v, ok := b.Metrics[metric]; ok && v >= bar {
+				fmt.Fprintf(os.Stderr, "benchjson: BAR EXCEEDED %s: %.1f %s, bar %.0f\n", b.Name, v, metric, bar)
+				failed++
+			}
 		}
 	}
+	if failed > 0 {
+		return 1
+	}
+	return 0
 }
 
 // compareMetric returns a non-zero exit code when any benchmark present in

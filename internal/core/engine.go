@@ -284,8 +284,11 @@ type Engine struct {
 	// (stopped by Close before the scheduler drains).
 	tun *tuner
 
-	mu       sync.Mutex
-	rules    []*prml.Rule
+	mu sync.Mutex
+	// plans holds the registered rules compiled, in registration order;
+	// buckets is derived from it whenever rules are added or removed.
+	plans    []*prml.Plan
+	buckets  *ruleBuckets
 	params   map[string]prml.Value
 	sessions map[string]*Session
 	seq      int
@@ -305,6 +308,7 @@ func NewEngine(c *cube.Cube, users *usermodel.Store, opts Options) *Engine {
 		opts:     opts,
 		params:   map[string]prml.Value{},
 		sessions: map[string]*Session{},
+		buckets:  &ruleBuckets{},
 	}
 	// Apply the packed-columns mode before deriving shards: NewFactShard
 	// inherits the parent's setting, so the fan-out below compiles the
@@ -581,31 +585,47 @@ func (e *Engine) paramNames() map[string]bool {
 	return out
 }
 
-// AddRules parses, analyzes and registers PRML rules. Analysis findings are
-// returned as an error; nothing is registered in that case.
+// AddRules parses, analyzes, compiles and registers PRML rules. Analysis
+// findings are returned as an error; nothing is registered in that case.
 func (e *Engine) AddRules(src string) ([]*prml.Rule, error) {
 	rules, err := prml.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	existing := append([]*prml.Rule(nil), e.rules...)
-	e.mu.Unlock()
-	all := append(existing, rules...)
+	all := append(e.Rules(), rules...)
 	if issues := prml.Analyze(all, prml.AnalyzeOptions{Params: e.paramNames()}); len(issues) > 0 {
 		return nil, issues[0]
 	}
+	plans := make([]*prml.Plan, len(rules))
+	for i, r := range rules {
+		plans[i] = prml.Compile(r, e.compileOptions())
+	}
 	e.mu.Lock()
-	e.rules = all
+	e.plans = append(e.plans, plans...)
+	e.buckets = bucketPlans(e.plans)
 	e.mu.Unlock()
 	return rules, nil
+}
+
+// compileOptions configures rule compilation for this engine: the
+// radius-query plan is geodetic, so planar and ablation engines run every
+// Foreach as a loop.
+func (e *Engine) compileOptions() prml.CompileOptions {
+	if e.opts.Planar || e.opts.DisableRuleOptimizer {
+		return prml.CompileOptions{}
+	}
+	return prml.CompileOptions{Native: radiusSelectNative}
 }
 
 // Rules returns the registered rules in registration order.
 func (e *Engine) Rules() []*prml.Rule {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]*prml.Rule(nil), e.rules...)
+	out := make([]*prml.Rule, len(e.plans))
+	for i, p := range e.plans {
+		out[i] = p.Rule
+	}
+	return out
 }
 
 // RemoveRule unregisters the named rule, reporting whether it existed.
@@ -614,24 +634,52 @@ func (e *Engine) Rules() []*prml.Rule {
 func (e *Engine) RemoveRule(name string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i, r := range e.rules {
-		if r.Name == name {
-			e.rules = append(e.rules[:i], e.rules[i+1:]...)
+	for i, p := range e.plans {
+		if p.Rule.Name == name {
+			e.plans = append(e.plans[:i], e.plans[i+1:]...)
+			e.buckets = bucketPlans(e.plans)
 			return true
 		}
 	}
 	return false
 }
 
-// rulesByKind returns registered rules of one kind, preserving order.
-func (e *Engine) rulesByKind(k prml.RuleKind) []*prml.Rule {
-	var out []*prml.Rule
-	for _, r := range e.Rules() {
-		if prml.Classify(r) == k {
-			out = append(out, r)
+// ruleBuckets files the compiled rules by the event that fires them. It is
+// rebuilt whenever rules are added or removed and never mutated, so a
+// session reads one consistent snapshot.
+type ruleBuckets struct {
+	// start holds the SessionStart rules in the Fig. 1 phase order:
+	// schema rules, then instance rules, then pure acquisition rules.
+	start [3][]*prml.Plan
+	// end holds the SessionEnd rules, tracking the SpatialSelection rules.
+	end, tracking []*prml.Plan
+}
+
+// startPhases maps rule kinds to their SessionStart phase.
+var startPhases = map[prml.RuleKind]int{prml.RuleSchema: 0, prml.RuleInstance: 1, prml.RuleOther: 2}
+
+func bucketPlans(plans []*prml.Plan) *ruleBuckets {
+	b := &ruleBuckets{}
+	for _, p := range plans {
+		switch p.Rule.Event.Kind {
+		case prml.EvSessionStart:
+			if phase, ok := startPhases[p.Kind]; ok {
+				b.start[phase] = append(b.start[phase], p)
+			}
+		case prml.EvSessionEnd:
+			b.end = append(b.end, p)
+		case prml.EvSpatialSelection:
+			b.tracking = append(b.tracking, p)
 		}
 	}
-	return out
+	return b
+}
+
+// rules returns the current rule buckets.
+func (e *Engine) rules() *ruleBuckets {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.buckets
 }
 
 // StartSession begins an analysis session for the user at the given
@@ -640,6 +688,28 @@ func (e *Engine) rulesByKind(k prml.RuleKind) []*prml.Rule {
 // in the Fig. 1 phase order — schema rules, then instance rules, then pure
 // acquisition rules.
 func (e *Engine) StartSession(userID string, location geom.Geometry) (*Session, error) {
+	s, err := e.newSession(userID, location)
+	if err != nil {
+		return nil, err
+	}
+	for _, phase := range e.rules().start {
+		for _, p := range phase {
+			if _, err := s.exec(p); err != nil {
+				return nil, fmt.Errorf("core: session start: %w", err)
+			}
+		}
+	}
+	e.materialize(s.view)
+	e.mu.Lock()
+	e.sessions[s.ID] = s
+	e.mu.Unlock()
+	return s, nil
+}
+
+// newSession wires the user's SUS session entities and returns an
+// unregistered session over a clone of the base schema and an
+// unrestricted view — the state SessionStart rules start from.
+func (e *Engine) newSession(userID string, location geom.Geometry) (*Session, error) {
 	profile, err := e.users.GetOrCreate(userID)
 	if err != nil {
 		return nil, err
@@ -653,7 +723,7 @@ func (e *Engine) StartSession(userID string, location geom.Geometry) (*Session, 
 	id := fmt.Sprintf("s%06d", e.seq)
 	e.mu.Unlock()
 
-	s := &Session{
+	return &Session{
 		ID:       id,
 		UserID:   userID,
 		engine:   e,
@@ -661,37 +731,24 @@ func (e *Engine) StartSession(userID string, location geom.Geometry) (*Session, 
 		schema:   e.cube.Schema().Clone(),
 		view:     cube.NewView(e.cube),
 		location: location,
-	}
+	}, nil
+}
 
-	for _, kind := range []prml.RuleKind{prml.RuleSchema, prml.RuleInstance, prml.RuleOther} {
-		for _, r := range e.rulesByKind(kind) {
-			if r.Event.Kind != prml.EvSessionStart {
-				continue
-			}
-			if _, err := s.exec(r); err != nil {
-				return nil, fmt.Errorf("core: session start: %w", err)
-			}
-		}
-	}
-	// Pre-materialize the personalized view so the session's first query
-	// pays no selection cost (the paper's one-time "the spatial analysis
-	// have been done" property, Section 4.2.4). Mask building walks the
-	// fact key columns, so it takes the same read lock the scans use —
-	// safe against concurrent Engine.AddFact on both paths.
+// materialize pre-builds a view's masks so the session's first query pays
+// no selection cost (the paper's one-time "the spatial analysis have been
+// done" property, Section 4.2.4). Mask building reads the fact key
+// columns, so it takes the same read lock the scans use — safe against
+// concurrent Engine.AddFact on both paths.
+func (e *Engine) materialize(v *cube.View) {
 	facts := make([]string, 0, len(e.cube.Schema().MD.Facts))
 	for _, f := range e.cube.Schema().MD.Facts {
 		facts = append(facts, f.Name)
 	}
 	if e.shards != nil {
-		e.shards.MaterializeView(s.view, facts)
+		e.shards.MaterializeView(v, facts)
 	} else {
-		e.locked.materializeView(s.view, facts)
+		e.locked.materializeView(v, facts)
 	}
-
-	e.mu.Lock()
-	e.sessions[id] = s
-	e.mu.Unlock()
-	return s, nil
 }
 
 // ExecuteBatch answers a batch of queries — each through its own session's
@@ -748,11 +805,8 @@ func (e *Engine) Session(id string) *Session {
 
 // EndSession fires SessionEnd rules and removes the session.
 func (e *Engine) EndSession(s *Session) error {
-	for _, r := range e.Rules() {
-		if r.Event.Kind != prml.EvSessionEnd {
-			continue
-		}
-		if _, err := s.exec(r); err != nil {
+	for _, p := range e.rules().end {
+		if _, err := s.exec(p); err != nil {
 			return fmt.Errorf("core: session end: %w", err)
 		}
 	}

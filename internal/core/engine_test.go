@@ -420,17 +420,17 @@ func TestParamsAndKindOrdering(t *testing.T) {
 	if _, ok := e.Param("ghost"); ok {
 		t.Error("ghost param present")
 	}
-	schema := e.rulesByKind(prml.RuleSchema)
+	b := e.rules()
+	schema := b.start[startPhases[prml.RuleSchema]]
 	if len(schema) != 2 { // addSpatiality + TrainAirportCity
 		t.Errorf("schema rules = %d", len(schema))
 	}
-	inst := e.rulesByKind(prml.RuleInstance)
-	if len(inst) != 1 || inst[0].Name != "5kmStores" {
+	inst := b.start[startPhases[prml.RuleInstance]]
+	if len(inst) != 1 || inst[0].Rule.Name != "5kmStores" {
 		t.Errorf("instance rules = %v", inst)
 	}
-	track := e.rulesByKind(prml.RuleTracking)
-	if len(track) != 1 || track[0].Name != "IntAirportCity" {
-		t.Errorf("tracking rules = %v", track)
+	if len(b.tracking) != 1 || b.tracking[0].Rule.Name != "IntAirportCity" {
+		t.Errorf("tracking rules = %v", b.tracking)
 	}
 }
 

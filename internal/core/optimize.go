@@ -17,9 +17,11 @@ import (
 // (Example 5.2's 5kmStores, the logistics example's reachableStores, ...)
 // is executed as a radius query through the cube's spatial access paths —
 // an R-tree candidate sweep for point levels — instead of interpreting the
-// loop body once per member. The ablation benchmark
-// BenchmarkAblationRuleOptimizer measures the difference; Options.
-// DisableRuleOptimizer turns the optimizer off.
+// loop body once per member. The shape is matched once per rule, when
+// AddRules compiles it (prml.CompileOptions.Native); sessions run the
+// matched plan. The ablation benchmark BenchmarkAblationRuleOptimizer
+// measures the difference; Options.DisableRuleOptimizer turns the
+// optimizer off.
 //
 // The optimizer is semantics-preserving: it bails out (handled=false) for
 // any shape it does not fully recognize, it re-applies the strict `<`
@@ -27,15 +29,26 @@ import (
 // only runs in geodetic mode (the planar ablation mode uses the generic
 // interpreter, whose Distance is planar).
 
-// OptimizeForeach implements prml.ForeachOptimizer for sessionEnv.
-func (env *sessionEnv) OptimizeForeach(f *prml.ForeachStmt, eval func(prml.Expr) (prml.Value, error)) (bool, int, error) {
-	if env.s.engine.opts.Planar || env.s.engine.opts.DisableRuleOptimizer {
-		return false, 0, nil
-	}
+// radiusSelectNative is the engine's prml.CompileOptions.Native planner:
+// it matches the idiom once, when a rule is compiled, and returns the
+// native plan (nil when the Foreach has another shape).
+func radiusSelectNative(f *prml.ForeachStmt) (prml.NativeForeach, prml.Expr) {
 	plan, ok := matchRadiusSelect(f)
 	if !ok {
-		return false, 0, nil
+		return nil, nil
 	}
+	return func(env prml.Env, ref func() (prml.Value, error)) (bool, int, error) {
+		se, ok := env.(*sessionEnv)
+		if !ok {
+			return false, 0, nil
+		}
+		return se.runRadiusSelect(plan, ref)
+	}, plan.refExpr
+}
+
+// runRadiusSelect executes a matched radius selection; evalRef evaluates
+// the plan's reference expression in the enclosing scope.
+func (env *sessionEnv) runRadiusSelect(plan radiusSelectPlan, evalRef func() (prml.Value, error)) (bool, int, error) {
 	elem, rest, err := env.resolveElem(plan.source)
 	if err != nil || len(rest) != 0 || elem.kind != elemLevel {
 		return false, 0, nil
@@ -46,7 +59,7 @@ func (env *sessionEnv) OptimizeForeach(f *prml.ForeachStmt, eval func(prml.Expr)
 	}
 	// The reference geometry must be loop-variable-free (checked by the
 	// matcher) and must evaluate to a geometry in the enclosing scope.
-	refVal, err := eval(plan.refExpr)
+	refVal, err := evalRef()
 	if err != nil {
 		return false, 0, nil // let the interpreter surface the error
 	}

@@ -108,10 +108,10 @@ func (s *Session) QueryBatchCtx(ctx context.Context, qs []cube.Query, baseline [
 	return s.engine.sched.SubmitBatchCtx(ctx, qs, vs, s.UserID)
 }
 
-// exec runs one rule body in this session's environment.
-func (s *Session) exec(r *prml.Rule) (prml.Stats, error) {
+// exec runs one compiled rule body in this session's environment.
+func (s *Session) exec(p *prml.Plan) (prml.Stats, error) {
 	env := &sessionEnv{s: s}
-	return prml.NewEvaluator(env).Exec(r)
+	return prml.NewEvaluator(env).ExecPlan(p)
 }
 
 // SelectionResult reports what a SpatialSelect did.
@@ -138,10 +138,11 @@ func (s *Session) SpatialSelect(target string, predicate string) (*SelectionResu
 	if err != nil {
 		return nil, err
 	}
-	pred, err := prml.ParseExpr(predicate)
+	predExpr, err := prml.ParseExpr(predicate)
 	if err != nil {
 		return nil, err
 	}
+	pred := prml.CompileExpr(predExpr)
 
 	env := &sessionEnv{s: s}
 	ev := prml.NewEvaluator(env)
@@ -151,7 +152,7 @@ func (s *Session) SpatialSelect(target string, predicate string) (*SelectionResu
 	// the instance bound as the "current" value of the target path.
 	err = env.Iterate(targetPath, func(inst prml.Instance) error {
 		env.bind(targetPath, inst)
-		v, err := ev.EvalExpr(pred)
+		v, err := ev.EvalPlan(pred)
 		env.unbind()
 		if err != nil {
 			return err
@@ -175,14 +176,15 @@ func (s *Session) SpatialSelect(target string, predicate string) (*SelectionResu
 	}
 
 	// Fire matching tracking rules.
-	for _, r := range s.engine.rulesByKind(prml.RuleTracking) {
+	for _, p := range s.engine.rules().tracking {
+		r := p.Rule
 		if r.Event.Target == nil || r.Event.Target.String() != targetPath.String() {
 			continue
 		}
 		fired := false
 		for _, inst := range res.Selected {
 			env.bind(r.Event.Target, inst)
-			ok, err := ev.EvalEventCond(r.Event.Cond, "", prml.Instance{})
+			ok, err := ev.EventCond(p)
 			env.unbind()
 			if err != nil {
 				return nil, fmt.Errorf("core: event condition of rule %s: %w", r.Name, err)
@@ -195,7 +197,7 @@ func (s *Session) SpatialSelect(target string, predicate string) (*SelectionResu
 		if !fired {
 			continue
 		}
-		if _, err := s.exec(r); err != nil {
+		if _, err := s.exec(p); err != nil {
 			return nil, err
 		}
 		res.RulesFired = append(res.RulesFired, r.Name)

@@ -231,6 +231,12 @@ type FactData struct {
 	colPool  sync.Pool
 	maskPool sync.Pool
 
+	// postMu guards posts: per dimension, the member→facts postings that
+	// View.Materialize builds view masks from (postings.go), built on
+	// first use and rebuilt once version moves.
+	postMu sync.Mutex
+	posts  map[string]*postings
+
 	// partialPool recycles per-worker partial aggregation tables (and the
 	// cell stores behind them) across queries and batches; see
 	// FactData.getPartial in exec.go. A partial is rebound (fully reset) to

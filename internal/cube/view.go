@@ -138,6 +138,15 @@ func (v *View) SelectFact(fact string, idx int32) error {
 // cached until the next selection, so the per-query cost of a personalized
 // view is one bitset iteration instead of per-fact mask checks. The
 // returned set is an immutable snapshot: later selections build a new one.
+//
+// The mask is built from the fact table's member→facts postings
+// (postings.go), so it costs O(visible facts × constrained dimensions),
+// not a walk over the whole table: per constrained dimension, the level
+// masks are pushed down to the finest level and ANDed — one ancestor
+// lookup per finest member — giving the dimension's admitted members; the
+// dimension whose admitted members own the fewest fact rows drives, and
+// each of its rows is kept when every other constrained coordinate is
+// admitted and the direct fact mask holds it.
 func (v *View) Materialize(fact string) *bitset.Set {
 	fd := v.cube.facts[fact]
 	if fd == nil {
@@ -151,16 +160,29 @@ func (v *View) Materialize(fact string) *bitset.Set {
 	if m, ok := v.materialized[fact]; ok {
 		return m
 	}
-	// Start from the direct fact mask (or everything), then intersect one
-	// dimension at a time. Each level mask is first pushed down to the
-	// dimension's finest level — one hierarchy climb per *member* — so the
-	// per-fact work is a single bitset test per constrained dimension.
-	var m *bitset.Set
-	if fm := v.factMasks[fact]; fm != nil {
-		m = fm.Clone()
-	} else {
-		m = bitset.Full(fd.n)
+	m := v.materializeLocked(fd)
+	if v.materialized == nil {
+		v.materialized = map[string]*bitset.Set{}
 	}
+	v.materialized[fact] = m
+	return m
+}
+
+// dimFilter is one constrained dimension of a materialization: the finest
+// members its level masks admit, and the fact rows that reference them.
+type dimFilter struct {
+	dim     string
+	allowed *bitset.Set
+	keys    []int32 // the fact table's key column for the dimension
+	post    *postings
+	rows    int // fact rows of the admitted members
+}
+
+// materializeLocked builds the visibility mask of a restricted fact table.
+// Callers hold v.mu.
+func (v *View) materializeLocked(fd *FactData) *bitset.Set {
+	fm := v.factMasks[fd.fact.Name]
+	var dims []*dimFilter
 	for key, mask := range v.levelMasks {
 		dim, level := splitKey(key)
 		dd := v.cube.dims[dim]
@@ -171,26 +193,70 @@ func (v *View) Materialize(fact string) *bitset.Set {
 		if li < 0 {
 			continue
 		}
-		finest := dd.levels[0]
-		allowed := bitset.New(finest.Len())
-		for j := int32(0); int(j) < finest.Len(); j++ {
-			if anc := dd.Ancestor(0, li, j); anc != NoParent && mask.Test(int(anc)) {
-				allowed.Set(int(j))
+		var f *dimFilter
+		for _, d := range dims {
+			if d.dim == dim {
+				f = d
 			}
 		}
-		keys := fd.dimKeys[dim]
-		m.ForEach(func(i int) bool {
-			if !allowed.Test(int(keys[i])) {
-				m.Clear(i)
+		if f == nil {
+			f = &dimFilter{dim: dim, allowed: bitset.Full(dd.levels[0].Len()), keys: fd.dimKeys[dim]}
+			dims = append(dims, f)
+		}
+		for j, anc := range dd.ancestorsFromFinest(li) {
+			if anc == NoParent || !mask.Test(int(anc)) {
+				f.allowed.Clear(j)
 			}
+		}
+	}
+	if len(dims) == 0 {
+		if fm == nil {
+			return bitset.Full(fd.n)
+		}
+		return fm.Clone()
+	}
+	driver := 0
+	for i, f := range dims {
+		f.post = fd.postingsFor(f.dim, f.allowed.Len())
+		f.allowed.ForEach(func(j int) bool {
+			f.rows += f.post.count(j)
 			return true
 		})
+		if f.rows < dims[driver].rows {
+			driver = i
+		}
 	}
-	if v.materialized == nil {
-		v.materialized = map[string]*bitset.Set{}
+	// A direct fact selection taken before later ingest is shorter than the
+	// table; the mask keeps its capacity (facts past it are not visible).
+	size := fd.n
+	if fm != nil {
+		size = fm.Len()
 	}
-	v.materialized[fact] = m
-	return m
+	out := bitset.New(size)
+	d := dims[driver]
+	others := append(dims[:driver:driver], dims[driver+1:]...)
+	d.allowed.ForEach(func(j int) bool {
+		for _, r := range d.post.member(j) {
+			if int(r) >= size {
+				break // rows ascend
+			}
+			if fm != nil && !fm.Test(int(r)) {
+				continue
+			}
+			visible := true
+			for _, o := range others {
+				if !o.allowed.Test(int(o.keys[r])) {
+					visible = false
+					break
+				}
+			}
+			if visible {
+				out.Set(int(r))
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // restrictsLocked reports whether any selection constrains the fact.

@@ -186,19 +186,68 @@ type Options struct {
 // location context when known.
 func Session(s *core.Session, opts Options) (*FeatureCollection, error) {
 	fc := &FeatureCollection{Type: "FeatureCollection", Features: []Feature{}}
-	schema := s.Schema()
-	c := s.Engine().Cube()
-
-	emit := func(g geom.Geometry, props map[string]any) error {
-		if opts.SimplifyTolerance > 0 {
-			g = geom.Simplify(g, opts.SimplifyTolerance)
-		}
-		raw, err := MarshalGeometry(g)
+	err := walk(s, opts, func(f *feature) error {
+		raw, err := MarshalGeometry(f.g)
 		if err != nil {
 			return err
 		}
-		fc.Features = append(fc.Features, Feature{Type: "Feature", Geometry: raw, Properties: props})
+		fc.Features = append(fc.Features, Feature{Type: "Feature", Geometry: raw, Properties: f.properties()})
 		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return fc, nil
+}
+
+// featureKind names what a map feature depicts (its "kind" property).
+type featureKind string
+
+const (
+	kindLayer    featureKind = "layer"
+	kindMember   featureKind = "member"
+	kindLocation featureKind = "userLocation"
+)
+
+// feature is one object of a session's personalized map as walk yields
+// it: the geometry to draw (simplified when asked) and what it depicts.
+type feature struct {
+	g    geom.Geometry
+	kind featureKind
+	// name is the layer object's or member's descriptor, or the user ID
+	// of a location feature.
+	name       string
+	layer      string // kindLayer
+	dim, level string // kindMember
+	selected   bool   // kindMember
+}
+
+// properties is the feature's GeoJSON properties object.
+func (f *feature) properties() map[string]any {
+	switch f.kind {
+	case kindLayer:
+		return map[string]any{"kind": string(f.kind), "layer": f.layer, "name": f.name}
+	case kindMember:
+		return map[string]any{"kind": string(f.kind), "dimension": f.dim, "level": f.level,
+			"name": f.name, "selected": f.selected}
+	}
+	return map[string]any{"kind": string(f.kind), "user": f.name}
+}
+
+// walk visits the session's map features in paint order — the thematic
+// layers its schema rules admitted, the members of the spatial levels its
+// schema rules promoted, the decision maker's location context — so
+// GeoJSON encodes from it and SVG draws from it without a round trip
+// through the wire form. The feature passed to visit is reused.
+func walk(s *core.Session, opts Options, visit func(*feature) error) error {
+	schema := s.Schema()
+	c := s.Engine().Cube()
+	var f feature
+	emit := func() error {
+		if opts.SimplifyTolerance > 0 {
+			f.g = geom.Simplify(f.g, opts.SimplifyTolerance)
+		}
+		return visit(&f)
 	}
 
 	// Thematic layers the user's schema rules admitted.
@@ -208,13 +257,9 @@ func Session(s *core.Session, opts Options) (*FeatureCollection, error) {
 			continue
 		}
 		for i := int32(0); int(i) < ld.Len(); i++ {
-			err := emit(ld.Geometry(i), map[string]any{
-				"kind":  "layer",
-				"layer": layer.Name,
-				"name":  ld.Name(i),
-			})
-			if err != nil {
-				return nil, err
+			f = feature{g: ld.Geometry(i), kind: kindLayer, layer: layer.Name, name: ld.Name(i)}
+			if err := emit(); err != nil {
+				return err
 			}
 		}
 	}
@@ -231,35 +276,29 @@ func Session(s *core.Session, opts Options) (*FeatureCollection, error) {
 		if ld == nil {
 			continue
 		}
+		restricted := view.LevelMask(dim, level) != nil
 		for i := int32(0); int(i) < ld.Len(); i++ {
 			g := ld.Geometry(i)
 			if g == nil {
 				continue
 			}
-			selected := view.MemberVisible(dim, level, i) && view.LevelMask(dim, level) != nil
+			selected := restricted && view.MemberVisible(dim, level, i)
 			if opts.SelectedOnly && !selected {
 				continue
 			}
-			err := emit(g, map[string]any{
-				"kind":      "member",
-				"dimension": dim,
-				"level":     level,
-				"name":      ld.Name(i),
-				"selected":  selected,
-			})
-			if err != nil {
-				return nil, err
+			f = feature{g: g, kind: kindMember, dim: dim, level: level, name: ld.Name(i), selected: selected}
+			if err := emit(); err != nil {
+				return err
 			}
 		}
 	}
 
 	// The decision maker's location context.
 	if loc := s.Location(); loc != nil {
-		if err := emit(loc, map[string]any{"kind": "userLocation", "user": s.UserID}); err != nil {
-			return nil, err
-		}
+		f = feature{g: loc, kind: kindLocation, name: s.UserID}
+		return emit()
 	}
-	return fc, nil
+	return nil
 }
 
 func splitQualified(q string) (dim, level string) {

@@ -2,6 +2,8 @@ package export
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"sdwp/internal/core"
@@ -26,30 +28,60 @@ type SVGOptions struct {
 
 // SessionSVG renders the session's personalized map.
 func SessionSVG(s *core.Session, opts SVGOptions) (string, error) {
-	if opts.Width <= 0 {
-		opts.Width = 800
-	}
-	fc, err := Session(s, Options{SimplifyTolerance: opts.SimplifyTolerance})
+	b, err := AppendSessionSVG(nil, s, opts)
 	if err != nil {
 		return "", err
 	}
-	// Decode feature geometries once; compute the data bounds.
-	type item struct {
-		g     geom.Geometry
-		props map[string]any
+	return string(b), nil
+}
+
+// svgItem is one feature to draw.
+type svgItem struct {
+	g     geom.Geometry
+	kind  featureKind
+	style *svgStyle // layers and members
+}
+
+// AppendSessionSVG appends the session's personalized map to dst. It draws
+// straight from the features' geometries (see walk) with every number
+// formatted into dst, and produces exactly the bytes of encoding each
+// feature as GeoJSON and drawing it back (GeoJSON's float64 round trip is
+// exact) — except that geometries the GeoJSON decoder rejects (a line of
+// one vertex, a ring of two) are drawn as /api/geojson serves them.
+func AppendSessionSVG(dst []byte, s *core.Session, opts SVGOptions) ([]byte, error) {
+	if opts.Width <= 0 {
+		opts.Width = 800
 	}
-	items := make([]item, 0, len(fc.Features))
+	// Collect the features and the data bounds.
+	var items []svgItem
 	bounds := geom.EmptyRect()
-	for _, f := range fc.Features {
-		g, err := UnmarshalGeometry(f.Geometry)
-		if err != nil {
-			return "", err
+	layerStyles := map[string]*svgStyle{}
+	err := walk(s, Options{SimplifyTolerance: opts.SimplifyTolerance}, func(f *feature) error {
+		if !finite(f.g) {
+			return fmt.Errorf("export: %s feature %q has a non-finite coordinate", f.kind, f.name)
 		}
-		items = append(items, item{g: g, props: f.Properties})
-		bounds = bounds.ExtendRect(g.Bounds())
+		it := svgItem{g: f.g, kind: f.kind}
+		switch f.kind {
+		case kindLayer:
+			if it.style = layerStyles[f.layer]; it.style == nil {
+				it.style = parseStyle(layerStyle(f.layer))
+				layerStyles[f.layer] = it.style
+			}
+		case kindMember:
+			it.style = memberStyle
+			if f.selected {
+				it.style = selectedStyle
+			}
+		}
+		items = append(items, it)
+		bounds = bounds.ExtendRect(f.g.Bounds())
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if bounds.IsEmpty() {
-		return emptySVG(opts.Width), nil
+		return appendEmptySVG(dst, opts.Width), nil
 	}
 	bounds = bounds.Expand(0.05 * (bounds.Max.X - bounds.Min.X + 1e-9))
 
@@ -63,49 +95,71 @@ func SessionSVG(s *core.Session, opts SVGOptions) (string, error) {
 		spanY = 1
 	}
 	h := w * spanY / spanX
-	// Project lon/lat to image coordinates (y flipped).
-	px := func(p geom.Point) (float64, float64) {
-		return (p.X - bounds.Min.X) / spanX * w, h - (p.Y-bounds.Min.Y)/spanY*h
-	}
+	p := svgPen{b: dst, minX: bounds.Min.X, minY: bounds.Min.Y, spanX: spanX, spanY: spanY, w: w, h: h}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f">`+"\n", w, h, w, h)
-	b.WriteString(`<rect width="100%" height="100%" fill="#fbfbf8"/>` + "\n")
-
-	var layers, members, user []string
+	p.b = append(p.b, `<svg xmlns="http://www.w3.org/2000/svg" width="`...)
+	p.num0(w)
+	p.b = append(p.b, `" height="`...)
+	p.num0(h)
+	p.b = append(p.b, `" viewBox="0 0 `...)
+	p.num0(w)
+	p.b = append(p.b, ' ')
+	p.num0(h)
+	p.b = append(p.b, "\">\n"...)
+	p.b = append(p.b, `<rect width="100%" height="100%" fill="#fbfbf8"/>`+"\n"...)
+	// The walk yields layers, then members, then the user location: the
+	// paint order (layers under members under the user marker).
 	for _, it := range items {
-		kind, _ := it.props["kind"].(string)
-		switch kind {
-		case "layer":
-			layerName, _ := it.props["layer"].(string)
-			layers = append(layers, renderGeom(it.g, px, layerStyle(layerName)))
-		case "member":
-			sel, _ := it.props["selected"].(bool)
-			style := `fill="#9aa5b1" stroke="none" r="3"`
-			if sel {
-				style = `fill="#d03838" stroke="#7a1414" stroke-width="1" r="5"`
-			}
-			members = append(members, renderGeom(it.g, px, style))
-		case "userLocation":
-			user = append(user, renderUser(it.g, px))
+		if it.kind == kindLocation {
+			p.user(it.g)
+		} else {
+			p.geom(it.g, it.style)
 		}
 	}
-	// Paint order: layers under members under the user marker.
-	for _, s := range layers {
-		b.WriteString(s)
-	}
-	for _, s := range members {
-		b.WriteString(s)
-	}
-	for _, s := range user {
-		b.WriteString(s)
-	}
-	b.WriteString("</svg>\n")
-	return b.String(), nil
+	p.b = append(p.b, "</svg>\n"...)
+	return p.b, nil
 }
 
-func emptySVG(width int) string {
-	return fmt.Sprintf(`<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d"><rect width="100%%" height="100%%" fill="#fbfbf8"/></svg>`+"\n", width, width/2)
+func appendEmptySVG(b []byte, width int) []byte {
+	b = append(b, `<svg xmlns="http://www.w3.org/2000/svg" width="`...)
+	b = strconv.AppendInt(b, int64(width), 10)
+	b = append(b, `" height="`...)
+	b = strconv.AppendInt(b, int64(width/2), 10)
+	return append(b, `"><rect width="100%" height="100%" fill="#fbfbf8"/></svg>`+"\n"...)
+}
+
+// finite reports whether every coordinate of g is finite (GeoJSON cannot
+// carry the others, so neither export draws them).
+func finite(g geom.Geometry) bool {
+	switch gg := g.(type) {
+	case geom.Point:
+		return !math.IsNaN(gg.X) && !math.IsNaN(gg.Y) && !math.IsInf(gg.X, 0) && !math.IsInf(gg.Y, 0)
+	case geom.Line:
+		return finitePts(gg.Pts)
+	case geom.Polygon:
+		for _, h := range gg.Holes {
+			if !finitePts(h) {
+				return false
+			}
+		}
+		return finitePts(gg.Shell)
+	case geom.Collection:
+		for _, m := range gg.Geoms {
+			if !finite(m) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func finitePts(pts []geom.Point) bool {
+	for _, p := range pts {
+		if !finite(p) {
+			return false
+		}
+	}
+	return true
 }
 
 // layerStyle picks a stroke per layer name (stable hash → palette).
@@ -119,70 +173,125 @@ func layerStyle(name string) string {
 	return fmt.Sprintf(`fill="none" stroke="%s" stroke-width="1.5" opacity="0.8" r="4" pfill="%s"`, color, color)
 }
 
-// renderGeom renders one geometry. The style string carries "r" for point
-// radius and "pfill" for the fill to use when a point is drawn from a
-// stroke-styled layer.
-func renderGeom(g geom.Geometry, px func(geom.Point) (float64, float64), style string) string {
-	radius := extractAttr(style, "r", "3")
-	pointFill := extractAttr(style, "pfill", "")
-	cleanStyle := removeAttr(removeAttr(style, "r"), "pfill")
-	var b strings.Builder
-	var walk func(geom.Geometry)
-	walk = func(g geom.Geometry) {
-		switch gg := g.(type) {
-		case geom.Point:
-			x, y := px(gg)
-			fill := extractAttr(cleanStyle, "fill", "#333")
-			if pointFill != "" {
-				fill = pointFill
-			}
-			fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="%s" fill="%s"/>`+"\n", x, y, radius, fill)
-		case geom.Line:
-			var pts []string
-			for _, p := range gg.Pts {
-				x, y := px(p)
-				pts = append(pts, fmt.Sprintf("%.1f,%.1f", x, y))
-			}
-			fmt.Fprintf(&b, `<polyline points="%s" %s/>`+"\n", strings.Join(pts, " "), cleanStyle)
-		case geom.Polygon:
-			var d strings.Builder
-			writeRingPath := func(r geom.Ring) {
-				for i, p := range r {
-					x, y := px(p)
-					if i == 0 {
-						fmt.Fprintf(&d, "M%.1f %.1f", x, y)
-					} else {
-						fmt.Fprintf(&d, "L%.1f %.1f", x, y)
-					}
-				}
-				d.WriteString("Z")
-			}
-			writeRingPath(gg.Shell)
-			for _, hole := range gg.Holes {
-				writeRingPath(hole)
-			}
-			fmt.Fprintf(&b, `<path d="%s" fill-rule="evenodd" %s/>`+"\n", d.String(), cleanStyle)
-		case geom.Collection:
-			for _, m := range gg.Geoms {
-				walk(m)
-			}
-		}
-	}
-	walk(g)
-	return b.String()
+// svgStyle is a style string split once into what drawing needs: the
+// style carries "r" for point radius and "pfill" for the fill to use when
+// a point is drawn from a stroke-styled layer.
+type svgStyle struct {
+	radius    string // circle r
+	pointFill string // circle fill
+	attrs     string // the remaining attributes, for lines and polygons
 }
 
-// renderUser draws the decision maker's location as a crosshair.
-func renderUser(g geom.Geometry, px func(geom.Point) (float64, float64)) string {
-	p, ok := g.(geom.Point)
-	if !ok {
-		c := g.Bounds().Center()
-		p = c
+func parseStyle(style string) *svgStyle {
+	st := &svgStyle{
+		radius: extractAttr(style, "r", "3"),
+		attrs:  removeAttr(removeAttr(style, "r"), "pfill"),
 	}
-	x, y := px(p)
-	return fmt.Sprintf(
-		`<g stroke="#1a7a1a" stroke-width="2"><line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f"/><line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f"/><circle cx="%.1f" cy="%.1f" r="7" fill="none"/></g>`+"\n",
-		x-10, y, x+10, y, x, y-10, x, y+10, x, y)
+	st.pointFill = extractAttr(style, "pfill", "")
+	if st.pointFill == "" {
+		st.pointFill = extractAttr(st.attrs, "fill", "#333")
+	}
+	return st
+}
+
+// Spatial-level members are dots, selected ones emphasized.
+var (
+	memberStyle   = parseStyle(`fill="#9aa5b1" stroke="none" r="3"`)
+	selectedStyle = parseStyle(`fill="#d03838" stroke="#7a1414" stroke-width="1" r="5"`)
+)
+
+// svgPen appends projected geometry to an SVG document.
+type svgPen struct {
+	b                        []byte
+	minX, minY, spanX, spanY float64
+	w, h                     float64
+}
+
+// px projects a lon/lat point to image coordinates (y flipped).
+func (p *svgPen) px(pt geom.Point) (float64, float64) {
+	return (pt.X - p.minX) / p.spanX * p.w, p.h - (pt.Y-p.minY)/p.spanY*p.h
+}
+
+func (p *svgPen) num0(x float64) { p.b = strconv.AppendFloat(p.b, x, 'f', 0, 64) }
+func (p *svgPen) num1(x float64) { p.b = strconv.AppendFloat(p.b, x, 'f', 1, 64) }
+
+// xy appends a projected point as "x<sep>y".
+func (p *svgPen) xy(pt geom.Point, sep byte) {
+	x, y := p.px(pt)
+	p.num1(x)
+	p.b = append(p.b, sep)
+	p.num1(y)
+}
+
+// geom draws one geometry: points as circles, lines as polylines,
+// polygons as even-odd paths, collections member by member.
+func (p *svgPen) geom(g geom.Geometry, st *svgStyle) {
+	switch gg := g.(type) {
+	case geom.Point:
+		p.b = append(p.b, `<circle cx="`...)
+		x, y := p.px(gg)
+		p.num1(x)
+		p.b = append(p.b, `" cy="`...)
+		p.num1(y)
+		p.b = append(p.b, `" r="`...)
+		p.b = append(p.b, st.radius...)
+		p.b = append(p.b, `" fill="`...)
+		p.b = append(p.b, st.pointFill...)
+		p.b = append(p.b, "\"/>\n"...)
+	case geom.Line:
+		p.b = append(p.b, `<polyline points="`...)
+		for i, pt := range gg.Pts {
+			if i > 0 {
+				p.b = append(p.b, ' ')
+			}
+			p.xy(pt, ',')
+		}
+		p.b = append(p.b, `" `...)
+		p.b = append(p.b, st.attrs...)
+		p.b = append(p.b, "/>\n"...)
+	case geom.Polygon:
+		p.b = append(p.b, `<path d="`...)
+		p.ring(gg.Shell)
+		for _, hole := range gg.Holes {
+			p.ring(hole)
+		}
+		p.b = append(p.b, `" fill-rule="evenodd" `...)
+		p.b = append(p.b, st.attrs...)
+		p.b = append(p.b, "/>\n"...)
+	case geom.Collection:
+		for _, m := range gg.Geoms {
+			p.geom(m, st)
+		}
+	}
+}
+
+func (p *svgPen) ring(r geom.Ring) {
+	for i, pt := range r {
+		if i == 0 {
+			p.b = append(p.b, 'M')
+		} else {
+			p.b = append(p.b, 'L')
+		}
+		p.xy(pt, ' ')
+	}
+	p.b = append(p.b, 'Z')
+}
+
+// user draws the decision maker's location as a crosshair.
+func (p *svgPen) user(g geom.Geometry) {
+	pt, ok := g.(geom.Point)
+	if !ok {
+		pt = g.Bounds().Center()
+	}
+	x, y := p.px(pt)
+	coords := [...]float64{x - 10, y, x + 10, y, x, y - 10, x, y + 10, x, y}
+	before := [...]string{`<g stroke="#1a7a1a" stroke-width="2"><line x1="`, `" y1="`, `" x2="`, `" y2="`,
+		`"/><line x1="`, `" y1="`, `" x2="`, `" y2="`, `"/><circle cx="`, `" cy="`}
+	for i, v := range coords {
+		p.b = append(p.b, before[i]...)
+		p.num1(v)
+	}
+	p.b = append(p.b, `" r="7" fill="none"/></g>`+"\n"...)
 }
 
 // attrIndex finds attr="… at a word boundary (start of string or after a

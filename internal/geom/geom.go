@@ -219,8 +219,20 @@ func (c Collection) Clone() Geometry {
 	return Collection{Geoms: gs}
 }
 
-// Flatten returns the leaf (non-collection) members, recursively.
+// Flatten returns the leaf (non-collection) members, recursively. A
+// collection without nested collections returns its own member slice:
+// callers must not modify the result.
 func (c Collection) Flatten() []Geometry {
+	nested := false
+	for _, g := range c.Geoms {
+		if _, ok := g.(Collection); ok {
+			nested = true
+			break
+		}
+	}
+	if !nested {
+		return c.Geoms
+	}
 	var out []Geometry
 	for _, g := range c.Geoms {
 		if sub, ok := g.(Collection); ok {

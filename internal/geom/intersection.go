@@ -106,19 +106,23 @@ func splitLineAtPoint(l Line, p Point) Collection {
 	if bestSeg < 0 || bestD > SnapTolerance {
 		return Collection{}
 	}
+	// Both sublines share one backing array: at most bestSeg+2 vertices
+	// for the first, len(l.Pts)-bestSeg for the second.
+	buf := make([]Point, 0, len(l.Pts)+2)
 	// First subline: vertices up to bestSeg, then the split point.
-	first := append([]Point{}, l.Pts[:bestSeg+1]...)
+	first := append(buf, l.Pts[:bestSeg+1]...)
 	if !first[len(first)-1].Eq(bestPt) {
 		first = append(first, bestPt)
 	}
+	first = first[:len(first):len(first)]
 	// Second subline: split point, then the remaining vertices.
-	second := []Point{bestPt}
+	second := append(buf[len(first):len(first)], bestPt)
 	for _, v := range l.Pts[bestSeg+1:] {
 		if !v.Eq(bestPt) || len(second) > 1 {
 			second = append(second, v)
 		}
 	}
-	var out []Geometry
+	out := make([]Geometry, 0, 2)
 	if len(first) >= 2 && Length(Line{Pts: first}) > Epsilon {
 		out = append(out, Line{Pts: first})
 	}

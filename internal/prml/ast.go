@@ -5,9 +5,9 @@
 //
 // The package provides the full language pipeline: lexer, recursive-descent
 // parser, AST (the executable counterpart of the Fig. 5 metamodel), a
-// canonical printer, a static analyzer, and a tree-walking evaluator that
-// binds to the warehouse through the Env interface (implemented by package
-// core).
+// canonical printer, a static analyzer, a compiler from rules to
+// executable plans (plan.go), and the evaluator that runs them against the
+// warehouse through the Env interface (implemented by package core).
 //
 // The concrete syntax follows the paper's examples:
 //

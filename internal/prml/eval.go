@@ -6,8 +6,9 @@ import (
 	"sdwp/internal/geom"
 )
 
-// Evaluator executes rules against an Env. It is stateless between calls
-// and safe to reuse; per-execution statistics are returned by Exec.
+// Evaluator executes compiled rule plans (see plan.go) against an Env. It
+// is stateless between calls and safe to reuse; per-execution statistics
+// are returned by Exec and ExecPlan.
 type Evaluator struct {
 	env Env
 }
@@ -24,25 +25,45 @@ type Stats struct {
 	LoopIterations int // Foreach body executions
 }
 
-// Exec runs the rule body (the caller decides whether the event matches).
+// Exec compiles the rule body and runs it (the caller decides whether the
+// event matches). Callers that run a rule repeatedly compile it once with
+// Compile and call ExecPlan.
 func (ev *Evaluator) Exec(r *Rule) (Stats, error) {
+	return ev.ExecPlan(Compile(r, CompileOptions{}))
+}
+
+// ExecPlan runs a compiled rule body.
+func (ev *Evaluator) ExecPlan(p *Plan) (Stats, error) {
 	var st Stats
-	err := ev.execStmts(r.Body, scope{}, &st)
-	if err != nil {
-		return st, fmt.Errorf("rule %s: %w", r.Name, err)
+	fr := newFrame(ev.env, p.frame, &st)
+	if err := execStmts(p.body, fr); err != nil {
+		return st, fmt.Errorf("rule %s: %w", p.Rule.Name, err)
 	}
 	return st, nil
+}
+
+// EventCond evaluates a SpatialSelection rule's compiled event condition.
+// The engine binds the selected instance in the Env before calling it.
+func (ev *Evaluator) EventCond(p *Plan) (bool, error) {
+	if p.cond == nil {
+		return false, fmt.Errorf("prml: rule %s has no event condition", p.Rule.Name)
+	}
+	return ev.evalCond(p.cond, Value{})
 }
 
 // EvalEventCond evaluates a SpatialSelection event condition with the event
 // target bound as the variable named by bindVar (the engine binds each
 // selected instance in turn to decide whether the rule fires).
 func (ev *Evaluator) EvalEventCond(cond Expr, bindVar string, inst Instance) (bool, error) {
-	sc := scope{}
+	var vars []string
 	if bindVar != "" {
-		sc[bindVar] = InstVal(inst)
+		vars = []string{bindVar}
 	}
-	v, err := ev.evalExpr(cond, sc)
+	return ev.evalCond(CompileExpr(cond, vars...), InstVal(inst))
+}
+
+func (ev *Evaluator) evalCond(x *ExprPlan, bound Value) (bool, error) {
+	v, err := ev.evalWith(x, bound)
 	if err != nil {
 		return false, err
 	}
@@ -52,274 +73,50 @@ func (ev *Evaluator) EvalEventCond(cond Expr, bindVar string, inst Instance) (bo
 	return v.Bool, nil
 }
 
-// EvalExpr evaluates a standalone expression with an empty scope (used by
-// the web API for ad-hoc predicates).
+// EvalExpr evaluates a standalone expression with no bound variables (used
+// by the web API for ad-hoc predicates).
 func (ev *Evaluator) EvalExpr(e Expr) (Value, error) {
-	return ev.evalExpr(e, scope{})
+	return ev.EvalPlan(CompileExpr(e))
 }
 
 // EvalExprWith evaluates an expression with one bound variable.
 func (ev *Evaluator) EvalExprWith(e Expr, varName string, val Value) (Value, error) {
-	return ev.evalExpr(e, scope{varName: val})
+	return ev.evalWith(CompileExpr(e, varName), val)
 }
 
-// scope maps loop variables to their current values.
-type scope map[string]Value
+// EvalPlan evaluates an expression compiled without variables — the form a
+// caller evaluating one predicate many times (once per candidate instance)
+// compiles once.
+func (ev *Evaluator) EvalPlan(x *ExprPlan) (Value, error) {
+	return ev.evalWith(x, Value{})
+}
 
-func (s scope) child() scope {
-	c := make(scope, len(s)+2)
-	for k, v := range s {
-		c[k] = v
+// evalWith evaluates x with its variable (if it declares one) bound to val.
+func (ev *Evaluator) evalWith(x *ExprPlan, val Value) (Value, error) {
+	fr := newFrame(ev.env, x.frame, nil)
+	if x.frame.slots > 1 {
+		fr.vars[1] = val
+		fr.stamp[1] = fr.tick()
 	}
-	return c
+	v, err := x.eval(fr)
+	if err != nil {
+		return Value{}, err
+	}
+	return *v, nil
 }
 
-func (ev *Evaluator) execStmts(body []Stmt, sc scope, st *Stats) error {
+func execStmts(body []cstmt, fr *frame) error {
 	for _, s := range body {
-		if err := ev.execStmt(s, sc, st); err != nil {
+		if err := s(fr); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (ev *Evaluator) execStmt(s Stmt, sc scope, st *Stats) error {
-	switch stmt := s.(type) {
-	case *IfStmt:
-		v, err := ev.evalExpr(stmt.Cond, sc)
-		if err != nil {
-			return err
-		}
-		if v.Kind != KindBool {
-			return fmt.Errorf("prml: %s: If condition is %s, want bool", stmt.Pos, v.Kind)
-		}
-		if v.Bool {
-			return ev.execStmts(stmt.Then, sc, st)
-		}
-		return ev.execStmts(stmt.Else, sc, st)
+// The runtime half of the compiled expressions (plan.go builds them).
 
-	case *ForeachStmt:
-		if opt, ok := ev.env.(ForeachOptimizer); ok {
-			handled, n, err := opt.OptimizeForeach(stmt, func(e Expr) (Value, error) {
-				return ev.evalExpr(e, sc)
-			})
-			if err != nil {
-				return err
-			}
-			if handled {
-				st.LoopIterations += n
-				st.ActionsRun += n
-				st.InstancesSel += n
-				return nil
-			}
-		}
-		return ev.execForeach(stmt, sc, st, 0)
-
-	case *SetContentStmt:
-		v, err := ev.evalExpr(stmt.Value, sc)
-		if err != nil {
-			return err
-		}
-		if err := ev.env.SetContent(stmt.Target, v); err != nil {
-			return fmt.Errorf("prml: %s: %w", stmt.Pos, err)
-		}
-		st.ActionsRun++
-		st.ContentUpdates++
-		return nil
-
-	case *SelectInstanceStmt:
-		v, err := ev.evalExpr(stmt.Target, sc)
-		if err != nil {
-			return err
-		}
-		if err := ev.env.SelectInstance(v); err != nil {
-			return fmt.Errorf("prml: %s: %w", stmt.Pos, err)
-		}
-		st.ActionsRun++
-		st.InstancesSel++
-		return nil
-
-	case *BecomeSpatialStmt:
-		if err := ev.env.BecomeSpatial(stmt.Target, stmt.Geom); err != nil {
-			return fmt.Errorf("prml: %s: %w", stmt.Pos, err)
-		}
-		st.ActionsRun++
-		st.SchemaActions++
-		return nil
-
-	case *AddLayerStmt:
-		if err := ev.env.AddLayer(stmt.Layer, stmt.Geom); err != nil {
-			return fmt.Errorf("prml: %s: %w", stmt.Pos, err)
-		}
-		st.ActionsRun++
-		st.SchemaActions++
-		return nil
-	}
-	return fmt.Errorf("prml: unknown statement %T", s)
-}
-
-// execForeach iterates the cartesian product of the statement's sources,
-// binding one variable per source (Example 5.3's three-variable loop).
-func (ev *Evaluator) execForeach(f *ForeachStmt, sc scope, st *Stats, depth int) error {
-	if depth == len(f.Vars) {
-		st.LoopIterations++
-		return ev.execStmts(f.Body, sc, st)
-	}
-	return ev.env.Iterate(f.Sources[depth], func(inst Instance) error {
-		inner := sc.child()
-		inner[f.Vars[depth]] = InstVal(inst)
-		return ev.execForeach(f, inner, st, depth+1)
-	})
-}
-
-func (ev *Evaluator) evalExpr(e Expr, sc scope) (Value, error) {
-	switch ex := e.(type) {
-	case *NumberLit:
-		return NumberVal(ex.Value), nil
-	case *StringLit:
-		return StringVal(ex.Value), nil
-	case *BoolLit:
-		return BoolVal(ex.Value), nil
-	case *PathExpr:
-		return ev.evalPath(ex, sc)
-	case *UnaryExpr:
-		v, err := ev.evalExpr(ex.X, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		switch ex.Op {
-		case OpNot:
-			if v.Kind != KindBool {
-				return Value{}, fmt.Errorf("prml: %s: not applied to %s", ex.Pos, v.Kind)
-			}
-			return BoolVal(!v.Bool), nil
-		case OpNeg:
-			if v.Kind != KindNumber {
-				return Value{}, fmt.Errorf("prml: %s: unary minus applied to %s", ex.Pos, v.Kind)
-			}
-			return NumberVal(-v.Num), nil
-		}
-		return Value{}, fmt.Errorf("prml: %s: unknown unary operator", ex.Pos)
-	case *BinaryExpr:
-		return ev.evalBinary(ex, sc)
-	case *CallExpr:
-		return ev.evalCall(ex, sc)
-	}
-	return Value{}, fmt.Errorf("prml: unknown expression %T", e)
-}
-
-func (ev *Evaluator) evalPath(p *PathExpr, sc scope) (Value, error) {
-	if p.IsModelPath() {
-		return ev.env.ResolvePath(p)
-	}
-	if v, ok := sc[p.Root]; ok {
-		if len(p.Segs) == 0 {
-			return v, nil
-		}
-		if v.Kind != KindInstance {
-			return Value{}, fmt.Errorf("prml: %s: cannot navigate %s from %s value",
-				p.Pos, p.Segs[0], v.Kind)
-		}
-		return ev.env.Field(v.Inst, p.Segs)
-	}
-	if v, ok := ev.env.Param(p.Root); ok && len(p.Segs) == 0 {
-		return v, nil
-	}
-	return Value{}, fmt.Errorf("prml: %s: unknown identifier %q", p.Pos, p.Root)
-}
-
-func (ev *Evaluator) evalBinary(b *BinaryExpr, sc scope) (Value, error) {
-	// Short-circuit logical operators.
-	if b.Op == OpAnd || b.Op == OpOr {
-		l, err := ev.evalExpr(b.L, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		if l.Kind != KindBool {
-			return Value{}, fmt.Errorf("prml: %s: %s applied to %s", b.Pos, b.Op, l.Kind)
-		}
-		if b.Op == OpAnd && !l.Bool {
-			return BoolVal(false), nil
-		}
-		if b.Op == OpOr && l.Bool {
-			return BoolVal(true), nil
-		}
-		r, err := ev.evalExpr(b.R, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		if r.Kind != KindBool {
-			return Value{}, fmt.Errorf("prml: %s: %s applied to %s", b.Pos, b.Op, r.Kind)
-		}
-		return BoolVal(r.Bool), nil
-	}
-
-	l, err := ev.evalExpr(b.L, sc)
-	if err != nil {
-		return Value{}, err
-	}
-	r, err := ev.evalExpr(b.R, sc)
-	if err != nil {
-		return Value{}, err
-	}
-
-	switch b.Op {
-	case OpAdd, OpSub, OpMul, OpDiv:
-		if l.Kind != KindNumber || r.Kind != KindNumber {
-			return Value{}, fmt.Errorf("prml: %s: arithmetic on %s and %s", b.Pos, l.Kind, r.Kind)
-		}
-		switch b.Op {
-		case OpAdd:
-			return NumberVal(l.Num + r.Num), nil
-		case OpSub:
-			return NumberVal(l.Num - r.Num), nil
-		case OpMul:
-			return NumberVal(l.Num * r.Num), nil
-		case OpDiv:
-			if r.Num == 0 {
-				return Value{}, fmt.Errorf("prml: %s: division by zero", b.Pos)
-			}
-			return NumberVal(l.Num / r.Num), nil
-		}
-	case OpEq, OpNe:
-		eq, err := valuesEqual(l, r)
-		if err != nil {
-			return Value{}, fmt.Errorf("prml: %s: %w", b.Pos, err)
-		}
-		if b.Op == OpNe {
-			eq = !eq
-		}
-		return BoolVal(eq), nil
-	case OpLt, OpLe, OpGt, OpGe:
-		var cmp float64
-		switch {
-		case l.Kind == KindNumber && r.Kind == KindNumber:
-			cmp = l.Num - r.Num
-		case l.Kind == KindString && r.Kind == KindString:
-			switch {
-			case l.Str < r.Str:
-				cmp = -1
-			case l.Str > r.Str:
-				cmp = 1
-			}
-		default:
-			return Value{}, fmt.Errorf("prml: %s: cannot order %s and %s", b.Pos, l.Kind, r.Kind)
-		}
-		switch b.Op {
-		case OpLt:
-			return BoolVal(cmp < 0), nil
-		case OpLe:
-			return BoolVal(cmp <= 0), nil
-		case OpGt:
-			return BoolVal(cmp > 0), nil
-		case OpGe:
-			return BoolVal(cmp >= 0), nil
-		}
-	}
-	return Value{}, fmt.Errorf("prml: %s: unknown binary operator", b.Pos)
-}
-
-func valuesEqual(l, r Value) (bool, error) {
+func valuesEqual(l, r *Value) (bool, error) {
 	if l.Kind == KindNull || r.Kind == KindNull {
 		return l.Kind == r.Kind, nil
 	}
@@ -341,15 +138,18 @@ func valuesEqual(l, r Value) (bool, error) {
 	return false, fmt.Errorf("cannot compare %s values", l.Kind)
 }
 
+// geometrySeg is the field path instance-to-geometry coercion resolves.
+var geometrySeg = []string{"geometry"}
+
 // toGeometry coerces a value to a geometry: geometry values pass through;
 // instance values resolve their "geometry" field via the Env (so rules may
 // write Distance(s, ...) as shorthand for Distance(s.geometry, ...)).
-func (ev *Evaluator) toGeometry(v Value, pos Pos) (geom.Geometry, error) {
+func toGeometry(env Env, v *Value, pos Pos) (geom.Geometry, error) {
 	switch v.Kind {
 	case KindGeom:
 		return v.Geom, nil
 	case KindInstance:
-		f, err := ev.env.Field(v.Inst, []string{"geometry"})
+		f, err := env.Field(v.Inst, geometrySeg)
 		if err != nil {
 			return nil, err
 		}
@@ -363,54 +163,128 @@ func (ev *Evaluator) toGeometry(v Value, pos Pos) (geom.Geometry, error) {
 	return nil, fmt.Errorf("prml: %s: expected geometry, got %s", pos, v.Kind)
 }
 
-func (ev *Evaluator) evalCall(c *CallExpr, sc scope) (Value, error) {
-	args := make([]Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := ev.evalExpr(a, sc)
-		if err != nil {
-			return Value{}, err
+// emptyCollection is the Intersection of disjoint operands, boxed once: a
+// rule loop that intersects mostly-disjoint geometries (Example 5.3's
+// train × city × airport product) would otherwise allocate per iteration
+// to box the same empty value.
+var emptyCollection geom.Geometry = geom.Collection{}
+
+// binaryOp applies a non-logical binary operator; numeric results are
+// written to out.
+func binaryOp(b *BinaryExpr, l, r, out *Value) (*Value, error) {
+	switch b.Op {
+	case OpAdd, OpSub, OpMul, OpDiv:
+		if l.Kind != KindNumber || r.Kind != KindNumber {
+			return nil, fmt.Errorf("prml: %s: arithmetic on %s and %s", b.Pos, l.Kind, r.Kind)
 		}
-		args[i] = v
+		switch b.Op {
+		case OpAdd:
+			*out = NumberVal(l.Num + r.Num)
+			return out, nil
+		case OpSub:
+			*out = NumberVal(l.Num - r.Num)
+			return out, nil
+		case OpMul:
+			*out = NumberVal(l.Num * r.Num)
+			return out, nil
+		case OpDiv:
+			if r.Num == 0 {
+				return nil, fmt.Errorf("prml: %s: division by zero", b.Pos)
+			}
+			*out = NumberVal(l.Num / r.Num)
+			return out, nil
+		}
+	case OpEq, OpNe:
+		eq, err := valuesEqual(l, r)
+		if err != nil {
+			return nil, fmt.Errorf("prml: %s: %w", b.Pos, err)
+		}
+		if b.Op == OpNe {
+			eq = !eq
+		}
+		return boolPtr(eq), nil
+	case OpLt, OpLe, OpGt, OpGe:
+		var cmp float64
+		switch {
+		case l.Kind == KindNumber && r.Kind == KindNumber:
+			cmp = l.Num - r.Num
+		case l.Kind == KindString && r.Kind == KindString:
+			switch {
+			case l.Str < r.Str:
+				cmp = -1
+			case l.Str > r.Str:
+				cmp = 1
+			}
+		default:
+			return nil, fmt.Errorf("prml: %s: cannot order %s and %s", b.Pos, l.Kind, r.Kind)
+		}
+		switch b.Op {
+		case OpLt:
+			return boolPtr(cmp < 0), nil
+		case OpLe:
+			return boolPtr(cmp <= 0), nil
+		case OpGt:
+			return boolPtr(cmp > 0), nil
+		case OpGe:
+			return boolPtr(cmp >= 0), nil
+		}
 	}
+	return nil, fmt.Errorf("prml: %s: unknown binary operator", b.Pos)
+}
+
+// callOp applies a spatial operator to its evaluated arguments (n of them;
+// only the first two are kept — arity admits at most two). Numeric and
+// geometric results are written to out.
+func callOp(env Env, c *CallExpr, args *[2]*Value, n int, out *Value) (*Value, error) {
 	ar := spatialArity[c.Op]
-	if len(args) < ar[0] || len(args) > ar[1] {
-		return Value{}, fmt.Errorf("prml: %s: %s expects %d..%d arguments, got %d",
-			c.Pos, c.Op, ar[0], ar[1], len(args))
+	if n < ar[0] || n > ar[1] {
+		return nil, fmt.Errorf("prml: %s: %s expects %d..%d arguments, got %d",
+			c.Pos, c.Op, ar[0], ar[1], n)
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("prml: %s: unknown spatial operator", c.Pos)
 	}
 
 	// Unary Distance: the length of the "corresponding segment".
-	if c.Op == SpDistance && len(args) == 1 {
-		g, err := ev.toGeometry(args[0], c.Pos)
+	if c.Op == SpDistance && n == 1 {
+		g, err := toGeometry(env, args[0], c.Pos)
 		if err != nil {
-			return Value{}, err
+			return nil, err
 		}
-		return NumberVal(ev.env.LengthKm(g)), nil
+		*out = NumberVal(env.LengthKm(g))
+		return out, nil
 	}
 
-	ga, err := ev.toGeometry(args[0], c.Pos)
+	ga, err := toGeometry(env, args[0], c.Pos)
 	if err != nil {
-		return Value{}, err
+		return nil, err
 	}
-	gb, err := ev.toGeometry(args[1], c.Pos)
+	gb, err := toGeometry(env, args[1], c.Pos)
 	if err != nil {
-		return Value{}, err
+		return nil, err
 	}
 
 	switch c.Op {
 	case SpDistance:
-		return NumberVal(ev.env.DistanceKm(ga, gb)), nil
+		*out = NumberVal(env.DistanceKm(ga, gb))
+		return out, nil
 	case SpIntersect:
-		return BoolVal(geom.Intersects(ga, gb)), nil
+		return boolPtr(geom.Intersects(ga, gb)), nil
 	case SpDisjoint:
-		return BoolVal(geom.Disjoint(ga, gb)), nil
+		return boolPtr(geom.Disjoint(ga, gb)), nil
 	case SpCross:
-		return BoolVal(geom.Crosses(ga, gb)), nil
+		return boolPtr(geom.Crosses(ga, gb)), nil
 	case SpInside:
-		return BoolVal(geom.Within(ga, gb)), nil
+		return boolPtr(geom.Within(ga, gb)), nil
 	case SpEquals:
-		return BoolVal(geom.Equals(ga, gb)), nil
+		return boolPtr(geom.Equals(ga, gb)), nil
 	case SpIntersection:
-		return GeomVal(geom.Intersection(ga, gb)), nil
+		if g := geom.Intersection(ga, gb); g.Geoms != nil {
+			*out = GeomVal(g)
+		} else {
+			*out = GeomVal(emptyCollection)
+		}
+		return out, nil
 	}
-	return Value{}, fmt.Errorf("prml: %s: unknown spatial operator", c.Pos)
+	return nil, fmt.Errorf("prml: %s: unknown spatial operator", c.Pos)
 }

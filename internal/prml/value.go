@@ -175,18 +175,6 @@ func (v Value) String() string {
 	}
 }
 
-// ForeachOptimizer is an optional Env extension: before interpreting a
-// Foreach generically, the evaluator offers the whole statement to the
-// environment, which may recognize an execution plan (e.g. a radius query
-// through a spatial index for the paper's Distance(...) < r selection
-// idiom) and run it natively. eval evaluates an expression in the enclosing
-// scope (loop variables of outer loops included). The optimizer must be
-// semantics-preserving: it reports handled=false whenever unsure, and n (the
-// number of instances selected) feeds the evaluator's statistics.
-type ForeachOptimizer interface {
-	OptimizeForeach(f *ForeachStmt, eval func(Expr) (Value, error)) (handled bool, n int, err error)
-}
-
 // Env binds the rule evaluator to the warehouse: path resolution over the
 // three conceptual models (SUS, MD, GeoMD), iteration domains for Foreach,
 // designer parameters, the four personalization actions, and the distance

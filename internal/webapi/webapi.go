@@ -130,10 +130,10 @@ type apiError struct {
 	RequestID string `json:"requestId,omitempty"`
 }
 
-// jsonBufPool recycles writeJSON's encode buffers. A buffer that grew past
-// maxPooledJSONBuf (room for a 10 000-row drilldown body after doubling
-// growth, not for a dump of the whole cube) is dropped rather than pinned
-// by the pool.
+// jsonBufPool recycles writeBody's response buffers. A buffer that grew
+// past maxPooledJSONBuf (room for a 10 000-row drilldown body after
+// doubling growth, not for a dump of the whole cube) is dropped rather
+// than pinned by the pool.
 var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledJSONBuf = 4 << 20
@@ -144,17 +144,30 @@ const maxPooledJSONBuf = 4 << 20
 // connection instead of one per encoder flush, and a value that cannot be
 // encoded becomes a clean 500 instead of a truncated 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, "application/json", func(buf *bytes.Buffer) error {
+		if err := json.NewEncoder(buf).Encode(v); err != nil {
+			return fmt.Errorf("encode response: %w", err)
+		}
+		return nil
+	})
+}
+
+// writeBody renders a response body into a pooled buffer and sends it in
+// one Write with Content-Type and Content-Length set. A render error
+// becomes a JSON 500 carrying the error text (and the request ID) instead
+// of a truncated 200.
+func writeBody(w http.ResponseWriter, status int, contentType string, render func(*bytes.Buffer) error) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if err := render(buf); err != nil {
 		buf.Reset()
-		status = http.StatusInternalServerError
+		status, contentType = http.StatusInternalServerError, "application/json"
 		_ = json.NewEncoder(buf).Encode(apiError{
-			Error:     "encode response: " + err.Error(),
+			Error:     err.Error(),
 			RequestID: w.Header().Get("X-Request-Id"),
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes()) // a failed write means the client went away
@@ -697,9 +710,12 @@ func (s *Server) handleGeoJSON(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "export failed: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/geo+json")
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(fc)
+	writeBody(w, http.StatusOK, "application/geo+json", func(buf *bytes.Buffer) error {
+		if err := json.NewEncoder(buf).Encode(fc); err != nil {
+			return fmt.Errorf("encode response: %w", err)
+		}
+		return nil
+	})
 }
 
 // handleMapSVG renders the session's personalized map as an SVG image.
@@ -721,14 +737,14 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Width = v
 	}
-	svg, err := export.SessionSVG(sess, opts)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "render failed: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "image/svg+xml")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(svg))
+	writeBody(w, http.StatusOK, "image/svg+xml", func(buf *bytes.Buffer) error {
+		svg, err := export.AppendSessionSVG(buf.AvailableBuffer(), sess, opts)
+		if err != nil {
+			return fmt.Errorf("render failed: %w", err)
+		}
+		buf.Write(svg)
+		return nil
+	})
 }
 
 // handleStats serves the query scheduler's counters: how many queries

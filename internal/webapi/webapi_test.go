@@ -14,6 +14,7 @@ import (
 	"sdwp/internal/core"
 	"sdwp/internal/cube"
 	"sdwp/internal/datagen"
+	"sdwp/internal/export"
 	"sdwp/internal/prml"
 	"sdwp/internal/qsched"
 )
@@ -887,5 +888,91 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil || rec.Code != http.StatusInternalServerError ||
 		apiErr.Error == "" || apiErr.RequestID != "req-1" {
 		t.Fatalf("unencodable value: status %d body %q (%v)", rec.Code, rec.Body.Bytes(), err)
+	}
+}
+
+// TestExportBodiesPinned pins /api/geojson and /api/map.svg, now written
+// through the pooled buffer in one Write, byte for byte against what the
+// handlers streamed before — json.Encoder output of export.Session (trailing
+// newline included) and export.SessionSVG's document — with a
+// Content-Length announcing exactly that body.
+func TestExportBodiesPinned(t *testing.T) {
+	cfg := datagen.Default()
+	cfg.Cities = 20
+	cfg.Stores = 80
+	cfg.Sales = 500
+	ds, err := datagen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, err := datagen.NewUserStore(map[string]string{"alice": "RegionalSalesManager"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := core.NewEngine(ds.Cube, users, core.Options{})
+	t.Cleanup(e.Close)
+	if _, err := e.AddRules(testRules + `
+Rule:trains When SessionStart do
+  AddLayer('Train', LINE)
+endWhen`); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(e)
+	serve := func(method, url string, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
+		return rec
+	}
+	loc := ds.CityLocs[2]
+	rec := serve(http.MethodPost, "/api/login",
+		fmt.Sprintf(`{"user":"alice","locationWKT":"POINT (%f %f)"}`, loc.X, loc.Y))
+	var lr loginResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &lr); err != nil || lr.Session == "" {
+		t.Fatalf("login: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	sess := srv.session(lr.Session)
+	check := func(url, contentType string, want []byte) {
+		t.Helper()
+		rec := serve(http.MethodGet, url+"&session="+lr.Session, "")
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != contentType {
+			t.Fatalf("%s: %d %q", url, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("%s: body differs\ngot  %.200q\nwant %.200q", url, rec.Body.Bytes(), want)
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(len(want)) {
+			t.Fatalf("%s: Content-Length %q, body %d bytes", url, cl, len(want))
+		}
+	}
+	for _, tc := range []struct {
+		query string
+		opts  export.Options
+	}{
+		{"?x=1", export.Options{}},
+		{"?selected=1", export.Options{SelectedOnly: true}},
+		{"?simplify=0.05", export.Options{SimplifyTolerance: 0.05}},
+	} {
+		fc, err := export.Session(sess, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(fc); err != nil {
+			t.Fatal(err)
+		}
+		check("/api/geojson"+tc.query, "application/geo+json", want.Bytes())
+	}
+	for _, tc := range []struct {
+		query string
+		opts  export.SVGOptions
+	}{
+		{"?x=1", export.SVGOptions{}},
+		{"?width=321", export.SVGOptions{Width: 321}},
+	} {
+		svg, err := export.SessionSVG(sess, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("/api/map.svg"+tc.query, "image/svg+xml", []byte(svg))
 	}
 }

@@ -11,7 +11,8 @@
 # layer must stay fast, not just correct), the on mode of
 # BenchmarkCostAccountingOverhead, and BenchmarkFairAdmissionOverhead
 # (fair admission prices tenants, not queries — its ledger must stay
-# noise against a real scan).
+# noise against a real scan). ALLOC_BARS holds named benchmarks under an
+# absolute allocs/op ceiling, which gates them from their first run.
 #
 # Env knobs:
 #   BENCHTIME  go test -benchtime value   (default 1s: duration-based, so
@@ -71,7 +72,12 @@ fi
 # The manifest: the benchmarks whose trajectory the repo records. The
 # -bench regexp is derived from it, so one edit adds a benchmark to both
 # the run and the existence gate.
-MANIFEST="BenchmarkSharedSubexprBatch,BenchmarkParallelScan,BenchmarkBatchPartialPooling,BenchmarkShardedScan,BenchmarkArtifactCacheHit,BenchmarkPerFilterSharing,BenchmarkTraceOverhead,BenchmarkPackedScan,BenchmarkPackedPredicateKernel,BenchmarkCostAccountingOverhead,BenchmarkFairAdmissionOverhead,BenchmarkMultiLevelGroupBy"
+MANIFEST="BenchmarkSharedSubexprBatch,BenchmarkParallelScan,BenchmarkBatchPartialPooling,BenchmarkShardedScan,BenchmarkArtifactCacheHit,BenchmarkPerFilterSharing,BenchmarkTraceOverhead,BenchmarkPackedScan,BenchmarkPackedPredicateKernel,BenchmarkCostAccountingOverhead,BenchmarkFairAdmissionOverhead,BenchmarkMultiLevelGroupBy,BenchmarkSessionStartInterested,BenchmarkViewMaterialize"
+
+# Absolute allocs/op ceilings: an interested login (compiled rule plans,
+# postings-built view) and a view materialization allocate per call, not
+# per loop iteration or per fact.
+ALLOC_BARS="BenchmarkSessionStartInterested=1000,BenchmarkViewMaterialize=100"
 
 go test -run '^$' \
   -bench "^(${MANIFEST//,/|})\$" \
@@ -79,6 +85,7 @@ go test -run '^$' \
   | go run ./cmd/benchjson -issue "$ISSUE" -out "$OUT" -manifest "$MANIFEST" \
       -benchtime "$BENCHTIME" -count "$COUNT" \
       -nsop-gate '^(BenchmarkTraceOverhead/off|BenchmarkPackedScan/packed=true|BenchmarkCostAccountingOverhead/on|BenchmarkFairAdmissionOverhead/)' \
+      -alloc-bars "$ALLOC_BARS" \
       ${BASELINE:+-baseline "$BASELINE"}
 
 echo "bench.sh: wrote $OUT${BASELINE:+ (allocs/op gated against $BASELINE)}"
