@@ -469,10 +469,8 @@ func BenchmarkSharedScanBatch(b *testing.B) {
 // BenchmarkSharedSubexprBatch measures cross-query subexpression sharing
 // in the batch executor: 16 queries over one fact table sharing one
 // filter set and four groupings — the "many personalized variants of one
-// dashboard" shape — executed with sharing off (every query re-evaluates
-// the filters and re-decodes its group keys per fact, the PR 1 fused
-// path) vs on (one filter bitmap and one key column per distinct
-// artifact, shared by the whole batch).
+// dashboard" shape — answered with one filter bitmap and one key column
+// per distinct artifact, shared by the whole batch.
 func BenchmarkSharedSubexprBatch(b *testing.B) {
 	env := getBenchEnv(b, 200000)
 	filters := []AttrFilter{{
@@ -494,18 +492,14 @@ func BenchmarkSharedSubexprBatch(b *testing.B) {
 		}
 	}
 	for _, workers := range []int{1, 8} {
-		for _, noShare := range []bool{true, false} {
-			name := fmt.Sprintf("workers=%d/shared=%v", workers, !noShare)
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := env.ds.Cube.ExecuteBatchOpt(qs, nil,
-						BatchOptions{Workers: workers, DisableSharing: noShare}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("workers=%d/shared=true", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := env.ds.Cube.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: workers}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -563,9 +557,7 @@ func BenchmarkBatchPartialPooling(b *testing.B) {
 // BenchmarkPerFilterSharing measures per-predicate bitmap sharing with
 // AND-composition: a 16-query batch whose filter sets are
 // overlapping-but-unequal — six pairwise conjunctions drawn from a pool
-// of four predicates — so whole-set sharing (perfilter=false) must
-// materialize six set masks by evaluating six full conjunctions, while
-// per-filter sharing (perfilter=true) evaluates each of the four
+// of four predicates — so the executor evaluates each of the four
 // predicates once and AND-composes the six set masks from the bitmaps.
 func BenchmarkPerFilterSharing(b *testing.B) {
 	env := getBenchEnv(b, 200000)
@@ -597,98 +589,84 @@ func BenchmarkPerFilterSharing(b *testing.B) {
 		})
 	}
 	for _, workers := range []int{1, 8} {
-		for _, perFilter := range []bool{false, true} {
-			name := fmt.Sprintf("workers=%d/perfilter=%v", workers, perFilter)
-			b.Run(name, func(b *testing.B) {
-				var stats SharingStats
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var err error
-					_, stats, err = env.ds.Cube.ExecuteBatchOpt(qs, nil,
-						BatchOptions{Workers: workers, DisablePredicateSharing: !perFilter})
-					if err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("workers=%d/perfilter=true", workers), func(b *testing.B) {
+			var stats SharingStats
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				_, stats, err = env.ds.Cube.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: workers})
+				if err != nil {
+					b.Fatal(err)
 				}
-				if perFilter && stats.DistinctPredicates > 0 {
-					b.ReportMetric(float64(stats.FilterPredicates)/float64(stats.DistinctPredicates),
-						"preds/mask")
-					b.ReportMetric(float64(stats.ComposedMasks), "composed")
-				}
-			})
-		}
+			}
+			if stats.DistinctPredicates > 0 {
+				b.ReportMetric(float64(stats.FilterPredicates)/float64(stats.DistinctPredicates),
+					"preds/mask")
+				b.ReportMetric(float64(stats.ComposedMasks), "composed")
+			}
+		})
 	}
 }
 
 // BenchmarkCoalescedConcurrentQueries measures the query scheduler under
 // the workload it exists for: many goroutines issuing concurrent
-// personalized single queries. direct bypasses the scheduler (one scan per
-// query); coalesced routes through it (window 0: batches form behind the
-// in-flight bound). The coalesced run reports queries-per-scan — its
-// whole point is making that > 1.
+// personalized single queries, coalesced into shared scans. It reports
+// queries-per-scan — the scheduler's whole point is making that > 1.
 func BenchmarkCoalescedConcurrentQueries(b *testing.B) {
 	env := getBenchEnv(b, 200000)
 	const concurrentSessions = 8
-	for _, mode := range []string{"direct", "coalesced"} {
-		b.Run(mode, func(b *testing.B) {
-			opts := EngineOptions{DisableScheduler: mode == "direct"}
-			if mode == "coalesced" {
-				// A sub-millisecond window plus one scan slot is the
-				// configuration that actually merges concurrent clients
-				// into shared scans on any host (with window 0 a fast
-				// single-CPU host dispatches each query before the next
-				// client gets scheduled).
-				opts.CoalesceWindow = 200 * time.Microsecond
-				opts.MaxInFlightScans = 1
-			}
-			users, err := NewSalesUserStore(map[string]string{"alice": "RegionalSalesManager"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			e := NewEngine(env.ds.Cube, users, opts)
-			if _, err := e.AddRules(`Rule:5kmStores When SessionStart do
+	b.Run("coalesced", func(b *testing.B) {
+		// A sub-millisecond window plus one scan slot is the
+		// configuration that actually merges concurrent clients into
+		// shared scans on any host (with window 0 a fast single-CPU
+		// host dispatches each query before the next client gets
+		// scheduled).
+		opts := EngineOptions{CoalesceWindow: 200 * time.Microsecond, MaxInFlightScans: 1}
+		users, err := NewSalesUserStore(map[string]string{"alice": "RegionalSalesManager"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := NewEngine(env.ds.Cube, users, opts)
+		if _, err := e.AddRules(`Rule:5kmStores When SessionStart do
   Foreach s in (GeoMD.Store)
     If (Distance(s.geometry, SUS.DecisionMaker.dm2session.s2location.geometry) < 5km) then
       SelectInstance(s)
     endIf
   endForeach
 endWhen`); err != nil {
+			b.Fatal(err)
+		}
+		defer e.Close()
+		sessions := make([]*Session, concurrentSessions)
+		for i := range sessions {
+			s, err := e.StartSession("alice", env.ds.CityLocs[i%len(env.ds.CityLocs)])
+			if err != nil {
 				b.Fatal(err)
 			}
-			defer e.Close()
-			sessions := make([]*Session, concurrentSessions)
-			for i := range sessions {
-				s, err := e.StartSession("alice", env.ds.CityLocs[i%len(env.ds.CityLocs)])
-				if err != nil {
-					b.Fatal(err)
-				}
-				sessions[i] = s
-			}
-			var next atomic.Int64
-			b.ReportAllocs()
-			// Several client goroutines per core: coalescing serves
-			// concurrent *clients*, not cores, and must show up even on a
-			// single-CPU host.
-			b.SetParallelism(concurrentSessions)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				s := sessions[int(next.Add(1))%len(sessions)]
-				for pb.Next() {
-					if _, err := s.Query(familyQuery); err != nil {
-						// b.Fatal must not run off the benchmark goroutine.
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			if mode == "coalesced" {
-				if st := e.SchedulerStats(); st.FactScans > 0 {
-					b.ReportMetric(st.CoalesceRatio, "queries/scan")
+			sessions[i] = s
+		}
+		var next atomic.Int64
+		b.ReportAllocs()
+		// Several client goroutines per core: coalescing serves
+		// concurrent *clients*, not cores, and must show up even on a
+		// single-CPU host.
+		b.SetParallelism(concurrentSessions)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			s := sessions[int(next.Add(1))%len(sessions)]
+			for pb.Next() {
+				if _, err := s.Query(familyQuery); err != nil {
+					// b.Fatal must not run off the benchmark goroutine.
+					b.Error(err)
+					return
 				}
 			}
 		})
-	}
+		b.StopTimer()
+		if st := e.SchedulerStats(); st.FactScans > 0 {
+			b.ReportMetric(st.CoalesceRatio, "queries/scan")
+		}
+	})
 }
 
 // BenchmarkResultCacheHit measures the epoch-keyed result cache: the same
@@ -1031,13 +1009,12 @@ func BenchmarkArtifactCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkPackedScan is the A/B price of the compressed column layer on
-// the hot single-query scan shape (the BenchmarkParallelScan query,
-// serial): packed=true drives the monomorphic single-level SUM kernel
-// over the dictionary-encoded bit-packed key column, packed=false the
-// unpacked scalar path. Results are byte-identical; the packed=true
-// ns/op is gated against the previous artifact by scripts/bench.sh
-// (-nsop-gate) — the kernel must stay fast, not just correct.
+// BenchmarkPackedScan measures the compressed column layer on the hot
+// single-query scan shape (the BenchmarkParallelScan query, serial): the
+// monomorphic single-level SUM kernel over the dictionary-encoded
+// bit-packed key column. Its ns/op is gated against the previous artifact
+// by scripts/bench.sh (-nsop-gate) — the kernel must stay fast, not just
+// correct.
 func BenchmarkPackedScan(b *testing.B) {
 	env := getBenchEnv(b, 200000)
 	q := Query{
@@ -1045,28 +1022,21 @@ func BenchmarkPackedScan(b *testing.B) {
 		GroupBy:    []LevelRef{{Dimension: "Store", Level: "City"}},
 		Aggregates: []MeasureAgg{{Measure: "UnitSales", Agg: SUM}},
 	}
-	prev := env.ds.Cube.PackedColumns()
-	defer env.ds.Cube.SetPackedColumns(prev)
-	for _, packed := range []bool{true, false} {
-		b.Run(fmt.Sprintf("packed=%v", packed), func(b *testing.B) {
-			env.ds.Cube.SetPackedColumns(packed)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := env.ds.Cube.ExecuteParallel(q, nil, 1); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("packed=true", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := env.ds.Cube.ExecuteParallel(q, nil, 1); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkPackedPredicateKernel measures stage-1 predicate evaluation
 // word-at-a-time: a batch whose queries share one numeric attribute
 // filter, so the per-predicate planner materializes the filter bitmap
-// once per scan — packed=true fills it with the SWAR range kernel over
-// the bit-packed key column (64/width lanes per load), packed=false
-// tests every fact's key against the ancestor table one at a time.
+// once per scan, filling it with the SWAR range kernel over the
+// bit-packed key column (64/width lanes per load).
 func BenchmarkPackedPredicateKernel(b *testing.B) {
 	env := getBenchEnv(b, 200000)
 	filters := []AttrFilter{{
@@ -1082,29 +1052,23 @@ func BenchmarkPackedPredicateKernel(b *testing.B) {
 			Filters:    filters,
 		})
 	}
-	prev := env.ds.Cube.PackedColumns()
-	defer env.ds.Cube.SetPackedColumns(prev)
-	for _, packed := range []bool{true, false} {
-		b.Run(fmt.Sprintf("packed=%v", packed), func(b *testing.B) {
-			env.ds.Cube.SetPackedColumns(packed)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := env.ds.Cube.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: 1}); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("packed=true", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := env.ds.Cube.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: 1}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkMultiLevelGroupBy measures the dense composite-key group table
 // on two-level group-bys: Store x Family materializes 10 000 rows (the
 // drilldown shape — result materialization shows), City x Month a few
-// hundred (accumulation dominates). serial is the fused single-query path,
-// batch the staged executor on a batch of one — what the scheduler runs
-// for a lone query. allocs/op is the gated number: finalize allocates per
-// Result, not per row.
+// hundred (accumulation dominates). serial is Cube.ExecuteParallel, batch
+// Cube.ExecuteBatchOpt on a batch of one — what the scheduler runs for a
+// lone query; both drive the one batch executor. allocs/op is the gated
+// number: finalize allocates per Result, not per row.
 func BenchmarkMultiLevelGroupBy(b *testing.B) {
 	env := getBenchEnv(b, 200000)
 	shapes := []struct {

@@ -469,11 +469,10 @@ func runC7() {
 }
 
 // runC8 measures the qsched subsystem end to end: N concurrent clients,
-// each looping personalized single queries (the traffic shape PR 1's batch
-// API could not help — nobody arrives holding a batch), answered three
-// ways: direct serial scans, direct parallel scans, and scheduler-routed
-// with coalescing plus the epoch-keyed result cache. The scheduler modes
-// also report how many fact scans actually ran for how many queries.
+// each looping personalized single queries (the traffic shape a batch API
+// cannot help — nobody arrives holding a batch), answered by the
+// scheduler with coalescing alone and with the epoch-keyed result cache
+// on top, reporting how many fact scans actually ran for how many queries.
 func runC8() {
 	cfg := sdwp.DefaultDataConfig()
 	cfg.Stores = 2000
@@ -503,8 +502,6 @@ func runC8() {
 		name string
 		opts sdwp.EngineOptions
 	}{
-		{"direct-serial", sdwp.EngineOptions{DisableScheduler: true}},
-		{"direct-parallel", sdwp.EngineOptions{DisableScheduler: true, QueryWorkers: -1}},
 		{"coalesced", sdwp.EngineOptions{
 			CoalesceWindow: 500 * time.Microsecond, MaxInFlightScans: 2}},
 		{"coalesced+cache", sdwp.EngineOptions{
@@ -540,15 +537,9 @@ func runC8() {
 		wall := time.Since(start)
 		st := e.SchedulerStats()
 		total := clients * queriesPerClient
-		scans, ratio, hit := "-", "-", "-"
-		if !mode.opts.DisableScheduler {
-			scans = fmt.Sprintf("%d", st.FactScans)
-			ratio = fmt.Sprintf("%.1fx", st.CoalesceRatio)
-			hit = fmt.Sprintf("%.0f%%", 100*st.CacheHitRate)
-		}
-		fmt.Printf("  %16s %12s %12.0f %10s %10s %8s\n",
+		fmt.Printf("  %16s %12s %12.0f %10d %9.1fx %7.0f%%\n",
 			mode.name, wall.Round(time.Microsecond),
-			float64(total)/wall.Seconds(), scans, ratio, hit)
+			float64(total)/wall.Seconds(), st.FactScans, st.CoalesceRatio, 100*st.CacheHitRate)
 		for _, s := range sessions {
 			mustErr(e.EndSession(s))
 		}
@@ -558,7 +549,7 @@ func runC8() {
 
 // runC9 measures cross-query subexpression sharing inside batch scans,
 // both at the executor (a 16-query batch sharing one filter set across
-// four groupings, A/B over cube.BatchOptions.DisableSharing) and end to
+// four groupings: the artifacts it builds and its wall time) and end to
 // end through the scheduler (concurrent clients issuing filtered
 // personalized queries that coalesce into sharing-aware scans, reported
 // through SchedulerStats' filter-mask / group-key sharing ratios — the
@@ -572,7 +563,7 @@ func runC9() {
 	}
 	ds := must(sdwp.GenerateData(cfg))
 
-	// Executor-level A/B: one batch, shared filter set, four groupings.
+	// Executor level: one batch, shared filter set, four groupings.
 	filters := []sdwp.AttrFilter{{
 		LevelRef: sdwp.LevelRef{Dimension: "Store", Level: "City"},
 		Attr:     "population", Op: sdwp.OpGt, Value: float64(100000),
@@ -592,9 +583,6 @@ func runC9() {
 		}
 	}
 	var stats sdwp.SharingStats
-	tOff := timeIt(5, func() {
-		must2(ds.Cube.ExecuteBatchOpt(qs, nil, sdwp.BatchOptions{DisableSharing: true}))
-	})
 	tOn := timeIt(5, func() {
 		_, st, err := ds.Cube.ExecuteBatchOpt(qs, nil, sdwp.BatchOptions{})
 		mustErr(err)
@@ -603,11 +591,9 @@ func runC9() {
 	fmt.Printf("  batch of %d queries (%d facts): %d filter sets -> %d bitmaps, %d groupings -> %d key columns\n",
 		len(qs), cfg.Sales, stats.FilterSets, stats.DistinctFilterSets,
 		stats.GroupKeySets, stats.DistinctGroupings)
-	fmt.Printf("  %16s %14s %14s %10s\n", "mode", "batch", "per-query", "speedup")
-	fmt.Printf("  %16s %14s %14s %10s\n", "sharing off", tOff.Round(time.Microsecond),
-		(tOff / time.Duration(len(qs))).Round(time.Microsecond), "1.0x")
-	fmt.Printf("  %16s %14s %14s %9.1fx\n", "sharing on", tOn.Round(time.Microsecond),
-		(tOn / time.Duration(len(qs))).Round(time.Microsecond), float64(tOff)/float64(tOn))
+	fmt.Printf("  %14s %14s\n", "batch", "per-query")
+	fmt.Printf("  %14s %14s\n", tOn.Round(time.Microsecond),
+		(tOn / time.Duration(len(qs))).Round(time.Microsecond))
 
 	// End to end: concurrent personalized clients whose filtered dashboard
 	// tiles coalesce into sharing-aware scans. A 300 km selection radius
@@ -631,53 +617,43 @@ endWhen`
 	}
 	tiles := qs[:6]
 	fmt.Printf("  scheduler end-to-end: %d clients x %d filtered queries\n", clients, queriesPerClient)
-	fmt.Printf("  %16s %12s %10s %12s %12s\n", "mode", "wall", "scans", "filter-share", "group-share")
-	for _, mode := range []struct {
-		name string
-		opts sdwp.EngineOptions
-	}{
-		{"sharing off", sdwp.EngineOptions{
-			CoalesceWindow: 500 * time.Microsecond, MaxInFlightScans: 2,
-			SharedSubexpr: sdwp.SharedSubexprOff}},
-		{"sharing on", sdwp.EngineOptions{
-			CoalesceWindow: 500 * time.Microsecond, MaxInFlightScans: 2}},
-	} {
-		users := must(sdwp.NewSalesUserStore(roles))
-		e := sdwp.NewEngine(ds.Cube, users, mode.opts)
-		must(e.AddRules(wideRule))
-		sessions := make([]*sdwp.Session, clients)
-		for i := range sessions {
-			sessions[i] = must(e.StartSession(fmt.Sprintf("mgr%02d", i),
-				ds.CityLocs[i%len(ds.CityLocs)]))
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		for i, s := range sessions {
-			wg.Add(1)
-			go func(i int, s *sdwp.Session) {
-				defer wg.Done()
-				for k := 0; k < queriesPerClient; k++ {
-					must(s.Query(tiles[(i+k)%len(tiles)]))
-				}
-			}(i, s)
-		}
-		wg.Wait()
-		wall := time.Since(start)
-		st := e.SchedulerStats()
-		fShare, gShare := "-", "-"
-		if st.FilterMasks > 0 {
-			fShare = fmt.Sprintf("%.1fx", st.FilterMaskSharing)
-		}
-		if st.GroupKeyCols > 0 {
-			gShare = fmt.Sprintf("%.1fx", st.GroupKeySharing)
-		}
-		fmt.Printf("  %16s %12s %10d %12s %12s\n", mode.name,
-			wall.Round(time.Microsecond), st.FactScans, fShare, gShare)
-		for _, s := range sessions {
-			mustErr(e.EndSession(s))
-		}
-		e.Close()
+	fmt.Printf("  %12s %10s %12s %12s\n", "wall", "scans", "filter-share", "group-share")
+	users := must(sdwp.NewSalesUserStore(roles))
+	e := sdwp.NewEngine(ds.Cube, users, sdwp.EngineOptions{
+		CoalesceWindow: 500 * time.Microsecond, MaxInFlightScans: 2})
+	must(e.AddRules(wideRule))
+	sessions := make([]*sdwp.Session, clients)
+	for i := range sessions {
+		sessions[i] = must(e.StartSession(fmt.Sprintf("mgr%02d", i),
+			ds.CityLocs[i%len(ds.CityLocs)]))
 	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i, s := range sessions {
+		wg.Add(1)
+		go func(i int, s *sdwp.Session) {
+			defer wg.Done()
+			for k := 0; k < queriesPerClient; k++ {
+				must(s.Query(tiles[(i+k)%len(tiles)]))
+			}
+		}(i, s)
+	}
+	wg.Wait()
+	wall := time.Since(start)
+	st := e.SchedulerStats()
+	fShare, gShare := "-", "-"
+	if st.FilterMasks > 0 {
+		fShare = fmt.Sprintf("%.1fx", st.FilterMaskSharing)
+	}
+	if st.GroupKeyCols > 0 {
+		gShare = fmt.Sprintf("%.1fx", st.GroupKeySharing)
+	}
+	fmt.Printf("  %12s %10d %12s %12s\n",
+		wall.Round(time.Microsecond), st.FactScans, fShare, gShare)
+	for _, s := range sessions {
+		mustErr(e.EndSession(s))
+	}
+	e.Close()
 }
 
 // runC10 measures the sharded fact-table executor A/B: the same 16-query
@@ -761,6 +737,10 @@ func runC10() {
 	}
 }
 
+// runC11 measures the per-filter bitmap algebra: a dashboard batch whose
+// filter sets overlap without being equal, reporting how many predicate
+// bitmaps the executor built and composed, and the cross-batch artifact
+// cache's admission doorkeeper over repeated runs.
 func runC11() {
 	cfg := sdwp.DefaultDataConfig()
 	cfg.Stores = 2000
@@ -772,9 +752,8 @@ func runC11() {
 
 	// Overlapping-but-unequal filter sets: all six pairwise conjunctions
 	// of four predicates, cycled with levels and measures into a 16-query
-	// dashboard batch. Whole-set sharing evaluates six full conjunctions;
-	// per-filter sharing evaluates the four predicates once each and
-	// AND-composes the six set masks.
+	// dashboard batch: the executor evaluates the four predicates once
+	// each and AND-composes the six set masks.
 	mkF := func(dim, level, attr string, op sdwp.FilterOp, v any) sdwp.AttrFilter {
 		return sdwp.AttrFilter{LevelRef: sdwp.LevelRef{Dimension: dim, Level: level},
 			Attr: attr, Op: op, Value: v}
@@ -805,9 +784,6 @@ func runC11() {
 
 	const rounds = 5
 	var stats sdwp.SharingStats
-	tSet := timeIt(rounds, func() {
-		must2(ds.Cube.ExecuteBatchOpt(qs, nil, sdwp.BatchOptions{DisablePredicateSharing: true}))
-	}) / rounds
 	tPred := timeIt(rounds, func() {
 		_, st, err := ds.Cube.ExecuteBatchOpt(qs, nil, sdwp.BatchOptions{})
 		mustErr(err)
@@ -816,10 +792,7 @@ func runC11() {
 	fmt.Printf("  batch of %d queries (%d facts): %d filter sets -> %d distinct, %d predicate uses -> %d bitmaps, %d composed masks\n",
 		len(qs), cfg.Sales, stats.FilterSets, stats.DistinctFilterSets,
 		stats.FilterPredicates, stats.DistinctPredicates, stats.ComposedMasks)
-	fmt.Printf("  %16s %14s %10s\n", "stage-1 grain", "wall/round", "speedup")
-	fmt.Printf("  %16s %14s %10s\n", "per filter set", tSet.Round(time.Microsecond), "1.0x")
-	fmt.Printf("  %16s %14s %9.2fx\n", "per predicate", tPred.Round(time.Microsecond),
-		float64(tSet)/float64(tPred))
+	fmt.Printf("  wall/round %s\n", tPred.Round(time.Microsecond))
 
 	// Cache admission: one-off filter sets are doorkept (never cached),
 	// the recurring dashboard is admitted on its second offer and served

@@ -10,7 +10,6 @@
 //	       [-threshold 2] [-workers -1]
 //	       [-coalesce-window 500us] [-max-inflight-scans 2]
 //	       [-result-cache-mb 32] [-max-batch-queries 64]
-//	       [-shared-subexpr=true] [-per-filter-sharing=true] [-packed-columns=true]
 //	       [-fact-shards 0] [-query-timeout 0] [-artifact-cache-mb 0]
 //	       [-trace-sample-rate 0] [-slow-query 0] [-pprof-addr ""]
 //	       [-profile-registry-size 0] [-profile-decay 0] [-tenant-label-cap 0]
@@ -62,12 +61,6 @@ func main() {
 			"personalized result cache size in MiB, keyed by query fingerprint + view epoch (0 = off)")
 		maxBatch = flag.Int("max-batch-queries", 0,
 			"max queries per batch, shared by coalesced scans and POST /api/query/batch (0 = default 64)")
-		sharedSubexpr = flag.Bool("shared-subexpr", true,
-			"share filter bitmaps and group-key columns across the queries of each batch scan (false = per-query evaluation, the A/B baseline)")
-		perFilterSharing = flag.Bool("per-filter-sharing", true,
-			"decompose batch filter sharing to per-predicate bitmaps AND-composed into set masks (false = whole-filter-set granularity, the A/B baseline)")
-		packedColumns = flag.Bool("packed-columns", true,
-			"execute scans against the dictionary-encoded bit-packed fact columns (word-at-a-time predicate kernels, monomorphic aggregation kernels); false = unpacked scalar path, the A/B baseline — results are identical either way")
 		factShards = flag.Int("fact-shards", 0,
 			"hash-partition every fact table into N shards behind the scheduler (scatter-gather scans, per-shard ingest locks); 0 or 1 = single-table path")
 		queryTimeout = flag.Duration("query-timeout", 0,
@@ -164,36 +157,25 @@ func main() {
 		weights[strings.TrimSpace(name)] = w
 	}
 
-	sharedMode := sdwp.SharedSubexprOn
-	if !*sharedSubexpr {
-		sharedMode = sdwp.SharedSubexprOff
-	}
-	packedMode := sdwp.PackedColumnsOn
-	if !*packedColumns {
-		packedMode = sdwp.PackedColumnsOff
-	}
 	engine := sdwp.NewEngine(warehouse, users, sdwp.EngineOptions{
-		QueryWorkers:            *workers,
-		CoalesceWindow:          *coalesceWindow,
-		MaxInFlightScans:        *maxInFlight,
-		ResultCacheBytes:        int64(*cacheMB) << 20,
-		MaxBatchQueries:         *maxBatch,
-		SharedSubexpr:           sharedMode,
-		DisablePerFilterSharing: !*perFilterSharing,
-		PackedColumns:           packedMode,
-		FactShards:              *factShards,
-		QueryTimeout:            *queryTimeout,
-		ArtifactCacheBytes:      int64(*artifactCacheMB) << 20,
-		TraceSampleRate:         *traceSampleRate,
-		SlowQueryThreshold:      *slowQuery,
-		QueryCostProfiles:       *profileRegistrySize,
-		QueryCostDecay:          *profileDecay,
-		TenantLabelCap:          *tenantLabelCap,
-		MaxQueueDepth:           *maxQueueDepth,
-		TargetQueueWait:         *targetQueueWait,
-		TenantWeights:           weights,
-		AutoTune:                *autoTune,
-		AutoTuneInterval:        *autoTuneInterval,
+		QueryWorkers:       *workers,
+		CoalesceWindow:     *coalesceWindow,
+		MaxInFlightScans:   *maxInFlight,
+		ResultCacheBytes:   int64(*cacheMB) << 20,
+		MaxBatchQueries:    *maxBatch,
+		FactShards:         *factShards,
+		QueryTimeout:       *queryTimeout,
+		ArtifactCacheBytes: int64(*artifactCacheMB) << 20,
+		TraceSampleRate:    *traceSampleRate,
+		SlowQueryThreshold: *slowQuery,
+		QueryCostProfiles:  *profileRegistrySize,
+		QueryCostDecay:     *profileDecay,
+		TenantLabelCap:     *tenantLabelCap,
+		MaxQueueDepth:      *maxQueueDepth,
+		TargetQueueWait:    *targetQueueWait,
+		TenantWeights:      weights,
+		AutoTune:           *autoTune,
+		AutoTuneInterval:   *autoTuneInterval,
 	})
 	engine.SetParam("threshold", sdwp.Number(*threshold))
 

@@ -30,41 +30,6 @@ import (
 	"sdwp/internal/usermodel"
 )
 
-// SharedSubexprMode toggles cross-query subexpression sharing inside
-// batch scans: whether a shared scan materializes each distinct filter set
-// as one bitmap and each distinct (dimension, level) grouping as one
-// roll-up key column, shared by every query of the batch (see
-// internal/cube/exec_shared.go).
-type SharedSubexprMode int
-
-const (
-	// SharedSubexprOn — the default (zero value) — shares stage-1/2
-	// artifacts across the queries of every batch scan.
-	SharedSubexprOn SharedSubexprMode = iota
-	// SharedSubexprOff reverts to per-query filter evaluation and
-	// group-key decode (the PR 1 fused path) — the A/B benching baseline.
-	SharedSubexprOff
-)
-
-// PackedColumnsMode toggles compressed-column execution: whether compiled
-// plans bind the dictionary-encoded bit-packed fact columns and dispatch
-// the word-at-a-time predicate kernels and monomorphic aggregation
-// kernels (see internal/cube/packed.go). The packed columns themselves
-// are always maintained; the mode only selects the execution path, so
-// flipping it never rewrites storage. Results are identical either way.
-type PackedColumnsMode int
-
-const (
-	// PackedColumnsOn — the default (zero value) — compiles plans against
-	// the packed columns. The SDWP_PACKED_COLUMNS env var (strconv
-	// booleans) still applies and lets test matrices flip the default
-	// without a config change.
-	PackedColumnsOn PackedColumnsMode = iota
-	// PackedColumnsOff forces the unpacked scalar path — the equivalence
-	// oracle and the A/B benching baseline.
-	PackedColumnsOff
-)
-
 // Options configures an Engine.
 type Options struct {
 	// Planar switches the Distance/unary-Distance operators from geodetic
@@ -102,28 +67,6 @@ type Options struct {
 	// and one POST /api/query/batch request share the limit
 	// (0 = qsched.DefaultMaxBatch).
 	MaxBatchQueries int
-	// DisableScheduler routes Session.Query/QueryBaseline/QueryBatch
-	// straight to the cube executors, bypassing queueing, coalescing and
-	// caching — the scheduler's correctness baseline.
-	DisableScheduler bool
-	// SharedSubexpr controls cross-query subexpression sharing inside
-	// batch scans (shared filter bitmaps and group-key columns). On by
-	// default; SharedSubexprOff restores the per-query evaluation of PR 1
-	// for A/B benching. Results are identical either way.
-	SharedSubexpr SharedSubexprMode
-	// PackedColumns controls compressed-column execution: packed predicate
-	// and aggregation kernels on (the default) or the unpacked scalar path
-	// (the oracle the equivalence harness pins kernels against). Results
-	// are identical either way.
-	PackedColumns PackedColumnsMode
-	// DisablePerFilterSharing keeps the batch executor's stage-1 sharing
-	// at whole-filter-set granularity: each distinct filter set evaluates
-	// its full conjunction instead of materializing one bitmap per
-	// distinct single AttrFilter and AND-composing set masks from them.
-	// Off by default (per-filter sharing on); the A/B baseline for
-	// overlapping-but-unequal filter-set workloads. Results are identical
-	// either way.
-	DisablePerFilterSharing bool
 	// FactShards hash-partitions every fact table into this many shards
 	// behind the scheduler (internal/shard): ingest and scans then scale
 	// across independent per-shard locks and the scatter-gather executor
@@ -214,18 +157,6 @@ func (l *lockedCubeExec) Compile(q cube.Query) (*cube.CompiledQuery, error) {
 	return l.c.Compile(q)
 }
 
-func (l *lockedCubeExec) ExecuteParallel(q cube.Query, v *cube.View, workers int) (*cube.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.c.ExecuteParallel(q, v, workers)
-}
-
-func (l *lockedCubeExec) ExecuteBatch(qs []cube.Query, vs []*cube.View, workers int) ([]*cube.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.c.ExecuteBatch(qs, vs, workers)
-}
-
 func (l *lockedCubeExec) ExecuteBatchCompiledOpt(cqs []*cube.CompiledQuery, vs []*cube.View, opts cube.BatchOptions) ([]*cube.Result, cube.SharingStats, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -310,14 +241,6 @@ func NewEngine(c *cube.Cube, users *usermodel.Store, opts Options) *Engine {
 		sessions: map[string]*Session{},
 		buckets:  &ruleBuckets{},
 	}
-	// Apply the packed-columns mode before deriving shards: NewFactShard
-	// inherits the parent's setting, so the fan-out below compiles the
-	// same execution path everywhere. PackedColumnsOn (the zero value)
-	// leaves the cube's default alone, which keeps the SDWP_PACKED_COLUMNS
-	// env override effective for engines built with default options.
-	if opts.PackedColumns == PackedColumnsOff {
-		c.SetPackedColumns(false)
-	}
 	if opts.FactShards > 1 {
 		e.shards = shard.New(c, shard.Options{
 			Shards:             opts.FactShards,
@@ -343,27 +266,24 @@ func NewEngine(c *cube.Cube, users *usermodel.Store, opts Options) *Engine {
 		e.tracer = obs.NewTracer(obs.TracerOptions{SampleRate: opts.TraceSampleRate})
 	}
 	e.sched = qsched.New(e.exec, qsched.Options{
-		Window:                  opts.CoalesceWindow,
-		MaxBatch:                opts.MaxBatchQueries,
-		MaxInFlight:             opts.MaxInFlightScans,
-		CacheBytes:              opts.ResultCacheBytes,
-		Workers:                 opts.QueryWorkers,
-		Disabled:                opts.DisableScheduler,
-		DisableSharedSubexpr:    opts.SharedSubexpr == SharedSubexprOff,
-		DisablePerFilterSharing: opts.DisablePerFilterSharing,
-		Timeout:                 opts.QueryTimeout,
-		Artifacts:               e.artifacts,
-		Metrics:                 e.metrics,
-		SlowQuery:               opts.SlowQueryThreshold,
-		Costs:                   e.costs,
-		TenantWeights:           opts.TenantWeights,
-		MaxQueueDepth:           opts.MaxQueueDepth,
-		TargetQueueWait:         opts.TargetQueueWait,
+		Window:          opts.CoalesceWindow,
+		MaxBatch:        opts.MaxBatchQueries,
+		MaxInFlight:     opts.MaxInFlightScans,
+		CacheBytes:      opts.ResultCacheBytes,
+		Workers:         opts.QueryWorkers,
+		Timeout:         opts.QueryTimeout,
+		Artifacts:       e.artifacts,
+		Metrics:         e.metrics,
+		SlowQuery:       opts.SlowQueryThreshold,
+		Costs:           e.costs,
+		TenantWeights:   opts.TenantWeights,
+		MaxQueueDepth:   opts.MaxQueueDepth,
+		TargetQueueWait: opts.TargetQueueWait,
 	})
 	e.registry.RegisterCollector(e.collectSchedulerSamples)
 	e.registry.RegisterCollector(e.collectCostSamples)
 	obs.RegisterRuntimeMetrics(e.registry)
-	if opts.AutoTune && !opts.DisableScheduler {
+	if opts.AutoTune {
 		e.tun = newTuner(e)
 		go e.tun.run()
 	}
@@ -788,10 +708,8 @@ func (e *Engine) ExecuteBatch(qs []cube.Query, sessions []*Session) ([]*cube.Res
 		cqs[i] = cq
 	}
 	res, _, err := e.exec.ExecuteBatchCompiledOpt(cqs, vs, cube.BatchOptions{
-		Workers:                 e.opts.QueryWorkers,
-		DisableSharing:          e.opts.SharedSubexpr == SharedSubexprOff,
-		DisablePredicateSharing: e.opts.DisablePerFilterSharing,
-		Artifacts:               e.artifacts,
+		Workers:   e.opts.QueryWorkers,
+		Artifacts: e.artifacts,
 	})
 	return res, err
 }

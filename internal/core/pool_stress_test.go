@@ -7,7 +7,8 @@ package core
 // ingest and SpatialSelect selection churn. The run must be data-race
 // free (-race in CI; scripts/stress.sh runs the PooledPartial pattern),
 // batches must stay internally consistent, and the quiescent state must
-// match serial execution — pooled state bleeding between scans, or a
+// match the executor-independent reference (cubetest.NaiveExecute) —
+// pooled state bleeding between scans, or a
 // partial released while its scan still reads it, shows up here as
 // corrupted aggregates or detector reports.
 
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"sdwp/internal/cube"
+	"sdwp/internal/cube/cubetest"
 	"sdwp/internal/datagen"
 )
 
@@ -30,7 +32,7 @@ import (
 // scans hold packed views taken at compile time. A scan reading past its
 // compile-time bound, or through a torn repack, breaks the SUM ==
 // MatchedFacts identity below (every fact carries UnitSales 1) or the
-// quiescent equality against the serial unpacked oracle.
+// quiescent equality against the reference.
 func TestPackedRepackUnderIngestRespectsScanBound(t *testing.T) {
 	const (
 		stores    = 400 // forces Store-key widths 1 through 9 bits
@@ -157,150 +159,141 @@ func TestPackedRepackUnderIngestRespectsScanBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Quiescent: the packed batch path equals the serial unpacked oracle
-	// over the fully repacked columns.
+	// Quiescent: the packed batch path equals the reference over the
+	// fully repacked columns.
 	res, err := e.ExecuteBatch(qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := c.PackedColumns()
-	c.SetPackedColumns(false)
 	for i, q := range qs {
-		want, err := c.Execute(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameAnswer(res[i], want) {
-			t.Fatalf("quiescent batch entry %d differs from the unpacked serial oracle", i)
+		if !sameAnswer(res[i], cubetest.NaiveExecute(c, q, nil)) {
+			t.Fatalf("quiescent batch entry %d differs from the reference", i)
 		}
 	}
-	c.SetPackedColumns(prev)
 }
 
 func TestPooledPartialBatchUnderIngestAndSpatialSelect(t *testing.T) {
-	for _, mode := range []SharedSubexprMode{SharedSubexprOn, SharedSubexprOff} {
-		mode := mode
-		name := "shared"
-		if mode == SharedSubexprOff {
-			name = "fused"
+	t.Run("shared", func(t *testing.T) {
+		e, ds := newTestEngineOpts(t, Options{
+			CoalesceWindow: 200 * time.Microsecond,
+			QueryWorkers:   4, // parallel scans: several pooled partials per query
+		})
+		defer e.Close()
+		s, err := e.StartSession("alice", ds.CityLocs[0])
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			e, ds := newTestEngineOpts(t, Options{
-				CoalesceWindow: 200 * time.Microsecond,
-				QueryWorkers:   4, // parallel scans: several pooled partials per query
-				SharedSubexpr:  mode,
-			})
-			defer e.Close()
-			s, err := e.StartSession("alice", ds.CityLocs[0])
-			if err != nil {
-				t.Fatal(err)
+		// Alternate group-bys so consecutive scans rebind pooled
+		// partials between the dense path (single group) and the
+		// hash-cells path (two groups) with different aggregate counts.
+		qs := make([]cube.Query, 6)
+		for i := range qs {
+			qs[i] = cube.Query{
+				Fact:       "Sales",
+				GroupBy:    []cube.LevelRef{{Dimension: "Store", Level: "City"}},
+				Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}, {Measure: "UnitSales", Agg: cube.AggSum}},
+				Limit:      1000 + i, // distinct plans, shared subexpressions
 			}
-			// Alternate group-bys so consecutive scans rebind pooled
-			// partials between the dense path (single group) and the
-			// hash-cells path (two groups) with different aggregate counts.
-			qs := make([]cube.Query, 6)
-			for i := range qs {
-				qs[i] = cube.Query{
-					Fact:       "Sales",
-					GroupBy:    []cube.LevelRef{{Dimension: "Store", Level: "City"}},
-					Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}, {Measure: "UnitSales", Agg: cube.AggSum}},
-					Limit:      1000 + i, // distinct plans, shared subexpressions
-				}
-				if i%2 == 1 {
-					qs[i].GroupBy = []cube.LevelRef{
-						{Dimension: "Store", Level: "State"}, {Dimension: "Time", Level: "Month"}}
-					qs[i].Aggregates = []cube.MeasureAgg{{Agg: cube.AggCount}}
-				}
+			if i%2 == 1 {
+				qs[i].GroupBy = []cube.LevelRef{
+					{Dimension: "Store", Level: "State"}, {Dimension: "Time", Level: "Month"}}
+				qs[i].Aggregates = []cube.MeasureAgg{{Agg: cube.AggCount}}
 			}
+		}
 
-			stop := make(chan struct{})
-			errs := make(chan error, 64)
-			var writers sync.WaitGroup
-			writers.Add(1)
-			go func() { // ingest: append facts while batches scan
-				defer writers.Done()
-				rng := rand.New(rand.NewSource(11))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					keys := map[string]int32{
-						"Store":    int32(rng.Intn(150)),
-						"Customer": int32(rng.Intn(100)),
-						"Product":  int32(rng.Intn(40)),
-						"Time":     int32(rng.Intn(60)),
-					}
-					if err := e.AddFact("Sales", keys, map[string]float64{"UnitSales": 1}); err != nil {
+		stop := make(chan struct{})
+		errs := make(chan error, 64)
+		var writers sync.WaitGroup
+		writers.Add(1)
+		go func() { // ingest: append facts while batches scan
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(11))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				keys := map[string]int32{
+					"Store":    int32(rng.Intn(150)),
+					"Customer": int32(rng.Intn(100)),
+					"Product":  int32(rng.Intn(40)),
+					"Time":     int32(rng.Intn(60)),
+				}
+				if err := e.AddFact("Sales", keys, map[string]float64{"UnitSales": 1}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+		writers.Add(1)
+		go func() { // selection churn: widen the view while batches scan
+			defer writers.Done()
+			for _, km := range []int{2, 8, 32, 120} {
+				pred := fmt.Sprintf(
+					"Distance(GeoMD.Store.geometry, SUS.DecisionMaker.dm2session.s2location.geometry) < %dkm", km)
+				if _, err := s.SpatialSelect("GeoMD.Store", pred); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+
+		var queriers sync.WaitGroup
+		for g := 0; g < 3; g++ {
+			queriers.Add(1)
+			go func() {
+				defer queriers.Done()
+				for n := 0; n < 20; n++ {
+					res, err := s.QueryBatch(qs, nil)
+					if err != nil {
 						errs <- err
 						return
 					}
-				}
-			}()
-			writers.Add(1)
-			go func() { // selection churn: widen the view while batches scan
-				defer writers.Done()
-				for _, km := range []int{2, 8, 32, 120} {
-					pred := fmt.Sprintf(
-						"Distance(GeoMD.Store.geometry, SUS.DecisionMaker.dm2session.s2location.geometry) < %dkm", km)
-					if _, err := s.SpatialSelect("GeoMD.Store", pred); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}()
-
-			var queriers sync.WaitGroup
-			for g := 0; g < 3; g++ {
-				queriers.Add(1)
-				go func() {
-					defer queriers.Done()
-					for n := 0; n < 20; n++ {
-						res, err := s.QueryBatch(qs, nil)
-						if err != nil {
-							errs <- err
+					// No query filters, so MatchedFacts is each entry's
+					// visible fact count. The table only grows and
+					// selections only widen, and entries materialize
+					// their view snapshot in batch order — so within
+					// one batch the counts must be non-decreasing; a
+					// drop means a torn mask or pooled state bleeding
+					// between scans.
+					for i := 1; i < len(res); i++ {
+						if res[i].MatchedFacts < res[i-1].MatchedFacts {
+							errs <- fmt.Errorf("batch entry %d matched %d < entry %d's %d",
+								i, res[i].MatchedFacts, i-1, res[i-1].MatchedFacts)
 							return
 						}
-						// No query filters, so MatchedFacts is each entry's
-						// visible fact count. The table only grows and
-						// selections only widen, and entries materialize
-						// their view snapshot in batch order — so within
-						// one batch the counts must be non-decreasing; a
-						// drop means a torn mask or pooled state bleeding
-						// between scans.
-						for i := 1; i < len(res); i++ {
-							if res[i].MatchedFacts < res[i-1].MatchedFacts {
-								errs <- fmt.Errorf("batch entry %d matched %d < entry %d's %d",
-									i, res[i].MatchedFacts, i-1, res[i-1].MatchedFacts)
-								return
-							}
-						}
 					}
-				}()
-			}
-			queriers.Wait()
-			close(stop)
-			writers.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
+				}
+			}()
+		}
+		queriers.Wait()
+		close(stop)
+		writers.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
 
-			// Quiescent: pooled batch results equal direct serial execution.
-			res, err := s.QueryBatch(qs, nil)
-			if err != nil {
+		// Quiescent: pooled batch results equal the reference. The
+		// session's mask was materialized when the last selection
+		// landed, so facts ingested after it are not in it; the
+		// reference reads that same snapshot through a fact-level view.
+		res, err := s.QueryBatch(qs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := cube.NewView(e.Cube())
+		s.View().Materialize("Sales").ForEach(func(i int) bool {
+			if err := snap.SelectFact("Sales", int32(i)); err != nil {
 				t.Fatal(err)
 			}
-			for i, q := range qs {
-				want, err := e.Cube().Execute(q, s.View())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameAnswer(res[i], want) {
-					t.Fatalf("quiescent batch entry %d differs from serial execution", i)
-				}
-			}
+			return true
 		})
-	}
+		for i, q := range qs {
+			if !sameAnswer(res[i], cubetest.NaiveExecute(e.Cube(), q, snap)) {
+				t.Fatalf("quiescent batch entry %d differs from the reference", i)
+			}
+		}
+	})
 }

@@ -8,14 +8,15 @@ import (
 	"time"
 
 	"sdwp/internal/cube"
+	"sdwp/internal/cube/cubetest"
 	"sdwp/internal/prml"
 	"sdwp/internal/qsched"
 )
 
-// TestSchedulerRoutedQueryEquivalence runs the same personalized session
-// queries through a scheduler-enabled engine (window, cache, coalescing
-// all on) and a scheduler-disabled one, over the same cube, and requires
-// identical results — including on cache-hit repeats.
+// TestSchedulerRoutedQueryEquivalence runs personalized session queries
+// through a scheduler-routed engine (window, cache, coalescing all on) and
+// requires results identical to the executor-independent reference over
+// the session's view — including on cache-hit repeats.
 func TestSchedulerRoutedQueryEquivalence(t *testing.T) {
 	e1, ds := newTestEngineOpts(t, Options{
 		CoalesceWindow:   time.Millisecond,
@@ -23,18 +24,8 @@ func TestSchedulerRoutedQueryEquivalence(t *testing.T) {
 		QueryWorkers:     2,
 	})
 	defer e1.Close()
-	e2 := NewEngine(ds.Cube, e1.Users(), Options{DisableScheduler: true})
-	defer e2.Close()
-	e2.SetParam("threshold", mustParam(t, e1, "threshold"))
-	if _, err := e2.AddRules(paperRules); err != nil {
-		t.Fatal(err)
-	}
 
 	s1, err := e1.StartSession("alice", ds.CityLocs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := e2.StartSession("alice", ds.CityLocs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,22 +43,14 @@ func TestSchedulerRoutedQueryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d query %d scheduler: %v", round, i, err)
 			}
-			r2, err := s2.Query(q)
-			if err != nil {
-				t.Fatalf("round %d query %d direct: %v", round, i, err)
-			}
-			if !sameAnswer(r1, r2) {
-				t.Errorf("round %d query %d: scheduler result differs from direct", round, i)
+			if !sameAnswer(r1, cubetest.NaiveExecute(ds.Cube, q, s1.View())) {
+				t.Errorf("round %d query %d: scheduler result differs from the reference", round, i)
 			}
 			b1, err := s1.QueryBaseline(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b2, err := s2.QueryBaseline(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameAnswer(b1, b2) {
+			if !sameAnswer(b1, cubetest.NaiveExecute(ds.Cube, q, nil)) {
 				t.Errorf("round %d query %d: baseline differs", round, i)
 			}
 		}
@@ -171,108 +154,96 @@ func TestEngineCloseRejectsQueries(t *testing.T) {
 // mutating the session's selection through SpatialSelect. The run must be
 // data-race free (-race in CI), every batch must be internally consistent
 // (entries sharing artifacts see the same facts), and the quiescent state
-// must equal direct serial execution for both sharing modes.
+// must equal the executor-independent reference.
 func TestSharedSubexprBatchUnderSpatialSelect(t *testing.T) {
-	for _, mode := range []SharedSubexprMode{SharedSubexprOn, SharedSubexprOff} {
-		mode := mode
-		name := "shared"
-		if mode == SharedSubexprOff {
-			name = "fused"
+	t.Run("shared", func(t *testing.T) {
+		e, ds := newTestEngineOpts(t, Options{
+			CoalesceWindow: 200 * time.Microsecond,
+			QueryWorkers:   2,
+		})
+		defer e.Close()
+		s, err := e.StartSession("alice", ds.CityLocs[0])
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			e, ds := newTestEngineOpts(t, Options{
-				CoalesceWindow: 200 * time.Microsecond,
-				QueryWorkers:   2,
-				SharedSubexpr:  mode,
-			})
-			defer e.Close()
-			s, err := e.StartSession("alice", ds.CityLocs[0])
-			if err != nil {
-				t.Fatal(err)
+		filters := []cube.AttrFilter{{
+			LevelRef: cube.LevelRef{Dimension: "Store", Level: "City"},
+			Attr:     "population", Op: cube.OpGt, Value: float64(0),
+		}}
+		qs := make([]cube.Query, 6)
+		for i := range qs {
+			qs[i] = cube.Query{
+				Fact:       "Sales",
+				GroupBy:    []cube.LevelRef{{Dimension: "Store", Level: "City"}},
+				Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}},
+				Filters:    filters,
+				Limit:      1000 + i, // distinct plans, shared subexpressions
 			}
-			filters := []cube.AttrFilter{{
-				LevelRef: cube.LevelRef{Dimension: "Store", Level: "City"},
-				Attr:     "population", Op: cube.OpGt, Value: float64(0),
-			}}
-			qs := make([]cube.Query, 6)
-			for i := range qs {
-				qs[i] = cube.Query{
-					Fact:       "Sales",
-					GroupBy:    []cube.LevelRef{{Dimension: "Store", Level: "City"}},
-					Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}},
-					Filters:    filters,
-					Limit:      1000 + i, // distinct plans, shared subexpressions
+		}
+
+		var wg sync.WaitGroup
+		errs := make(chan error, 64)
+		done := make(chan struct{})
+		wg.Add(1)
+		go func() { // writer: widen the selection while batches run
+			defer wg.Done()
+			defer close(done)
+			for _, km := range []int{2, 8, 32, 120} {
+				pred := fmt.Sprintf(
+					"Distance(GeoMD.Store.geometry, SUS.DecisionMaker.dm2session.s2location.geometry) < %dkm", km)
+				if _, err := s.SpatialSelect("GeoMD.Store", pred); err != nil {
+					errs <- err
+					return
 				}
 			}
-
-			var wg sync.WaitGroup
-			errs := make(chan error, 64)
-			done := make(chan struct{})
+		}()
+		for g := 0; g < 3; g++ {
 			wg.Add(1)
-			go func() { // writer: widen the selection while batches run
+			go func() {
 				defer wg.Done()
-				defer close(done)
-				for _, km := range []int{2, 8, 32, 120} {
-					pred := fmt.Sprintf(
-						"Distance(GeoMD.Store.geometry, SUS.DecisionMaker.dm2session.s2location.geometry) < %dkm", km)
-					if _, err := s.SpatialSelect("GeoMD.Store", pred); err != nil {
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					res, err := s.QueryBatch(qs, nil)
+					if err != nil {
 						errs <- err
 						return
 					}
-				}
-			}()
-			for g := 0; g < 3; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						select {
-						case <-done:
+					// Entries materialize their view snapshot in batch
+					// order and selections only ever widen the mask, so
+					// within one batch the matched counts must be
+					// non-decreasing (an entry seeing *fewer* facts than
+					// an earlier one means a torn or stale mask).
+					for i := 1; i < len(res); i++ {
+						if res[i].MatchedFacts < res[i-1].MatchedFacts {
+							errs <- fmt.Errorf("batch entry %d matched %d < entry %d's %d",
+								i, res[i].MatchedFacts, i-1, res[i-1].MatchedFacts)
 							return
-						default:
-						}
-						res, err := s.QueryBatch(qs, nil)
-						if err != nil {
-							errs <- err
-							return
-						}
-						// Entries materialize their view snapshot in batch
-						// order and selections only ever widen the mask, so
-						// within one batch the matched counts must be
-						// non-decreasing (an entry seeing *fewer* facts than
-						// an earlier one means a torn or stale mask).
-						for i := 1; i < len(res); i++ {
-							if res[i].MatchedFacts < res[i-1].MatchedFacts {
-								errs <- fmt.Errorf("batch entry %d matched %d < entry %d's %d",
-									i, res[i].MatchedFacts, i-1, res[i-1].MatchedFacts)
-								return
-							}
 						}
 					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
 
-			// Quiescent: batch results equal direct serial execution.
-			res, err := s.QueryBatch(qs, nil)
-			if err != nil {
-				t.Fatal(err)
+		// Quiescent: batch results equal the reference.
+		res, err := s.QueryBatch(qs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range qs {
+			if !sameAnswer(res[i], cubetest.NaiveExecute(e.Cube(), q, s.View())) {
+				t.Fatalf("quiescent batch entry %d differs from the reference", i)
 			}
-			for i, q := range qs {
-				want, err := e.Cube().Execute(q, s.View())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameAnswer(res[i], want) {
-					t.Fatalf("quiescent batch entry %d differs from serial execution", i)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestNoStaleCachedResultsUnderSpatialSelect is the stale-epoch stress

@@ -3,7 +3,8 @@ package core
 // Engine-level coverage of the shard subsystem: a sharded engine — PRML
 // session personalization, spatial selections, the scheduler, and the
 // scatter-gather executor all composed — must return results identical to
-// an unsharded engine over the same warehouse, and must survive
+// an unsharded engine over the same warehouse and to the
+// executor-independent reference (cubetest.NaiveExecute), and must survive
 // concurrent queries vs SpatialSelect vs routed AddFact under the race
 // detector.
 
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"sdwp/internal/cube"
+	"sdwp/internal/cube/cubetest"
 )
 
 // shardedTestQueries is a small personalization-sensitive query mix
@@ -51,7 +53,7 @@ func TestShardedEngineEquivalence(t *testing.T) {
 			if got := sharded.FactShards(); got != shards {
 				t.Fatalf("FactShards() = %d, want %d", got, shards)
 			}
-			plain := NewEngine(ds.Cube, sharded.Users(), Options{DisableScheduler: true})
+			plain := NewEngine(ds.Cube, sharded.Users(), Options{})
 			defer plain.Close()
 			plain.SetParam("threshold", mustParam(t, sharded, "threshold"))
 			if _, err := plain.AddRules(paperRules); err != nil {
@@ -87,6 +89,9 @@ func TestShardedEngineEquivalence(t *testing.T) {
 				}
 				if !sameAnswer(r1, r2) {
 					t.Errorf("query %d: sharded result differs from unsharded", i)
+				}
+				if !sameAnswer(r2, cubetest.NaiveExecute(ds.Cube, q, s2.View())) {
+					t.Errorf("query %d: unsharded result differs from the reference", i)
 				}
 				b1, err := s1.QueryBaseline(q)
 				if err != nil {
@@ -145,12 +150,8 @@ func TestShardedEngineEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := ds.Cube.Execute(q, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameAnswer(b1, want) {
-					t.Errorf("post-ingest query %d: sharded differs from serial oracle", i)
+				if !sameAnswer(b1, cubetest.NaiveExecute(ds.Cube, q, nil)) {
+					t.Errorf("post-ingest query %d: sharded differs from the reference", i)
 				}
 			}
 

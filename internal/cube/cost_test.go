@@ -75,8 +75,8 @@ func checkCostConservation(t *testing.T, label string, res []*cube.Result, stats
 	}
 }
 
-// TestBatchCostConservation sweeps sharing modes × packed modes × worker
-// counts over a sharing-heavy batch and pins the conservation law.
+// TestBatchCostConservation sweeps worker counts over a sharing-heavy
+// batch and pins the conservation law.
 func TestBatchCostConservation(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Config{
 		Seed: 11, States: 5, Cities: 15, Stores: 80, Customers: 60,
@@ -87,22 +87,13 @@ func TestBatchCostConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := costTestBatch()
-	for _, pm := range packedModes {
-		for _, sm := range batchSharingModes {
-			for _, workers := range []int{1, 4} {
-				label := fmt.Sprintf("%s/%s/workers=%d", pm.name, sm.name, workers)
-				opts := sm.opts
-				opts.Workers = workers
-				prev := ds.Cube.PackedColumns()
-				ds.Cube.SetPackedColumns(pm.on)
-				res, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, opts)
-				ds.Cube.SetPackedColumns(prev)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				checkCostConservation(t, label, res, stats)
-			}
+	for _, workers := range []int{1, 4} {
+		label := fmt.Sprintf("workers=%d", workers)
+		res, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
+		checkCostConservation(t, label, res, stats)
 	}
 }
 

@@ -16,9 +16,7 @@ package cube
 
 import (
 	"fmt"
-	"os"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -210,9 +208,9 @@ type FactData struct {
 	// dictionary-coded column per dimension at ceil(log2(cardinality))
 	// bits per key, maintained incrementally by AddFact alongside the
 	// unpacked column. The unpacked column stays authoritative — it is
-	// what snapshots serialize and what the oracle path scans — while
-	// compiled plans snapshot packed views for the word-at-a-time
-	// predicate kernels when packed execution is on.
+	// what snapshots serialize and what the per-fact match and group-key
+	// decode read — while compiled plans snapshot packed views for the
+	// word-at-a-time predicate kernels.
 	packed map[string]*packedColumn
 
 	// version counts mutations that can change what a scan over this table
@@ -312,15 +310,6 @@ type Cube struct {
 	// member data by reference.
 	shardMu   sync.Mutex
 	shardKids []*Cube
-
-	// packedExec gates compressed-column execution at plan compile:
-	// when set, plans bind packed key-column views, translate predicates
-	// to code sets and select specialized stage-3 kernels; when clear,
-	// compile produces exactly the classic scalar plan — the unpacked
-	// oracle every equivalence harness compares against. Defaults from
-	// the SDWP_PACKED_COLUMNS env var (true when unset); shards inherit
-	// the parent's setting at derivation.
-	packedExec atomic.Bool
 }
 
 // New creates an empty cube for the schema.
@@ -354,40 +343,8 @@ func New(s *geomd.Schema) *Cube {
 		}
 		c.facts[f.Name] = fd
 	}
-	c.packedExec.Store(packedColumnsDefault())
 	return c
 }
-
-// packedColumnsDefault reads the process-wide default for packed
-// execution: the SDWP_PACKED_COLUMNS env var parsed as a bool, true when
-// unset or unparsable. The env override exists so whole test binaries
-// (the CI oracle matrix cell) can exercise the scalar path without
-// threading a knob through every constructor.
-func packedColumnsDefault() bool {
-	if v := os.Getenv("SDWP_PACKED_COLUMNS"); v != "" {
-		if b, err := strconv.ParseBool(v); err == nil {
-			return b
-		}
-	}
-	return true
-}
-
-// SetPackedColumns toggles compressed-column execution for plans compiled
-// after the call (in-flight plans keep whatever they bound — a plan is
-// immutable once compiled either way). Shards already derived from this
-// cube follow the new setting too.
-func (c *Cube) SetPackedColumns(on bool) {
-	c.packedExec.Store(on)
-	c.shardMu.Lock()
-	kids := append([]*Cube(nil), c.shardKids...)
-	c.shardMu.Unlock()
-	for _, kid := range kids {
-		kid.packedExec.Store(on)
-	}
-}
-
-// PackedColumns reports whether compressed-column execution is on.
-func (c *Cube) PackedColumns() bool { return c.packedExec.Load() }
 
 // Schema returns the cube's base GeoMD schema.
 func (c *Cube) Schema() *geomd.Schema { return c.schema }
@@ -429,7 +386,6 @@ func (c *Cube) NewFactShard() *Cube {
 		}
 		s.facts[f.Name] = fd
 	}
-	s.packedExec.Store(c.packedExec.Load())
 	parent.shardMu.Lock()
 	parent.shardKids = append(parent.shardKids, s)
 	parent.shardMu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,16 +58,17 @@ func chunkCount(n int) int {
 
 // The executor is a three-stage pipeline over the fact columns:
 //
-//	stage 1  filter-mask      matchFact / materializeFilterMask
+//	stage 1  filter-mask      matchFact / materializePredicateMask
 //	stage 2  group-key decode groupSpec.decode / materializeGroupKeys
 //	stage 3  accumulate       partial.accumulateFact
 //
-// The serial and parallel single-query paths fuse the stages per fact
-// (process). The batch executor can instead materialize stages 1 and 2 as
-// shared artifacts — one filter bitmap per distinct filter set, one
-// composite roll-up key column per distinct group-by list, keyed by the
-// sub-fingerprints in fingerprint.go — and drive every query's stage 3 off
-// them (exec_shared.go).
+// There is one executor, the shared staged scan of exec_shared.go; a lone
+// query is a batch of one. Where a stage is shared by enough of the batch
+// it is materialized as an artifact — predicate bitmaps AND-composed into
+// one mask per distinct filter set, one composite roll-up key column per
+// distinct group-by list, keyed by the sub-fingerprints in fingerprint.go
+// — and every query's stage 3 runs off it; otherwise the stages stay fused
+// per fact (process).
 
 // groupSpec is one resolved group-by level. anc maps each finest-level
 // member to its ancestor at the group level (the roll-up cache), and keys
@@ -176,13 +176,13 @@ type filterSpec struct {
 	keys []int32
 	attr attrCol
 	key  string
-	// pk/codes are the compressed-column bindings, set at compile when
-	// packed execution is on: pk snapshots the dimension's bit-packed key
-	// column and codes is the predicate translated to its matching
-	// finest-level member codes (see packed.go). codes also accelerates
-	// the scalar match below — one bitmap probe instead of roll-up lookup
-	// plus interface-valued compare — so the translation pays off even on
-	// paths that never touch packed words.
+	// pk/codes are the compressed-column bindings, set at compile: pk
+	// snapshots the dimension's bit-packed key column and codes is the
+	// predicate translated to its matching finest-level member codes (see
+	// packed.go). codes also accelerates the scalar match below — one
+	// bitmap probe instead of roll-up lookup plus interface-valued compare
+	// — so the translation pays off even on paths that never touch packed
+	// words. Both stay unset for a dimension without packed data.
 	pk    packedView
 	codes *codeSet
 }
@@ -210,9 +210,9 @@ func (fs *filterSpec) match(i int32) bool {
 }
 
 // materializePredicateMask runs this one predicate over facts [lo, hi)
-// into the shared bitmap — the per-filter counterpart of
-// queryPlan.materializeFilterMask, with the same word-aligned chunk
-// contract (workers owning disjoint chunks fill one bitmap racelessly).
+// into the shared bitmap. Chunk bounds are word-aligned (execChunkSize is
+// a multiple of 64), so workers owning disjoint chunks fill one bitmap
+// without racing.
 func (fs *filterSpec) materializePredicateMask(lo, hi int, out *bitset.Set) {
 	if fs.codes != nil && fs.pk.n >= hi {
 		// Word-at-a-time on the packed key column: 64/width codes per
@@ -266,8 +266,7 @@ type queryPlan struct {
 	blankCell []float64
 	// kern is the stage-3 accumulate kernel selected for this plan (see
 	// exec_kernels.go); kernGeneric keeps the classic accumulateFact loop
-	// and is always used on hashed plans and when packed execution is off
-	// (the oracle path).
+	// and is always used on hashed and multi-aggregate plans.
 	kern kernelKind
 }
 
@@ -295,17 +294,6 @@ func (p *queryPlan) matchResidual(i int32, idx []int) bool {
 		}
 	}
 	return true
-}
-
-// materializeFilterMask runs stage 1 over facts [lo, hi) into the shared
-// bitmap. Chunk bounds are word-aligned (execChunkSize is a multiple of
-// 64), so workers owning disjoint chunks fill one bitmap without racing.
-func (p *queryPlan) materializeFilterMask(lo, hi int, out *bitset.Set) {
-	for i := lo; i < hi; i++ {
-		if p.matchFact(int32(i)) {
-			out.Set(i)
-		}
-	}
 }
 
 // compile resolves and validates a query against the cube.
@@ -400,10 +388,8 @@ func (c *Cube) compile(q Query) (*queryPlan, error) {
 	if len(p.filters) > 0 {
 		p.filterKey = q.FilterFingerprint()
 	}
-	if c.packedExec.Load() {
-		p.kern = selectKernel(p)
-		p.bindPacked(fd)
-	}
+	p.kern = selectKernel(p)
+	p.bindPacked(fd)
 	return p, nil
 }
 
@@ -655,20 +641,13 @@ func (pt *partial) accumulateFact(i int32, d *scanDrive) {
 	}
 }
 
-// scanRange folds facts [lo, hi) into the partial with all three stages
+// scanFused folds facts [lo, hi) into the partial with all three stages
 // fused per fact, visiting only mask bits when a view mask is given (nil
-// mask = the whole table).
-func (pt *partial) scanRange(lo, hi int, mask *bitset.Set) {
-	d := pt.p.drive(nil)
-	pt.scanFused(lo, hi, mask, &d)
-}
-
-// scanFused is scanRange over a given drive — the staged scan passes one
-// carrying a shared key column when only stage 2 was materialized. A plan
-// with a specialized stage-3 kernel runs it where the shape allows —
-// whole-range or mask-driven accumulation, and per-fact after a fused
-// filter pass — with scanned/matched kept exactly as the generic path
-// counts them.
+// mask = the whole table). The drive carries a shared key column when the
+// staged scan materialized stage 2 only. A plan with a specialized stage-3
+// kernel runs it where the shape allows — whole-range or mask-driven
+// accumulation, and per-fact after a fused filter pass — with
+// scanned/matched kept exactly as the generic path counts them.
 func (pt *partial) scanFused(lo, hi int, mask *bitset.Set, d *scanDrive) {
 	if p := pt.p; p.kern != kernGeneric {
 		if mask == nil {
@@ -953,11 +932,12 @@ func forEachMorsel(cur *atomic.Int64, chunks, n int, body func(lo, hi int)) {
 	}
 }
 
-// ExecuteParallel runs the query like Execute but partitions the fact scan
+// ExecuteParallel runs the query like Execute with the fact scan spread
 // across a pool of workers goroutines, each aggregating into a thread-local
 // partial table; partials are merged in worker order before ordering/limit.
 // workers <= 1 is the serial fallback (identical to Execute); workers < 0
-// uses one worker per logical CPU.
+// uses one worker per logical CPU. It is the batch executor over a batch
+// of one: a lone query never shares an artifact, so its stages stay fused.
 func (c *Cube) ExecuteParallel(q Query, v *View, workers int) (*Result, error) {
 	p, err := c.compile(q)
 	if err != nil {
@@ -971,44 +951,12 @@ func (c *Cube) ExecuteParallel(q Query, v *View, workers int) (*Result, error) {
 		// non-personalized baseline (nil view) scans the whole fact table.
 		mask = v.Materialize(q.Fact)
 	}
-	sp := &scanPartials{}
-	res := p.finalize(p.scan(mask, normalizeWorkers(workers, p.n), sp))
+	var sp scanPartials
+	out := []*partial{nil}
+	executeBatchPartials([]*queryPlan{p}, []*bitset.Set{mask}, out, &sp, BatchOptions{Workers: workers})
+	res := p.finalize(out[0])
 	sp.release()
 	return res, nil
-}
-
-// scan fills and merges partials for the whole fact table. workers must
-// already be normalized (clamped to the chunk count); partials come from
-// sp and stay live until the caller finalizes and releases.
-func (p *queryPlan) scan(mask *bitset.Set, workers int, sp *scanPartials) *partial {
-	n := p.n
-	if workers <= 1 {
-		pt := sp.get(p)
-		pt.scanRange(0, n, mask)
-		return pt
-	}
-	chunks := chunkCount(n)
-	parts := make([]*partial, workers)
-	for w := range parts {
-		parts[w] = sp.get(p)
-	}
-	var cur atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(pt *partial) {
-			defer wg.Done()
-			forEachMorsel(&cur, chunks, n, func(lo, hi int) {
-				pt.scanRange(lo, hi, mask)
-			})
-		}(parts[w])
-	}
-	wg.Wait()
-	out := parts[0]
-	for _, src := range parts[1:] {
-		out.merge(src)
-	}
-	return out
 }
 
 // CompiledQuery is a validated query plan bound to its cube. Plans are
@@ -1084,8 +1032,6 @@ func (cq *CompiledQuery) Rebind(target *Cube) (*CompiledQuery, error) {
 		// Re-snapshot the packed key column from the target shard. The
 		// code set is reused as-is: it is member-level (dimension data is
 		// shared by reference across the shard family), not fact-local.
-		// A source plan compiled with packed execution off has no code
-		// sets, so its rebinds stay on the scalar oracle path too.
 		fs.pk = packedView{}
 		if fs.codes != nil {
 			if pc := fd.packed[fs.f.Dimension]; pc != nil && pc.width != 0 {
@@ -1108,17 +1054,6 @@ func (cq *CompiledQuery) Rebind(target *Cube) (*CompiledQuery, error) {
 type BatchOptions struct {
 	// Workers sizes the chunk worker pool exactly as in ExecuteParallel.
 	Workers int
-	// DisableSharing reverts to fused per-query filter evaluation and
-	// group-key decode inside the shared scan — the A/B baseline for the
-	// cross-query subexpression sharing that is otherwise on by default.
-	DisableSharing bool
-	// DisablePredicateSharing keeps stage-1 sharing at whole-filter-set
-	// granularity (the pre-per-filter behavior): each distinct filter set
-	// materializes its bitmap by evaluating the full conjunction, instead
-	// of factoring the set into per-predicate bitmaps and AND-composing.
-	// The A/B baseline for per-filter sharing; results are identical
-	// either way. Ignored when DisableSharing is set.
-	DisablePredicateSharing bool
 	// Artifacts optionally carries a cross-batch artifact cache (see
 	// exec_cache.go): hot filter bitmaps and roll-up key columns then
 	// survive between scans instead of being re-materialized per batch.
@@ -1139,8 +1074,7 @@ type BatchOptions struct {
 // SharingStats reports how much cross-query stage-1/2 work one batch
 // shared: instances are (query, artifact) uses, distinct counts are the
 // artifacts actually needed. instances/distinct > 1 means the batch saved
-// redundant filter evaluations or roll-up decodes. All zero when sharing
-// is disabled.
+// redundant filter evaluations or roll-up decodes.
 type SharingStats struct {
 	// Queries is the number of queries the batch executed.
 	Queries int `json:"queries"`
@@ -1161,8 +1095,7 @@ type SharingStats struct {
 	// ComposedMasks counts filter-set masks this scan produced by
 	// AND-composing per-predicate bitmaps (full composition) rather than
 	// evaluating the conjunction; PartialMasks counts sets that composed
-	// some predicates and evaluated the residue inline. Both 0 when
-	// per-predicate sharing is disabled.
+	// some predicates and evaluated the residue inline.
 	ComposedMasks int `json:"composedMasks"`
 	PartialMasks  int `json:"partialMasks"`
 	// GroupKeySets counts queries with a dense, non-empty group-by;
@@ -1175,15 +1108,15 @@ type SharingStats struct {
 	ArtifactCacheHits int `json:"artifactCacheHits"`
 	// PartialsReused / PartialsAllocated count the per-worker partial
 	// aggregation tables this scan took from the per-table pool vs
-	// allocated fresh — the pool's effectiveness on the parallel path
-	// (reported for both sharing modes; a warm steady state is all reuse).
+	// allocated fresh — the pool's effectiveness on the parallel path (a
+	// warm steady state is all reuse).
 	PartialsReused    int `json:"partialsReused"`
 	PartialsAllocated int `json:"partialsAllocated"`
 	// PackedKernelScans counts queries whose plan ran a specialized
 	// stage-3 accumulate kernel (exec_kernels.go) in this batch;
 	// PackedPredicateKernels counts predicate bitmaps filled by the
 	// word-at-a-time packed-column kernels instead of the scalar
-	// per-fact loop. Both 0 when packed execution is off.
+	// per-fact loop.
 	PackedKernelScans      int `json:"packedKernelScans"`
 	PackedPredicateKernels int `json:"packedPredicateKernels"`
 	// BitmapBytesBuilt / KeyColBytesBuilt total the filter bitmaps and
@@ -1219,9 +1152,9 @@ func (s *SharingStats) Add(o SharingStats) {
 // views of the same fact table — in one shared scan per fact table,
 // GLADE-style: queries are grouped by fact, the fact table is walked chunk
 // by chunk, and every query of the group aggregates from the same
-// cache-hot chunk before the scan moves on. Cross-query subexpression
-// sharing is on (see ExecuteBatchCompiledOpt). Each result is identical to
-// running its query through Execute/ExecuteParallel alone.
+// cache-hot chunk before the scan moves on, sharing filter and group-key
+// work across queries (see ExecuteBatchCompiledOpt). Each result is
+// identical to running its query through Execute/ExecuteParallel alone.
 //
 // vs pairs each query with its personalized view; nil vs (or a nil entry)
 // means the non-personalized baseline. workers sizes the chunk worker pool
@@ -1249,24 +1182,18 @@ func (c *Cube) ExecuteBatchOpt(qs []Query, vs []*View, opts BatchOptions) ([]*Re
 	return c.ExecuteBatchCompiledOpt(cqs, vs, opts)
 }
 
-// ExecuteBatchCompiled is ExecuteBatch over pre-compiled plans: the same
-// shared scan without re-resolving each query. Every entry must come from
-// this cube's Compile.
-func (c *Cube) ExecuteBatchCompiled(cqs []*CompiledQuery, vs []*View, workers int) ([]*Result, error) {
-	res, _, err := c.ExecuteBatchCompiledOpt(cqs, vs, BatchOptions{Workers: workers})
-	return res, err
-}
-
 // ExecuteBatchCompiledOpt runs one shared scan per fact table over
-// pre-compiled plans. Unless opts.DisableSharing is set, each fact group's
-// scan first materializes the shareable pipeline stages as batch-scoped
-// artifacts — one filter bitmap per distinct filter set and one composite
-// roll-up key column per distinct group-by list, identified by the
-// plans' sub-fingerprints — and then drives every query's accumulation off
-// the shared artifacts chunk by chunk, so queries that differ only in
-// selection mask or measure stop re-evaluating each other's filters and
-// re-deriving each other's group keys. Results are byte-identical either
-// way (the randomized harness in exec_equiv_test.go enforces it).
+// pre-compiled plans (every entry must come from this cube's Compile).
+// Each fact group's scan first materializes the shareable pipeline stages
+// that pay for themselves as batch-scoped artifacts — one filter bitmap
+// per distinct filter set and one composite roll-up key column per
+// distinct group-by list, identified by the plans' sub-fingerprints — and
+// then drives every query's accumulation off the shared artifacts chunk by
+// chunk, so queries that differ only in selection mask or measure stop
+// re-evaluating each other's filters and re-deriving each other's group
+// keys. Results are byte-identical to a lone scan of each query (the
+// randomized harness in exec_equiv_test.go pins both against an
+// executor-independent reference).
 func (c *Cube) ExecuteBatchCompiledOpt(cqs []*CompiledQuery, vs []*View, opts BatchOptions) ([]*Result, SharingStats, error) {
 	var stats SharingStats
 	if vs != nil && len(vs) != len(cqs) {
@@ -1283,13 +1210,15 @@ func (c *Cube) ExecuteBatchCompiledOpt(cqs []*CompiledQuery, vs []*View, opts Ba
 			masks[i] = vs[i].Materialize(cq.p.q.Fact)
 		}
 	}
-	parts, sp, stats := executeBatchPartials(plans, masks, opts)
+	var sp scanPartials
+	out := make([]*partial, len(cqs))
+	stats = executeBatchPartials(plans, masks, out, &sp, opts)
 	var t0 time.Time
 	if opts.Trace != nil {
 		t0 = time.Now()
 	}
 	results := make([]*Result, len(cqs))
-	for i, pt := range parts {
+	for i, pt := range out {
 		results[i] = plans[i].finalize(pt)
 	}
 	sp.release()
@@ -1301,30 +1230,42 @@ func (c *Cube) ExecuteBatchCompiledOpt(cqs []*CompiledQuery, vs []*View, opts Ba
 
 // executeBatchPartials is the shared core of the batch executors: group
 // queries by fact (first-appearance order) so each fact table is scanned
-// once per batch, run the shared scans, and return one fully merged (but
-// not yet finalized) partial per query. masks are pre-materialized view
-// masks (nil = whole table). The returned scanPartials owns every pooled
-// partial of the scan; callers release it after finalizing.
-func executeBatchPartials(plans []*queryPlan, masks []*bitset.Set, opts BatchOptions) ([]*partial, *scanPartials, SharingStats) {
+// once per batch, run the shared scans, and leave one fully merged (but
+// not yet finalized) partial per query in out (len(plans), all nil on
+// entry). masks are pre-materialized view masks (nil = whole table). sp
+// takes every pooled partial of the scan; callers release it after
+// finalizing.
+func executeBatchPartials(plans []*queryPlan, masks []*bitset.Set, out []*partial, sp *scanPartials, opts BatchOptions) SharingStats {
 	var stats SharingStats
-	var factOrder []string
-	groups := map[string][]int{}
-	for i, p := range plans {
-		if _, ok := groups[p.q.Fact]; !ok {
-			factOrder = append(factOrder, p.q.Fact)
-		}
-		groups[p.q.Fact] = append(groups[p.q.Fact], i)
-	}
-	parts := make([]*partial, len(plans))
-	sp := &scanPartials{}
 	for _, p := range plans {
 		if p.kern != kernGeneric {
 			stats.PackedKernelScans++
 		}
 	}
-	for _, fact := range factOrder {
-		idxs := groups[fact]
-		n := groupScanBound(plans, idxs)
+	for i, p := range plans {
+		if out[i] != nil {
+			continue // scanned with an earlier plan over its fact table
+		}
+		// A batch over one fact table — the common case — scans plans,
+		// masks and out in place; otherwise the group is gathered and its
+		// partials scattered back.
+		gp, gm, gout := plans[i:], masks[i:], out[i:]
+		var idxs []int
+		for _, o := range plans[i:] {
+			if o.q.Fact != p.q.Fact {
+				idxs = factGroup(plans, p.q.Fact, i)
+				break
+			}
+		}
+		if idxs != nil {
+			gp = make([]*queryPlan, len(idxs))
+			gm = make([]*bitset.Set, len(idxs))
+			gout = make([]*partial, len(idxs))
+			for k, qi := range idxs {
+				gp[k], gm[k] = plans[qi], masks[qi]
+			}
+		}
+		n := groupScanBound(gp)
 		w := normalizeWorkers(opts.Workers, n)
 		var sc *obs.ShardScan
 		var t0 time.Time
@@ -1332,19 +1273,29 @@ func executeBatchPartials(plans []*queryPlan, masks []*bitset.Set, opts BatchOpt
 			sc = &obs.ShardScan{Shard: opts.TraceShard, Facts: n}
 			t0 = time.Now()
 		}
-		if opts.DisableSharing {
-			scanShared(idxs, plans, masks, parts, w, n, sp, sc)
-		} else {
-			stats.Add(scanSharedStaged(idxs, plans, masks, parts, w, n, opts, sp, sc))
-		}
+		stats.Add(scanSharedStaged(gp, gm, gout, w, n, opts, sp, sc))
 		if sc != nil {
 			sc.Wall = time.Since(t0)
 			opts.Trace.AddShard(*sc)
 		}
+		for k, qi := range idxs {
+			out[qi] = gout[k]
+		}
 	}
 	stats.PartialsReused = sp.reused
 	stats.PartialsAllocated = sp.allocated
-	return parts, sp, stats
+	return stats
+}
+
+// factGroup lists the positions of the plans over fact, from start on.
+func factGroup(plans []*queryPlan, fact string, start int) []int {
+	var idxs []int
+	for qi := start; qi < len(plans); qi++ {
+		if plans[qi].q.Fact == fact {
+			idxs = append(idxs, qi)
+		}
+	}
+	return idxs
 }
 
 // groupScanBound is the shared scan bound for one fact group: the minimum
@@ -1354,12 +1305,10 @@ func executeBatchPartials(plans []*queryPlan, masks []*bitset.Set, opts BatchOpt
 // the group's single morsel walk must stop where the shortest snapshot
 // does. Facts past the bound are simply invisible to this batch, exactly
 // as they are to a serial execution of the earliest-compiled plan.
-func groupScanBound(plans []*queryPlan, idxs []int) int {
-	n := plans[idxs[0]].n
-	for _, qi := range idxs[1:] {
-		if plans[qi].n < n {
-			n = plans[qi].n
-		}
+func groupScanBound(plans []*queryPlan) int {
+	n := plans[0].n
+	for _, p := range plans[1:] {
+		n = min(n, p.n)
 	}
 	return n
 }
@@ -1398,7 +1347,9 @@ func (c *Cube) ExecuteBatchCompiledPartials(cqs []*CompiledQuery, masks []*bitse
 	if masks == nil {
 		masks = make([]*bitset.Set, len(cqs))
 	}
-	parts, sp, stats := executeBatchPartials(plans, masks, opts)
+	sp := &scanPartials{}
+	parts := make([]*partial, len(cqs))
+	stats = executeBatchPartials(plans, masks, parts, sp, opts)
 	out := make([]*BatchPartial, len(parts))
 	for i, pt := range parts {
 		out[i] = &BatchPartial{p: plans[i], pt: pt, sp: sp}
@@ -1438,66 +1389,4 @@ func MergeFinalize(shards [][]*BatchPartial) ([]*Result, error) {
 		}
 	}
 	return results, nil
-}
-
-// scanShared runs one shared scan for all queries over one fact table
-// with the stages fused per query (no cross-query artifact sharing) — the
-// BatchOptions.DisableSharing baseline; see exec_shared.go for the staged
-// variant. idxs indexes plans/masks/out; every plan shares the same
-// FactData. Each worker keeps one partial per query and walks each
-// claimed morsel through all queries before claiming the next, so a chunk
-// of fact columns is aggregated by the whole batch while it is cache-hot.
-// workers must already be normalized and n is the group's scan bound
-// (groupScanBound). The merged partial per query lands in out (callers
-// finalize, then release sp). A non-nil sc receives the scan's stage
-// timings (the fused path charges everything to accumulate + merge).
-func scanShared(idxs []int, plans []*queryPlan, masks []*bitset.Set, out []*partial, workers, n int, sp *scanPartials, sc *obs.ShardScan) {
-	chunks := chunkCount(n)
-	parts := make([][]*partial, workers) // [worker][query-in-group]
-	for w := range parts {
-		row := make([]*partial, len(idxs))
-		for k, qi := range idxs {
-			row[k] = sp.get(plans[qi])
-		}
-		parts[w] = row
-	}
-	var cur atomic.Int64
-	scanWorker := func(row []*partial) {
-		forEachMorsel(&cur, chunks, n, func(lo, hi int) {
-			for k, qi := range idxs {
-				row[k].scanRange(lo, hi, masks[qi])
-			}
-		})
-	}
-	var t0 time.Time
-	if sc != nil {
-		t0 = time.Now()
-	}
-	if workers == 1 {
-		scanWorker(parts[0])
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(row []*partial) {
-				defer wg.Done()
-				scanWorker(row)
-			}(parts[w])
-		}
-		wg.Wait()
-	}
-	if sc != nil {
-		sc.Accumulate = time.Since(t0)
-		t0 = time.Now()
-	}
-	for k, qi := range idxs {
-		merged := parts[0][k]
-		for w := 1; w < workers; w++ {
-			merged.merge(parts[w][k])
-		}
-		out[qi] = merged
-	}
-	if sc != nil {
-		sc.Merge = time.Since(t0)
-	}
 }

@@ -6,9 +6,10 @@ package cube_test
 // amortized over too few benchmark iterations rather than a leak — the
 // release path does return artifacts to the per-table pools. This test
 // pins that conclusion: once the pools are warm, a sharing batch may not
-// allocate meaningfully more bytes per run than the fused baseline, so a
-// future regression in releaseArtifacts (or in partial pooling) fails
-// here instead of only drifting the benchmark trajectory.
+// allocate meaningfully more bytes per run than the same queries run one
+// by one (lone queries materialize no artifacts), so a future regression
+// in releaseArtifacts (or in partial pooling) fails here instead of only
+// drifting the benchmark trajectory.
 
 import (
 	"runtime"
@@ -71,26 +72,29 @@ func TestSingleWorkerSharedBatchAllocBudget(t *testing.T) {
 		}
 		qs = append(qs, q)
 	}
-	run := func(disableSharing bool) func() {
-		return func() {
-			if _, _, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{
-				Workers: 1, DisableSharing: disableSharing,
-			}); err != nil {
+	lone := func() {
+		for _, q := range qs {
+			if _, err := ds.Cube.ExecuteParallel(q, nil, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	batch := func() {
+		if _, _, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	const runs = 10
-	fused := bytesPerRun(runs, run(true))
-	shared := bytesPerRun(runs, run(false))
-	t.Logf("bytes/run: fused=%d shared=%d", fused, shared)
+	loneBytes := bytesPerRun(runs, lone)
+	shared := bytesPerRun(runs, batch)
+	t.Logf("bytes/run: lone=%d shared=%d", loneBytes, shared)
 
 	// Budget: warm shared scans re-materialize nothing large — one leaked
 	// filter bitmap or key column per run (~2.5KB / ~80KB at 20k facts,
 	// several of each per batch) blows this headroom immediately.
 	const headroom = 100 << 10 // 100 KiB
-	if shared > fused+headroom {
-		t.Errorf("warm shared batch allocates %d bytes/run vs fused %d (+%d); artifacts are leaking the pools",
-			shared, fused, shared-fused)
+	if shared > loneBytes+headroom {
+		t.Errorf("warm shared batch allocates %d bytes/run vs lone queries %d (+%d); artifacts are leaking the pools",
+			shared, loneBytes, shared-loneBytes)
 	}
 }

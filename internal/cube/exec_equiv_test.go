@@ -1,10 +1,10 @@
 package cube_test
 
-// Randomized equivalence harness for the query executors: for generated
-// warehouses and randomized queries/views, the parallel partitioned
-// executor (every worker count 1–8) and the shared-scan batch executor
-// must return Results identical to the serial path — rows, row order,
-// group/aggregate columns, and ScannedFacts/MatchedFacts.
+// Randomized equivalence harness for the query executor: for generated
+// warehouses and randomized queries/views, lone queries (every worker
+// count 1–8) and shared-scan batches must return Results identical to the
+// executor-independent reference (cubetest.NaiveExecute) — rows, row
+// order, group/aggregate columns, and ScannedFacts/MatchedFacts.
 //
 // SUM/AVG aggregates are drawn over UnitSales only: it is integer-valued,
 // so per-group sums are exact in float64 and byte-for-byte equality holds
@@ -13,14 +13,12 @@ package cube_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
-	"slices"
-	"sort"
 	"testing"
 
 	"sdwp/internal/cube"
+	"sdwp/internal/cube/cubetest"
 	"sdwp/internal/datagen"
 	"sdwp/internal/obs"
 )
@@ -171,38 +169,18 @@ func diffResults(t *testing.T, label string, got, want *cube.Result) {
 	}
 }
 
-// unpackedOracle runs f with packed execution forced off: the serial
-// unpacked scalar path is the oracle every packed kernel must match
-// byte-for-byte.
-func unpackedOracle(c *cube.Cube, f func()) {
-	prev := c.PackedColumns()
-	c.SetPackedColumns(false)
-	f()
-	c.SetPackedColumns(prev)
-}
-
-// packedModes sweeps compressed-column execution on and off; results must
-// be byte-identical in both (the off side also pins the scalar path
-// against accidental kernel dependence).
-var packedModes = []struct {
-	name string
-	on   bool
-}{
-	{"packed", true},
-	{"unpacked", false},
-}
-
-// batchSharingModes enumerates the executor's stage-1/2 sharing levels:
-// fully fused (PR 1), whole-filter-set artifacts, and per-predicate
-// bitmaps AND-composed into set masks (the default). Results must be
-// byte-identical across all three.
-var batchSharingModes = []struct {
-	name string
-	opts cube.BatchOptions
-}{
-	{"fused", cube.BatchOptions{DisableSharing: true}},
-	{"per-set", cube.BatchOptions{DisablePredicateSharing: true}},
-	{"per-predicate", cube.BatchOptions{}},
+// reference answers every query through cubetest.NaiveExecute (nil vs =
+// every query over the whole table).
+func reference(c *cube.Cube, qs []cube.Query, vs []*cube.View) []*cube.Result {
+	out := make([]*cube.Result, len(qs))
+	for i := range qs {
+		var v *cube.View
+		if vs != nil {
+			v = vs[i]
+		}
+		out[i] = cubetest.NaiveExecute(c, qs[i], v)
+	}
+	return out
 }
 
 func TestExecutorEquivalenceRandomized(t *testing.T) {
@@ -223,56 +201,34 @@ func TestExecutorEquivalenceRandomized(t *testing.T) {
 			const cases = 24
 			qs := make([]cube.Query, cases)
 			vs := make([]*cube.View, cases)
-			serial := make([]*cube.Result, cases)
 			for i := range qs {
 				qs[i] = randomQuery(rng)
 				vs[i] = randomView(rng, ds.Cube, cfg)
 			}
-			unpackedOracle(ds.Cube, func() {
-				for i := range qs {
-					serial[i], err = ds.Cube.Execute(qs[i], vs[i])
+			want := reference(ds.Cube, qs, vs)
+
+			// Lone queries across worker counts (workers 1 is Execute).
+			for i := range qs {
+				for w := 1; w <= 8; w++ {
+					got, err := ds.Cube.ExecuteParallel(qs[i], vs[i], w)
 					if err != nil {
-						t.Fatalf("case %d: serial: %v", i, err)
+						t.Fatalf("case %d workers %d: %v", i, w, err)
 					}
+					diffResults(t, fmt.Sprintf("case %d workers %d", i, w), got, want[i])
 				}
-			})
+			}
 
-			prev := ds.Cube.PackedColumns()
-			defer ds.Cube.SetPackedColumns(prev)
-			for _, pm := range packedModes {
-				ds.Cube.SetPackedColumns(pm.on)
-
-				// Parallel executor across worker counts.
+			// All cases in one shared-scan batch.
+			for _, w := range []int{1, 3, 8} {
+				batch, _, err := ds.Cube.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
+				if err != nil {
+					t.Fatalf("batch workers %d: %v", w, err)
+				}
+				if len(batch) != cases {
+					t.Fatalf("batch workers %d: %d results, want %d", w, len(batch), cases)
+				}
 				for i := range qs {
-					for w := 1; w <= 8; w++ {
-						got, err := ds.Cube.ExecuteParallel(qs[i], vs[i], w)
-						if err != nil {
-							t.Fatalf("case %d workers %d %s: %v", i, w, pm.name, err)
-						}
-						diffResults(t, fmt.Sprintf("case %d workers %d %s", i, w, pm.name),
-							got, serial[i])
-					}
-				}
-
-				// Shared-scan batch executor (all cases in one batch), across
-				// every sharing mode: fused (the PR 1 path), whole-set
-				// artifacts, and per-predicate bitmaps with AND-composition.
-				for _, w := range []int{1, 3, 8} {
-					for _, mode := range batchSharingModes {
-						batch, _, err := ds.Cube.ExecuteBatchOpt(qs, vs,
-							cube.BatchOptions{Workers: w, DisableSharing: mode.opts.DisableSharing,
-								DisablePredicateSharing: mode.opts.DisablePredicateSharing})
-						if err != nil {
-							t.Fatalf("batch workers %d mode %s %s: %v", w, mode.name, pm.name, err)
-						}
-						if len(batch) != cases {
-							t.Fatalf("batch workers %d: %d results, want %d", w, len(batch), cases)
-						}
-						for i := range qs {
-							diffResults(t, fmt.Sprintf("batch case %d workers %d mode %s %s",
-								i, w, mode.name, pm.name), batch[i], serial[i])
-						}
-					}
+					diffResults(t, fmt.Sprintf("batch case %d workers %d", i, w), batch[i], want[i])
 				}
 			}
 		})
@@ -282,9 +238,9 @@ func TestExecutorEquivalenceRandomized(t *testing.T) {
 // TestSharedSubexprBatchEquivalence targets the sharing-heavy shape the
 // staged executor exists for: many queries differing only in selection
 // mask, measure, or limit over a handful of filter sets and groupings.
-// Every result — with sharing on, across worker counts and randomized
-// views — must be byte-identical to the serial path, and the reported
-// SharingStats must account for every query.
+// Every result — across worker counts and randomized views — must be
+// byte-identical to the reference, and the reported SharingStats must
+// account for every query.
 func TestSharedSubexprBatchEquivalence(t *testing.T) {
 	for _, seed := range []int64{3, 11, 99} {
 		seed := seed
@@ -341,7 +297,6 @@ func TestSharedSubexprBatchEquivalence(t *testing.T) {
 			const cases = 20
 			qs := make([]cube.Query, cases)
 			vs := make([]*cube.View, cases)
-			serial := make([]*cube.Result, cases)
 			for i := range qs {
 				qs[i] = cube.Query{
 					Fact:       "Sales",
@@ -354,62 +309,36 @@ func TestSharedSubexprBatchEquivalence(t *testing.T) {
 				}
 				vs[i] = randomView(rng, ds.Cube, cfg)
 			}
-			unpackedOracle(ds.Cube, func() {
-				for i := range qs {
-					serial[i], err = ds.Cube.Execute(qs[i], vs[i])
-					if err != nil {
-						t.Fatalf("case %d: serial: %v", i, err)
-					}
-				}
-			})
+			want := reference(ds.Cube, qs, vs)
 
-			prev := ds.Cube.PackedColumns()
-			defer ds.Cube.SetPackedColumns(prev)
-			for _, pm := range packedModes {
-				ds.Cube.SetPackedColumns(pm.on)
-				for _, w := range []int{1, 2, 5, 8} {
-					for _, mode := range batchSharingModes {
-						opts := mode.opts
-						opts.Workers = w
-						batch, stats, err := ds.Cube.ExecuteBatchOpt(qs, vs, opts)
-						if err != nil {
-							t.Fatalf("workers %d mode %s %s: %v", w, mode.name, pm.name, err)
-						}
-						for i := range qs {
-							diffResults(t, fmt.Sprintf("shared case %d workers %d mode %s %s",
-								i, w, mode.name, pm.name), batch[i], serial[i])
-						}
-						if mode.opts.DisableSharing {
-							continue // fused scans report no sharing stats
-						}
-						if stats.Queries != cases {
-							t.Errorf("mode %s: stats.Queries = %d, want %d", mode.name, stats.Queries, cases)
-						}
-						// The pool admits at most 6 distinct non-empty filter
-						// sets (the reordered {pop,age} pair shares one key)
-						// built from 3 distinct predicates, and 3 groupings.
-						if stats.DistinctFilterSets > 6 {
-							t.Errorf("mode %s: distinct filter sets = %d, want <= 6 (reordered sets must share)",
-								mode.name, stats.DistinctFilterSets)
-						}
-						if stats.DistinctPredicates > 3 {
-							t.Errorf("mode %s: distinct predicates = %d, want <= 3",
-								mode.name, stats.DistinctPredicates)
-						}
-						if stats.DistinctGroupings > 4 {
-							t.Errorf("mode %s: distinct groupings = %d, want <= 4",
-								mode.name, stats.DistinctGroupings)
-						}
-						if stats.FilterSets < stats.DistinctFilterSets ||
-							stats.FilterPredicates < stats.DistinctPredicates ||
-							stats.GroupKeySets < stats.DistinctGroupings {
-							t.Errorf("mode %s: instances below distinct counts: %+v", mode.name, stats)
-						}
-						if mode.opts.DisablePredicateSharing &&
-							(stats.ComposedMasks > 0 || stats.PartialMasks > 0) {
-							t.Errorf("per-set mode composed masks: %+v", stats)
-						}
-					}
+			for _, w := range []int{1, 2, 5, 8} {
+				batch, stats, err := ds.Cube.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
+				if err != nil {
+					t.Fatalf("workers %d: %v", w, err)
+				}
+				for i := range qs {
+					diffResults(t, fmt.Sprintf("shared case %d workers %d", i, w), batch[i], want[i])
+				}
+				if stats.Queries != cases {
+					t.Errorf("workers %d: stats.Queries = %d, want %d", w, stats.Queries, cases)
+				}
+				// The pool admits at most 6 distinct non-empty filter sets
+				// (the reordered {pop,age} pair shares one key) built from 3
+				// distinct predicates, and 3 groupings.
+				if stats.DistinctFilterSets > 6 {
+					t.Errorf("workers %d: distinct filter sets = %d, want <= 6 (reordered sets must share)",
+						w, stats.DistinctFilterSets)
+				}
+				if stats.DistinctPredicates > 3 {
+					t.Errorf("workers %d: distinct predicates = %d, want <= 3", w, stats.DistinctPredicates)
+				}
+				if stats.DistinctGroupings > 4 {
+					t.Errorf("workers %d: distinct groupings = %d, want <= 4", w, stats.DistinctGroupings)
+				}
+				if stats.FilterSets < stats.DistinctFilterSets ||
+					stats.FilterPredicates < stats.DistinctPredicates ||
+					stats.GroupKeySets < stats.DistinctGroupings {
+					t.Errorf("workers %d: instances below distinct counts: %+v", w, stats)
 				}
 			}
 		})
@@ -452,9 +381,9 @@ func TestExecuteBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPers, _ := ds.Cube.Execute(good, v)
-	wantBase, _ := ds.Cube.Execute(good, nil)
-	if !reflect.DeepEqual(batch[0], wantPers) || !reflect.DeepEqual(batch[1], wantBase) {
+	wantPers := cubetest.NaiveExecute(ds.Cube, good, v)
+	wantBase := cubetest.NaiveExecute(ds.Cube, good, nil)
+	if !sameAnswer(batch[0], wantPers) || !sameAnswer(batch[1], wantBase) {
 		t.Errorf("mixed views batch: got %+v / %+v, want %+v / %+v",
 			batch[0], batch[1], wantPers, wantBase)
 	}
@@ -469,8 +398,8 @@ func TestExecuteBatchValidation(t *testing.T) {
 // three filter sets materializes one bitmap; qualifying sets compose it
 // and refine their unshared predicate in one pass (full masks); a
 // single-use set AND-composes the shared bitmap into a partial mask and
-// leaves its residue to the per-fact path. Results must match the serial
-// oracle in every mode.
+// leaves its residue to the per-fact path. Results must match the
+// reference.
 func TestPerFilterCompositionPaths(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Config{
 		Seed: 13, States: 5, Cities: 15, Stores: 80, Customers: 60,
@@ -497,47 +426,27 @@ func TestPerFilterCompositionPaths(t *testing.T) {
 		{Fact: "Sales", GroupBy: group, Aggregates: agg, Filters: []cube.AttrFilter{c, shared}},
 		{Fact: "Sales", GroupBy: group, Aggregates: agg, Filters: []cube.AttrFilter{shared, d}},
 	}
-	serial := make([]*cube.Result, len(qs))
-	unpackedOracle(ds.Cube, func() {
-		for i, q := range qs {
-			if serial[i], err = ds.Cube.Execute(q, nil); err != nil {
-				t.Fatal(err)
-			}
+	want := reference(ds.Cube, qs, nil)
+	for _, w := range []int{1, 4} {
+		batch, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Workers: w})
+		if err != nil {
+			t.Fatalf("workers %d: %v", w, err)
 		}
-	})
-	prev := ds.Cube.PackedColumns()
-	defer ds.Cube.SetPackedColumns(prev)
-	for _, pm := range packedModes {
-		ds.Cube.SetPackedColumns(pm.on)
-		for _, w := range []int{1, 4} {
-			for _, mode := range batchSharingModes {
-				opts := mode.opts
-				opts.Workers = w
-				batch, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, opts)
-				if err != nil {
-					t.Fatalf("workers %d mode %s %s: %v", w, mode.name, pm.name, err)
-				}
-				for i := range qs {
-					diffResults(t, fmt.Sprintf("case %d workers %d mode %s %s", i, w, mode.name, pm.name),
-						batch[i], serial[i])
-				}
-				if mode.name != "per-predicate" {
-					continue
-				}
-				// {shared,b} and {shared,c} qualify (2 uses each) and compose
-				// the shared bitmap, refining b/c once per set; {shared,d}
-				// (one use) gets a partial mask and evaluates d inline.
-				if stats.DistinctPredicates != 4 || stats.FilterPredicates != 10 {
-					t.Errorf("workers %d: predicates = %d/%d, want 4 distinct / 10 instances",
-						w, stats.DistinctPredicates, stats.FilterPredicates)
-				}
-				if stats.ComposedMasks != 2 {
-					t.Errorf("workers %d: composed masks = %d, want 2", w, stats.ComposedMasks)
-				}
-				if stats.PartialMasks != 1 {
-					t.Errorf("workers %d: partial masks = %d, want 1", w, stats.PartialMasks)
-				}
-			}
+		for i := range qs {
+			diffResults(t, fmt.Sprintf("case %d workers %d", i, w), batch[i], want[i])
+		}
+		// {shared,b} and {shared,c} qualify (2 uses each) and compose the
+		// shared bitmap, refining b/c once per set; {shared,d} (one use)
+		// gets a partial mask and evaluates d inline.
+		if stats.DistinctPredicates != 4 || stats.FilterPredicates != 10 {
+			t.Errorf("workers %d: predicates = %d/%d, want 4 distinct / 10 instances",
+				w, stats.DistinctPredicates, stats.FilterPredicates)
+		}
+		if stats.ComposedMasks != 2 {
+			t.Errorf("workers %d: composed masks = %d, want 2", w, stats.ComposedMasks)
+		}
+		if stats.PartialMasks != 1 {
+			t.Errorf("workers %d: partial masks = %d, want 1", w, stats.PartialMasks)
 		}
 	}
 }
@@ -571,6 +480,7 @@ func TestPerFilterArtifactCachePredicates(t *testing.T) {
 		}
 	}
 	ac := cube.NewArtifactCache(16 << 20)
+	want := reference(ds.Cube, qs, nil)
 	var last cube.SharingStats
 	for i := 0; i < 3; i++ {
 		res, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Artifacts: ac})
@@ -578,12 +488,8 @@ func TestPerFilterArtifactCachePredicates(t *testing.T) {
 			t.Fatal(err)
 		}
 		last = stats
-		for j, q := range qs {
-			want, werr := ds.Cube.Execute(q, nil)
-			if werr != nil {
-				t.Fatal(werr)
-			}
-			diffResults(t, fmt.Sprintf("run %d case %d", i, j), res[j], want)
+		for j := range qs {
+			diffResults(t, fmt.Sprintf("run %d case %d", i, j), res[j], want[j])
 		}
 	}
 	// Run 1 materializes the shared predicate bitmap and both composed set
@@ -603,167 +509,6 @@ func TestPerFilterArtifactCachePredicates(t *testing.T) {
 	}
 }
 
-// naiveExecute is an executor-independent reference: one pass over the
-// fact table through the public accessors only — no plans, partials,
-// group tables or kernels — folding measures in fact order (the serial
-// fold order, so SUM/AVG bits match) and ordering rows by the documented
-// total order: OrderBy value, then group names level by level, then
-// member indices. It is what pins the dense and the hashed group tables
-// to the same semantics; every other comparison is executor vs executor.
-func naiveExecute(t *testing.T, c *cube.Cube, q cube.Query, v *cube.View) *cube.Result {
-	t.Helper()
-	fd := c.FactData(q.Fact)
-	type level struct {
-		dd *cube.DimData
-		li int
-	}
-	resolve := func(r cube.LevelRef) level {
-		dd := c.Dimension(r.Dimension)
-		return level{dd, dd.LevelIndex(r.Level)}
-	}
-	ancestor := func(l level, dim string, i int32) int32 {
-		key, _ := fd.DimKey(dim, i)
-		return l.dd.Ancestor(0, l.li, key)
-	}
-	passes := func(f cube.AttrFilter, i int32) bool {
-		l := resolve(f.LevelRef)
-		anc := ancestor(l, f.Dimension, i)
-		if anc == cube.NoParent {
-			return false
-		}
-		val, ok := l.dd.LevelAt(l.li).Attr(f.Attr, anc)
-		if !ok {
-			return false
-		}
-		if s, isStr := val.(string); isStr {
-			return (s == f.Value.(string)) == (f.Op == cube.OpEq)
-		}
-		a, b := val.(float64), f.Value.(float64)
-		switch f.Op {
-		case cube.OpEq:
-			return a == b
-		case cube.OpNe:
-			return a != b
-		case cube.OpLt:
-			return a < b
-		case cube.OpLe:
-			return a <= b
-		case cube.OpGt:
-			return a > b
-		default:
-			return a >= b
-		}
-	}
-
-	type group struct {
-		members          []int32
-		names            []string
-		count            float64
-		sums, mins, maxs []float64
-	}
-	res := &cube.Result{}
-	groups := map[string]*group{}
-	levels := make([]level, len(q.GroupBy))
-	for gi, g := range q.GroupBy {
-		levels[gi] = resolve(g)
-		res.GroupCols = append(res.GroupCols, g.Dimension+"."+g.Level)
-	}
-	for _, a := range q.Aggregates {
-		if a.Agg == cube.AggCount {
-			res.AggCols = append(res.AggCols, "COUNT(*)")
-		} else {
-			res.AggCols = append(res.AggCols, fmt.Sprintf("%s(%s)", a.Agg, a.Measure))
-		}
-	}
-facts:
-	for i := int32(0); int(i) < fd.Len(); i++ {
-		if v != nil && !v.FactVisible(q.Fact, i) {
-			continue
-		}
-		res.ScannedFacts++
-		for _, f := range q.Filters {
-			if !passes(f, i) {
-				continue facts
-			}
-		}
-		res.MatchedFacts++
-		members := make([]int32, len(levels))
-		for gi, l := range levels {
-			members[gi] = ancestor(l, q.GroupBy[gi].Dimension, i)
-		}
-		key := fmt.Sprint(members)
-		g := groups[key]
-		if g == nil {
-			g = &group{members: members}
-			for gi, l := range levels {
-				name := "(none)"
-				if members[gi] != cube.NoParent {
-					name = l.dd.LevelAt(l.li).Name(members[gi])
-				}
-				g.names = append(g.names, name)
-			}
-			for range q.Aggregates {
-				g.sums = append(g.sums, 0)
-				g.mins = append(g.mins, math.Inf(1))
-				g.maxs = append(g.maxs, math.Inf(-1))
-			}
-			groups[key] = g
-		}
-		g.count++
-		for j, a := range q.Aggregates {
-			if a.Agg == cube.AggCount {
-				continue
-			}
-			mv, _ := fd.Measure(a.Measure, i)
-			g.sums[j] += mv
-			g.mins[j] = math.Min(g.mins[j], mv)
-			g.maxs[j] = math.Max(g.maxs[j], mv)
-		}
-	}
-
-	value := func(g *group, j int) float64 {
-		switch q.Aggregates[j].Agg {
-		case cube.AggSum:
-			return g.sums[j]
-		case cube.AggCount:
-			return g.count
-		case cube.AggAvg:
-			return g.sums[j] / g.count
-		case cube.AggMin:
-			return g.mins[j]
-		default:
-			return g.maxs[j]
-		}
-	}
-	ordered := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		ordered = append(ordered, g)
-	}
-	sort.Slice(ordered, func(x, y int) bool {
-		a, b := ordered[x], ordered[y]
-		if ob := q.OrderBy; ob != nil {
-			if va, vb := value(a, ob.Agg), value(b, ob.Agg); va != vb {
-				return (va < vb) != ob.Desc
-			}
-		}
-		if c := slices.Compare(a.names, b.names); c != 0 {
-			return c < 0
-		}
-		return slices.Compare(a.members, b.members) < 0
-	})
-	if q.Limit > 0 && len(ordered) > q.Limit {
-		ordered = ordered[:q.Limit]
-	}
-	for _, g := range ordered {
-		row := cube.Row{Groups: g.names}
-		for j := range q.Aggregates {
-			row.Values = append(row.Values, value(g, j))
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res
-}
-
 // keySpace is a group-by's composite key space — the product of the
 // levels' slot counts — which decides its side of cube.MaxDenseCells.
 func keySpace(c *cube.Cube, groupBy []cube.LevelRef) int {
@@ -778,8 +523,8 @@ func keySpace(c *cube.Cube, groupBy []cube.LevelRef) int {
 // sides of the dense-table constant — including two levels of one
 // dimension, NoParent groups (orphaned stores and cities), OrderBy over
 // heavily tied COUNTs, Limit below the row count, and views — through
-// every executor and sharing mode. The serial result must equal the
-// executor-independent reference, and everything else the serial result.
+// lone and batched scans at several worker counts. Every result must equal
+// the executor-independent reference.
 func TestMultiLevelGroupByEquivalence(t *testing.T) {
 	// Three scan chunks of facts, so multi-worker runs really merge.
 	cfg := datagen.Config{
@@ -856,20 +601,18 @@ func TestMultiLevelGroupByEquivalence(t *testing.T) {
 		vs = append(vs, nil)
 	}
 
+	want := reference(c, qs, vs)
 	serial := make([]*cube.Result, len(qs))
 	truncated := 0
-	unpackedOracle(c, func() {
-		for i := range qs {
-			if serial[i], err = c.Execute(qs[i], vs[i]); err != nil {
-				t.Fatalf("case %d: serial: %v", i, err)
-			}
-			diffResults(t, fmt.Sprintf("case %d serial vs reference", i),
-				serial[i], naiveExecute(t, c, qs[i], vs[i]))
-			if qs[i].Limit > 0 && int(serial[i].Cost.CellsTouched) > qs[i].Limit {
-				truncated++
-			}
+	for i := range qs {
+		if serial[i], err = c.Execute(qs[i], vs[i]); err != nil {
+			t.Fatalf("case %d: serial: %v", i, err)
 		}
-	})
+		diffResults(t, fmt.Sprintf("case %d serial", i), serial[i], want[i])
+		if qs[i].Limit > 0 && int(serial[i].Cost.CellsTouched) > qs[i].Limit {
+			truncated++
+		}
+	}
 	if truncated == 0 {
 		t.Error("no case truncated its rows: Limit < rows is not covered")
 	}
@@ -885,33 +628,23 @@ func TestMultiLevelGroupByEquivalence(t *testing.T) {
 		t.Error("no (none) group in any result: NoParent slots are not covered")
 	}
 
-	prev := c.PackedColumns()
-	defer c.SetPackedColumns(prev)
-	for _, pm := range packedModes {
-		c.SetPackedColumns(pm.on)
-		for i := range qs {
-			got, err := c.ExecuteParallel(qs[i], vs[i], 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffResults(t, fmt.Sprintf("case %d workers 3 %s", i, pm.name), got, serial[i])
+	for i := range qs {
+		got, err := c.ExecuteParallel(qs[i], vs[i], 3)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, w := range []int{1, 4} {
-			for _, mode := range batchSharingModes {
-				opts := mode.opts
-				opts.Workers = w
-				batch, stats, err := c.ExecuteBatchOpt(qs, vs, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range qs {
-					diffResults(t, fmt.Sprintf("batch case %d workers %d mode %s %s",
-						i, w, mode.name, pm.name), batch[i], serial[i])
-				}
-				if !mode.opts.DisableSharing && stats.KeyColBytesBuilt == 0 {
-					t.Errorf("mode %s: no composite key column materialized", mode.name)
-				}
-			}
+		diffResults(t, fmt.Sprintf("case %d workers 3", i), got, want[i])
+	}
+	for _, w := range []int{1, 4} {
+		batch, stats, err := c.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range qs {
+			diffResults(t, fmt.Sprintf("batch case %d workers %d", i, w), batch[i], want[i])
+		}
+		if stats.KeyColBytesBuilt == 0 {
+			t.Errorf("workers %d: no composite key column materialized", w)
 		}
 	}
 }

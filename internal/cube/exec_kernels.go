@@ -25,12 +25,11 @@ import (
 // untouched fields as identities (adding zero counts/sums, narrowing
 // against ±Inf), so a kernel-filled partial finalizes and merges exactly
 // like a generically filled one. The equivalence harness pins this
-// against the unpacked serial oracle.
+// against the executor-independent reference (package cubetest).
 
 // kernelKind identifies one specialized accumulate loop. kernGeneric
 // (the zero value) means "no specialization": the plan keeps the classic
-// accumulateFact path — which is also the oracle path when packed
-// execution is disabled.
+// accumulateFact path.
 type kernelKind uint8
 
 const (

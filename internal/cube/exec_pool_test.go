@@ -61,11 +61,12 @@ func TestTinyTableWorkersAllocateOnePartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := &scanPartials{}
-	pt := p.scan(nil, normalizeWorkers(8, p.fd.n), sp)
+	parts := []*partial{nil}
+	executeBatchPartials([]*queryPlan{p}, []*bitset.Set{nil}, parts, sp, BatchOptions{Workers: 8})
 	if got := len(sp.parts); got != 1 {
 		t.Fatalf("tiny-table scan at workers=8 took %d partials, want 1", got)
 	}
-	res := p.finalize(pt)
+	res := p.finalize(parts[0])
 	sp.release()
 	if len(res.Rows) != 3 || res.ScannedFacts != 6 {
 		t.Fatalf("clamped scan result wrong: %+v", res)
@@ -149,14 +150,15 @@ func TestPartialPoolNoStateBleed(t *testing.T) {
 		Aggregates: []MeasureAgg{{Measure: "m", Agg: AggSum}},
 	})
 	if pHash.denseCells != 0 || pDense.denseCells != 601*4 || pSingle.denseCells != 601 ||
-		pSingle.kern != kernSum && c.PackedColumns() {
+		pSingle.kern != kernSum {
 		t.Fatalf("plans have the wrong shapes: dense cells %d/%d/%d, kernel %d",
 			pHash.denseCells, pDense.denseCells, pSingle.denseCells, pSingle.kern)
 	}
 
 	n := pHash.fd.n
 	run := func(p *queryPlan, pt *partial) *Result {
-		pt.scanRange(0, n, nil)
+		d := p.drive(nil)
+		pt.scanFused(0, n, nil, &d)
 		return p.finalize(pt)
 	}
 	want := map[*queryPlan]*Result{}
@@ -271,5 +273,32 @@ func TestSingleWorkerSharedArtifactsReturnToPools(t *testing.T) {
 	}
 	if _, ok := fd.partialPool.Get().(*partial); !ok {
 		t.Error("partials were not returned to partialPool after finalize")
+	}
+}
+
+// TestLoneStatsMatchesPlanner pins the lone-query shortcut of
+// scanSharedStaged: the statistics it reports without running the
+// artifact planner must equal what buildArtifacts reports for the same
+// batch of one — repeated predicates count once, and nothing is built.
+func TestLoneStatsMatchesPlanner(t *testing.T) {
+	c := testWarehouse(t)
+	pop := AttrFilter{LevelRef: LevelRef{"Store", "City"}, Attr: "population", Op: OpGt, Value: 300000.0}
+	size := AttrFilter{LevelRef: LevelRef{"Store", "Store"}, Attr: "size", Op: OpGe, Value: 1.0}
+	sum := []MeasureAgg{{Measure: "UnitSales", Agg: AggSum}}
+	for i, q := range []Query{
+		{Fact: "Sales", Aggregates: sum},
+		{Fact: "Sales", Aggregates: sum, GroupBy: []LevelRef{{"Store", "City"}}},
+		{Fact: "Sales", Aggregates: sum, Filters: []AttrFilter{pop}},
+		{Fact: "Sales", Aggregates: sum, Filters: []AttrFilter{pop, size, pop},
+			GroupBy: []LevelRef{{"Store", "State"}, {"Time", "Month"}}},
+	} {
+		p, err := c.compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want := buildArtifacts([]*queryPlan{p}, []*bitset.Set{nil}, 1, p.n, BatchOptions{}, nil, nil)
+		if got := loneStats(p); got != want {
+			t.Errorf("query %d: loneStats = %+v, buildArtifacts = %+v", i, got, want)
+		}
 	}
 }

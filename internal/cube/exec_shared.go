@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,7 +10,7 @@ import (
 	"sdwp/internal/obs"
 )
 
-// This file is the sharing-aware batch executor: the explicit (non-fused)
+// This file is the batch executor — the only one: the explicit (staged)
 // form of the three-stage pipeline in exec.go. One shared scan first
 // materializes stage 1 (filter bitmaps) and stage 2 (composite roll-up
 // key columns, one per distinct group-by list of dense plans)
@@ -23,10 +24,11 @@ import (
 // Artifacts are only materialized when they pay for themselves (at least
 // two sharing queries whose combined visible fact mass exceeds a full
 // table pass — see buildArtifacts); a query whose filter set or group-by
-// is unique in the batch, or a batch of narrowly personalized views,
-// keeps the fused per-fact path of exec.go and costs what PR 1's executor
-// cost. Materialized artifacts are also the natural per-shard exchange
-// unit once the fact table is sharded across processes.
+// is unique in the batch, a batch of narrowly personalized views, or a
+// lone query (a batch of one) keeps the fused per-fact path
+// (partial.scanFused) and pays nothing for the staging. Materialized
+// artifacts are also the natural per-shard exchange unit once the fact
+// table is sharded across processes.
 
 // sharedArtifacts holds one fact group's materialized stage-1/2 results.
 // Artifacts are scan-scoped and recycled through the fact table's pools
@@ -109,8 +111,8 @@ type queryScan struct {
 	keyCol []int32
 }
 
-// scanRangeStaged is the staged counterpart of partial.scanRange: fold
-// facts [lo, hi) into pt, driving stage 3 off qs's masks and key columns.
+// scanRangeStaged folds facts [lo, hi) into pt, driving stage 3 off qs's
+// masks and key columns (partial.scanFused when nothing was prefiltered).
 func (pt *partial) scanRangeStaged(lo, hi int, qs *queryScan) {
 	d := pt.p.drive(qs.keyCol)
 	if qs.prefiltered {
@@ -250,8 +252,7 @@ func (sf *setFill) refine(lo, hi int) {
 // its full visible mass (stage 2 runs only on facts that passed stage 1).
 // Results are byte-identical whichever way the decision goes.
 //
-// Stage 1 is decomposed per predicate (unless opts.DisablePredicateSharing
-// reverts to whole-set granularity): each distinct single AttrFilter that
+// Stage 1 is decomposed per predicate: each distinct single AttrFilter that
 // is shared across at least two distinct filter sets materializes one
 // bitmap, and set masks are AND-composed from their predicate bitmaps —
 // so batches with overlapping-but-unequal filter sets ({year, regionEU}
@@ -273,12 +274,13 @@ func (sf *setFill) refine(lo, hi int) {
 // A non-nil sc receives the stage-1 (filter-mask) and stage-2 (group
 // decode) wall times — two time.Now() pairs per scan, nothing per fact.
 //
-// A non-nil costs (len(idxs), indexed like idxs) receives each query's
-// byte share of the artifacts this scan freshly materializes — see
-// chargeArtifact for the split.
-func buildArtifacts(idxs []int, plans []*queryPlan, masks []*bitset.Set, workers, n int, opts BatchOptions, sc *obs.ShardScan, costs []obs.QueryCost) (*sharedArtifacts, SharingStats) {
+// plans and masks are one fact group's (see scanSharedStaged). A non-nil
+// costs (indexed like plans) receives each query's byte share of the
+// artifacts this scan freshly materializes — see chargeArtifact for the
+// split.
+func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, workers, n int, opts BatchOptions, sc *obs.ShardScan, costs []obs.QueryCost) (*sharedArtifacts, SharingStats) {
 	cache := opts.Artifacts
-	stats := SharingStats{Queries: len(idxs)}
+	stats := SharingStats{Queries: len(plans)}
 	filterUses := map[string]int{} // set sub-fingerprint → queries using it
 	groupUses := map[string]int{}  // group-by list sub-fingerprint → queries using it
 	filterMass := map[string]int{} // set sub-fingerprint → Σ visible facts
@@ -289,17 +291,16 @@ func buildArtifacts(idxs []int, plans []*queryPlan, masks []*bitset.Set, workers
 	predMass := map[string]int{}          // predicate key → Σ visible facts
 	predOwner := map[string]*filterSpec{} // any resolved spec for the predicate
 	groupOwner := map[string]*queryPlan{}
-	// Artifact → using queries (indices into idxs/costs), for cost
+	// Artifact → using queries (indices into plans/costs), for cost
 	// attribution.
 	setUsers := map[string][]int{}
 	predUsers := map[string][]int{}
 	groupUsers := map[string][]int{}
-	visible := make([]int, len(idxs)) // per query-in-group
-	for k, qi := range idxs {
-		p := plans[qi]
+	visible := make([]int, len(plans))
+	for k, p := range plans {
 		visible[k] = n
-		if masks[qi] != nil {
-			visible[k] = masks[qi].Count()
+		if masks[k] != nil {
+			visible[k] = masks[k].Count()
 		}
 		if p.filterKey != "" {
 			stats.FilterSets++
@@ -348,7 +349,7 @@ func buildArtifacts(idxs []int, plans []*queryPlan, masks []*bitset.Set, workers
 		}
 	}
 
-	fd := plans[idxs[0]].fd
+	fd := plans[0].fd
 	version := fd.version.Load()
 	// Artifacts are offered to the cross-batch cache only when this scan
 	// fills them over the whole live table: a group compiled before
@@ -366,49 +367,9 @@ func buildArtifacts(idxs []int, plans []*queryPlan, masks []*bitset.Set, workers
 	if sc != nil {
 		t0 = time.Now()
 	}
-	if opts.DisablePredicateSharing {
-		// Whole-set granularity (the pre-per-filter path): one bitmap per
-		// distinct filter set, filled by evaluating the full conjunction.
-		fillMasks := map[string]*bitset.Set{} // freshly materialized this scan
-		for key, uses := range filterUses {
-			if cache != nil {
-				if m := cache.getMask(fd, version, key); m != nil {
-					art.filterMasks[key] = m
-					art.markOwned(key)
-					stats.ArtifactCacheHits++
-					continue
-				}
-			}
-			if uses >= 2 && filterMass[key] > n {
-				m := fd.getMask()
-				art.filterMasks[key] = m
-				fillMasks[key] = m
-			}
-		}
-		if len(fillMasks) > 0 {
-			parallelFill(n, workers, func(lo, hi int) {
-				for key, mask := range fillMasks {
-					filterOwner[key].materializeFilterMask(lo, hi, mask)
-				}
-			})
-			if cachePut {
-				for key, m := range fillMasks {
-					if cache.putMask(fd, version, key, m) {
-						art.markOwned(key)
-					}
-				}
-			}
-			for key, m := range fillMasks {
-				b := maskBytes(m)
-				stats.BitmapBytesBuilt += b
-				chargeArtifact(costs, setUsers[key], b, true)
-			}
-		}
-	} else {
-		buildFilterMasksPerPredicate(art, &stats, n, version, workers, cache, cachePut,
-			filterUses, filterMass, filterOwner, setPreds, predSets, predMass, predOwner,
-			costs, setUsers, predUsers)
-	}
+	buildFilterMasksPerPredicate(art, &stats, n, version, workers, cache, cachePut,
+		filterUses, filterMass, filterOwner, setPreds, predSets, predMass, predOwner,
+		costs, setUsers, predUsers)
 
 	if sc != nil {
 		sc.FilterMask = time.Since(t0)
@@ -423,8 +384,7 @@ func buildArtifacts(idxs []int, plans []*queryPlan, masks []*bitset.Set, workers
 		matchedBound[key] = fm.Count()
 	}
 	groupMass := map[string]int{}
-	for k, qi := range idxs {
-		p := plans[qi]
+	for k, p := range plans {
 		mass := visible[k]
 		if bound, ok := matchedBound[p.filterKey]; ok && p.filterKey != "" && bound < mass {
 			mass = bound
@@ -481,9 +441,9 @@ func buildArtifacts(idxs []int, plans []*queryPlan, masks []*bitset.Set, workers
 // cache; set masks are then AND-composed from them, with any residual
 // predicates refined in a single pass over the already-narrowed domain.
 // The resulting art.filterMasks entries are exactly the semantic set
-// masks the whole-set path would have produced, so everything downstream
-// (planScan, accumulation, caching) is untouched and results stay
-// byte-identical.
+// masks — the conjunction of the set's predicates — so everything
+// downstream (planScan, accumulation, caching) treats them alike however
+// they were composed, and results stay byte-identical.
 func buildFilterMasksPerPredicate(art *sharedArtifacts, stats *SharingStats,
 	n int, version uint64, workers int, cache *ArtifactCache, cachePut bool,
 	filterUses, filterMass map[string]int, filterOwner map[string]*queryPlan,
@@ -630,14 +590,18 @@ func buildFilterMasksPerPredicate(art *sharedArtifacts, stats *SharingStats,
 	}
 }
 
-// planScan builds one query's accumulation drive from the artifacts.
-func planScan(p *queryPlan, view *bitset.Set, art *sharedArtifacts) *queryScan {
+// planScan builds one query's accumulation drive from the artifacts (nil
+// art: none were planned, every stage stays fused).
+func planScan(p *queryPlan, view *bitset.Set, art *sharedArtifacts) queryScan {
+	qs := queryScan{view: view, iter: view}
+	if art == nil {
+		return qs
+	}
 	// A hashed or group-less plan has no groupKey, hence no column.
-	qs := &queryScan{view: view, iter: view, keyCol: art.keyCols[p.groupKey]}
+	qs.keyCol = art.keyCols[p.groupKey]
 	// A view mask sized before AddFact grew the table cannot be
 	// intersected with a bitmap at the current capacity; such a query
-	// keeps the fused path (ForEachRange clamps, exactly as scanShared
-	// always handled it).
+	// keeps the fused path (ForEachRange clamps the walk to the mask).
 	if fm := art.filterMasks[p.filterKey]; fm != nil && (view == nil || view.Len() == fm.Len()) {
 		qs.prefiltered = true
 		if view == nil {
@@ -678,7 +642,10 @@ func planScan(p *queryPlan, view *bitset.Set, art *sharedArtifacts) *queryScan {
 // Cache-owned artifacts are skipped: the cross-batch cache keeps them for
 // future scans (possibly reading them concurrently), so pooling them would
 // hand a mutable buffer to a reader.
-func releaseArtifacts(art *sharedArtifacts, scans []*queryScan) {
+func releaseArtifacts(art *sharedArtifacts, scans []queryScan) {
+	if art == nil {
+		return
+	}
 	for _, qs := range scans {
 		if qs.prefiltered && qs.view != nil {
 			art.fd.maskPool.Put(qs.iter)
@@ -710,77 +677,132 @@ func releaseArtifacts(art *sharedArtifacts, scans []*queryScan) {
 	}
 }
 
+// loneStats is buildArtifacts' statistics for a lone query without an
+// artifact cache: its uses are all distinct, and nothing is built.
+func loneStats(p *queryPlan) SharingStats {
+	stats := SharingStats{Queries: 1}
+	if p.filterKey != "" {
+		stats.FilterSets, stats.DistinctFilterSets = 1, 1
+		for fi := range p.filters {
+			if !slices.ContainsFunc(p.filters[:fi], func(fs filterSpec) bool { return fs.key == p.filters[fi].key }) {
+				stats.FilterPredicates++
+			}
+		}
+		stats.DistinctPredicates = stats.FilterPredicates
+	}
+	if p.groupKey != "" {
+		stats.GroupKeySets, stats.DistinctGroupings = 1, 1
+	}
+	return stats
+}
+
 // scanSharedStaged runs one fact group's shared scan through the staged
 // pipeline: materialize shared artifacts (taking cross-batch cached ones
 // when a cache is given), then accumulate every query morsel by morsel
-// exactly as scanShared does — same work stealing, same worker-order
-// merge — so results are byte-identical to the fused path. workers must
-// already be normalized and n is the group's scan bound (groupScanBound).
-// The merged partial per query lands in out (callers finalize, then
-// release sp; the scan-scoped artifacts are released here, since no
-// partial or Result references them). A non-nil sc receives the scan's
-// per-stage wall times.
-func scanSharedStaged(idxs []int, plans []*queryPlan, masks []*bitset.Set, out []*partial, workers, n int, opts BatchOptions, sp *scanPartials, sc *obs.ShardScan) SharingStats {
-	costs := make([]obs.QueryCost, len(idxs))
-	art, stats := buildArtifacts(idxs, plans, masks, workers, n, opts, sc, costs)
-
-	scans := make([]*queryScan, len(idxs))
-	for k, qi := range idxs {
-		scans[k] = planScan(plans[qi], masks[qi], art)
+// (accumulateMorsels). plans, masks and out are the group's, every plan
+// over the same FactData; workers must already be normalized and n is the
+// group's scan bound (groupScanBound). A lone query without an artifact
+// cache has nothing to share or look up, so it skips the planner and runs
+// its stages fused. The merged partial per query lands in out (callers
+// finalize, then release sp; the scan-scoped artifacts are released here,
+// since no partial or Result references them). A non-nil sc receives the
+// scan's per-stage wall times.
+func scanSharedStaged(plans []*queryPlan, masks []*bitset.Set, out []*partial, workers, n int, opts BatchOptions, sp *scanPartials, sc *obs.ShardScan) SharingStats {
+	var art *sharedArtifacts
+	var stats SharingStats
+	var costs []obs.QueryCost
+	if len(plans) == 1 && opts.Artifacts == nil {
+		stats = loneStats(plans[0])
+	} else {
+		costs = make([]obs.QueryCost, len(plans))
+		art, stats = buildArtifacts(plans, masks, workers, n, opts, sc, costs)
+	}
+	// A lone query's drive stays on the stack: the single-query scan
+	// allocates nothing here.
+	var lone [1]queryScan
+	scans := lone[:]
+	if len(plans) > 1 {
+		scans = make([]queryScan, len(plans))
+	}
+	for k, p := range plans {
+		scans[k] = planScan(p, masks[k], art)
 	}
 
-	chunks := chunkCount(n)
-	parts := make([][]*partial, workers) // [worker][query-in-group]
-	for w := range parts {
-		row := make([]*partial, len(idxs))
-		for k, qi := range idxs {
-			row[k] = sp.get(plans[qi])
+	// Worker 0 accumulates straight into out; the other workers each get
+	// a row of partials of their own, merged into out in worker order.
+	nq := len(plans)
+	for k, p := range plans {
+		out[k] = sp.get(p)
+	}
+	var rest []*partial // [worker-1][query]
+	if workers > 1 {
+		rest = make([]*partial, (workers-1)*nq)
+		for i := range rest {
+			rest[i] = sp.get(plans[i%nq])
 		}
-		parts[w] = row
-	}
-	var cur atomic.Int64
-	scanWorker := func(row []*partial) {
-		forEachMorsel(&cur, chunks, n, func(lo, hi int) {
-			for k := range idxs {
-				row[k].scanRangeStaged(lo, hi, scans[k])
-			}
-		})
 	}
 	var t0 time.Time
 	if sc != nil {
 		t0 = time.Now()
 	}
-	if workers == 1 {
-		scanWorker(parts[0])
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(row []*partial) {
-				defer wg.Done()
-				scanWorker(row)
-			}(parts[w])
-		}
-		wg.Wait()
-	}
+	accumulateMorsels(out, rest, scans, n)
 	if sc != nil {
 		sc.Accumulate = time.Since(t0)
 		t0 = time.Now()
 	}
-	for k, qi := range idxs {
-		merged := parts[0][k]
-		for w := 1; w < workers; w++ {
-			merged.merge(parts[w][k])
+	for k := range plans {
+		for w := 0; w < workers-1; w++ {
+			out[k].merge(rest[w*nq+k])
 		}
 		// Land the artifact-byte attribution on the merged partial only —
 		// worker partials carry zero cost, so the merges above added
 		// nothing and each share is counted exactly once.
-		merged.cost.Add(costs[k])
-		out[qi] = merged
+		if costs != nil {
+			out[k].cost.Add(costs[k])
+		}
 	}
 	if sc != nil {
 		sc.Merge = time.Since(t0)
 	}
 	releaseArtifacts(art, scans)
 	return stats
+}
+
+// accumulateMorsels runs stage 3 for a fact group over facts [0, n): each
+// worker claims execChunkSize morsels off a shared cursor and walks each
+// one through every query of the group while the chunk is cache-hot, so
+// which worker scans which chunk follows execution speed. row0 holds worker
+// 0's partial per query — worker 0 is the calling goroutine — and rest the
+// other workers' rows back to back. Without other workers the chunks are
+// walked in order with no cursor or goroutine.
+func accumulateMorsels(row0, rest []*partial, scans []queryScan, n int) {
+	chunks := chunkCount(n)
+	if len(rest) == 0 {
+		for ci := 0; ci < chunks; ci++ {
+			lo := ci * execChunkSize
+			for k := range scans {
+				row0[k].scanRangeStaged(lo, min(lo+execChunkSize, n), &scans[k])
+			}
+		}
+		return
+	}
+	// The workers read their own copy of the drives, so a serial caller's
+	// drives never leave its stack.
+	shared := slices.Clone(scans)
+	walk := func(row []*partial, lo, hi int) {
+		for k := range shared {
+			row[k].scanRangeStaged(lo, hi, &shared[k])
+		}
+	}
+	var cur atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < len(rest); w += len(row0) {
+		wg.Add(1)
+		go func(row []*partial) {
+			defer wg.Done()
+			forEachMorsel(&cur, chunks, n, func(lo, hi int) { walk(row, lo, hi) })
+		}(rest[w : w+len(row0)])
+	}
+	forEachMorsel(&cur, chunks, n, func(lo, hi int) { walk(row0, lo, hi) })
+	wg.Wait()
 }

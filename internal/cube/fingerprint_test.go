@@ -168,8 +168,9 @@ func TestGroupFingerprint(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchCompiled checks the precompiled batch path: identical
-// results to ExecuteBatch, and rejection of nil or foreign-cube plans.
+// TestExecuteBatchCompiled checks the precompiled batch path
+// (ExecuteBatchCompiledOpt): identical results to ExecuteBatch, and
+// rejection of nil or foreign-cube plans.
 func TestExecuteBatchCompiled(t *testing.T) {
 	cfg := datagen.Config{
 		Seed: 1, States: 3, Cities: 6, Stores: 12, Customers: 10,
@@ -200,7 +201,7 @@ func TestExecuteBatchCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ds.Cube.ExecuteBatchCompiled(cqs, nil, 2)
+	got, _, err := ds.Cube.ExecuteBatchCompiledOpt(cqs, nil, cube.BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +209,10 @@ func TestExecuteBatchCompiled(t *testing.T) {
 		t.Error("compiled batch differs from ExecuteBatch")
 	}
 
-	if _, err := ds.Cube.ExecuteBatchCompiled([]*cube.CompiledQuery{cqs[0], nil}, nil, 1); err == nil {
+	if _, _, err := ds.Cube.ExecuteBatchCompiledOpt([]*cube.CompiledQuery{cqs[0], nil}, nil, cube.BatchOptions{}); err == nil {
 		t.Error("nil compiled entry accepted")
 	}
-	if _, err := ds.Cube.ExecuteBatchCompiled(cqs, make([]*cube.View, 1), 1); err == nil {
+	if _, _, err := ds.Cube.ExecuteBatchCompiledOpt(cqs, make([]*cube.View, 1), cube.BatchOptions{}); err == nil {
 		t.Error("view-length mismatch accepted")
 	}
 	other, err := datagen.Generate(cfg)
@@ -222,7 +223,7 @@ func TestExecuteBatchCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.Cube.ExecuteBatchCompiled([]*cube.CompiledQuery{foreign}, nil, 1); err == nil {
+	if _, _, err := ds.Cube.ExecuteBatchCompiledOpt([]*cube.CompiledQuery{foreign}, nil, cube.BatchOptions{}); err == nil {
 		t.Error("plan compiled for another cube accepted")
 	}
 	if _, err := ds.Cube.Compile(cube.Query{Fact: "Ghost",

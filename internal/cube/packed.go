@@ -34,8 +34,7 @@ import (
 
 // packedColumn is one fact dim-key column in packed form, maintained
 // incrementally by AddFact alongside the unpacked []int32 column (which
-// stays authoritative and serves as the oracle path when packed execution
-// is off).
+// stays authoritative: the per-fact match and group-key decode read it).
 type packedColumn struct {
 	words []uint64
 	width uint // bits per code; 0 until the first append

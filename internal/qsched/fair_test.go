@@ -361,7 +361,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestSetWindowClamp pins the runtime window knob's clamp to [0, maxWindow]
 // and its visibility through Window() and Stats.
 func TestSetWindowClamp(t *testing.T) {
-	s := New(nil, Options{Disabled: true, Window: time.Millisecond})
+	s := New(nil, Options{Window: time.Millisecond})
 	defer s.Close()
 	if got := s.Window(); got != time.Millisecond {
 		t.Errorf("initial window = %v, want 1ms", got)
@@ -384,7 +384,7 @@ func TestSetWindowClamp(t *testing.T) {
 // checks immediate eviction, plus the disabled-cache and non-positive
 // no-ops.
 func TestResizeResultCache(t *testing.T) {
-	s := New(nil, Options{Disabled: true, CacheBytes: 1 << 20})
+	s := New(nil, Options{CacheBytes: 1 << 20})
 	defer s.Close()
 	res := &cube.Result{Rows: []cube.Row{{Values: []float64{1}}}}
 	per := entrySize("k00", res)
@@ -419,7 +419,7 @@ func TestResizeResultCache(t *testing.T) {
 	if got := s.cache.capBytes(); got != 3*per {
 		t.Errorf("cap after resize(0) = %d, want unchanged %d", got, 3*per)
 	}
-	off := New(nil, Options{Disabled: true})
+	off := New(nil, Options{})
 	defer off.Close()
 	off.ResizeResultCache(1 << 20)
 	if off.cache != nil {

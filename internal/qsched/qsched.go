@@ -44,8 +44,7 @@
 // cube.ExecuteBatchCompiledOpt, which materializes each distinct filter
 // set and group-by list once per scan and drives every
 // query's accumulation off the shared artifacts (Stats reports the
-// achieved sharing ratios; Options.DisableSharedSubexpr reverts to
-// per-query evaluation).
+// achieved sharing ratios).
 package qsched
 
 import (
@@ -65,14 +64,12 @@ import (
 // a single fact store, or a *shard.Table for a hash-partitioned one (the
 // scatter-gather executor has the same batch surface, so the scheduler is
 // the shard router without knowing it — exactly the "scheduler as natural
-// shard router" step the partial-merge protocol was built for).
+// shard router" step the partial-merge protocol was built for). Every
+// query — a lone Submit included — is compiled on admission and answered
+// by one coalesced shared scan; there is no other execution path.
 type Executor interface {
 	// Compile resolves and validates a query for later batch execution.
 	Compile(q cube.Query) (*cube.CompiledQuery, error)
-	// ExecuteParallel answers one query (the Disabled bypass path).
-	ExecuteParallel(q cube.Query, v *cube.View, workers int) (*cube.Result, error)
-	// ExecuteBatch answers a batch (the Disabled bypass path).
-	ExecuteBatch(qs []cube.Query, vs []*cube.View, workers int) ([]*cube.Result, error)
 	// ExecuteBatchCompiledOpt runs one coalesced shared scan.
 	ExecuteBatchCompiledOpt(cqs []*cube.CompiledQuery, vs []*cube.View, opts cube.BatchOptions) ([]*cube.Result, cube.SharingStats, error)
 }
@@ -113,18 +110,6 @@ type Options struct {
 	CacheBytes int64
 	// Workers is the per-scan worker pool, as in cube.ExecuteParallel.
 	Workers int
-	// Disabled bypasses queueing and caching entirely: Submit executes
-	// directly. The correctness baseline of the equivalence harness.
-	Disabled bool
-	// DisableSharedSubexpr turns off cross-query subexpression sharing
-	// (shared filter bitmaps and group-key columns) inside coalesced
-	// scans — the A/B baseline for cube.BatchOptions.DisableSharing.
-	DisableSharedSubexpr bool
-	// DisablePerFilterSharing keeps stage-1 sharing at whole-filter-set
-	// granularity inside coalesced scans (no per-predicate bitmaps, no
-	// AND-composition) — the A/B baseline for
-	// cube.BatchOptions.DisablePredicateSharing.
-	DisablePerFilterSharing bool
 	// Timeout is the admission deadline: a query still queued this long
 	// after Submit is dropped with ErrTimeout instead of executing — under
 	// overload the queue sheds its oldest waiters deterministically rather
@@ -297,9 +282,8 @@ type Scheduler struct {
 }
 
 // New builds a scheduler over an executor — the cube itself, or a sharded
-// table routing to fact shards — and starts its dispatcher (unless
-// Disabled). Callers own the lifecycle: Close stops the dispatcher after
-// draining queued queries.
+// table routing to fact shards — and starts its dispatcher. Callers own
+// the lifecycle: Close stops the dispatcher after draining queued queries.
 func New(c Executor, opts Options) *Scheduler {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = DefaultMaxBatch
@@ -323,12 +307,10 @@ func New(c Executor, opts Options) *Scheduler {
 		s.cache = newResultCache(opts.CacheBytes)
 		s.door = newDoorkeeper(doorkeeperCapacity)
 	}
-	if !opts.Disabled {
-		s.kick = make(chan struct{}, 1)
-		s.slots = make(chan struct{}, opts.MaxInFlight)
-		s.wg.Add(1)
-		go s.dispatchLoop()
-	}
+	s.kick = make(chan struct{}, 1)
+	s.slots = make(chan struct{}, opts.MaxInFlight)
+	s.wg.Add(1)
+	go s.dispatchLoop()
 	return s
 }
 
@@ -340,7 +322,7 @@ func (s *Scheduler) Close() {
 	s.closed = true
 	s.mu.Unlock()
 	s.closedFlag.Store(true)
-	if already || s.opts.Disabled {
+	if already {
 		return
 	}
 	s.kickDispatcher()
@@ -416,9 +398,6 @@ func (s *Scheduler) SubmitBatch(qs []cube.Query, vs []*cube.View, userKey string
 func (s *Scheduler) SubmitBatchCtx(ctx context.Context, qs []cube.Query, vs []*cube.View, userKey string) ([]*cube.Result, error) {
 	if vs != nil && len(vs) != len(qs) {
 		return nil, fmt.Errorf("qsched: batch has %d queries but %d views", len(qs), len(vs))
-	}
-	if s.opts.Disabled {
-		return s.c.ExecuteBatch(qs, vs, s.opts.Workers)
 	}
 	s.stSubmitted.Add(int64(len(qs)))
 	// One trace (from the request context) scopes the whole batch: every
@@ -535,16 +514,12 @@ func (s *Scheduler) SubmitBatchCtx(ctx context.Context, qs []cube.Query, vs []*c
 }
 
 // submit admits one query. It returns either an immediate result (cache
-// hit, direct execution, or error) with a nil channel, or a channel the
-// result will be delivered on.
+// hit or error) with a nil channel, or a channel the result will be
+// delivered on.
 func (s *Scheduler) submit(ctx context.Context, q cube.Query, v *cube.View, userKey string) (<-chan outcome, *cube.Result, error) {
 	s.stSubmitted.Add(1)
 	if s.closedFlag.Load() {
 		return nil, nil, ErrClosed
-	}
-	if s.opts.Disabled {
-		res, err := s.c.ExecuteParallel(q, v, s.opts.Workers)
-		return nil, res, err
 	}
 	// Telemetry is pay-per-use: tr is nil unless the caller's context
 	// carries a trace, and start stays zero unless something (trace,
@@ -895,11 +870,9 @@ func (s *Scheduler) runBatch(batch []*request) {
 		scanStart = time.Now()
 	}
 	results, sharing, err := s.c.ExecuteBatchCompiledOpt(cqs, vs, cube.BatchOptions{
-		Workers:                 s.opts.Workers,
-		DisableSharing:          s.opts.DisableSharedSubexpr,
-		DisablePredicateSharing: s.opts.DisablePerFilterSharing,
-		Artifacts:               s.opts.Artifacts,
-		Trace:                   st,
+		Workers:   s.opts.Workers,
+		Artifacts: s.opts.Artifacts,
+		Trace:     st,
 	})
 	var scanEnd time.Time
 	var scanDur time.Duration
@@ -1173,15 +1146,14 @@ type Stats struct {
 	// ArtifactCache reports the cross-batch artifact cache (zero value
 	// when disabled; aggregated across shards on a sharded engine).
 	ArtifactCache cube.ArtifactCacheStats `json:"artifactCache"`
-	// Cross-query subexpression sharing inside coalesced scans (all zero
-	// when DisableSharedSubexpr is set): FilterSets counts queries that
-	// carried filters, FilterMasks the distinct filter bitmaps their scans
-	// needed; FilterPredicates counts (query, distinct-predicate) uses,
-	// PredicateMasks the distinct single-filter sub-fingerprints among
-	// them, ComposedMasks the set masks produced by AND-composing
-	// per-predicate bitmaps (full or partial); GroupKeySets counts
-	// queries with a dense, non-empty group-by, GroupKeyCols the distinct
-	// group-by lists among them (composite roll-up key columns).
+	// Cross-query subexpression sharing inside coalesced scans: FilterSets
+	// counts queries that carried filters, FilterMasks the distinct filter
+	// bitmaps their scans needed; FilterPredicates counts (query,
+	// distinct-predicate) uses, PredicateMasks the distinct single-filter
+	// sub-fingerprints among them, ComposedMasks the set masks produced by
+	// AND-composing per-predicate bitmaps (full or partial); GroupKeySets
+	// counts queries with a dense, non-empty group-by, GroupKeyCols the
+	// distinct group-by lists among them (composite roll-up key columns).
 	FilterSets       int64 `json:"filterSets"`
 	FilterMasks      int64 `json:"filterMasks"`
 	FilterPredicates int64 `json:"filterPredicates"`
@@ -1203,7 +1175,7 @@ type Stats struct {
 	// PackedKernelScans counts plan scans that dispatched a monomorphic
 	// stage-3 aggregation kernel; PackedPredicateKernels counts stage-1
 	// predicate bitmaps filled word-at-a-time from the packed columns
-	// (both 0 when packed execution is off — see cube.SharingStats).
+	// (see cube.SharingStats).
 	PackedKernelScans      int64 `json:"packedKernelScans"`
 	PackedPredicateKernels int64 `json:"packedPredicateKernels"`
 	// Packed reports the compressed-column storage footprint (bit widths
@@ -1285,9 +1257,7 @@ func (s *Scheduler) Stats() Stats {
 	if s.cache != nil {
 		st.ResultCacheCapBytes = s.cache.capBytes()
 	}
-	if s.slots != nil {
-		st.InFlight = len(s.slots)
-	}
+	st.InFlight = len(s.slots)
 	if st.FactScans > 0 {
 		st.CoalesceRatio = float64(st.Executed+st.Shared) / float64(st.FactScans)
 	}

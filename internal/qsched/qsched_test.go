@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sdwp/internal/cube"
+	"sdwp/internal/cube/cubetest"
 	"sdwp/internal/datagen"
 	"sdwp/internal/obs"
 )
@@ -497,9 +498,8 @@ func TestDoorkeeperRotation(t *testing.T) {
 }
 
 // TestSharingStatsReported checks that a batch whose queries share a
-// filter set and a grouping reports sharing ratios > 1 through Stats, and
-// that DisableSharedSubexpr zeroes the counters while returning identical
-// results.
+// filter set and a grouping reports sharing ratios > 1 through Stats while
+// returning the reference results.
 func TestSharingStatsReported(t *testing.T) {
 	ds := testDataset(t)
 	filters := []cube.AttrFilter{{
@@ -534,19 +534,9 @@ func TestSharingStatsReported(t *testing.T) {
 		t.Errorf("sharing ratios = %.1f/%.1f, want > 1", st.FilterMaskSharing, st.GroupKeySharing)
 	}
 
-	plain := New(ds.Cube, Options{DisableSharedSubexpr: true})
-	defer plain.Close()
-	resPlain, err := plain.SubmitBatch(qs, nil, "alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := plain.Stats(); st.FilterSets != 0 || st.GroupKeySets != 0 {
-		t.Errorf("sharing counters with sharing disabled = %d/%d, want 0/0",
-			st.FilterSets, st.GroupKeySets)
-	}
 	for i := range resShared {
-		if !sameAnswer(resShared[i], resPlain[i]) {
-			t.Errorf("entry %d: shared and unshared batch results differ", i)
+		if !sameAnswer(resShared[i], cubetest.NaiveExecute(ds.Cube, qs[i], nil)) {
+			t.Errorf("entry %d: shared batch result differs from the reference", i)
 		}
 	}
 }
@@ -605,7 +595,8 @@ func randomView(rng *rand.Rand, c *cube.Cube) *cube.View {
 // TestConcurrentEquivalenceRandomized is the correctness bar: randomized
 // personalized queries hammered through the scheduler concurrently — with
 // the window, dedup, the in-flight bound, and the result cache all active
-// — must return results byte-identical to the direct serial path.
+// — must return results byte-identical to the executor-independent
+// reference (cubetest.NaiveExecute).
 func TestConcurrentEquivalenceRandomized(t *testing.T) {
 	ds := testDataset(t)
 	for _, seed := range []int64{1, 7, 42} {
@@ -619,11 +610,7 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 			for i := range qs {
 				qs[i] = randomQuery(rng)
 				vs[i] = randomView(rng, ds.Cube)
-				var err error
-				serial[i], err = ds.Cube.Execute(qs[i], vs[i])
-				if err != nil {
-					t.Fatalf("case %d: serial: %v", i, err)
-				}
+				serial[i] = cubetest.NaiveExecute(ds.Cube, qs[i], vs[i])
 			}
 			s := New(ds.Cube, Options{
 				Window:      time.Millisecond,
@@ -648,7 +635,7 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 								return
 							}
 							if !sameAnswer(res, serial[i]) {
-								errs <- fmt.Errorf("round %d case %d: scheduler result differs from serial", round, i)
+								errs <- fmt.Errorf("round %d case %d: scheduler result differs from reference", round, i)
 								return
 							}
 						}

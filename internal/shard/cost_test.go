@@ -5,7 +5,7 @@ package shard_test
 // the per-shard partials carry those charges through merge/finalize, and
 // the gathered SharingStats sums the per-shard byte totals — so summing
 // Result.Cost across the batch must reproduce the summed stats exactly,
-// for every shard count, sharing mode, and packed setting.
+// for every shard count and worker count.
 
 import (
 	"fmt"
@@ -32,57 +32,44 @@ func costTestBatch() []cube.Query {
 	return qs
 }
 
-// TestShardedCostConservation sweeps shard counts {1,2,4,7} × sharing
-// modes × packed on/off and pins the conservation law on the gathered
-// results: nothing leaks and nothing double-counts across the fan-out.
+// TestShardedCostConservation sweeps shard counts {1,2,4,7} × worker
+// counts and pins the conservation law on the gathered results: nothing
+// leaks and nothing double-counts across the fan-out.
 func TestShardedCostConservation(t *testing.T) {
-	modes := []struct {
-		name string
-		opts cube.BatchOptions
-	}{
-		{"fused", cube.BatchOptions{DisableSharing: true}},
-		{"per-set", cube.BatchOptions{DisablePredicateSharing: true}},
-		{"per-predicate", cube.BatchOptions{}},
-	}
 	for _, shards := range []int{1, 2, 4, 7} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			ds, _ := testDataset(t, int64(300+shards))
 			table := shard.New(ds.Cube, shard.Options{Shards: shards})
 			qs := costTestBatch()
-			for _, packed := range []bool{true, false} {
-				prev := ds.Cube.PackedColumns()
-				ds.Cube.SetPackedColumns(packed)
-				for _, mode := range modes {
-					label := fmt.Sprintf("packed=%v/%s", packed, mode.name)
-					res, stats, err := table.ExecuteBatchOpt(qs, nil, mode.opts)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					var bitmap, keyCol int64
-					for i, r := range res {
-						c := r.Cost
-						if c.FactsScanned != int64(r.ScannedFacts) {
-							t.Errorf("%s query %d: Cost.FactsScanned %d != ScannedFacts %d",
-								label, i, c.FactsScanned, r.ScannedFacts)
-						}
-						if c.FactsMatched != int64(r.MatchedFacts) {
-							t.Errorf("%s query %d: Cost.FactsMatched %d != MatchedFacts %d",
-								label, i, c.FactsMatched, r.MatchedFacts)
-						}
-						bitmap += c.BitmapBytes
-						keyCol += c.KeyColBytes
-					}
-					if bitmap != stats.BitmapBytesBuilt {
-						t.Errorf("%s: Σ BitmapBytes %d != BitmapBytesBuilt %d across %d shards",
-							label, bitmap, stats.BitmapBytesBuilt, shards)
-					}
-					if keyCol != stats.KeyColBytesBuilt {
-						t.Errorf("%s: Σ KeyColBytes %d != KeyColBytesBuilt %d across %d shards",
-							label, keyCol, stats.KeyColBytesBuilt, shards)
-					}
+			for _, workers := range []int{1, 3} {
+				label := fmt.Sprintf("workers=%d", workers)
+				res, stats, err := table.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				ds.Cube.SetPackedColumns(prev)
+				var bitmap, keyCol int64
+				for i, r := range res {
+					c := r.Cost
+					if c.FactsScanned != int64(r.ScannedFacts) {
+						t.Errorf("%s query %d: Cost.FactsScanned %d != ScannedFacts %d",
+							label, i, c.FactsScanned, r.ScannedFacts)
+					}
+					if c.FactsMatched != int64(r.MatchedFacts) {
+						t.Errorf("%s query %d: Cost.FactsMatched %d != MatchedFacts %d",
+							label, i, c.FactsMatched, r.MatchedFacts)
+					}
+					bitmap += c.BitmapBytes
+					keyCol += c.KeyColBytes
+				}
+				if bitmap != stats.BitmapBytesBuilt {
+					t.Errorf("%s: Σ BitmapBytes %d != BitmapBytesBuilt %d across %d shards",
+						label, bitmap, stats.BitmapBytesBuilt, shards)
+				}
+				if keyCol != stats.KeyColBytesBuilt {
+					t.Errorf("%s: Σ KeyColBytes %d != KeyColBytesBuilt %d across %d shards",
+						label, keyCol, stats.KeyColBytesBuilt, shards)
+				}
 			}
 		})
 	}

@@ -310,24 +310,9 @@ func (t *Table) Compile(q cube.Query) (*cube.CompiledQuery, error) {
 	return t.parent.Compile(q)
 }
 
-// ExecuteParallel answers one query by scatter-gather (the single-query
-// degenerate batch). workers sizes each shard scan's worker pool.
-func (t *Table) ExecuteParallel(q cube.Query, v *cube.View, workers int) (*cube.Result, error) {
-	res, _, err := t.ExecuteBatchOpt([]cube.Query{q}, []*cube.View{v}, cube.BatchOptions{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-// ExecuteBatch answers a batch of queries with one scatter-gather per
-// fact table, mirroring cube.ExecuteBatch (sharing on).
-func (t *Table) ExecuteBatch(qs []cube.Query, vs []*cube.View, workers int) ([]*cube.Result, error) {
-	res, _, err := t.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: workers})
-	return res, err
-}
-
-// ExecuteBatchOpt is ExecuteBatch with explicit batch options.
+// ExecuteBatchOpt answers a batch of queries with one scatter-gather per
+// fact table, mirroring cube.ExecuteBatchOpt (a lone query is a batch of
+// one).
 func (t *Table) ExecuteBatchOpt(qs []cube.Query, vs []*cube.View, opts cube.BatchOptions) ([]*cube.Result, cube.SharingStats, error) {
 	if vs != nil && len(vs) != len(qs) {
 		return nil, cube.SharingStats{}, fmt.Errorf("shard: batch has %d queries but %d views", len(qs), len(vs))

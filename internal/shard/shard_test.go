@@ -2,10 +2,10 @@ package shard_test
 
 // Equivalence and race harness for the sharded executor: for generated
 // warehouses, randomized queries and randomized personalized views, the
-// scatter-gather Table — across shard counts {1, 2, 4, 7}, worker counts,
-// and cross-query subexpression sharing on/off — must return Results
-// identical to the serial unsharded oracle, before and after routed
-// ingest. SUM/AVG draw over the integer-valued UnitSales measure so
+// scatter-gather Table — across shard counts {1, 2, 4, 7} and worker
+// counts — must return Results identical to the executor-independent
+// reference (cubetest.NaiveExecute over the parent cube), before and after
+// routed ingest. SUM/AVG draw over the integer-valued UnitSales measure so
 // per-group sums are exact in float64 and byte-for-byte equality holds
 // regardless of merge order (the same convention as the executor harness
 // in internal/cube).
@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"sdwp/internal/cube"
+	"sdwp/internal/cube/cubetest"
 	"sdwp/internal/datagen"
 	"sdwp/internal/obs"
 	"sdwp/internal/shard"
@@ -71,7 +72,7 @@ func randomQuery(rng *rand.Rand) cube.Query {
 	// Filter values come from small pools so predicates recur across the
 	// batch's queries: overlapping-but-unequal filter sets are exactly
 	// what the per-predicate composition paths (full, partial, residual)
-	// need to be exercised against the serial oracle.
+	// need to be exercised against the reference.
 	numericOps := []cube.FilterOp{cube.OpEq, cube.OpNe, cube.OpLt, cube.OpLe, cube.OpGt, cube.OpGe}
 	popPool := []float64{100000, 500000, 1500000}
 	agePool := []float64{30, 45, 60}
@@ -176,9 +177,9 @@ func randomFact(rng *rand.Rand, cfg datagen.Config) (map[string]int32, map[strin
 }
 
 // TestShardedEquivalenceRandomized is the extended equivalence harness of
-// the sharded executor: shard counts × workers × sharing modes × random
-// views must match the serial unsharded oracle exactly — including after
-// a round of routed ingest re-hashes new facts across the shards.
+// the sharded executor: shard counts × workers × random views must match
+// the reference exactly — including after a round of routed ingest
+// re-hashes new facts across the shards.
 func TestShardedEquivalenceRandomized(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7} {
 		shards := shards
@@ -194,71 +195,41 @@ func TestShardedEquivalenceRandomized(t *testing.T) {
 			check := func(phase string) {
 				qs := make([]cube.Query, cases)
 				vs := make([]*cube.View, cases)
-				serial := make([]*cube.Result, cases)
+				want := make([]*cube.Result, cases)
 				for i := range qs {
 					qs[i] = randomQuery(rng)
 					vs[i] = randomView(rng, ds.Cube, cfg)
+					want[i] = cubetest.NaiveExecute(ds.Cube, qs[i], vs[i])
 				}
-				// The oracle is the serial unpacked scalar path; the
-				// scatter-gather sweep below then runs with the packed
-				// kernels both on and off (the parent's setting fans out
-				// to the shard cubes).
-				prevPacked := ds.Cube.PackedColumns()
-				ds.Cube.SetPackedColumns(false)
-				for i := range qs {
-					var err error
-					serial[i], err = ds.Cube.Execute(qs[i], vs[i])
+				// Per-predicate composition happens per shard and must
+				// stay byte-identical after the gather.
+				for _, w := range []int{1, 3} {
+					batch, stats, err := table.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
 					if err != nil {
-						t.Fatalf("%s case %d: serial: %v", phase, i, err)
+						t.Fatalf("%s workers %d: %v", phase, w, err)
+					}
+					if stats.Queries != cases {
+						t.Errorf("%s: stats.Queries = %d, want %d", phase, stats.Queries, cases)
+					}
+					for i := range qs {
+						diffResults(t, fmt.Sprintf("%s case %d shards %d workers %d",
+							phase, i, shards, w), batch[i], want[i])
 					}
 				}
-				ds.Cube.SetPackedColumns(prevPacked)
-				// Sharing modes: fused, whole-set artifacts, and
-				// per-predicate bitmaps with AND-composition (the default)
-				// — per-shard composition must stay byte-identical too.
-				modes := []struct {
-					name string
-					opts cube.BatchOptions
-				}{
-					{"fused", cube.BatchOptions{DisableSharing: true}},
-					{"per-set", cube.BatchOptions{DisablePredicateSharing: true}},
-					{"per-predicate", cube.BatchOptions{}},
-				}
-				for _, packed := range []bool{true, false} {
-					ds.Cube.SetPackedColumns(packed)
-					for _, w := range []int{1, 3} {
-						for _, mode := range modes {
-							opts := mode.opts
-							opts.Workers = w
-							batch, stats, err := table.ExecuteBatchOpt(qs, vs, opts)
-							if err != nil {
-								t.Fatalf("%s workers %d mode %s packed=%v: %v", phase, w, mode.name, packed, err)
-							}
-							if stats.Queries != cases {
-								t.Errorf("%s: stats.Queries = %d, want %d", phase, stats.Queries, cases)
-							}
-							for i := range qs {
-								diffResults(t, fmt.Sprintf("%s case %d shards %d workers %d mode %s packed=%v",
-									phase, i, shards, w, mode.name, packed), batch[i], serial[i])
-							}
-						}
-					}
-				}
-				ds.Cube.SetPackedColumns(prevPacked)
-				// Single-query scatter-gather path.
+				// Lone queries: the scatter-gather of a batch of one.
 				for i := 0; i < 4; i++ {
-					got, err := table.ExecuteParallel(qs[i], vs[i], 2)
+					got, _, err := table.ExecuteBatchOpt(qs[i:i+1], vs[i:i+1], cube.BatchOptions{Workers: 2})
 					if err != nil {
 						t.Fatalf("%s single %d: %v", phase, i, err)
 					}
-					diffResults(t, fmt.Sprintf("%s single %d", phase, i), got, serial[i])
+					diffResults(t, fmt.Sprintf("%s single %d", phase, i), got[0], want[i])
 				}
 			}
 
 			check("initial")
 
 			// Routed ingest: new facts hash across the shards and the parent
-			// stays authoritative, so the oracle sees them too.
+			// stays authoritative, so the reference sees them too.
 			for i := 0; i < 300; i++ {
 				keys, measures := randomFact(rng, cfg)
 				if err := table.AddFact("Sales", keys, measures); err != nil {
@@ -291,8 +262,8 @@ func TestShardedEquivalenceRandomized(t *testing.T) {
 // MergeFinalize on both sides of the executor's dense-table constant: the
 // dense composite-key tables (Store x Family, two levels of one dimension,
 // three levels) and the hashed fallback (Store x Customer is 521² keys)
-// must merge across shards into exactly the serial unsharded answer,
-// ordered, limited and under views.
+// must merge across shards into exactly the reference answer, ordered,
+// limited and under views.
 func TestShardedMultiLevelGroupBy(t *testing.T) {
 	cfg := datagen.Config{
 		Seed: 9, States: 5, Cities: 15, Stores: 520, Customers: 520,
@@ -333,14 +304,9 @@ func TestShardedMultiLevelGroupBy(t *testing.T) {
 		}
 	}
 	serial := make([]*cube.Result, len(qs))
-	prevPacked := ds.Cube.PackedColumns()
-	ds.Cube.SetPackedColumns(false)
 	for i := range qs {
-		if serial[i], err = ds.Cube.Execute(qs[i], vs[i]); err != nil {
-			t.Fatalf("case %d: serial: %v", i, err)
-		}
+		serial[i] = cubetest.NaiveExecute(ds.Cube, qs[i], vs[i])
 	}
-	ds.Cube.SetPackedColumns(prevPacked)
 
 	for _, shards := range []int{2, 5} {
 		table := shard.New(ds.Cube, shard.Options{Shards: shards})
@@ -408,18 +374,14 @@ func TestShardedArtifactCacheAcrossBatches(t *testing.T) {
 	}
 
 	// Ingest bumps shard table versions: cached artifacts must go stale,
-	// and re-materialized results must still match the serial oracle.
+	// and re-materialized results must still match the reference.
 	keys, measures := randomFact(rng, cfg)
 	if err := table.AddFact("Sales", keys, measures); err != nil {
 		t.Fatal(err)
 	}
 	third := run("after-ingest")
 	for i, q := range qs {
-		want, err := ds.Cube.Execute(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffResults(t, fmt.Sprintf("post-ingest case %d", i), third[i], want)
+		diffResults(t, fmt.Sprintf("post-ingest case %d", i), third[i], cubetest.NaiveExecute(ds.Cube, q, nil))
 	}
 	if st := table.Stats().ArtifactCache; st.Stale == 0 {
 		t.Errorf("ingest did not invalidate cached artifacts: %+v", st)
@@ -439,11 +401,7 @@ func TestShardedArtifactCacheAcrossBatches(t *testing.T) {
 	}
 	fourth := run("after-member-mutation")
 	for i, q := range qs {
-		want, err := ds.Cube.Execute(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffResults(t, fmt.Sprintf("post-mutation case %d", i), fourth[i], want)
+		diffResults(t, fmt.Sprintf("post-mutation case %d", i), fourth[i], cubetest.NaiveExecute(ds.Cube, q, nil))
 		if len(fourth[i].Rows) != 0 {
 			// Every city's population is now 1, so the OpGt(100000) filter
 			// matches nothing — a non-empty result means a stale bitmap.

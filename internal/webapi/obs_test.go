@@ -271,9 +271,8 @@ func TestMetricsExposition(t *testing.T) {
 		"sdwp_queries_submitted_total 3",
 		"sdwp_uptime_seconds",
 		"sdwp_queue_depth",
-		// Compressed-column storage gauges: maintained unconditionally,
-		// so they are present (and non-zero for a loaded warehouse) even
-		// when packed *execution* is disabled via SDWP_PACKED_COLUMNS=0.
+		// Compressed-column storage gauges: present, and non-zero for a
+		// loaded warehouse.
 		"# TYPE sdwp_packed_kernel_scans_total counter",
 		"sdwp_packed_predicate_kernels_total",
 		"sdwp_packed_columns 4",

@@ -12,16 +12,15 @@ echo "== stress (GOMAXPROCS=${GOMAXPROCS:-default}) =="
 # specifically under the race detector.
 go test -race -count=3 ./internal/qsched/
 
-# The shared-subexpression and per-filter batch paths fill cross-worker
-# artifacts (predicate bitmaps, composed set masks) while views mutate
-# underneath; the pooled-partial pattern additionally recycles partial
+# The batch executor fills cross-worker artifacts (predicate bitmaps,
+# composed set masks) while views mutate underneath (SharedSubexpr,
+# PerFilter); the pooled-partial pattern additionally recycles partial
 # tables through the per-fact-table pool while AddFact ingest and
 # SpatialSelect churn run against the morsel-stealing scans. The Packed
 # pattern adds the compressed-column kernels: packed views held across
-# ingest-driven width repacks, word-at-a-time predicate fills racing the
-# appenders, and the packed-vs-unpacked equivalence sweeps. CI also runs
-# this whole script in an SDWP_PACKED_COLUMNS=0 cell, which flips every
-# one of these scans onto the unpacked scalar path.
+# ingest-driven width repacks and word-at-a-time predicate fills racing
+# the appenders. Every pattern's quiescent check compares against the
+# executor-independent reference (internal/cube/cubetest).
 go test -race -count=3 -run 'SharedSubexpr|PerFilter|PooledPartial|Packed' ./internal/core/ ./internal/cube/
 
 # The sharded executor interleaves scatter-gather scans with routed

@@ -140,9 +140,8 @@ type (
 	// View is a personalized window over a cube.
 	View = cube.View
 	// BatchOptions configures one shared batch scan
-	// (Cube.ExecuteBatchOpt): worker count, the cross-query
-	// subexpression-sharing and per-filter-sharing A/B switches, and an
-	// optional cross-batch artifact cache.
+	// (Cube.ExecuteBatchOpt): worker count, an optional cross-batch
+	// artifact cache, and an optional per-stage scan trace.
 	BatchOptions = cube.BatchOptions
 	// SharingStats reports how much cross-query stage work one batch scan
 	// shared (filter bitmaps — per set and per predicate — and group-key
@@ -209,31 +208,9 @@ type (
 	// ArtifactCacheStats reports the cross-batch artifact cache
 	// (SchedulerStats.ArtifactCache; EngineOptions.ArtifactCacheBytes).
 	ArtifactCacheStats = cube.ArtifactCacheStats
-	// SharedSubexprMode toggles cross-query subexpression sharing inside
-	// batch scans (EngineOptions.SharedSubexpr).
-	SharedSubexprMode = core.SharedSubexprMode
-	// PackedColumnsMode toggles compressed-column execution — packed
-	// predicate/aggregation kernels vs the unpacked scalar path
-	// (EngineOptions.PackedColumns).
-	PackedColumnsMode = core.PackedColumnsMode
 	// PackedStats reports the compressed-column storage footprint
 	// (SchedulerStats.Packed, Cube.PackedStats).
 	PackedStats = cube.PackedStats
-)
-
-// Shared-subexpression modes for EngineOptions.SharedSubexpr: sharing is
-// on by default, SharedSubexprOff restores per-query evaluation.
-const (
-	SharedSubexprOn  = core.SharedSubexprOn
-	SharedSubexprOff = core.SharedSubexprOff
-)
-
-// Packed-column modes for EngineOptions.PackedColumns: packed execution
-// is on by default, PackedColumnsOff forces the unpacked scalar path.
-// Results are identical either way.
-const (
-	PackedColumnsOn  = core.PackedColumnsOn
-	PackedColumnsOff = core.PackedColumnsOff
 )
 
 // Scheduler errors, re-exported for callers that match on them.
