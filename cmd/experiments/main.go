@@ -599,7 +599,7 @@ func runC9() {
 	// tiles coalesce into sharing-aware scans. A 300 km selection radius
 	// keeps each view broad enough (~17% of facts each, 8 clients per
 	// batch) that the executor's cost heuristic materializes the shared
-	// artifacts; narrower views deliberately stay on the fused path —
+	// artifacts; narrower views deliberately keep stage 1 per query —
 	// sharing never regresses them — while the sharing ratios report the
 	// workload's shareability either way.
 	const clients = 8

@@ -29,10 +29,13 @@ import (
 // keys (every packed column starts at width 1), then concurrent ingest
 // ramps the keys so each column overflows its bit width several times —
 // each overflow repacks into a fresh word array — while parallel batch
-// scans hold packed views taken at compile time. A scan reading past its
-// compile-time bound, or through a torn repack, breaks the SUM ==
-// MatchedFacts identity below (every fact carries UnitSales 1) or the
-// quiescent equality against the reference.
+// scans hold packed views taken at compile time, and lone filtered
+// queries fill their own stage-1 bitmaps from those views. A scan reading
+// past its compile-time bound, or through a torn repack, breaks the SUM ==
+// MatchedFacts identity below (every fact carries UnitSales 1), the
+// filtered queries' match counts (the key sequence is deterministic, so
+// the facts passing in any scanned prefix are known), or the quiescent
+// equality against the reference.
 func TestPackedRepackUnderIngestRespectsScanBound(t *testing.T) {
 	const (
 		stores    = 400 // forces Store-key widths 1 through 9 bits
@@ -57,7 +60,10 @@ func TestPackedRepackUnderIngestRespectsScanBound(t *testing.T) {
 	}
 	seg := mustAdd("Customer", "Segment", "Retail", cube.NoParent)
 	for i := 0; i < customers; i++ {
-		mustAdd("Customer", "Customer", fmt.Sprintf("Cust%04d", i), seg)
+		cu := mustAdd("Customer", "Customer", fmt.Sprintf("Cust%04d", i), seg)
+		if err := c.SetMemberAttr("Customer", "Customer", cu, "age", float64(18+i%70)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fam := mustAdd("Product", "Family", "Food", cube.NoParent)
 	for i := 0; i < products; i++ {
@@ -94,6 +100,38 @@ func TestPackedRepackUnderIngestRespectsScanBound(t *testing.T) {
 		{Fact: "Sales",
 			GroupBy:    []cube.LevelRef{{Dimension: "Store", Level: "Store"}, {Dimension: "Time", Level: "Day"}},
 			Aggregates: []cube.MeasureAgg{{Measure: "UnitSales", Agg: cube.AggSum}, {Agg: cube.AggCount}}},
+	}
+
+	// Lone filtered queries: a sparse code set on Customer (age < 40 holds
+	// for customers i%70 < 22) and a contiguous one on Store (the first
+	// 200 stores). Fact j's keys are j%2 for j < seed, then (j-seed) modulo
+	// each dimension's cardinality, so wantMatched counts the facts of a
+	// scanned prefix that pass.
+	const seed = 1500
+	young := cube.AttrFilter{LevelRef: cube.LevelRef{Dimension: "Customer", Level: "Customer"},
+		Attr: "age", Op: cube.OpLt, Value: 40.0}
+	low := cube.AttrFilter{LevelRef: cube.LevelRef{Dimension: "Store", Level: "Store"},
+		Attr: "name", Op: cube.OpLt, Value: "Store0200"}
+	lone := []cube.Query{
+		{Fact: "Sales", GroupBy: []cube.LevelRef{{Dimension: "Store", Level: "Store"}},
+			Aggregates: []cube.MeasureAgg{{Measure: "UnitSales", Agg: cube.AggSum}},
+			Filters:    []cube.AttrFilter{young}},
+		{Fact: "Sales", GroupBy: []cube.LevelRef{{Dimension: "Time", Level: "Day"}},
+			Aggregates: []cube.MeasureAgg{{Measure: "UnitSales", Agg: cube.AggSum}},
+			Filters:    []cube.AttrFilter{young, low}},
+	}
+	wantMatched := func(q cube.Query, scanned int) int {
+		n := min(scanned, seed) // the seed facts pass both predicates
+		for i := 0; i < scanned-seed; i++ {
+			pass := i%customers%70 < 22
+			if len(q.Filters) > 1 {
+				pass = pass && i%stores < 200
+			}
+			if pass {
+				n++
+			}
+		}
+		return n
 	}
 
 	stop := make(chan struct{})
@@ -148,6 +186,23 @@ func TestPackedRepackUnderIngestRespectsScanBound(t *testing.T) {
 						return
 					}
 				}
+				for i, q := range lone {
+					res, err := e.ExecuteBatch([]cube.Query{q}, nil)
+					if err != nil {
+						errs <- err
+						return
+					}
+					r := res[0]
+					var sum float64
+					for _, row := range r.Rows {
+						sum += row.Values[0]
+					}
+					if want := wantMatched(q, r.ScannedFacts); r.MatchedFacts != want || sum != float64(want) {
+						errs <- fmt.Errorf("lone query %d over %d facts: matched %d, total %v, want %d",
+							i, r.ScannedFacts, r.MatchedFacts, sum, want)
+						return
+					}
+				}
 			}
 		}()
 	}
@@ -161,6 +216,7 @@ func TestPackedRepackUnderIngestRespectsScanBound(t *testing.T) {
 
 	// Quiescent: the packed batch path equals the reference over the
 	// fully repacked columns.
+	qs = append(qs, lone...)
 	res, err := e.ExecuteBatch(qs, nil)
 	if err != nil {
 		t.Fatal(err)

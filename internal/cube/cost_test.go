@@ -18,12 +18,15 @@ import (
 
 // costTestBatch builds a batch with overlapping filter sets and repeated
 // groupings so the staged scan materializes shared bitmaps and key
-// columns (several queries per artifact, enough mass to pay for staging).
+// columns (several queries per artifact, enough mass to pay for staging),
+// plus one query whose filter set is unique: it owns its bitmap alone.
 func costTestBatch() []cube.Query {
 	shared := cube.AttrFilter{LevelRef: cube.LevelRef{Dimension: "Store", Level: "City"},
 		Attr: "population", Op: cube.OpGt, Value: float64(100000)}
 	young := cube.AttrFilter{LevelRef: cube.LevelRef{Dimension: "Customer", Level: "Customer"},
 		Attr: "age", Op: cube.OpLe, Value: float64(35)}
+	old := cube.AttrFilter{LevelRef: cube.LevelRef{Dimension: "Customer", Level: "Customer"},
+		Attr: "age", Op: cube.OpGt, Value: float64(55)}
 	agg := []cube.MeasureAgg{{Measure: "UnitSales", Agg: cube.AggSum}}
 	var qs []cube.Query
 	for _, fs := range [][]cube.AttrFilter{nil, {shared}, {shared, young}} {
@@ -33,14 +36,14 @@ func costTestBatch() []cube.Query {
 				Aggregates: agg, Filters: fs})
 		}
 	}
-	return qs
+	return append(qs, cube.Query{Fact: "Sales", Aggregates: agg, Filters: []cube.AttrFilter{old}})
 }
 
 // checkCostConservation asserts the attribution sums for one executed
 // batch against its sharing stats and per-result scan counters.
 func checkCostConservation(t *testing.T, label string, res []*cube.Result, stats cube.SharingStats) {
 	t.Helper()
-	var bitmap, keyCol, saved int64
+	var bitmap, keyCol int64
 	for i, r := range res {
 		c := r.Cost
 		if c.FactsScanned != int64(r.ScannedFacts) {
@@ -60,7 +63,6 @@ func checkCostConservation(t *testing.T, label string, res []*cube.Result, stats
 		}
 		bitmap += c.BitmapBytes
 		keyCol += c.KeyColBytes
-		saved += c.SharedSavedBytes
 	}
 	if bitmap != stats.BitmapBytesBuilt {
 		t.Errorf("%s: Σ BitmapBytes %d != BitmapBytesBuilt %d (leaked or double-charged)",
@@ -69,9 +71,6 @@ func checkCostConservation(t *testing.T, label string, res []*cube.Result, stats
 	if keyCol != stats.KeyColBytesBuilt {
 		t.Errorf("%s: Σ KeyColBytes %d != KeyColBytesBuilt %d (leaked or double-charged)",
 			label, keyCol, stats.KeyColBytesBuilt)
-	}
-	if built := stats.BitmapBytesBuilt + stats.KeyColBytesBuilt; built > 0 && saved == 0 {
-		t.Errorf("%s: artifacts were shared (%d bytes built) but no sharing discount recorded", label, built)
 	}
 }
 
@@ -99,7 +98,8 @@ func TestBatchCostConservation(t *testing.T) {
 
 // TestBatchCostChargesSharedArtifacts checks the attribution is not
 // trivially zero: the default sharing mode on this batch materializes
-// both bitmap and key-column artifacts and charges them out.
+// both bitmap and key-column artifacts, charges them out, and credits
+// their sharers the discount.
 func TestBatchCostChargesSharedArtifacts(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Config{
 		Seed: 11, States: 5, Cities: 15, Stores: 80, Customers: 60,
@@ -116,12 +116,16 @@ func TestBatchCostChargesSharedArtifacts(t *testing.T) {
 	if stats.BitmapBytesBuilt == 0 && stats.KeyColBytesBuilt == 0 {
 		t.Fatalf("sharing batch built no artifacts: %+v", stats)
 	}
-	var charged int64
+	var charged, saved int64
 	for _, r := range res {
 		charged += r.Cost.BitmapBytes + r.Cost.KeyColBytes
+		saved += r.Cost.SharedSavedBytes
 	}
 	if charged == 0 {
 		t.Error("artifacts were built but no query was charged")
+	}
+	if saved == 0 {
+		t.Error("artifacts were shared but no sharing discount recorded")
 	}
 }
 
@@ -159,5 +163,42 @@ func TestCachedArtifactsChargeNothing(t *testing.T) {
 	if bitmap != lastStats.BitmapBytesBuilt {
 		t.Errorf("cache-hit run charged %d bitmap bytes but built %d — cached artifacts must charge nothing",
 			bitmap, lastStats.BitmapBytesBuilt)
+	}
+}
+
+// TestLoneOwnedBitmapCost pins the attribution of a bitmap one query owns
+// alone: in a batch beside shared artifacts and as a lone query, the
+// query is charged the whole bitmap with no sharing discount, and the
+// batch's conservation law still holds.
+func TestLoneOwnedBitmapCost(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Config{
+		Seed: 12, States: 5, Cities: 15, Stores: 80, Customers: 60,
+		Products: 30, Days: 30, Sales: 4000,
+		AirportEvery: 5, TrainLines: 4, Hospitals: 5, Highways: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := costTestBatch()
+	own := qs[len(qs)-1]
+	bitmap := int64((ds.Cube.FactData("Sales").Len() + 7) / 8)
+	for _, workers := range []int{1, 3} {
+		label := fmt.Sprintf("workers=%d", workers)
+		res, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		checkCostConservation(t, label, res, stats)
+		if c := res[len(res)-1].Cost; c.BitmapBytes != bitmap || c.SharedSavedBytes != 0 {
+			t.Errorf("%s: unique-set query charged %+v, want its whole %d-byte bitmap and no discount", label, c, bitmap)
+		}
+		lone, stats, err := ds.Cube.ExecuteBatchOpt([]cube.Query{own}, nil, cube.BatchOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if c := lone[0].Cost; c.BitmapBytes != bitmap || stats.BitmapBytesBuilt != bitmap || c.SharedSavedBytes != 0 {
+			t.Errorf("%s: lone query charged %+v of %d bytes built, want its whole %d-byte bitmap",
+				label, c, stats.BitmapBytesBuilt, bitmap)
+		}
 	}
 }

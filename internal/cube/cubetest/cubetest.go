@@ -4,6 +4,7 @@
 package cubetest
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -19,7 +20,7 @@ import (
 // match whenever per-group sums are exact) and orders rows by the
 // documented total order: OrderBy value, then group names level by level,
 // then member indices. Result.Cost is left zero. q must be valid for c;
-// filter values are compared as strings (= and <> only) or float64.
+// filter values are compared as strings or float64.
 func NaiveExecute(c *cube.Cube, q cube.Query, v *cube.View) *cube.Result {
 	fd := c.FactData(q.Fact)
 	type level struct {
@@ -45,23 +46,9 @@ func NaiveExecute(c *cube.Cube, q cube.Query, v *cube.View) *cube.Result {
 			return false
 		}
 		if s, isStr := val.(string); isStr {
-			return (s == f.Value.(string)) == (f.Op == cube.OpEq)
+			return holds(s, f.Op, f.Value.(string))
 		}
-		a, b := val.(float64), f.Value.(float64)
-		switch f.Op {
-		case cube.OpEq:
-			return a == b
-		case cube.OpNe:
-			return a != b
-		case cube.OpLt:
-			return a < b
-		case cube.OpLe:
-			return a <= b
-		case cube.OpGt:
-			return a > b
-		default:
-			return a >= b
-		}
+		return holds(val.(float64), f.Op, f.Value.(float64))
 	}
 
 	type group struct {
@@ -171,4 +158,23 @@ facts:
 		res.Rows = append(res.Rows, row)
 	}
 	return res
+}
+
+// holds applies a filter operator to an attribute value a and the
+// filter's constant b.
+func holds[T cmp.Ordered](a T, op cube.FilterOp, b T) bool {
+	switch op {
+	case cube.OpEq:
+		return a == b
+	case cube.OpNe:
+		return a != b
+	case cube.OpLt:
+		return a < b
+	case cube.OpLe:
+		return a <= b
+	case cube.OpGt:
+		return a > b
+	default:
+		return a >= b
+	}
 }

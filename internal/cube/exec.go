@@ -67,8 +67,10 @@ func chunkCount(n int) int {
 // it is materialized as an artifact — predicate bitmaps AND-composed into
 // one mask per distinct filter set, one composite roll-up key column per
 // distinct group-by list, keyed by the sub-fingerprints in fingerprint.go
-// — and every query's stage 3 runs off it; otherwise the stages stay fused
-// per fact (process).
+// — and every query's stage 3 runs off it. A filtered query no artifact
+// covers gets a stage-1 bitmap of its own (fillOwnMasks), so stage 1 runs
+// on the packed predicate kernels whoever shares it; only a query over a
+// sparse view keeps the stages fused per visible fact (process).
 
 // groupSpec is one resolved group-by level. anc maps each finest-level
 // member to its ancestor at the group level (the roll-up cache), and keys
@@ -227,6 +229,47 @@ func (fs *filterSpec) materializePredicateMask(lo, hi int, out *bitset.Set) {
 	}
 }
 
+// fillFilterMask is stage 1 of one query over facts [lo, hi) into its own
+// bitmap m, zero there on entry: the conjunction of the plan's distinct
+// predicates, each filled by materializePredicateMask — the first straight
+// into m, every further one into scratch and ANDed in word by word — then
+// narrowed by the view (nil = whole table; facts past the view's length
+// are invisible, as they are to a walk of its set bits). lo is word-aligned
+// and hi is word-aligned or the scan bound, as parallelFill's chunks are,
+// so workers filling disjoint chunks write disjoint words of m and scratch.
+func (p *queryPlan) fillFilterMask(lo, hi int, m, scratch, view *bitset.Set) {
+	loW, hiW := lo>>6, (hi+63)>>6
+	mw := m.Words()[loW:hiW]
+	first := true
+	for fi := range p.filters {
+		if p.repeatsFilter(fi) {
+			continue
+		}
+		fs := &p.filters[fi]
+		if first {
+			fs.materializePredicateMask(lo, hi, m)
+			first = false
+			continue
+		}
+		sw := scratch.Words()[loW:hiW]
+		clear(sw)
+		fs.materializePredicateMask(lo, hi, scratch)
+		for i, w := range sw {
+			mw[i] &= w
+		}
+	}
+	if view != nil {
+		vw := view.Words()
+		for i := range mw {
+			if wi := loW + i; wi < len(vw) {
+				mw[i] &= vw[wi]
+			} else {
+				mw[i] = 0
+			}
+		}
+	}
+}
+
 // queryPlan is a validated, resolved query: every name bound to column
 // data, ready to scan. Plans are read-only after compile, so any number of
 // workers can share one.
@@ -281,6 +324,17 @@ func (p *queryPlan) matchFact(i int32) bool {
 		}
 	}
 	return true
+}
+
+// repeatsFilter reports whether filter fi repeats an earlier filter of the
+// plan (an equal predicate sub-fingerprint): a conjunction needs it once.
+func (p *queryPlan) repeatsFilter(fi int) bool {
+	for j := range fi {
+		if p.filters[j].key == p.filters[fi].key {
+			return true
+		}
+	}
+	return false
 }
 
 // matchResidual evaluates only the filters at the given indices — the
@@ -386,7 +440,13 @@ func (c *Cube) compile(q Query) (*queryPlan, error) {
 			key: f.Fingerprint()}
 	}
 	if len(p.filters) > 0 {
-		p.filterKey = q.FilterFingerprint()
+		// q.FilterFingerprint, combined from the predicate keys in hand
+		// instead of fingerprinting every predicate a second time.
+		keys := make([]string, len(p.filters))
+		for i := range p.filters {
+			keys[i] = p.filters[i].key
+		}
+		p.filterKey = CombinePredicateFingerprints(keys)
 	}
 	p.kern = selectKernel(p)
 	p.bindPacked(fd)
@@ -603,7 +663,8 @@ func (pt *partial) newCell() int32 {
 }
 
 // process folds fact instance i into the partial: the fused form of the
-// three-stage pipeline (filter, decode, accumulate — one fact at a time).
+// three-stage pipeline (filter, decode, accumulate — one fact at a time),
+// which only a filtered query over a sparse view still runs.
 func (pt *partial) process(i int32, d *scanDrive) {
 	pt.scanned++
 	if !pt.p.matchFact(i) {
@@ -641,49 +702,48 @@ func (pt *partial) accumulateFact(i int32, d *scanDrive) {
 	}
 }
 
-// scanFused folds facts [lo, hi) into the partial with all three stages
-// fused per fact, visiting only mask bits when a view mask is given (nil
-// mask = the whole table). The drive carries a shared key column when the
-// staged scan materialized stage 2 only. A plan with a specialized stage-3
-// kernel runs it where the shape allows — whole-range or mask-driven
-// accumulation, and per-fact after a fused filter pass — with
-// scanned/matched kept exactly as the generic path counts them.
-func (pt *partial) scanFused(lo, hi int, mask *bitset.Set, d *scanDrive) {
-	if p := pt.p; p.kern != kernGeneric {
-		if mask == nil {
-			if len(p.filters) == 0 {
-				pt.scanned += hi - lo
-				pt.matched += hi - lo
-				pt.accumRange(lo, hi, d)
-				return
-			}
-			for i := lo; i < hi; i++ {
-				pt.scanned++
-				if p.matchFact(int32(i)) {
-					pt.matched++
-					pt.accumOne(int32(i), d)
-				}
-			}
-			return
+// accumulate is stage 3 over facts [lo, hi) that passed stage 1: the set
+// bits of m, or every fact when m is nil. A plan with a specialized kernel
+// runs it (accumRange, accumMask); the rest fold accumulateFact per fact.
+func (pt *partial) accumulate(m *bitset.Set, lo, hi int, d *scanDrive) {
+	switch {
+	case pt.p.kern != kernGeneric && m == nil:
+		pt.accumRange(lo, hi, d)
+	case pt.p.kern != kernGeneric:
+		pt.accumMask(m, lo, hi, d)
+	case m == nil:
+		for i := lo; i < hi; i++ {
+			pt.accumulateFact(int32(i), d)
 		}
-		if len(p.filters) == 0 {
-			c := mask.CountRange(lo, hi)
-			pt.scanned += c
-			pt.matched += c
-			pt.accumMask(mask, lo, hi, d)
-			return
-		}
+	default:
+		m.ForEachRange(lo, hi, func(i int) bool {
+			pt.accumulateFact(int32(i), d)
+			return true
+		})
 	}
-	if mask != nil {
+}
+
+// scanFused folds facts [lo, hi) of a query that has no stage-1 bitmap
+// into the partial. An unfiltered query accumulates every fact of the
+// range (nil mask) or of its view mask. A filtered one has no bitmap only
+// over a sparse view (fillOwnMasks' sparseViewK side), and walks the
+// view's set bits with all three stages fused per fact. The drive carries
+// a shared key column when the staged scan materialized stage 2.
+func (pt *partial) scanFused(lo, hi int, mask *bitset.Set, d *scanDrive) {
+	if len(pt.p.filters) > 0 {
 		mask.ForEachRange(lo, hi, func(i int) bool {
 			pt.process(int32(i), d)
 			return true
 		})
 		return
 	}
-	for i := lo; i < hi; i++ {
-		pt.process(int32(i), d)
+	c := hi - lo
+	if mask != nil {
+		c = mask.CountRange(lo, hi)
 	}
+	pt.scanned += c
+	pt.matched += c
+	pt.accumulate(mask, lo, hi, d)
 }
 
 // merge folds src into pt. Callers merge the per-worker partials in worker
@@ -937,7 +997,8 @@ func forEachMorsel(cur *atomic.Int64, chunks, n int, body func(lo, hi int)) {
 // partial table; partials are merged in worker order before ordering/limit.
 // workers <= 1 is the serial fallback (identical to Execute); workers < 0
 // uses one worker per logical CPU. It is the batch executor over a batch
-// of one: a lone query never shares an artifact, so its stages stay fused.
+// of one: a filtered query fills its own stage-1 bitmap with the packed
+// predicate kernels and accumulates off it (fillOwnMasks).
 func (c *Cube) ExecuteParallel(q Query, v *View, workers int) (*Result, error) {
 	p, err := c.compile(q)
 	if err != nil {

@@ -7,9 +7,9 @@ package cube_test
 // release path does return artifacts to the per-table pools. This test
 // pins that conclusion: once the pools are warm, a sharing batch may not
 // allocate meaningfully more bytes per run than the same queries run one
-// by one (lone queries materialize no artifacts), so a future regression
-// in releaseArtifacts (or in partial pooling) fails here instead of only
-// drifting the benchmark trajectory.
+// by one (each lone query takes only its own pooled bitmap), so a future
+// regression in releaseArtifacts (or in partial pooling) fails here
+// instead of only drifting the benchmark trajectory.
 
 import (
 	"runtime"

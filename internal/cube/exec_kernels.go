@@ -259,27 +259,3 @@ func (pt *partial) accumWord(w uint64, base int32, d *scanDrive) {
 		}
 	}
 }
-
-// accumOne folds a single already-matched fact through the plan's kernel
-// — stage 3 of the fused filter path. Callers must only invoke it when
-// p.kern != kernGeneric.
-func (pt *partial) accumOne(i int32, d *scanDrive) {
-	off := pt.cellFor(d.key(i))
-	switch pt.p.kern {
-	case kernSum:
-		pt.recs[off+kernCellSum] += d.col[i]
-	case kernCount:
-		pt.recs[off+cellCount]++
-	case kernAvg:
-		pt.recs[off+cellCount]++
-		pt.recs[off+kernCellSum] += d.col[i]
-	case kernMin:
-		if mv := d.col[i]; mv < pt.recs[off+kernCellMin] {
-			pt.recs[off+kernCellMin] = mv
-		}
-	case kernMax:
-		if mv := d.col[i]; mv > pt.recs[off+kernCellMax] {
-			pt.recs[off+kernCellMax] = mv
-		}
-	}
-}

@@ -155,10 +155,13 @@ func TestPartialPoolNoStateBleed(t *testing.T) {
 			pHash.denseCells, pDense.denseCells, pSingle.denseCells, pSingle.kern)
 	}
 
-	n := pHash.fd.n
+	// run drives one plan's pipeline over the whole table into pt: the
+	// filtered plan's own stage-1 bitmap, then stage 3.
 	run := func(p *queryPlan, pt *partial) *Result {
-		d := p.drive(nil)
-		pt.scanFused(0, n, nil, &d)
+		scans := []queryScan{planScan(p, nil, nil)}
+		fillOwnMasks([]*queryPlan{p}, scans, p.n, 1, &SharingStats{}, nil)
+		pt.scanRangeStaged(0, p.n, &scans[0])
+		releaseArtifacts(p.fd, nil, scans)
 		return p.finalize(pt)
 	}
 	want := map[*queryPlan]*Result{}
@@ -234,13 +237,43 @@ func TestBatchPartialPoolReuseStats(t *testing.T) {
 // TestSingleWorkerSharedArtifactsReturnToPools audits the workers=1
 // staged-path release discipline end to end: after a sharing batch whose
 // filter bitmap and key column materialized, both artifacts — and the
-// scan's partials — must be back in their per-table pools.
+// scan's partials — must be back in their per-table pools; after a lone
+// filtered query, its own stage-1 bitmap must be. The pool-identity
+// checks are off under the race detector, which makes sync.Pool drop a
+// random quarter of its Puts; the scans still run there.
 func TestSingleWorkerSharedArtifactsReturnToPools(t *testing.T) {
 	c := testWarehouse(t)
+	fd := c.FactData("Sales")
 	filt := []AttrFilter{{
 		LevelRef: LevelRef{"Store", "City"}, Attr: "population",
 		Op: OpGt, Value: 300000.0,
 	}}
+	// drain empties the pools, so a later Get can only return what the
+	// next scan put back.
+	drain := func() {
+		for fd.maskPool.Get() != nil {
+		}
+		for fd.colPool.Get() != nil {
+		}
+		for fd.partialPool.Get() != nil {
+		}
+	}
+	returned := func(label string, keyCol bool) {
+		t.Helper()
+		if raceEnabled {
+			return
+		}
+		if v, ok := fd.maskPool.Get().(*bitset.Set); !ok || v.Len() != fd.n {
+			t.Errorf("%s: filter bitmap was not returned to maskPool after the single-worker scan", label)
+		}
+		if v, ok := fd.colPool.Get().(*[]int32); keyCol && (!ok || len(*v) != fd.n) {
+			t.Errorf("%s: key column was not returned to colPool after the single-worker scan", label)
+		}
+		if _, ok := fd.partialPool.Get().(*partial); !ok {
+			t.Errorf("%s: partials were not returned to partialPool after finalize", label)
+		}
+	}
+
 	// Two queries sharing filter set and grouping: combined visible mass
 	// 2n > n, so both the set bitmap and the City key column materialize.
 	qs := []Query{
@@ -257,6 +290,7 @@ func TestSingleWorkerSharedArtifactsReturnToPools(t *testing.T) {
 			Filters:    filt,
 		},
 	}
+	drain()
 	_, st, err := c.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -264,41 +298,66 @@ func TestSingleWorkerSharedArtifactsReturnToPools(t *testing.T) {
 	if st.DistinctFilterSets != 1 || st.DistinctGroupings != 1 {
 		t.Fatalf("batch did not share as expected: %+v", st)
 	}
-	fd := c.FactData("Sales")
-	if v, ok := fd.maskPool.Get().(*bitset.Set); !ok || v.Len() != fd.n {
-		t.Error("filter bitmap was not returned to maskPool after the single-worker scan")
+	returned("sharing batch", true)
+
+	// A lone filtered query: nothing is shared, so it fills its own bitmap.
+	drain()
+	res, err := c.ExecuteParallel(qs[0], nil, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v, ok := fd.colPool.Get().(*[]int32); !ok || len(*v) != fd.n {
-		t.Error("key column was not returned to colPool after the single-worker scan")
+	if res.Cost.BitmapBytes != maskBytes(bitset.New(fd.n)) || res.MatchedFacts == 0 {
+		t.Fatalf("lone filtered query built no bitmap of its own: %+v", res)
 	}
-	if _, ok := fd.partialPool.Get().(*partial); !ok {
-		t.Error("partials were not returned to partialPool after finalize")
-	}
+	returned("lone filtered query", false)
 }
 
 // TestLoneStatsMatchesPlanner pins the lone-query shortcut of
-// scanSharedStaged: the statistics it reports without running the
-// artifact planner must equal what buildArtifacts reports for the same
-// batch of one — repeated predicates count once, and nothing is built.
+// scanSharedStaged: what it reports and builds without running the
+// artifact planner must equal what buildArtifacts and planScan give the
+// same batch of one — repeated predicates count once, the planner builds
+// nothing, and both routes hand a filtered query the same own bitmap
+// through fillOwnMasks (with and without a view).
 func TestLoneStatsMatchesPlanner(t *testing.T) {
 	c := testWarehouse(t)
 	pop := AttrFilter{LevelRef: LevelRef{"Store", "City"}, Attr: "population", Op: OpGt, Value: 300000.0}
 	size := AttrFilter{LevelRef: LevelRef{"Store", "Store"}, Attr: "size", Op: OpGe, Value: 1.0}
+	small := AttrFilter{LevelRef: LevelRef{"Store", "City"}, Attr: "population", Op: OpLt, Value: 300000.0}
 	sum := []MeasureAgg{{Measure: "UnitSales", Agg: AggSum}}
+	n := c.FactData("Sales").n
 	for i, q := range []Query{
 		{Fact: "Sales", Aggregates: sum},
 		{Fact: "Sales", Aggregates: sum, GroupBy: []LevelRef{{"Store", "City"}}},
 		{Fact: "Sales", Aggregates: sum, Filters: []AttrFilter{pop}},
 		{Fact: "Sales", Aggregates: sum, Filters: []AttrFilter{pop, size, pop},
 			GroupBy: []LevelRef{{"Store", "State"}, {"Time", "Month"}}},
+		{Fact: "Sales", Aggregates: []MeasureAgg{{Agg: AggCount}, {Measure: "StoreCost", Agg: AggMax}},
+			Filters: []AttrFilter{small, size}, GroupBy: []LevelRef{{"Time", "Day"}}},
 	} {
 		p, err := c.compile(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, want := buildArtifacts([]*queryPlan{p}, []*bitset.Set{nil}, 1, p.n, BatchOptions{}, nil, nil)
-		if got := loneStats(p); got != want {
-			t.Errorf("query %d: loneStats = %+v, buildArtifacts = %+v", i, got, want)
+		for _, view := range []*bitset.Set{nil, bitset.FromIndices(n, []int{0, 2, 3})} {
+			lone := []queryScan{planScan(p, view, nil)}
+			got := loneStats(p)
+			fillOwnMasks([]*queryPlan{p}, lone, p.n, 1, &got, nil)
+			art, want := buildArtifacts([]*queryPlan{p}, []*bitset.Set{view}, 1, p.n, BatchOptions{}, nil, nil)
+			planned := []queryScan{planScan(p, view, art)}
+			fillOwnMasks([]*queryPlan{p}, planned, p.n, 1, &want, nil)
+			label := fmt.Sprintf("query %d view %v", i, view)
+			if got != want {
+				t.Errorf("%s: lone route stats = %+v, planner route = %+v", label, got, want)
+			}
+			if filtered := p.filterKey != ""; (got.BitmapBytesBuilt > 0) != filtered || lone[0].prefiltered != filtered {
+				t.Errorf("%s: filtered=%v but built %d bitmap bytes, prefiltered=%v",
+					label, filtered, got.BitmapBytesBuilt, lone[0].prefiltered)
+			}
+			if lone[0].prefiltered != planned[0].prefiltered || !lone[0].iter.Equal(planned[0].iter) {
+				t.Errorf("%s: routes built different stage-1 masks: %v vs %v", label, lone[0].iter, planned[0].iter)
+			}
+			releaseArtifacts(p.fd, nil, lone)
+			releaseArtifacts(p.fd, art, planned)
 		}
 	}
 }

@@ -21,12 +21,16 @@ import (
 // paper's core workload — then pay the filter evaluation and group-key
 // decode once per batch instead of once per query.
 //
-// Artifacts are only materialized when they pay for themselves (at least
-// two sharing queries whose combined visible fact mass exceeds a full
-// table pass — see buildArtifacts); a query whose filter set or group-by
-// is unique in the batch, a batch of narrowly personalized views, or a
-// lone query (a batch of one) keeps the fused per-fact path
-// (partial.scanFused) and pays nothing for the staging. Materialized
+// Shared artifacts are only materialized when they pay for themselves (at
+// least two sharing queries whose combined visible fact mass exceeds a
+// full table pass — see buildArtifacts). A filtered query no artifact
+// covers — a lone query (a batch of one), or one whose filter set is
+// unique in its batch — still runs stage 1 ahead of stage 3, into a bitmap
+// of its own filled by the same packed predicate kernels (fillOwnMasks):
+// a shared scan with one consumer. Only a filtered query over a sparse
+// view, whose few visible facts cost less to test one by one than a
+// whole-table fill, keeps the fused per-fact path (partial.scanFused); a
+// group-by unique in the batch decodes its keys inline. Materialized
 // artifacts are also the natural per-shard exchange unit once the fact
 // table is sharded across processes.
 
@@ -95,13 +99,18 @@ type queryScan struct {
 	// per-chunk popcount is the query's ScannedFacts contribution.
 	view *bitset.Set
 	// iter is the mask accumulation iterates. With pre-applied filters it
-	// is filterMask ∩ view (or partialMask ∩ view); otherwise it is view
-	// and matchFact runs inline. nil iterates every fact.
+	// is filterMask ∩ view, partialMask ∩ view, or the query's own
+	// stage-1 bitmap; otherwise it is view (and a filtered query over a
+	// sparse view runs matchFact inline). nil iterates every fact.
 	iter *bitset.Set
 	// prefiltered marks that iter already encodes the filters (all of
 	// them when residual is empty), so fully matched facts are counted by
 	// popcount instead of per-fact evaluation.
 	prefiltered bool
+	// ownIter marks an iter taken from the mask pool for this query alone
+	// (an own stage-1 bitmap or an intersection with the view), which
+	// releaseArtifacts returns to the pool.
+	ownIter bool
 	// residual lists the plan's filter indices NOT encoded in iter — the
 	// predicates of a partially composed mask that must still be
 	// evaluated per fact (over the already-narrowed iteration domain).
@@ -120,7 +129,8 @@ func (pt *partial) scanRangeStaged(lo, hi int, qs *queryScan) {
 		// the view's popcount (identical to the fused path, which counts
 		// every visible fact it visits), and only facts passing the
 		// encoded predicates are visited at all (iter is never nil here —
-		// a prefiltered query always has a filter bitmap).
+		// a prefiltered query always has a filter bitmap: a shared set or
+		// partial mask, or its own).
 		if qs.view == nil {
 			pt.scanned += hi - lo
 		} else {
@@ -140,18 +150,11 @@ func (pt *partial) scanRangeStaged(lo, hi int, qs *queryScan) {
 			return
 		}
 		pt.matched += qs.iter.CountRange(lo, hi)
-		if pt.p.kern != kernGeneric {
-			pt.accumMask(qs.iter, lo, hi, &d)
-			return
-		}
-		qs.iter.ForEachRange(lo, hi, func(i int) bool {
-			pt.accumulateFact(int32(i), &d)
-			return true
-		})
+		pt.accumulate(qs.iter, lo, hi, &d)
 		return
 	}
-	// Filters (if any) stay fused, but stage 2 may still come from the
-	// shared key column.
+	// No stage-1 bitmap: unfiltered, or filtered over a sparse view. Stage
+	// 2 may still come from the shared key column.
 	pt.scanFused(lo, hi, qs.view, &d)
 }
 
@@ -243,13 +246,13 @@ func (sf *setFill) refine(lo, hi int) {
 //
 // An artifact is materialized only when it pays for itself: it needs at
 // least two sharing queries, and the sharing queries' combined fact mass
-// must exceed one full-table pass — a batch of narrowly personalized
-// views evaluates less work fused per query than one whole-table
-// materialization would cost, so it keeps the fused path. Filter masks
-// weigh view-mask popcounts (stage 1 runs on every visible fact); key
-// columns are decided after the filter masks are filled, so a filtered
-// query weighs the popcount of its materialized filter mask rather than
-// its full visible mass (stage 2 runs only on facts that passed stage 1).
+// must exceed one full-table pass; below that, each query keeps stage 1
+// to itself (fillOwnMasks: its own bitmap, or the fused walk over a
+// sparse view). Filter masks weigh view-mask popcounts (stage 1 runs on
+// every visible fact); key columns are decided after the filter masks are
+// filled, so a filtered query weighs the popcount of its materialized
+// filter mask rather than its full visible mass (stage 2 runs only on
+// facts that passed stage 1).
 // Results are byte-identical whichever way the decision goes.
 //
 // Stage 1 is decomposed per predicate: each distinct single AttrFilter that
@@ -590,8 +593,9 @@ func buildFilterMasksPerPredicate(art *sharedArtifacts, stats *SharingStats,
 	}
 }
 
-// planScan builds one query's accumulation drive from the artifacts (nil
-// art: none were planned, every stage stays fused).
+// planScan builds one query's accumulation drive from the shared artifacts
+// (nil art: none were planned). A filtered query it leaves unprefiltered
+// is fillOwnMasks' to decide.
 func planScan(p *queryPlan, view *bitset.Set, art *sharedArtifacts) queryScan {
 	qs := queryScan{view: view, iter: view}
 	if art == nil {
@@ -600,8 +604,8 @@ func planScan(p *queryPlan, view *bitset.Set, art *sharedArtifacts) queryScan {
 	// A hashed or group-less plan has no groupKey, hence no column.
 	qs.keyCol = art.keyCols[p.groupKey]
 	// A view mask sized before AddFact grew the table cannot be
-	// intersected with a bitmap at the current capacity; such a query
-	// keeps the fused path (ForEachRange clamps the walk to the mask).
+	// intersected with a bitmap at the current capacity; such a query is
+	// left to fillOwnMasks, whose fill clamps the view to its length.
 	if fm := art.filterMasks[p.filterKey]; fm != nil && (view == nil || view.Len() == fm.Len()) {
 		qs.prefiltered = true
 		if view == nil {
@@ -611,7 +615,7 @@ func planScan(p *queryPlan, view *bitset.Set, art *sharedArtifacts) queryScan {
 			// artifacts at scan end).
 			eff := art.fd.getMask()
 			eff.AndInto(fm, view)
-			qs.iter = eff
+			qs.iter, qs.ownIter = eff, true
 		}
 	} else if pm := art.partialMasks[p.filterKey]; pm != nil && (view == nil || view.Len() == pm.Len()) {
 		// Partially composed set: iterate the AND of the available
@@ -630,26 +634,26 @@ func planScan(p *queryPlan, view *bitset.Set, art *sharedArtifacts) queryScan {
 		} else {
 			eff := art.fd.getMask()
 			eff.AndInto(pm, view)
-			qs.iter = eff
+			qs.iter, qs.ownIter = eff, true
 		}
 	}
 	return qs
 }
 
-// releaseArtifacts returns the scan's pooled buffers — shared bitmaps, key
-// columns, and the per-query intersection masks — once no partial needs
-// them (after the final merge; Results never reference artifacts).
-// Cache-owned artifacts are skipped: the cross-batch cache keeps them for
-// future scans (possibly reading them concurrently), so pooling them would
-// hand a mutable buffer to a reader.
-func releaseArtifacts(art *sharedArtifacts, scans []queryScan) {
+// releaseArtifacts returns fact table fd's scan-scoped pooled buffers —
+// shared bitmaps, key columns, and every query's own mask (ownIter) — once
+// no partial needs them (after the final merge; Results never reference
+// artifacts). Cache-owned artifacts are skipped: the cross-batch cache
+// keeps them for future scans (possibly reading them concurrently), so
+// pooling them would hand a mutable buffer to a reader.
+func releaseArtifacts(fd *FactData, art *sharedArtifacts, scans []queryScan) {
+	for _, qs := range scans {
+		if qs.ownIter {
+			fd.maskPool.Put(qs.iter)
+		}
+	}
 	if art == nil {
 		return
-	}
-	for _, qs := range scans {
-		if qs.prefiltered && qs.view != nil {
-			art.fd.maskPool.Put(qs.iter)
-		}
 	}
 	for key, m := range art.filterMasks {
 		if art.owned(key) {
@@ -678,13 +682,14 @@ func releaseArtifacts(art *sharedArtifacts, scans []queryScan) {
 }
 
 // loneStats is buildArtifacts' statistics for a lone query without an
-// artifact cache: its uses are all distinct, and nothing is built.
+// artifact cache: its uses are all distinct, and the planner builds
+// nothing (the query's own bitmap is fillOwnMasks', on both routes).
 func loneStats(p *queryPlan) SharingStats {
 	stats := SharingStats{Queries: 1}
 	if p.filterKey != "" {
 		stats.FilterSets, stats.DistinctFilterSets = 1, 1
 		for fi := range p.filters {
-			if !slices.ContainsFunc(p.filters[:fi], func(fs filterSpec) bool { return fs.key == p.filters[fi].key }) {
+			if !p.repeatsFilter(fi) {
 				stats.FilterPredicates++
 			}
 		}
@@ -696,36 +701,112 @@ func loneStats(p *queryPlan) SharingStats {
 	return stats
 }
 
+// sparseViewK prices the one stage-1 decision of a filtered query no
+// shared artifact covers. Over a view showing fewer than n/sparseViewK of
+// the scan's n facts, the query tests its filters per visible fact
+// (partial.scanFused); otherwise it fills a bitmap of its own over the
+// whole table. BenchmarkLoneFilteredScan's view arms price it: the fused
+// walk costs about 23 ns per visible fact, the own bitmap about 1.4 ns per
+// table fact, so the two meet near n/16 visible facts (see
+// docs/ARCHITECTURE.md, "Columnar executor").
+const sparseViewK = 16
+
+// ownFill is one query's own stage-1 bitmap being filled.
+type ownFill struct {
+	p       *queryPlan
+	m, view *bitset.Set
+}
+
+// fillOwnMasks gives every filtered query planScan left without a filter
+// bitmap (scans is indexed like plans) a bitmap of its own, unless its
+// view is sparse (sparseViewK): fillFilterMask fills it over [0, n) with
+// the worker pool, and the query's drive then iterates it prefiltered,
+// exactly as off a shared set mask. Each bitmap counts in
+// stats.BitmapBytesBuilt and is charged whole to its one user in costs;
+// its distinct predicates on packed columns count in
+// stats.PackedPredicateKernels. Both routes of scanSharedStaged — the
+// lone-query shortcut and the artifact planner — call it, so they build
+// the same bitmaps.
+func fillOwnMasks(plans []*queryPlan, scans []queryScan, n, workers int, stats *SharingStats, costs []obs.QueryCost) {
+	var fills []ownFill
+	needScratch := false
+	for k, p := range plans {
+		qs := &scans[k]
+		if p.filterKey == "" || qs.prefiltered || qs.view != nil && qs.view.CountRange(0, n)*sparseViewK < n {
+			continue
+		}
+		m := p.fd.getMask()
+		qs.iter, qs.prefiltered, qs.ownIter = m, true, true
+		fills = append(fills, ownFill{p: p, m: m, view: qs.view})
+		preds := 0
+		for fi := range p.filters {
+			if p.repeatsFilter(fi) {
+				continue
+			}
+			preds++
+			if fs := &p.filters[fi]; fs.codes != nil && fs.pk.n >= n {
+				stats.PackedPredicateKernels++
+			}
+		}
+		needScratch = needScratch || preds > 1
+		b := maskBytes(m)
+		stats.BitmapBytesBuilt += b
+		user := [1]int{k}
+		chargeArtifact(costs, user[:], b, true)
+	}
+	if len(fills) == 0 {
+		return
+	}
+	fd := plans[0].fd
+	var scratch *bitset.Set
+	if needScratch {
+		scratch = fd.getMask()
+	}
+	parallelFill(n, workers, func(lo, hi int) {
+		for _, f := range fills {
+			f.p.fillFilterMask(lo, hi, f.m, scratch, f.view)
+		}
+	})
+	if scratch != nil {
+		fd.maskPool.Put(scratch)
+	}
+}
+
 // scanSharedStaged runs one fact group's shared scan through the staged
 // pipeline: materialize shared artifacts (taking cross-batch cached ones
-// when a cache is given), then accumulate every query morsel by morsel
+// when a cache is given) and the own bitmaps of filtered queries they
+// leave uncovered, then accumulate every query morsel by morsel
 // (accumulateMorsels). plans, masks and out are the group's, every plan
 // over the same FactData; workers must already be normalized and n is the
 // group's scan bound (groupScanBound). A lone query without an artifact
-// cache has nothing to share or look up, so it skips the planner and runs
-// its stages fused. The merged partial per query lands in out (callers
-// finalize, then release sp; the scan-scoped artifacts are released here,
-// since no partial or Result references them). A non-nil sc receives the
-// scan's per-stage wall times.
+// cache has nothing to share or look up, so it skips the planner. The
+// merged partial per query lands in out (callers finalize, then release
+// sp; the scan-scoped artifacts are released here, since no partial or
+// Result references them). A non-nil sc receives the scan's per-stage wall
+// times.
 func scanSharedStaged(plans []*queryPlan, masks []*bitset.Set, out []*partial, workers, n int, opts BatchOptions, sp *scanPartials, sc *obs.ShardScan) SharingStats {
 	var art *sharedArtifacts
 	var stats SharingStats
-	var costs []obs.QueryCost
+	// A lone query's drive and cost stay on the stack.
+	var lone [1]queryScan
+	var loneCost [1]obs.QueryCost
+	scans, costs := lone[:], loneCost[:]
 	if len(plans) == 1 && opts.Artifacts == nil {
 		stats = loneStats(plans[0])
 	} else {
-		costs = make([]obs.QueryCost, len(plans))
+		scans, costs = make([]queryScan, len(plans)), make([]obs.QueryCost, len(plans))
 		art, stats = buildArtifacts(plans, masks, workers, n, opts, sc, costs)
-	}
-	// A lone query's drive stays on the stack: the single-query scan
-	// allocates nothing here.
-	var lone [1]queryScan
-	scans := lone[:]
-	if len(plans) > 1 {
-		scans = make([]queryScan, len(plans))
 	}
 	for k, p := range plans {
 		scans[k] = planScan(p, masks[k], art)
+	}
+	var t0 time.Time
+	if sc != nil {
+		t0 = time.Now()
+	}
+	fillOwnMasks(plans, scans, n, workers, &stats, costs)
+	if sc != nil {
+		sc.FilterMask += time.Since(t0)
 	}
 
 	// Worker 0 accumulates straight into out; the other workers each get
@@ -741,7 +822,6 @@ func scanSharedStaged(plans []*queryPlan, masks []*bitset.Set, out []*partial, w
 			rest[i] = sp.get(plans[i%nq])
 		}
 	}
-	var t0 time.Time
 	if sc != nil {
 		t0 = time.Now()
 	}
@@ -757,14 +837,12 @@ func scanSharedStaged(plans []*queryPlan, masks []*bitset.Set, out []*partial, w
 		// Land the artifact-byte attribution on the merged partial only —
 		// worker partials carry zero cost, so the merges above added
 		// nothing and each share is counted exactly once.
-		if costs != nil {
-			out[k].cost.Add(costs[k])
-		}
+		out[k].cost.Add(costs[k])
 	}
 	if sc != nil {
 		sc.Merge = time.Since(t0)
 	}
-	releaseArtifacts(art, scans)
+	releaseArtifacts(plans[0].fd, art, scans)
 	return stats
 }
 

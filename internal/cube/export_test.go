@@ -6,6 +6,23 @@ package cube
 // assert which side of it a group-by falls on.
 const MaxDenseCells = maxDenseCells
 
+// SparseViewK is the sparse-view constant of the own-bitmap decision, so
+// tests can build views on either side of it.
+const SparseViewK = sparseViewK
+
+// CodeSetKinds names the code-set class of each filter of a compiled
+// query ("" for a dimension without packed data), so tests can assert
+// which stage-1 kernels they reached.
+func CodeSetKinds(cq *CompiledQuery) []string {
+	kinds := make([]string, len(cq.p.filters))
+	for i, fs := range cq.p.filters {
+		if fs.codes != nil {
+			kinds[i] = [...]string{csEmpty: "empty", csAll: "all", csRange: "range", csSparse: "sparse"}[fs.codes.kind]
+		}
+	}
+	return kinds
+}
+
 // OrphanMember cuts a member loose from its parent. The loading API never
 // produces orphans (AddMember validates parents), so this is the only way
 // to exercise the executor's NoParent group slots — facts rolling up

@@ -123,15 +123,17 @@ const (
 )
 
 // codeSet is a predicate translated to its matching finest-level codes —
-// the compile-once half of scan-on-compressed. bits always holds the
-// membership bitmap (one bit per code < card; also the fast path for the
-// scalar filterSpec.match), and kind/lo/hi classify the set so fillMask
-// can pick the word-at-a-time kernel.
+// the compile-once half of scan-on-compressed. hit always holds the
+// membership table (hit[c] is 1 when code c < card matches, else 0; also
+// the fast path for the scalar filterSpec.match) — a byte per code, so the
+// lane kernel reads a lane's verdict with one load and no variable shift —
+// and kind/lo/hi classify the set so fillMask can pick the word-at-a-time
+// kernel.
 type codeSet struct {
 	kind   int
 	lo, hi int32 // csRange bounds, inclusive
 	card   int
-	bits   []uint64
+	hit    []uint8
 }
 
 // newCodeSet evaluates match for every code in [0, card) and classifies
@@ -139,14 +141,14 @@ type codeSet struct {
 // member granularity, evaluated card times at compile instead of once per
 // fact per scan.
 func newCodeSet(card int, match func(code int32) bool) *codeSet {
-	cs := &codeSet{card: card, bits: make([]uint64, (card+63)/64)}
+	cs := &codeSet{card: card, hit: make([]uint8, card)}
 	count := 0
 	var lo, hi int32
 	for m := 0; m < card; m++ {
 		if !match(int32(m)) {
 			continue
 		}
-		cs.bits[m>>6] |= 1 << (uint(m) & 63)
+		cs.hit[m] = 1
 		if count == 0 {
 			lo = int32(m)
 		}
@@ -171,7 +173,7 @@ func newCodeSet(card int, match func(code int32) bool) *codeSet {
 // are validated against the finest level on AddFact, so every code a plan
 // can read is in range.
 func (cs *codeSet) test(c int32) bool {
-	return cs.bits[c>>6]&(1<<(uint32(c)&63)) != 0
+	return cs.hit[c] != 0
 }
 
 // fillRange sets out bits [lo, hi) word-at-a-time.
@@ -259,25 +261,26 @@ func (pv packedView) fillMask(cs *codeSet, lo, hi int, out *bitset.Set) {
 	}
 }
 
-// fillSparseWords is the membership kernel: per packed word, extract each
-// lane's code and test the codeSet bitmap — no branches in the lane loop,
-// one load per 64/width facts instead of the scalar path's key load,
+// fillSparseWords is the membership kernel: per packed word, look each
+// lane's code up in the codeSet's hit table — no branches in the lane
+// loop, one load per 64/width facts instead of the scalar path's key load,
 // roll-up lookup, attribute fetch and interface-valued compare per fact.
+// Verdicts enter lanes at the top bit and shift down, so every shift in
+// the loop is by a constant or by the loop-invariant width.
 // [head, tail) must be whole packed words.
 func (pv packedView) fillSparseWords(cs *codeSet, head, tail int, ow []uint64) {
-	b := pv.width
+	b := pv.width & 63
 	k := int(64 / b)
 	laneMask := uint64(1)<<b - 1
-	csBits := cs.bits
-	for i := head; i < tail; i += k {
-		w := pv.words[i/k]
+	hit := cs.hit
+	for i, wi := head, head/k; i < tail; i, wi = i+k, wi+1 {
+		w := pv.words[wi]
 		var lanes uint64
-		for l := 0; l < k; l++ {
-			c := w & laneMask
+		for range k {
+			lanes = lanes>>1 | uint64(hit[w&laneMask])<<63
 			w >>= b
-			lanes |= (csBits[c>>6] >> (c & 63) & 1) << uint(l)
 		}
-		scatterLanes(ow, i, lanes, k)
+		scatterLanes(ow, i, lanes>>(64-k), k)
 	}
 }
 
@@ -295,16 +298,26 @@ func (pv packedView) fillSparseWords(cs *codeSet, head, tail int, ow []uint64) {
 // hi+1 == 2^b (ge vacuously false) skip their pass — which also keeps the
 // addends within b bits. [head, tail) must be whole packed words.
 func (pv packedView) fillRangeWords(cs *codeSet, head, tail int, ow []uint64) {
-	b := pv.width
+	b := pv.width & 63
 	k := int(64 / b)
+	// The code set may span more members than the column has codes for
+	// yet — its width follows the largest key appended so far — so clip
+	// the range to the codes a b-bit lane can hold.
+	lo, hi := uint64(cs.lo), min(uint64(cs.hi), uint64(1)<<b-1)
+	if lo > hi {
+		return
+	}
 	if b == 1 {
-		// Two one-bit codes and a proper-subset range means the set is
-		// exactly {0} or {1}: the packed word is (or complements) the
-		// answer, no arithmetic needed.
+		// One-bit codes: the clipped range is {0}, {1} or both, so the
+		// answer is the packed word, its complement, or every lane.
 		for i := head; i < tail; i += k {
-			lanes := pv.words[i/k]
-			if cs.lo == 0 {
+			lanes := pv.words[i>>6]
+			switch {
+			case lo == 1:
+			case hi == 0:
 				lanes = ^lanes
+			default:
+				lanes = ^uint64(0)
 			}
 			scatterLanes(ow, i, lanes, k)
 		}
@@ -325,17 +338,17 @@ func (pv packedView) fillRangeWords(cs *codeSet, head, tail int, ow []uint64) {
 	for j := 0; 2*j+1 < k; j++ {
 		carryOdd |= 1 << (uint(2*j)*b + b)
 	}
-	needLo := cs.lo > 0
-	needHi := uint(bits.Len32(uint32(cs.hi)+1)) <= b // hi+1 < 2^b
+	needLo := lo > 0
+	needHi := hi+1 < uint64(1)<<b
 	var addLo, addHi uint64
 	for j := 0; 2*j < k; j++ {
 		slot := uint(2*j) * b
-		addLo |= (uint64(1)<<b - uint64(uint32(cs.lo))) << slot
-		addHi |= (uint64(1)<<b - uint64(uint32(cs.hi)+1)) << slot
+		addLo |= (uint64(1)<<b - lo) << slot
+		addHi |= (uint64(1)<<b - (hi + 1)) << slot
 	}
 
-	for i := head; i < tail; i += k {
-		w := pv.words[i/k]
+	for i, wi := head, head/k; i < tail; i, wi = i+k, wi+1 {
+		w := pv.words[wi]
 		xe := w & selEven
 		xo := (w >> b) & selEven
 		geLoE, geLoO := carryEven, carryOdd
@@ -349,13 +362,15 @@ func (pv packedView) fillRangeWords(cs *codeSet, head, tail int, ow []uint64) {
 			ltHiO = ^(xo + addHi) & carryOdd
 		}
 		// Even lane l's verdict sits at (l+1)*b, odd lane l's at l*b;
-		// shifting the even half down by b unifies both at l*b.
+		// shifting the even half down by b unifies both at l*b. Verdicts
+		// then enter lanes at the top bit, as in fillSparseWords.
 		combined := (geLoE&ltHiE)>>b | geLoO&ltHiO
 		var lanes uint64
-		for l, p := 0, uint(0); l < k; l, p = l+1, p+b {
-			lanes |= (combined >> p & 1) << uint(l)
+		for range k {
+			lanes = lanes>>1 | combined<<63
+			combined >>= b
 		}
-		scatterLanes(ow, i, lanes, k)
+		scatterLanes(ow, i, lanes>>(64-k), k)
 	}
 }
 

@@ -157,9 +157,16 @@ func TestFillMaskMatchesScalarAcrossWidthsAndKinds(t *testing.T) {
 			"rangeMid": newCodeSet(card, func(c int32) bool { return c >= int32(card/4) && c < int32(3*card/4) }),
 			"sparse":   newCodeSet(card, func(c int32) bool { return c%3 == 1 }),
 			"single":   newCodeSet(card, func(c int32) bool { return c == int32(card/2) }),
+			// Sets compiled over more members than the column holds codes
+			// for: a column's width follows the largest key appended so
+			// far, not the dimension's cardinality.
+			"wideAbove":    newCodeSet(3*card, func(c int32) bool { return c > int32(card) }),
+			"wideStraddle": newCodeSet(3*card, func(c int32) bool { return c >= int32(card/2) && c < int32(3*card-1) }),
+			"wideLow":      newCodeSet(3*card, func(c int32) bool { return c < int32(3*card-1) }),
 		}
 		wantKinds := map[string]int{"empty": csEmpty, "all": csAll,
-			"rangeLow": csRange, "rangeHi": csRange, "rangeMid": csRange}
+			"rangeLow": csRange, "rangeHi": csRange, "rangeMid": csRange,
+			"wideAbove": csRange, "wideStraddle": csRange, "wideLow": csRange}
 		for name, wantKind := range wantKinds {
 			if card == 2 && (name == "rangeLow" || name == "rangeHi") {
 				continue // degenerates to all/empty/single at two codes
@@ -226,7 +233,7 @@ func FuzzPackedColumn(f *testing.F) {
 				t.Fatalf("tail word has bits past code %d", pc.n)
 			}
 		}
-		// Kernel equivalence on a range and a sparse set over this data.
+		// Kernel equivalence on range and sparse sets over this data.
 		card := 1
 		for _, w := range want {
 			if int(w)+1 > card {
@@ -237,7 +244,9 @@ func FuzzPackedColumn(f *testing.F) {
 		lo, hi := int32(card/4), int32(card/2)
 		rangeSet := newCodeSet(card, func(c int32) bool { return c >= lo && c <= hi })
 		sparseSet := newCodeSet(card, func(c int32) bool { return c%5 == 2 })
-		for _, cs := range []*codeSet{rangeSet, sparseSet} {
+		// A range compiled over more members than the column has codes for.
+		wideSet := newCodeSet(2*card+2, func(c int32) bool { return c >= lo })
+		for _, cs := range []*codeSet{rangeSet, sparseSet, wideSet} {
 			got := bitset.New(pc.n)
 			wantBits := bitset.New(pc.n)
 			pv.fillMask(cs, 0, pc.n, got)

@@ -15,11 +15,16 @@ import (
 	"sdwp/internal/shard"
 )
 
+// costTestBatch shares bitmaps and key columns among its first six
+// queries; the last one's filter set is unique, so each shard fills it a
+// bitmap of its own.
 func costTestBatch() []cube.Query {
 	shared := cube.AttrFilter{LevelRef: cube.LevelRef{Dimension: "Store", Level: "City"},
 		Attr: "population", Op: cube.OpGt, Value: float64(100000)}
 	young := cube.AttrFilter{LevelRef: cube.LevelRef{Dimension: "Customer", Level: "Customer"},
 		Attr: "age", Op: cube.OpLe, Value: float64(35)}
+	old := cube.AttrFilter{LevelRef: cube.LevelRef{Dimension: "Customer", Level: "Customer"},
+		Attr: "age", Op: cube.OpGt, Value: float64(55)}
 	agg := []cube.MeasureAgg{{Measure: "UnitSales", Agg: cube.AggSum}}
 	var qs []cube.Query
 	for _, fs := range [][]cube.AttrFilter{nil, {shared}, {shared, young}} {
@@ -29,7 +34,7 @@ func costTestBatch() []cube.Query {
 				Aggregates: agg, Filters: fs})
 		}
 	}
-	return qs
+	return append(qs, cube.Query{Fact: "Sales", Aggregates: agg, Filters: []cube.AttrFilter{old}})
 }
 
 // TestShardedCostConservation sweeps shard counts {1,2,4,7} × worker
