@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sdwp/internal/cube"
+	"sdwp/internal/export"
 	"sdwp/internal/geoidx"
 	"sdwp/internal/geom"
 	"sdwp/internal/obs"
@@ -352,6 +353,41 @@ func BenchmarkViewMaterialize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if bc.v.Clone().Materialize("Sales") == nil {
 					b.Fatal("view left Sales unrestricted")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSessionGeoJSON renders the map export the personalize workload
+// serves at its 400 000 facts: an interested login's 2 000 stores,
+// airports and train lines. "all" and "selected" copy the tables' cached
+// feature text (selected-only skips the unselected stores); "simplify"
+// renders every feature through the appenders. The output buffer is reused
+// as the server's pooled one is, so allocs/op is gated (< 20: an export
+// allocates per call, not per feature).
+func BenchmarkSessionGeoJSON(b *testing.B) {
+	env := getBenchEnv(b, 400000)
+	e := interestedEngine(b, env)
+	s, err := e.StartSession("alice", env.ds.CityLocs[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		opts export.Options
+	}{{"all", export.Options{}}, {"selected", export.Options{SelectedOnly: true}}, {"simplify", export.Options{SimplifyTolerance: 0.05}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			buf, err := export.AppendSession(nil, s, bc.opts) // fills the text caches
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if buf, err = export.AppendSession(buf[:0], s, bc.opts); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

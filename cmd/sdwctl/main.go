@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -100,18 +101,18 @@ func cmdMap(args []string) {
 	}
 	fmt.Printf("map written to %s (%d bytes)\n", *svgOut, len(svg))
 	if *geojsonOut != "" {
-		fc, err := export.Session(s, export.Options{})
+		raw, err := export.Session(s, export.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		data, err := json.MarshalIndent(fc, "", "  ")
-		if err != nil {
+		var data bytes.Buffer
+		if err := json.Indent(&data, bytes.TrimSuffix(raw, []byte("\n")), "", "  "); err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(*geojsonOut, data, 0o644); err != nil {
+		if err := os.WriteFile(*geojsonOut, data.Bytes(), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("geojson written to %s (%d features)\n", *geojsonOut, len(fc.Features))
+		fmt.Printf("geojson written to %s (%d features)\n", *geojsonOut, export.CountFeatures(raw))
 	}
 }
 

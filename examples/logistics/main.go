@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -100,17 +101,17 @@ func main() {
 	}
 
 	// Export the personalized map (simplified highways, selected stores).
-	fc, err := export.Session(s, export.Options{SimplifyTolerance: 0.01})
+	raw, err := export.Session(s, export.Options{SimplifyTolerance: 0.01})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nGeoJSON export: %d features", len(fc.Features))
+	fmt.Printf("\nGeoJSON export: %d features", export.CountFeatures(raw))
 	if *geojsonOut != "" {
-		data, err := json.MarshalIndent(fc, "", "  ")
-		if err != nil {
+		var data bytes.Buffer
+		if err := json.Indent(&data, bytes.TrimSuffix(raw, []byte("\n")), "", "  "); err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(*geojsonOut, data, 0o644); err != nil {
+		if err := os.WriteFile(*geojsonOut, data.Bytes(), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf(" → %s", *geojsonOut)

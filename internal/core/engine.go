@@ -223,6 +223,11 @@ type Engine struct {
 	params   map[string]prml.Value
 	sessions map[string]*Session
 	seq      int
+
+	// userRules holds one mutex per user entity: a user's concurrent
+	// sessions run their rules one at a time, so a read-modify-write of the
+	// profile (degree = degree + 1) is never lost.
+	userRules sync.Map
 }
 
 // NewEngine creates an engine over a loaded cube and a user-profile store.
@@ -643,11 +648,13 @@ func (e *Engine) newSession(userID string, location geom.Geometry) (*Session, er
 	id := fmt.Sprintf("s%06d", e.seq)
 	e.mu.Unlock()
 
+	rulesMu, _ := e.userRules.LoadOrStore(profile, new(sync.Mutex))
 	return &Session{
 		ID:       id,
 		UserID:   userID,
 		engine:   e,
 		user:     profile,
+		rulesMu:  rulesMu.(*sync.Mutex),
 		schema:   e.cube.Schema().Clone(),
 		view:     cube.NewView(e.cube),
 		location: location,
@@ -756,21 +763,22 @@ func (e *Engine) wireSession(user *usermodel.Entity, location geom.Geometry) err
 			return fmt.Errorf("core: wiring session: %w", err)
 		}
 	}
-	if err := user.Link(p, sessRole, sess); err != nil {
-		return fmt.Errorf("core: wiring session: %w", err)
-	}
 	locRole, locClass := findAssocByStereo(p, sessClass, usermodel.StereoLocationContext)
-	if locRole == "" || location == nil {
-		return nil
-	}
-	loc := usermodel.NewEntity(p.Class(locClass))
-	if prop := findGeometryProp(p.Class(locClass)); prop != "" {
-		if err := loc.Set(prop, location); err != nil {
+	if locRole != "" && location != nil {
+		loc := usermodel.NewEntity(p.Class(locClass))
+		if prop := findGeometryProp(p.Class(locClass)); prop != "" {
+			if err := loc.Set(prop, location); err != nil {
+				return fmt.Errorf("core: wiring location: %w", err)
+			}
+		}
+		if err := sess.Link(p, locRole, loc); err != nil {
 			return fmt.Errorf("core: wiring location: %w", err)
 		}
 	}
-	if err := sess.Link(p, locRole, loc); err != nil {
-		return fmt.Errorf("core: wiring location: %w", err)
+	// Link the session last: the user's concurrent sessions navigate the
+	// user's current session and must never see one half wired.
+	if err := user.Link(p, sessRole, sess); err != nil {
+		return fmt.Errorf("core: wiring session: %w", err)
 	}
 	return nil
 }

@@ -22,6 +22,7 @@ type Session struct {
 
 	engine   *Engine
 	user     *usermodel.Entity
+	rulesMu  *sync.Mutex // the user's rule-run lock (Engine.userRules)
 	location geom.Geometry
 
 	mu     sync.Mutex
@@ -110,6 +111,8 @@ func (s *Session) QueryBatchCtx(ctx context.Context, qs []cube.Query, baseline [
 
 // exec runs one compiled rule body in this session's environment.
 func (s *Session) exec(p *prml.Plan) (prml.Stats, error) {
+	s.rulesMu.Lock()
+	defer s.rulesMu.Unlock()
 	env := &sessionEnv{s: s}
 	return prml.NewEvaluator(env).ExecPlan(p)
 }

@@ -38,8 +38,14 @@ type LevelData struct {
 	parents []int32          // index into the next coarser level
 	geoms   []geom.Geometry  // nil until the level becomes spatial
 
-	byName  map[string]int32   // descriptor → member index (first wins)
-	ptIndex *geoidx.PointIndex // lazy spatial index over point geometries
+	byName map[string]int32 // descriptor → member index (first wins)
+
+	// gen counts the mutations the derived values below depend on —
+	// AddMember, a descriptor SetMemberAttr, SetMemberGeometry — so each
+	// is rebuilt once it moves.
+	gen     atomic.Uint64
+	ptIndex derived[*geoidx.PointIndex] // R-tree over all-point geometries
+	text    derived[*TextSlab]          // map feature text (FeatureText)
 }
 
 // Len returns the member count.
@@ -85,6 +91,14 @@ func (ld *LevelData) IndexOf(name string) int32 {
 		return i
 	}
 	return -1
+}
+
+// FeatureText returns per-member text appendText derives from the members'
+// descriptors and geometries, built on first use and rebuilt after the
+// level changes. The level keeps one slab, so every caller must pass an
+// equivalent appendText (package export is the one caller).
+func (ld *LevelData) FeatureText(appendText func(dst []byte, member int32) []byte) *TextSlab {
+	return ld.text.get(&ld.gen, func() *TextSlab { return newTextSlab(ld.Len(), appendText) })
 }
 
 // DimData stores one dimension's level tables, finest first.
@@ -271,10 +285,13 @@ func (fd *FactData) DimKey(dim string, i int32) (int32, bool) {
 
 // LayerData stores the objects of one thematic layer.
 type LayerData struct {
-	layer   geomd.Layer
-	names   []string
-	geoms   []geom.Geometry
-	ptIndex *geoidx.PointIndex
+	layer geomd.Layer
+	names []string
+	geoms []geom.Geometry
+
+	gen     atomic.Uint64 // AddLayerObject calls (see LevelData.gen)
+	ptIndex derived[*geoidx.PointIndex]
+	text    derived[*TextSlab]
 }
 
 // Len returns the object count.
@@ -288,6 +305,11 @@ func (ld *LayerData) Geometry(i int32) geom.Geometry { return ld.geoms[i] }
 
 // Type returns the layer's declared geometry type.
 func (ld *LayerData) Type() geom.Type { return ld.layer.Geom }
+
+// FeatureText is LevelData.FeatureText for the layer's objects.
+func (ld *LayerData) FeatureText(appendText func(dst []byte, obj int32) []byte) *TextSlab {
+	return ld.text.get(&ld.gen, func() *TextSlab { return newTextSlab(ld.Len(), appendText) })
+}
 
 // Cube is the warehouse instance store for one GeoMD schema. The schema
 // held here is the designer's base model; per-session personalized schemas
@@ -463,6 +485,7 @@ func (c *Cube) AddMember(dim, level, descriptor string, parent int32) (int32, er
 	if _, dup := ld.byName[descriptor]; !dup {
 		ld.byName[descriptor] = idx
 	}
+	ld.gen.Add(1)
 	return idx, nil
 }
 
@@ -486,6 +509,7 @@ func (c *Cube) SetMemberAttr(dim, level string, member int32, attr string, v any
 			return fmt.Errorf("cube: descriptor %q wants string", attr)
 		}
 		ld.names[member] = s
+		ld.gen.Add(1)
 		c.dims[dim].invalidateDerived()
 		return nil
 	}
@@ -520,7 +544,7 @@ func (c *Cube) SetMemberGeometry(dim, level string, member int32, g geom.Geometr
 		ld.geoms = append(ld.geoms, nil)
 	}
 	ld.geoms[member] = g
-	ld.ptIndex = nil // invalidate lazy index
+	ld.gen.Add(1)
 	return nil
 }
 
@@ -600,7 +624,7 @@ func (c *Cube) AddLayerObject(layer, name string, g geom.Geometry) (int32, error
 	idx := int32(ld.Len())
 	ld.names = append(ld.names, name)
 	ld.geoms = append(ld.geoms, g)
-	ld.ptIndex = nil
+	ld.gen.Add(1)
 	return idx, nil
 }
 

@@ -11,26 +11,25 @@ import (
 // rule evaluator uses: radius queries over level members and layer objects
 // (with lazily built R-trees over point data) and generic iteration.
 
-// ensurePointIndex builds (once) an R-tree point index over the level's
-// geometries if they are all points; non-point or missing geometries keep
-// the level unindexed and queries fall back to scans.
-func (ld *LevelData) ensurePointIndex() *geoidx.PointIndex {
-	if ld.ptIndex != nil {
-		return ld.ptIndex
-	}
-	if ld.geoms == nil || len(ld.geoms) != ld.Len() {
-		return nil
-	}
-	pts := make([]geom.Point, len(ld.geoms))
-	for i, g := range ld.geoms {
-		p, ok := g.(geom.Point)
-		if !ok {
+// pointIndex returns an R-tree point index over the level's geometries if
+// they are all points, built once per level generation; non-point or
+// missing geometries keep the level unindexed and queries fall back to
+// scans.
+func (ld *LevelData) pointIndex() *geoidx.PointIndex {
+	return ld.ptIndex.get(&ld.gen, func() *geoidx.PointIndex {
+		if ld.geoms == nil || len(ld.geoms) != ld.Len() {
 			return nil
 		}
-		pts[i] = p
-	}
-	ld.ptIndex = geoidx.NewPointIndex(pts)
-	return ld.ptIndex
+		pts := make([]geom.Point, len(ld.geoms))
+		for i, g := range ld.geoms {
+			p, ok := g.(geom.Point)
+			if !ok {
+				return nil
+			}
+			pts[i] = p
+		}
+		return geoidx.NewPointIndex(pts)
+	})
 }
 
 // MembersWithinKm calls fn for every member of the level whose geometry
@@ -46,7 +45,7 @@ func (c *Cube) MembersWithinKm(dim, level string, center geom.Geometry, radiusKm
 	}
 	cp, centerIsPt := center.(geom.Point)
 	if centerIsPt {
-		if idx := ld.ensurePointIndex(); idx != nil {
+		if idx := ld.pointIndex(); idx != nil {
 			idx.WithinKm(cp, radiusKm, fn)
 			return nil
 		}
@@ -74,14 +73,14 @@ func (c *Cube) LayerObjectsWithinKm(layer string, center geom.Geometry, radiusKm
 	}
 	cp, centerIsPt := center.(geom.Point)
 	if centerIsPt && ld.layer.Geom == geom.TypePoint {
-		if ld.ptIndex == nil {
+		idx := ld.ptIndex.get(&ld.gen, func() *geoidx.PointIndex {
 			pts := make([]geom.Point, len(ld.geoms))
 			for i, g := range ld.geoms {
 				pts[i] = g.(geom.Point)
 			}
-			ld.ptIndex = geoidx.NewPointIndex(pts)
-		}
-		ld.ptIndex.WithinKm(cp, radiusKm, fn)
+			return geoidx.NewPointIndex(pts)
+		})
+		idx.WithinKm(cp, radiusKm, fn)
 		return nil
 	}
 	for i := int32(0); int(i) < ld.Len(); i++ {

@@ -1,174 +1,30 @@
-// Package export renders personalized sessions as GeoJSON (RFC 7946) for
-// map front ends — the "visualization aspects of the SDW" the paper lists
-// as future work. A session exports exactly what its personalized GeoMD
-// schema contains: the thematic layers its AddLayer rules admitted and the
-// spatial levels its BecomeSpatial rules promoted, with each member's
-// selection state from the personalized view.
+// Package export renders personalized sessions as maps for front ends —
+// the "visualization aspects of the SDW" the paper lists as future work —
+// as GeoJSON (RFC 7946, AppendSession) and as SVG (AppendSessionSVG). A
+// session exports exactly what its personalized GeoMD schema contains: the
+// thematic layers its AddLayer rules admitted and the spatial levels its
+// BecomeSpatial rules promoted, with each member's selection state from
+// the personalized view.
+//
+// Both renderers append into one caller-owned buffer from a walk over the
+// session's features. GeoJSON is written by hand-rolled appenders whose
+// bytes are exactly encoding/json's; a layer object's whole feature and a
+// member's feature up to its "name" are cached per table (cube.TextSlab),
+// so an export copies them and writes only each member's "selected" flag.
 package export
 
 import (
-	"encoding/json"
+	"bytes"
+	"errors"
 	"fmt"
+	"math"
+	"strconv"
+	"unicode/utf8"
 
 	"sdwp/internal/core"
+	"sdwp/internal/cube"
 	"sdwp/internal/geom"
 )
-
-// Feature is a GeoJSON feature.
-type Feature struct {
-	Type       string          `json:"type"`
-	Geometry   json.RawMessage `json:"geometry"`
-	Properties map[string]any  `json:"properties,omitempty"`
-}
-
-// FeatureCollection is a GeoJSON feature collection.
-type FeatureCollection struct {
-	Type     string    `json:"type"`
-	Features []Feature `json:"features"`
-}
-
-// geoJSONGeom is the wire form of a GeoJSON geometry.
-type geoJSONGeom struct {
-	Type        string          `json:"type"`
-	Coordinates json.RawMessage `json:"coordinates,omitempty"`
-	Geometries  []geoJSONGeom   `json:"geometries,omitempty"`
-}
-
-// MarshalGeometry encodes a geometry as a GeoJSON geometry object.
-func MarshalGeometry(g geom.Geometry) (json.RawMessage, error) {
-	gg, err := toGeoJSON(g)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(gg)
-}
-
-func toGeoJSON(g geom.Geometry) (geoJSONGeom, error) {
-	marshal := func(v any) json.RawMessage {
-		raw, _ := json.Marshal(v)
-		return raw
-	}
-	switch gg := g.(type) {
-	case geom.Point:
-		return geoJSONGeom{Type: "Point", Coordinates: marshal([2]float64{gg.X, gg.Y})}, nil
-	case geom.Line:
-		coords := make([][2]float64, len(gg.Pts))
-		for i, p := range gg.Pts {
-			coords[i] = [2]float64{p.X, p.Y}
-		}
-		return geoJSONGeom{Type: "LineString", Coordinates: marshal(coords)}, nil
-	case geom.Polygon:
-		rings := make([][][2]float64, 0, 1+len(gg.Holes))
-		rings = append(rings, closedRing(gg.Shell))
-		for _, h := range gg.Holes {
-			rings = append(rings, closedRing(h))
-		}
-		return geoJSONGeom{Type: "Polygon", Coordinates: marshal(rings)}, nil
-	case geom.Collection:
-		out := geoJSONGeom{Type: "GeometryCollection", Geometries: []geoJSONGeom{}}
-		for _, m := range gg.Geoms {
-			sub, err := toGeoJSON(m)
-			if err != nil {
-				return geoJSONGeom{}, err
-			}
-			out.Geometries = append(out.Geometries, sub)
-		}
-		return out, nil
-	case nil:
-		return geoJSONGeom{}, fmt.Errorf("export: nil geometry")
-	}
-	return geoJSONGeom{}, fmt.Errorf("export: unsupported geometry %T", g)
-}
-
-// closedRing emits the GeoJSON convention of repeating the first vertex.
-func closedRing(r geom.Ring) [][2]float64 {
-	out := make([][2]float64, 0, len(r)+1)
-	for _, p := range r {
-		out = append(out, [2]float64{p.X, p.Y})
-	}
-	if len(r) > 0 {
-		out = append(out, [2]float64{r[0].X, r[0].Y})
-	}
-	return out
-}
-
-// UnmarshalGeometry decodes a GeoJSON geometry object.
-func UnmarshalGeometry(raw json.RawMessage) (geom.Geometry, error) {
-	var gg geoJSONGeom
-	if err := json.Unmarshal(raw, &gg); err != nil {
-		return nil, fmt.Errorf("export: %w", err)
-	}
-	return fromGeoJSON(gg)
-}
-
-func fromGeoJSON(gg geoJSONGeom) (geom.Geometry, error) {
-	switch gg.Type {
-	case "Point":
-		var c [2]float64
-		if err := json.Unmarshal(gg.Coordinates, &c); err != nil {
-			return nil, fmt.Errorf("export: point coordinates: %w", err)
-		}
-		return geom.Pt(c[0], c[1]), nil
-	case "LineString":
-		var cs [][2]float64
-		if err := json.Unmarshal(gg.Coordinates, &cs); err != nil {
-			return nil, fmt.Errorf("export: linestring coordinates: %w", err)
-		}
-		if len(cs) < 2 {
-			return nil, fmt.Errorf("export: linestring needs 2+ points")
-		}
-		pts := make([]geom.Point, len(cs))
-		for i, c := range cs {
-			pts[i] = geom.Pt(c[0], c[1])
-		}
-		return geom.Line{Pts: pts}, nil
-	case "Polygon":
-		var rings [][][2]float64
-		if err := json.Unmarshal(gg.Coordinates, &rings); err != nil {
-			return nil, fmt.Errorf("export: polygon coordinates: %w", err)
-		}
-		if len(rings) == 0 {
-			return nil, fmt.Errorf("export: polygon needs a shell")
-		}
-		conv := func(ring [][2]float64) (geom.Ring, error) {
-			pts := make(geom.Ring, 0, len(ring))
-			for _, c := range ring {
-				pts = append(pts, geom.Pt(c[0], c[1]))
-			}
-			if len(pts) >= 2 && pts[0].Eq(pts[len(pts)-1]) {
-				pts = pts[:len(pts)-1]
-			}
-			if len(pts) < 3 {
-				return nil, fmt.Errorf("export: ring needs 3+ distinct points")
-			}
-			return pts, nil
-		}
-		shell, err := conv(rings[0])
-		if err != nil {
-			return nil, err
-		}
-		poly := geom.Polygon{Shell: shell}
-		for _, h := range rings[1:] {
-			hole, err := conv(h)
-			if err != nil {
-				return nil, err
-			}
-			poly.Holes = append(poly.Holes, hole)
-		}
-		return poly, nil
-	case "GeometryCollection":
-		var gs []geom.Geometry
-		for _, sub := range gg.Geometries {
-			m, err := fromGeoJSON(sub)
-			if err != nil {
-				return nil, err
-			}
-			gs = append(gs, m)
-		}
-		return geom.Collection{Geoms: gs}, nil
-	}
-	return nil, fmt.Errorf("export: unsupported GeoJSON type %q", gg.Type)
-}
 
 // Options configures a session export.
 type Options struct {
@@ -180,24 +36,303 @@ type Options struct {
 	SelectedOnly bool
 }
 
-// Session renders a personalized session as a FeatureCollection: one
-// feature per object of every layer in the session's schema, one per member
-// of every spatial level (with its selection state), plus the user's
-// location context when known.
-func Session(s *core.Session, opts Options) (*FeatureCollection, error) {
-	fc := &FeatureCollection{Type: "FeatureCollection", Features: []Feature{}}
-	err := walk(s, opts, func(f *feature) error {
-		raw, err := MarshalGeometry(f.g)
-		if err != nil {
-			return err
+// Session renders a personalized session as a GeoJSON FeatureCollection
+// (see AppendSession).
+func Session(s *core.Session, opts Options) ([]byte, error) {
+	return AppendSession(nil, s, opts)
+}
+
+// AppendSession appends the session's personalized map to dst as a GeoJSON
+// FeatureCollection and a newline: one feature per object of every layer
+// in the session's schema, one per member of every spatial level (with its
+// selection state), plus the user's location context when known. The bytes
+// are those json.Encoder writes for the equivalent FeatureCollection value
+// (properties in sorted key order). A feature with a non-finite coordinate
+// fails the export, as it fails AppendSessionSVG.
+func AppendSession(dst []byte, s *core.Session, opts Options) ([]byte, error) {
+	e := encoder{tol: opts.SimplifyTolerance}
+	dst = append(dst, `{"type":"FeatureCollection","features":[`...)
+	start := len(dst)
+	err := walk(s, opts.SelectedOnly, func(f *feature) error {
+		if len(dst) > start {
+			dst = append(dst, ',')
 		}
-		fc.Features = append(fc.Features, Feature{Type: "Feature", Geometry: raw, Properties: f.properties()})
-		return nil
+		var err error
+		dst, err = e.appendFeature(dst, f)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return fc, nil
+	return append(dst, "]}\n"...), nil
+}
+
+// CountFeatures returns the number of features in an export's bytes: each
+// opens with the same key sequence, which no string value can contain (a
+// quote inside one is escaped).
+func CountFeatures(geojson []byte) int {
+	return bytes.Count(geojson, []byte(`{"type":"Feature",`))
+}
+
+// encoder writes one export's features.
+type encoder struct {
+	tol float64
+	pts []geom.Point // scratch for a simplified line's vertices
+}
+
+func (e *encoder) appendFeature(dst []byte, f *feature) ([]byte, error) {
+	// Unsimplified layer objects and members copy their table's text; an
+	// object without text (a non-finite or unencodable geometry) renders
+	// below, which reports why.
+	if e.tol == 0 {
+		switch f.kind {
+		case kindLayer:
+			if text := layerText(f.objects, f.layer).Text(f.obj); len(text) > 0 {
+				return append(dst, text...), nil
+			}
+		case kindMember:
+			if text := memberText(f.members, f.dim, f.level).Text(f.obj); len(text) > 0 {
+				return appendSelected(append(dst, text...), f.selected), nil
+			}
+		}
+	}
+	var err error
+	if ln, ok := f.g.(geom.Line); ok && e.tol > 0 {
+		// Lines simplify into the scratch slice: no allocation per line.
+		e.pts = geom.AppendSimplified(e.pts[:0], ln.Pts, e.tol)
+		dst, err = openLineFeature(dst, e.pts)
+	} else {
+		dst, err = openFeature(dst, geom.Simplify(f.g, e.tol))
+	}
+	if errors.Is(err, errNonFinite) {
+		return nil, nonFinite(f)
+	} else if err != nil {
+		return nil, err
+	}
+	switch f.kind {
+	case kindLayer:
+		return appendLayerProps(dst, f.layer, f.name), nil
+	case kindMember:
+		return appendSelected(appendMemberProps(dst, f.dim, f.level, f.name), f.selected), nil
+	}
+	dst = append(dst, `,"properties":{"kind":"userLocation","user":`...)
+	return append(appendString(dst, f.name), "}}"...), nil
+}
+
+// layerText is the layer's per-object feature text.
+func layerText(ld *cube.LayerData, layer string) *cube.TextSlab {
+	return ld.FeatureText(func(dst []byte, i int32) []byte {
+		out, err := openFeature(dst, ld.Geometry(i))
+		if err != nil {
+			return dst
+		}
+		return appendLayerProps(out, layer, ld.Name(i))
+	})
+}
+
+// memberText is the level's per-member feature text up to and including
+// the "name" value.
+func memberText(ld *cube.LevelData, dim, level string) *cube.TextSlab {
+	return ld.FeatureText(func(dst []byte, i int32) []byte {
+		out, err := openFeature(dst, ld.Geometry(i))
+		if err != nil {
+			return dst
+		}
+		return appendMemberProps(out, dim, level, ld.Name(i))
+	})
+}
+
+// errNonFinite is openFeature's refusal of a coordinate GeoJSON cannot
+// carry; nonFinite names the feature.
+var errNonFinite = errors.New("export: non-finite coordinate")
+
+// nonFinite is the error of a feature at a non-finite coordinate.
+func nonFinite(f *feature) error {
+	return fmt.Errorf("export: %s feature %q has a non-finite coordinate", f.kind, f.name)
+}
+
+// openFeature appends a feature's opening and its geometry.
+func openFeature(dst []byte, g geom.Geometry) ([]byte, error) {
+	if !finite(g) {
+		return nil, errNonFinite
+	}
+	return appendGeometry(append(dst, `{"type":"Feature","geometry":`...), g)
+}
+
+// openLineFeature is openFeature for a LineString through pts.
+func openLineFeature(dst []byte, pts []geom.Point) ([]byte, error) {
+	if !finitePts(pts) {
+		return nil, errNonFinite
+	}
+	return appendLineString(append(dst, `{"type":"Feature","geometry":`...), pts), nil
+}
+
+// appendLayerProps closes a layer object's feature with its properties
+// (keys in sorted order, as encoding/json writes a map).
+func appendLayerProps(dst []byte, layer, name string) []byte {
+	dst = append(dst, `,"properties":{"kind":"layer","layer":`...)
+	dst = appendString(dst, layer)
+	dst = append(dst, `,"name":`...)
+	return append(appendString(dst, name), "}}"...)
+}
+
+// appendMemberProps appends a member's properties up to and including
+// its "name" value; appendSelected closes the feature.
+func appendMemberProps(dst []byte, dim, level, name string) []byte {
+	dst = append(dst, `,"properties":{"dimension":`...)
+	dst = appendString(dst, dim)
+	dst = append(dst, `,"kind":"member","level":`...)
+	dst = appendString(dst, level)
+	dst = append(dst, `,"name":`...)
+	return appendString(dst, name)
+}
+
+func appendSelected(dst []byte, selected bool) []byte {
+	if selected {
+		return append(dst, `,"selected":true}}`...)
+	}
+	return append(dst, `,"selected":false}}`...)
+}
+
+// appendGeometry appends g as a GeoJSON geometry object. Polygon rings are
+// closed by repeating their first vertex; an empty collection has no
+// "geometries" member. Coordinates must be finite.
+func appendGeometry(dst []byte, g geom.Geometry) ([]byte, error) {
+	switch gg := g.(type) {
+	case geom.Point:
+		dst = append(dst, `{"type":"Point","coordinates":`...)
+		return append(appendPoint(dst, gg), '}'), nil
+	case geom.Line:
+		return appendLineString(dst, gg.Pts), nil
+	case geom.Polygon:
+		dst = append(dst, `{"type":"Polygon","coordinates":[`...)
+		dst = appendPoints(dst, gg.Shell, true)
+		for _, h := range gg.Holes {
+			dst = appendPoints(append(dst, ','), h, true)
+		}
+		return append(dst, "]}"...), nil
+	case geom.Collection:
+		dst = append(dst, `{"type":"GeometryCollection"`...)
+		if len(gg.Geoms) > 0 {
+			dst = append(dst, `,"geometries":[`...)
+			for i, m := range gg.Geoms {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				var err error
+				if dst, err = appendGeometry(dst, m); err != nil {
+					return nil, err
+				}
+			}
+			dst = append(dst, ']')
+		}
+		return append(dst, '}'), nil
+	case nil:
+		return nil, fmt.Errorf("export: nil geometry")
+	}
+	return nil, fmt.Errorf("export: unsupported geometry %T", g)
+}
+
+func appendLineString(dst []byte, pts []geom.Point) []byte {
+	dst = append(dst, `{"type":"LineString","coordinates":`...)
+	return append(appendPoints(dst, pts, false), '}')
+}
+
+// appendPoints appends a coordinate array; closed repeats the first vertex
+// at the end (a GeoJSON ring).
+func appendPoints(dst []byte, pts []geom.Point, closed bool) []byte {
+	dst = append(dst, '[')
+	for i, p := range pts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendPoint(dst, p)
+	}
+	if closed && len(pts) > 0 {
+		dst = appendPoint(append(dst, ','), pts[0])
+	}
+	return append(dst, ']')
+}
+
+func appendPoint(dst []byte, p geom.Point) []byte {
+	dst = appendFloat(append(dst, '['), p.X)
+	dst = appendFloat(append(dst, ','), p.Y)
+	return append(dst, ']')
+}
+
+// appendFloat formats a finite f as encoding/json does: the shortest
+// representation, in exponent form below 1e-6 and from 1e21, with a
+// one-digit negative exponent unpadded (1e-7, not 1e-07).
+func appendFloat(dst []byte, f float64) []byte {
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendString appends s as a JSON string escaped as encoding/json escapes
+// it by default: quotes, backslashes and control characters, the HTML
+// characters <, > and &, U+2028 and U+2029, and each byte of invalid UTF-8
+// as the escaped replacement character (\ufffd).
+func appendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, "\\ufffd"...)
+			i++
+			start = i
+			continue
+		}
+		if c == 0x2028 || c == 0x2029 {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 // featureKind names what a map feature depicts (its "kind" property).
@@ -210,7 +345,7 @@ const (
 )
 
 // feature is one object of a session's personalized map as walk yields
-// it: the geometry to draw (simplified when asked) and what it depicts.
+// it: the geometry to draw and what it depicts.
 type feature struct {
 	g    geom.Geometry
 	kind featureKind
@@ -220,18 +355,11 @@ type feature struct {
 	layer      string // kindLayer
 	dim, level string // kindMember
 	selected   bool   // kindMember
-}
-
-// properties is the feature's GeoJSON properties object.
-func (f *feature) properties() map[string]any {
-	switch f.kind {
-	case kindLayer:
-		return map[string]any{"kind": string(f.kind), "layer": f.layer, "name": f.name}
-	case kindMember:
-		return map[string]any{"kind": string(f.kind), "dimension": f.dim, "level": f.level,
-			"name": f.name, "selected": f.selected}
-	}
-	return map[string]any{"kind": string(f.kind), "user": f.name}
+	// obj indexes the feature in its table — objects for kindLayer,
+	// members for kindMember — whose cached text the encoder copies.
+	obj     int32
+	objects *cube.LayerData
+	members *cube.LevelData
 }
 
 // walk visits the session's map features in paint order — the thematic
@@ -239,16 +367,10 @@ func (f *feature) properties() map[string]any {
 // schema rules promoted, the decision maker's location context — so
 // GeoJSON encodes from it and SVG draws from it without a round trip
 // through the wire form. The feature passed to visit is reused.
-func walk(s *core.Session, opts Options, visit func(*feature) error) error {
+func walk(s *core.Session, selectedOnly bool, visit func(*feature) error) error {
 	schema := s.Schema()
 	c := s.Engine().Cube()
 	var f feature
-	emit := func() error {
-		if opts.SimplifyTolerance > 0 {
-			f.g = geom.Simplify(f.g, opts.SimplifyTolerance)
-		}
-		return visit(&f)
-	}
 
 	// Thematic layers the user's schema rules admitted.
 	for _, layer := range schema.Layers() {
@@ -257,8 +379,8 @@ func walk(s *core.Session, opts Options, visit func(*feature) error) error {
 			continue
 		}
 		for i := int32(0); int(i) < ld.Len(); i++ {
-			f = feature{g: ld.Geometry(i), kind: kindLayer, layer: layer.Name, name: ld.Name(i)}
-			if err := emit(); err != nil {
+			f = feature{g: ld.Geometry(i), kind: kindLayer, layer: layer.Name, name: ld.Name(i), obj: i, objects: ld}
+			if err := visit(&f); err != nil {
 				return err
 			}
 		}
@@ -283,11 +405,11 @@ func walk(s *core.Session, opts Options, visit func(*feature) error) error {
 				continue
 			}
 			selected := restricted && view.MemberVisible(dim, level, i)
-			if opts.SelectedOnly && !selected {
+			if selectedOnly && !selected {
 				continue
 			}
-			f = feature{g: g, kind: kindMember, dim: dim, level: level, name: ld.Name(i), selected: selected}
-			if err := emit(); err != nil {
+			f = feature{g: g, kind: kindMember, dim: dim, level: level, name: ld.Name(i), selected: selected, obj: i, members: ld}
+			if err := visit(&f); err != nil {
 				return err
 			}
 		}
@@ -296,7 +418,7 @@ func walk(s *core.Session, opts Options, visit func(*feature) error) error {
 	// The decision maker's location context.
 	if loc := s.Location(); loc != nil {
 		f = feature{g: loc, kind: kindLocation, name: s.UserID}
-		return emit()
+		return visit(&f)
 	}
 	return nil
 }

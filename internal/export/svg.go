@@ -56,11 +56,12 @@ func AppendSessionSVG(dst []byte, s *core.Session, opts SVGOptions) ([]byte, err
 	var items []svgItem
 	bounds := geom.EmptyRect()
 	layerStyles := map[string]*svgStyle{}
-	err := walk(s, Options{SimplifyTolerance: opts.SimplifyTolerance}, func(f *feature) error {
-		if !finite(f.g) {
-			return fmt.Errorf("export: %s feature %q has a non-finite coordinate", f.kind, f.name)
+	err := walk(s, false, func(f *feature) error {
+		g := geom.Simplify(f.g, opts.SimplifyTolerance)
+		if !finite(g) {
+			return nonFinite(f)
 		}
-		it := svgItem{g: f.g, kind: f.kind}
+		it := svgItem{g: g, kind: f.kind}
 		switch f.kind {
 		case kindLayer:
 			if it.style = layerStyles[f.layer]; it.style == nil {
@@ -74,7 +75,7 @@ func AppendSessionSVG(dst []byte, s *core.Session, opts SVGOptions) ([]byte, err
 			}
 		}
 		items = append(items, it)
-		bounds = bounds.ExtendRect(f.g.Bounds())
+		bounds = bounds.ExtendRect(g.Bounds())
 		return nil
 	})
 	if err != nil {
@@ -133,7 +134,7 @@ func appendEmptySVG(b []byte, width int) []byte {
 func finite(g geom.Geometry) bool {
 	switch gg := g.(type) {
 	case geom.Point:
-		return !math.IsNaN(gg.X) && !math.IsNaN(gg.Y) && !math.IsInf(gg.X, 0) && !math.IsInf(gg.Y, 0)
+		return finitePt(gg)
 	case geom.Line:
 		return finitePts(gg.Pts)
 	case geom.Polygon:
@@ -155,11 +156,15 @@ func finite(g geom.Geometry) bool {
 
 func finitePts(pts []geom.Point) bool {
 	for _, p := range pts {
-		if !finite(p) {
+		if !finitePt(p) {
 			return false
 		}
 	}
 	return true
+}
+
+func finitePt(p geom.Point) bool {
+	return !math.IsNaN(p.X) && !math.IsNaN(p.Y) && !math.IsInf(p.X, 0) && !math.IsInf(p.Y, 0)
 }
 
 // layerStyle picks a stroke per layer name (stable hash → palette).

@@ -81,7 +81,8 @@ func TestSessionSVGDefaultsAndSimplify(t *testing.T) {
 
 // exportEngine builds an engine over a small warehouse with the given
 // rules; a catalog layer "Broken" holds a one-vertex line (a geometry the
-// GeoJSON decoder rejects).
+// GeoJSON decoder rejects), and the layers of addOddLayers (admitted by
+// oddRule) hold odd names, numbers and shapes.
 func exportEngine(t *testing.T, rules string) (*core.Engine, *datagen.Dataset) {
 	t.Helper()
 	cfg := datagen.Default()
@@ -99,6 +100,7 @@ func exportEngine(t *testing.T, rules string) (*core.Engine, *datagen.Dataset) {
 	if _, err := ds.Cube.AddLayerObject("Broken", "stub", geom.Ln(geom.Pt(-3.7, 40.4))); err != nil {
 		t.Fatal(err)
 	}
+	addOddLayers(t, ds.Cube)
 	users, err := datagen.NewUserStore(map[string]string{"alice": "RegionalSalesManager"})
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +152,7 @@ func TestSessionSVGMatchesRoundTrip(t *testing.T) {
 		{"no location", airportRule + trainRule, false},
 		{"no spatial schema", trainRule, false},
 		{"hospitals", "Rule:hospitals When SessionStart do AddLayer('Hospital', POINT) endWhen", true},
+		{"odd shapes", airportRule + oddRule, true},
 		{"nothing to draw", "Rule:idle When SessionStart do If (false) then AddLayer('Airport', POINT) endIf endWhen", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -191,12 +194,12 @@ func TestSessionSVGDrawsWhatGeoJSONServes(t *testing.T) {
 	if _, err := refSessionSVG(s, SVGOptions{}); err == nil {
 		t.Fatal("the round-trip renderer accepted a one-vertex line; the regression case is gone")
 	}
-	fc, err := Session(s, Options{})
+	body, err := Session(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var served int
-	for _, f := range fc.Features {
+	for _, f := range decodeFeatures(t, body) {
 		if f.Properties["layer"] == "Broken" {
 			served++
 			if string(f.Geometry) != `{"type":"LineString","coordinates":[[-3.7,40.4]]}` {
@@ -223,5 +226,8 @@ func TestSessionSVGDrawsWhatGeoJSONServes(t *testing.T) {
 	}
 	if _, err := refSessionSVG(s2, SVGOptions{}); err == nil {
 		t.Error("reference drew a non-finite location")
+	}
+	if _, err := Session(s2, Options{}); err == nil {
+		t.Error("non-finite location served as GeoJSON")
 	}
 }

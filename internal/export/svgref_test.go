@@ -9,13 +9,13 @@ import (
 )
 
 // refSessionSVG is the round-trip renderer SessionSVG replaced: it builds
-// the GeoJSON FeatureCollection and decodes every feature back before
-// drawing. SessionSVG must produce exactly its bytes.
+// the GeoJSON FeatureCollection (refCollection) and decodes every feature
+// back before drawing. SessionSVG must produce exactly its bytes.
 func refSessionSVG(s *core.Session, opts SVGOptions) (string, error) {
 	if opts.Width <= 0 {
 		opts.Width = 800
 	}
-	fc, err := Session(s, Options{SimplifyTolerance: opts.SimplifyTolerance})
+	fc, err := refCollection(s, Options{SimplifyTolerance: opts.SimplifyTolerance})
 	if err != nil {
 		return "", err
 	}
@@ -27,7 +27,7 @@ func refSessionSVG(s *core.Session, opts SVGOptions) (string, error) {
 	items := make([]item, 0, len(fc.Features))
 	bounds := geom.EmptyRect()
 	for _, f := range fc.Features {
-		g, err := UnmarshalGeometry(f.Geometry)
+		g, err := refUnmarshalGeometry(f.Geometry)
 		if err != nil {
 			return "", err
 		}

@@ -16,12 +16,9 @@ func Simplify(g Geometry, tolerance float64) Geometry {
 	}
 	switch gg := g.(type) {
 	case Point:
-		return gg
+		return g // the caller's interface value: re-boxing gg would allocate
 	case Line:
-		if len(gg.Pts) <= 2 {
-			return gg.Clone()
-		}
-		return Line{Pts: douglasPeucker(gg.Pts, tolerance)}
+		return Line{Pts: AppendSimplified(make([]Point, 0, len(gg.Pts)), gg.Pts, tolerance)}
 	case Polygon:
 		out := Polygon{Shell: simplifyRing(gg.Shell, tolerance)}
 		for _, h := range gg.Holes {
@@ -52,7 +49,7 @@ func simplifyRing(r Ring, tolerance float64) Ring {
 	}
 	// Close the ring, simplify as a line, reopen.
 	closed := append(append([]Point(nil), r...), r[0])
-	simplified := douglasPeucker(closed, tolerance)
+	simplified := appendDouglasPeucker(make([]Point, 0, len(closed)), closed, tolerance)
 	if len(simplified) >= 2 && simplified[0].Eq(simplified[len(simplified)-1]) {
 		simplified = simplified[:len(simplified)-1]
 	}
@@ -63,23 +60,31 @@ func simplifyRing(r Ring, tolerance float64) Ring {
 	return Ring(simplified)
 }
 
-// douglasPeucker keeps the endpoints and recursively the vertex farthest
-// from the current chord when it exceeds the tolerance.
-func douglasPeucker(pts []Point, tolerance float64) []Point {
-	if len(pts) <= 2 {
-		return append([]Point(nil), pts...)
+// AppendSimplified appends to dst the vertices Simplify keeps of a line
+// through pts — the form a renderer simplifying feature after feature
+// into one scratch slice uses.
+func AppendSimplified(dst, pts []Point, tolerance float64) []Point {
+	if tolerance <= 0 {
+		return append(dst, pts...)
 	}
-	keep := make([]bool, len(pts))
-	keep[0], keep[len(pts)-1] = true, true
+	return appendDouglasPeucker(dst, pts, tolerance)
+}
 
+// appendDouglasPeucker keeps the endpoints and recursively the vertex
+// farthest from the current chord when it exceeds the tolerance. Spans
+// are split left first, so the end vertex of every span left unsplit
+// comes out in order.
+func appendDouglasPeucker(dst, pts []Point, tolerance float64) []Point {
+	if len(pts) <= 2 {
+		return append(dst, pts...)
+	}
 	type span struct{ lo, hi int }
-	stack := []span{{0, len(pts) - 1}}
+	var spans [32]span // a deeper split spills to the heap
+	stack := append(spans[:0], span{0, len(pts) - 1})
+	dst = append(dst, pts[0])
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if s.hi-s.lo < 2 {
-			continue
-		}
 		maxD := -1.0
 		maxI := -1
 		for i := s.lo + 1; i < s.hi; i++ {
@@ -88,17 +93,12 @@ func douglasPeucker(pts []Point, tolerance float64) []Point {
 			}
 		}
 		if maxD > tolerance {
-			keep[maxI] = true
-			stack = append(stack, span{s.lo, maxI}, span{maxI, s.hi})
+			stack = append(stack, span{maxI, s.hi}, span{s.lo, maxI})
+			continue
 		}
+		dst = append(dst, pts[s.hi])
 	}
-	out := make([]Point, 0, len(pts))
-	for i, k := range keep {
-		if k {
-			out = append(out, pts[i])
-		}
-	}
-	return out
+	return dst
 }
 
 // ConvexHull returns the convex hull of the geometry's vertices as a

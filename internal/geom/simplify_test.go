@@ -56,6 +56,81 @@ func TestSimplifyToleranceBound(t *testing.T) {
 	}
 }
 
+// refDouglasPeucker is the keep-array Douglas-Peucker that
+// appendDouglasPeucker's in-order span walk replaced.
+func refDouglasPeucker(pts []Point, tolerance float64) []Point {
+	if len(pts) <= 2 {
+		return append([]Point(nil), pts...)
+	}
+	keep := make([]bool, len(pts))
+	keep[0], keep[len(pts)-1] = true, true
+	type span struct{ lo, hi int }
+	stack := []span{{0, len(pts) - 1}}
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if s.hi-s.lo < 2 {
+			continue
+		}
+		maxD, maxI := -1.0, -1
+		for i := s.lo + 1; i < s.hi; i++ {
+			if d := distPointSegment(pts[i], pts[s.lo], pts[s.hi]); d > maxD {
+				maxD, maxI = d, i
+			}
+		}
+		if maxD > tolerance {
+			keep[maxI] = true
+			stack = append(stack, span{s.lo, maxI}, span{maxI, s.hi})
+		}
+	}
+	var out []Point
+	for i, k := range keep {
+		if k {
+			out = append(out, pts[i])
+		}
+	}
+	return out
+}
+
+// AppendSimplified keeps exactly the vertices the keep-array walk kept, in
+// order, for lines deep enough to spill its span stack, and appends them
+// after what dst holds.
+func TestAppendSimplifiedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	prefix := []Point{Pt(-1, -1)}
+	for trial := 0; trial < 300; trial++ {
+		pts := make([]Point, rng.Intn(400))
+		x := 0.0
+		for i := range pts {
+			x += rng.Float64()
+			pts[i] = Pt(x, rng.Float64()*float64(1+trial%7))
+		}
+		tol := []float64{0.01, 0.3, 1, 5}[trial%4]
+		if trial == 0 {
+			// An exponential splits near each span's right end: every
+			// vertex is kept and the pending right spans nest ~n deep.
+			pts = make([]Point, 300)
+			for i := range pts {
+				pts[i] = Pt(float64(i), math.Exp(float64(i)/8))
+			}
+			tol = 1e-9
+		}
+		want := refDouglasPeucker(pts, tol)
+		got := AppendSimplified(append([]Point(nil), prefix...), pts, tol)
+		if len(got) != len(prefix)+len(want) || got[0] != prefix[0] {
+			t.Fatalf("trial %d: %d vertices after the prefix, want %d", trial, len(got)-len(prefix), len(want))
+		}
+		for i, p := range want {
+			if got[len(prefix)+i] != p {
+				t.Fatalf("trial %d: vertex %d = %v, want %v", trial, i, got[len(prefix)+i], p)
+			}
+		}
+		if simp := Simplify(Line{Pts: pts}, tol).(Line); len(simp.Pts) != len(want) {
+			t.Fatalf("trial %d: Simplify kept %d vertices, want %d", trial, len(simp.Pts), len(want))
+		}
+	}
+}
+
 func TestSimplifyPassThroughs(t *testing.T) {
 	p := Pt(1, 2)
 	if got := Simplify(p, 1); !Equals(got, p) {

@@ -49,6 +49,8 @@
 // generated, and either way it is echoed on the response — success and
 // error alike (admission timeouts included), so a 504 can still be looked
 // up under /api/trace/{id}. Error bodies carry the same ID as requestId.
+// The map exports (/api/geojson, /api/map.svg) echo an ID too, so a failed
+// render's 500 names the request.
 //
 // Query-path status contract: 400 invalid query, 404 unknown session,
 // 429 shed by the overload controller (over-share tenant under
@@ -200,6 +202,13 @@ func (s *Server) startTrace(w http.ResponseWriter, r *http.Request) (context.Con
 	}
 	w.Header().Set("X-Request-Id", id)
 	return obs.NewContext(r.Context(), tr), tr
+}
+
+// stampRequestID gives a request that starts no trace its correlation ID
+// (the client's X-Request-Id, or a generated one) on the response header,
+// where writeBody's error body picks it up.
+func stampRequestID(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("X-Request-Id", obs.RequestID(r.Header.Get("X-Request-Id")))
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -705,15 +714,13 @@ func (s *Server) handleGeoJSON(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.SimplifyTolerance = v
 	}
-	fc, err := export.Session(sess, opts)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "export failed: %v", err)
-		return
-	}
+	stampRequestID(w, r)
 	writeBody(w, http.StatusOK, "application/geo+json", func(buf *bytes.Buffer) error {
-		if err := json.NewEncoder(buf).Encode(fc); err != nil {
-			return fmt.Errorf("encode response: %w", err)
+		body, err := export.AppendSession(buf.AvailableBuffer(), sess, opts)
+		if err != nil {
+			return fmt.Errorf("export failed: %w", err)
 		}
+		buf.Write(body)
 		return nil
 	})
 }
@@ -737,6 +744,7 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Width = v
 	}
+	stampRequestID(w, r)
 	writeBody(w, http.StatusOK, "image/svg+xml", func(buf *bytes.Buffer) error {
 		svg, err := export.AppendSessionSVG(buf.AvailableBuffer(), sess, opts)
 		if err != nil {

@@ -15,6 +15,7 @@ import (
 	"sdwp/internal/cube"
 	"sdwp/internal/datagen"
 	"sdwp/internal/export"
+	"sdwp/internal/geom"
 	"sdwp/internal/prml"
 	"sdwp/internal/qsched"
 )
@@ -531,6 +532,37 @@ func TestGeoJSONEndpoint(t *testing.T) {
 	}
 }
 
+// A member at a non-finite coordinate fails /api/geojson as it fails
+// /api/map.svg — a JSON 500 carrying the request ID — instead of a 200
+// serving a geometry without coordinates.
+func TestGeoJSONNonFiniteCoordinate(t *testing.T) {
+	srv, ds := newTestServer(t)
+	loc := ds.CityLocs[0]
+	tok := login(t, srv, "alice", fmt.Sprintf("POINT (%f %f)", loc.X, loc.Y))
+	if err := ds.Cube.SetMemberGeometry("Store", "Store", 3, geom.Pt(math.NaN(), 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/api/geojson", "/api/map.svg"} {
+		req, err := http.NewRequest(http.MethodGet, srv.URL+path+"?session="+tok, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-Id", "req-nan")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr apiError
+		err = json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusInternalServerError ||
+			resp.Header.Get("Content-Type") != "application/json" || apiErr.RequestID != "req-nan" ||
+			!strings.Contains(apiErr.Error, `member feature "Store0003" has a non-finite coordinate`) {
+			t.Errorf("%s: %s %q %+v (%v)", path, resp.Status, resp.Header.Get("Content-Type"), apiErr, err)
+		}
+	}
+}
+
 func TestQueryFiltersOrderLimitOverHTTP(t *testing.T) {
 	srv, ds := newTestServer(t)
 	loc := ds.CityLocs[0]
@@ -891,11 +923,12 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestExportBodiesPinned pins /api/geojson and /api/map.svg, now written
-// through the pooled buffer in one Write, byte for byte against what the
-// handlers streamed before — json.Encoder output of export.Session (trailing
-// newline included) and export.SessionSVG's document — with a
-// Content-Length announcing exactly that body.
+// TestExportBodiesPinned pins /api/geojson and /api/map.svg, written
+// through the pooled buffer in one Write, byte for byte against the
+// renderers' own output — export.Session's collection (trailing newline
+// included; internal/export pins it against the json.Encoder encoder it
+// replaced) and export.SessionSVG's document — with a Content-Length
+// announcing exactly that body.
 func TestExportBodiesPinned(t *testing.T) {
 	cfg := datagen.Default()
 	cfg.Cities = 20
@@ -952,15 +985,11 @@ endWhen`); err != nil {
 		{"?selected=1", export.Options{SelectedOnly: true}},
 		{"?simplify=0.05", export.Options{SimplifyTolerance: 0.05}},
 	} {
-		fc, err := export.Session(sess, tc.opts)
+		want, err := export.Session(sess, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(fc); err != nil {
-			t.Fatal(err)
-		}
-		check("/api/geojson"+tc.query, "application/geo+json", want.Bytes())
+		check("/api/geojson"+tc.query, "application/geo+json", want)
 	}
 	for _, tc := range []struct {
 		query string

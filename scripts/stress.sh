@@ -23,6 +23,11 @@ go test -race -count=3 ./internal/qsched/
 # executor-independent reference (internal/cube/cubetest).
 go test -race -count=3 -run 'SharedSubexpr|PerFilter|PooledPartial|Packed' ./internal/core/ ./internal/cube/
 
+# Sessions log in and export maps concurrently: the first radius rules and
+# exports race to build and publish each table's point index and feature
+# text (generation-tagged atomic pointers, internal/cube/derived.go).
+go test -race -count=3 -run 'ConcurrentSessions|ConcurrentExport' ./internal/core/ ./internal/export/
+
 # The sharded executor interleaves scatter-gather scans with routed
 # ingest and view selections across per-shard locks.
 go test -race -count=2 -run 'Sharded' ./internal/shard/ ./internal/core/
