@@ -878,9 +878,8 @@ func BenchmarkShardedScan(b *testing.B) {
 // 0 — no tracer exists and queries carry no trace, the default
 // production path), sampled (1% — the recommended deployed setting),
 // and always (rate 1 — every query builds and retains its span tree).
-// The off mode's ns/op is gated against the previous artifact by
-// scripts/bench.sh (-nsop-gate): the subsystem's claim is that not
-// using it costs nothing, and wall time is exactly the metric for that.
+// The subsystem's claim is that not using it costs nothing: compare the
+// off row's ns/op across artifacts on one host.
 // Latency histograms are unconditionally on in all three modes, so the
 // off row also prices the metrics path.
 func BenchmarkTraceOverhead(b *testing.B) {
@@ -921,10 +920,9 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // with no accountant (off — no scan-stage timing, no attribution, the
 // pre-accounting fast path) versus a wired accountant (on — stage
 // timings snapshotted, CPU split across the batch, tenant account and
-// heavy-query profile updated per query). The on mode's ns/op is gated
-// against the previous artifact by scripts/bench.sh (-nsop-gate): the
-// subsystem's claim is that metering every query costs low single-digit
-// percent on a PackedScan-class scan, and wall time is the metric.
+// heavy-query profile updated per query). The subsystem's claim is that
+// metering every query costs low single-digit percent on a
+// PackedScan-class scan: compare on against off in one run.
 // The result cache stays off so every iteration pays a real scan.
 func BenchmarkCostAccountingOverhead(b *testing.B) {
 	env := getBenchEnv(b, 20000)
@@ -956,11 +954,9 @@ func BenchmarkCostAccountingOverhead(b *testing.B) {
 // eight tenants submitting round-robin (every batch slot scans all eight
 // scores, every settle updates a distinct ledger). Both modes pay the
 // debit/settle protocol; the tenants=8 mode additionally pays the
-// per-slot min-score scan. ns/op is gated against the previous artifact
-// by scripts/bench.sh (-nsop-gate): the fairness machinery's claim is
-// that it prices admission, not queries — overhead must stay noise
-// against a real scan. The result cache stays off so every iteration
-// pays one.
+// per-slot min-score scan. The fairness machinery's claim is that it
+// prices admission, not queries — overhead must stay noise against a
+// real scan. The result cache stays off so every iteration pays one.
 func BenchmarkFairAdmissionOverhead(b *testing.B) {
 	env := getBenchEnv(b, 20000)
 	for _, tenants := range []int{1, 8} {
@@ -1048,9 +1044,7 @@ func BenchmarkArtifactCacheHit(b *testing.B) {
 // BenchmarkPackedScan measures the compressed column layer on the hot
 // single-query scan shape (the BenchmarkParallelScan query, serial): the
 // monomorphic single-level SUM kernel over the dictionary-encoded
-// bit-packed key column. Its ns/op is gated against the previous artifact
-// by scripts/bench.sh (-nsop-gate) — the kernel must stay fast, not just
-// correct.
+// bit-packed key column — the kernel must stay fast, not just correct.
 func BenchmarkPackedScan(b *testing.B) {
 	env := getBenchEnv(b, 200000)
 	q := Query{

@@ -11,13 +11,11 @@
 // trajectory. With -baseline it additionally compares allocs/op per
 // benchmark against the previous artifact and fails past -alloc-tolerance,
 // so allocation regressions (a pool no longer hit, an artifact no longer
-// released) break CI instead of drifting the trajectory; -nsop-gate opts
-// named benchmarks into a ns/op comparison too (the tracing-overhead
-// proof — see BenchmarkTraceOverhead), and -alloc-bars holds named
-// benchmarks under an absolute allocs/op ceiling, baseline or not. The
-// run's
-// -benchtime/-count settings are recorded in the artifact so readers can
-// tell a 1x smoke pass from a duration-based measurement.
+// released) break CI instead of drifting the trajectory; -alloc-bars holds
+// named benchmarks under an absolute allocs/op ceiling, baseline or not.
+// ns/op is recorded but never gated: wall time drifts with the host. The
+// run's -benchtime/-count settings are recorded in the artifact so readers
+// can tell a 1x smoke pass from a duration-based measurement.
 //
 // Usage:
 //
@@ -76,10 +74,6 @@ func main() {
 		"previous BENCH_<n>.json to compare allocs/op against (missing file warns and skips)")
 	allocTol := flag.Float64("alloc-tolerance", 0.15,
 		"allowed fractional allocs/op growth over -baseline before failing")
-	nsopGate := flag.String("nsop-gate", "",
-		"regexp of benchmark names whose ns/op is ALSO gated against -baseline (empty = none: wall time is too noisy to gate broadly; scope this to overhead-proof benchmarks such as ^BenchmarkTraceOverhead)")
-	nsopTol := flag.Float64("nsop-tolerance", 0.30,
-		"allowed fractional ns/op growth over -baseline for -nsop-gate benchmarks")
 	allocBars := flag.String("alloc-bars", "",
 		"comma-separated Name=N absolute allocs/op ceilings (prefix match, like -manifest): a benchmark at or above its bar fails the run, baseline or not")
 	flag.Parse()
@@ -182,25 +176,12 @@ func main() {
 	// behind for inspection. allocs/op is gated for every benchmark: it is
 	// deterministic for a given code path, so growth there is a real
 	// regression (a pool stopped being hit, an artifact stopped being
-	// released), not scheduler jitter. ns/op is too noisy on shared
-	// runners to gate broadly, but -nsop-gate opts specific benchmarks in
-	// (with a looser tolerance) — the overhead-proof ones, where "tracing
-	// off costs nothing" is the claim under test and wall time IS the
-	// metric.
+	// released), not scheduler jitter. ns/op is not gated: on shared
+	// runners it moves with the host, not the code.
 	code := checkBars(&rep, "allocs/op", bars)
 	if *baseline != "" {
-		if c := compareMetric(*baseline, &rep, "allocs/op", nil, *allocTol, 0.5); c != 0 {
+		if c := compareMetric(*baseline, &rep, "allocs/op", *allocTol, 0.5); c != 0 {
 			code = c
-		}
-		if *nsopGate != "" {
-			re, err := regexp.Compile(*nsopGate)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchjson: bad -nsop-gate %q: %v\n", *nsopGate, err)
-				os.Exit(1)
-			}
-			if c := compareMetric(*baseline, &rep, "ns/op", re, *nsopTol, 0); c != 0 {
-				code = c
-			}
 		}
 	}
 	if code != 0 {
@@ -248,13 +229,12 @@ func checkBars(cur *report, metric string, bars map[string]float64) int {
 }
 
 // compareMetric returns a non-zero exit code when any benchmark present in
-// both artifacts (and matching `only`, when non-nil) grew the given metric
-// beyond the tolerance. grace is an absolute allowance on top of the
-// fractional one (0.5 for allocs/op: never fail tiny counts on a single
-// alloc). A missing or unreadable baseline — or a benchmark absent from it
+// both artifacts grew the given metric beyond the tolerance. grace is an
+// absolute allowance on top of the fractional one (0.5 for allocs/op:
+// never fail tiny counts on a single alloc). A missing or unreadable baseline — or a benchmark absent from it
 // — warns and passes: the gate compares trajectories, it does not invent
 // one on first run.
-func compareMetric(path string, cur *report, metric string, only *regexp.Regexp, tol, grace float64) int {
+func compareMetric(path string, cur *report, metric string, tol, grace float64) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: baseline %s unreadable (%v); skipping %s comparison\n", path, err, metric)
@@ -274,19 +254,12 @@ func compareMetric(path string, cur *report, metric string, only *regexp.Regexp,
 	regressed := 0
 	compared := 0
 	for _, b := range cur.Benchmarks {
-		if only != nil && !only.MatchString(b.Name) {
-			continue
-		}
 		curV, ok := b.Metrics[metric]
 		if !ok {
 			continue
 		}
 		baseV, ok := baseVals[b.Name]
 		if !ok {
-			if only != nil {
-				fmt.Fprintf(os.Stderr, "benchjson: %s absent from baseline %s; its %s gate starts next run\n",
-					b.Name, path, metric)
-			}
 			continue // new benchmark: no trajectory yet
 		}
 		compared++

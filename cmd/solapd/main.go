@@ -14,7 +14,7 @@
 //	       [-trace-sample-rate 0] [-slow-query 0] [-pprof-addr ""]
 //	       [-profile-registry-size 0] [-profile-decay 0] [-tenant-label-cap 0]
 //	       [-max-queue-depth 0] [-target-queue-wait 0]
-//	       [-tenant-weights alice=2,bob=1] [-auto-tune] [-auto-tune-interval 2s]
+//	       [-tenant-weights alice=2,bob=1]
 //
 // Every flag, its default, and how the knobs interact is documented in
 // docs/OPERATIONS.md.
@@ -85,10 +85,6 @@ func main() {
 			"overload threshold on smoothed admission wait: past it, over-share tenants are shed with 429; set well below -query-timeout (0 = off)")
 		tenantWeights = flag.String("tenant-weights", "",
 			"comma-separated user=weight fair-share weights (e.g. alice=2,bob=1); unlisted tenants weigh 1")
-		autoTune = flag.Bool("auto-tune", false,
-			"adaptive knob tuner: auto-size the coalesce window from arrival rate and the result/artifact cache budgets from hit rates, within bounds of the configured values; every adjustment is logged")
-		autoTuneInterval = flag.Duration("auto-tune-interval", 0,
-			"adaptive tuner observation period (0 = default 2s)")
 	)
 	flag.Parse()
 
@@ -174,8 +170,6 @@ func main() {
 		MaxQueueDepth:      *maxQueueDepth,
 		TargetQueueWait:    *targetQueueWait,
 		TenantWeights:      weights,
-		AutoTune:           *autoTune,
-		AutoTuneInterval:   *autoTuneInterval,
 	})
 	engine.SetParam("threshold", sdwp.Number(*threshold))
 

@@ -125,16 +125,6 @@ type Options struct {
 	// cost-driven admission (unlisted tenants weigh 1; a weight-2 tenant
 	// sustains twice the attributed scan cost before losing priority).
 	TenantWeights map[string]float64
-	// AutoTune starts the adaptive knob tuner: a background goroutine that
-	// re-sizes CoalesceWindow from the observed arrival rate and
-	// ResultCacheBytes/ArtifactCacheBytes from hit-rate telemetry, within
-	// bounds derived from the configured values (window ≤ max(4×configured,
-	// 2ms); caches within [configured/4, configured×4]; a knob configured
-	// 0 — disabled — is never touched). Off by default; every adjustment
-	// is logged via slog.
-	AutoTune bool
-	// AutoTuneInterval is the tuner's observation period (0 = 2s).
-	AutoTuneInterval time.Duration
 }
 
 // QueryWorkers returns the engine's configured query worker-pool size.
@@ -211,9 +201,6 @@ type Engine struct {
 	// feeds the heavy-query profile registry; served by GET /api/tenants
 	// and GET /api/queries/top and re-emitted on /metrics. Always on.
 	costs *obs.Accountant
-	// tun is the adaptive knob tuner, non-nil only with Options.AutoTune
-	// (stopped by Close before the scheduler drains).
-	tun *tuner
 
 	mu sync.Mutex
 	// plans holds the registered rules compiled, in registration order;
@@ -288,10 +275,6 @@ func NewEngine(c *cube.Cube, users *usermodel.Store, opts Options) *Engine {
 	e.registry.RegisterCollector(e.collectSchedulerSamples)
 	e.registry.RegisterCollector(e.collectCostSamples)
 	obs.RegisterRuntimeMetrics(e.registry)
-	if opts.AutoTune {
-		e.tun = newTuner(e)
-		go e.tun.run()
-	}
 	return e
 }
 
@@ -352,8 +335,6 @@ func (e *Engine) collectSchedulerSamples(emit func(obs.Sample)) {
 			Value:  fs.Share,
 			Labels: map[string]string{"tenant": fs.Tenant}})
 	}
-	gauge("sdwp_coalesce_window_seconds", "Live coalescing window (drifts from the configured value under auto-tune).", float64(st.CoalesceWindowNs)/1e9)
-	gauge("sdwp_result_cache_cap_bytes", "Live result-cache byte budget (drifts under auto-tune).", float64(st.ResultCacheCapBytes))
 	if st.FactShards > 0 {
 		gauge("sdwp_fact_shards", "Fact-table shard count.", float64(st.FactShards))
 		counter("sdwp_shard_scans_total", "Per-shard scans fanned out by the scatter-gather executor.", st.ShardScans)
@@ -407,12 +388,7 @@ func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
 // Close stops the engine's query scheduler: queued queries drain, new ones
 // are rejected. Idempotent; the engine must not be queried after Close.
-// The adaptive tuner (if running) is stopped first, so no knob moves
-// while the scheduler drains.
 func (e *Engine) Close() {
-	if e.tun != nil {
-		e.tun.stopWait()
-	}
 	e.sched.Close()
 }
 

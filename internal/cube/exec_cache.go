@@ -199,11 +199,11 @@ func (ac *ArtifactCache) admitLocked(key string) bool {
 }
 
 func (ac *ArtifactCache) put(e *artifactEntry) bool {
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
-	if e.bytes > ac.max { // checked under the lock: max is mutable via Resize
+	if e.bytes > ac.max {
 		return false
 	}
+	ac.mu.Lock()
+	defer ac.mu.Unlock()
 	if !ac.admitLocked(e.key) {
 		// First offer of this fingerprint: the doorkeeper turns it away so
 		// one-off filters cannot evict hot artifacts; the caller keeps
@@ -231,27 +231,6 @@ func (ac *ArtifactCache) put(e *artifactEntry) bool {
 		ac.evictions.Add(1)
 	}
 	return true
-}
-
-// Resize retunes the cache's byte budget at runtime — the adaptive
-// tuner's hit-rate knob — evicting least-recently-used entries
-// immediately when shrinking below the current footprint. A no-op on a
-// nil cache or a non-positive budget (a disabled cache stays disabled).
-func (ac *ArtifactCache) Resize(maxBytes int64) {
-	if ac == nil || maxBytes <= 0 {
-		return
-	}
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
-	ac.max = maxBytes
-	for ac.bytes > ac.max {
-		oldest := ac.lru.Back()
-		if oldest == nil {
-			break
-		}
-		ac.removeLocked(oldest)
-		ac.evictions.Add(1)
-	}
 }
 
 // removeLocked unlinks an entry. Callers hold ac.mu. The payload is left

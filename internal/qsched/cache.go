@@ -63,11 +63,11 @@ func entrySize(key string, res *cube.Result) int64 {
 // cached at all.
 func (c *resultCache) put(key string, res *cube.Result) {
 	size := entrySize(key, res)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if size > c.max { // checked under the lock: max is mutable via resize
+	if size > c.max {
 		return
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*cacheEntry)
 		c.bytes += size - e.size
@@ -95,33 +95,6 @@ func (c *resultCache) stats() (hits, misses, evictions, bytes int64, entries int
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evictions, c.bytes, len(c.items)
-}
-
-// capBytes returns the current byte budget (mutable via resize).
-func (c *resultCache) capBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.max
-}
-
-// resize retunes the byte budget at runtime — the adaptive tuner's
-// hit-rate knob — evicting least-recently-used entries immediately when
-// shrinking below the current footprint.
-func (c *resultCache) resize(maxBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.max = maxBytes
-	for c.bytes > c.max {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.items, e.key)
-		c.bytes -= e.size
-		c.evictions++
-	}
 }
 
 // doorkeeper is the result cache's admission filter: a result is cached

@@ -70,9 +70,6 @@ const (
 	// (the queue state a minute out is unknowable).
 	minRetryAfter = time.Second
 	maxRetryAfter = 60 * time.Second
-	// maxWindow clamps SetWindow: the coalescing window is a latency
-	// budget, and past ~100ms it is queueing, not batching.
-	maxWindow = 100 * time.Millisecond
 )
 
 // ErrOverloaded is the base error of queries shed by the overload

@@ -357,72 +357,3 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
-
-// TestSetWindowClamp pins the runtime window knob's clamp to [0, maxWindow]
-// and its visibility through Window() and Stats.
-func TestSetWindowClamp(t *testing.T) {
-	s := New(nil, Options{Window: time.Millisecond})
-	defer s.Close()
-	if got := s.Window(); got != time.Millisecond {
-		t.Errorf("initial window = %v, want 1ms", got)
-	}
-	s.SetWindow(-5 * time.Millisecond)
-	if got := s.Window(); got != 0 {
-		t.Errorf("window after negative set = %v, want 0", got)
-	}
-	s.SetWindow(time.Second)
-	if got := s.Window(); got != maxWindow {
-		t.Errorf("window after oversized set = %v, want clamp %v", got, maxWindow)
-	}
-	s.SetWindow(250 * time.Microsecond)
-	if got := s.Stats().CoalesceWindowNs; got != 250*1000 {
-		t.Errorf("Stats.CoalesceWindowNs = %d, want 250000", got)
-	}
-}
-
-// TestResizeResultCache shrinks the live cache below its footprint and
-// checks immediate eviction, plus the disabled-cache and non-positive
-// no-ops.
-func TestResizeResultCache(t *testing.T) {
-	s := New(nil, Options{CacheBytes: 1 << 20})
-	defer s.Close()
-	res := &cube.Result{Rows: []cube.Row{{Values: []float64{1}}}}
-	per := entrySize("k00", res)
-	for i := 0; i < 8; i++ {
-		s.cache.put(fmt.Sprintf("k%02d", i), res)
-	}
-	if _, _, _, bytes, entries := s.cache.stats(); entries != 8 || bytes != 8*per {
-		t.Fatalf("cache holds %d entries / %d bytes, want 8 / %d", entries, bytes, 8*per)
-	}
-
-	s.ResizeResultCache(3 * per)
-	if got := s.Stats().ResultCacheCapBytes; got != 3*per {
-		t.Errorf("cap after resize = %d, want %d", got, 3*per)
-	}
-	_, _, evictions, bytes, entries := s.cache.stats()
-	if entries != 3 || bytes != 3*per {
-		t.Errorf("after shrink: %d entries / %d bytes, want 3 / %d", entries, bytes, 3*per)
-	}
-	if evictions != 5 {
-		t.Errorf("evictions = %d, want 5", evictions)
-	}
-	// The survivors are the most recently used.
-	if _, ok := s.cache.get("k07"); !ok {
-		t.Error("most recent entry evicted by shrink")
-	}
-	if _, ok := s.cache.get("k00"); ok {
-		t.Error("least recent entry survived shrink")
-	}
-
-	// Non-positive sizes and a disabled cache are no-ops, not panics.
-	s.ResizeResultCache(0)
-	if got := s.cache.capBytes(); got != 3*per {
-		t.Errorf("cap after resize(0) = %d, want unchanged %d", got, 3*per)
-	}
-	off := New(nil, Options{})
-	defer off.Close()
-	off.ResizeResultCache(1 << 20)
-	if off.cache != nil {
-		t.Error("resize turned a disabled cache on")
-	}
-}

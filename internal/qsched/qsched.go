@@ -2,8 +2,8 @@
 // "millions of users issuing concurrent single queries" into the shared
 // scans the cube's batch executor is built for (multi-query optimization in
 // the GLADE tradition), with a cost-driven resource manager — weighted fair
-// shares, overload shedding, runtime-tunable knobs — so one heavy tenant is
-// boundedly isolated instead of starving the rest (cf. Tempo).
+// shares, overload shedding — so one heavy tenant is boundedly isolated
+// instead of starving the rest (cf. Tempo).
 //
 // Four mechanisms compose:
 //
@@ -36,9 +36,6 @@
 //     Retry-After at the web layer) instead of timing out at the 504
 //     deadline after queueing uselessly. Under-share tenants are never
 //     shed. Both thresholds unset = shedding off.
-//
-// The coalescing window and the result-cache budget are runtime-tunable
-// (SetWindow, ResizeResultCache) — the hooks core's adaptive tuner drives.
 //
 // The scans themselves are sharing-aware: coalesced batches run through
 // cube.ExecuteBatchCompiledOpt, which materializes each distinct filter
@@ -234,10 +231,6 @@ type Scheduler struct {
 	// path, so a cache hit can never be served after Close returns.
 	closedFlag atomic.Bool
 
-	// windowNs is the live coalescing window (seeded from Options.Window,
-	// retunable via SetWindow), read atomically by the dispatcher.
-	windowNs atomic.Int64
-
 	mu      sync.Mutex
 	closed  bool
 	tenants map[string]*tenant  // userKey → queue + fair-share ledger
@@ -300,7 +293,6 @@ func New(c Executor, opts Options) *Scheduler {
 		negCache:   newErrCache(negCacheCapacity),
 		startedAt:  time.Now(),
 	}
-	s.windowNs.Store(int64(opts.Window))
 	s.lastAssembleAt = s.startedAt
 	s.shedDecayAt = s.startedAt
 	if opts.CacheBytes > 0 {
@@ -458,35 +450,34 @@ func (s *Scheduler) SubmitBatchCtx(ctx context.Context, qs []cube.Query, vs []*c
 		}
 		pends = append(pends, pending{i: i, cq: cq, view: v, epoch: epoch, key: key, fp: fp, admit: admit})
 	}
-	// One overload decision covers the whole batch: cache hits above were
-	// already served, and a shed batch never touches the queue.
-	if len(pends) > 0 && firstErr == nil {
-		if err := s.maybeShed(userKey); err != nil {
-			firstErr = err
-			pends = nil
-		}
+	// A batch that already failed enqueues nothing: its valid queries would
+	// only scan to be discarded, and past the overload check below.
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	if len(pends) > 0 {
+		// One overload decision covers the whole batch: cache hits above
+		// were already served, and a shed batch never touches the queue.
+		if err := s.maybeShed(userKey); err != nil {
+			return nil, err
+		}
 		now := time.Now()
 		deadline := s.requestDeadline(ctx, now)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			if firstErr == nil {
-				firstErr = ErrClosed
-			}
-		} else {
-			for _, p := range pends {
-				ch := make(chan outcome, 1)
-				chans[p.i] = ch
-				s.enqueueLocked(&request{cq: p.cq, view: p.view, epoch: p.epoch,
-					key: p.key, fp: p.fp, admit: p.admit, user: userKey,
-					waiters:    []waiter{{ch: ch, tr: tr, user: userKey, start: start}},
-					enqueuedAt: now, deadline: deadline}, userKey)
-			}
-			s.mu.Unlock()
-			s.kickDispatcher()
+			return nil, ErrClosed
 		}
+		for _, p := range pends {
+			ch := make(chan outcome, 1)
+			chans[p.i] = ch
+			s.enqueueLocked(&request{cq: p.cq, view: p.view, epoch: p.epoch,
+				key: p.key, fp: p.fp, admit: p.admit, user: userKey,
+				waiters:    []waiter{{ch: ch, tr: tr, user: userKey, start: start}},
+				enqueuedAt: now, deadline: deadline}, userKey)
+		}
+		s.mu.Unlock()
+		s.kickDispatcher()
 	}
 	// Drain everything admitted, even after an error: those queries will
 	// execute regardless, and abandoning the channels would strand their
@@ -671,40 +662,6 @@ func (s *Scheduler) kickDispatcher() {
 	}
 }
 
-// Window is the live coalescing window (Options.Window until SetWindow
-// retunes it).
-func (s *Scheduler) Window() time.Duration {
-	return s.window()
-}
-
-func (s *Scheduler) window() time.Duration {
-	return time.Duration(s.windowNs.Load())
-}
-
-// SetWindow retunes the coalescing window at runtime — the adaptive
-// tuner's arrival-rate knob — clamped to [0, 100ms] (past that it is
-// queueing, not batching). Takes effect on the next dispatch iteration.
-func (s *Scheduler) SetWindow(w time.Duration) {
-	if w < 0 {
-		w = 0
-	}
-	if w > maxWindow {
-		w = maxWindow
-	}
-	s.windowNs.Store(int64(w))
-}
-
-// ResizeResultCache retunes the result-cache byte budget at runtime,
-// evicting down when shrinking. A no-op when caching is disabled or
-// n <= 0 — the tuner never turns a disabled cache on (CacheBytes 0 is an
-// operator decision, not a starting point).
-func (s *Scheduler) ResizeResultCache(n int64) {
-	if s.cache == nil || n <= 0 {
-		return
-	}
-	s.cache.resize(n)
-}
-
 // dispatchLoop is the scheduler's single dispatcher goroutine: wait for
 // work, hold the coalescing window open, take an in-flight slot, assemble
 // a fair batch, and hand it to a scan goroutine.
@@ -725,9 +682,8 @@ func (s *Scheduler) dispatchLoop() {
 		s.mu.Unlock()
 
 		// Micro-batch window: let more concurrent queries pile in, but cut
-		// the wait short once the batch is full (or on Close). The window
-		// is read atomically — the adaptive tuner retunes it at runtime.
-		if w := s.window(); w > 0 {
+		// the wait short once the batch is full (or on Close).
+		if w := s.opts.Window; w > 0 {
 			deadline := time.NewTimer(w)
 		window:
 			for {
@@ -1130,11 +1086,6 @@ type Stats struct {
 	// FairShares is every live tenant's fair-share ledger, heaviest share
 	// first (same lock as the shed counters — never torn against them).
 	FairShares []TenantShare `json:"fairShares,omitempty"`
-	// CoalesceWindowNs and ResultCacheCapBytes are the live values of the
-	// runtime-tunable knobs (they drift from the configured Options under
-	// the adaptive tuner).
-	CoalesceWindowNs    int64 `json:"coalesceWindowNs"`
-	ResultCacheCapBytes int64 `json:"resultCacheCapBytes"`
 	// Sharded execution (all zero on an unsharded engine; the engine fills
 	// them from the shard table): FactShards is the shard count,
 	// ShardFactCounts the per-shard fact totals (the hash-partition
@@ -1253,10 +1204,6 @@ func (s *Scheduler) Stats() Stats {
 	st.DrainRatePerSec = s.drainEWMA
 	st.FairShares = s.fairSharesLocked(now)
 	s.mu.Unlock()
-	st.CoalesceWindowNs = s.window().Nanoseconds()
-	if s.cache != nil {
-		st.ResultCacheCapBytes = s.cache.capBytes()
-	}
 	st.InFlight = len(s.slots)
 	if st.FactScans > 0 {
 		st.CoalesceRatio = float64(st.Executed+st.Shared) / float64(st.FactScans)

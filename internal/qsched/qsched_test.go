@@ -323,6 +323,31 @@ func TestSubmitBatchPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchFailedEnqueuesNothing pins that a batch failing on a
+// malformed entry scans none of its valid entries — on the compile error
+// and on the negative-cache hit that answers the repeat — so a bad query
+// appended to a batch can neither waste scans nor slip past the overload
+// check.
+func TestSubmitBatchFailedEnqueuesNothing(t *testing.T) {
+	ds := testDataset(t)
+	s := New(ds.Cube, Options{})
+	defer s.Close()
+	ghost := cube.Query{Fact: "Ghost", Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}}
+	qs := []cube.Query{countQuery, cityQuery(1), ghost}
+	for round := 0; round < 2; round++ {
+		if _, err := s.SubmitBatch(qs, nil, "mallory"); err == nil {
+			t.Fatalf("round %d: batch with malformed query succeeded", round)
+		}
+	}
+	st := s.Stats()
+	if st.Executed != 0 || st.Batches != 0 {
+		t.Errorf("failed batches executed %d queries in %d batches, want none", st.Executed, st.Batches)
+	}
+	if st.NegCacheHits != 1 {
+		t.Errorf("negative-cache hits = %d, want 1 (the repeat)", st.NegCacheHits)
+	}
+}
+
 // TestSubmitBatchSingleScanWhenIdle pins the batch-admission guarantee: a
 // whole dashboard batch admitted on an idle scheduler lands in ONE shared
 // scan, exactly like the pre-scheduler cube.ExecuteBatch path.

@@ -262,20 +262,6 @@ func (t *Table) Stats() Stats {
 	return st
 }
 
-// ResizeArtifactCaches retunes the table-wide artifact-cache byte budget
-// at runtime — the adaptive tuner's knob — splitting it evenly across
-// shards exactly as New did. A no-op when the caches are disabled or the
-// budget is non-positive.
-func (t *Table) ResizeArtifactCaches(total int64) {
-	if total <= 0 || len(t.shards) == 0 {
-		return
-	}
-	perShard := total / int64(len(t.shards))
-	for _, sh := range t.shards {
-		sh.cache.Resize(perShard) // nil-safe: disabled caches stay disabled
-	}
-}
-
 // PackedStats aggregates the shards' compressed-column storage stats,
 // taking each shard's read lock so ingest cannot grow columns mid-sum.
 func (t *Table) PackedStats() cube.PackedStats {

@@ -23,9 +23,8 @@
 //	                                                     (coalesce ratio, cache hit rate, queue depth,
 //	                                                     filter-mask / group-key sharing ratios,
 //	                                                     negative-cache, admission-timeout and
-//	                                                     doorkeeper counters; shed counters, per-tenant
-//	                                                     fair shares and the live auto-tuned knob
-//	                                                     values, snapshotted under one scheduler lock;
+//	                                                     doorkeeper counters; shed counters and per-tenant
+//	                                                     fair shares, snapshotted under one scheduler lock;
 //	                                                     on a sharded engine also shard count, per-shard
 //	                                                     fact balance, shard-scan fan-out and
 //	                                                     artifact-cache hit rates)
@@ -764,11 +763,10 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 // live queue depth, the overload-control state (shedTotal, shedByTenant,
 // shedRatePerSec, queueWaitEwmaMs, drainRatePerSec — snapshotted under one
 // lock with the queue depth, so the breakdown always sums to the total),
-// the per-tenant fair-share ledgers (fairShares) and live knob values
-// (coalesceWindowNs, resultCacheCapBytes), and — on a sharded engine — the
-// shard fan-out and cross-batch artifact-cache counters (including
-// artifactDoorkept, its admission doorkeeper): the observability surface
-// of internal/qsched + internal/shard.
+// the per-tenant fair-share ledgers (fairShares), and — on a sharded
+// engine — the shard fan-out and cross-batch artifact-cache counters
+// (including artifactDoorkept, its admission doorkeeper): the
+// observability surface of internal/qsched + internal/shard.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return

@@ -4,15 +4,10 @@
 # pool-hit metrics) through cmd/benchjson. The manifest makes a renamed or
 # deleted benchmark fail the pipeline instead of silently dropping its
 # perf trajectory, and the baseline comparison fails the pipeline when a
-# benchmark's allocs/op regresses past the tolerance — or when an
-# ns/op-gated benchmark regresses wall time: the tracing-off mode of
-# BenchmarkTraceOverhead (the telemetry subsystem's "off costs nothing"
-# proof), the packed mode of BenchmarkPackedScan (the compressed column
-# layer must stay fast, not just correct), the on mode of
-# BenchmarkCostAccountingOverhead, and BenchmarkFairAdmissionOverhead
-# (fair admission prices tenants, not queries — its ledger must stay
-# noise against a real scan). ALLOC_BARS holds named benchmarks under an
-# absolute allocs/op ceiling, which gates them from their first run.
+# benchmark's allocs/op regresses past the tolerance. ns/op is recorded
+# but not gated (wall time drifts with the host). ALLOC_BARS holds named
+# benchmarks under an absolute allocs/op ceiling, which gates them from
+# their first run.
 #
 # Env knobs:
 #   BENCHTIME  go test -benchtime value   (default 1s: duration-based, so
@@ -86,7 +81,6 @@ go test -run '^$' \
   -benchtime "$BENCHTIME" -count "$COUNT" . \
   | go run ./cmd/benchjson -issue "$ISSUE" -out "$OUT" -manifest "$MANIFEST" \
       -benchtime "$BENCHTIME" -count "$COUNT" \
-      -nsop-gate '^(BenchmarkTraceOverhead/off|BenchmarkPackedScan/packed=true|BenchmarkCostAccountingOverhead/on|BenchmarkFairAdmissionOverhead/)' \
       -alloc-bars "$ALLOC_BARS" \
       ${BASELINE:+-baseline "$BASELINE"}
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # docscheck.sh — the docs lint: fail CI when the operator/architecture
-# docs go missing or the solapd flag surface drifts away from
-# docs/OPERATIONS.md. The flag list is parsed out of cmd/solapd/main.go
-# itself, so adding a flag without documenting it is a one-commit CI
-# failure instead of a slow divergence.
+# docs go missing or docs/OPERATIONS.md drifts from the code in either
+# direction. The flag list is parsed out of cmd/solapd/main.go and the
+# metric names out of the Go sources under internal/, so adding a flag
+# without documenting it — or deleting a flag or metric and leaving its
+# row behind — is a one-commit CI failure instead of a slow divergence.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +29,26 @@ fi
 for f in $flags; do
   if ! grep -q -- "\`-$f\`" docs/OPERATIONS.md; then
     echo "docscheck: solapd flag -$f is not documented in docs/OPERATIONS.md" >&2
+    fail=1
+  fi
+done
+
+# Every flag-table row in OPERATIONS.md must name a flag solapd defines.
+documented=$(grep -oE '^\| `-[a-z-]+`' docs/OPERATIONS.md | sed -E 's/^\| `-([a-z-]+)`/\1/' | sort -u)
+for f in $documented; do
+  if ! grep -qx -- "$f" <<<"$flags"; then
+    echo "docscheck: docs/OPERATIONS.md documents -$f, which cmd/solapd/main.go does not define" >&2
+    fail=1
+  fi
+done
+
+# Every full sdwp_* metric name in OPERATIONS.md must be emitted by
+# production Go under internal/ (a string literal outside _test.go).
+emitted=$(grep -rhoE --include='*.go' --exclude='*_test.go' '"sdwp_[a-z0-9_]+"' internal/ \
+  | tr -d '"' | sort -u)
+for m in $(grep -oE '`sdwp_[a-z0-9_]+`' docs/OPERATIONS.md | tr -d '`' | sort -u); do
+  if ! grep -qx -- "$m" <<<"$emitted"; then
+    echo "docscheck: docs/OPERATIONS.md lists metric $m, which no Go source under internal/ emits" >&2
     fail=1
   fi
 done

@@ -29,7 +29,7 @@
 //     stale queued work (per-request contexts via Session.QueryCtx), and
 //     fronts everything with an epoch-keyed result cache — see
 //     EngineOptions.CoalesceWindow / MaxInFlightScans / ResultCacheBytes
-//     / MaxBatchQueries / AutoTune and Engine.SchedulerStats
+//     / MaxBatchQueries and Engine.SchedulerStats
 //     (docs/ARCHITECTURE.md has the architecture, docs/OPERATIONS.md the
 //     operator guide);
 //   - shard for write and scan scale: EngineOptions.FactShards
@@ -197,10 +197,10 @@ type (
 	// SchedulerStats snapshots the engine's query-scheduler counters:
 	// coalesce ratio, cache hit rate, queue depth, admission timeouts,
 	// overload-shed counters and per-tenant fair shares (snapshotted
-	// atomically with the queue state), the live auto-tuned knob values,
-	// the cross-query subexpression-sharing ratios, and — on a sharded
-	// engine — shard fan-out and artifact-cache counters
-	// (Engine.SchedulerStats, GET /api/stats).
+	// atomically with the queue state), the cross-query
+	// subexpression-sharing ratios, and — on a sharded engine — shard
+	// fan-out and artifact-cache counters (Engine.SchedulerStats,
+	// GET /api/stats).
 	SchedulerStats = qsched.Stats
 	// TenantShare is one tenant's fair-share ledger position
 	// (SchedulerStats.FairShares).
