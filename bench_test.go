@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sdwp/internal/cube"
 	"sdwp/internal/export"
@@ -652,12 +651,9 @@ func BenchmarkCoalescedConcurrentQueries(b *testing.B) {
 	env := getBenchEnv(b, 200000)
 	const concurrentSessions = 8
 	b.Run("coalesced", func(b *testing.B) {
-		// A sub-millisecond window plus one scan slot is the
-		// configuration that actually merges concurrent clients into
-		// shared scans on any host (with window 0 a fast single-CPU
-		// host dispatches each query before the next client gets
-		// scheduled).
-		opts := EngineOptions{CoalesceWindow: 200 * time.Microsecond, MaxInFlightScans: 1}
+		// One scan slot: every client query that arrives while a scan
+		// runs queues behind it and coalesces into the next one.
+		opts := EngineOptions{MaxInFlightScans: 1}
 		users, err := NewSalesUserStore(map[string]string{"alice": "RegionalSalesManager"})
 		if err != nil {
 			b.Fatal(err)

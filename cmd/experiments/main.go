@@ -502,10 +502,8 @@ func runC8() {
 		name string
 		opts sdwp.EngineOptions
 	}{
-		{"coalesced", sdwp.EngineOptions{
-			CoalesceWindow: 500 * time.Microsecond, MaxInFlightScans: 2}},
-		{"coalesced+cache", sdwp.EngineOptions{
-			CoalesceWindow: 500 * time.Microsecond, MaxInFlightScans: 2,
+		{"coalesced", sdwp.EngineOptions{MaxInFlightScans: 2}},
+		{"coalesced+cache", sdwp.EngineOptions{MaxInFlightScans: 2,
 			ResultCacheBytes: 32 << 20}},
 	}
 	fmt.Printf("  %d clients x %d personalized queries, %d facts\n",
@@ -619,8 +617,7 @@ endWhen`
 	fmt.Printf("  scheduler end-to-end: %d clients x %d filtered queries\n", clients, queriesPerClient)
 	fmt.Printf("  %12s %10s %12s %12s\n", "wall", "scans", "filter-share", "group-share")
 	users := must(sdwp.NewSalesUserStore(roles))
-	e := sdwp.NewEngine(ds.Cube, users, sdwp.EngineOptions{
-		CoalesceWindow: 500 * time.Microsecond, MaxInFlightScans: 2})
+	e := sdwp.NewEngine(ds.Cube, users, sdwp.EngineOptions{MaxInFlightScans: 2})
 	must(e.AddRules(wideRule))
 	sessions := make([]*sdwp.Session, clients)
 	for i := range sessions {
@@ -826,7 +823,8 @@ func runC11() {
 // cost accounts back: a dashboard tenant whose repeated batch turns into
 // result-cache credits, an ad-hoc tenant paying full scans for one-off
 // fingerprints, and two tenants issuing the identical query concurrently
-// so the coalesced scan's cost splits fairly between them. The tables
+// while one scan holds the single scan slot, so they queue together and
+// the coalesced scan's cost splits fairly between them. The tables
 // printed here are the same data GET /api/tenants and
 // GET /api/queries/top serve.
 func runC12() {
@@ -841,7 +839,7 @@ func runC12() {
 		"twin-b": "RegionalSalesManager", // one scan, cost split across both
 	}))
 	e := sdwp.NewEngine(ds.Cube, users, sdwp.EngineOptions{
-		CoalesceWindow:   2 * time.Millisecond,
+		MaxInFlightScans: 1, // queries arriving during a scan coalesce behind it
 		ResultCacheBytes: 8 << 20,
 	})
 	defer e.Close()
@@ -866,24 +864,36 @@ func runC12() {
 
 	const rounds = 8
 	var wg sync.WaitGroup
-	wg.Add(3)
+	wg.Add(2)
 	go func() { // the dashboard tenant repeats one batch: hits from round 2 on
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
 			must(sessions["dash"].QueryBatch(dashboard, nil))
 		}
 	}()
-	go func() { // the ad-hoc tenant never repeats a fingerprint
-		defer wg.Done()
-		for r := 0; r < rounds; r++ {
-			must(sessions["adhoc"].Query(mkQ("City", "UnitSales", float64(50000+r))))
-		}
-	}()
-	go func() { // the twins race the identical query into the coalesce window
+	go func() {
 		defer wg.Done()
 		twin := sdwp.Query{Fact: "Sales", Aggregates: []sdwp.MeasureAgg{{Agg: sdwp.COUNT}}}
 		var tw sync.WaitGroup
 		for r := 0; r < rounds; r++ {
+			// The ad-hoc tenant's one-off scan (it never repeats a
+			// fingerprint) takes the slot; once a scan is in flight the
+			// twins' identical query queues behind it and both ride the
+			// next shared scan.
+			adhocDone := make(chan struct{})
+			go func(r int) {
+				defer close(adhocDone)
+				must(sessions["adhoc"].Query(mkQ("City", "UnitSales", float64(50000+r))))
+			}(r)
+		wait:
+			for e.SchedulerStats().InFlight == 0 {
+				select {
+				case <-adhocDone:
+					break wait
+				default:
+					runtime.Gosched()
+				}
+			}
 			for _, u := range []string{"twin-a", "twin-b"} {
 				tw.Add(1)
 				go func(u string) {
@@ -892,6 +902,7 @@ func runC12() {
 				}(u)
 			}
 			tw.Wait()
+			<-adhocDone
 		}
 	}()
 	wg.Wait()

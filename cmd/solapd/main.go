@@ -8,8 +8,8 @@
 //	solapd [-addr :8080] [-seed 1] [-stores 300] [-sales 20000]
 //	       [-rules file.prml] [-users alice=RegionalSalesManager,bob=Accountant]
 //	       [-threshold 2] [-workers -1]
-//	       [-coalesce-window 500us] [-max-inflight-scans 2]
-//	       [-result-cache-mb 32] [-max-batch-queries 64]
+//	       [-max-inflight-scans 2] [-result-cache-mb 32]
+//	       [-max-batch-queries 64]
 //	       [-fact-shards 0] [-query-timeout 0] [-artifact-cache-mb 0]
 //	       [-trace-sample-rate 0] [-slow-query 0] [-pprof-addr ""]
 //	       [-profile-registry-size 0] [-profile-decay 0] [-tenant-label-cap 0]
@@ -32,7 +32,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"sdwp"
 	"sdwp/internal/cube"
@@ -53,8 +52,6 @@ func main() {
 		threshold = flag.Float64("threshold", 2, "designer threshold for the TrainAirportCity rule")
 		workers   = flag.Int("workers", 0,
 			"query scan workers: 0 or 1 = serial, N = parallel partitioned scans, -1 = one per CPU")
-		coalesceWindow = flag.Duration("coalesce-window", 500*time.Microsecond,
-			"query scheduler micro-batch window: how long to hold the first queued query open for more concurrent queries to join its shared scan (0 = no added latency)")
 		maxInFlight = flag.Int("max-inflight-scans", 0,
 			"concurrent shared scans the scheduler dispatches (0 = default)")
 		cacheMB = flag.Int("result-cache-mb", 32,
@@ -155,7 +152,6 @@ func main() {
 
 	engine := sdwp.NewEngine(warehouse, users, sdwp.EngineOptions{
 		QueryWorkers:       *workers,
-		CoalesceWindow:     *coalesceWindow,
 		MaxInFlightScans:   *maxInFlight,
 		ResultCacheBytes:   int64(*cacheMB) << 20,
 		MaxBatchQueries:    *maxBatch,

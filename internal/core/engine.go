@@ -51,10 +51,13 @@ type Options struct {
 	// integer-valued measures; otherwise equal up to floating-point
 	// summation order — see internal/cube/exec.go).
 	QueryWorkers int
-	// CoalesceWindow is the query scheduler's micro-batch window: how long
-	// the first queued query is held open for more concurrent queries to
-	// coalesce into the same shared scan (typically 0–2 ms). 0 adds no
-	// latency — under load, queries still coalesce behind in-flight scans.
+	// CoalesceWindow is ignored. The scheduler dispatches on arrival: a
+	// query that finds a free scan slot starts scanning at once, and
+	// concurrent queries coalesce behind busy slots (MaxInFlightScans).
+	//
+	// Deprecated: kept solely because the benchmark harness names it
+	// (bench/oracle.go sets it, bench/trace.go copies it into
+	// qsched.Options.Window); it goes when that harness stops naming it.
 	CoalesceWindow time.Duration
 	// MaxInFlightScans bounds concurrent shared scans dispatched by the
 	// scheduler (0 = qsched.DefaultMaxInFlight).
@@ -258,7 +261,6 @@ func NewEngine(c *cube.Cube, users *usermodel.Store, opts Options) *Engine {
 		e.tracer = obs.NewTracer(obs.TracerOptions{SampleRate: opts.TraceSampleRate})
 	}
 	e.sched = qsched.New(e.exec, qsched.Options{
-		Window:          opts.CoalesceWindow,
 		MaxBatch:        opts.MaxBatchQueries,
 		MaxInFlight:     opts.MaxInFlightScans,
 		CacheBytes:      opts.ResultCacheBytes,

@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"sdwp/internal/cube"
 	"sdwp/internal/cube/cubetest"
@@ -231,8 +230,7 @@ func TestPackedRepackUnderIngestRespectsScanBound(t *testing.T) {
 func TestPooledPartialBatchUnderIngestAndSpatialSelect(t *testing.T) {
 	t.Run("shared", func(t *testing.T) {
 		e, ds := newTestEngineOpts(t, Options{
-			CoalesceWindow: 200 * time.Microsecond,
-			QueryWorkers:   4, // parallel scans: several pooled partials per query
+			QueryWorkers: 4, // parallel scans: several pooled partials per query
 		})
 		defer e.Close()
 		s, err := e.StartSession("alice", ds.CityLocs[0])

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"sdwp/internal/cube"
 	"sdwp/internal/cube/cubetest"
@@ -14,12 +13,11 @@ import (
 )
 
 // TestSchedulerRoutedQueryEquivalence runs personalized session queries
-// through a scheduler-routed engine (window, cache, coalescing all on) and
+// through a scheduler-routed engine (cache and coalescing on) and
 // requires results identical to the executor-independent reference over
 // the session's view — including on cache-hit repeats.
 func TestSchedulerRoutedQueryEquivalence(t *testing.T) {
 	e1, ds := newTestEngineOpts(t, Options{
-		CoalesceWindow:   time.Millisecond,
 		ResultCacheBytes: 1 << 20,
 		QueryWorkers:     2,
 	})
@@ -158,8 +156,7 @@ func TestEngineCloseRejectsQueries(t *testing.T) {
 func TestSharedSubexprBatchUnderSpatialSelect(t *testing.T) {
 	t.Run("shared", func(t *testing.T) {
 		e, ds := newTestEngineOpts(t, Options{
-			CoalesceWindow: 200 * time.Microsecond,
-			QueryWorkers:   2,
+			QueryWorkers: 2,
 		})
 		defer e.Close()
 		s, err := e.StartSession("alice", ds.CityLocs[0])
@@ -255,7 +252,6 @@ func TestSharedSubexprBatchUnderSpatialSelect(t *testing.T) {
 // at an epoch <= E — anything smaller is a stale pre-epoch cache entry.
 func TestNoStaleCachedResultsUnderSpatialSelect(t *testing.T) {
 	e, ds := newTestEngineOpts(t, Options{
-		CoalesceWindow:   200 * time.Microsecond,
 		ResultCacheBytes: 1 << 20,
 		QueryWorkers:     2,
 	})

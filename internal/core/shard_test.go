@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"sdwp/internal/cube"
 	"sdwp/internal/cube/cubetest"
@@ -171,7 +170,6 @@ func TestShardedBatchUnderSpatialSelectAndIngest(t *testing.T) {
 	e, ds := newTestEngineOpts(t, Options{
 		FactShards:         3,
 		QueryWorkers:       2,
-		CoalesceWindow:     200 * time.Microsecond,
 		ResultCacheBytes:   1 << 20,
 		ArtifactCacheBytes: 4 << 20,
 	})
@@ -263,7 +261,7 @@ func TestShardedBatchUnderSpatialSelectAndIngest(t *testing.T) {
 // (fact-column appends can reallocate the backing arrays mid-scan
 // otherwise). Run under -race in CI.
 func TestUnshardedAddFactUnderQueries(t *testing.T) {
-	e, ds := newTestEngineOpts(t, Options{QueryWorkers: 2, CoalesceWindow: 100 * time.Microsecond})
+	e, ds := newTestEngineOpts(t, Options{QueryWorkers: 2})
 	defer e.Close()
 	s, err := e.StartSession("alice", ds.CityLocs[0])
 	if err != nil {

@@ -11,7 +11,6 @@ package qsched
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"sdwp/internal/cube"
 	"sdwp/internal/obs"
@@ -76,12 +75,13 @@ func TestBatchCPUAttributionConserves(t *testing.T) {
 func TestDedupSplitsCostAcrossTenants(t *testing.T) {
 	ds := testDataset(t)
 	acct := obs.NewAccountant(obs.AccountantOptions{})
-	s := New(ds.Cube, Options{
-		Window:      200 * time.Millisecond, // plenty for both to join
-		MaxInFlight: 1,
-		Costs:       acct,
-	})
+	ge := newGatedExec(ds.Cube)
+	s := New(ge, Options{MaxInFlight: 1, Costs: acct})
 	defer s.Close()
+	defer ge.open()
+	// A third tenant's scan holds the one slot, so both submissions queue
+	// and merge before either can run.
+	stalled := stallSlot(t, s, ge, "carol")
 
 	var wg sync.WaitGroup
 	results := make([]*cube.Result, 2)
@@ -93,7 +93,15 @@ func TestDedupSplitsCostAcrossTenants(t *testing.T) {
 			results[i], errs[i] = s.Submit(countQuery, nil, user)
 		}(i, user)
 	}
+	waitFor(t, "the two submissions to merge", func() bool {
+		st := s.Stats()
+		return st.QueueDepth == 1 && st.Shared == 1
+	})
+	ge.open()
 	wg.Wait()
+	if err := <-stalled; err != nil {
+		t.Fatalf("stalling query: %v", err)
+	}
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -105,11 +113,14 @@ func TestDedupSplitsCostAcrossTenants(t *testing.T) {
 
 	full := results[0].Cost
 	stats := acct.Tenants()
-	if len(stats) != 2 {
-		t.Fatalf("tenants = %d, want 2", len(stats))
+	if len(stats) != 3 {
+		t.Fatalf("tenants = %d, want alice, bob and the stalling carol", len(stats))
 	}
 	var sum obs.QueryCost
 	for _, ts := range stats {
+		if ts.Tenant == "carol" {
+			continue
+		}
 		if ts.Queries != 1 {
 			t.Errorf("tenant %s recorded %d queries, want 1", ts.Tenant, ts.Queries)
 		}

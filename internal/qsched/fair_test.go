@@ -144,9 +144,10 @@ func TestFairnessSkewedCost(t *testing.T) {
 
 	// A gated executor pins the first scan so both backlogs build before
 	// any scheduling decision; MaxBatch 4 keeps batch slots scarce.
-	ge := &gatedExec{Cube: ds.Cube, entered: make(chan struct{}, 256), release: make(chan struct{})}
-	s := New(ge, Options{Window: 0, MaxInFlight: 1, MaxBatch: 4})
+	ge := newGatedExec(ds.Cube)
+	s := New(ge, Options{MaxInFlight: 1, MaxBatch: 4})
 	defer s.Close()
+	defer ge.open()
 
 	const perTenant = 60
 	type completion struct {
@@ -184,7 +185,7 @@ func TestFairnessSkewedCost(t *testing.T) {
 		return s.Stats().QueueDepth == 2*perTenant-1
 	})
 
-	close(ge.release)
+	ge.open()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -236,11 +237,41 @@ func TestFairnessSkewedCost(t *testing.T) {
 }
 
 // gatedExec wraps the cube so a test can hold scans in flight: every scan
-// announces itself on entered and blocks until release is closed.
+// announces itself on entered and blocks until open closes release.
 type gatedExec struct {
 	*cube.Cube
 	entered chan struct{}
 	release chan struct{}
+	once    sync.Once
+}
+
+// newGatedExec returns a closed gate over c with room on entered for
+// every scan a test announces.
+func newGatedExec(c *cube.Cube) *gatedExec {
+	return &gatedExec{Cube: c, entered: make(chan struct{}, 256), release: make(chan struct{})}
+}
+
+// open lets every held and future scan through. Idempotent, so tests can
+// also defer it ahead of Close: a failing test must not hang in Close.
+func (g *gatedExec) open() { g.once.Do(func() { close(g.release) }) }
+
+// stallSlot takes the scan slot of a MaxInFlight 1 scheduler with a query
+// from user that blocks in the gate — the deterministic way to keep later
+// queries queued. It returns once that scan has entered the executor; the
+// query's error arrives on the returned channel after the gate opens.
+func stallSlot(t *testing.T, s *Scheduler, g *gatedExec, user string) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(cityQuery(100), nil, user)
+		done <- err
+	}()
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stalling query never entered a scan")
+	}
+	return done
 }
 
 func (g *gatedExec) ExecuteBatchCompiledOpt(cqs []*cube.CompiledQuery, vs []*cube.View, opts cube.BatchOptions) ([]*cube.Result, cube.SharingStats, error) {
@@ -258,9 +289,10 @@ func (g *gatedExec) ExecuteBatchCompiledOpt(cqs []*cube.CompiledQuery, vs []*cub
 func TestShedStorm(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ds := testDataset(t)
-	ge := &gatedExec{Cube: ds.Cube, entered: make(chan struct{}, 16), release: make(chan struct{})}
+	ge := newGatedExec(ds.Cube)
 	const depth = 4
-	s := New(ge, Options{Window: 0, MaxInFlight: 1, MaxQueueDepth: depth})
+	s := New(ge, Options{MaxInFlight: 1, MaxQueueDepth: depth})
+	defer ge.open()
 
 	results := make(chan error, depth+2)
 	submit := func(user string, i int) {
@@ -326,7 +358,7 @@ func TestShedStorm(t *testing.T) {
 	})
 
 	// Unblock the scan; everything queued must complete without error.
-	close(ge.release)
+	ge.open()
 	for drained := 0; drained < depth+2; drained++ {
 		select {
 		case err := <-results:

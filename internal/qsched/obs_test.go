@@ -19,7 +19,7 @@ import (
 func TestTraceLifecycleSpans(t *testing.T) {
 	ds := testDataset(t)
 	tracer := obs.NewTracer(obs.TracerOptions{SampleRate: 1})
-	s := New(ds.Cube, Options{Window: 2 * time.Millisecond, MaxInFlight: 1})
+	s := New(ds.Cube, Options{MaxInFlight: 1})
 	defer s.Close()
 
 	tr := tracer.Start("trace-me")
@@ -89,14 +89,28 @@ func names(spans []*obs.Span) []string {
 func TestTraceTimeoutRetained(t *testing.T) {
 	ds := testDataset(t)
 	tracer := obs.NewTracer(obs.TracerOptions{SampleRate: 0})
-	s := New(ds.Cube, Options{Window: 40 * time.Millisecond, Timeout: time.Nanosecond})
+	const timeout = 20 * time.Millisecond
+	ge := newGatedExec(ds.Cube)
+	s := New(ge, Options{MaxInFlight: 1, Timeout: timeout})
 	defer s.Close()
+	defer ge.open()
+	stalled := stallSlot(t, s, ge, "bob")
 
 	tr := tracer.Start("late-query")
 	ctx := obs.NewContext(context.Background(), tr)
-	_, err := s.SubmitCtx(ctx, cityQuery(1), nil, "alice")
-	if !errors.Is(err, ErrTimeout) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.SubmitCtx(ctx, cityQuery(1), nil, "alice")
+		done <- err
+	}()
+	waitFor(t, "query to queue", func() bool { return s.Stats().QueueDepth == 1 })
+	time.Sleep(timeout + time.Millisecond) // its deadline passes behind the stalled scan
+	ge.open()
+	if err := <-done; !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	if err := <-stalled; err != nil {
+		t.Fatalf("stalling query: %v", err)
 	}
 	snap, ok := tracer.Get("late-query")
 	if !ok {

@@ -8,16 +8,18 @@
 // Four mechanisms compose:
 //
 //  1. Coalescing with cost-driven fair admission. Concurrent Submit calls
-//     queue per user; a dispatcher assembles them into one
-//     cube.ExecuteBatch shared scan per micro-batch, always admitting the
-//     tenant with the lowest attributed scan cost per unit weight over a
-//     decaying window (deficit-weighted scheduling over the obs.QueryCost
+//     queue per user. Dispatch happens on arrival: while a scan slot
+//     (MaxInFlight) is free, the submitting call assembles a batch and
+//     starts a runner on it, so a query with no company starts scanning
+//     at once. When a runner's scan finishes it pulls the next batch from
+//     whatever queued behind it, and frees its slot only once the queue is
+//     empty — busy slots are the batching clock, and everything that
+//     queues behind them coalesces into one cube.ExecuteBatch shared scan
+//     of up to MaxBatch queries. Assembly always admits the tenant with
+//     the lowest attributed scan cost per unit weight over a decaying
+//     window (deficit-weighted scheduling over the obs.QueryCost
 //     attribution; see fair.go). With identical cost profiles this
-//     degrades exactly to round-robin. A batch closes when the configured
-//     window elapses, when MaxBatch queries are queued, or, with a zero
-//     window, as soon as an in-flight slot frees (scans running at the
-//     MaxInFlight bound are themselves the batching clock: everything
-//     that queues behind them coalesces).
+//     degrades exactly to round-robin.
 //  2. Deduplication. Identical queued queries (same plan fingerprint,
 //     same view state) execute once; every waiter shares the one result.
 //  3. Result cache. A byte-bounded LRU keyed by plan fingerprint plus the
@@ -92,13 +94,16 @@ var ErrTimeout = errors.New("qsched: query timed out in admission queue")
 
 // Options configures a Scheduler.
 type Options struct {
-	// Window is how long the dispatcher holds the first queued query open
-	// for more arrivals before dispatching the micro-batch (the 0–2 ms
-	// latency budget of the ISSUE). 0 adds no latency: batches then form
-	// only from queries that pile up behind in-flight scans.
+	// Window is ignored: a query that finds a free scan slot starts
+	// scanning at once, and batches form only from queries that queue
+	// behind busy slots.
+	//
+	// Deprecated: kept solely because the benchmark harness
+	// (bench/oracle.go, bench/trace.go) still names it; it goes when that
+	// harness stops setting it.
 	Window time.Duration
-	// MaxBatch dispatches a batch immediately once this many queries are
-	// queued (default DefaultMaxBatch).
+	// MaxBatch bounds the queries one shared scan takes from the queue
+	// (default DefaultMaxBatch).
 	MaxBatch int
 	// MaxInFlight bounds concurrent shared scans (default
 	// DefaultMaxInFlight).
@@ -219,9 +224,7 @@ type Scheduler struct {
 	door     *doorkeeper  // nil when caching is disabled
 	negCache *errCache    // compile errors by fingerprint (always on)
 
-	kick  chan struct{} // wakes the dispatcher (buffered, lossy)
-	slots chan struct{} // in-flight scan semaphore
-	wg    sync.WaitGroup
+	wg sync.WaitGroup // one count per running runner
 
 	// startedAt anchors Stats.UptimeSeconds so scrapers can turn the
 	// cumulative counters into rates.
@@ -237,6 +240,8 @@ type Scheduler struct {
 	active  []string            // tenants with queued work, arrival order
 	byKey   map[string]*request // dedup index over queued requests
 	queued  int
+	// inFlight counts runners, each holding one of MaxInFlight scan slots.
+	inFlight int
 	// Overload-control state (see fair.go): smoothed admission wait and
 	// drain rate, shed counters per (tenant, reason), and the decaying
 	// shed window behind the shed-rate gauge.
@@ -275,8 +280,9 @@ type Scheduler struct {
 }
 
 // New builds a scheduler over an executor — the cube itself, or a sharded
-// table routing to fact shards — and starts its dispatcher. Callers own
-// the lifecycle: Close stops the dispatcher after draining queued queries.
+// table routing to fact shards. It starts no goroutine: scan runners start
+// as queries arrive. Callers own the lifecycle: Close drains queued
+// queries and waits for the runners.
 func New(c Executor, opts Options) *Scheduler {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = DefaultMaxBatch
@@ -299,10 +305,6 @@ func New(c Executor, opts Options) *Scheduler {
 		s.cache = newResultCache(opts.CacheBytes)
 		s.door = newDoorkeeper(doorkeeperCapacity)
 	}
-	s.kick = make(chan struct{}, 1)
-	s.slots = make(chan struct{}, opts.MaxInFlight)
-	s.wg.Add(1)
-	go s.dispatchLoop()
 	return s
 }
 
@@ -317,7 +319,6 @@ func (s *Scheduler) Close() {
 	if already {
 		return
 	}
-	s.kickDispatcher()
 	s.wg.Wait()
 }
 
@@ -377,9 +378,9 @@ func timeoutOutcome(req *request, now time.Time) outcome {
 }
 
 // SubmitBatch answers several queries, preserving order. Entries hit the
-// cache individually; all misses are admitted under one queue lock and a
-// single dispatcher wake-up, so on an idle scheduler the whole batch lands
-// in one shared scan (the guarantee POST /api/query/batch always had) while
+// cache individually; all misses are admitted and dispatched under one
+// queue lock, so on an idle scheduler the whole batch lands in one shared
+// scan (the guarantee POST /api/query/batch always had) while
 // under load it additionally coalesces with other tenants' traffic.
 func (s *Scheduler) SubmitBatch(qs []cube.Query, vs []*cube.View, userKey string) ([]*cube.Result, error) {
 	return s.SubmitBatchCtx(context.Background(), qs, vs, userKey)
@@ -476,8 +477,8 @@ func (s *Scheduler) SubmitBatchCtx(ctx context.Context, qs []cube.Query, vs []*c
 				waiters:    []waiter{{ch: ch, tr: tr, user: userKey, start: start}},
 				enqueuedAt: now, deadline: deadline}, userKey)
 		}
+		s.dispatchLocked()
 		s.mu.Unlock()
-		s.kickDispatcher()
 	}
 	// Drain everything admitted, even after an error: those queries will
 	// execute regardless, and abandoning the channels would strand their
@@ -604,8 +605,8 @@ func (s *Scheduler) submit(ctx context.Context, q cube.Query, v *cube.View, user
 		waiters:    []waiter{{ch: ch, tr: tr, user: userKey, start: start}},
 		enqueuedAt: now,
 		deadline:   s.requestDeadline(ctx, now)}, userKey)
+	s.dispatchLocked()
 	s.mu.Unlock()
-	s.kickDispatcher()
 	return ch, nil, nil
 }
 
@@ -653,71 +654,38 @@ func (s *Scheduler) enqueueLocked(req *request, userKey string) {
 	}
 }
 
-// kickDispatcher wakes the dispatcher (lossy: a buffered token is enough,
-// the dispatcher rechecks the queue on every iteration).
-func (s *Scheduler) kickDispatcher() {
-	select {
-	case s.kick <- struct{}{}:
-	default:
+// dispatchLocked starts a runner on the next fair batch while work is
+// queued and a scan slot is free, so a query that finds an idle slot
+// starts scanning at once. Afterwards a non-empty queue means every slot
+// is busy, and the runners drain it. Callers hold s.mu.
+func (s *Scheduler) dispatchLocked() {
+	for s.queued > 0 && s.inFlight < s.opts.MaxInFlight {
+		batch := s.assembleLocked(s.opts.MaxBatch)
+		if len(batch) == 0 {
+			continue // every popped request had expired
+		}
+		s.inFlight++
+		s.wg.Add(1)
+		go s.run(batch)
 	}
 }
 
-// dispatchLoop is the scheduler's single dispatcher goroutine: wait for
-// work, hold the coalescing window open, take an in-flight slot, assemble
-// a fair batch, and hand it to a scan goroutine.
-func (s *Scheduler) dispatchLoop() {
+// run is one scan slot's runner: it scans its batch, then pulls the next
+// fair batch from whatever queued behind it — this is where concurrent
+// queries coalesce — and gives the slot back only once the queue is empty.
+func (s *Scheduler) run(batch []*request) {
 	defer s.wg.Done()
-	for {
-		// Wait for queued work (or for Close with an empty queue).
+	for len(batch) > 0 {
+		s.runBatch(batch)
 		s.mu.Lock()
-		for s.queued == 0 {
-			if s.closed {
-				s.mu.Unlock()
-				return
-			}
-			s.mu.Unlock()
-			<-s.kick
-			s.mu.Lock()
+		batch = nil
+		for s.queued > 0 && len(batch) == 0 {
+			batch = s.assembleLocked(s.opts.MaxBatch)
 		}
-		s.mu.Unlock()
-
-		// Micro-batch window: let more concurrent queries pile in, but cut
-		// the wait short once the batch is full (or on Close).
-		if w := s.opts.Window; w > 0 {
-			deadline := time.NewTimer(w)
-		window:
-			for {
-				s.mu.Lock()
-				full := s.queued >= s.opts.MaxBatch || s.closed
-				s.mu.Unlock()
-				if full {
-					break
-				}
-				select {
-				case <-s.kick:
-				case <-deadline.C:
-					break window
-				}
-			}
-			deadline.Stop()
-		}
-
-		// Bound in-flight scans. Queries keep queueing while we wait for a
-		// slot — with Window 0 this is where all the coalescing happens.
-		s.slots <- struct{}{}
-		s.mu.Lock()
-		batch := s.assembleLocked(s.opts.MaxBatch)
-		s.mu.Unlock()
 		if len(batch) == 0 {
-			<-s.slots
-			continue
+			s.inFlight--
 		}
-		s.wg.Add(1)
-		go func(batch []*request) {
-			defer s.wg.Done()
-			defer func() { <-s.slots }()
-			s.runBatch(batch)
-		}(batch)
+		s.mu.Unlock()
 	}
 }
 
@@ -1188,6 +1156,7 @@ func (s *Scheduler) Stats() Stats {
 	// snapshot a scraper sees).
 	s.mu.Lock()
 	st.QueueDepth = s.queued
+	st.InFlight = s.inFlight
 	st.ShedTotal = s.shedTotal
 	if len(s.shedCounts) > 0 {
 		st.ShedByTenant = make(map[string]map[string]int64, len(s.shedCounts))
@@ -1204,7 +1173,6 @@ func (s *Scheduler) Stats() Stats {
 	st.DrainRatePerSec = s.drainEWMA
 	st.FairShares = s.fairSharesLocked(now)
 	s.mu.Unlock()
-	st.InFlight = len(s.slots)
 	if st.FactScans > 0 {
 		st.CoalesceRatio = float64(st.Executed+st.Shared) / float64(st.FactScans)
 	}

@@ -58,8 +58,13 @@ func cityQuery(i int) cube.Query {
 // subsystem exists for.
 func TestCoalescingSharedScan(t *testing.T) {
 	ds := testDataset(t)
-	s := New(ds.Cube, Options{Window: 2 * time.Millisecond, MaxInFlight: 1})
+	ge := newGatedExec(ds.Cube)
+	s := New(ge, Options{MaxInFlight: 1})
 	defer s.Close()
+	defer ge.open()
+	// Every user's first query queues behind the stalled slot, so at least
+	// the batch after it coalesces whatever the host's timing.
+	stalled := stallSlot(t, s, ge, "staller")
 
 	const users, perUser = 8, 6
 	want := make(map[int]*cube.Result)
@@ -90,14 +95,22 @@ func TestCoalescingSharedScan(t *testing.T) {
 			}
 		}(u)
 	}
+	waitFor(t, "every user's first query to queue", func() bool {
+		st := s.Stats()
+		return int(st.Shared)+st.QueueDepth == users
+	})
+	ge.open()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
+	if err := <-stalled; err != nil {
+		t.Fatal(err)
+	}
 	st := s.Stats()
-	if st.Submitted != users*perUser {
-		t.Errorf("submitted = %d, want %d", st.Submitted, users*perUser)
+	if st.Submitted != users*perUser+1 {
+		t.Errorf("submitted = %d, want %d", st.Submitted, users*perUser+1)
 	}
 	if st.Executed+st.Shared != st.Submitted {
 		t.Errorf("executed %d + shared %d != submitted %d", st.Executed, st.Shared, st.Submitted)
@@ -114,8 +127,11 @@ func TestCoalescingSharedScan(t *testing.T) {
 // queries execute once and every waiter still gets the full result.
 func TestDedupIdenticalConcurrentQueries(t *testing.T) {
 	ds := testDataset(t)
-	s := New(ds.Cube, Options{Window: 2 * time.Millisecond, MaxInFlight: 1})
+	ge := newGatedExec(ds.Cube)
+	s := New(ge, Options{MaxInFlight: 1})
 	defer s.Close()
+	defer ge.open()
+	stalled := stallSlot(t, s, ge, "staller")
 	want, err := ds.Cube.Execute(countQuery, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -137,17 +153,23 @@ func TestDedupIdenticalConcurrentQueries(t *testing.T) {
 			}
 		}(g)
 	}
+	waitFor(t, "identical queries to merge", func() bool {
+		st := s.Stats()
+		return st.QueueDepth == 1 && st.Shared == n-1
+	})
+	ge.open()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Shared == 0 {
-		t.Error("no dedup sharing under identical concurrent queries")
+	if err := <-stalled; err != nil {
+		t.Fatal(err)
 	}
-	if st.Executed+st.Shared != n {
-		t.Errorf("executed %d + shared %d != %d", st.Executed, st.Shared, n)
+	// The n identical queries ran as one execution beside the staller's.
+	st := s.Stats()
+	if st.Shared != n-1 || st.Executed != 2 {
+		t.Errorf("shared %d, executed %d; want %d shared and 2 executed", st.Shared, st.Executed, n-1)
 	}
 }
 
@@ -260,7 +282,7 @@ func TestFairAdmissionRoundRobin(t *testing.T) {
 // fails alone while concurrent valid queries coalesce and succeed.
 func TestValidationErrorDoesNotPoisonBatch(t *testing.T) {
 	ds := testDataset(t)
-	s := New(ds.Cube, Options{Window: 2 * time.Millisecond, MaxInFlight: 1})
+	s := New(ds.Cube, Options{MaxInFlight: 1})
 	defer s.Close()
 	bad := cube.Query{Fact: "Ghost", Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}}
 
@@ -293,7 +315,7 @@ func TestValidationErrorDoesNotPoisonBatch(t *testing.T) {
 // view-length mismatch error.
 func TestSubmitBatchPreservesOrder(t *testing.T) {
 	ds := testDataset(t)
-	s := New(ds.Cube, Options{Window: time.Millisecond})
+	s := New(ds.Cube, Options{})
 	defer s.Close()
 	v := cube.NewView(ds.Cube)
 	if err := v.SelectMember("Store", "City", 2); err != nil {
@@ -353,7 +375,7 @@ func TestSubmitBatchFailedEnqueuesNothing(t *testing.T) {
 // scan, exactly like the pre-scheduler cube.ExecuteBatch path.
 func TestSubmitBatchSingleScanWhenIdle(t *testing.T) {
 	ds := testDataset(t)
-	s := New(ds.Cube, Options{}) // window 0 — the default engine shape
+	s := New(ds.Cube, Options{}) // the default engine shape
 	defer s.Close()
 	qs := []cube.Query{cityQuery(0), cityQuery(1), cityQuery(2), countQuery}
 	res, err := s.SubmitBatch(qs, nil, "alice")
@@ -380,7 +402,7 @@ func TestSubmitBatchSingleScanWhenIdle(t *testing.T) {
 // later Submits fail with ErrClosed, and Close is idempotent.
 func TestCloseDrainsAndRejects(t *testing.T) {
 	ds := testDataset(t)
-	s := New(ds.Cube, Options{Window: 5 * time.Millisecond, MaxInFlight: 1})
+	s := New(ds.Cube, Options{MaxInFlight: 1})
 	const n = 12
 	results := make(chan error, n)
 	var wg sync.WaitGroup
@@ -619,8 +641,8 @@ func randomView(rng *rand.Rand, c *cube.Cube) *cube.View {
 
 // TestConcurrentEquivalenceRandomized is the correctness bar: randomized
 // personalized queries hammered through the scheduler concurrently — with
-// the window, dedup, the in-flight bound, and the result cache all active
-// — must return results byte-identical to the executor-independent
+// dedup, the in-flight bound, and the result cache all active — must
+// return results byte-identical to the executor-independent
 // reference (cubetest.NaiveExecute).
 func TestConcurrentEquivalenceRandomized(t *testing.T) {
 	ds := testDataset(t)
@@ -638,7 +660,6 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 				serial[i] = cubetest.NaiveExecute(ds.Cube, qs[i], vs[i])
 			}
 			s := New(ds.Cube, Options{
-				Window:      time.Millisecond,
 				MaxInFlight: 2,
 				MaxBatch:    8, // force several batches per round
 				CacheBytes:  1 << 20,
@@ -684,16 +705,20 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestAdmissionTimeoutDropsQueuedQueries covers Options.Timeout: with a
-// deadline shorter than the coalescing window, every query expires while
-// still queued and must be dropped with ErrTimeout — deterministically,
-// without executing — and counted in Stats.TimedOut.
+// TestAdmissionTimeoutDropsQueuedQueries covers Options.Timeout: queries
+// held queued behind a stalled scan until past their deadline must be
+// dropped with ErrTimeout — deterministically, without executing — and
+// counted in Stats.TimedOut.
 func TestAdmissionTimeoutDropsQueuedQueries(t *testing.T) {
 	ds := testDataset(t)
-	// The window holds the batch open well past the 1ns deadline, so every
-	// request is expired by the time the dispatcher assembles.
-	s := New(ds.Cube, Options{Window: 20 * time.Millisecond, Timeout: time.Nanosecond})
+	const timeout = 20 * time.Millisecond
+	ge := newGatedExec(ds.Cube)
+	s := New(ge, Options{MaxInFlight: 1, Timeout: timeout})
 	defer s.Close()
+	defer ge.open()
+	// The staller is assembled in the lock hold that admits it, long before
+	// its own deadline.
+	stalled := stallSlot(t, s, ge, "staller")
 
 	const n = 6
 	errs := make(chan error, n)
@@ -706,6 +731,9 @@ func TestAdmissionTimeoutDropsQueuedQueries(t *testing.T) {
 			errs <- err
 		}(g)
 	}
+	waitFor(t, "queries to queue", func() bool { return s.Stats().QueueDepth == n })
+	time.Sleep(timeout + time.Millisecond) // every queued deadline passes
+	ge.open()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -713,16 +741,19 @@ func TestAdmissionTimeoutDropsQueuedQueries(t *testing.T) {
 			t.Errorf("err = %v, want ErrTimeout", err)
 		}
 	}
+	if err := <-stalled; err != nil {
+		t.Fatalf("stalling query: %v", err)
+	}
 	st := s.Stats()
 	if st.TimedOut != n {
 		t.Errorf("Stats.TimedOut = %d, want %d", st.TimedOut, n)
 	}
-	if st.Executed != 0 {
-		t.Errorf("expired queries executed: %d", st.Executed)
+	if st.Executed != 1 {
+		t.Errorf("executed %d queries, want only the staller", st.Executed)
 	}
 
 	// Without a deadline the same scheduler shape executes normally.
-	s2 := New(ds.Cube, Options{Window: time.Millisecond})
+	s2 := New(ds.Cube, Options{})
 	defer s2.Close()
 	if _, err := s2.Submit(countQuery, nil, "alice"); err != nil {
 		t.Fatalf("no-timeout submit: %v", err)
@@ -734,11 +765,14 @@ func TestAdmissionTimeoutDropsQueuedQueries(t *testing.T) {
 
 // TestSubmitCtxCancellationUnblocks covers the per-request context: a
 // canceled context must unblock the caller with ctx.Err() even while the
-// query is still queued behind the window.
+// query is still queued behind a busy slot.
 func TestSubmitCtxCancellationUnblocks(t *testing.T) {
 	ds := testDataset(t)
-	s := New(ds.Cube, Options{Window: 50 * time.Millisecond})
+	ge := newGatedExec(ds.Cube)
+	s := New(ge, Options{MaxInFlight: 1})
 	defer s.Close()
+	defer ge.open()
+	stallSlot(t, s, ge, "bob")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -746,7 +780,7 @@ func TestSubmitCtxCancellationUnblocks(t *testing.T) {
 		_, err := s.SubmitCtx(ctx, countQuery, nil, "alice")
 		done <- err
 	}()
-	time.Sleep(2 * time.Millisecond)
+	waitFor(t, "query to queue", func() bool { return s.Stats().QueueDepth == 1 })
 	cancel()
 	select {
 	case err := <-done:
@@ -759,18 +793,30 @@ func TestSubmitCtxCancellationUnblocks(t *testing.T) {
 }
 
 // TestSubmitBatchCtxDeadline covers the batch context path: a context
-// deadline earlier than the window times the whole batch out with
-// ErrTimeout (dropped at assembly) or DeadlineExceeded (unblocked wait).
+// deadline that passes while the batch is queued behind a busy slot
+// unblocks the caller with DeadlineExceeded, and once the slot frees the
+// expired entries are dropped at assembly with ErrTimeout, unexecuted.
 func TestSubmitBatchCtxDeadline(t *testing.T) {
 	ds := testDataset(t)
-	s := New(ds.Cube, Options{Window: 50 * time.Millisecond})
+	ge := newGatedExec(ds.Cube)
+	s := New(ge, Options{MaxInFlight: 1})
 	defer s.Close()
+	defer ge.open()
+	stalled := stallSlot(t, s, ge, "bob")
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	_, err := s.SubmitBatchCtx(ctx, []cube.Query{countQuery, cityQuery(1)}, nil, "alice")
-	if err == nil || (!errors.Is(err, ErrTimeout) && !errors.Is(err, context.DeadlineExceeded)) {
-		t.Errorf("err = %v, want ErrTimeout or DeadlineExceeded", err)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want DeadlineExceeded", err)
+	}
+	ge.open()
+	if err := <-stalled; err != nil {
+		t.Fatalf("stalling query: %v", err)
+	}
+	waitFor(t, "expired entries to be dropped", func() bool { return s.Stats().TimedOut == 2 })
+	if st := s.Stats(); st.Executed != 1 {
+		t.Errorf("executed %d queries, want only the staller", st.Executed)
 	}
 }
 
@@ -781,7 +827,7 @@ func TestSubmitBatchCtxDeadline(t *testing.T) {
 func TestCloseUnderInFlightLoad(t *testing.T) {
 	ds := testDataset(t)
 	for round := 0; round < 5; round++ {
-		s := New(ds.Cube, Options{Window: time.Millisecond, MaxInFlight: 1, Workers: 2})
+		s := New(ds.Cube, Options{MaxInFlight: 1, Workers: 2})
 		const n = 24
 		var wg sync.WaitGroup
 		errs := make(chan error, n)

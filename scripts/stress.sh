@@ -12,6 +12,12 @@ echo "== stress (GOMAXPROCS=${GOMAXPROCS:-default}) =="
 # specifically under the race detector.
 go test -race -count=3 ./internal/qsched/
 
+# Scan runners start on arrival and drain the queue themselves: random
+# submits, batches, cancellations and Close against a randomly released
+# executor must keep the slot bound and the "queued means every slot is
+# busy" invariant, answer every waiter and leak no goroutine.
+go test -race -count=10 -run 'DispatchOnArrival' ./internal/qsched/
+
 # The batch executor fills cross-worker artifacts (predicate bitmaps,
 # composed set masks) while views mutate underneath (SharedSubexpr,
 # PerFilter); the pooled-partial pattern additionally recycles partial

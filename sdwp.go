@@ -27,9 +27,11 @@
 //     (EngineOptions.MaxQueueDepth / TargetQueueWait → HTTP 429 +
 //     Retry-After) before the EngineOptions.QueryTimeout deadline drops
 //     stale queued work (per-request contexts via Session.QueryCtx), and
-//     fronts everything with an epoch-keyed result cache — see
-//     EngineOptions.CoalesceWindow / MaxInFlightScans / ResultCacheBytes
-//     / MaxBatchQueries and Engine.SchedulerStats
+//     fronts everything with an epoch-keyed result cache; a query that
+//     finds a free scan slot starts scanning at once, and queries arriving
+//     while every slot is busy coalesce into the next shared scan — see
+//     EngineOptions.MaxInFlightScans / ResultCacheBytes / MaxBatchQueries
+//     and Engine.SchedulerStats
 //     (docs/ARCHITECTURE.md has the architecture, docs/OPERATIONS.md the
 //     operator guide);
 //   - shard for write and scan scale: EngineOptions.FactShards
