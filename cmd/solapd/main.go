@@ -10,7 +10,7 @@
 //	       [-threshold 2] [-workers -1]
 //	       [-max-inflight-scans 2] [-result-cache-mb 32]
 //	       [-max-batch-queries 64]
-//	       [-fact-shards 0] [-query-timeout 0] [-artifact-cache-mb 0]
+//	       [-fact-shards 0] [-query-timeout 0]
 //	       [-trace-sample-rate 0] [-slow-query 0] [-pprof-addr ""]
 //	       [-profile-registry-size 0] [-profile-decay 0] [-tenant-label-cap 0]
 //	       [-max-queue-depth 0] [-target-queue-wait 0]
@@ -62,8 +62,6 @@ func main() {
 			"hash-partition every fact table into N shards behind the scheduler (scatter-gather scans, per-shard ingest locks); 0 or 1 = single-table path")
 		queryTimeout = flag.Duration("query-timeout", 0,
 			"admission deadline: a query still queued this long is dropped with an error instead of executing late (0 = no deadline)")
-		artifactCacheMB = flag.Int("artifact-cache-mb", 0,
-			"cross-batch artifact cache in MiB: hot filter bitmaps and roll-up key columns survive between scans, invalidated by table-version bumps (0 = off; split across shards when sharded)")
 		traceSampleRate = flag.Float64("trace-sample-rate", 0,
 			"query-lifecycle tracing: probability a successful query's span tree is retained for GET /api/trace/{id} (errors and timeouts are always retained; 0 = tracing off)")
 		slowQuery = flag.Duration("slow-query", 0,
@@ -157,7 +155,6 @@ func main() {
 		MaxBatchQueries:    *maxBatch,
 		FactShards:         *factShards,
 		QueryTimeout:       *queryTimeout,
-		ArtifactCacheBytes: int64(*artifactCacheMB) << 20,
 		TraceSampleRate:    *traceSampleRate,
 		SlowQueryThreshold: *slowQuery,
 		QueryCostProfiles:  *profileRegistrySize,

@@ -82,12 +82,6 @@ type Options struct {
 	// executing late (0 = no deadline). Per-request contexts passed to
 	// Session.QueryCtx/QueryBatchCtx can tighten it per query.
 	QueryTimeout time.Duration
-	// ArtifactCacheBytes sizes the cross-batch artifact cache: hot filter
-	// bitmaps and roll-up key columns survive between batch scans, keyed
-	// by sub-fingerprint and invalidated by table-version bumps on
-	// AddFact/member mutation (0 = off). On a sharded engine the budget is
-	// split evenly across the shards.
-	ArtifactCacheBytes int64
 	// TraceSampleRate enables query-lifecycle tracing: each traced query
 	// records a span tree (admission wait, compile, shared scan with
 	// per-shard stage timings, finalize) served by GET /api/trace/{id}.
@@ -188,9 +182,6 @@ type Engine struct {
 	locked *lockedCubeExec
 	// shards is non-nil on a sharded engine (exec is then the table).
 	shards *shard.Table
-	// artifacts is the unsharded engine's cross-batch artifact cache
-	// (sharded engines keep one per shard inside the table).
-	artifacts *cube.ArtifactCache
 	// registry/metrics are the engine's telemetry sink: per-stage latency
 	// histograms plus a collector re-emitting the scheduler counters, all
 	// rendered by GET /metrics. Always on — recording is lock-free and
@@ -238,17 +229,13 @@ func NewEngine(c *cube.Cube, users *usermodel.Store, opts Options) *Engine {
 	}
 	if opts.FactShards > 1 {
 		e.shards = shard.New(c, shard.Options{
-			Shards:             opts.FactShards,
-			MaxInFlightScans:   opts.MaxInFlightScans,
-			ArtifactCacheBytes: opts.ArtifactCacheBytes,
+			Shards:           opts.FactShards,
+			MaxInFlightScans: opts.MaxInFlightScans,
 		})
 		e.exec = e.shards
 	} else {
 		e.locked = &lockedCubeExec{c: c}
 		e.exec = e.locked
-		if opts.ArtifactCacheBytes > 0 {
-			e.artifacts = cube.NewArtifactCache(opts.ArtifactCacheBytes)
-		}
 	}
 	e.registry = obs.NewRegistry()
 	e.metrics = obs.NewQueryMetricsCap(e.registry, opts.TenantLabelCap)
@@ -266,7 +253,6 @@ func NewEngine(c *cube.Cube, users *usermodel.Store, opts Options) *Engine {
 		CacheBytes:      opts.ResultCacheBytes,
 		Workers:         opts.QueryWorkers,
 		Timeout:         opts.QueryTimeout,
-		Artifacts:       e.artifacts,
 		Metrics:         e.metrics,
 		SlowQuery:       opts.SlowQueryThreshold,
 		Costs:           e.costs,
@@ -396,9 +382,9 @@ func (e *Engine) Close() {
 
 // SchedulerStats snapshots the query scheduler's counters (coalesce ratio,
 // cache hit rate, queue depth — what GET /api/stats serves), composed with
-// the shard layer's view when the engine is sharded: shard count,
-// per-shard fact balance, scan fan-out, and the aggregated cross-batch
-// artifact-cache counters.
+// the fact tables' packed-storage and artifact-cache counters — from the
+// shard layer when the engine is sharded, with shard count, per-shard
+// fact balance and scan fan-out.
 func (e *Engine) SchedulerStats() qsched.Stats {
 	st := e.sched.Stats()
 	if e.shards != nil {
@@ -407,12 +393,12 @@ func (e *Engine) SchedulerStats() qsched.Stats {
 		st.ShardFactCounts = ss.FactCounts
 		st.ShardScans = ss.ShardScans
 		st.ArtifactCache = ss.ArtifactCache
-		st.ArtifactDoorkept = ss.ArtifactCache.Doorkept
 		st.Packed = ss.Packed
 	} else {
 		e.locked.mu.RLock()
 		st.Packed = e.cube.PackedStats()
 		e.locked.mu.RUnlock()
+		st.ArtifactCache = e.cube.ArtifactCacheStats()
 	}
 	return st
 }
@@ -693,8 +679,7 @@ func (e *Engine) ExecuteBatch(qs []cube.Query, sessions []*Session) ([]*cube.Res
 		cqs[i] = cq
 	}
 	res, _, err := e.exec.ExecuteBatchCompiledOpt(cqs, vs, cube.BatchOptions{
-		Workers:   e.opts.QueryWorkers,
-		Artifacts: e.artifacts,
+		Workers: e.opts.QueryWorkers,
 	})
 	return res, err
 }

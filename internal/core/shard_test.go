@@ -44,9 +44,8 @@ func TestShardedEngineEquivalence(t *testing.T) {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			sharded, ds := newTestEngineOpts(t, Options{
-				FactShards:         shards,
-				QueryWorkers:       2,
-				ArtifactCacheBytes: 8 << 20,
+				FactShards:   shards,
+				QueryWorkers: 2,
 			})
 			defer sharded.Close()
 			if got := sharded.FactShards(); got != shards {
@@ -168,10 +167,9 @@ func TestShardedEngineEquivalence(t *testing.T) {
 // ingest path. Run under -race in CI.
 func TestShardedBatchUnderSpatialSelectAndIngest(t *testing.T) {
 	e, ds := newTestEngineOpts(t, Options{
-		FactShards:         3,
-		QueryWorkers:       2,
-		ResultCacheBytes:   1 << 20,
-		ArtifactCacheBytes: 4 << 20,
+		FactShards:       3,
+		QueryWorkers:     2,
+		ResultCacheBytes: 1 << 20,
 	})
 	defer e.Close()
 

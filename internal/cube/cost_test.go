@@ -142,12 +142,11 @@ func TestCachedArtifactsChargeNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := costTestBatch()
-	ac := cube.NewArtifactCache(16 << 20)
 	var last []*cube.Result
 	var lastStats cube.SharingStats
 	for i := 0; i < 3; i++ { // 1st doorkept, 2nd admits, 3rd hits
 		last = nil
-		last, lastStats, err = ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Artifacts: ac})
+		last, lastStats, err = ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

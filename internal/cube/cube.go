@@ -230,10 +230,15 @@ type FactData struct {
 	// version counts mutations that can change what a scan over this table
 	// computes: AddFact appends, and member/attribute mutations on any
 	// dimension the warehouse shares (those move roll-up ancestors and
-	// filter attribute values). It is the invalidation key of the
-	// cross-batch ArtifactCache — a cached filter bitmap or key column is
-	// only served while the version it was built under is still current.
+	// filter attribute values). It is the invalidation key of artifacts —
+	// a cached filter bitmap or key column is only served while the
+	// version it was built under is still current.
 	version atomic.Uint64
+
+	// artifacts is the table's cross-batch artifact cache (exec_cache.go):
+	// hot filter bitmaps and roll-up key columns that outlive the scan
+	// that built them, within artifactBytesPerFact bytes per fact.
+	artifacts artifactCache
 
 	// colPool and maskPool recycle the batch executor's scan-scoped
 	// artifacts (roll-up key columns and filter/visibility bitmaps, all
@@ -255,6 +260,20 @@ type FactData struct {
 	// its new plan on Get, so pooled entries may carry arbitrary state from
 	// any earlier query over this table.
 	partialPool sync.Pool
+}
+
+// newFactData creates an empty table for fact f.
+func newFactData(f *mdmodel.Fact) *FactData {
+	fd := &FactData{fact: f, dimKeys: map[string][]int32{},
+		measures: map[string][]float64{}, packed: map[string]*packedColumn{}}
+	for _, dn := range f.Dimensions {
+		fd.dimKeys[dn] = nil
+		fd.packed[dn] = &packedColumn{}
+	}
+	for _, m := range f.Measures {
+		fd.measures[m.Name] = nil
+	}
+	return fd
 }
 
 // Version returns the table's mutation counter (see the field comment).
@@ -354,16 +373,7 @@ func New(s *geomd.Schema) *Cube {
 		c.dims[d.Name] = dd
 	}
 	for _, f := range s.MD.Facts {
-		fd := &FactData{fact: f, dimKeys: map[string][]int32{},
-			measures: map[string][]float64{}, packed: map[string]*packedColumn{}}
-		for _, dn := range f.Dimensions {
-			fd.dimKeys[dn] = nil
-			fd.packed[dn] = &packedColumn{}
-		}
-		for _, m := range f.Measures {
-			fd.measures[m.Name] = nil
-		}
-		c.facts[f.Name] = fd
+		c.facts[f.Name] = newFactData(f)
 	}
 	return c
 }
@@ -397,16 +407,7 @@ func (c *Cube) NewFactShard() *Cube {
 		shardParent: parent,
 	}
 	for _, f := range c.schema.MD.Facts {
-		fd := &FactData{fact: f, dimKeys: map[string][]int32{},
-			measures: map[string][]float64{}, packed: map[string]*packedColumn{}}
-		for _, dn := range f.Dimensions {
-			fd.dimKeys[dn] = nil
-			fd.packed[dn] = &packedColumn{}
-		}
-		for _, m := range f.Measures {
-			fd.measures[m.Name] = nil
-		}
-		s.facts[f.Name] = fd
+		s.facts[f.Name] = newFactData(f)
 	}
 	parent.shardMu.Lock()
 	parent.shardKids = append(parent.shardKids, s)

@@ -1115,11 +1115,6 @@ func (cq *CompiledQuery) Rebind(target *Cube) (*CompiledQuery, error) {
 type BatchOptions struct {
 	// Workers sizes the chunk worker pool exactly as in ExecuteParallel.
 	Workers int
-	// Artifacts optionally carries a cross-batch artifact cache (see
-	// exec_cache.go): hot filter bitmaps and roll-up key columns then
-	// survive between scans instead of being re-materialized per batch.
-	// nil keeps artifacts scan-scoped (pooled), exactly as before.
-	Artifacts *ArtifactCache
 	// Trace optionally collects per-stage wall times of this scan (one
 	// ShardScan per fact group, plus gather/finalize time). nil — the
 	// default — records nothing; every timing hook is guarded by a single
@@ -1164,8 +1159,8 @@ type SharingStats struct {
 	// key columns the scan conceptually needs).
 	GroupKeySets      int `json:"groupKeySets"`
 	DistinctGroupings int `json:"distinctGroupings"`
-	// ArtifactCacheHits counts artifacts this scan took from the
-	// cross-batch cache instead of re-materializing (0 without a cache).
+	// ArtifactCacheHits counts artifacts this scan took from the table's
+	// cross-batch cache instead of re-materializing.
 	ArtifactCacheHits int `json:"artifactCacheHits"`
 	// PartialsReused / PartialsAllocated count the per-worker partial
 	// aggregation tables this scan took from the per-table pool vs
@@ -1334,7 +1329,7 @@ func executeBatchPartials(plans []*queryPlan, masks []*bitset.Set, out []*partia
 			sc = &obs.ShardScan{Shard: opts.TraceShard, Facts: n}
 			t0 = time.Now()
 		}
-		stats.Add(scanSharedStaged(gp, gm, gout, w, n, opts, sp, sc))
+		stats.Add(scanSharedStaged(gp, gm, gout, w, n, sp, sc))
 		if sc != nil {
 			sc.Wall = time.Since(t0)
 			opts.Trace.AddShard(*sc)

@@ -8,12 +8,21 @@ import (
 	"sdwp/internal/bitset"
 )
 
-// ArtifactCache is the cross-batch artifact cache: a byte-bounded LRU of
-// the batch executor's stage-1/2 artifacts — composed filter-set bitmaps
-// keyed by Query.FilterFingerprint, per-predicate bitmaps keyed by
-// AttrFilter.Fingerprint, and composite roll-up key columns keyed by
-// Query.GroupFingerprint — so a hot dashboard filter or group-by survives
-// between scans instead of being re-materialized per batch.
+// artifactCache is a fact table's cross-batch artifact cache: a
+// byte-bounded LRU of the batch executor's stage-1/2 artifacts over that
+// table — composed filter-set bitmaps keyed by Query.FilterFingerprint,
+// per-predicate bitmaps keyed by AttrFilter.Fingerprint, and composite
+// roll-up key columns keyed by Query.GroupFingerprint — so a hot
+// dashboard filter or group-by survives between scans instead of being
+// re-materialized per batch. Every FactData owns one (always on); every
+// shared scan of the table consults it, and a fact shard is a FactData of
+// its own, so a sharded table caches per shard with no split code.
+//
+// The three fingerprint keyspaces are disjoint by their first byte — a
+// set fingerprint starts with a length digit, a predicate fingerprint
+// with 'w', a grouping fingerprint with 'g' — so the fingerprint itself
+// is the cache key (FuzzArtifactKeys pins this and the keys' semantic
+// injectivity).
 //
 // Entries are validated against the fact table's version (FactData bumps
 // it on AddFact, and the cube bumps every table on member/attribute
@@ -23,29 +32,30 @@ import (
 // scans; they are never recycled through the executor's buffer pools.
 //
 // Admission is doorkept, mirroring the scheduler's result cache: an
-// artifact is admitted only once its composite key (fingerprint, not
-// version — a hot filter stays admitted across ingest) has been offered
-// at least twice, so a one-off exploratory filter passes through without
-// evicting hot artifacts. Two map generations bound the doorkeeper's
-// footprint: when the current generation fills it becomes the old one and
-// a fresh map starts, forgetting fingerprints roughly FIFO.
+// artifact is admitted only once its fingerprint (not version — a hot
+// filter stays admitted across ingest) has been offered at least twice,
+// so a one-off exploratory filter passes through without evicting hot
+// artifacts. Two map generations bound the doorkeeper's footprint: when
+// the current generation fills it becomes the old one and a fresh map
+// starts, forgetting fingerprints roughly FIFO.
 //
-// The shard subsystem keeps one ArtifactCache per fact shard — the cache
-// key is effectively (fingerprint, shard, table version) there — and the
-// scheduler can front the unsharded engine with a single cache the same
-// way (core.Options.ArtifactCacheBytes).
-type ArtifactCache struct {
+// The zero value is ready to use.
+type artifactCache struct {
 	mu      sync.Mutex
-	max     int64
 	bytes   int64
-	entries map[string]*list.Element // composite key → *artifactEntry element
-	lru     *list.List               // front = most recently used
+	entries map[string]*list.Element // fingerprint → *artifactEntry element
+	lru     list.List                // front = most recently used
 
-	// Doorkeeper generations (guarded by mu): composite keys offered via
+	// Doorkeeper generations (guarded by mu): fingerprints offered via
 	// put at least once; a second offer admits.
-	doorCap int
 	doorCur map[string]struct{}
 	doorOld map[string]struct{}
+
+	// budget and doorCap override artifactBytesPerFact and
+	// artifactDoorCapacity when non-zero; only tests set them
+	// (export_test.go).
+	budget  int64
+	doorCap int
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -53,6 +63,11 @@ type ArtifactCache struct {
 	stale     atomic.Int64
 	doorkept  atomic.Int64
 }
+
+// artifactBytesPerFact bounds a table's cached artifact payload per fact:
+// five table-length int32 key columns (or forty bitmaps, or any mix), 8 MB
+// at 400 000 facts. A memory bound derived from the table, not a knob.
+const artifactBytesPerFact = 20
 
 // artifactDoorCapacity bounds one doorkeeper generation — a memory bound,
 // not a tuning knob (cf. qsched's result-cache doorkeeper).
@@ -67,65 +82,50 @@ type artifactEntry struct {
 	bytes   int64
 }
 
-// NewArtifactCache builds a cache bounded to maxBytes of artifact payload
-// (nil if maxBytes <= 0, which callers treat as "caching off").
-func NewArtifactCache(maxBytes int64) *ArtifactCache {
-	if maxBytes <= 0 {
-		return nil
-	}
-	return &ArtifactCache{max: maxBytes, entries: map[string]*list.Element{}, lru: list.New(),
-		doorCap: artifactDoorCapacity, doorCur: map[string]struct{}{}}
-}
-
-// SetDoorkeeperCapacity overrides the doorkeeper's per-generation bound
-// (tests exercise generation rotation with small capacities; production
-// keeps the default).
-func (ac *ArtifactCache) SetDoorkeeperCapacity(n int) {
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	ac.doorCap = n
-}
-
-// maskKey/predKey/colKey build the composite cache key. The fact name
-// scopes fingerprints across tables; the kind prefix keeps the three
-// artifact namespaces apart.
-func maskKey(fd *FactData, fp string) string { return "m|" + fd.fact.Name + "|" + fp }
-func predKey(fd *FactData, fp string) string { return "p|" + fd.fact.Name + "|" + fp }
-func colKey(fd *FactData, fp string) string  { return "c|" + fd.fact.Name + "|" + fp }
-
-// getMask returns the cached filter bitmap for the fingerprint if it was
-// built under the given table version (and size), else nil.
-func (ac *ArtifactCache) getMask(fd *FactData, version uint64, fp string) *bitset.Set {
-	e := ac.get(maskKey(fd, fp), version)
+// cachedMask returns the table's cached bitmap (a composed set mask or a
+// predicate bitmap) for the fingerprint if it was built under the given
+// table version over the whole table, else nil.
+func (fd *FactData) cachedMask(version uint64, fp string) *bitset.Set {
+	e := fd.artifacts.get(fp, version)
 	if e == nil || e.mask == nil || e.mask.Len() != fd.n {
 		return nil
 	}
 	return e.mask
 }
 
-// getPredMask returns the cached per-predicate bitmap for the fingerprint
-// if it was built under the given table version (and size), else nil.
-func (ac *ArtifactCache) getPredMask(fd *FactData, version uint64, fp string) *bitset.Set {
-	e := ac.get(predKey(fd, fp), version)
-	if e == nil || e.mask == nil || e.mask.Len() != fd.n {
-		return nil
-	}
-	return e.mask
-}
-
-// getCol returns the cached roll-up key column likewise.
-func (ac *ArtifactCache) getCol(fd *FactData, version uint64, fp string) []int32 {
-	e := ac.get(colKey(fd, fp), version)
+// cachedCol returns the table's cached roll-up key column likewise.
+func (fd *FactData) cachedCol(version uint64, fp string) []int32 {
+	e := fd.artifacts.get(fp, version)
 	if e == nil || e.col == nil || len(e.col) != fd.n {
 		return nil
 	}
 	return e.col
 }
 
-func (ac *ArtifactCache) get(key string, version uint64) *artifactEntry {
+// offerMask hands a bitmap freshly filled over the whole table to the
+// table's cache. It reports whether the cache took ownership — false when
+// the doorkeeper turns it away, when the table version moved while the
+// scan was filling (the artifact may be torn relative to the new state),
+// or when the artifact alone exceeds the budget.
+func (fd *FactData) offerMask(version uint64, fp string, m *bitset.Set) bool {
+	return fd.offer(&artifactEntry{key: fp, version: version, mask: m,
+		bytes: int64(m.Len()/8 + 16)})
+}
+
+// offerCol hands a freshly filled key column to the cache likewise.
+func (fd *FactData) offerCol(version uint64, fp string, col []int32) bool {
+	return fd.offer(&artifactEntry{key: fp, version: version, col: col,
+		bytes: int64(4*len(col) + 16)})
+}
+
+func (fd *FactData) offer(e *artifactEntry) bool {
+	if fd.version.Load() != e.version {
+		return false
+	}
+	return fd.artifacts.put(e, fd.n)
+}
+
+func (ac *artifactCache) get(key string, version uint64) *artifactEntry {
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
 	el, ok := ac.entries[key]
@@ -147,42 +147,11 @@ func (ac *ArtifactCache) get(key string, version uint64) *artifactEntry {
 	return e
 }
 
-// putMask hands a freshly filled filter bitmap to the cache. It reports
-// whether the cache took ownership — false when the table version moved
-// while the scan was filling (the artifact may be torn relative to the new
-// state) or when the artifact alone exceeds the cache bound.
-func (ac *ArtifactCache) putMask(fd *FactData, version uint64, fp string, m *bitset.Set) bool {
-	if fd.version.Load() != version {
-		return false
-	}
-	return ac.put(&artifactEntry{key: maskKey(fd, fp), version: version, mask: m,
-		bytes: int64(m.Len()/8 + 16)})
-}
-
-// putPredMask hands a freshly filled per-predicate bitmap to the cache
-// likewise.
-func (ac *ArtifactCache) putPredMask(fd *FactData, version uint64, fp string, m *bitset.Set) bool {
-	if fd.version.Load() != version {
-		return false
-	}
-	return ac.put(&artifactEntry{key: predKey(fd, fp), version: version, mask: m,
-		bytes: int64(m.Len()/8 + 16)})
-}
-
-// putCol hands a freshly filled key column to the cache likewise.
-func (ac *ArtifactCache) putCol(fd *FactData, version uint64, fp string, col []int32) bool {
-	if fd.version.Load() != version {
-		return false
-	}
-	return ac.put(&artifactEntry{key: colKey(fd, fp), version: version, col: col,
-		bytes: int64(4*len(col) + 16)})
-}
-
-// admitLocked is the doorkeeper verdict for one composite key: true once
-// the key has been offered before (this offer then counts as the repeat
-// that keeps it hot), false on first sight — the offer is recorded so the
-// next one admits. Callers hold ac.mu.
-func (ac *ArtifactCache) admitLocked(key string) bool {
+// admitLocked is the doorkeeper verdict for one fingerprint: true once it
+// has been offered before (this offer then counts as the repeat that keeps
+// it hot), false on first sight — the offer is recorded so the next one
+// admits. Callers hold ac.mu.
+func (ac *artifactCache) admitLocked(key string) bool {
 	if _, ok := ac.doorCur[key]; ok {
 		return true
 	}
@@ -190,7 +159,11 @@ func (ac *ArtifactCache) admitLocked(key string) bool {
 		ac.doorCur[key] = struct{}{} // keep hot keys in the fresh generation
 		return true
 	}
-	if len(ac.doorCur) >= ac.doorCap {
+	doorCap := ac.doorCap
+	if doorCap == 0 {
+		doorCap = artifactDoorCapacity
+	}
+	if ac.doorCur == nil || len(ac.doorCur) >= doorCap {
 		ac.doorOld = ac.doorCur
 		ac.doorCur = map[string]struct{}{}
 	}
@@ -198,12 +171,14 @@ func (ac *ArtifactCache) admitLocked(key string) bool {
 	return false
 }
 
-func (ac *ArtifactCache) put(e *artifactEntry) bool {
-	if e.bytes > ac.max {
-		return false
-	}
+// put inserts e into the cache of a table of n facts.
+func (ac *artifactCache) put(e *artifactEntry, n int) bool {
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
+	budget := ac.budgetLocked(n)
+	if e.bytes > budget {
+		return false
+	}
 	if !ac.admitLocked(e.key) {
 		// First offer of this fingerprint: the doorkeeper turns it away so
 		// one-off filters cannot evict hot artifacts; the caller keeps
@@ -220,9 +195,12 @@ func (ac *ArtifactCache) put(e *artifactEntry) bool {
 		}
 		ac.removeLocked(el)
 	}
+	if ac.entries == nil {
+		ac.entries = map[string]*list.Element{}
+	}
 	ac.entries[e.key] = ac.lru.PushFront(e)
 	ac.bytes += e.bytes
-	for ac.bytes > ac.max {
+	for ac.bytes > budget {
 		oldest := ac.lru.Back()
 		if oldest == nil {
 			break
@@ -233,16 +211,26 @@ func (ac *ArtifactCache) put(e *artifactEntry) bool {
 	return true
 }
 
+// budgetLocked is the byte budget of a table of n facts. Callers hold
+// ac.mu.
+func (ac *artifactCache) budgetLocked(n int) int64 {
+	if ac.budget != 0 {
+		return ac.budget
+	}
+	return artifactBytesPerFact * int64(n)
+}
+
 // removeLocked unlinks an entry. Callers hold ac.mu. The payload is left
 // to the GC — in-flight scans may still be reading it.
-func (ac *ArtifactCache) removeLocked(el *list.Element) {
+func (ac *artifactCache) removeLocked(el *list.Element) {
 	e := el.Value.(*artifactEntry)
 	ac.lru.Remove(el)
 	delete(ac.entries, e.key)
 	ac.bytes -= e.bytes
 }
 
-// ArtifactCacheStats is a point-in-time snapshot of a cache's counters.
+// ArtifactCacheStats is a point-in-time snapshot of artifact-cache
+// counters (one table's, or a sum over tables and shards).
 type ArtifactCacheStats struct {
 	// Hits/Misses count artifact lookups; Stale counts misses caused by a
 	// table-version bump (AddFact or member mutation) since the artifact
@@ -255,17 +243,14 @@ type ArtifactCacheStats struct {
 	// scoped and pooled, and a repeat offer admits.
 	Doorkept int64 `json:"doorkept"`
 	// Entries/Bytes is the current footprint; Evictions counts entries
-	// displaced by the byte bound.
+	// displaced by the byte budget.
 	Entries   int   `json:"entries"`
 	Bytes     int64 `json:"bytes"`
 	Evictions int64 `json:"evictions"`
 }
 
-// Stats snapshots the cache counters (zero value from a nil cache).
-func (ac *ArtifactCache) Stats() ArtifactCacheStats {
-	if ac == nil {
-		return ArtifactCacheStats{}
-	}
+// stats snapshots the cache counters.
+func (ac *artifactCache) stats() ArtifactCacheStats {
 	st := ArtifactCacheStats{
 		Hits:      ac.hits.Load(),
 		Misses:    ac.misses.Load(),
@@ -280,8 +265,17 @@ func (ac *ArtifactCache) Stats() ArtifactCacheStats {
 	return st
 }
 
-// add folds another cache's snapshot in (the shard table aggregates its
-// per-shard caches this way).
+// ArtifactCacheStats sums the artifact caches of the cube's fact tables.
+func (c *Cube) ArtifactCacheStats() ArtifactCacheStats {
+	var st ArtifactCacheStats
+	for _, fd := range c.facts {
+		st.Add(fd.artifacts.stats())
+	}
+	return st
+}
+
+// Add folds another snapshot in (the shard table sums its shards' caches
+// this way).
 func (s *ArtifactCacheStats) Add(o ArtifactCacheStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses

@@ -1,13 +1,16 @@
 package cube_test
 
-// Unit coverage of the cross-batch ArtifactCache through the batch
-// executor: repeated batches hit, table mutations invalidate, the byte
-// bound evicts, and results never change whichever way a lookup goes.
+// Unit coverage of the fact tables' cross-batch artifact caches through
+// the batch executor: repeated batches hit, table mutations invalidate,
+// the byte budget evicts, and results never change whichever way a lookup
+// goes.
 
 import (
+	"fmt"
 	"testing"
 
 	"sdwp/internal/cube"
+	"sdwp/internal/cube/cubetest"
 	"sdwp/internal/datagen"
 )
 
@@ -43,9 +46,9 @@ func TestArtifactCacheHitStaleAndEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := cacheTestBatch()
-	ac := cube.NewArtifactCache(16 << 20)
+	stats := ds.Cube.ArtifactCacheStats
 	run := func(label string) []*cube.Result {
-		res, _, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Artifacts: ac})
+		res, _, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -62,16 +65,16 @@ func TestArtifactCacheHitStaleAndEquivalence(t *testing.T) {
 	// The admission doorkeeper turns first offers away: one batch is not
 	// enough to cache anything, the repeat admits, the third run hits.
 	first := run("first")
-	if st := ac.Stats(); st.Entries != 0 || st.Doorkept == 0 {
+	if st := stats(); st.Entries != 0 || st.Doorkept == 0 {
 		t.Fatalf("first batch should be doorkept, not cached: %+v", st)
 	}
 	admitted := run("admitted")
-	if st := ac.Stats(); st.Entries == 0 {
+	if st := stats(); st.Entries == 0 {
 		t.Fatalf("second batch cached nothing: %+v", st)
 	}
-	hitsAfterAdmit := ac.Stats().Hits
+	hitsAfterAdmit := stats().Hits
 	second := run("second")
-	st := ac.Stats()
+	st := stats()
 	if st.Hits <= hitsAfterAdmit {
 		t.Fatalf("repeat batch did not hit the cache: %+v", st)
 	}
@@ -90,7 +93,7 @@ func TestArtifactCacheHitStaleAndEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	third := run("after-addfact")
-	if got := ac.Stats(); got.Stale == 0 {
+	if got := stats(); got.Stale == 0 {
 		t.Errorf("AddFact did not invalidate cached artifacts: %+v", got)
 	}
 	for i, q := range qs {
@@ -107,9 +110,9 @@ func TestArtifactCacheHitStaleAndEquivalence(t *testing.T) {
 	if err := ds.Cube.SetMemberAttr("Store", "City", 0, "population", float64(1)); err != nil {
 		t.Fatal(err)
 	}
-	staleBefore := ac.Stats().Stale
+	staleBefore := stats().Stale
 	fourth := run("after-attr")
-	if got := ac.Stats(); got.Stale <= staleBefore {
+	if got := stats(); got.Stale <= staleBefore {
 		t.Errorf("SetMemberAttr did not invalidate cached artifacts: %+v", got)
 	}
 	for i, q := range qs {
@@ -134,7 +137,7 @@ func TestArtifactCacheEviction(t *testing.T) {
 	}
 	// A cache barely big enough for one key column (4 bytes/fact) forces
 	// displacement as distinct groupings stream through.
-	ac := cube.NewArtifactCache(int64(4*3000 + 64))
+	cube.SetArtifactCacheLimits(ds.Cube, "Sales", int64(4*3000+64), 0)
 	for round := 0; round < 3; round++ {
 		for _, level := range []string{"Store", "City", "State", "Country"} {
 			qs := []cube.Query{
@@ -143,7 +146,7 @@ func TestArtifactCacheEviction(t *testing.T) {
 				{Fact: "Sales", GroupBy: []cube.LevelRef{{Dimension: "Store", Level: level}},
 					Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}},
 			}
-			res, _, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Artifacts: ac})
+			res, _, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +162,7 @@ func TestArtifactCacheEviction(t *testing.T) {
 			}
 		}
 	}
-	st := ac.Stats()
+	st := ds.Cube.ArtifactCacheStats()
 	if st.Evictions == 0 {
 		t.Errorf("tiny cache never evicted: %+v", st)
 	}
@@ -198,10 +201,10 @@ func TestArtifactCacheDoorkeeperAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac := cube.NewArtifactCache(8 << 20)
+	stats := ds.Cube.ArtifactCacheStats
 	run := func(v float64) {
 		if _, _, err := ds.Cube.ExecuteBatchOpt(doorkeeperBatch(v), nil,
-			cube.BatchOptions{Artifacts: ac}); err != nil {
+			cube.BatchOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +213,7 @@ func TestArtifactCacheDoorkeeperAdmission(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		run(float64(10000 + i))
 	}
-	st := ac.Stats()
+	st := stats()
 	if st.Entries != 0 {
 		t.Fatalf("one-shot filters were cached: %+v", st)
 	}
@@ -220,16 +223,16 @@ func TestArtifactCacheDoorkeeperAdmission(t *testing.T) {
 
 	// A repeated filter admits on its second offer and hits from then on.
 	run(99999)
-	if st := ac.Stats(); st.Entries != 0 {
+	if st := stats(); st.Entries != 0 {
 		t.Fatalf("first offer admitted: %+v", st)
 	}
 	run(99999)
-	if st := ac.Stats(); st.Entries != 1 {
+	if st := stats(); st.Entries != 1 {
 		t.Fatalf("second offer did not admit: %+v", st)
 	}
-	hits := ac.Stats().Hits
+	hits := stats().Hits
 	run(99999)
-	if st := ac.Stats(); st.Hits <= hits {
+	if st := stats(); st.Hits <= hits {
 		t.Fatalf("admitted artifact not served: %+v", st)
 	}
 }
@@ -248,11 +251,11 @@ func TestArtifactCacheDoorkeeperRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac := cube.NewArtifactCache(8 << 20)
-	ac.SetDoorkeeperCapacity(1)
+	cube.SetArtifactCacheLimits(ds.Cube, "Sales", 0, 1)
+	stats := ds.Cube.ArtifactCacheStats
 	run := func(v float64) {
 		if _, _, err := ds.Cube.ExecuteBatchOpt(doorkeeperBatch(v), nil,
-			cube.BatchOptions{Artifacts: ac}); err != nil {
+			cube.BatchOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +266,7 @@ func TestArtifactCacheDoorkeeperRotation(t *testing.T) {
 	run(2)
 	run(3)
 	run(1)
-	if st := ac.Stats(); st.Entries != 0 || st.Doorkept != 4 {
+	if st := stats(); st.Entries != 0 || st.Doorkept != 4 {
 		t.Fatalf("rotation should have forgotten A (want 4 doorkept, 0 entries): %+v", st)
 	}
 
@@ -272,7 +275,112 @@ func TestArtifactCacheDoorkeeperRotation(t *testing.T) {
 	// one of the two generations.
 	run(4)
 	run(4)
-	if st := ac.Stats(); st.Entries != 1 {
+	if st := stats(); st.Entries != 1 {
 		t.Fatalf("immediate repeat should admit across generations: %+v", st)
+	}
+}
+
+// TestArtifactCacheDefaultBudget pins the budget rule: a table caches at
+// most artifactBytesPerFact (20) bytes per fact — five table-length key
+// columns — so a stream of more distinct hot groupings than that evicts
+// without any configured bound, and the footprint never exceeds it.
+func TestArtifactCacheDefaultBudget(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Config{
+		Seed: 9, States: 4, Cities: 12, Stores: 60, Customers: 50,
+		Products: 20, Days: 20, Sales: 3000,
+		AirportEvery: 4, TrainLines: 3, Hospitals: 4, Highways: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := cube.ArtifactCacheBudget(ds.Cube, "Sales")
+	if want := int64(20 * ds.Cube.FactData("Sales").Len()); budget != want {
+		t.Fatalf("budget = %d bytes, want 20 per fact = %d", budget, want)
+	}
+	groupings := []cube.LevelRef{
+		{Dimension: "Store", Level: "Store"}, {Dimension: "Store", Level: "City"},
+		{Dimension: "Store", Level: "State"}, {Dimension: "Customer", Level: "Customer"},
+		{Dimension: "Customer", Level: "Segment"}, {Dimension: "Product", Level: "Product"},
+		{Dimension: "Time", Level: "Day"}, {Dimension: "Time", Level: "Month"},
+	}
+	for round := 0; round < 3; round++ {
+		for _, g := range groupings {
+			qs := []cube.Query{
+				{Fact: "Sales", GroupBy: []cube.LevelRef{g},
+					Aggregates: []cube.MeasureAgg{{Measure: "UnitSales", Agg: cube.AggSum}}},
+				{Fact: "Sales", GroupBy: []cube.LevelRef{g},
+					Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}},
+			}
+			res, _, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range qs {
+				diffResults(t, fmt.Sprintf("round %d %s case %d", round, g.Level, i),
+					res[i], cubetest.NaiveExecute(ds.Cube, q, nil))
+			}
+			if st := ds.Cube.ArtifactCacheStats(); st.Bytes > budget {
+				t.Fatalf("cache holds %d bytes, over its %d-byte budget: %+v", st.Bytes, budget, st)
+			}
+		}
+	}
+	if st := ds.Cube.ArtifactCacheStats(); st.Evictions == 0 || st.Entries > 5 {
+		t.Errorf("%d hot key columns should overflow a 5-column budget: %+v", len(groupings), st)
+	}
+}
+
+// TestArtifactCacheSkipsPrefixScans pins the insert guard: a batch
+// compiled before AddFact scans only the table prefix its plans cover, so
+// the key column it fills must never be cached under the grown table's
+// version, where a later full-length scan would take it and misplace the
+// new facts.
+func TestArtifactCacheSkipsPrefixScans(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Config{
+		Seed: 31, States: 4, Cities: 12, Stores: 60, Customers: 50,
+		Products: 20, Days: 20, Sales: 3000,
+		AirportEvery: 4, TrainLines: 3, Hospitals: 4, Highways: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byStore := []cube.LevelRef{{Dimension: "Store", Level: "Store"}}
+	qs := []cube.Query{
+		{Fact: "Sales", GroupBy: byStore, Aggregates: []cube.MeasureAgg{{Measure: "UnitSales", Agg: cube.AggSum}}},
+		{Fact: "Sales", GroupBy: byStore, Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}},
+	}
+	compile := func() []*cube.CompiledQuery {
+		cqs := make([]*cube.CompiledQuery, len(qs))
+		for i, q := range qs {
+			if cqs[i], err = ds.Cube.Compile(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cqs
+	}
+	stale := compile()
+	for i := 0; i < 64; i++ {
+		if err := ds.Cube.AddFact("Sales", map[string]int32{
+			"Store": int32(7 + i%5), "Customer": 0, "Product": 0, "Time": 0,
+		}, map[string]float64{"UnitSales": 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Offered twice, a prefix scan's key column would pass the doorkeeper.
+	for run := 0; run < 2; run++ {
+		if _, _, err := ds.Cube.ExecuteBatchCompiledOpt(stale, nil, cube.BatchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := ds.Cube.ArtifactCacheStats(); st.Entries != 0 || st.Doorkept != 0 {
+		t.Fatalf("prefix scans offered artifacts to the cache: %+v", st)
+	}
+	for run := 0; run < 3; run++ {
+		res, _, err := ds.Cube.ExecuteBatchCompiledOpt(compile(), nil, cube.BatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range qs {
+			diffResults(t, fmt.Sprintf("full scan %d case %d", run, i), res[i], cubetest.NaiveExecute(ds.Cube, q, nil))
+		}
 	}
 }

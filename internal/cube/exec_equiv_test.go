@@ -183,6 +183,60 @@ func reference(c *cube.Cube, qs []cube.Query, vs []*cube.View) []*cube.Result {
 	return out
 }
 
+// cachePhases runs one batch through the fact table's artifact cache in
+// three phases and diffs every run against the reference at the table's
+// then-current state: cold (an emptied cache, whose first offers the
+// doorkeeper turns away), warm (a repeat the doorkeeper admits, then one
+// served from the cache), and warm again after one AddFact and one
+// SetMemberAttr, where every entry built before them must be dropped as
+// stale. The batch must share at least one artifact.
+func cachePhases(t *testing.T, c *cube.Cube, qs []cube.Query, vs []*cube.View, workers int) {
+	t.Helper()
+	cube.ResetArtifactCaches(c)
+	run := func(phase string, vs []*cube.View) cube.SharingStats {
+		t.Helper()
+		res, stats, err := c.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		want := reference(c, qs, vs)
+		for i := range qs {
+			diffResults(t, fmt.Sprintf("%s case %d workers %d", phase, i, workers), res[i], want[i])
+		}
+		return stats
+	}
+	if st := run("cold", vs); st.ArtifactCacheHits != 0 {
+		t.Errorf("cold run took %d artifacts from an emptied cache", st.ArtifactCacheHits)
+	}
+	run("admit", vs)
+	warm := run("warm", vs)
+	cached := c.ArtifactCacheStats()
+	if cached.Entries == 0 || warm.ArtifactCacheHits == 0 {
+		t.Fatalf("warm run took %d artifacts from the cache (%+v)", warm.ArtifactCacheHits, cached)
+	}
+	if err := c.AddFact("Sales", map[string]int32{"Store": 1, "Customer": 1, "Product": 1, "Time": 1},
+		map[string]float64{"UnitSales": 7, "StoreCost": 2, "StoreSales": 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetMemberAttr("Store", "City", 1, "population", float64(2500000)); err != nil {
+		t.Fatal(err)
+	}
+	// A view's materialized mask is a snapshot of the table it was taken
+	// over; clones re-materialize over the grown table.
+	var grown []*cube.View
+	for _, v := range vs {
+		if v != nil {
+			v = v.Clone()
+		}
+		grown = append(grown, v)
+	}
+	mutated := run("after mutation", grown)
+	if st := c.ArtifactCacheStats(); st.Stale == cached.Stale || mutated.ArtifactCacheHits != 0 {
+		t.Errorf("mutation left cached artifacts live: %d hits after it, stale %d -> %d",
+			mutated.ArtifactCacheHits, cached.Stale, st.Stale)
+	}
+}
+
 func TestExecutorEquivalenceRandomized(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -238,7 +292,8 @@ func TestExecutorEquivalenceRandomized(t *testing.T) {
 // TestSharedSubexprBatchEquivalence targets the sharing-heavy shape the
 // staged executor exists for: many queries differing only in selection
 // mask, measure, or limit over a handful of filter sets and groupings.
-// Every result — across worker counts and randomized views — must be
+// Every result — across worker counts and randomized views, and cold,
+// warm and stale in the table's artifact cache (cachePhases) — must be
 // byte-identical to the reference, and the reported SharingStats must
 // account for every query.
 func TestSharedSubexprBatchEquivalence(t *testing.T) {
@@ -341,6 +396,7 @@ func TestSharedSubexprBatchEquivalence(t *testing.T) {
 					t.Errorf("workers %d: instances below distinct counts: %+v", w, stats)
 				}
 			}
+			cachePhases(t, ds.Cube, qs, vs, 2)
 		})
 	}
 }
@@ -399,7 +455,7 @@ func TestExecuteBatchValidation(t *testing.T) {
 // and refine their unshared predicate in one pass (full masks); a
 // single-use set AND-composes the shared bitmap into a partial mask and
 // leaves its residue to the per-fact path. Results must match the
-// reference.
+// reference, cold, warm and stale in the artifact cache (cachePhases).
 func TestPerFilterCompositionPaths(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Config{
 		Seed: 13, States: 5, Cities: 15, Stores: 80, Customers: 60,
@@ -428,6 +484,8 @@ func TestPerFilterCompositionPaths(t *testing.T) {
 	}
 	want := reference(ds.Cube, qs, nil)
 	for _, w := range []int{1, 4} {
+		// Each count starts cold, so the stats below count builds.
+		cube.ResetArtifactCaches(ds.Cube)
 		batch, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Workers: w})
 		if err != nil {
 			t.Fatalf("workers %d: %v", w, err)
@@ -449,10 +507,11 @@ func TestPerFilterCompositionPaths(t *testing.T) {
 			t.Errorf("workers %d: partial masks = %d, want 1", w, stats.PartialMasks)
 		}
 	}
+	cachePhases(t, ds.Cube, qs, nil, 4)
 }
 
 // TestPerFilterArtifactCachePredicates checks that per-predicate bitmaps
-// flow through the cross-batch artifact cache: after the doorkeeper
+// flow through the table's cross-batch artifact cache: after the doorkeeper
 // admits them, a repeated overlapping-set batch takes its shared
 // predicate bitmap (and composed set masks) from the cache.
 func TestPerFilterArtifactCachePredicates(t *testing.T) {
@@ -479,11 +538,10 @@ func TestPerFilterArtifactCachePredicates(t *testing.T) {
 				Aggregates: agg, Filters: fs})
 		}
 	}
-	ac := cube.NewArtifactCache(16 << 20)
 	want := reference(ds.Cube, qs, nil)
 	var last cube.SharingStats
 	for i := 0; i < 3; i++ {
-		res, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Artifacts: ac})
+		res, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,9 +558,9 @@ func TestPerFilterArtifactCachePredicates(t *testing.T) {
 	// table pass of decode work.
 	if last.ArtifactCacheHits < 2 {
 		t.Errorf("third run took %d artifacts from the cache, want >= 2 (stats %+v, cache %+v)",
-			last.ArtifactCacheHits, last, ac.Stats())
+			last.ArtifactCacheHits, last, ds.Cube.ArtifactCacheStats())
 	}
-	st := ac.Stats()
+	st := ds.Cube.ArtifactCacheStats()
 	if st.Doorkept < 3 || st.Entries < 3 {
 		t.Errorf("doorkeeper flow: want >= 3 doorkept (run 1) and >= 3 entries (run 2 admits the"+
 			" predicate bitmap and both set masks): %+v", st)
@@ -523,8 +581,9 @@ func keySpace(c *cube.Cube, groupBy []cube.LevelRef) int {
 // sides of the dense-table constant — including two levels of one
 // dimension, NoParent groups (orphaned stores and cities), OrderBy over
 // heavily tied COUNTs, Limit below the row count, and views — through
-// lone and batched scans at several worker counts. Every result must equal
-// the executor-independent reference.
+// lone and batched scans at several worker counts, the batch also cold,
+// warm and stale in the artifact cache (cachePhases). Every result must
+// equal the executor-independent reference.
 func TestMultiLevelGroupByEquivalence(t *testing.T) {
 	// Three scan chunks of facts, so multi-worker runs really merge.
 	cfg := datagen.Config{
@@ -636,6 +695,8 @@ func TestMultiLevelGroupByEquivalence(t *testing.T) {
 		diffResults(t, fmt.Sprintf("case %d workers 3", i), got, want[i])
 	}
 	for _, w := range []int{1, 4} {
+		// Each count starts cold, so KeyColBytesBuilt counts a build.
+		cube.ResetArtifactCaches(c)
 		batch, stats, err := c.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
 		if err != nil {
 			t.Fatal(err)
@@ -647,4 +708,5 @@ func TestMultiLevelGroupByEquivalence(t *testing.T) {
 			t.Errorf("workers %d: no composite key column materialized", w)
 		}
 	}
+	cachePhases(t, c, qs, vs, 4)
 }

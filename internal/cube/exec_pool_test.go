@@ -342,7 +342,7 @@ func TestLoneStatsMatchesPlanner(t *testing.T) {
 			lone := []queryScan{planScan(p, view, nil)}
 			got := loneStats(p)
 			fillOwnMasks([]*queryPlan{p}, lone, p.n, 1, &got, nil)
-			art, want := buildArtifacts([]*queryPlan{p}, []*bitset.Set{view}, 1, p.n, BatchOptions{}, nil, nil)
+			art, want := buildArtifacts([]*queryPlan{p}, []*bitset.Set{view}, 1, p.n, nil, nil)
 			planned := []queryScan{planScan(p, view, art)}
 			fillOwnMasks([]*queryPlan{p}, planned, p.n, 1, &want, nil)
 			label := fmt.Sprintf("query %d view %v", i, view)

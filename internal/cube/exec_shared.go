@@ -39,9 +39,10 @@ import (
 // (releaseArtifacts) — a busy scheduler materializes them thousands of
 // times per second, and allocating them fresh each scan showed up as GC
 // pressure that starved concurrent writers on small hosts — unless they
-// came from (or were handed to) the cross-batch ArtifactCache, in which
-// case the cache owns them: cached artifacts are immutable, may be read
-// by several concurrent scans, and are never returned to the pools.
+// came from (or were handed to) the table's cross-batch artifact cache
+// (exec_cache.go), in which case the cache owns them: cached artifacts
+// are immutable, may be read by several concurrent scans, and are never
+// returned to the pools.
 type sharedArtifacts struct {
 	fd          *FactData
 	filterMasks map[string]*bitset.Set // filter-set sub-fingerprint → bitmap
@@ -59,11 +60,6 @@ type sharedArtifacts struct {
 	// fingerprints with 'w', grouping fingerprints with 'g' — they cannot
 	// collide.
 	cacheOwned map[string]bool
-}
-
-// owned reports whether the artifact under key belongs to the cache.
-func (a *sharedArtifacts) owned(key string) bool {
-	return a.cacheOwned != nil && a.cacheOwned[key]
 }
 
 // markOwned records that the cache owns the artifact under key.
@@ -266,13 +262,13 @@ func (sf *setFill) refine(lo, hi int) {
 // predicate bitmaps exist into a partial mask and leaves the residue to
 // the per-fact path (queryScan.residual).
 //
-// With a cross-batch cache, every distinct sub-fingerprint — composed set
-// masks and predicate bitmaps alike — is first looked up by (fingerprint,
-// table version): a hit is free, so it is used even by a single query,
-// and freshly filled artifacts are offered to the cache (its doorkeeper
-// admits only fingerprints seen across at least two scans) so the next
-// batch's lookup hits. Cache-owned artifacts are immutable and bypass the
-// pools.
+// Every distinct sub-fingerprint — composed set masks, predicate bitmaps
+// and key columns alike — is first looked up in the table's cross-batch
+// cache by (fingerprint, table version): a hit is free, so it is used even
+// by a single query of the batch, and freshly filled artifacts are offered
+// to the cache (its doorkeeper admits only fingerprints seen across at
+// least two scans) so the next batch's lookup hits. Cache-owned artifacts
+// are immutable and bypass the pools.
 //
 // A non-nil sc receives the stage-1 (filter-mask) and stage-2 (group
 // decode) wall times — two time.Now() pairs per scan, nothing per fact.
@@ -281,8 +277,7 @@ func (sf *setFill) refine(lo, hi int) {
 // costs (indexed like plans) receives each query's byte share of the
 // artifacts this scan freshly materializes — see chargeArtifact for the
 // split.
-func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, workers, n int, opts BatchOptions, sc *obs.ShardScan, costs []obs.QueryCost) (*sharedArtifacts, SharingStats) {
-	cache := opts.Artifacts
+func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, workers, n int, sc *obs.ShardScan, costs []obs.QueryCost) (*sharedArtifacts, SharingStats) {
 	stats := SharingStats{Queries: len(plans)}
 	filterUses := map[string]int{} // set sub-fingerprint → queries using it
 	groupUses := map[string]int{}  // group-by list sub-fingerprint → queries using it
@@ -354,14 +349,14 @@ func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, workers, n int, opt
 
 	fd := plans[0].fd
 	version := fd.version.Load()
-	// Artifacts are offered to the cross-batch cache only when this scan
+	// Artifacts are offered to the table's cache only when this scan
 	// fills them over the whole live table: a group compiled before
 	// concurrent ingest scans a shorter prefix (n < fd.n), and caching such
 	// a partially filled bitmap under the live version would hand later
 	// full-length scans missing facts. Cache *hits* are always safe — a hit
 	// was filled full-length at this version, and scans never iterate past
 	// their own bound.
-	cachePut := cache != nil && n == fd.n
+	cachePut := n == fd.n
 	art := &sharedArtifacts{fd: fd, filterMasks: map[string]*bitset.Set{},
 		predMasks: map[string]*bitset.Set{}, partialMasks: map[string]*bitset.Set{},
 		keyCols: map[string][]int32{}}
@@ -370,7 +365,7 @@ func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, workers, n int, opt
 	if sc != nil {
 		t0 = time.Now()
 	}
-	buildFilterMasksPerPredicate(art, &stats, n, version, workers, cache, cachePut,
+	buildFilterMasksPerPredicate(art, &stats, n, version, workers, cachePut,
 		filterUses, filterMass, filterOwner, setPreds, predSets, predMass, predOwner,
 		costs, setUsers, predUsers)
 
@@ -398,13 +393,11 @@ func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, workers, n int, opt
 	}
 	fillCols := map[string][]int32{}
 	for key, uses := range groupUses {
-		if cache != nil {
-			if col := cache.getCol(fd, version, key); col != nil {
-				art.keyCols[key] = col
-				art.markOwned(key)
-				stats.ArtifactCacheHits++
-				continue
-			}
+		if col := fd.cachedCol(version, key); col != nil {
+			art.keyCols[key] = col
+			art.markOwned(key)
+			stats.ArtifactCacheHits++
+			continue
 		}
 		if uses >= 2 && groupMass[key] > n {
 			col := fd.getKeyCol()
@@ -420,7 +413,7 @@ func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, workers, n int, opt
 		})
 		if cachePut {
 			for key, col := range fillCols {
-				if cache.putCol(fd, version, key, col) {
+				if fd.offerCol(version, key, col) {
 					art.markOwned(key)
 				}
 			}
@@ -440,15 +433,15 @@ func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, workers, n int, opt
 // buildFilterMasksPerPredicate is buildArtifacts' stage-1 planner at
 // per-predicate granularity. Predicate bitmaps materialize when the
 // predicate recurs across at least two distinct filter sets (its total
-// visible mass exceeding one table pass) or sits in the cross-batch
-// cache; set masks are then AND-composed from them, with any residual
+// visible mass exceeding one table pass) or sits in the table's cache;
+// set masks are then AND-composed from them, with any residual
 // predicates refined in a single pass over the already-narrowed domain.
 // The resulting art.filterMasks entries are exactly the semantic set
 // masks — the conjunction of the set's predicates — so everything
 // downstream (planScan, accumulation, caching) treats them alike however
 // they were composed, and results stay byte-identical.
 func buildFilterMasksPerPredicate(art *sharedArtifacts, stats *SharingStats,
-	n int, version uint64, workers int, cache *ArtifactCache, cachePut bool,
+	n int, version uint64, workers int, cachePut bool,
 	filterUses, filterMass map[string]int, filterOwner map[string]*queryPlan,
 	setPreds map[string][]string, predSets, predMass map[string]int,
 	predOwner map[string]*filterSpec,
@@ -458,13 +451,11 @@ func buildFilterMasksPerPredicate(art *sharedArtifacts, stats *SharingStats,
 	// Composed set masks straight from the cache; the rest need building.
 	var needSets []string
 	for key := range filterUses {
-		if cache != nil {
-			if m := cache.getMask(fd, version, key); m != nil {
-				art.filterMasks[key] = m
-				art.markOwned(key)
-				stats.ArtifactCacheHits++
-				continue
-			}
+		if m := fd.cachedMask(version, key); m != nil {
+			art.filterMasks[key] = m
+			art.markOwned(key)
+			stats.ArtifactCacheHits++
+			continue
 		}
 		needSets = append(needSets, key)
 	}
@@ -479,13 +470,11 @@ func buildFilterMasksPerPredicate(art *sharedArtifacts, stats *SharingStats,
 			if art.predMasks[pk] != nil {
 				continue
 			}
-			if cache != nil {
-				if m := cache.getPredMask(fd, version, pk); m != nil {
-					art.predMasks[pk] = m
-					art.markOwned(pk)
-					stats.ArtifactCacheHits++
-					continue
-				}
+			if m := fd.cachedMask(version, pk); m != nil {
+				art.predMasks[pk] = m
+				art.markOwned(pk)
+				stats.ArtifactCacheHits++
+				continue
 			}
 			if predSets[pk] >= 2 && predMass[pk] > n {
 				m := fd.getMask()
@@ -507,7 +496,7 @@ func buildFilterMasksPerPredicate(art *sharedArtifacts, stats *SharingStats,
 		})
 		if cachePut {
 			for pk, m := range fillPreds {
-				if cache.putPredMask(fd, version, pk, m) {
+				if fd.offerMask(version, pk, m) {
 					art.markOwned(pk)
 				}
 			}
@@ -579,7 +568,7 @@ func buildFilterMasksPerPredicate(art *sharedArtifacts, stats *SharingStats,
 	// not the set's semantic mask and never leave the scan).
 	if cachePut {
 		for sk, sf := range fillSets {
-			if art.filterMasks[sk] == sf.m && cache.putMask(fd, version, sk, sf.m) {
+			if art.filterMasks[sk] == sf.m && fd.offerMask(version, sk, sf.m) {
 				art.markOwned(sk)
 			}
 		}
@@ -643,8 +632,8 @@ func planScan(p *queryPlan, view *bitset.Set, art *sharedArtifacts) queryScan {
 // releaseArtifacts returns fact table fd's scan-scoped pooled buffers —
 // shared bitmaps, key columns, and every query's own mask (ownIter) — once
 // no partial needs them (after the final merge; Results never reference
-// artifacts). Cache-owned artifacts are skipped: the cross-batch cache
-// keeps them for future scans (possibly reading them concurrently), so
+// artifacts). Cache-owned artifacts are skipped: the table's cache keeps
+// them for future scans (possibly reading them concurrently), so
 // pooling them would hand a mutable buffer to a reader.
 func releaseArtifacts(fd *FactData, art *sharedArtifacts, scans []queryScan) {
 	for _, qs := range scans {
@@ -656,13 +645,13 @@ func releaseArtifacts(fd *FactData, art *sharedArtifacts, scans []queryScan) {
 		return
 	}
 	for key, m := range art.filterMasks {
-		if art.owned(key) {
+		if art.cacheOwned[key] {
 			continue
 		}
 		art.fd.maskPool.Put(m)
 	}
 	for key, m := range art.predMasks {
-		if art.owned(key) {
+		if art.cacheOwned[key] {
 			continue
 		}
 		art.fd.maskPool.Put(m)
@@ -673,7 +662,7 @@ func releaseArtifacts(fd *FactData, art *sharedArtifacts, scans []queryScan) {
 		art.fd.maskPool.Put(m)
 	}
 	for key, col := range art.keyCols {
-		if art.owned(key) {
+		if art.cacheOwned[key] {
 			continue
 		}
 		col := col
@@ -681,9 +670,9 @@ func releaseArtifacts(fd *FactData, art *sharedArtifacts, scans []queryScan) {
 	}
 }
 
-// loneStats is buildArtifacts' statistics for a lone query without an
-// artifact cache: its uses are all distinct, and the planner builds
-// nothing (the query's own bitmap is fillOwnMasks', on both routes).
+// loneStats is buildArtifacts' statistics for a lone query over a cold
+// cache: its uses are all distinct, and the planner builds nothing (the
+// query's own bitmap is fillOwnMasks', on both routes).
 func loneStats(p *queryPlan) SharingStats {
 	stats := SharingStats{Queries: 1}
 	if p.filterKey != "" {
@@ -773,29 +762,29 @@ func fillOwnMasks(plans []*queryPlan, scans []queryScan, n, workers int, stats *
 }
 
 // scanSharedStaged runs one fact group's shared scan through the staged
-// pipeline: materialize shared artifacts (taking cross-batch cached ones
-// when a cache is given) and the own bitmaps of filtered queries they
+// pipeline: materialize shared artifacts (taking the table's cached ones
+// where it has them) and the own bitmaps of filtered queries they
 // leave uncovered, then accumulate every query morsel by morsel
 // (accumulateMorsels). plans, masks and out are the group's, every plan
 // over the same FactData; workers must already be normalized and n is the
-// group's scan bound (groupScanBound). A lone query without an artifact
-// cache has nothing to share or look up, so it skips the planner. The
-// merged partial per query lands in out (callers finalize, then release
-// sp; the scan-scoped artifacts are released here, since no partial or
-// Result references them). A non-nil sc receives the scan's per-stage wall
-// times.
-func scanSharedStaged(plans []*queryPlan, masks []*bitset.Set, out []*partial, workers, n int, opts BatchOptions, sp *scanPartials, sc *obs.ShardScan) SharingStats {
+// group's scan bound (groupScanBound). A lone query has nothing to share,
+// and its own bitmap is never offered to the cache, so it skips both the
+// planner and the cache. The merged partial per query lands in out
+// (callers finalize, then release sp; the scan-scoped artifacts are
+// released here, since no partial or Result references them). A non-nil
+// sc receives the scan's per-stage wall times.
+func scanSharedStaged(plans []*queryPlan, masks []*bitset.Set, out []*partial, workers, n int, sp *scanPartials, sc *obs.ShardScan) SharingStats {
 	var art *sharedArtifacts
 	var stats SharingStats
 	// A lone query's drive and cost stay on the stack.
 	var lone [1]queryScan
 	var loneCost [1]obs.QueryCost
 	scans, costs := lone[:], loneCost[:]
-	if len(plans) == 1 && opts.Artifacts == nil {
+	if len(plans) == 1 {
 		stats = loneStats(plans[0])
 	} else {
 		scans, costs = make([]queryScan, len(plans)), make([]obs.QueryCost, len(plans))
-		art, stats = buildArtifacts(plans, masks, workers, n, opts, sc, costs)
+		art, stats = buildArtifacts(plans, masks, workers, n, sc, costs)
 	}
 	for k, p := range plans {
 		scans[k] = planScan(p, masks[k], art)

@@ -36,3 +36,30 @@ func OrphanMember(c *Cube, dim, level string, member int32) {
 	c.dims[dim].invalidateDerived()
 	c.bumpFactVersions()
 }
+
+// SetArtifactCacheLimits overrides fact table fact's artifact-cache byte
+// budget and doorkeeper generation size (0 keeps the default of either).
+func SetArtifactCacheLimits(c *Cube, fact string, budget int64, doorCap int) {
+	ac := &c.facts[fact].artifacts
+	ac.mu.Lock()
+	ac.budget, ac.doorCap = budget, doorCap
+	ac.mu.Unlock()
+}
+
+// ArtifactCacheBudget is fact table fact's current artifact-cache byte
+// budget.
+func ArtifactCacheBudget(c *Cube, fact string) int64 {
+	fd := c.facts[fact]
+	fd.artifacts.mu.Lock()
+	defer fd.artifacts.mu.Unlock()
+	return fd.artifacts.budgetLocked(fd.n)
+}
+
+// ResetArtifactCaches empties every artifact cache of the cube's fact
+// tables and zeroes their counters and limits, so a test sharing a cube
+// with earlier tests starts cold. No scan may run meanwhile.
+func ResetArtifactCaches(c *Cube) {
+	for _, fd := range c.facts {
+		fd.artifacts = artifactCache{}
+	}
+}

@@ -118,11 +118,6 @@ type Options struct {
 	// than growing unboundedly stale. 0 = no deadline. A request context
 	// with an earlier deadline tightens it per query.
 	Timeout time.Duration
-	// Artifacts optionally fronts every coalesced scan with a cross-batch
-	// artifact cache (hot filter bitmaps and roll-up key columns survive
-	// between scans; see cube.ArtifactCache). A sharded Executor manages
-	// its own per-shard caches and ignores this.
-	Artifacts *cube.ArtifactCache
 	// Metrics optionally receives per-query latency observations
 	// (end-to-end by tenant, queue wait, scan, merge). nil records
 	// nothing.
@@ -794,9 +789,8 @@ func (s *Scheduler) runBatch(batch []*request) {
 		scanStart = time.Now()
 	}
 	results, sharing, err := s.c.ExecuteBatchCompiledOpt(cqs, vs, cube.BatchOptions{
-		Workers:   s.opts.Workers,
-		Artifacts: s.opts.Artifacts,
-		Trace:     st,
+		Workers: s.opts.Workers,
+		Trace:   st,
 	})
 	var scanEnd time.Time
 	var scanDur time.Duration
@@ -1062,8 +1056,8 @@ type Stats struct {
 	FactShards      int   `json:"factShards,omitempty"`
 	ShardFactCounts []int `json:"shardFactCounts,omitempty"`
 	ShardScans      int64 `json:"shardScans,omitempty"`
-	// ArtifactCache reports the cross-batch artifact cache (zero value
-	// when disabled; aggregated across shards on a sharded engine).
+	// ArtifactCache sums the fact tables' cross-batch artifact caches
+	// (filled by the engine — across shards on a sharded engine).
 	ArtifactCache cube.ArtifactCacheStats `json:"artifactCache"`
 	// Cross-query subexpression sharing inside coalesced scans: FilterSets
 	// counts queries that carried filters, FilterMasks the distinct filter
@@ -1087,10 +1081,6 @@ type Stats struct {
 	// scheduler reaches a warm steady state.
 	PartialsReused    int64 `json:"partialsReused"`
 	PartialsAllocated int64 `json:"partialsAllocated"`
-	// ArtifactDoorkept counts artifacts the cross-batch cache's admission
-	// doorkeeper turned away (= ArtifactCache.Doorkept, surfaced top-level
-	// beside the result cache's CacheDoorkept).
-	ArtifactDoorkept int64 `json:"artifactDoorkept"`
 	// PackedKernelScans counts plan scans that dispatched a monomorphic
 	// stage-3 aggregation kernel; PackedPredicateKernels counts stage-1
 	// predicate bitmaps filled word-at-a-time from the packed columns
@@ -1130,7 +1120,6 @@ func (s *Scheduler) Stats() Stats {
 		CacheDoorkept:          s.stDoorkept.Load(),
 		NegCacheHits:           s.stNegHits.Load(),
 		TimedOut:               s.stTimedOut.Load(),
-		ArtifactCache:          s.opts.Artifacts.Stats(),
 		FilterSets:             s.stFilterSets.Load(),
 		FilterMasks:            s.stFilterDistinct.Load(),
 		FilterPredicates:       s.stPredSets.Load(),
@@ -1143,7 +1132,6 @@ func (s *Scheduler) Stats() Stats {
 		PackedKernelScans:      s.stPackedKernels.Load(),
 		PackedPredicateKernels: s.stPackedPreds.Load(),
 	}
-	st.ArtifactDoorkept = st.ArtifactCache.Doorkept
 	if s.negCache != nil {
 		st.NegCacheEntries = s.negCache.size()
 	}

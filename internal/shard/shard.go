@@ -51,9 +51,6 @@ type Options struct {
 	// MaxInFlightScans bounds concurrent shard scans per Table (0 = one
 	// per shard: unbounded fan-out).
 	MaxInFlightScans int
-	// ArtifactCacheBytes sizes the cross-batch artifact cache, split
-	// evenly across the shards (0 = no caching).
-	ArtifactCacheBytes int64
 }
 
 // route maps one fact's global instance indices to shard positions.
@@ -68,9 +65,8 @@ type factShard struct {
 	// mu orders ingest (write) against scans (read): a scan holds the read
 	// lock across rebind + scan so the shard's columns cannot grow under
 	// it, which is what makes concurrent AddFact safe in sharded mode.
-	mu    sync.RWMutex
-	c     *cube.Cube
-	cache *cube.ArtifactCache
+	mu sync.RWMutex
+	c  *cube.Cube
 }
 
 // splitKey identifies one split view mask: a view state (id, epoch) over
@@ -131,12 +127,8 @@ func New(parent *cube.Cube, opts Options) *Table {
 		splits: map[splitKey][]*bitset.Set{},
 		sem:    make(chan struct{}, inFlight),
 	}
-	perShardCache := opts.ArtifactCacheBytes / int64(opts.Shards)
 	for s := 0; s < opts.Shards; s++ {
-		t.shards = append(t.shards, &factShard{
-			c:     parent.NewFactShard(),
-			cache: cube.NewArtifactCache(perShardCache),
-		})
+		t.shards = append(t.shards, &factShard{c: parent.NewFactShard()})
 	}
 	for _, f := range parent.Schema().MD.Facts {
 		fd := parent.FactData(f.Name)
@@ -240,7 +232,7 @@ type Stats struct {
 	// scans they fanned out to (ShardScans/Batches is the fan-out ratio).
 	Batches    int64 `json:"batches"`
 	ShardScans int64 `json:"shardScans"`
-	// ArtifactCache aggregates the per-shard cross-batch caches.
+	// ArtifactCache sums the shards' cross-batch artifact caches.
 	ArtifactCache cube.ArtifactCacheStats `json:"artifactCache"`
 	// Packed aggregates the per-shard compressed-column storage stats
 	// (bytes sum across shards; per-column bit widths max-merge).
@@ -257,7 +249,7 @@ func (t *Table) Stats() Stats {
 		Packed:     t.PackedStats(),
 	}
 	for _, sh := range t.shards {
-		st.ArtifactCache.Add(sh.cache.Stats())
+		st.ArtifactCache.Add(sh.c.ArtifactCacheStats())
 	}
 	return st
 }
@@ -382,7 +374,6 @@ func (t *Table) ExecuteBatchCompiledOpt(cqs []*cube.CompiledQuery, vs []*cube.Vi
 				}
 			}
 			o := opts
-			o.Artifacts = sh.cache
 			// Label this shard's stage timings in the batch's scan trace
 			// (opts.Trace, when set, is shared across the fan-out).
 			o.TraceShard = s

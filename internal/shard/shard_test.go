@@ -186,7 +186,7 @@ func TestShardedEquivalenceRandomized(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			ds, cfg := testDataset(t, int64(100+shards))
 			rng := rand.New(rand.NewSource(int64(shards) * 17))
-			table := shard.New(ds.Cube, shard.Options{Shards: shards, ArtifactCacheBytes: 8 << 20})
+			table := shard.New(ds.Cube, shard.Options{Shards: shards})
 			if got := table.Shards(); got != shards {
 				t.Fatalf("Shards() = %d, want %d", got, shards)
 			}
@@ -322,14 +322,14 @@ func TestShardedMultiLevelGroupBy(t *testing.T) {
 	}
 }
 
-// TestShardedArtifactCacheAcrossBatches checks the cross-batch artifact
-// cache end to end: a repeated sharing-heavy batch must hit the cache on
+// TestShardedArtifactCacheAcrossBatches checks the shards' cross-batch
+// artifact caches end to end: a repeated sharing-heavy batch must hit the cache on
 // its second run, and ingest must invalidate (table-version bump → stale
 // drop → re-materialize) without changing any result.
 func TestShardedArtifactCacheAcrossBatches(t *testing.T) {
 	ds, cfg := testDataset(t, 7)
 	rng := rand.New(rand.NewSource(7))
-	table := shard.New(ds.Cube, shard.Options{Shards: 3, ArtifactCacheBytes: 16 << 20})
+	table := shard.New(ds.Cube, shard.Options{Shards: 3})
 
 	filters := []cube.AttrFilter{{
 		LevelRef: cube.LevelRef{Dimension: "Store", Level: "City"},
@@ -417,7 +417,7 @@ func TestShardedArtifactCacheAcrossBatches(t *testing.T) {
 // Every query must complete without error; run under -race in CI.
 func TestShardedBatchUnderIngestAndSelection(t *testing.T) {
 	ds, cfg := testDataset(t, 11)
-	table := shard.New(ds.Cube, shard.Options{Shards: 4, ArtifactCacheBytes: 8 << 20})
+	table := shard.New(ds.Cube, shard.Options{Shards: 4})
 	v := cube.NewView(ds.Cube)
 	if err := v.SelectMember("Store", "City", 0); err != nil {
 		t.Fatal(err)

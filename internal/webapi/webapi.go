@@ -763,10 +763,11 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 // live queue depth, the overload-control state (shedTotal, shedByTenant,
 // shedRatePerSec, queueWaitEwmaMs, drainRatePerSec — snapshotted under one
 // lock with the queue depth, so the breakdown always sums to the total),
-// the per-tenant fair-share ledgers (fairShares), and — on a sharded
-// engine — the shard fan-out and cross-batch artifact-cache counters
-// (including artifactDoorkept, its admission doorkeeper): the
-// observability surface of internal/qsched + internal/shard.
+// the per-tenant fair-share ledgers (fairShares), the fact tables'
+// cross-batch artifact-cache counters (artifactCache, its admission
+// doorkeeper under artifactCache.doorkept), and — on a sharded engine —
+// the shard fan-out: the observability surface of internal/qsched +
+// internal/shard.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return

@@ -1005,3 +1005,55 @@ endWhen`); err != nil {
 		check("/api/map.svg"+tc.query, "image/svg+xml", []byte(svg))
 	}
 }
+
+// TestStatsArtifactCacheDefault checks the artifact cache end to end on a
+// default-configured server: the same sharing batch POSTed three times
+// (varying limit so the result cache cannot absorb the repeats) takes
+// its shared artifacts from the fact table's cache, and GET /api/stats
+// reports the hits under artifactCache.
+func TestStatsArtifactCacheDefault(t *testing.T) {
+	srv, ds := newTestServer(t)
+	loc := ds.CityLocs[0]
+	tok := login(t, srv, "bob", fmt.Sprintf("POINT (%f %f)", loc.X, loc.Y))
+	tile := func(level string, limit int) map[string]any {
+		return map[string]any{
+			"fact":       "Sales",
+			"groupBy":    []map[string]string{{"dimension": "Store", "level": level}},
+			"aggregates": []map[string]string{{"agg": "SUM", "measure": "UnitSales"}},
+			"filters": []map[string]any{{"dimension": "Customer", "level": "Customer",
+				"attr": "age", "op": "<", "value": 60}},
+			"limit":    limit,
+			"baseline": true,
+		}
+	}
+	for run := 1; run <= 3; run++ {
+		resp, body := postJSON(t, srv.URL+"/api/query/batch", map[string]any{
+			"session": tok,
+			"queries": []map[string]any{tile("City", run), tile("City", run+10), tile("State", run)},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: %s %s", run, resp.Status, body)
+		}
+	}
+	resp, body := getBody(t, srv.URL+"/api/stats")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: %s %s", resp.Status, body)
+	}
+	var st struct {
+		ArtifactCache struct {
+			Hits     int64 `json:"hits"`
+			Doorkept int64 `json:"doorkept"`
+			Entries  int   `json:"entries"`
+		} `json:"artifactCache"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("stats JSON: %v (%s)", err, body)
+	}
+	if st.ArtifactCache.Hits == 0 || st.ArtifactCache.Doorkept == 0 || st.ArtifactCache.Entries == 0 {
+		t.Errorf("artifactCache = %+v, want doorkept first offers, admitted repeats and hits (%s)",
+			st.ArtifactCache, body)
+	}
+	if bytes.Contains(body, []byte(`"artifactDoorkept"`)) {
+		t.Error("/api/stats still carries the top-level artifactDoorkept copy")
+	}
+}

@@ -29,6 +29,13 @@ go test -race -count=10 -run 'DispatchOnArrival' ./internal/qsched/
 # executor-independent reference (internal/cube/cubetest).
 go test -race -count=3 -run 'SharedSubexpr|PerFilter|PooledPartial|Packed' ./internal/core/ ./internal/cube/
 
+# Every fact table caches its hot artifacts across batches (always on):
+# scheduler-routed scans hit and refill the cache while AddFact ingest
+# bumps the table version under them, and the cache tests invalidate
+# cached bitmaps and key columns by ingest and member mutation, sharded
+# and unsharded.
+go test -race -count=3 -run 'ArtifactCache|AddFactUnderQueries' ./internal/cube/ ./internal/core/ ./internal/shard/
+
 # Sessions log in and export maps concurrently: the first radius rules and
 # exports race to build and publish each table's point index and feature
 # text (generation-tagged atomic pointers, internal/cube/derived.go).

@@ -29,7 +29,10 @@
 //     stale queued work (per-request contexts via Session.QueryCtx), and
 //     fronts everything with an epoch-keyed result cache; a query that
 //     finds a free scan slot starts scanning at once, and queries arriving
-//     while every slot is busy coalesce into the next shared scan — see
+//     while every slot is busy coalesce into the next shared scan, whose
+//     hot filter bitmaps and roll-up key columns each fact table keeps
+//     alive between scans in a cross-batch artifact cache sized from the
+//     table (20 bytes per fact; no option) — see
 //     EngineOptions.MaxInFlightScans / ResultCacheBytes / MaxBatchQueries
 //     and Engine.SchedulerStats
 //     (docs/ARCHITECTURE.md has the architecture, docs/OPERATIONS.md the
@@ -37,10 +40,8 @@
 //   - shard for write and scan scale: EngineOptions.FactShards
 //     hash-partitions every fact table behind the scheduler
 //     (internal/shard) — scatter-gather scans over per-shard locks with
-//     results identical to the unsharded engine, routed ingest via
-//     Engine.AddFact, and a cross-batch artifact cache
-//     (EngineOptions.ArtifactCacheBytes) that keeps hot filter bitmaps
-//     and roll-up key columns alive between scans;
+//     results identical to the unsharded engine and routed ingest via
+//     Engine.AddFact (each shard keeps its own artifact cache);
 //   - optionally serve everything over HTTP with NewHTTPServer.
 //
 // See examples/quickstart for a complete program.
@@ -142,23 +143,14 @@ type (
 	// View is a personalized window over a cube.
 	View = cube.View
 	// BatchOptions configures one shared batch scan
-	// (Cube.ExecuteBatchOpt): worker count, an optional cross-batch
-	// artifact cache, and an optional per-stage scan trace.
+	// (Cube.ExecuteBatchOpt): worker count and an optional per-stage scan
+	// trace.
 	BatchOptions = cube.BatchOptions
 	// SharingStats reports how much cross-query stage work one batch scan
 	// shared (filter bitmaps — per set and per predicate — and group-key
 	// columns).
 	SharingStats = cube.SharingStats
-	// ArtifactCache is the cross-batch artifact cache: doorkept,
-	// version-invalidated storage for filter bitmaps (per-predicate and
-	// composed per-set) and roll-up key columns (BatchOptions.Artifacts;
-	// engines size one via EngineOptions.ArtifactCacheBytes).
-	ArtifactCache = cube.ArtifactCache
 )
-
-// NewArtifactCache builds a cross-batch artifact cache bounded to
-// maxBytes (nil when maxBytes <= 0 — caching off).
-func NewArtifactCache(maxBytes int64) *ArtifactCache { return cube.NewArtifactCache(maxBytes) }
 
 // Aggregation functions.
 const (
@@ -200,15 +192,15 @@ type (
 	// coalesce ratio, cache hit rate, queue depth, admission timeouts,
 	// overload-shed counters and per-tenant fair shares (snapshotted
 	// atomically with the queue state), the cross-query
-	// subexpression-sharing ratios, and — on a sharded engine — shard
-	// fan-out and artifact-cache counters (Engine.SchedulerStats,
+	// subexpression-sharing ratios, the artifact-cache counters and — on a
+	// sharded engine — shard fan-out (Engine.SchedulerStats,
 	// GET /api/stats).
 	SchedulerStats = qsched.Stats
 	// TenantShare is one tenant's fair-share ledger position
 	// (SchedulerStats.FairShares).
 	TenantShare = qsched.TenantShare
-	// ArtifactCacheStats reports the cross-batch artifact cache
-	// (SchedulerStats.ArtifactCache; EngineOptions.ArtifactCacheBytes).
+	// ArtifactCacheStats sums the fact tables' cross-batch artifact caches
+	// (SchedulerStats.ArtifactCache, Cube.ArtifactCacheStats).
 	ArtifactCacheStats = cube.ArtifactCacheStats
 	// PackedStats reports the compressed-column storage footprint
 	// (SchedulerStats.Packed, Cube.PackedStats).
