@@ -944,15 +944,14 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkCostAccountingOverhead measures what per-tenant cost
-// accounting adds to a scan-bound query: the same scheduler and query
-// with no accountant (off — no scan-stage timing, no attribution, the
-// pre-accounting fast path) versus a wired accountant (on — stage
-// timings snapshotted, CPU split across the batch, tenant account and
-// heavy-query profile updated per query). The subsystem's claim is that
-// metering every query costs low single-digit percent on a
-// PackedScan-class scan: compare on against off in one run.
-// The result cache stays off so every iteration pays a real scan.
+// BenchmarkCostAccountingOverhead prices per-tenant cost accounting on a
+// scan-bound query. The scheduler always meters (stage timings
+// snapshotted, CPU split across the batch, tenant account and
+// heavy-query profile updated per query), because fair admission charges
+// the attributed CPU: off passes no accountant, so the scheduler
+// attributes into a private one, and on wires one the caller reads. The
+// two rows must stay level — reading the accounts costs nothing per
+// query. The result cache stays off so every iteration pays a real scan.
 func BenchmarkCostAccountingOverhead(b *testing.B) {
 	env := getBenchEnv(b, 20000)
 	for _, mode := range []struct {

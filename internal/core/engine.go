@@ -124,9 +124,6 @@ type Options struct {
 	TenantWeights map[string]float64
 }
 
-// QueryWorkers returns the engine's configured query worker-pool size.
-func (e *Engine) QueryWorkers() int { return e.opts.QueryWorkers }
-
 // lockedCubeExec is the unsharded engine's executor: the cube fronted by
 // one RWMutex so Engine.AddFact (write) is safe against in-flight scans
 // and compiles (read). The sharded table has finer-grained per-shard

@@ -200,7 +200,9 @@ func TestPartialPoolNoStateBleed(t *testing.T) {
 
 // TestBatchPartialPoolReuseStats pins the pool round-trip through the
 // public batch API: the second identical batch over a warm pool reports
-// reused partials in its SharingStats.
+// reused partials in its SharingStats. The reuse check is off under the
+// race detector, which makes sync.Pool drop a random quarter of its Puts;
+// the batches and the result comparison still run there.
 func TestBatchPartialPoolReuseStats(t *testing.T) {
 	c := testWarehouse(t)
 	qs := []Query{
@@ -226,7 +228,7 @@ func TestBatchPartialPoolReuseStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.PartialsReused == 0 {
+	if st2.PartialsReused == 0 && !raceEnabled {
 		t.Errorf("warm batch reused no partials: %+v", st2)
 	}
 	if !reflect.DeepEqual(res1, res2) {

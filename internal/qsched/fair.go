@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"sdwp/internal/cube"
 	"sdwp/internal/obs"
 )
 
@@ -30,12 +31,10 @@ import (
 // conserving — an over-share tenant still takes every slot no one else
 // wants — so fairness costs no throughput.
 //
-// Cost units: when Options.Costs is wired (every engine), usage is the
-// attributed scan CPU in nanoseconds (obs.QueryCost.CPUNs, the batch's
-// measured CPU split proportionally to facts scanned). Without an
-// accountant the scheduler falls back to facts scanned as the cost unit.
-// Either way the unit is consistent per scheduler, and fairness only
-// depends on ratios.
+// Cost unit: usage is the attributed scan CPU in nanoseconds
+// (obs.QueryCost.CPUNs, the batch's measured CPU split proportionally to
+// facts scanned). Every scan is attributed, so the unit is the same for
+// every scheduler, and fairness only depends on ratios.
 //
 // Dedup note: waiters merged onto an identical queued request ride for
 // free — the request's cost is charged to the tenant that enqueued it
@@ -120,8 +119,7 @@ type tenant struct {
 	// default 1): usage is normalized by it, so weight 2 sustains twice
 	// the attributed scan cost of weight 1 before losing priority.
 	weight float64
-	// usage is the decayed attributed cost of completed queries (CPU ns,
-	// or facts scanned without an accountant — see the file comment).
+	// usage is the decayed attributed scan CPU (ns) of completed queries.
 	usage float64
 	// lastDecay is when usage was last decayed (decay is applied lazily).
 	lastDecay time.Time
@@ -178,20 +176,11 @@ func (s *Scheduler) scoreLocked(t *tenant, now time.Time) float64 {
 	return (t.usage + t.pending) / t.weight
 }
 
-// costUnits extracts the fair-share charge from one executed result:
-// attributed scan CPU when the accountant wired the split, facts scanned
-// otherwise (see the file comment on units).
-func (s *Scheduler) costUnits(c obs.QueryCost) float64 {
-	if s.opts.Costs != nil {
-		return float64(c.CPUNs)
-	}
-	return float64(c.FactsScanned + 1)
-}
-
 // settleBatchLocked reverses the batch's provisional debits and charges
-// the measured per-query cost into each owning tenant's decayed usage
-// window, updating the per-query estimates. Callers hold s.mu.
-func (s *Scheduler) settleBatchLocked(batch []*request, costs []obs.QueryCost, now time.Time) {
+// each result's attributed CPU into its owning tenant's decayed usage
+// window, updating the per-query estimates. results is nil when the scan
+// failed. Callers hold s.mu.
+func (s *Scheduler) settleBatchLocked(batch []*request, results []*cube.Result, now time.Time) {
 	for i, r := range batch {
 		t := s.tenants[r.user]
 		if t == nil {
@@ -201,10 +190,10 @@ func (s *Scheduler) settleBatchLocked(batch []*request, costs []obs.QueryCost, n
 		if t.pending < 0 {
 			t.pending = 0
 		}
-		if costs == nil {
+		if results == nil {
 			continue // scan failed: the debit is reversed, nothing is charged
 		}
-		actual := s.costUnits(costs[i])
+		actual := float64(results[i].Cost.CPUNs)
 		s.decayTenantLocked(t, now)
 		t.usage += actual
 		t.estimate = (1-estimateAlpha)*t.estimate + estimateAlpha*actual
@@ -366,8 +355,7 @@ type TenantShare struct {
 	Tenant string `json:"tenant"`
 	// Weight is the configured share (Options.TenantWeights, default 1).
 	Weight float64 `json:"weight"`
-	// UsageCost is the decayed attributed cost window (CPU ns with an
-	// accountant, facts scanned without).
+	// UsageCost is the decayed attributed scan CPU window (ns).
 	UsageCost float64 `json:"usageCost"`
 	// PendingCost is the provisional debit of assembled-but-unfinished
 	// queries.

@@ -91,11 +91,11 @@ func TestSettleReplacesProvisionalDebit(t *testing.T) {
 	}
 
 	now := time.Now()
-	s.settleBatchLocked(batch, []obs.QueryCost{{FactsScanned: 99}}, now)
+	s.settleBatchLocked(batch, []*cube.Result{{Cost: obs.QueryCost{FactsScanned: 99, CPUNs: 100}}}, now)
 	if tn.pending != 0 {
 		t.Errorf("pending after settle = %v, want 0", tn.pending)
 	}
-	if tn.usage != 100 { // FactsScanned+1 without an accountant
+	if tn.usage != 100 { // the attributed CPU ns
 		t.Errorf("usage after settle = %v, want 100", tn.usage)
 	}
 	wantEst := (1-estimateAlpha)*minDebit + estimateAlpha*100
@@ -143,31 +143,24 @@ func TestFairnessSkewedCost(t *testing.T) {
 	}
 
 	// A gated executor pins the first scan so both backlogs build before
-	// any scheduling decision; MaxBatch 4 keeps batch slots scarce.
+	// any scheduling decision; MaxBatch 4 keeps batch slots scarce. The
+	// fact clock makes the charged scan CPU deterministic and logs which
+	// queries each scan ran, in scan order.
 	ge := newGatedExec(ds.Cube)
-	s := New(ge, Options{MaxInFlight: 1, MaxBatch: 4})
+	fc := &factClock{gatedExec: ge}
+	s := New(fc, Options{MaxInFlight: 1, MaxBatch: 4})
 	defer s.Close()
 	defer ge.open()
 
 	const perTenant = 60
-	type completion struct {
-		user string
-		seq  int64
-		cost int64
-	}
-	var done atomic.Int64
 	var seq atomic.Int64
-	results := make(chan completion, 2*perTenant)
 	errs := make(chan error, 2*perTenant)
 	var wg sync.WaitGroup
 	submit := func(user string, view *cube.View) {
 		defer wg.Done()
-		res, err := s.Submit(cityQuery(int(seq.Add(1))), view, user)
-		if err != nil {
+		if _, err := s.Submit(cityQuery(int(seq.Add(1))), view, user); err != nil {
 			errs <- err
-			return
 		}
-		results <- completion{user: user, seq: done.Add(1), cost: res.Cost.FactsScanned + 1}
 	}
 
 	// The first heavy query enters the stalled scan and holds the slot.
@@ -191,35 +184,31 @@ func TestFairnessSkewedCost(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	close(results)
 
-	var lastLight int64
-	var heavySeqs []int64
-	lightDone := 0
-	for c := range results {
-		if c.user == "light" {
-			if c.seq > lastLight {
-				lastLight = c.seq
+	// Count the heavy queries scanned up to and including the scan that
+	// ran light's last query — scan order, not the order the submitting
+	// goroutines happened to wake up in.
+	heavy, light, heavyBefore := 0, 0, -1
+	for _, views := range fc.scans {
+		for _, view := range views {
+			if view == nil {
+				heavy++
+			} else {
+				light++
 			}
-			lightDone++
-		} else {
-			heavySeqs = append(heavySeqs, c.seq)
+		}
+		if light == perTenant && heavyBefore < 0 {
+			heavyBefore = heavy
 		}
 	}
-	if len(heavySeqs) != perTenant || lightDone != perTenant {
-		t.Fatalf("completions: %d heavy, %d light, want %d each", len(heavySeqs), lightDone, perTenant)
-	}
-	heavyBefore := 0
-	for _, hs := range heavySeqs {
-		if hs < lastLight {
-			heavyBefore++
-		}
+	if heavy != perTenant || light != perTenant {
+		t.Fatalf("scanned %d heavy, %d light queries, want %d each", heavy, light, perTenant)
 	}
 	// Light's whole backlog costs about as much as two full-table scans, so
 	// only a handful of heavy queries should be admitted alongside it: the
 	// pinned first query, the learning-transient batch, and the cost-paced
 	// trickle. Round-robin would finish ~all 60 heavy queries first.
-	t.Logf("heavy queries completed before light's backlog drained: %d of %d", heavyBefore, perTenant)
+	t.Logf("heavy queries scanned before light's backlog drained: %d of %d", heavyBefore, perTenant)
 	if heavyBefore > 15 {
 		t.Errorf("heavy got %d slots while light still had backlog, want ≤15 (cost-fair pacing)", heavyBefore)
 	}
@@ -236,13 +225,47 @@ func TestFairnessSkewedCost(t *testing.T) {
 	}
 }
 
+// factClock reports every scan's stage time as one nanosecond per fact
+// the batch's queries scanned, in place of the executor's wall-clock
+// stage timings, and logs each scan's views in scan order. Fair admission
+// charges the attributed scan CPU, and a wall-clock timing picks up
+// preemption and GC pauses: one inflated batch of the light tenant would
+// let the heavy one look cheap for the rest of a fairness test.
+type factClock struct {
+	*gatedExec
+	mu    sync.Mutex
+	scans [][]*cube.View
+}
+
+func (f *factClock) ExecuteBatchCompiledOpt(cqs []*cube.CompiledQuery, vs []*cube.View, opts cube.BatchOptions) ([]*cube.Result, cube.SharingStats, error) {
+	trace := opts.Trace
+	opts.Trace = nil
+	res, sharing, err := f.gatedExec.ExecuteBatchCompiledOpt(cqs, vs, opts)
+	f.mu.Lock()
+	f.scans = append(f.scans, append([]*cube.View(nil), vs...))
+	f.mu.Unlock()
+	var facts int64
+	for _, r := range res {
+		facts += r.Cost.FactsScanned
+	}
+	trace.AddShard(obs.ShardScan{Accumulate: time.Duration(facts)})
+	return res, sharing, err
+}
+
 // gatedExec wraps the cube so a test can hold scans in flight: every scan
-// announces itself on entered and blocks until open closes release.
+// announces itself on entered and blocks until open closes release. It
+// also counts compiles, so a test can tell whether admission got that far.
 type gatedExec struct {
 	*cube.Cube
-	entered chan struct{}
-	release chan struct{}
-	once    sync.Once
+	entered  chan struct{}
+	release  chan struct{}
+	once     sync.Once
+	compiles atomic.Int64
+}
+
+func (g *gatedExec) Compile(q cube.Query) (*cube.CompiledQuery, error) {
+	g.compiles.Add(1)
+	return g.Cube.Compile(q)
 }
 
 // newGatedExec returns a closed gate over c with room on entered for
@@ -349,6 +372,28 @@ func TestShedStorm(t *testing.T) {
 	}
 	if st.ShedRatePerSec <= 0 {
 		t.Errorf("ShedRatePerSec = %v, want > 0 right after a shed", st.ShedRatePerSec)
+	}
+
+	// A batch from the flooder is shed the same way, once for the whole
+	// call and before any entry compiles — a malformed entry included, so
+	// it neither compiles nor lands in the negative cache.
+	compiled := ge.compiles.Load()
+	ghost := cube.Query{Fact: "Ghost", Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}}
+	_, err = s.SubmitBatch([]cube.Query{cityQuery(depth + 2), ghost, cityQuery(depth + 3)}, nil, "flood")
+	if !errors.Is(err, ErrOverloaded) || !errors.As(err, &oe) {
+		t.Fatalf("flooded batch error = %v, want *OverloadError", err)
+	}
+	if n := ge.compiles.Load() - compiled; n != 0 {
+		t.Errorf("shed batch compiled %d entries, want none", n)
+	}
+	st = s.Stats()
+	if st.ShedTotal != 2 || st.ShedByTenant["flood"][ShedQueueDepth] != 2 {
+		t.Errorf("after the shed batch: ShedTotal = %d, flood = %d; want 2 and 2 (one per call)",
+			st.ShedTotal, st.ShedByTenant["flood"][ShedQueueDepth])
+	}
+	if st.NegCacheEntries != 0 || st.QueueDepth != depth {
+		t.Errorf("shed batch left negCache %d entries, queue depth %d; want 0 and %d",
+			st.NegCacheEntries, st.QueueDepth, depth)
 	}
 
 	// An under-share tenant is never shed: it queues past the threshold.

@@ -5,6 +5,15 @@
 // shares, overload shedding — so one heavy tenant is boundedly isolated
 // instead of starving the rest (cf. Tempo).
 //
+// Every query enters through one admission routine: a lone Submit is a
+// batch of one, and SubmitBatch differs only in how many entries it
+// hands over. Per entry the routine consults the negative cache, then the
+// result cache; if anything missed, the overload gate runs once for the
+// call; then each miss compiles, and all misses are enqueued under one
+// lock hold. Telemetry is always on: every scan is timed, its CPU is
+// attributed to its queries, and the fair-share ledger is charged from
+// that attribution.
+//
 // Four mechanisms compose:
 //
 //  1. Coalescing with cost-driven fair admission. Concurrent Submit calls
@@ -14,12 +23,12 @@
 //     at once. When a runner's scan finishes it pulls the next batch from
 //     whatever queued behind it, and frees its slot only once the queue is
 //     empty — busy slots are the batching clock, and everything that
-//     queues behind them coalesces into one cube.ExecuteBatch shared scan
-//     of up to MaxBatch queries. Assembly always admits the tenant with
-//     the lowest attributed scan cost per unit weight over a decaying
-//     window (deficit-weighted scheduling over the obs.QueryCost
-//     attribution; see fair.go). With identical cost profiles this
-//     degrades exactly to round-robin.
+//     queues behind them coalesces into one shared scan
+//     (Executor.ExecuteBatchCompiledOpt) of up to MaxBatch queries.
+//     Assembly always admits the tenant with the lowest attributed scan
+//     cost per unit weight over a decaying window (deficit-weighted
+//     scheduling over the obs.QueryCost attribution; see fair.go). With
+//     identical cost profiles this degrades exactly to round-robin.
 //  2. Deduplication. Identical queued queries (same plan fingerprint,
 //     same view state) execute once; every waiter shares the one result.
 //  3. Result cache. A byte-bounded LRU keyed by plan fingerprint plus the
@@ -32,12 +41,12 @@
 //     repeated invalid queries from their cached compile error without
 //     re-deriving it or touching the coalesce queue.
 //  4. Overload control. When the admission queue is past MaxQueueDepth or
-//     smoothed admission waits exceed TargetQueueWait, queries from
-//     tenants at or over their fair share are refused up front with
-//     ErrOverloaded and a drain-rate-derived retry hint (HTTP 429 +
-//     Retry-After at the web layer) instead of timing out at the 504
-//     deadline after queueing uselessly. Under-share tenants are never
-//     shed. Both thresholds unset = shedding off.
+//     smoothed admission waits exceed TargetQueueWait, calls from tenants
+//     at or over their fair share are refused up front — before any entry
+//     compiles — with ErrOverloaded and a drain-rate-derived retry hint
+//     (HTTP 429 + Retry-After at the web layer) instead of timing out at
+//     the 504 deadline after queueing uselessly. Under-share tenants are
+//     never shed. Both thresholds unset = shedding off.
 //
 // The scans themselves are sharing-aware: coalesced batches run through
 // cube.ExecuteBatchCompiledOpt, which materializes each distinct filter
@@ -110,7 +119,8 @@ type Options struct {
 	MaxInFlight int
 	// CacheBytes sizes the result cache; 0 disables caching.
 	CacheBytes int64
-	// Workers is the per-scan worker pool, as in cube.ExecuteParallel.
+	// Workers sizes each shared scan's worker pool
+	// (cube.BatchOptions.Workers).
 	Workers int
 	// Timeout is the admission deadline: a query still queued this long
 	// after Submit is dropped with ErrTimeout instead of executing — under
@@ -118,17 +128,18 @@ type Options struct {
 	// than growing unboundedly stale. 0 = no deadline. A request context
 	// with an earlier deadline tightens it per query.
 	Timeout time.Duration
-	// Metrics optionally receives per-query latency observations
-	// (end-to-end by tenant, queue wait, scan, merge). nil records
-	// nothing.
+	// Metrics receives per-query latency observations (end-to-end by
+	// tenant, queue wait, scan, merge). Telemetry is always on: nil gives
+	// the scheduler a private sink nobody reads.
 	Metrics *obs.QueryMetrics
-	// Costs optionally receives per-query cost attribution: each
-	// executed query's Result.Cost — with the batch's measured scan CPU
-	// split proportionally to facts scanned across the coalesced batch,
-	// and the sharing discount recorded per query — is attributed to its
-	// tenant and folded into the heavy-query profile registry; result-
-	// cache hits credit the stored cost as avoided work. nil records
-	// nothing.
+	// Costs receives per-query cost attribution: each executed query's
+	// Result.Cost — with the batch's measured scan CPU split
+	// proportionally to facts scanned across the coalesced batch, and the
+	// sharing discount recorded per query — is attributed to its tenant
+	// and folded into the heavy-query profile registry; result-cache hits
+	// credit the stored cost as avoided work. nil gives the scheduler a
+	// private accountant: every scan is attributed either way, because
+	// fair admission charges the attributed CPU.
 	Costs *obs.Accountant
 	// SlowQuery, when > 0, logs a structured record (slog, level WARN)
 	// for every query whose end-to-end latency reaches it, carrying the
@@ -172,8 +183,8 @@ type outcome struct {
 // waiter is one caller blocked on a request. Dedup merges waiters of
 // different tenants (and traces) onto one request, so the telemetry
 // identity — trace, tenant label for the end-to-end histogram, submit
-// time — rides per waiter, not per request. tr and start are zero when
-// telemetry is off.
+// time — rides per waiter, not per request. tr is nil for an untraced
+// call.
 type waiter struct {
 	ch    chan outcome
 	tr    *obs.Trace
@@ -225,7 +236,7 @@ type Scheduler struct {
 	// cumulative counters into rates.
 	startedAt time.Time
 
-	// closedFlag mirrors closed for lock-free reads on the submit fast
+	// closedFlag mirrors closed for lock-free reads on the admission fast
 	// path, so a cache hit can never be served after Close returns.
 	closedFlag atomic.Bool
 
@@ -258,20 +269,10 @@ type Scheduler struct {
 	stDoorkept  atomic.Int64
 	stTimedOut  atomic.Int64
 
-	// Cross-query sharing counters, accumulated from every scan's
-	// cube.SharingStats (see Stats.FilterMaskSharing / GroupKeySharing /
+	// sharing sums every successful scan's cube.SharingStats (guarded by
+	// mu; see Stats.FilterMaskSharing / GroupKeySharing /
 	// PredicateSharing).
-	stFilterSets     atomic.Int64
-	stFilterDistinct atomic.Int64
-	stPredSets       atomic.Int64
-	stPredDistinct   atomic.Int64
-	stComposed       atomic.Int64
-	stGroupSets      atomic.Int64
-	stGroupDistinct  atomic.Int64
-	stPartialsReused atomic.Int64
-	stPartialsAlloc  atomic.Int64
-	stPackedKernels  atomic.Int64
-	stPackedPreds    atomic.Int64
+	sharing cube.SharingStats
 }
 
 // New builds a scheduler over an executor — the cube itself, or a sharded
@@ -284,6 +285,12 @@ func New(c Executor, opts Options) *Scheduler {
 	}
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = DefaultMaxInFlight
+	}
+	if opts.Metrics == nil {
+		opts.Metrics = obs.NewQueryMetrics(obs.NewRegistry())
+	}
+	if opts.Costs == nil {
+		opts.Costs = obs.NewAccountant(obs.AccountantOptions{})
 	}
 	s := &Scheduler{
 		c:          c,
@@ -336,18 +343,15 @@ func (s *Scheduler) Submit(q cube.Query, v *cube.View, userKey string) (*cube.Re
 // SubmitCtx is Submit with a request context: cancellation or a context
 // deadline unblocks the caller early (the query may still execute for its
 // other waiters), and a context deadline earlier than Options.Timeout
-// tightens this query's admission deadline.
+// tightens this query's admission deadline. A lone query is a batch of
+// one: it takes the same admission path as SubmitBatchCtx, and its
+// errors come back unwrapped.
 func (s *Scheduler) SubmitCtx(ctx context.Context, q cube.Query, v *cube.View, userKey string) (*cube.Result, error) {
-	ch, res, err := s.submit(ctx, q, v, userKey)
-	if ch == nil {
-		return res, err
+	var res [1]*cube.Result
+	if _, err := s.admit(ctx, []cube.Query{q}, []*cube.View{v}, userKey, res[:]); err != nil {
+		return nil, err
 	}
-	select {
-	case out := <-ch:
-		return out.res, out.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return res[0], nil
 }
 
 // requestDeadline combines Options.Timeout with the context deadline into
@@ -382,178 +386,109 @@ func (s *Scheduler) SubmitBatch(qs []cube.Query, vs []*cube.View, userKey string
 }
 
 // SubmitBatchCtx is SubmitBatch with a request context (see SubmitCtx for
-// the deadline semantics; one context scopes the whole batch).
+// the deadline semantics; one context scopes the whole batch). An error
+// that belongs to one entry is prefixed with its index.
 func (s *Scheduler) SubmitBatchCtx(ctx context.Context, qs []cube.Query, vs []*cube.View, userKey string) ([]*cube.Result, error) {
 	if vs != nil && len(vs) != len(qs) {
 		return nil, fmt.Errorf("qsched: batch has %d queries but %d views", len(qs), len(vs))
 	}
+	results := make([]*cube.Result, len(qs))
+	if i, err := s.admit(ctx, qs, vs, userKey, results); err != nil {
+		if i >= 0 {
+			err = fmt.Errorf("qsched: batch query %d: %w", i, err)
+		}
+		return nil, err
+	}
+	return results, nil
+}
+
+// admit is the scheduler's one admission routine; Submit and SubmitBatch
+// both call it. Every entry passes the negative cache, then the result
+// cache (a hit touches the doorkeeper and is answered at once). If any
+// entry missed, the overload gate runs once for the whole call. Then every
+// miss compiles, and all of them are enqueued under one lock hold and one
+// dispatchLocked, so on an idle scheduler the call lands in one shared
+// scan. A call that fails before the enqueue enqueues nothing: its valid
+// entries would only scan to be discarded. One trace (from the request
+// context) scopes the call; each entry adds its resultCache, shed and
+// compile spans to it, and the trace is finished at once when nothing was
+// enqueued.
+//
+// admit fills results in entry order and blocks until every enqueued
+// entry is delivered or ctx is done. It returns the first error with the
+// index of its entry, or -1 when the error belongs to the whole call.
+func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View, userKey string, results []*cube.Result) (int, error) {
 	s.stSubmitted.Add(int64(len(qs)))
-	// One trace (from the request context) scopes the whole batch: every
-	// entry's spans land on it. start is zero when telemetry is off.
+	start := time.Now()
 	tr := obs.FromContext(ctx)
 	tr.SetUser(userKey)
-	var start time.Time
-	if tr != nil || s.opts.Metrics != nil || s.opts.SlowQuery > 0 || s.opts.Costs != nil {
-		start = time.Now()
+	fail := func(i int, err error) (int, error) {
+		tr.Finish(err)
+		return i, err
 	}
-	results := make([]*cube.Result, len(qs))
-	chans := make([]chan outcome, len(qs))
-	type pending struct {
-		i     int
-		cq    *cube.CompiledQuery
-		view  *cube.View
-		epoch uint64
-		key   string
-		fp    string
-		admit bool
+	type miss struct {
+		i   int
+		req *request
+		ch  chan outcome
 	}
-	var pends []pending
-	var firstErr error
-	for i, q := range qs {
+	var one [1]miss // a lone query's miss never touches the heap
+	misses := one[:0]
+	for i := range qs {
 		if s.closedFlag.Load() {
-			firstErr = fmt.Errorf("qsched: batch query %d: %w", i, ErrClosed)
-			break
+			return fail(i, ErrClosed)
+		}
+		at := start
+		if i > 0 && tr != nil {
+			at = time.Now()
 		}
 		var v *cube.View
 		if vs != nil {
 			v = vs[i]
 		}
-		fp := q.Fingerprint()
+		// A repeated malformed query is answered from the negative cache
+		// before any key building or compilation — invalid traffic never
+		// reaches the coalesce queue twice.
+		fp := qs[i].Fingerprint()
 		if err, ok := s.negCache.get(fp); ok {
 			s.stNegHits.Add(1)
-			firstErr = fmt.Errorf("qsched: batch query %d: %w", i, err)
-			break
+			return fail(i, err)
 		}
+		// The epoch is read before execution, so a cached entry's result
+		// was computed from a view state at least as new as its key. A
+		// reader that observes epoch E and hits (id, E, fp) therefore never
+		// gets data from before E — a selection racing the scan can only
+		// make the entry fresher, which is within the view's
+		// query-vs-selection semantics (and runBatch skips caching in that
+		// case anyway).
 		key, epoch := s.cacheKey(fp, v)
 		var admit bool
 		if s.cache != nil {
 			if res, ok := s.cache.get(key); ok {
-				s.door.request(fp) // keep hot fingerprints admitted (see submit)
-				if !start.IsZero() {
-					s.opts.Metrics.ObserveEndToEnd(userKey, time.Since(start))
-				}
+				// Fingerprints are injective, so a hit proves this exact
+				// query validated before — no need to compile on the hit
+				// path. The doorkeeper is still touched so a tile hot in the
+				// cache stays admitted when a view mutation forces its next
+				// miss.
+				s.door.request(fp)
 				s.opts.Costs.RecordCacheHit(userKey, res.Cost)
+				now := time.Now()
+				s.opts.Metrics.ObserveEndToEnd(userKey, now.Sub(start))
+				if tr != nil {
+					tr.AddSpan("resultCache", at, now.Sub(at), map[string]any{"hit": true})
+				}
 				results[i] = res
 				continue
 			}
+			// The doorkeeper decides on the miss: only a fingerprint that
+			// has been requested before earns a cache slot for its result.
 			admit = s.door.request(fp)
 		}
-		cq, err := s.c.Compile(q)
-		if err != nil {
-			s.negCache.put(fp, err)
-			firstErr = fmt.Errorf("qsched: batch query %d: %w", i, err)
-			break
-		}
-		pends = append(pends, pending{i: i, cq: cq, view: v, epoch: epoch, key: key, fp: fp, admit: admit})
+		misses = append(misses, miss{i: i, req: &request{view: v, epoch: epoch,
+			key: key, fp: fp, admit: admit, user: userKey}})
 	}
-	// A batch that already failed enqueues nothing: its valid queries would
-	// only scan to be discarded, and past the overload check below.
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if len(pends) > 0 {
-		// One overload decision covers the whole batch: cache hits above
-		// were already served, and a shed batch never touches the queue.
-		if err := s.maybeShed(userKey); err != nil {
-			return nil, err
-		}
-		now := time.Now()
-		deadline := s.requestDeadline(ctx, now)
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
-		for _, p := range pends {
-			ch := make(chan outcome, 1)
-			chans[p.i] = ch
-			s.enqueueLocked(&request{cq: p.cq, view: p.view, epoch: p.epoch,
-				key: p.key, fp: p.fp, admit: p.admit, user: userKey,
-				waiters:    []waiter{{ch: ch, tr: tr, user: userKey, start: start}},
-				enqueuedAt: now, deadline: deadline}, userKey)
-		}
-		s.dispatchLocked()
-		s.mu.Unlock()
-	}
-	// Drain everything admitted, even after an error: those queries will
-	// execute regardless, and abandoning the channels would strand their
-	// deliveries. Context cancellation unblocks the caller; the buffered
-	// per-waiter channels absorb the late deliveries.
-	for i, ch := range chans {
-		if ch == nil {
-			continue
-		}
-		var out outcome
-		select {
-		case out = <-ch:
-		case <-ctx.Done():
-			out = outcome{err: ctx.Err()}
-		}
-		if out.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("qsched: batch query %d: %w", i, out.err)
-		}
-		results[i] = out.res
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
-}
-
-// submit admits one query. It returns either an immediate result (cache
-// hit or error) with a nil channel, or a channel the result will be
-// delivered on.
-func (s *Scheduler) submit(ctx context.Context, q cube.Query, v *cube.View, userKey string) (<-chan outcome, *cube.Result, error) {
-	s.stSubmitted.Add(1)
-	if s.closedFlag.Load() {
-		return nil, nil, ErrClosed
-	}
-	// Telemetry is pay-per-use: tr is nil unless the caller's context
-	// carries a trace, and start stays zero unless something (trace,
-	// histogram, slow-query log, cost accounting) will consume it.
-	tr := obs.FromContext(ctx)
-	tr.SetUser(userKey)
-	var start time.Time
-	if tr != nil || s.opts.Metrics != nil || s.opts.SlowQuery > 0 || s.opts.Costs != nil {
-		start = time.Now()
-	}
-	// A repeated malformed query is answered from the negative cache
-	// before any key building or compilation — invalid traffic never
-	// reaches the coalesce queue twice.
-	fp := q.Fingerprint()
-	if err, ok := s.negCache.get(fp); ok {
-		s.stNegHits.Add(1)
-		tr.Finish(err)
-		return nil, nil, err
-	}
-	// The epoch is read before execution, so a cached entry's result was
-	// computed from a view state at least as new as its key. A reader that
-	// observes epoch E and hits (id, E, fp) therefore never gets data from
-	// before E — a selection racing the scan can only make the entry
-	// fresher, which is within the view's query-vs-selection semantics
-	// (and runBatch skips caching in that case anyway).
-	key, epoch := s.cacheKey(fp, v)
-	var admit bool
-	if s.cache != nil {
-		if res, ok := s.cache.get(key); ok {
-			// Fingerprints are injective, so a hit proves this exact query
-			// validated before — no need to compile on the hit path. The
-			// doorkeeper is still touched so a tile hot in the cache stays
-			// admitted when a view mutation forces its next miss.
-			s.door.request(fp)
-			s.opts.Costs.RecordCacheHit(userKey, res.Cost)
-			if !start.IsZero() {
-				s.opts.Metrics.ObserveEndToEnd(userKey, time.Since(start))
-			}
-			if tr != nil {
-				tr.AddSpan("resultCache", start, time.Since(start), map[string]any{"hit": true})
-				tr.Finish(nil)
-			}
-			return nil, res, nil
-		}
-		// The doorkeeper decides on the miss: only a fingerprint that has
-		// been requested before earns a cache slot for its result.
-		admit = s.door.request(fp)
+	if len(misses) == 0 {
+		tr.Finish(nil)
+		return -1, nil
 	}
 	// Overload gate, after the cache (hits cost no scan — overload is no
 	// reason to refuse them) and before compilation: shed traffic costs
@@ -569,45 +504,59 @@ func (s *Scheduler) submit(ctx context.Context, q cube.Query, v *cube.View, user
 			}
 			tr.AddSpan("shed", start, time.Since(start), attrs)
 		}
-		tr.Finish(err)
-		return nil, nil, err
+		return fail(-1, err)
 	}
-	// Compile on admission: a malformed query must fail alone, never
-	// abort the shared scan it would have joined — and the scan then
-	// reuses the plan instead of resolving the query a second time.
-	var compileStart time.Time
-	if tr != nil {
-		compileStart = time.Now()
-	}
-	cq, err := s.c.Compile(q)
-	if tr != nil {
+	// Compile on admission: a malformed query must fail alone, never abort
+	// the shared scan it would have joined — and the scan then reuses the
+	// plan instead of resolving the query a second time.
+	for k := range misses {
+		m := &misses[k]
+		compileStart := time.Now()
+		cq, err := s.c.Compile(qs[m.i])
 		tr.AddSpan("compile", compileStart, time.Since(compileStart), nil)
+		if err != nil {
+			s.negCache.put(m.req.fp, err)
+			return fail(m.i, err)
+		}
+		m.req.cq = cq
+		m.ch = make(chan outcome, 1)
+		m.req.waiters = []waiter{{ch: m.ch, tr: tr, user: userKey, start: start}}
 	}
-	if err != nil {
-		s.negCache.put(fp, err)
-		tr.Finish(err)
-		return nil, nil, err
-	}
-	ch := make(chan outcome, 1)
 	now := time.Now()
+	deadline := s.requestDeadline(ctx, now)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, nil, ErrClosed
+		return fail(-1, ErrClosed)
 	}
-	s.enqueueLocked(&request{cq: cq, view: v, epoch: epoch, key: key, fp: fp, admit: admit,
-		user:       userKey,
-		waiters:    []waiter{{ch: ch, tr: tr, user: userKey, start: start}},
-		enqueuedAt: now,
-		deadline:   s.requestDeadline(ctx, now)}, userKey)
+	for _, m := range misses {
+		m.req.enqueuedAt, m.req.deadline = now, deadline
+		s.enqueueLocked(m.req, userKey)
+	}
 	s.dispatchLocked()
 	s.mu.Unlock()
-	return ch, nil, nil
+	// Drain everything admitted, even after an error: those queries will
+	// execute regardless. Context cancellation unblocks the caller; the
+	// buffered per-waiter channels absorb the late deliveries.
+	idx, firstErr := -1, error(nil)
+	for _, m := range misses {
+		var out outcome
+		select {
+		case out = <-m.ch:
+		case <-ctx.Done():
+			out = outcome{err: ctx.Err()}
+		}
+		results[m.i] = out.res
+		if out.err != nil && firstErr == nil {
+			idx, firstErr = m.i, out.err
+		}
+	}
+	return idx, firstErr
 }
 
 // cacheKey builds the cache/dedup key — plan fingerprint plus the view's
 // (id, epoch) — and returns the epoch it observed. The comment block in
-// submit explains why reading the epoch before execution is the safe side
+// admit explains why reading the epoch before execution is the safe side
 // of the race with concurrent selections.
 func (s *Scheduler) cacheKey(fp string, v *cube.View) (key string, epoch uint64) {
 	var viewID uint64
@@ -720,9 +669,7 @@ func (s *Scheduler) assembleLocked(max int) []*request {
 			wait := now.Sub(req.enqueuedAt)
 			for _, w := range req.waiters {
 				s.opts.Metrics.ObserveQueueWait(w.user, wait)
-				if !w.start.IsZero() {
-					s.opts.Metrics.ObserveEndToEnd(w.user, now.Sub(w.start))
-				}
+				s.opts.Metrics.ObserveEndToEnd(w.user, now.Sub(w.start))
 				if w.tr != nil {
 					w.tr.AddSpan("admissionWait", req.enqueuedAt, wait,
 						map[string]any{"timedOut": true})
@@ -753,7 +700,10 @@ func (s *Scheduler) assembleLocked(max int) []*request {
 
 // runBatch executes one assembled batch as a shared scan and delivers the
 // results. Admission already validated every query, so an executor error
-// here is systemic and is delivered to the whole batch.
+// here is systemic and is delivered to the whole batch. Every batch is
+// measured, attributed and settled the same way: the stage timings, the
+// CPU split and the per-waiter records are a handful of clock reads and
+// counter adds per batch against a scan that touches every fact row.
 func (s *Scheduler) runBatch(batch []*request) {
 	assembled := time.Now()
 	cqs := make([]*cube.CompiledQuery, len(batch))
@@ -770,99 +720,66 @@ func (s *Scheduler) runBatch(batch []*request) {
 			}
 		}
 	}
-	// Telemetry plumbing: the executor fills st with per-shard stage
-	// timings when anyone will read them (a trace or the histograms). All
-	// of it is per batch — a handful of time.Now() calls around a scan
-	// that touches every fact row — so the tracing-off overhead is noise
-	// (BenchmarkTraceOverhead pins this).
-	acct := s.opts.Costs
-	telem := traced || s.opts.Metrics != nil || s.opts.SlowQuery > 0 || acct != nil
-	var st *obs.ScanTrace
-	if traced || s.opts.Metrics != nil || acct != nil {
-		st = &obs.ScanTrace{}
-	}
 	s.stBatches.Add(1)
 	s.stExecuted.Add(int64(len(batch)))
 	s.stScans.Add(int64(len(facts)))
-	var scanStart time.Time
-	if telem {
-		scanStart = time.Now()
-	}
+	st := &obs.ScanTrace{}
+	scanStart := time.Now()
 	results, sharing, err := s.c.ExecuteBatchCompiledOpt(cqs, vs, cube.BatchOptions{
 		Workers: s.opts.Workers,
 		Trace:   st,
 	})
-	var scanEnd time.Time
-	var scanDur time.Duration
+	scanEnd := time.Now()
+	scanDur := scanEnd.Sub(scanStart)
+	shardScans, gather := st.Snapshot()
+	merge, batchCPU := gather, gather.Nanoseconds()
+	for _, ss := range shardScans {
+		merge += ss.Merge
+		batchCPU += (ss.FilterMask + ss.GroupDecode + ss.Accumulate + ss.Merge).Nanoseconds()
+	}
+	s.opts.Metrics.ObserveScan(scanDur)
+	s.opts.Metrics.ObserveMerge(merge)
 	var scanSpan *obs.Span
-	if telem {
-		scanEnd = time.Now()
-		scanDur = scanEnd.Sub(scanStart)
-		s.opts.Metrics.ObserveScan(scanDur)
-		shardScans, gather := st.Snapshot()
-		merge := gather
+	if traced {
+		// One scan span is shared by every trace of the batch (the scan
+		// itself is shared work) with a child per shard carrying the
+		// executor's stage breakdown, plus the gather/finalize tail.
+		scanSpan = &obs.Span{Name: "scan", Start: scanStart.UnixNano(),
+			Dur: scanDur.Nanoseconds(),
+			Attrs: map[string]any{
+				"batchQueries": len(batch), "factScans": len(facts)}}
 		for _, ss := range shardScans {
-			merge += ss.Merge
-		}
-		if st != nil {
-			s.opts.Metrics.ObserveMerge(merge)
-		}
-		if traced {
-			// One scan span is shared by every trace of the batch (the scan
-			// itself is shared work) with a child per shard carrying the
-			// executor's stage breakdown, plus the gather/finalize tail.
-			scanSpan = &obs.Span{Name: "scan", Start: scanStart.UnixNano(),
-				Dur: scanDur.Nanoseconds(),
+			scanSpan.Children = append(scanSpan.Children, &obs.Span{
+				Name:  "shardScan",
+				Start: scanStart.UnixNano(),
+				Dur:   ss.Wall.Nanoseconds(),
 				Attrs: map[string]any{
-					"batchQueries": len(batch), "factScans": len(facts)}}
-			for _, ss := range shardScans {
-				scanSpan.Children = append(scanSpan.Children, &obs.Span{
-					Name:  "shardScan",
-					Start: scanStart.UnixNano(),
-					Dur:   ss.Wall.Nanoseconds(),
-					Attrs: map[string]any{
-						"shard":         ss.Shard,
-						"facts":         ss.Facts,
-						"filterMaskNs":  ss.FilterMask.Nanoseconds(),
-						"groupDecodeNs": ss.GroupDecode.Nanoseconds(),
-						"accumulateNs":  ss.Accumulate.Nanoseconds(),
-						"mergeNs":       ss.Merge.Nanoseconds(),
-					},
-				})
-			}
-			if gather > 0 {
-				scanSpan.Children = append(scanSpan.Children, &obs.Span{
-					Name:  "gather",
-					Start: scanEnd.Add(-gather).UnixNano(),
-					Dur:   gather.Nanoseconds(),
-				})
-			}
+					"shard":         ss.Shard,
+					"facts":         ss.Facts,
+					"filterMaskNs":  ss.FilterMask.Nanoseconds(),
+					"groupDecodeNs": ss.GroupDecode.Nanoseconds(),
+					"accumulateNs":  ss.Accumulate.Nanoseconds(),
+					"mergeNs":       ss.Merge.Nanoseconds(),
+				},
+			})
+		}
+		if gather > 0 {
+			scanSpan.Children = append(scanSpan.Children, &obs.Span{
+				Name:  "gather",
+				Start: scanEnd.Add(-gather).UnixNano(),
+				Dur:   gather.Nanoseconds(),
+			})
 		}
 	}
-	if err == nil {
-		s.stFilterSets.Add(int64(sharing.FilterSets))
-		s.stFilterDistinct.Add(int64(sharing.DistinctFilterSets))
-		s.stPredSets.Add(int64(sharing.FilterPredicates))
-		s.stPredDistinct.Add(int64(sharing.DistinctPredicates))
-		s.stComposed.Add(int64(sharing.ComposedMasks + sharing.PartialMasks))
-		s.stGroupSets.Add(int64(sharing.GroupKeySets))
-		s.stGroupDistinct.Add(int64(sharing.DistinctGroupings))
-		s.stPartialsReused.Add(int64(sharing.PartialsReused))
-		s.stPartialsAlloc.Add(int64(sharing.PartialsAllocated))
-		s.stPackedKernels.Add(int64(sharing.PackedKernelScans))
-		s.stPackedPreds.Add(int64(sharing.PackedPredicateKernels))
-	}
-	// Cost attribution: the batch pays the full measured CPU (every shard's
-	// stage time plus the gather), each query gets a share proportional to
-	// the facts it scanned, and the rest of the batch's CPU is recorded as
-	// its sharing discount — the work it rode along on. The split conserves:
-	// Σ per-query CPUNs == batch CPU exactly (obs.SplitTotal pins the tail).
-	if acct != nil && err == nil {
-		shardScans, gather := st.Snapshot()
-		batchCPU := gather.Nanoseconds()
-		for _, ss := range shardScans {
-			batchCPU += (ss.FilterMask + ss.GroupDecode + ss.Accumulate + ss.Merge).Nanoseconds()
-		}
+	if err != nil {
+		results = nil
+	} else {
+		// Cost attribution: the batch pays the full measured CPU (every
+		// shard's stage time plus the gather), each query gets a share
+		// proportional to the facts it scanned, and the rest of the batch's
+		// CPU is recorded as its sharing discount — the work it rode along
+		// on. The split conserves: Σ per-query CPUNs == batch CPU exactly
+		// (obs.SplitTotal pins the tail).
 		weights := make([]int64, len(results))
 		for i, res := range results {
 			weights[i] = res.Cost.FactsScanned + 1
@@ -873,23 +790,16 @@ func (s *Scheduler) runBatch(batch []*request) {
 			res.Cost.SharedSavedNs += batchCPU - shares[i]
 		}
 	}
-	// Fair-share settle: reverse every provisional debit taken at assembly
-	// and charge each request's measured cost into its tenant's decayed
-	// usage window — one lock hold for the whole batch, after the CPU
-	// split above so the charge is the attributed cost.
-	{
-		var costs []obs.QueryCost
-		if err == nil {
-			costs = make([]obs.QueryCost, len(results))
-			for i, res := range results {
-				costs[i] = res.Cost
-			}
-		}
-		settleAt := time.Now()
-		s.mu.Lock()
-		s.settleBatchLocked(batch, costs, settleAt)
-		s.mu.Unlock()
+	// Fair-share settle and the sharing counters: one lock hold for the
+	// whole batch, after the CPU split above so the charge is the
+	// attributed cost.
+	settleAt := time.Now()
+	s.mu.Lock()
+	if err == nil {
+		s.sharing.Add(sharing)
 	}
+	s.settleBatchLocked(batch, results, settleAt)
+	s.mu.Unlock()
 	for i, r := range batch {
 		out := outcome{err: err}
 		if err == nil {
@@ -907,48 +817,47 @@ func (s *Scheduler) runBatch(batch []*request) {
 				}
 			}
 		}
-		if telem {
-			wait := assembled.Sub(r.enqueuedAt)
-			// Deduplicated waiters split their request's cost evenly: the
-			// scan ran once for all of them, so the per-waiter shares sum
-			// back to the request's attributed cost (conservation again).
-			var wcosts []obs.QueryCost
-			if acct != nil && err == nil {
-				wcosts = obs.SplitCost(out.res.Cost, len(r.waiters))
-			}
-			for wi, w := range r.waiters {
-				s.opts.Metrics.ObserveQueueWait(w.user, wait)
-				now := time.Now()
-				var e2e time.Duration
-				if !w.start.IsZero() {
-					e2e = now.Sub(w.start)
-					s.opts.Metrics.ObserveEndToEnd(w.user, e2e)
-				}
+		wait := assembled.Sub(r.enqueuedAt)
+		// Deduplicated waiters split their request's cost evenly: the scan
+		// ran once for all of them, so the per-waiter shares sum back to
+		// the request's attributed cost (conservation again).
+		var wcosts []obs.QueryCost
+		if err == nil && len(r.waiters) > 1 {
+			wcosts = obs.SplitCost(out.res.Cost, len(r.waiters))
+		}
+		for wi, w := range r.waiters {
+			s.opts.Metrics.ObserveQueueWait(w.user, wait)
+			now := time.Now()
+			e2e := now.Sub(w.start)
+			s.opts.Metrics.ObserveEndToEnd(w.user, e2e)
+			if err == nil {
+				c := out.res.Cost
 				if wcosts != nil {
-					acct.RecordQuery(w.user, r.fp, w.tr.ID(), e2e, wcosts[wi])
+					c = wcosts[wi]
 				}
-				if w.tr != nil {
-					w.tr.AddSpan("admissionWait", r.enqueuedAt, wait,
-						map[string]any{"batchQueries": len(batch)})
-					w.tr.Attach(scanSpan)
-					var costAttrs map[string]any
-					if err == nil {
-						c := out.res.Cost
-						costAttrs = map[string]any{
-							"factsScanned":  c.FactsScanned,
-							"bitmapBytes":   c.BitmapBytes,
-							"keyColBytes":   c.KeyColBytes,
-							"cells":         c.CellsTouched,
-							"cpuNs":         c.CPUNs,
-							"sharedSavedNs": c.SharedSavedNs,
-						}
-					}
-					w.tr.AddSpan("finalize", scanEnd, now.Sub(scanEnd), costAttrs)
-					w.tr.Finish(err)
-				}
-				s.maybeLogSlow(w.tr.ID(), w.user, r.cq.Query().Fact,
-					e2e, wait, scanDur, len(batch), out.res, err)
+				s.opts.Costs.RecordQuery(w.user, r.fp, w.tr.ID(), e2e, c)
 			}
+			if w.tr != nil {
+				w.tr.AddSpan("admissionWait", r.enqueuedAt, wait,
+					map[string]any{"batchQueries": len(batch)})
+				w.tr.Attach(scanSpan)
+				var costAttrs map[string]any
+				if err == nil {
+					c := out.res.Cost
+					costAttrs = map[string]any{
+						"factsScanned":  c.FactsScanned,
+						"bitmapBytes":   c.BitmapBytes,
+						"keyColBytes":   c.KeyColBytes,
+						"cells":         c.CellsTouched,
+						"cpuNs":         c.CPUNs,
+						"sharedSavedNs": c.SharedSavedNs,
+					}
+				}
+				w.tr.AddSpan("finalize", scanEnd, time.Since(scanEnd), costAttrs)
+				w.tr.Finish(err)
+			}
+			s.maybeLogSlow(w.tr.ID(), w.user, r.cq.Query().Fact,
+				e2e, wait, scanDur, len(batch), out.res, err)
 		}
 		for _, w := range r.waiters {
 			w.ch <- out
@@ -1109,28 +1018,17 @@ type Stats struct {
 func (s *Scheduler) Stats() Stats {
 	now := time.Now()
 	st := Stats{
-		SnapshotAt:             now.UTC().Format(time.RFC3339Nano),
-		UptimeSeconds:          now.Sub(s.startedAt).Seconds(),
-		Submitted:              s.stSubmitted.Load(),
-		Shared:                 s.stShared.Load(),
-		Executed:               s.stExecuted.Load(),
-		Batches:                s.stBatches.Load(),
-		FactScans:              s.stScans.Load(),
-		MaxQueueDepth:          s.stMaxQueue.Load(),
-		CacheDoorkept:          s.stDoorkept.Load(),
-		NegCacheHits:           s.stNegHits.Load(),
-		TimedOut:               s.stTimedOut.Load(),
-		FilterSets:             s.stFilterSets.Load(),
-		FilterMasks:            s.stFilterDistinct.Load(),
-		FilterPredicates:       s.stPredSets.Load(),
-		PredicateMasks:         s.stPredDistinct.Load(),
-		ComposedMasks:          s.stComposed.Load(),
-		GroupKeySets:           s.stGroupSets.Load(),
-		GroupKeyCols:           s.stGroupDistinct.Load(),
-		PartialsReused:         s.stPartialsReused.Load(),
-		PartialsAllocated:      s.stPartialsAlloc.Load(),
-		PackedKernelScans:      s.stPackedKernels.Load(),
-		PackedPredicateKernels: s.stPackedPreds.Load(),
+		SnapshotAt:    now.UTC().Format(time.RFC3339Nano),
+		UptimeSeconds: now.Sub(s.startedAt).Seconds(),
+		Submitted:     s.stSubmitted.Load(),
+		Shared:        s.stShared.Load(),
+		Executed:      s.stExecuted.Load(),
+		Batches:       s.stBatches.Load(),
+		FactScans:     s.stScans.Load(),
+		MaxQueueDepth: s.stMaxQueue.Load(),
+		CacheDoorkept: s.stDoorkept.Load(),
+		NegCacheHits:  s.stNegHits.Load(),
+		TimedOut:      s.stTimedOut.Load(),
 	}
 	if s.negCache != nil {
 		st.NegCacheEntries = s.negCache.size()
@@ -1139,8 +1037,8 @@ func (s *Scheduler) Stats() Stats {
 		st.CacheHits, st.CacheMisses, st.CacheEvictions, st.CacheBytes, st.CacheEntries = s.cache.stats()
 	}
 	// One lock hold snapshots all the mutually-consistent scheduler state:
-	// queue depth, shed counters, and the fair-share ledgers are never
-	// torn against each other (sum over ShedByTenant == ShedTotal in any
+	// queue depth, shed counters, the fair-share ledgers and the sharing
+	// sums are never torn against each other (sum over ShedByTenant == ShedTotal in any
 	// snapshot a scraper sees).
 	s.mu.Lock()
 	st.QueueDepth = s.queued
@@ -1160,7 +1058,15 @@ func (s *Scheduler) Stats() Stats {
 	st.QueueWaitEWMAMs = s.waitEWMA / float64(time.Millisecond)
 	st.DrainRatePerSec = s.drainEWMA
 	st.FairShares = s.fairSharesLocked(now)
+	sh := s.sharing
 	s.mu.Unlock()
+	st.FilterSets, st.FilterMasks = int64(sh.FilterSets), int64(sh.DistinctFilterSets)
+	st.FilterPredicates, st.PredicateMasks = int64(sh.FilterPredicates), int64(sh.DistinctPredicates)
+	st.ComposedMasks = int64(sh.ComposedMasks + sh.PartialMasks)
+	st.GroupKeySets, st.GroupKeyCols = int64(sh.GroupKeySets), int64(sh.DistinctGroupings)
+	st.PartialsReused, st.PartialsAllocated = int64(sh.PartialsReused), int64(sh.PartialsAllocated)
+	st.PackedKernelScans = int64(sh.PackedKernelScans)
+	st.PackedPredicateKernels = int64(sh.PackedPredicateKernels)
 	if st.FactScans > 0 {
 		st.CoalesceRatio = float64(st.Executed+st.Shared) / float64(st.FactScans)
 	}

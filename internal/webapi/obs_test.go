@@ -135,6 +135,52 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchTraceAdmissionSpans checks that a batch's trace carries the
+// same admission spans a lone query's does: one resultCache span per
+// entry answered from the cache and one compile span per entry that
+// missed it.
+func TestBatchTraceAdmissionSpans(t *testing.T) {
+	srv, _ := newObsServer(t, core.Options{TraceSampleRate: 1, ResultCacheBytes: 1 << 20})
+	sess := login(t, srv, "alice", "POINT(-3.7 40.4)")
+	hot := map[string]any{"fact": "Sales", "aggregates": []map[string]any{{"agg": "COUNT"}}}
+	batch := func(id string, queries ...map[string]any) {
+		t.Helper()
+		resp, body := postWithHeader(t, srv.URL+"/api/query/batch",
+			map[string]any{"session": sess, "queries": queries},
+			map[string]string{"X-Request-Id": id})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %s: %s (%s)", id, resp.Status, body)
+		}
+	}
+	// The doorkeeper caches a fingerprint's result on its second request.
+	batch("warm-1", hot)
+	batch("warm-2", hot)
+	batch("mixed", hot,
+		map[string]any{"fact": "Sales", "aggregates": []map[string]any{{"agg": "COUNT"}}, "limit": 7},
+		map[string]any{"fact": "Sales", "aggregates": []map[string]any{{"measure": "UnitSales", "agg": "SUM"}}})
+
+	resp, body := getBody(t, srv.URL+"/api/trace/mixed")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace lookup: %s (%s)", resp.Status, body)
+	}
+	var snap obs.TraceSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	for _, sp := range snap.Spans {
+		count[sp.Name]++
+		if sp.Name == "resultCache" {
+			if hit, _ := sp.Attrs["hit"].(bool); !hit {
+				t.Errorf("resultCache span without hit=true: %v", sp.Attrs)
+			}
+		}
+	}
+	if count["resultCache"] != 1 || count["compile"] != 2 {
+		t.Errorf("spans = %v, want 1 resultCache (the hit) and 2 compile (the misses)", count)
+	}
+}
+
 // TestShardedTraceFanout checks the sharded scatter-gather path records
 // one shardScan child per fact shard inside the shared scan span.
 func TestShardedTraceFanout(t *testing.T) {

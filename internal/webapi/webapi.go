@@ -25,9 +25,9 @@
 //	                                                     negative-cache, admission-timeout and
 //	                                                     doorkeeper counters; shed counters and per-tenant
 //	                                                     fair shares, snapshotted under one scheduler lock;
-//	                                                     on a sharded engine also shard count, per-shard
-//	                                                     fact balance, shard-scan fan-out and
-//	                                                     artifact-cache hit rates)
+//	                                                     the fact tables' artifact-cache hit rates; on a
+//	                                                     sharded engine also shard count, per-shard fact
+//	                                                     balance and shard-scan fan-out)
 //	GET  /api/trace/{id}                               → one retained query-lifecycle trace (span tree)
 //	GET  /api/traces/recent[?n=20][&user=...][&min_ms=...]
 //	                                                   → recently retained traces, newest first,

@@ -54,3 +54,15 @@ go test -race -count=2 -run 'MetricsScrapeUnderShardedLoad|Obs' ./internal/webap
 # Compile-and-run every benchmark once so they cannot bit-rot; the named
 # manifest benchmarks are additionally gated by scripts/bench.sh.
 go test -run '^$' -bench=. -benchtime=1x ./...
+
+# The plain test run only replays each fuzz target's seeds; give every
+# target a short mutation budget of its own (go test -fuzz takes one
+# target per run).
+for target in \
+  ./internal/cube/:FuzzArtifactKeys \
+  ./internal/cube/:FuzzPackedColumn \
+  ./internal/export/:FuzzGeoJSONScalars \
+  ./internal/core/:FuzzRulePlan \
+  ./internal/webapi/:FuzzQuerySpec; do
+  go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime=5s "${target%%:*}"
+done
