@@ -168,7 +168,7 @@ func FuzzArtifactKeys(f *testing.F) {
 				t.Fatalf("set key %q: want %q, starting with a digit", keys[i], q.FilterFingerprint())
 			}
 			masks[i] = bitset.New(p.n)
-			p.fillFilterMask(0, p.n, masks[i], bitset.New(p.n), nil)
+			p.fillFilterMask(0, p.n, masks[i], bitset.New(p.n), nil, nil)
 		}
 		for i := range sets {
 			for j := i + 1; j < len(sets); j++ {

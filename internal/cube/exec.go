@@ -58,19 +58,20 @@ func chunkCount(n int) int {
 
 // The executor is a three-stage pipeline over the fact columns:
 //
-//	stage 1  filter-mask      matchFact / materializePredicateMask
+//	stage 1  filter-mask      fillFilterMask / matchFact
 //	stage 2  group-key decode groupSpec.decode / materializeGroupKeys
 //	stage 3  accumulate       partial.accumulateFact
 //
 // There is one executor, the shared staged scan of exec_shared.go; a lone
-// query is a batch of one. Where a stage is shared by enough of the batch
-// it is materialized as an artifact — predicate bitmaps AND-composed into
-// one mask per distinct filter set, one composite roll-up key column per
-// distinct group-by list, keyed by the sub-fingerprints in fingerprint.go
-// — and every query's stage 3 runs off it. A filtered query no artifact
-// covers gets a stage-1 bitmap of its own (fillOwnMasks), so stage 1 runs
-// on the packed predicate kernels whoever shares it; only a query over a
-// sparse view keeps the stages fused per visible fact (process).
+// query is a batch of one. Stage 1 has one builder, fillFilterMask: the
+// whole conjunction of a filter set as one bitmap, ANDing in the
+// predicate bitmaps the batch holds and running the packed predicate
+// kernels for the rest. Every filtered query iterates such a set mask
+// (intersected with its view) unless its set is priced out by
+// sparseViewK, in which case it keeps the stages fused per visible fact
+// (process). Stage 2 is shared as one composite roll-up key column per
+// distinct group-by list when enough of the batch decodes it. Artifacts
+// are keyed by the sub-fingerprints in fingerprint.go.
 
 // groupSpec is one resolved group-by level. anc maps each finest-level
 // member to its ancestor at the group level (the roll-up cache), and keys
@@ -181,10 +182,8 @@ type filterSpec struct {
 	// pk/codes are the compressed-column bindings, set at compile: pk
 	// snapshots the dimension's bit-packed key column and codes is the
 	// predicate translated to its matching finest-level member codes (see
-	// packed.go). codes also accelerates the scalar match below — one
-	// bitmap probe instead of roll-up lookup plus interface-valued compare
-	// — so the translation pays off even on paths that never touch packed
-	// words. Both stay unset for a dimension without packed data.
+	// packed.go). codes also serves the per-fact match below — one bitmap
+	// probe instead of roll-up lookup plus interface-valued compare.
 	pk    packedView
 	codes *codeSet
 }
@@ -205,39 +204,28 @@ func (fs *filterSpec) matchCode(code int32) bool {
 // match is stage 1 for one fact and one predicate: whether fact i passes
 // this filter alone.
 func (fs *filterSpec) match(i int32) bool {
-	if fs.codes != nil {
-		return fs.codes.test(fs.keys[i])
-	}
-	return fs.matchCode(fs.keys[i])
+	return fs.codes.test(fs.keys[i])
 }
 
 // materializePredicateMask runs this one predicate over facts [lo, hi)
-// into the shared bitmap. Chunk bounds are word-aligned (execChunkSize is
-// a multiple of 64), so workers owning disjoint chunks fill one bitmap
+// into a bitmap with the packed word-at-a-time kernel. It writes only bits
+// [lo, hi), so workers owning disjoint word-aligned chunks fill one bitmap
 // without racing.
 func (fs *filterSpec) materializePredicateMask(lo, hi int, out *bitset.Set) {
-	if fs.codes != nil && fs.pk.n >= hi {
-		// Word-at-a-time on the packed key column: 64/width codes per
-		// load, same chunk contract (fillMask writes only bits [lo, hi)).
-		fs.pk.fillMask(fs.codes, lo, hi, out)
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if fs.match(int32(i)) {
-			out.Set(i)
-		}
-	}
+	fs.pk.fillMask(fs.codes, lo, hi, out)
 }
 
-// fillFilterMask is stage 1 of one query over facts [lo, hi) into its own
-// bitmap m, zero there on entry: the conjunction of the plan's distinct
-// predicates, each filled by materializePredicateMask — the first straight
-// into m, every further one into scratch and ANDed in word by word — then
-// narrowed by the view (nil = whole table; facts past the view's length
-// are invisible, as they are to a walk of its set bits). lo is word-aligned
-// and hi is word-aligned or the scan bound, as parallelFill's chunks are,
-// so workers filling disjoint chunks write disjoint words of m and scratch.
-func (p *queryPlan) fillFilterMask(lo, hi int, m, scratch, view *bitset.Set) {
+// fillFilterMask is the stage-1 builder: the conjunction of the plan's
+// distinct predicates over facts [lo, hi) into m, zero there on entry. A
+// predicate the batch holds a bitmap for (preds, by predicate
+// sub-fingerprint) is ANDed in from it; any other runs the packed kernel,
+// the first straight into m and every further one into scratch, ANDed in
+// word by word. view, when non-nil, narrows the result (intersectView). lo
+// is word-aligned and hi is word-aligned or the scan bound, as
+// parallelFill's chunks are, so workers filling disjoint chunks write
+// disjoint words of m and scratch; the words of m past hi may take bits
+// from a predicate bitmap, which no scan reads.
+func (p *queryPlan) fillFilterMask(lo, hi int, m, scratch, view *bitset.Set, preds map[string]*bitset.Set) {
 	loW, hiW := lo>>6, (hi+63)>>6
 	mw := m.Words()[loW:hiW]
 	first := true
@@ -246,26 +234,41 @@ func (p *queryPlan) fillFilterMask(lo, hi int, m, scratch, view *bitset.Set) {
 			continue
 		}
 		fs := &p.filters[fi]
-		if first {
+		switch pm := preds[fs.key]; {
+		case pm != nil && first:
+			copy(mw, pm.Words()[loW:hiW])
+		case pm != nil:
+			for i, w := range pm.Words()[loW:hiW] {
+				mw[i] &= w
+			}
+		case first:
 			fs.materializePredicateMask(lo, hi, m)
-			first = false
-			continue
+		default:
+			sw := scratch.Words()[loW:hiW]
+			clear(sw)
+			fs.materializePredicateMask(lo, hi, scratch)
+			for i, w := range sw {
+				mw[i] &= w
+			}
 		}
-		sw := scratch.Words()[loW:hiW]
-		clear(sw)
-		fs.materializePredicateMask(lo, hi, scratch)
-		for i, w := range sw {
-			mw[i] &= w
-		}
+		first = false
 	}
 	if view != nil {
-		vw := view.Words()
-		for i := range mw {
-			if wi := loW + i; wi < len(vw) {
-				mw[i] &= vw[wi]
-			} else {
-				mw[i] = 0
-			}
+		intersectView(mw, mw, loW, view)
+	}
+}
+
+// intersectView sets dst to src ∩ view over the words of the table from
+// word loW on (dst and src cover the same words and may alias). Facts past
+// the view's length are invisible, as they are to a walk of its set bits:
+// a view sized before AddFact grew the table is ANDed over its own length.
+func intersectView(dst, src []uint64, loW int, view *bitset.Set) {
+	vw := view.Words()
+	for i, w := range src {
+		if wi := loW + i; wi < len(vw) {
+			dst[i] = w & vw[wi]
+		} else {
+			dst[i] = 0
 		}
 	}
 }
@@ -335,19 +338,6 @@ func (p *queryPlan) repeatsFilter(fi int) bool {
 		}
 	}
 	return false
-}
-
-// matchResidual evaluates only the filters at the given indices — the
-// residual predicates of a partially composed filter mask (the iterated
-// bitmap already encodes the others). The conjunction over (encoded ∪
-// residual) predicates equals matchFact, so results stay byte-identical.
-func (p *queryPlan) matchResidual(i int32, idx []int) bool {
-	for _, fi := range idx {
-		if !p.filters[fi].match(i) {
-			return false
-		}
-	}
-	return true
 }
 
 // compile resolves and validates a query against the cube.
@@ -478,22 +468,15 @@ func (p *queryPlan) bindGroupTable() {
 // filters: a packed snapshot of each filtered dimension's key column and
 // the predicate translated to its matching code set. The translation
 // evaluates the predicate once per finest-level member (O(card), a
-// vanishing fraction of one fact scan) and is what both the word-at-a-
-// time stage-1 kernels and the bitmap-probe scalar match run on. A
-// dimension without packed data (empty table) keeps the scalar path.
+// vanishing fraction of one fact scan) and depends only on the dimension,
+// so every filter gets one; the word-at-a-time stage-1 kernels and the
+// bitmap-probe per-fact match both run on it. An empty table's packed
+// view has no words, and its scans visit no fact.
 func (p *queryPlan) bindPacked(fd *FactData) {
 	for i := range p.filters {
 		fs := &p.filters[i]
-		pc := fd.packed[fs.f.Dimension]
-		if pc == nil || pc.width == 0 {
-			continue
-		}
-		if pv := pc.view(); pv.n >= p.n {
-			fs.pk = pv
-			if fs.codes == nil {
-				fs.codes = newCodeSet(len(fs.anc), fs.matchCode)
-			}
-		}
+		fs.pk = fd.packed[fs.f.Dimension].view()
+		fs.codes = newCodeSet(len(fs.anc), fs.matchCode)
 	}
 }
 
@@ -726,9 +709,10 @@ func (pt *partial) accumulate(m *bitset.Set, lo, hi int, d *scanDrive) {
 // scanFused folds facts [lo, hi) of a query that has no stage-1 bitmap
 // into the partial. An unfiltered query accumulates every fact of the
 // range (nil mask) or of its view mask. A filtered one has no bitmap only
-// over a sparse view (fillOwnMasks' sparseViewK side), and walks the
-// view's set bits with all three stages fused per fact. The drive carries
-// a shared key column when the staged scan materialized stage 2.
+// when its filter set is priced out by sparseViewK (sparse views only),
+// and walks the view's set bits with all three stages fused per fact. The
+// drive carries a shared key column when the staged scan materialized
+// stage 2.
 func (pt *partial) scanFused(lo, hi int, mask *bitset.Set, d *scanDrive) {
 	if len(pt.p.filters) > 0 {
 		mask.ForEachRange(lo, hi, func(i int) bool {
@@ -998,7 +982,7 @@ func forEachMorsel(cur *atomic.Int64, chunks, n int, body func(lo, hi int)) {
 // workers <= 1 is the serial fallback (identical to Execute); workers < 0
 // uses one worker per logical CPU. It is the batch executor over a batch
 // of one: a filtered query fills its own stage-1 bitmap with the packed
-// predicate kernels and accumulates off it (fillOwnMasks).
+// predicate kernels and accumulates off it (loneScan).
 func (c *Cube) ExecuteParallel(q Query, v *View, workers int) (*Result, error) {
 	p, err := c.compile(q)
 	if err != nil {
@@ -1093,14 +1077,7 @@ func (cq *CompiledQuery) Rebind(target *Cube) (*CompiledQuery, error) {
 		// Re-snapshot the packed key column from the target shard. The
 		// code set is reused as-is: it is member-level (dimension data is
 		// shared by reference across the shard family), not fact-local.
-		fs.pk = packedView{}
-		if fs.codes != nil {
-			if pc := fd.packed[fs.f.Dimension]; pc != nil && pc.width != 0 {
-				if pv := pc.view(); pv.n >= np.n {
-					fs.pk = pv
-				}
-			}
-		}
+		fs.pk = fd.packed[fs.f.Dimension].view()
 	}
 	np.measureCols = make([][]float64, len(p.measureCols))
 	for j, a := range p.q.Aggregates {
@@ -1148,12 +1125,10 @@ type SharingStats struct {
 	// over 3 distinct predicates.
 	FilterPredicates   int `json:"filterPredicates"`
 	DistinctPredicates int `json:"distinctPredicates"`
-	// ComposedMasks counts filter-set masks this scan produced by
-	// AND-composing per-predicate bitmaps (full composition) rather than
-	// evaluating the conjunction; PartialMasks counts sets that composed
-	// some predicates and evaluated the residue inline.
+	// ComposedMasks counts filter-set masks this scan built with at least
+	// one predicate ANDed in from a predicate bitmap instead of running its
+	// kernel.
 	ComposedMasks int `json:"composedMasks"`
-	PartialMasks  int `json:"partialMasks"`
 	// GroupKeySets counts queries with a dense, non-empty group-by;
 	// DistinctGroupings the distinct group-by lists among them (= roll-up
 	// key columns the scan conceptually needs).
@@ -1170,9 +1145,10 @@ type SharingStats struct {
 	PartialsAllocated int `json:"partialsAllocated"`
 	// PackedKernelScans counts queries whose plan ran a specialized
 	// stage-3 accumulate kernel (exec_kernels.go) in this batch;
-	// PackedPredicateKernels counts predicate bitmaps filled by the
-	// word-at-a-time packed-column kernels instead of the scalar
-	// per-fact loop.
+	// PackedPredicateKernels counts the word-at-a-time packed-column
+	// predicate kernels stage 1 ran over the table: one per shared
+	// predicate bitmap, and one per predicate of a set mask that no
+	// predicate bitmap covered.
 	PackedKernelScans      int `json:"packedKernelScans"`
 	PackedPredicateKernels int `json:"packedPredicateKernels"`
 	// BitmapBytesBuilt / KeyColBytesBuilt total the filter bitmaps and
@@ -1192,7 +1168,6 @@ func (s *SharingStats) Add(o SharingStats) {
 	s.FilterPredicates += o.FilterPredicates
 	s.DistinctPredicates += o.DistinctPredicates
 	s.ComposedMasks += o.ComposedMasks
-	s.PartialMasks += o.PartialMasks
 	s.GroupKeySets += o.GroupKeySets
 	s.DistinctGroupings += o.DistinctGroupings
 	s.ArtifactCacheHits += o.ArtifactCacheHits

@@ -449,13 +449,12 @@ func TestExecuteBatchValidation(t *testing.T) {
 	}
 }
 
-// TestPerFilterCompositionPaths pins the per-predicate planner's three
-// stage-1 shapes on a deterministic batch: a predicate shared across
-// three filter sets materializes one bitmap; qualifying sets compose it
-// and refine their unshared predicate in one pass (full masks); a
-// single-use set AND-composes the shared bitmap into a partial mask and
-// leaves its residue to the per-fact path. Results must match the
-// reference, cold, warm and stale in the artifact cache (cachePhases).
+// TestPerFilterCompositionPaths pins the stage-1 planner on a
+// deterministic batch: a predicate shared across three filter sets
+// materializes one bitmap, and every set — used twice or once, all with no
+// view — gets a whole mask that ANDs the shared bitmap in and runs its
+// unshared predicate's kernel. Results must match the reference, cold,
+// warm and stale in the artifact cache (cachePhases).
 func TestPerFilterCompositionPaths(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Config{
 		Seed: 13, States: 5, Cities: 15, Stores: 80, Customers: 60,
@@ -493,21 +492,131 @@ func TestPerFilterCompositionPaths(t *testing.T) {
 		for i := range qs {
 			diffResults(t, fmt.Sprintf("case %d workers %d", i, w), batch[i], want[i])
 		}
-		// {shared,b} and {shared,c} qualify (2 uses each) and compose the
-		// shared bitmap, refining b/c once per set; {shared,d} (one use)
-		// gets a partial mask and evaluates d inline.
+		// All three sets compose the shared bitmap and run b, c or d once
+		// per set: four kernels and four bitmaps (one predicate bitmap,
+		// three set masks).
 		if stats.DistinctPredicates != 4 || stats.FilterPredicates != 10 {
 			t.Errorf("workers %d: predicates = %d/%d, want 4 distinct / 10 instances",
 				w, stats.DistinctPredicates, stats.FilterPredicates)
 		}
-		if stats.ComposedMasks != 2 {
-			t.Errorf("workers %d: composed masks = %d, want 2", w, stats.ComposedMasks)
+		if stats.ComposedMasks != 3 {
+			t.Errorf("workers %d: composed masks = %d, want 3", w, stats.ComposedMasks)
 		}
-		if stats.PartialMasks != 1 {
-			t.Errorf("workers %d: partial masks = %d, want 1", w, stats.PartialMasks)
+		bitmap := int64((ds.Cube.FactData("Sales").Len() + 7) / 8)
+		if stats.PackedPredicateKernels != 4 || stats.BitmapBytesBuilt != 4*bitmap {
+			t.Errorf("workers %d: %d kernels and %d bitmap bytes, want 4 and %d",
+				w, stats.PackedPredicateKernels, stats.BitmapBytesBuilt, 4*bitmap)
 		}
+		checkCostConservation(t, fmt.Sprintf("workers %d", w), batch, stats)
 	}
 	cachePhases(t, ds.Cube, qs, nil, 4)
+}
+
+// TestPredicateBitmapCountsCachedSets pins rule (c) of the stage-1
+// planner across the artifact cache: a predicate shared with a set whose
+// mask the cache serves still counts as shared, so the one set left to
+// build ANDs in a fresh bitmap of it (offered to the cache) instead of
+// running its kernel into the set mask.
+func TestPredicateBitmapCountsCachedSets(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Config{
+		Seed: 15, States: 5, Cities: 15, Stores: 80, Customers: 60,
+		Products: 30, Days: 30, Sales: 4000,
+		AirportEvery: 5, TrainLines: 4, Hospitals: 5, Highways: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(v float64) cube.AttrFilter {
+		return cube.AttrFilter{LevelRef: cube.LevelRef{Dimension: "Customer", Level: "Customer"},
+			Attr: "age", Op: cube.OpGt, Value: v}
+	}
+	shared := cube.AttrFilter{LevelRef: cube.LevelRef{Dimension: "Store", Level: "City"},
+		Attr: "population", Op: cube.OpGt, Value: float64(300000)}
+	batch := func(others ...cube.AttrFilter) []cube.Query {
+		var qs []cube.Query
+		for _, o := range others {
+			for _, agg := range []cube.Agg{cube.AggSum, cube.AggMax} {
+				qs = append(qs, cube.Query{Fact: "Sales",
+					Aggregates: []cube.MeasureAgg{{Measure: "UnitSales", Agg: agg}},
+					Filters:    []cube.AttrFilter{shared, o}})
+			}
+		}
+		return qs
+	}
+	cube.ResetArtifactCaches(ds.Cube)
+	// One set alone: the doorkeeper admits its mask on the second offer,
+	// and shared, in no second set, gets no bitmap of its own.
+	for i := 0; i < 2; i++ {
+		if _, _, err := ds.Cube.ExecuteBatchOpt(batch(mk(30)), nil, cube.BatchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qs := batch(mk(30), mk(40))
+	res, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reference(ds.Cube, qs, nil)
+	for i := range qs {
+		diffResults(t, fmt.Sprintf("case %d", i), res[i], want[i])
+	}
+	checkCostConservation(t, "mixed cached batch", res, stats)
+	bitmap := int64((ds.Cube.FactData("Sales").Len() + 7) / 8)
+	if stats.ArtifactCacheHits != 1 || stats.ComposedMasks != 1 || stats.PackedPredicateKernels != 2 ||
+		stats.BitmapBytesBuilt != 2*bitmap {
+		t.Errorf("want {shared, age>30} from the cache and {shared, age>40} composed from a fresh bitmap of shared: %+v", stats)
+	}
+
+	// Both sets holding shared hit the cache and the set that needs it is
+	// left to a sparse walk: shared's bitmap is still filled and offered,
+	// with no set mask built, and once cached it composes correctly.
+	cube.ResetArtifactCaches(ds.Cube)
+	for _, o := range []cube.AttrFilter{mk(30), mk(50)} {
+		for i := 0; i < 2; i++ {
+			if _, _, err := ds.Cube.ExecuteBatchOpt(batch(o), nil, cube.BatchOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tiny := cube.NewView(ds.Cube)
+	for i := int32(0); i < 10; i++ {
+		if err := tiny.SelectFact("Sales", i*97); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sparseQ := func(fs ...cube.AttrFilter) cube.Query {
+		return cube.Query{Fact: "Sales", Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}, Filters: fs}
+	}
+	qs = append(batch(mk(30), mk(50)), sparseQ(shared, mk(60)))
+	vs := make([]*cube.View, len(qs))
+	vs[len(qs)-1] = tiny
+	want = reference(ds.Cube, qs, vs)
+	for run := 0; run < 2; run++ { // the doorkeeper admits shared on the second offer
+		res, stats, err = ds.Cube.ExecuteBatchOpt(qs, vs, cube.BatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range qs {
+			diffResults(t, fmt.Sprintf("run %d case %d", run, i), res[i], want[i])
+		}
+		checkCostConservation(t, fmt.Sprintf("sparse-walk batch run %d", run), res, stats)
+		if stats.ArtifactCacheHits != 2 || stats.PackedPredicateKernels != 1 || stats.BitmapBytesBuilt != bitmap {
+			t.Errorf("run %d: want both set masks from the cache and one fresh bitmap of shared: %+v", run, stats)
+		}
+	}
+	qs = []cube.Query{sparseQ(shared), sparseQ()}
+	vs = []*cube.View{tiny, nil}
+	res, stats, err = ds.Cube.ExecuteBatchOpt(qs, vs, cube.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = reference(ds.Cube, qs, vs)
+	for i := range qs {
+		diffResults(t, fmt.Sprintf("cached shared case %d", i), res[i], want[i])
+	}
+	if stats.ArtifactCacheHits != 1 || stats.ComposedMasks != 1 {
+		t.Errorf("want {shared} composed from its cached bitmap: %+v", stats)
+	}
 }
 
 // TestPerFilterArtifactCachePredicates checks that per-predicate bitmaps

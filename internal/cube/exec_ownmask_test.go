@@ -189,8 +189,9 @@ func TestOwnMaskEquivalence(t *testing.T) {
 }
 
 // TestOwnMaskOnlyBatch pins a batch of unique filter sets sharing no
-// predicate: nothing is composed, every query owns its bitmap, and each
-// is charged exactly that bitmap with no sharing discount.
+// predicate: nothing is composed, every set's one query gets the set's
+// mask from the packed kernels alone, and each is charged exactly that
+// bitmap with no sharing discount.
 func TestOwnMaskOnlyBatch(t *testing.T) {
 	ds, err := datagen.Generate(ownMaskConfig(22))
 	if err != nil {
@@ -214,7 +215,7 @@ func TestOwnMaskOnlyBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.ComposedMasks != 0 || stats.PartialMasks != 0 || stats.BitmapBytesBuilt != 3*bitmap {
+		if stats.ComposedMasks != 0 || stats.BitmapBytesBuilt != 3*bitmap {
 			t.Errorf("workers %d: want three own bitmaps of %d bytes and no composition: %+v", w, bitmap, stats)
 		}
 		// Four distinct predicates, every one on a packed column.
@@ -229,6 +230,99 @@ func TestOwnMaskOnlyBatch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStage1PricingRule pins the stage-1 rule on one batch: set A has a
+// baseline user and a sparse-view user, so it gets a mask (a user with no
+// view weighs the whole table) that both iterate, the sparse one through
+// its view; set B has only sparse-view users, so it gets a mask only once
+// both its predicates have bitmaps — here from the artifact cache, warmed
+// by a batch in which each recurs across two priced sets — and is then
+// composed by word-ANDs alone. Results match the reference and the bytes
+// conserve; cachePhases then runs the batch cold, warm and stale.
+func TestStage1PricingRule(t *testing.T) {
+	ds, err := datagen.Generate(ownMaskConfig(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ds.Cube
+	rng := rand.New(rand.NewSource(24))
+	p := ownMaskPredicates()
+	n := c.FactData("Sales").Len()
+	sparse := ownMaskViews(t, rng, c)[2]
+	// B's two users together still see fewer than n/SparseViewK facts.
+	tiny := func() *cube.View {
+		v := cube.NewView(c)
+		for _, i := range rng.Perm(n)[:n/(4*cube.SparseViewK)] {
+			if err := v.SelectFact("Sales", int32(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return v
+	}
+	sum := []cube.MeasureAgg{{Measure: "UnitSales", Agg: cube.AggSum}}
+	city := []cube.LevelRef{{Dimension: "Store", Level: "City"}}
+	setA, setB := []cube.AttrFilter{p[3]}, []cube.AttrFilter{p[4], p[5]}
+	qs := []cube.Query{
+		{Fact: "Sales", GroupBy: city, Aggregates: sum, Filters: setA},
+		{Fact: "Sales", Aggregates: sum, Filters: setA},
+		{Fact: "Sales", GroupBy: city, Aggregates: sum, Filters: setB},
+		{Fact: "Sales", Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}, Filters: setB},
+	}
+	vs := []*cube.View{nil, sparse, tiny(), tiny()}
+	warm := []cube.Query{
+		{Fact: "Sales", Aggregates: sum, Filters: []cube.AttrFilter{p[4], p[0]}},
+		{Fact: "Sales", Aggregates: sum, Filters: []cube.AttrFilter{p[5], p[0]}},
+		{Fact: "Sales", Aggregates: sum, Filters: []cube.AttrFilter{p[4], p[1]}},
+		{Fact: "Sales", Aggregates: sum, Filters: []cube.AttrFilter{p[5], p[1]}},
+	}
+	bitmap := int64((n + 7) / 8)
+	want := reference(c, qs, vs)
+	for w := 1; w <= 3; w++ {
+		label := fmt.Sprintf("workers %d", w)
+		cube.ResetArtifactCaches(c)
+		// Cold: B's predicates have no bitmaps, so its sparse users walk
+		// their views; A's mask runs p[3]'s kernel.
+		res, stats, err := c.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range qs {
+			diffResults(t, fmt.Sprintf("%s cold case %d", label, i), res[i], want[i])
+		}
+		checkCostConservation(t, label+" cold", res, stats)
+		if stats.BitmapBytesBuilt != bitmap || stats.PackedPredicateKernels != 1 || stats.ComposedMasks != 0 {
+			t.Errorf("%s cold: want one mask from one kernel: %+v", label, stats)
+		}
+		if res[0].Cost.BitmapBytes+res[1].Cost.BitmapBytes != bitmap || res[2].Cost.BitmapBytes+res[3].Cost.BitmapBytes != 0 {
+			t.Errorf("%s cold: set A's users charged %d + %d, B's %d + %d; want the one mask split over A",
+				label, res[0].Cost.BitmapBytes, res[1].Cost.BitmapBytes, res[2].Cost.BitmapBytes, res[3].Cost.BitmapBytes)
+		}
+		for i := 0; i < 2; i++ { // the doorkeeper admits on the second offer
+			if _, _, err := c.ExecuteBatchOpt(warm, nil, cube.BatchOptions{Workers: w}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, stats, err = c.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range qs {
+			diffResults(t, fmt.Sprintf("%s warm case %d", label, i), res[i], want[i])
+		}
+		checkCostConservation(t, label+" warm", res, stats)
+		// B is composed from the two cached predicate bitmaps and runs no
+		// kernel; A's mask (offered once, in the cold run) is built again.
+		if stats.ArtifactCacheHits != 2 || stats.ComposedMasks != 1 ||
+			stats.PackedPredicateKernels != 1 || stats.BitmapBytesBuilt != 2*bitmap {
+			t.Errorf("%s warm: want B's predicates from the cache and B composed: %+v", label, stats)
+		}
+		if res[2].Cost.BitmapBytes+res[3].Cost.BitmapBytes != bitmap {
+			t.Errorf("%s warm: set B's users charged %d + %d, want its mask (%d)",
+				label, res[2].Cost.BitmapBytes, res[3].Cost.BitmapBytes, bitmap)
+		}
+	}
+	cachePhases(t, c, qs, vs, 2)
 }
 
 // TestOwnMaskAcrossAddFact runs lone filtered plans across ingest. A plan

@@ -158,8 +158,7 @@ func TestPartialPoolNoStateBleed(t *testing.T) {
 	// run drives one plan's pipeline over the whole table into pt: the
 	// filtered plan's own stage-1 bitmap, then stage 3.
 	run := func(p *queryPlan, pt *partial) *Result {
-		scans := []queryScan{planScan(p, nil, nil)}
-		fillOwnMasks([]*queryPlan{p}, scans, p.n, 1, &SharingStats{}, nil)
+		scans := []queryScan{loneScan(p, nil, p.n, 1, &SharingStats{}, nil)}
 		pt.scanRangeStaged(0, p.n, &scans[0])
 		releaseArtifacts(p.fd, nil, scans)
 		return p.finalize(pt)
@@ -315,11 +314,11 @@ func TestSingleWorkerSharedArtifactsReturnToPools(t *testing.T) {
 }
 
 // TestLoneStatsMatchesPlanner pins the lone-query shortcut of
-// scanSharedStaged: what it reports and builds without running the
+// scanSharedStaged: what loneScan reports and builds without running the
 // artifact planner must equal what buildArtifacts and planScan give the
-// same batch of one — repeated predicates count once, the planner builds
-// nothing, and both routes hand a filtered query the same own bitmap
-// through fillOwnMasks (with and without a view).
+// same batch of one — repeated predicates count once, and both routes
+// hand a filtered query the same stage-1 mask from the one builder (with
+// and without a view).
 func TestLoneStatsMatchesPlanner(t *testing.T) {
 	c := testWarehouse(t)
 	pop := AttrFilter{LevelRef: LevelRef{"Store", "City"}, Attr: "population", Op: OpGt, Value: 300000.0}
@@ -341,12 +340,10 @@ func TestLoneStatsMatchesPlanner(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, view := range []*bitset.Set{nil, bitset.FromIndices(n, []int{0, 2, 3})} {
-			lone := []queryScan{planScan(p, view, nil)}
 			got := loneStats(p)
-			fillOwnMasks([]*queryPlan{p}, lone, p.n, 1, &got, nil)
+			lone := []queryScan{loneScan(p, view, p.n, 1, &got, nil)}
 			art, want := buildArtifacts([]*queryPlan{p}, []*bitset.Set{view}, 1, p.n, nil, nil)
 			planned := []queryScan{planScan(p, view, art)}
-			fillOwnMasks([]*queryPlan{p}, planned, p.n, 1, &want, nil)
 			label := fmt.Sprintf("query %d view %v", i, view)
 			if got != want {
 				t.Errorf("%s: lone route stats = %+v, planner route = %+v", label, got, want)

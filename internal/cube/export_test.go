@@ -11,14 +11,11 @@ const MaxDenseCells = maxDenseCells
 const SparseViewK = sparseViewK
 
 // CodeSetKinds names the code-set class of each filter of a compiled
-// query ("" for a dimension without packed data), so tests can assert
-// which stage-1 kernels they reached.
+// query, so tests can assert which stage-1 kernels they reached.
 func CodeSetKinds(cq *CompiledQuery) []string {
 	kinds := make([]string, len(cq.p.filters))
 	for i, fs := range cq.p.filters {
-		if fs.codes != nil {
-			kinds[i] = [...]string{csEmpty: "empty", csAll: "all", csRange: "range", csSparse: "sparse"}[fs.codes.kind]
-		}
+		kinds[i] = [...]string{csEmpty: "empty", csAll: "all", csRange: "range", csSparse: "sparse"}[fs.codes.kind]
 	}
 	return kinds
 }

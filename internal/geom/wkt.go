@@ -82,9 +82,16 @@ func writeRing(b *strings.Builder, r Ring) {
 	b.WriteByte(')')
 }
 
+// maxWKTNesting bounds how deeply collections may nest in parsed WKT. The
+// parser recurses once per level, and WKT arrives from web clients: a
+// text nesting millions of collections would exhaust the goroutine stack,
+// which Go cannot recover from. Real geometries nest a level or two.
+const maxWKTNesting = 100
+
 // ParseWKT parses a WKT string into a Geometry. It accepts POINT,
 // LINESTRING (or LINE), POLYGON and GEOMETRYCOLLECTION (or COLLECTION),
-// case-insensitively, including the EMPTY keyword.
+// case-insensitively, including the EMPTY keyword. Collections nested
+// deeper than maxWKTNesting are an error.
 func ParseWKT(s string) (Geometry, error) {
 	p := &wktParser{src: s}
 	g, err := p.parseGeometry()
@@ -99,8 +106,9 @@ func ParseWKT(s string) (Geometry, error) {
 }
 
 type wktParser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // collections open at pos
 }
 
 func (p *wktParser) errf(format string, args ...any) error {
@@ -256,8 +264,10 @@ func (p *wktParser) parseGeometry() (Geometry, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Un-close the ring if the closing vertex repeats the first.
-			if len(pts) >= 2 && pts[0].Eq(pts[len(pts)-1]) {
+			// Un-close the ring: drop every trailing vertex that repeats
+			// the first, so WKT (which closes the ring once) writes text
+			// that parses back to the same ring.
+			for len(pts) >= 2 && pts[0].Eq(pts[len(pts)-1]) {
 				pts = pts[:len(pts)-1]
 			}
 			if len(pts) < 3 {
@@ -282,9 +292,13 @@ func (p *wktParser) parseGeometry() (Geometry, error) {
 		if p.maybeEmpty() {
 			return Collection{}, nil
 		}
+		if p.depth == maxWKTNesting {
+			return nil, p.errf("collections nested deeper than %d levels", maxWKTNesting)
+		}
 		if err := p.expect('('); err != nil {
 			return nil, err
 		}
+		p.depth++
 		var gs []Geometry
 		for {
 			g, err := p.parseGeometry()
@@ -301,6 +315,7 @@ func (p *wktParser) parseGeometry() (Geometry, error) {
 		if err := p.expect(')'); err != nil {
 			return nil, err
 		}
+		p.depth--
 		return Collection{Geoms: gs}, nil
 	case "":
 		return nil, p.errf("empty input")

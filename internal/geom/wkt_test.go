@@ -60,6 +60,7 @@ func TestWKTParseInvalid(t *testing.T) {
 		"POLYGON ((0 0, 1 1))",
 		"POINT EMPTY",
 		"GEOMETRYCOLLECTION (POINT (1 1)",
+		"POLYGON ((0 0, 1 0, 0 0, 0 0))", // two distinct vertices once un-closed
 	} {
 		if _, err := ParseWKT(src); err == nil {
 			t.Errorf("ParseWKT(%q): expected error", src)
@@ -104,4 +105,55 @@ func BenchmarkParseWKTPolygon(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestWKTNestingCap pins the collection nesting bound: maxWKTNesting
+// levels parse, one more is an error rather than unbounded recursion —
+// also for a text far too deep to recurse through.
+func TestWKTNestingCap(t *testing.T) {
+	nested := func(levels int) string {
+		return strings.Repeat("GEOMETRYCOLLECTION (", levels) + "POINT (1 2)" + strings.Repeat(")", levels)
+	}
+	if _, err := ParseWKT(nested(maxWKTNesting)); err != nil {
+		t.Fatalf("%d nested collections: %v", maxWKTNesting, err)
+	}
+	for _, src := range []string{nested(maxWKTNesting + 1), strings.Repeat("COLLECTION(", 2_000_000)} {
+		if _, err := ParseWKT(src); err == nil || !strings.Contains(err.Error(), "nested") {
+			t.Errorf("%.40q...: err = %v, want the nesting error", src, err)
+		}
+	}
+	// Open collections close again: siblings at the cap still parse.
+	sibling := "GEOMETRYCOLLECTION (" + nested(maxWKTNesting-1) + ", " + nested(maxWKTNesting-1) + ")"
+	if _, err := ParseWKT(sibling); err != nil {
+		t.Errorf("sibling collections at the cap: %v", err)
+	}
+}
+
+// FuzzParseWKT feeds arbitrary text to the WKT parser (web clients send
+// it as a login location): it must never panic, and whatever it accepts
+// must format to WKT that parses back to a geometry formatting the same.
+func FuzzParseWKT(f *testing.F) {
+	for _, s := range []string{
+		"POINT (1 2)", "LINESTRING (0 0, 1 1, 2 0)", "LINE EMPTY",
+		"POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 2, 1 1))",
+		"POLYGON ((0 0, 1 0, 1 1, 0 0, 0 0))", "POLYGON ((0 0, 1 0, 0 0, 0 0))", "POLYGON EMPTY",
+		"GEOMETRYCOLLECTION (POINT (1 1), COLLECTION (LINESTRING (0 0, 1e3 -2.5E-3)))",
+		"GEOMETRYCOLLECTION EMPTY", "point(-0 +5)", "COLLECTION (COLLECTION (COLLECTION EMPTY))",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		g, err := ParseWKT(src)
+		if err != nil {
+			return
+		}
+		w := g.WKT()
+		back, err := ParseWKT(w)
+		if err != nil {
+			t.Fatalf("%q parsed, but its WKT %q does not: %v", src, w, err)
+		}
+		if w2 := back.WKT(); w2 != w {
+			t.Fatalf("%q: WKT %q re-parses to %q", src, w, w2)
+		}
+	})
 }

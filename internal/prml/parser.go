@@ -47,7 +47,7 @@ func ParseExpr(src string) (Expr, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	e, err := p.parseExpr()
+	e, err := p.parseTopExpr()
 	if err != nil {
 		return nil, err
 	}
@@ -58,8 +58,69 @@ func ParseExpr(src string) (Expr, error) {
 }
 
 type parser struct {
-	toks []token
-	i    int
+	toks  []token
+	i     int
+	depth int // nesting levels open at the current token (nest)
+}
+
+// maxNesting bounds how deeply PRML source nests: statement lists,
+// parenthesized groups and call arguments, not and unary minus. The
+// parser recurses once per level, and rule sources arrive from web
+// clients: a source nesting hundreds of thousands of levels would exhaust
+// the goroutine stack, which Go cannot recover from. The paper's rules
+// nest a handful of levels.
+const maxNesting = 256
+
+// nest opens one nesting level, or fails past maxNesting. Callers defer
+// p.depth-- once it succeeds.
+func (p *parser) nest() error {
+	if p.depth == maxNesting {
+		return p.errHere("nesting deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	return nil
+}
+
+// parseTopExpr parses an expression standing alone — a statement's,
+// an event's or ParseExpr's — and bounds its operator depth so that
+// Format's output for it parses back within maxNesting. Format wraps every
+// binary operator in parentheses (one level) and a not operand of any
+// other operator in parentheses too (two levels with the not), so an
+// expression of operator depth d, parsed at nesting c, formats to text
+// nesting at most c + 2d. Binary operator chains such as 1 + 1 + ... are
+// parsed by loops, not recursion; the bound also keeps the evaluators
+// that do recurse over them shallow.
+func (p *parser) parseTopExpr() (Expr, error) {
+	pos := p.cur().pos
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if limit := (maxNesting - p.depth - 1) / 2; deeper(e, limit) {
+		return nil, fmt.Errorf("prml: %s: expression nests more than %d operators deep", pos, limit)
+	}
+	return e, nil
+}
+
+// deeper reports whether e nests more than limit operators (binary,
+// unary, call) deep. It recurses at most limit+1 levels.
+func deeper(e Expr, limit int) bool {
+	if limit < 0 {
+		return true
+	}
+	switch ex := e.(type) {
+	case *BinaryExpr:
+		return deeper(ex.L, limit-1) || deeper(ex.R, limit-1)
+	case *UnaryExpr:
+		return deeper(ex.X, limit-1)
+	case *CallExpr:
+		for _, a := range ex.Args {
+			if deeper(a, limit-1) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (p *parser) cur() token { return p.toks[p.i] }
@@ -196,7 +257,7 @@ func (p *parser) parseEvent() (Event, error) {
 		if _, err := p.expect(tokComma); err != nil {
 			return Event{}, err
 		}
-		cond, err := p.parseExpr()
+		cond, err := p.parseTopExpr()
 		if err != nil {
 			return Event{}, err
 		}
@@ -214,6 +275,10 @@ var stmtTerminators = map[string]bool{
 }
 
 func (p *parser) parseStmts(terminator string) ([]Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	var out []Stmt
 	for {
 		if p.at(tokEOF) {
@@ -252,7 +317,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(tokComma); err != nil {
 			return nil, err
 		}
-		val, err := p.parseExpr()
+		val, err := p.parseTopExpr()
 		if err != nil {
 			return nil, err
 		}
@@ -265,7 +330,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(tokLParen); err != nil {
 			return nil, err
 		}
-		target, err := p.parseExpr()
+		target, err := p.parseTopExpr()
 		if err != nil {
 			return nil, err
 		}
@@ -323,7 +388,7 @@ func (p *parser) parseIf() (Stmt, error) {
 	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	cond, err := p.parseExpr()
+	cond, err := p.parseTopExpr()
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +501,13 @@ func (p *parser) parsePath() (*PathExpr, error) {
 
 // Expression grammar (loosest to tightest): or → and → not → comparison →
 // additive → multiplicative → unary minus → primary.
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
+	return p.parseOr()
+}
 
 func (p *parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
@@ -474,6 +545,10 @@ func (p *parser) parseAnd() (Expr, error) {
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.atIdent("not") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer func() { p.depth-- }()
 		pos := p.cur().pos
 		p.advance()
 		x, err := p.parseNot()
@@ -550,6 +625,10 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.at(tokMinus) {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer func() { p.depth-- }()
 		pos := p.cur().pos
 		p.advance()
 		x, err := p.parseUnary()

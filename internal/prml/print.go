@@ -101,12 +101,16 @@ func FormatExpr(e Expr) string {
 	case *PathExpr:
 		return ex.String()
 	case *BinaryExpr:
-		return "(" + FormatExpr(ex.L) + " " + ex.Op.String() + " " + FormatExpr(ex.R) + ")"
+		l, r := FormatExpr(ex.L), FormatExpr(ex.R)
+		if ex.Op != OpAnd && ex.Op != OpOr {
+			l, r = formatOperand(ex.L, l), formatOperand(ex.R, r)
+		}
+		return "(" + l + " " + ex.Op.String() + " " + r + ")"
 	case *UnaryExpr:
 		if ex.Op == OpNot {
 			return "not " + FormatExpr(ex.X)
 		}
-		return "-" + FormatExpr(ex.X)
+		return "-" + formatOperand(ex.X, FormatExpr(ex.X))
 	case *CallExpr:
 		args := make([]string, len(ex.Args))
 		for i, a := range ex.Args {
@@ -115,6 +119,16 @@ func FormatExpr(e Expr) string {
 		return ex.Op.String() + "(" + strings.Join(args, ", ") + ")"
 	}
 	return "<?expr>"
+}
+
+// formatOperand parenthesizes the formatted operand s of a comparison,
+// arithmetic or minus operator when e is a not: not binds looser than
+// those operators, so bare "a + not b" would not parse back.
+func formatOperand(e Expr, s string) string {
+	if u, ok := e.(*UnaryExpr); ok && u.Op == OpNot {
+		return "(" + s + ")"
+	}
+	return s
 }
 
 func trimFloat(v float64) string {

@@ -116,3 +116,70 @@ func TestAnalyzeNeverPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestParseNestingCap pins the nesting bound: every kind of nesting past
+// maxNesting is an error instead of unbounded recursion — including a
+// source far too deep to recurse through — while maxNesting levels of
+// parentheses still parse.
+func TestParseNestingCap(t *testing.T) {
+	rule := func(body string) string { return "Rule:x When SessionStart do " + body + " endWhen" }
+	parens := func(levels int) string {
+		return strings.Repeat("(", levels) + "1" + strings.Repeat(")", levels)
+	}
+	// The statement list and SetContent's argument hold two levels.
+	if _, err := Parse(rule("SetContent(SUS.U.x, " + parens(maxNesting-2) + ")")); err != nil {
+		t.Fatalf("%d nested parentheses: %v", maxNesting-2, err)
+	}
+	ifs := func(levels int) string {
+		return strings.Repeat("If (true) then ", levels) + "SelectInstance(a)" + strings.Repeat(" endIf", levels)
+	}
+	chain := func(op string, terms int) string {
+		return "1" + strings.Repeat(" "+op+" 1", terms-1)
+	}
+	for name, src := range map[string]string{
+		"parentheses":         rule("SetContent(SUS.U.x, " + parens(maxNesting) + ")"),
+		"400000 parentheses":  rule("SetContent(SUS.U.x, " + parens(400_000) + ")"),
+		"If bodies":           rule(ifs(maxNesting)),
+		"not chain":           rule("If (" + strings.Repeat("not ", maxNesting) + "true) then endIf"),
+		"minus chain":         rule("SetContent(SUS.U.x, " + strings.Repeat("- ", maxNesting) + "1)"),
+		"call arguments":      rule("SetContent(SUS.U.x, " + strings.Repeat("Distance(", maxNesting) + "1" + strings.Repeat(")", maxNesting) + ")"),
+		"operator chain":      rule("SetContent(SUS.U.x, " + chain("+", maxNesting) + ")"),
+		"standalone operator": chain("*", maxNesting),
+	} {
+		_, err := Parse(src)
+		if name == "standalone operator" {
+			_, err = ParseExpr(src)
+		}
+		if err == nil || !strings.Contains(err.Error(), "nest") {
+			t.Errorf("%s: err = %v, want a nesting error", name, err)
+		}
+	}
+}
+
+// FuzzPRMLParse feeds arbitrary source to the rule parser (web clients
+// POST it to /api/rules): it must never panic, and whatever it accepts
+// must format to source that parses back and formats the same.
+func FuzzPRMLParse(f *testing.F) {
+	for _, s := range []string{
+		ruleAddSpatiality, rule5kmStores, ruleIntAirportCity, ruleTrainAirportCity,
+		"Rule:k When SessionEnd do If (not (1 + 2 * 3 - 4 / 2 >= 5) or 'a' <> 'b' and true) then SetContent(SUS.U.x, -3.5) else SelectInstance(GeoMD.Store) endIf endWhen",
+		"Rule:m When SessionStart do SetContent(SUS.U.d, 0.3m) AddLayer('Highway''s', POLYGON) endWhen",
+		"Rule:n When SessionStart do SetContent(SUS.U.x, 1 + (not a)) endWhen",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		rules, err := Parse(src)
+		if err != nil {
+			return
+		}
+		printed := Format(rules...)
+		back, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("%q parsed, but its formatted form does not: %v\n%s", src, err, printed)
+		}
+		if again := Format(back...); again != printed {
+			t.Fatalf("%q: formatted form is not stable:\n%s\nre-parses and formats to\n%s", src, printed, again)
+		}
+	})
+}

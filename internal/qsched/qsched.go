@@ -60,6 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,6 +96,11 @@ const DefaultMaxInFlight = 2
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("qsched: scheduler closed")
+
+// ErrInternal is the base error every waiter of a batch gets when its
+// scan panicked: that batch fails, while the scheduler, its scan slot and
+// every other batch carry on. Callers match it with errors.Is.
+var ErrInternal = errors.New("qsched: internal error in shared scan")
 
 // ErrTimeout is the base error of queries dropped from the admission
 // queue past their deadline (Options.Timeout or a request context
@@ -145,7 +151,8 @@ type Options struct {
 	// for every query whose end-to-end latency reaches it, carrying the
 	// trace ID and stage breakdown.
 	SlowQuery time.Duration
-	// Logger receives slow-query records (nil = slog.Default()).
+	// Logger receives slow-query records and scan panics (nil =
+	// slog.Default()).
 	Logger *slog.Logger
 	// TenantWeights maps userKey → fair-share weight (default 1, and any
 	// value <= 0 reads as 1): a tenant with weight 2 sustains twice the
@@ -725,7 +732,7 @@ func (s *Scheduler) runBatch(batch []*request) {
 	s.stScans.Add(int64(len(facts)))
 	st := &obs.ScanTrace{}
 	scanStart := time.Now()
-	results, sharing, err := s.c.ExecuteBatchCompiledOpt(cqs, vs, cube.BatchOptions{
+	results, sharing, err := s.execute(cqs, vs, cube.BatchOptions{
 		Workers: s.opts.Workers,
 		Trace:   st,
 	})
@@ -865,15 +872,34 @@ func (s *Scheduler) runBatch(batch []*request) {
 	}
 }
 
+// execute runs one shared scan. A panic in the executor fails the batch
+// with an error wrapping ErrInternal instead of ending the process; it is
+// logged with its stack.
+func (s *Scheduler) execute(cqs []*cube.CompiledQuery, vs []*cube.View, opts cube.BatchOptions) (results []*cube.Result, sharing cube.SharingStats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			results, sharing = nil, cube.SharingStats{}
+			err = fmt.Errorf("%w: %v", ErrInternal, r)
+			s.logger().Error("shared scan panicked", slog.Any("panic", r),
+				slog.Int("batchQueries", len(cqs)), slog.String("stack", string(debug.Stack())))
+		}
+	}()
+	return s.c.ExecuteBatchCompiledOpt(cqs, vs, opts)
+}
+
+// logger is Options.Logger, or the default logger when unset.
+func (s *Scheduler) logger() *slog.Logger {
+	if s.opts.Logger != nil {
+		return s.opts.Logger
+	}
+	return slog.Default()
+}
+
 // maybeLogSlow emits the structured slow-query record when the knob is on
 // and the query crossed the threshold.
 func (s *Scheduler) maybeLogSlow(traceID, user, fact string, e2e, wait, scan time.Duration, batchQueries int, res *cube.Result, err error) {
 	if s.opts.SlowQuery <= 0 || e2e < s.opts.SlowQuery {
 		return
-	}
-	lg := s.opts.Logger
-	if lg == nil {
-		lg = slog.Default()
 	}
 	attrs := []slog.Attr{
 		slog.String("traceId", traceID),
@@ -895,7 +921,7 @@ func (s *Scheduler) maybeLogSlow(traceID, user, fact string, e2e, wait, scan tim
 	if err != nil {
 		attrs = append(attrs, slog.String("error", err.Error()))
 	}
-	lg.LogAttrs(context.Background(), slog.LevelWarn, "slow query", attrs...)
+	s.logger().LogAttrs(context.Background(), slog.LevelWarn, "slow query", attrs...)
 }
 
 // Stats is a point-in-time snapshot of the scheduler's counters.
@@ -972,8 +998,8 @@ type Stats struct {
 	// counts queries that carried filters, FilterMasks the distinct filter
 	// bitmaps their scans needed; FilterPredicates counts (query,
 	// distinct-predicate) uses, PredicateMasks the distinct single-filter
-	// sub-fingerprints among them, ComposedMasks the set masks produced by
-	// AND-composing per-predicate bitmaps (full or partial); GroupKeySets
+	// sub-fingerprints among them, ComposedMasks the set masks built with
+	// at least one predicate bitmap ANDed in; GroupKeySets
 	// counts queries with a dense, non-empty group-by, GroupKeyCols the
 	// distinct group-by lists among them (composite roll-up key columns).
 	FilterSets       int64 `json:"filterSets"`
@@ -991,9 +1017,9 @@ type Stats struct {
 	PartialsReused    int64 `json:"partialsReused"`
 	PartialsAllocated int64 `json:"partialsAllocated"`
 	// PackedKernelScans counts plan scans that dispatched a monomorphic
-	// stage-3 aggregation kernel; PackedPredicateKernels counts stage-1
-	// predicate bitmaps filled word-at-a-time from the packed columns
-	// (see cube.SharingStats).
+	// stage-3 aggregation kernel; PackedPredicateKernels counts the
+	// word-at-a-time packed predicate kernels stage 1 ran (see
+	// cube.SharingStats).
 	PackedKernelScans      int64 `json:"packedKernelScans"`
 	PackedPredicateKernels int64 `json:"packedPredicateKernels"`
 	// Packed reports the compressed-column storage footprint (bit widths
@@ -1062,7 +1088,7 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Unlock()
 	st.FilterSets, st.FilterMasks = int64(sh.FilterSets), int64(sh.DistinctFilterSets)
 	st.FilterPredicates, st.PredicateMasks = int64(sh.FilterPredicates), int64(sh.DistinctPredicates)
-	st.ComposedMasks = int64(sh.ComposedMasks + sh.PartialMasks)
+	st.ComposedMasks = int64(sh.ComposedMasks)
 	st.GroupKeySets, st.GroupKeyCols = int64(sh.GroupKeySets), int64(sh.DistinctGroupings)
 	st.PartialsReused, st.PartialsAllocated = int64(sh.PartialsReused), int64(sh.PartialsAllocated)
 	st.PackedKernelScans = int64(sh.PackedKernelScans)

@@ -348,11 +348,20 @@ func (t *Table) ExecuteBatchCompiledOpt(cqs []*cube.CompiledQuery, vs []*cube.Vi
 	shardParts := make([][]*cube.BatchPartial, n)
 	shardStats := make([]cube.SharingStats, n)
 	errs := make([]error, n)
+	// A shard scan's panic is re-raised here once every shard has
+	// stopped: left in its goroutine it would end the process, and a
+	// caller (the scheduler) fails just the batch.
+	panics := make([]any, n)
 	var wg sync.WaitGroup
 	for s := range t.shards {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panics[s] = r
+				}
+			}()
 			t.sem <- struct{}{}
 			defer func() { <-t.sem }()
 			sh := t.shards[s]
@@ -388,6 +397,11 @@ func (t *Table) ExecuteBatchCompiledOpt(cqs []*cube.CompiledQuery, vs []*cube.Vi
 		}(s)
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, stats, err

@@ -71,8 +71,9 @@ func randomQuery(rng *rand.Rand) cube.Query {
 	}
 	// Filter values come from small pools so predicates recur across the
 	// batch's queries: overlapping-but-unequal filter sets are exactly
-	// what the per-predicate composition paths (full, partial, residual)
-	// need to be exercised against the reference.
+	// what the stage-1 planner's shapes (predicate bitmaps ANDed into set
+	// masks, masks of kernels alone, sparse walks) need to be exercised
+	// against the reference.
 	numericOps := []cube.FilterOp{cube.OpEq, cube.OpNe, cube.OpLt, cube.OpLe, cube.OpGt, cube.OpGe}
 	popPool := []float64{100000, 500000, 1500000}
 	agePool := []float64{30, 45, 60}
@@ -486,4 +487,31 @@ func TestShardedBatchUnderIngestAndSelection(t *testing.T) {
 	queriers.Wait()
 	close(stop)
 	wg.Wait()
+}
+
+// TestShardScanPanicReachesTheCaller pins the fan-out's fault contract: a
+// panic in one shard's scan goroutine (here a plan that cannot rebind) is
+// re-raised on the calling goroutine once every shard has stopped, where
+// the scheduler recovers it, instead of ending the process.
+func TestShardScanPanicReachesTheCaller(t *testing.T) {
+	ds, _ := testDataset(t, 9)
+	table := shard.New(ds.Cube, shard.Options{Shards: 3})
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		_, _, _ = table.ExecuteBatchCompiledOpt([]*cube.CompiledQuery{{}}, nil, cube.BatchOptions{})
+	}()
+	if r == nil {
+		t.Fatal("the shard scan's panic never reached the caller")
+	}
+	// The table still scans.
+	q := cube.Query{Fact: "Sales", Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}}
+	cq, err := ds.Cube.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := table.ExecuteBatchCompiledOpt([]*cube.CompiledQuery{cq}, nil, cube.BatchOptions{})
+	if err != nil || res[0].MatchedFacts != ds.Cube.FactData("Sales").Len() {
+		t.Fatalf("scan after the panic: %+v, %v", res, err)
+	}
 }

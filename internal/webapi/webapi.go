@@ -454,9 +454,12 @@ var (
 // scheduler is a server lifecycle condition (shutdown in progress), an
 // admission timeout is the scheduler dropping stale queued work at the
 // deadline, and an overload shed is the scheduler refusing an over-share
-// tenant up front — none of these is a client mistake.
+// tenant up front — none of these is a client mistake; nor is a scan that
+// failed inside the server (qsched.ErrInternal).
 func queryErrStatus(err error) int {
 	switch {
+	case errors.Is(err, qsched.ErrInternal):
+		return http.StatusInternalServerError
 	case errors.Is(err, qsched.ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, qsched.ErrOverloaded):
@@ -491,9 +494,10 @@ type batchQueryResponse struct {
 	Results []*cube.Result `json:"results"`
 }
 
-// handleQueryBatch answers many queries of one session in a single shared
-// scan per fact table (cube.ExecuteBatch): the wire shape of a dashboard
-// refreshing all of its tiles at once.
+// handleQueryBatch answers many queries of one session through the
+// scheduler in one admission (qsched.SubmitBatchCtx), which scans them
+// together with whatever else is queued — one shared scan per fact table:
+// the wire shape of a dashboard refreshing all of its tiles at once.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return

@@ -57,12 +57,12 @@ go test -run '^$' -bench=. -benchtime=1x ./...
 
 # The plain test run only replays each fuzz target's seeds; give every
 # target a short mutation budget of its own (go test -fuzz takes one
-# target per run).
-for target in \
-  ./internal/cube/:FuzzArtifactKeys \
-  ./internal/cube/:FuzzPackedColumn \
-  ./internal/export/:FuzzGeoJSONScalars \
-  ./internal/core/:FuzzRulePlan \
-  ./internal/webapi/:FuzzQuerySpec; do
-  go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime=5s "${target%%:*}"
+# target per run). Targets are found by their declarations, so a new
+# Fuzz* test joins without an edit here.
+mapfile -t fuzz_files < <(grep -rl --include='*_test.go' '^func Fuzz' . | sort)
+((${#fuzz_files[@]} > 0)) || { echo "stress.sh: no fuzz targets found" >&2; exit 1; }
+for file in "${fuzz_files[@]}"; do
+  for target in $(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$file"); do
+    go test -run '^$' -fuzz "^${target}\$" -fuzztime=5s "$(dirname "$file")/"
+  done
 done
