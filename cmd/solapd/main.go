@@ -18,13 +18,20 @@
 //
 // Every flag, its default, and how the knobs interact is documented in
 // docs/OPERATIONS.md.
+//
+// On SIGINT or SIGTERM the daemon stops accepting connections, lets
+// in-flight requests finish (for up to shutdownGrace), stops the query
+// scheduler, saves the user profiles when -profiles is set, and exits.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the -pprof-addr listener
 	"os"
@@ -32,9 +39,19 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"sdwp"
 	"sdwp/internal/cube"
+)
+
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers.
+	readHeaderTimeout = 10 * time.Second
+	// shutdownGrace bounds how long a signalled daemon waits for
+	// in-flight requests before it stops the engine anyway.
+	shutdownGrace = 30 * time.Second
 )
 
 func main() {
@@ -180,7 +197,7 @@ func main() {
 	}
 
 	// Profile persistence: the user model accumulates interest degrees
-	// across sessions; deployments keep it on disk.
+	// across sessions; deployments keep it on disk (saved on shutdown).
 	if *profiles != "" {
 		if data, err := os.ReadFile(*profiles); err == nil {
 			if err := json.Unmarshal(data, users); err != nil {
@@ -190,23 +207,9 @@ func main() {
 		} else if !os.IsNotExist(err) {
 			log.Fatalf("read profiles: %v", err)
 		}
-		sigs := make(chan os.Signal, 1)
-		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sigs
-			engine.Close() // stop the query scheduler before persisting
-			data, err := json.MarshalIndent(users, "", "  ")
-			if err == nil {
-				err = os.WriteFile(*profiles, data, 0o644)
-			}
-			if err != nil {
-				log.Printf("save profiles: %v", err)
-				os.Exit(1)
-			}
-			fmt.Printf("\nsolapd: saved %d user profiles to %s\n", users.Len(), *profiles)
-			os.Exit(0)
-		}()
 	}
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 
 	// The profiling listener is separate from the API address (and off by
 	// default) so pprof is never reachable from the API's exposure. The
@@ -222,6 +225,46 @@ func main() {
 	fmt.Printf("solapd: %d stores / %d cities / %d facts, %d rules, %d users, %d fact shard(s)\n",
 		cfg.Stores, cfg.Cities, warehouse.FactData("Sales").Len(), len(rules), len(roles),
 		engine.FactShards())
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("solapd: listening on %s\n", *addr)
-	log.Fatal(http.ListenAndServe(*addr, sdwp.NewHTTPServer(engine)))
+	srv := &http.Server{Handler: sdwp.NewHTTPServer(engine), ReadHeaderTimeout: readHeaderTimeout}
+	if err := serve(srv, ln, sigs, engine, users, *profiles); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// serve serves srv on ln until a signal arrives on sigs, then shuts down
+// in order: stop accepting connections and wait up to shutdownGrace for
+// in-flight requests, stop the engine's query scheduler, and save the
+// user profiles to profilesPath unless it is empty. Profiles are saved
+// even when the drain times out; the error reports both.
+func serve(srv *http.Server, ln net.Listener, sigs <-chan os.Signal, engine *sdwp.Engine, users *sdwp.UserStore, profilesPath string) error {
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case sig := <-sigs:
+		fmt.Printf("\nsolapd: %v: draining\n", sig)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	drainErr := srv.Shutdown(ctx)
+	<-served // http.ErrServerClosed, once Shutdown has closed ln
+	engine.Close()
+	if profilesPath == "" {
+		return drainErr
+	}
+	data, err := json.MarshalIndent(users, "", "  ")
+	if err == nil {
+		err = os.WriteFile(profilesPath, data, 0o644)
+	}
+	if err != nil {
+		return errors.Join(drainErr, fmt.Errorf("save profiles: %w", err))
+	}
+	fmt.Printf("solapd: saved %d user profiles to %s\n", users.Len(), profilesPath)
+	return drainErr
 }

@@ -400,6 +400,25 @@ func (env *sessionEnv) Iterate(p *prml.PathExpr, fn func(prml.Instance) error) e
 	return fmt.Errorf("core: cannot iterate %s", p)
 }
 
+// LoopData implements prml.Env. Each source must resolve, through the
+// session's schema, to a member level or a catalog layer with no trailing
+// segments: the key is then the engine (its cube and distance metric),
+// the cube's dimension-data generation and the resolved elements. A fact
+// domain, a source that does not resolve or one with trailing segments
+// has no key; the loop then runs (and errors) as it would without one.
+func (env *sessionEnv) LoopData(sources []*prml.PathExpr) (prml.LoopKey, bool) {
+	e := env.s.engine
+	key := prml.LoopKey{Store: e, Gen: e.cube.DataGen(), Domains: make([]string, len(sources))}
+	for i, p := range sources {
+		elem, rest, err := env.resolveElem(p)
+		if err != nil || len(rest) != 0 || elem.kind == elemFact {
+			return prml.LoopKey{}, false
+		}
+		key.Domains[i] = elem.String()
+	}
+	return key, true
+}
+
 // Param implements prml.Env.
 func (env *sessionEnv) Param(name string) (prml.Value, bool) {
 	return env.s.engine.Param(name)

@@ -351,7 +351,9 @@ endWhen`, false},
 
 // FuzzRulePlan differentially fuzzes the compiled plans against the
 // reference interpreter over small rule and expression texts, on sessions
-// of a tiny warehouse. Inputs that do not parse are skipped.
+// of a tiny warehouse. Each compiled rule runs in two fresh sessions, so a
+// pure loop's second run replays its memo. Inputs that do not parse are
+// skipped.
 func FuzzRulePlan(f *testing.F) {
 	for _, seed := range []string{
 		paperRules,
@@ -359,6 +361,13 @@ func FuzzRulePlan(f *testing.F) {
   Foreach a, b in (GeoMD.Store.City, GeoMD.Store.City)
     If (Distance(a.geometry, b.geometry) < 100km and not Equals(a.geometry, b.geometry)) then
       SelectInstance(a)
+    endIf
+  endForeach
+endWhen`,
+		`Rule:r When SessionStart do
+  Foreach t, c in (GeoMD.Train, GeoMD.Store.City)
+    If (Distance(Intersection(t.geometry, c.geometry)) < 400km or c.population > 1000000) then
+      SelectInstance(c)
     endIf
   endForeach
 endWhen`,
@@ -417,14 +426,17 @@ endWhen`,
 		}
 		if rules, err := prml.Parse(src); err == nil {
 			for _, r := range rules {
-				ps, rs := newPair()
-				pst, perr := prml.NewEvaluator(&sessionEnv{s: ps}).ExecPlan(prml.Compile(r, d.plan.compileOptions()))
-				rst, rerr := newRefEvaluator(&sessionEnv{s: rs}).Exec(r)
-				if errText(perr) != errText(rerr) || pst != rst {
-					t.Fatalf("rule %s: plan %+v %q, reference %+v %q", r.Name, pst, errText(perr), rst, errText(rerr))
-				}
-				if diff := sessionDiff(ps, rs); diff != "" {
-					t.Fatalf("rule %s: %s", r.Name, diff)
+				p := prml.Compile(r, d.plan.compileOptions())
+				for run := 1; run <= 2; run++ {
+					ps, rs := newPair()
+					pst, perr := prml.NewEvaluator(&sessionEnv{s: ps}).ExecPlan(p)
+					rst, rerr := newRefEvaluator(&sessionEnv{s: rs}).Exec(r)
+					if errText(perr) != errText(rerr) || pst != rst {
+						t.Fatalf("rule %s, run %d: plan %+v %q, reference %+v %q", r.Name, run, pst, errText(perr), rst, errText(rerr))
+					}
+					if diff := sessionDiff(ps, rs); diff != "" {
+						t.Fatalf("rule %s, run %d: %s", r.Name, run, diff)
+					}
 				}
 			}
 			return

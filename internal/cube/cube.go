@@ -36,7 +36,7 @@ type LevelData struct {
 	names   []string         // descriptor column (display names)
 	attrs   map[string][]any // other attribute columns
 	parents []int32          // index into the next coarser level
-	geoms   []geom.Geometry  // nil until the level becomes spatial
+	geoms   []geomSlot       // nil until the level becomes spatial
 
 	byName map[string]int32 // descriptor → member index (first wins)
 
@@ -64,10 +64,22 @@ func (ld *LevelData) Parent(i int32) int32 {
 
 // Geometry returns member i's geometry (nil if not spatial or unset).
 func (ld *LevelData) Geometry(i int32) geom.Geometry {
-	if ld.geoms == nil || int(i) >= len(ld.geoms) {
+	if int(i) >= len(ld.geoms) {
 		return nil
 	}
-	return ld.geoms[i]
+	return ld.geoms[i].load()
+}
+
+// geomSlot holds one member's geometry. SetMemberGeometry may replace an
+// existing member's geometry while sessions read it (a live correction of
+// one city's outline), so the slot is an atomic pointer.
+type geomSlot struct{ p atomic.Pointer[geom.Geometry] }
+
+func (s *geomSlot) load() geom.Geometry {
+	if g := s.p.Load(); g != nil {
+		return *g
+	}
+	return nil
 }
 
 // Attr returns the named attribute of member i (the descriptor is exposed
@@ -351,6 +363,17 @@ type Cube struct {
 	// member data by reference.
 	shardMu   sync.Mutex
 	shardKids []*Cube
+
+	// dataGen is the dimension-data generation: it counts the mutations of
+	// member and layer data — AddMember, SetMemberAttr (any attribute),
+	// SetMemberGeometry, RegisterLayer and AddLayerObject — once for the
+	// whole shard family, which shares that data (DataGen reads the
+	// parent's). Each mutator bumps it after its write, so a reader that
+	// loads a generation sees every write counted up to it. It keys the
+	// memo of rule loops that read only warehouse data (prml's pure
+	// Foreach): a loop whose outcome was recorded at this generation is
+	// replayed, not re-run.
+	dataGen atomic.Uint64
 }
 
 // New creates an empty cube for the schema.
@@ -422,10 +445,7 @@ func (c *Cube) NewFactShard() *Cube {
 // FactData versions, so the bump fans out across the whole shard family —
 // whichever family member the mutation came in through.
 func (c *Cube) bumpFactVersions() {
-	root := c
-	if c.shardParent != nil {
-		root = c.shardParent
-	}
+	root := c.family()
 	for _, fd := range root.facts {
 		fd.version.Add(1)
 	}
@@ -438,6 +458,20 @@ func (c *Cube) bumpFactVersions() {
 		}
 	}
 }
+
+// family returns the cube whose dimension and layer data this one shares:
+// its shard parent, or itself.
+func (c *Cube) family() *Cube {
+	if c.shardParent != nil {
+		return c.shardParent
+	}
+	return c
+}
+
+// DataGen returns the dimension-data generation (see Cube.dataGen).
+func (c *Cube) DataGen() uint64 { return c.family().dataGen.Load() }
+
+func (c *Cube) bumpDataGen() { c.family().dataGen.Add(1) }
 
 // Dimension returns a dimension's data, or nil.
 func (c *Cube) Dimension(name string) *DimData { return c.dims[name] }
@@ -478,7 +512,7 @@ func (c *Cube) AddMember(dim, level, descriptor string, parent int32) (int32, er
 	ld.names = append(ld.names, descriptor)
 	ld.parents = append(ld.parents, parent)
 	if ld.geoms != nil {
-		ld.geoms = append(ld.geoms, nil)
+		ld.geoms = append(ld.geoms, geomSlot{})
 	}
 	for k := range ld.attrs {
 		ld.attrs[k] = append(ld.attrs[k], nil)
@@ -487,6 +521,7 @@ func (c *Cube) AddMember(dim, level, descriptor string, parent int32) (int32, er
 		ld.byName[descriptor] = idx
 	}
 	ld.gen.Add(1)
+	c.bumpDataGen()
 	return idx, nil
 }
 
@@ -512,6 +547,7 @@ func (c *Cube) SetMemberAttr(dim, level string, member int32, attr string, v any
 		ld.names[member] = s
 		ld.gen.Add(1)
 		c.dims[dim].invalidateDerived()
+		c.bumpDataGen()
 		return nil
 	}
 	col := ld.attrs[attr]
@@ -523,13 +559,17 @@ func (c *Cube) SetMemberAttr(dim, level string, member int32, attr string, v any
 	}
 	col[member] = v
 	ld.attrs[attr] = col
+	c.bumpDataGen()
 	return nil
 }
 
 // SetMemberGeometry attaches a geometry to a member. The level need not be
 // spatial in the base schema — BecomeSpatial may promote it later; data can
 // be staged eagerly (the usual deployment loads geometry for candidate
-// levels and lets rules decide which users see it).
+// levels and lets rules decide which users see it). Replacing the
+// geometry of a member whose level already holds one per member is safe
+// against concurrent readers; growing the level's geometry column is
+// loading and must not race them.
 func (c *Cube) SetMemberGeometry(dim, level string, member int32, g geom.Geometry) error {
 	ld, err := c.levelData(dim, level)
 	if err != nil {
@@ -539,13 +579,14 @@ func (c *Cube) SetMemberGeometry(dim, level string, member int32, g geom.Geometr
 		return fmt.Errorf("cube: member %d out of range for %s.%s", member, dim, level)
 	}
 	if ld.geoms == nil {
-		ld.geoms = make([]geom.Geometry, ld.Len())
+		ld.geoms = make([]geomSlot, ld.Len())
 	}
 	for len(ld.geoms) < ld.Len() {
-		ld.geoms = append(ld.geoms, nil)
+		ld.geoms = append(ld.geoms, geomSlot{})
 	}
-	ld.geoms[member] = g
+	ld.geoms[member].p.Store(&g)
 	ld.gen.Add(1)
+	c.bumpDataGen()
 	return nil
 }
 
@@ -609,6 +650,7 @@ func (c *Cube) RegisterLayer(name string, t geom.Type) (*LayerData, error) {
 	}
 	ld := &LayerData{layer: geomd.Layer{Name: name, Geom: t}}
 	c.layers[name] = ld
+	c.bumpDataGen()
 	return ld, nil
 }
 
@@ -626,6 +668,7 @@ func (c *Cube) AddLayerObject(layer, name string, g geom.Geometry) (int32, error
 	ld.names = append(ld.names, name)
 	ld.geoms = append(ld.geoms, g)
 	ld.gen.Add(1)
+	c.bumpDataGen()
 	return idx, nil
 }
 

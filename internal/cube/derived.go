@@ -8,7 +8,9 @@ import "sync/atomic"
 // use. Two readers may both build a missing value: they build it from the
 // same table state, and the later store wins. Table mutations belong to
 // loading and must not race readers (the discipline NewFactShard
-// documents).
+// documents), except SetMemberGeometry's replacement of one member's
+// geometry: it bumps the generation after its write, so a value built
+// from the old geometry is stored at the old generation.
 type derived[T any] struct{ p atomic.Pointer[derivedAt[T]] }
 
 type derivedAt[T any] struct {

@@ -70,8 +70,8 @@ func (c *Cube) Snapshot() *Snapshot {
 			}
 			if ld.geoms != nil {
 				ls.Geoms = make([]string, len(ld.geoms))
-				for j, g := range ld.geoms {
-					if g != nil {
+				for j := range ld.geoms {
+					if g := ld.geoms[j].load(); g != nil {
 						ls.Geoms[j] = g.WKT()
 					}
 				}

@@ -21,8 +21,8 @@ func (ld *LevelData) pointIndex() *geoidx.PointIndex {
 			return nil
 		}
 		pts := make([]geom.Point, len(ld.geoms))
-		for i, g := range ld.geoms {
-			p, ok := g.(geom.Point)
+		for i := range ld.geoms {
+			p, ok := ld.geoms[i].load().(geom.Point)
 			if !ok {
 				return nil
 			}
@@ -51,7 +51,7 @@ func (c *Cube) MembersWithinKm(dim, level string, center geom.Geometry, radiusKm
 		}
 	}
 	for i := int32(0); int(i) < ld.Len(); i++ {
-		g := ld.geoms[i]
+		g := ld.Geometry(i)
 		if g == nil {
 			continue
 		}

@@ -62,7 +62,7 @@ func (c *Cube) SpatialSummary(dim, level, groupLevel string, v *View) ([]Spatial
 	}
 	accs := map[int32]*acc{}
 	for i := int32(0); int(i) < ld.Len(); i++ {
-		g := ld.geoms[i]
+		g := ld.Geometry(i)
 		if g == nil {
 			continue
 		}

@@ -66,6 +66,9 @@ func (f *fakeEnv) Param(name string) (Value, bool) {
 	return v, ok
 }
 
+// LoopData names no data: every Foreach runs.
+func (f *fakeEnv) LoopData([]*PathExpr) (LoopKey, bool) { return LoopKey{}, false }
+
 func (f *fakeEnv) SetContent(target *PathExpr, v Value) error {
 	f.setCalls = append(f.setCalls, fmt.Sprintf("%s=%s", target, v))
 	f.paths[target.String()] = v

@@ -2,6 +2,8 @@ package prml
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 )
 
 // This file compiles rules into plans: the executable form the Evaluator
@@ -26,6 +28,20 @@ import (
 //     outer binding) unless its body performs schema or content actions.
 //   - A Foreach the CompileOptions.Native planner recognizes (the engine's
 //     radius-query plan) is matched here, once per rule, and run natively.
+//   - A pure Foreach — its body only If and SelectInstance, every
+//     expression reading only literals and fields of the statement's own
+//     variables (no model path, parameter or enclosing variable), every
+//     SelectInstance a bare loop variable — selects the same instances in
+//     every session that sees the same warehouse data. Purity is decided
+//     here; at run time the Env names that data (Env.LoopData: the resolved
+//     sources and the warehouse's data generation). The first execution
+//     under a key records its selections and iteration count; later
+//     executions under an equal key, in any session, replay the selections
+//     in order through Env.SelectInstance and add the recorded statistics,
+//     so views, Stats and error texts match a run of the loop. The memo is
+//     stored only after a run without error, and the key is read before
+//     the run: data that changes mid-run leaves a key no later execution
+//     reads. Example 5.3's TrainAirportCity loop is pure.
 
 // CompileOptions configures Compile.
 type CompileOptions struct {
@@ -101,6 +117,9 @@ type frame struct {
 	memo  []memoCell
 	tmp   []Value
 	clock uint64
+	// rec, while a pure Foreach runs to be memoized, records its
+	// selections (see foreachPlan.record).
+	rec *loopMemo
 }
 
 // memoCell caches one hoisted value; it is current while stamp equals the
@@ -239,6 +258,9 @@ func (c *compiler) stmt(s Stmt) cstmt {
 			}
 			fr.st.ActionsRun++
 			fr.st.InstancesSel++
+			if fr.rec != nil {
+				fr.rec.sels = append(fr.rec.sels, selection{inst: v.Inst, pos: st.Pos, iters: fr.st.LoopIterations})
+			}
 			return nil
 		}
 
@@ -275,10 +297,29 @@ type foreachPlan struct {
 	mutates bool
 	native  NativeForeach
 	ref     cexpr
+	// pure: the outcome depends only on the data the sources denote, and
+	// memo holds the last one recorded (shared by every session running
+	// the plan).
+	pure bool
+	memo atomic.Pointer[loopMemo]
+}
+
+// loopMemo is the recorded outcome of one pure Foreach execution.
+type loopMemo struct {
+	key   LoopKey
+	sels  []selection
+	iters int // body executions
+}
+
+// selection is one SelectInstance a pure Foreach performed.
+type selection struct {
+	inst  Instance
+	pos   Pos // the statement's, for error text
+	iters int // body executions up to and including this one's
 }
 
 func (c *compiler) foreach(f *ForeachStmt) cstmt {
-	fp := &foreachPlan{sources: f.Sources, mutates: mutates(f.Body)}
+	fp := &foreachPlan{sources: f.Sources, mutates: mutates(f.Body), pure: pure(f)}
 	if c.opts.Native != nil {
 		if run, ref := c.opts.Native(f); run != nil {
 			fp.native = run
@@ -321,8 +362,54 @@ func (fp *foreachPlan) exec(fr *frame) error {
 			return nil
 		}
 	}
+	if fp.pure {
+		if key, ok := fr.env.LoopData(fp.sources); ok {
+			if m := fp.memo.Load(); m != nil && m.key.equal(&key) {
+				return m.replay(fr)
+			}
+			return fp.record(fr, key)
+		}
+	}
 	run := foreachRun{fp: fp, fr: fr}
 	return run.level(0)
+}
+
+// record runs a pure Foreach and, if it succeeds, publishes its outcome
+// as the memo for key.
+func (fp *foreachPlan) record(fr *frame, key LoopKey) error {
+	base := fr.st.LoopIterations
+	m := &loopMemo{key: key}
+	fr.rec = m
+	run := foreachRun{fp: fp, fr: fr}
+	err := run.level(0)
+	fr.rec = nil
+	if err != nil {
+		return err
+	}
+	m.iters = fr.st.LoopIterations - base
+	for i := range m.sels {
+		m.sels[i].iters -= base
+	}
+	fp.memo.Store(m)
+	return nil
+}
+
+// replay performs a memoized execution's selections, in order, and adds
+// the statistics the run would have: up to a failing selection, the ones
+// the run would have counted before failing there.
+func (m *loopMemo) replay(fr *frame) error {
+	for i, sel := range m.sels {
+		if err := fr.env.SelectInstance(InstVal(sel.inst)); err != nil {
+			fr.st.LoopIterations += sel.iters
+			fr.st.ActionsRun += i
+			fr.st.InstancesSel += i
+			return fmt.Errorf("prml: %s: %w", sel.pos, err)
+		}
+	}
+	fr.st.LoopIterations += m.iters
+	fr.st.ActionsRun += len(m.sels)
+	fr.st.InstancesSel += len(m.sels)
+	return nil
 }
 
 // foreachRun is one execution of a Foreach: the cartesian product of its
@@ -392,6 +479,55 @@ func mutates(body []Stmt) bool {
 		}
 	})
 	return found
+}
+
+// pure reports whether a Foreach's outcome depends only on the data its
+// sources denote: its body holds only If and SelectInstance statements,
+// every expression reads only literals and fields of the statement's own
+// variables (no model path, parameter or enclosing variable), and every
+// SelectInstance selects a bare loop variable.
+func pure(f *ForeachStmt) bool {
+	own := func(p *PathExpr) bool { return !p.IsModelPath() && slices.Contains(f.Vars, p.Root) }
+	var expr func(e Expr) bool
+	expr = func(e Expr) bool {
+		switch ex := e.(type) {
+		case *NumberLit, *StringLit, *BoolLit:
+			return true
+		case *PathExpr:
+			return own(ex)
+		case *UnaryExpr:
+			return expr(ex.X)
+		case *BinaryExpr:
+			return expr(ex.L) && expr(ex.R)
+		case *CallExpr:
+			for _, a := range ex.Args {
+				if !expr(a) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	var body func(stmts []Stmt) bool
+	body = func(stmts []Stmt) bool {
+		for _, s := range stmts {
+			switch st := s.(type) {
+			case *IfStmt:
+				if !expr(st.Cond) || !body(st.Then) || !body(st.Else) {
+					return false
+				}
+			case *SelectInstanceStmt:
+				if p, ok := st.Target.(*PathExpr); !ok || !own(p) || len(p.Segs) != 0 {
+					return false
+				}
+			default:
+				return false
+			}
+		}
+		return true
+	}
+	return body(f.Body)
 }
 
 // depSlot is the slot an expression's value depends on: the deepest

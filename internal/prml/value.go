@@ -2,6 +2,7 @@ package prml
 
 import (
 	"fmt"
+	"slices"
 
 	"sdwp/internal/geom"
 )
@@ -175,6 +176,22 @@ func (v Value) String() string {
 	}
 }
 
+// LoopKey identifies the data a pure Foreach reads (Env.LoopData).
+type LoopKey struct {
+	// Store is the Env's identity for the warehouse and its distance
+	// metric; it must be comparable.
+	Store any
+	// Gen is the warehouse's data generation: it moves with every change
+	// to the data the loop may read.
+	Gen uint64
+	// Domains names the element each source resolved to.
+	Domains []string
+}
+
+func (k *LoopKey) equal(o *LoopKey) bool {
+	return k.Store == o.Store && k.Gen == o.Gen && slices.Equal(k.Domains, o.Domains)
+}
+
 // Env binds the rule evaluator to the warehouse: path resolution over the
 // three conceptual models (SUS, MD, GeoMD), iteration domains for Foreach,
 // designer parameters, the four personalization actions, and the distance
@@ -189,6 +206,11 @@ type Env interface {
 	Iterate(p *PathExpr, fn func(Instance) error) error
 	// Param returns a designer-defined constant (e.g. threshold).
 	Param(name string) (Value, bool)
+	// LoopData names the data a pure Foreach over sources reads (see
+	// plan.go): the instances the sources denote, their fields and the
+	// distance metric. Equal keys must mean equal data. ok is false when
+	// the Env cannot name it; the loop then runs.
+	LoopData(sources []*PathExpr) (key LoopKey, ok bool)
 
 	// SetContent performs the acquisition action.
 	SetContent(target *PathExpr, v Value) error

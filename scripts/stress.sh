@@ -41,6 +41,12 @@ go test -race -count=3 -run 'ArtifactCache|AddFactUnderQueries' ./internal/cube/
 # text (generation-tagged atomic pointers, internal/cube/derived.go).
 go test -race -count=3 -run 'ConcurrentSessions|ConcurrentExport' ./internal/core/ ./internal/export/
 
+# Logins of different users share each pure rule loop's memo (an atomic
+# pointer on the compiled plan) while a city's geometry moves under them:
+# every login must see one generation's data, and none after the move
+# may replay a memo recorded before it.
+go test -race -count=10 -run 'ConcurrentLoginsShareRuleMemo' ./internal/core/
+
 # The sharded executor interleaves scatter-gather scans with routed
 # ingest and view selections across per-shard locks.
 go test -race -count=2 -run 'Sharded' ./internal/shard/ ./internal/core/
