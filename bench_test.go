@@ -1,8 +1,9 @@
 package sdwp
 
-// One testing.B target per experiment in DESIGN.md §4. The cmd/experiments
-// harness prints the human-readable tables; these benches make the same
-// measurements reproducible via `go test -bench`.
+// Benchmarks of the paper's experiments (X1–X3, C1–C6) and of the hot
+// paths behind them. cmd/experiments prints the human-readable tables and
+// TestPaperClaims (internal/core) asserts the claims as work counts; these
+// benches make the timings reproducible via `go test -bench`.
 
 import (
 	"context"

@@ -27,23 +27,28 @@ type planDiff struct {
 
 func newPlanDiff(t testing.TB, c *cube.Cube, opts Options, rules string) *planDiff {
 	t.Helper()
-	mk := func() *Engine {
-		users, err := datagen.NewUserStore(map[string]string{
-			"alice": "RegionalSalesManager",
-			"bob":   "Accountant",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(c, users, opts)
-		t.Cleanup(e.Close)
-		e.SetParam("threshold", prml.NumberVal(2))
-		if _, err := e.AddRules(rules); err != nil {
-			t.Fatal(err)
-		}
-		return e
+	return &planDiff{plan: newEngineOver(t, c, opts, rules), ref: newEngineOver(t, c, opts, rules)}
+}
+
+// newEngineOver is an engine over c with its own user store — alice (a
+// regional sales manager) and bob (an accountant) — threshold 2 and the
+// given rules.
+func newEngineOver(t testing.TB, c *cube.Cube, opts Options, rules string) *Engine {
+	t.Helper()
+	users, err := datagen.NewUserStore(map[string]string{
+		"alice": "RegionalSalesManager",
+		"bob":   "Accountant",
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return &planDiff{plan: mk(), ref: mk()}
+	e := NewEngine(c, users, opts)
+	t.Cleanup(e.Close)
+	e.SetParam("threshold", prml.NumberVal(2))
+	if _, err := e.AddRules(rules); err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // ruleRun is one rule's outcome within a session start.

@@ -20,7 +20,9 @@ import (
 // match whenever per-group sums are exact) and orders rows by the
 // documented total order: OrderBy value, then group names level by level,
 // then member indices. Result.Cost is left zero. q must be valid for c;
-// filter values are compared as strings or float64.
+// filter values are compared as strings or float64, and a value of
+// another type than its attribute's, or an unknown operator, matches no
+// fact.
 func NaiveExecute(c *cube.Cube, q cube.Query, v *cube.View) *cube.Result {
 	fd := c.FactData(q.Fact)
 	type level struct {
@@ -45,10 +47,15 @@ func NaiveExecute(c *cube.Cube, q cube.Query, v *cube.View) *cube.Result {
 		if !ok {
 			return false
 		}
-		if s, isStr := val.(string); isStr {
-			return holds(s, f.Op, f.Value.(string))
+		switch a := val.(type) {
+		case string:
+			b, ok := f.Value.(string)
+			return ok && holds(a, f.Op, b)
+		case float64:
+			b, ok := f.Value.(float64)
+			return ok && holds(a, f.Op, b)
 		}
-		return holds(val.(float64), f.Op, f.Value.(float64))
+		return false
 	}
 
 	type group struct {
@@ -174,7 +181,8 @@ func holds[T cmp.Ordered](a T, op cube.FilterOp, b T) bool {
 		return a <= b
 	case cube.OpGt:
 		return a > b
-	default:
+	case cube.OpGe:
 		return a >= b
 	}
+	return false
 }

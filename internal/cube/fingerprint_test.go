@@ -1,10 +1,12 @@
 package cube_test
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
 	"sdwp/internal/cube"
+	"sdwp/internal/cube/cubetest"
 	"sdwp/internal/datagen"
 )
 
@@ -357,4 +359,86 @@ func TestFilterFingerprintDerivedFromPredicates(t *testing.T) {
 	if cube.CombinePredicateFingerprints([]string{"ab", "c"}) == cube.CombinePredicateFingerprints([]string{"a", "bc"}) {
 		t.Error("combine has boundary collisions")
 	}
+}
+
+// FuzzQueryFingerprint holds Fingerprint to its contract: two queries with
+// equal fingerprints compute the same result table. The input picks a base
+// query (one of FuzzQuerySpec's shapes, as cube.Query JSON with Agg and Op
+// as their numbers) and a JSON patch: the first query is the base, the
+// second the base overlaid with the patch's fields. Whenever the
+// fingerprints agree, both queries must fail compilation or give the same
+// reference answer over a small cube, with and without a view. It
+// compares results, not queries: filter values that differ as Go values
+// but print alike under %v (a slice of numbers and one of strings) match
+// no fact.
+func FuzzQueryFingerprint(f *testing.F) {
+	const (
+		count  = `"aggregates":[{"agg":2}]`
+		byCity = `"groupBy":[{"dimension":"Store","level":"City"}]`
+		sumU   = `"aggregates":[{"measure":"UnitSales","agg":1}]`
+		popGt  = `"filters":[{"dimension":"Store","level":"City","attr":"population","op":5,"value":`
+	)
+	bases := []string{
+		`{"fact":"Sales",` + count + `}`,
+		`{"fact":"Sales",` + byCity + `,` + sumU + `}`,
+		`{"fact":"Sales",` + byCity + `,` + sumU + `,` + popGt + `100000}],"orderBy":{"agg":0,"desc":true},"limit":3}`,
+		`{"fact":"Sales",` + count + `,` + popGt + `[1,2]}]}`,
+		`{"fact":"Sales",` + count + `,"filters":[{"dimension":"Store","level":"City","attr":"name","op":1,"value":"City001"},` +
+			`{"dimension":"Store","level":"City","attr":"population","op":4,"value":null}]}`,
+		`{"fact":"Sales",` + count + `,` + popGt + `1}],"limit":7}`,
+		`{"fact":"Sales","aggregates":[{"measure":"UnitSales","agg":3}],"orderBy":{"agg":3},"limit":-1}`,
+		`{"fact":"Sales","groupBy":[{"dimension":"Store","level":"City"},{"dimension":"Product","level":"Family"}],` +
+			`"aggregates":[{"measure":"StoreCost","agg":4},{"agg":2}],"orderBy":{"agg":1}}`,
+		`{"fact":"Ghost",` + count + `}`,
+	}
+	for i, patch := range []string{
+		`{"groupBy":[],"filters":null}`,
+		`{"limit":0}`,
+		`{` + popGt + `1e5}],"orderBy":{"agg":0,"desc":true},"limit":3}`,
+		`{` + popGt + `["1 2"]}]}`,
+		`{"filters":[{"dimension":"Store","level":"City","attr":"name","op":1,"value":"City001"},` +
+			`{"dimension":"Store","level":"City","attr":"population","op":4}]}`,
+		`{"limit":7}`,
+		`{"orderBy":{"agg":3}}`,
+		`{"aggregates":[{"measure":"StoreCost","agg":4},{"agg":2}],"orderBy":{"agg":1,"desc":false}}`,
+		`{"fact":"Ghost"}`,
+	} {
+		f.Add(uint8(i), patch)
+	}
+	cfg := datagen.Default()
+	cfg.Cities = 6
+	cfg.Stores = 12
+	cfg.Customers = 8
+	cfg.Sales = 60
+	cfg.TrainLines = 2
+	ds, err := datagen.Generate(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	c := ds.Cube
+	v := cube.NewView(c)
+	if err := v.SelectMember("Store", "City", 0); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, base uint8, patch string) {
+		var qa, qb cube.Query
+		a := []byte(bases[int(base)%len(bases)])
+		if json.Unmarshal(a, &qa) != nil || json.Unmarshal(a, &qb) != nil ||
+			json.Unmarshal([]byte(patch), &qb) != nil || qa.Fingerprint() != qb.Fingerprint() {
+			return
+		}
+		_, errA := c.Compile(qa)
+		_, errB := c.Compile(qb)
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("fingerprint %q: compile %v vs %v", qa.Fingerprint(), errA, errB)
+		}
+		if errA != nil {
+			return
+		}
+		for _, view := range []*cube.View{nil, v} {
+			if ra, rb := cubetest.NaiveExecute(c, qa, view), cubetest.NaiveExecute(c, qb, view); !reflect.DeepEqual(ra, rb) {
+				t.Fatalf("fingerprint %q: %+v vs %+v", qa.Fingerprint(), ra, rb)
+			}
+		}
+	})
 }

@@ -67,6 +67,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -210,14 +211,32 @@ func stampRequestID(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Request-Id", obs.RequestID(r.Header.Get("X-Request-Id")))
 }
 
+// maxBodyBytes bounds every request body, well above the largest one the
+// CLI, the load generator and the tests send.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes exactly one JSON value of at most maxBodyBytes into v:
+// an oversized body is a 413, a malformed one or trailing data a 400.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	err := dec.Decode(v)
+	if err == nil {
+		var extra json.RawMessage
+		switch err = dec.Decode(&extra); err {
+		case io.EOF:
+			return true
+		case nil:
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
 		return false
 	}
-	return true
+	writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	return false
 }
 
 func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {

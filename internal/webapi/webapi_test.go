@@ -1057,3 +1057,57 @@ func TestStatsArtifactCacheDefault(t *testing.T) {
 		t.Error("/api/stats still carries the top-level artifactDoorkept copy")
 	}
 }
+
+// TestRequestBodyBound pins decodeBody's limits: a body of exactly
+// maxBodyBytes is served, one byte more is a 413 with the usual JSON
+// error, and data after the JSON value is a 400.
+func TestRequestBodyBound(t *testing.T) {
+	srv, ds := newTestServer(t)
+	loc := ds.CityLocs[0]
+	tok := login(t, srv, "bob", fmt.Sprintf("POINT (%f %f)", loc.X, loc.Y))
+	query := fmt.Sprintf(`{"session":%q,"fact":"Sales","aggregates":[{"agg":"COUNT"}]}`, tok)
+	post := func(path, body string) (int, apiError) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-Id", "req-body")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var apiErr apiError
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+				t.Fatalf("%s: %s with a non-JSON error body: %v", path, resp.Status, err)
+			}
+		}
+		return resp.StatusCode, apiErr
+	}
+	// padded left-pads a body with JSON whitespace to exactly n bytes.
+	padded := func(body string, n int) string { return strings.Repeat(" ", n-len(body)) + body }
+
+	if code, apiErr := post("/api/query", padded(query, maxBodyBytes)); code != http.StatusOK {
+		t.Errorf("body of exactly the limit: %d %+v", code, apiErr)
+	}
+	for _, path := range []string{"/api/query", "/api/query/batch", "/api/login"} {
+		code, apiErr := post(path, padded(query, maxBodyBytes+1))
+		if code != http.StatusRequestEntityTooLarge || !strings.Contains(apiErr.Error, "exceeds") {
+			t.Errorf("%s, limit+1 bytes: %d %+v", path, code, apiErr)
+		}
+		if path != "/api/login" && apiErr.RequestID != "req-body" {
+			t.Errorf("%s, limit+1 bytes: requestId %q", path, apiErr.RequestID)
+		}
+	}
+	if code, apiErr := post("/api/query", query+"\n"); code != http.StatusOK {
+		t.Errorf("trailing newline: %d %+v", code, apiErr)
+	}
+	for _, trailing := range []string{"{}", `"x"`, "x"} {
+		code, apiErr := post("/api/query", query+trailing)
+		if code != http.StatusBadRequest || apiErr.RequestID != "req-body" {
+			t.Errorf("trailing %q: %d %+v", trailing, code, apiErr)
+		}
+	}
+}

@@ -61,6 +61,10 @@ go test -race -count=2 -run 'MetricsScrapeUnderShardedLoad|Obs' ./internal/webap
 # manifest benchmarks are additionally gated by scripts/bench.sh.
 go test -run '^$' -bench=. -benchtime=1x ./...
 
+# Run the paper's timing tables once so the command cannot bit-rot into a
+# panic or log.Fatal (TestPaperClaims asserts the claims themselves).
+go run ./cmd/experiments > /dev/null
+
 # The plain test run only replays each fuzz target's seeds; give every
 # target a short mutation budget of its own (go test -fuzz takes one
 # target per run). Targets are found by their declarations, so a new
