@@ -438,6 +438,40 @@ func BenchmarkSessionGeoJSON(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionSVG renders the map.svg the personalize workload serves
+// at its 400 000 facts: an interested login's 2 000 stores, airports and
+// train lines, drawn by "default" as they are and by "simplify" through
+// the line simplifier. The output buffer is reused as the server's pooled
+// one is, so allocs/op is gated (< 20: a map allocates per call, not per
+// feature).
+func BenchmarkSessionSVG(b *testing.B) {
+	env := getBenchEnv(b, 400000)
+	e := interestedEngine(b, env)
+	s, err := e.StartSession("alice", env.ds.CityLocs[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		opts export.SVGOptions
+	}{{"default", export.SVGOptions{}}, {"simplify", export.SVGOptions{SimplifyTolerance: 0.05}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			buf, err := export.AppendSessionSVG(nil, s, bc.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if buf, err = export.AppendSessionSVG(buf[:0], s, bc.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkC4RTreeVsLinear is experiment C4: radius queries through the
 // R-tree vs the linear baseline.
 func BenchmarkC4RTreeVsLinear(b *testing.B) {

@@ -414,7 +414,7 @@ func TestViewSelection(t *testing.T) {
 	if v.Restricted() {
 		t.Fatal("fresh view must be unrestricted")
 	}
-	if !v.FactVisible("Sales", 3) || !v.MemberVisible("Store", "City", 2) {
+	if !v.FactVisible("Sales", 3) || !v.LevelMask("Store", "City").Test(2) {
 		t.Fatal("unrestricted view must show everything")
 	}
 	// Select the two Alicante stores (s0=0, s1=1).
@@ -508,10 +508,10 @@ func TestViewValidationAndClone(t *testing.T) {
 	_ = v.SelectMember("Store", "Store", 0)
 	cl := v.Clone()
 	_ = cl.SelectMember("Store", "Store", 1)
-	if v.MemberVisible("Store", "Store", 1) {
+	if v.LevelMask("Store", "Store").Test(1) {
 		t.Error("clone selection leaked into source")
 	}
-	if !cl.MemberVisible("Store", "Store", 0) {
+	if !cl.LevelMask("Store", "Store").Test(0) {
 		t.Error("clone lost source selection")
 	}
 	if v.FactVisible("Ghost", 0) {

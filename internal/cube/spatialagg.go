@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"sdwp/internal/bitset"
 	"sdwp/internal/geom"
 )
 
@@ -52,6 +53,12 @@ func (c *Cube) SpatialSummary(dim, level, groupLevel string, v *View) ([]Spatial
 		return nil, fmt.Errorf("cube: level %s.%s has no geometry", dim, level)
 	}
 	groupLd := dd.levels[to]
+	// The view's selection for the level, read once.
+	var sel []uint64
+	restricted := false
+	if v != nil {
+		sel, restricted = v.AppendLevelSelection(nil, dim, level)
+	}
 
 	type acc struct {
 		count int
@@ -66,7 +73,7 @@ func (c *Cube) SpatialSummary(dim, level, groupLevel string, v *View) ([]Spatial
 		if g == nil {
 			continue
 		}
-		if v != nil && !v.MemberVisible(dim, level, i) {
+		if restricted && !bitset.TestWords(sel, int(i)) {
 			continue
 		}
 		anc := dd.Ancestor(from, to, i)

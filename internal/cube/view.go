@@ -296,16 +296,20 @@ func (v *View) Restricted() bool {
 	return len(v.levelMasks) > 0 || len(v.factMasks) > 0
 }
 
-// MemberVisible reports whether a member passes the view's mask for its
-// level (unrestricted levels pass everything).
-func (v *View) MemberVisible(dim, level string, member int32) bool {
+// AppendLevelSelection appends the words of the level's selection mask
+// (bitset word layout: member i is bit i%64 of word i/64) to dst, read
+// once under the view's lock, and reports whether the level is
+// restricted; an unrestricted level appends nothing. A caller testing many
+// members so reads one selection state, at one lock for the level instead
+// of one per member, and later selections do not touch its copy.
+func (v *View) AppendLevelSelection(dst []uint64, dim, level string) ([]uint64, bool) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	m := v.levelMasks[levelKey(dim, level)]
 	if m == nil {
-		return true
+		return dst, false
 	}
-	return m.Test(int(member))
+	return append(dst, m.Words()...), true
 }
 
 // FactVisible reports whether fact instance idx passes the fact mask and

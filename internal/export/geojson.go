@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"unicode/utf8"
 
+	"sdwp/internal/bitset"
 	"sdwp/internal/core"
 	"sdwp/internal/cube"
 	"sdwp/internal/geom"
@@ -366,11 +367,15 @@ type feature struct {
 // layers its schema rules admitted, the members of the spatial levels its
 // schema rules promoted, the decision maker's location context — so
 // GeoJSON encodes from it and SVG draws from it without a round trip
-// through the wire form. The feature passed to visit is reused.
+// through the wire form. The feature passed to visit is reused. Each
+// level's selection is read once, as a copy, so a walk racing a selection
+// draws every level from one selection state.
 func walk(s *core.Session, selectedOnly bool, visit func(*feature) error) error {
 	schema := s.Schema()
 	c := s.Engine().Cube()
 	var f feature
+	// A level's selection copy: 4 096 members fit on the stack.
+	var selBuf [64]uint64
 
 	// Thematic layers the user's schema rules admitted.
 	for _, layer := range schema.Layers() {
@@ -378,8 +383,9 @@ func walk(s *core.Session, selectedOnly bool, visit func(*feature) error) error 
 		if ld == nil {
 			continue
 		}
+		f = feature{kind: kindLayer, layer: layer.Name, objects: ld}
 		for i := int32(0); int(i) < ld.Len(); i++ {
-			f = feature{g: ld.Geometry(i), kind: kindLayer, layer: layer.Name, name: ld.Name(i), obj: i, objects: ld}
+			f.g, f.name, f.obj = ld.Geometry(i), ld.Name(i), i
 			if err := visit(&f); err != nil {
 				return err
 			}
@@ -398,17 +404,18 @@ func walk(s *core.Session, selectedOnly bool, visit func(*feature) error) error 
 		if ld == nil {
 			continue
 		}
-		restricted := view.LevelMask(dim, level) != nil
+		sel, restricted := view.AppendLevelSelection(selBuf[:0], dim, level)
+		f = feature{kind: kindMember, dim: dim, level: level, members: ld}
 		for i := int32(0); int(i) < ld.Len(); i++ {
 			g := ld.Geometry(i)
 			if g == nil {
 				continue
 			}
-			selected := restricted && view.MemberVisible(dim, level, i)
+			selected := restricted && bitset.TestWords(sel, int(i))
 			if selectedOnly && !selected {
 				continue
 			}
-			f = feature{g: g, kind: kindMember, dim: dim, level: level, name: ld.Name(i), selected: selected, obj: i, members: ld}
+			f.g, f.name, f.selected, f.obj = g, ld.Name(i), selected, i
 			if err := visit(&f); err != nil {
 				return err
 			}

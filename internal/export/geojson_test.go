@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sdwp/internal/core"
@@ -478,7 +480,7 @@ func TestSessionGeoJSONCacheInvalidation(t *testing.T) {
 		}
 		s := session()
 		// The store sits at the login location from the second move on.
-		if got := s.View().MemberVisible("Store", "Store", moved); got != (m.name != "SetMemberGeometry away") {
+		if got := s.View().LevelMask("Store", "Store").Test(int(moved)); got != (m.name != "SetMemberGeometry away") {
 			t.Fatalf("after %s the moved store's selection is %v", m.name, got)
 		}
 	}
@@ -505,7 +507,7 @@ func TestNonFiniteGeoJSON(t *testing.T) {
 	checkReference(t, s) // fills the caches
 	far := int32(-1)
 	for i := int32(0); i < 60; i++ {
-		if !s.View().MemberVisible("Store", "Store", i) {
+		if !s.View().LevelMask("Store", "Store").Test(int(i)) {
 			far = i
 			break
 		}
@@ -567,5 +569,133 @@ func TestConcurrentExport(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestConcurrentExportDuringSelect exports one session's map as SVG and
+// GeoJSON while the same session runs a fixed sequence of selections,
+// under the race detector in scripts/stress.sh. Every body must be the
+// reference render of one of the sequence's selection states: an export
+// reads each level's selection once, so a selection landing mid-export
+// cannot tear it. (Each step selects one store: a SpatialSelect applies
+// its matches one SelectInstance at a time, so it passes through states
+// of its own.)
+func TestConcurrentExportDuringSelect(t *testing.T) {
+	e, ds := exportEngine(t, airportRule+trainRule)
+	loc := ds.CityLocs[3]
+	stores := []int32{0, 7, 14, 21, 28, 35, 42, 49}
+	geoOpts := []Options{{}, {SelectedOnly: true}}
+	type state struct {
+		svg string
+		geo [][]byte // per geoOpts
+	}
+	render := func(s *core.Session) state {
+		t.Helper()
+		svg, err := refSessionSVG(s, SVGOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := state{svg: svg}
+		for _, opts := range geoOpts {
+			body, err := refSession(s, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.geo = append(st.geo, body)
+		}
+		return st
+	}
+	// The reference states: after login and after each selection.
+	ref, err := e.StartSession("alice", loc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := []state{render(ref)}
+	for _, m := range stores {
+		if err := ref.View().SelectMember("Store", "Store", m); err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, render(ref))
+		if prev := states[len(states)-2]; prev.svg == states[len(states)-1].svg {
+			t.Fatalf("selecting store %d changed nothing; every step must change the map", m)
+		}
+	}
+
+	for round := 0; round < 3; round++ {
+		s, err := e.StartSession("alice", loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		errs := make(chan error, 8)
+		var exports atomic.Int64 // checked exports, both exporters
+		var wg sync.WaitGroup
+		export := func(check func() error) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := check(); err != nil {
+					errs <- err
+					return
+				}
+				exports.Add(1)
+			}
+		}
+		wg.Add(2)
+		go export(func() error {
+			got, err := SessionSVG(s, SVGOptions{})
+			if err != nil {
+				return err
+			}
+			for _, st := range states {
+				if got == st.svg {
+					return nil
+				}
+			}
+			return fmt.Errorf("round %d: an SVG matches no selection state", round)
+		})
+		go export(func() error {
+			for i, opts := range geoOpts {
+				got, err := Session(s, opts)
+				if err != nil {
+					return err
+				}
+				found := false
+				for _, st := range states {
+					found = found || bytes.Equal(got, st.geo[i])
+				}
+				if !found {
+					return fmt.Errorf("round %d: a %+v GeoJSON body matches no selection state", round, opts)
+				}
+			}
+			return nil
+		})
+		// Each selection waits until two more exports have finished, so
+		// exports run at every state and the next selection lands among
+		// them.
+		for _, m := range stores {
+			for seen := exports.Load(); exports.Load() < seen+2 && len(errs) == 0; {
+				runtime.Gosched()
+			}
+			if err := s.View().SelectMember("Store", "Store", m); err != nil {
+				t.Error(err)
+				break
+			}
+		}
+		close(done)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		// Quiescent, the session is in the sequence's last state.
+		last := states[len(states)-1]
+		if got, err := SessionSVG(s, SVGOptions{}); err != nil || got != last.svg {
+			t.Fatalf("round %d: final SVG differs from the last state (err %v)", round, err)
+		}
 	}
 }

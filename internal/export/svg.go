@@ -35,47 +35,39 @@ func SessionSVG(s *core.Session, opts SVGOptions) (string, error) {
 	return string(b), nil
 }
 
-// svgItem is one feature to draw.
-type svgItem struct {
-	g     geom.Geometry
-	kind  featureKind
-	style *svgStyle // layers and members
-}
-
 // AppendSessionSVG appends the session's personalized map to dst. It draws
 // straight from the features' geometries (see walk) with every number
 // formatted into dst, and produces exactly the bytes of encoding each
 // feature as GeoJSON and drawing it back (GeoJSON's float64 round trip is
 // exact) — except that geometries the GeoJSON decoder rejects (a line of
 // one vertex, a ring of two) are drawn as /api/geojson serves them.
+//
+// It walks the features twice, once for the data bounds and once to draw,
+// and keeps none of them in between, only what simplification made (see
+// simplified). Both walks yield the same features: of what an export
+// reads, only the selection may change under it, and the bounds do not
+// depend on the selection. The map shows the selection the second walk
+// reads.
 func AppendSessionSVG(dst []byte, s *core.Session, opts SVGOptions) ([]byte, error) {
 	if opts.Width <= 0 {
 		opts.Width = 800
 	}
-	// Collect the features and the data bounds.
-	var items []svgItem
+	simp := simplified{tol: opts.SimplifyTolerance}
 	bounds := geom.EmptyRect()
-	layerStyles := map[string]*svgStyle{}
+	var user geom.Point // where the crosshair goes, if located
+	located := false
 	err := walk(s, false, func(f *feature) error {
-		g := geom.Simplify(f.g, opts.SimplifyTolerance)
-		if !finite(g) {
+		r, ok := simp.add(f.g)
+		if !ok {
 			return nonFinite(f)
 		}
-		it := svgItem{g: g, kind: f.kind}
-		switch f.kind {
-		case kindLayer:
-			if it.style = layerStyles[f.layer]; it.style == nil {
-				it.style = parseStyle(layerStyle(f.layer))
-				layerStyles[f.layer] = it.style
-			}
-		case kindMember:
-			it.style = memberStyle
-			if f.selected {
-				it.style = selectedStyle
+		bounds = bounds.ExtendRect(r)
+		if f.kind == kindLocation {
+			located = true
+			if user, ok = f.g.(geom.Point); !ok {
+				user = r.Center()
 			}
 		}
-		items = append(items, it)
-		bounds = bounds.ExtendRect(g.Bounds())
 		return nil
 	})
 	if err != nil {
@@ -110,15 +102,82 @@ func AppendSessionSVG(dst []byte, s *core.Session, opts SVGOptions) ([]byte, err
 	p.b = append(p.b, `<rect width="100%" height="100%" fill="#fbfbf8"/>`+"\n"...)
 	// The walk yields layers, then members, then the user location: the
 	// paint order (layers under members under the user marker).
-	for _, it := range items {
-		if it.kind == kindLocation {
-			p.user(it.g)
-		} else {
-			p.geom(it.g, it.style)
+	err = walk(s, false, func(f *feature) error {
+		switch f.kind {
+		case kindLayer:
+			simp.draw(&p, f.g, layerStyles[layerColor(f.layer)])
+		case kindMember:
+			st := memberStyle
+			if f.selected {
+				st = selectedStyle
+			}
+			simp.draw(&p, f.g, st)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if located {
+		p.user(user)
 	}
 	p.b = append(p.b, "</svg>\n"...)
 	return p.b, nil
+}
+
+// simplified carries the first walk's simplifications to the second, in
+// walk order, so no geometry is simplified twice: the vertices of every
+// line back to back in one slice, and polygons and collections as values.
+// A point simplifies to itself and is not kept. Without a tolerance it
+// keeps nothing.
+type simplified struct {
+	tol    float64
+	pts    []geom.Point    // the simplified lines' vertices
+	ends   []int           // per line, the end of its vertices in pts
+	shapes []geom.Geometry // the simplified polygons and collections
+	line   int             // the second walk's next line
+	shape  int             // ... and next shape
+}
+
+// add simplifies g, keeping the result, and returns its bounds and
+// whether all its coordinates are finite.
+func (s *simplified) add(g geom.Geometry) (geom.Rect, bool) {
+	if s.tol > 0 {
+		switch gg := g.(type) {
+		case geom.Point:
+		case geom.Line:
+			from := len(s.pts)
+			s.pts = geom.AppendSimplified(s.pts, gg.Pts, s.tol)
+			s.ends = append(s.ends, len(s.pts))
+			ln := geom.Line{Pts: s.pts[from:]}
+			return ln.Bounds(), finitePts(ln.Pts)
+		default:
+			g = geom.Simplify(g, s.tol)
+			s.shapes = append(s.shapes, g)
+		}
+	}
+	return g.Bounds(), finite(g)
+}
+
+// draw draws the next feature, g as add simplified it.
+func (s *simplified) draw(p *svgPen, g geom.Geometry, st *svgStyle) {
+	if s.tol > 0 {
+		switch g.(type) {
+		case geom.Point:
+		case geom.Line:
+			from := 0
+			if s.line > 0 {
+				from = s.ends[s.line-1]
+			}
+			p.polyline(s.pts[from:s.ends[s.line]], st)
+			s.line++
+			return
+		default:
+			g = s.shapes[s.shape]
+			s.shape++
+		}
+	}
+	p.geom(g, st)
 }
 
 func appendEmptySVG(b []byte, width int) []byte {
@@ -167,16 +226,33 @@ func finitePt(p geom.Point) bool {
 	return !math.IsNaN(p.X) && !math.IsNaN(p.Y) && !math.IsInf(p.X, 0) && !math.IsInf(p.Y, 0)
 }
 
-// layerStyle picks a stroke per layer name (stable hash → palette).
-func layerStyle(name string) string {
-	palette := []string{"#3f6fb5", "#4f9e54", "#b58a3f", "#8a5fb0", "#b05f77"}
+// layerPalette holds the layers' stroke colours.
+var layerPalette = [...]string{"#3f6fb5", "#4f9e54", "#b58a3f", "#8a5fb0", "#b05f77"}
+
+// layerColor picks a layer's palette index (stable hash of its name).
+func layerColor(name string) int {
 	sum := 0
 	for _, c := range name {
 		sum += int(c)
 	}
-	color := palette[sum%len(palette)]
+	return sum % len(layerPalette)
+}
+
+// layerStyle is a layer's style, in its name's colour.
+func layerStyle(name string) string { return paletteStyle(layerColor(name)) }
+
+func paletteStyle(i int) string {
+	color := layerPalette[i]
 	return fmt.Sprintf(`fill="none" stroke="%s" stroke-width="1.5" opacity="0.8" r="4" pfill="%s"`, color, color)
 }
+
+// layerStyles holds each palette colour's layer style, parsed once.
+var layerStyles = func() (st [len(layerPalette)]*svgStyle) {
+	for i := range st {
+		st[i] = parseStyle(paletteStyle(i))
+	}
+	return st
+}()
 
 // svgStyle is a style string split once into what drawing needs: the
 // style carries "r" for point radius and "pfill" for the fill to use when
@@ -217,8 +293,8 @@ func (p *svgPen) px(pt geom.Point) (float64, float64) {
 	return (pt.X - p.minX) / p.spanX * p.w, p.h - (pt.Y-p.minY)/p.spanY*p.h
 }
 
-func (p *svgPen) num0(x float64) { p.b = strconv.AppendFloat(p.b, x, 'f', 0, 64) }
-func (p *svgPen) num1(x float64) { p.b = strconv.AppendFloat(p.b, x, 'f', 1, 64) }
+func (p *svgPen) num0(x float64) { p.b = appendFixed(p.b, x, 0) }
+func (p *svgPen) num1(x float64) { p.b = appendFixed(p.b, x, 1) }
 
 // xy appends a projected point as "x<sep>y".
 func (p *svgPen) xy(pt geom.Point, sep byte) {
@@ -244,16 +320,7 @@ func (p *svgPen) geom(g geom.Geometry, st *svgStyle) {
 		p.b = append(p.b, st.pointFill...)
 		p.b = append(p.b, "\"/>\n"...)
 	case geom.Line:
-		p.b = append(p.b, `<polyline points="`...)
-		for i, pt := range gg.Pts {
-			if i > 0 {
-				p.b = append(p.b, ' ')
-			}
-			p.xy(pt, ',')
-		}
-		p.b = append(p.b, `" `...)
-		p.b = append(p.b, st.attrs...)
-		p.b = append(p.b, "/>\n"...)
+		p.polyline(gg.Pts, st)
 	case geom.Polygon:
 		p.b = append(p.b, `<path d="`...)
 		p.ring(gg.Shell)
@@ -270,6 +337,19 @@ func (p *svgPen) geom(g geom.Geometry, st *svgStyle) {
 	}
 }
 
+func (p *svgPen) polyline(pts []geom.Point, st *svgStyle) {
+	p.b = append(p.b, `<polyline points="`...)
+	for i, pt := range pts {
+		if i > 0 {
+			p.b = append(p.b, ' ')
+		}
+		p.xy(pt, ',')
+	}
+	p.b = append(p.b, `" `...)
+	p.b = append(p.b, st.attrs...)
+	p.b = append(p.b, "/>\n"...)
+}
+
 func (p *svgPen) ring(r geom.Ring) {
 	for i, pt := range r {
 		if i == 0 {
@@ -282,12 +362,8 @@ func (p *svgPen) ring(r geom.Ring) {
 	p.b = append(p.b, 'Z')
 }
 
-// user draws the decision maker's location as a crosshair.
-func (p *svgPen) user(g geom.Geometry) {
-	pt, ok := g.(geom.Point)
-	if !ok {
-		pt = g.Bounds().Center()
-	}
+// user draws the decision maker's location as a crosshair at pt.
+func (p *svgPen) user(pt geom.Point) {
 	x, y := p.px(pt)
 	coords := [...]float64{x - 10, y, x + 10, y, x, y - 10, x, y + 10, x, y}
 	before := [...]string{`<g stroke="#1a7a1a" stroke-width="2"><line x1="`, `" y1="`, `" x2="`, `" y2="`,

@@ -103,16 +103,3 @@ func (pi *PointIndex) WithinKm(center geom.Point, radiusKm float64, fn func(i in
 		return true
 	})
 }
-
-// NearestKm returns the k points nearest to center by haversine distance.
-func (pi *PointIndex) NearestKm(center geom.Point, k int) []int32 {
-	// Lower bound: a degree of arc is never shorter than ~0.5 km anywhere a
-	// warehouse plausibly operates, so scaling planar degree distance by 0.5
-	// gives a valid (if loose) haversine lower bound for best-first pruning.
-	lb := func(r geom.Rect) float64 {
-		return r.DistanceToPoint(center) * 0.5
-	}
-	return pi.idx.Nearest(k, lb, func(id int32) float64 {
-		return geom.Haversine(center, pi.pts[id])
-	})
-}

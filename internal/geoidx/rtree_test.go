@@ -135,19 +135,29 @@ func TestRTreeSearchEarlyStop(t *testing.T) {
 	}
 }
 
+// TestNearestMatchesLinear: best-first search over the R-tree finds the
+// same k nearest points (by haversine distance) as the linear baseline.
 func TestNearestMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := make([]geom.Point, 1000)
+	ids := make([]int32, len(pts))
+	bounds := make([]geom.Rect, len(pts))
+	ln := NewLinear()
 	for i := range pts {
 		pts[i] = geom.Pt(rng.Float64()*10-5, rng.Float64()*8+36) // lon/lat-ish
+		ids[i], bounds[i] = int32(i), pts[i].Bounds()
+		ln.Insert(ids[i], bounds[i])
 	}
-	rt := NewPointIndex(pts)
-	ln := NewLinearPointIndex(pts)
+	rt := Bulk(ids, bounds, 0)
 	for trial := 0; trial < 20; trial++ {
 		c := geom.Pt(rng.Float64()*10-5, rng.Float64()*8+36)
+		// A degree of arc is longer than 50 km at these latitudes (36–44°N),
+		// so this is a valid lower bound of the haversine distance.
+		lb := func(r geom.Rect) float64 { return r.DistanceToPoint(c) * 50 }
+		dist := func(id int32) float64 { return geom.Haversine(c, pts[id]) }
 		for _, k := range []int{1, 5, 17} {
-			a := rt.NearestKm(c, k)
-			b := ln.NearestKm(c, k)
+			a := rt.Nearest(k, lb, dist)
+			b := ln.Nearest(k, lb, dist)
 			if len(a) != k || len(b) != k {
 				t.Fatalf("k=%d: lens %d %d", k, len(a), len(b))
 			}

@@ -14,9 +14,9 @@
 // Why shards: one fact table per cube is a single ingest lock and a
 // single scan unit — the remaining ceiling on fact-table size and write
 // throughput. A sharded Table gives every shard its own fact columns,
-// bitset and partial-table pools, artifact cache and RWMutex: ingest
-// into one shard blocks only that shard's scans for the duration of an
-// append, and the scatter's fan-out is bounded
+// bitset and partial-table pools, artifact cache and RWMutex (an append
+// still takes the table-wide lock as well; see Table.AddFact), and the
+// scatter's fan-out is bounded
 // (Options.MaxInFlightScans) so a wide table cannot oversubscribe small
 // hosts.
 //
@@ -181,9 +181,10 @@ func (t *Table) Parent() *cube.Cube { return t.parent }
 
 // AddFact appends a fact instance: to the parent (which assigns the
 // global index and keeps views, exports and snapshots whole), to the
-// routing table, and to the key-hashed shard. Only the owning shard's
-// scans wait on the append; scatter-gather scans over other shards
-// proceed concurrently.
+// routing table, and to the key-hashed shard. It holds the table-wide
+// t.mu for the whole append, so appends are serialised and every scan's
+// compile and view-mask split waits for it; a scan already fanned out
+// waits only at the owning shard, whose lock the shard write takes.
 func (t *Table) AddFact(fact string, keys map[string]int32, measures map[string]float64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

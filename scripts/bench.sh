@@ -67,15 +67,16 @@ fi
 # The manifest: the benchmarks whose trajectory the repo records. The
 # -bench regexp is derived from it, so one edit adds a benchmark to both
 # the run and the existence gate.
-MANIFEST="BenchmarkSharedSubexprBatch,BenchmarkParallelScan,BenchmarkBatchPartialPooling,BenchmarkShardedScan,BenchmarkArtifactCacheHit,BenchmarkPerFilterSharing,BenchmarkTraceOverhead,BenchmarkPackedScan,BenchmarkPackedPredicateKernel,BenchmarkCostAccountingOverhead,BenchmarkFairAdmissionOverhead,BenchmarkMultiLevelGroupBy,BenchmarkSessionStartInterested,BenchmarkSessionStartColdRules,BenchmarkViewMaterialize,BenchmarkLoneFilteredScan,BenchmarkSessionGeoJSON"
+MANIFEST="BenchmarkSharedSubexprBatch,BenchmarkParallelScan,BenchmarkBatchPartialPooling,BenchmarkShardedScan,BenchmarkArtifactCacheHit,BenchmarkPerFilterSharing,BenchmarkTraceOverhead,BenchmarkPackedScan,BenchmarkPackedPredicateKernel,BenchmarkCostAccountingOverhead,BenchmarkFairAdmissionOverhead,BenchmarkMultiLevelGroupBy,BenchmarkSessionStartInterested,BenchmarkSessionStartColdRules,BenchmarkViewMaterialize,BenchmarkLoneFilteredScan,BenchmarkSessionGeoJSON,BenchmarkSessionSVG"
 
 # Absolute allocs/op ceilings: an interested login (compiled rule plans,
 # postings-built view) allocates per rule and per selection, not per loop
 # iteration, whether its pure rule loop replays (warm) or runs (cold); a
 # view materialization allocates per call, not per fact; a lone filtered scan allocates per plan
 # and per scan (its own stage-1 bitmap comes from the pool); a GeoJSON map
-# export allocates per call, not per feature (cached text, scratch lines).
-ALLOC_BARS="BenchmarkSessionStartInterested=300,BenchmarkSessionStartColdRules=1000,BenchmarkViewMaterialize=100,BenchmarkLoneFilteredScan=50,BenchmarkSessionGeoJSON=20"
+# export allocates per call, not per feature (cached text, scratch lines),
+# and so does an SVG map (two walks, simplified lines in one slice).
+ALLOC_BARS="BenchmarkSessionStartInterested=300,BenchmarkSessionStartColdRules=1000,BenchmarkViewMaterialize=100,BenchmarkLoneFilteredScan=50,BenchmarkSessionGeoJSON=20,BenchmarkSessionSVG=20"
 
 go test -run '^$' \
   -bench "^(${MANIFEST//,/|})\$" \
