@@ -20,6 +20,7 @@ import (
 	"sdwp/internal/obs"
 	"sdwp/internal/prml"
 	"sdwp/internal/qsched"
+	"sdwp/internal/webapi"
 )
 
 // benchEnv lazily builds one standard scenario per fact count and caches it
@@ -1248,17 +1249,37 @@ func BenchmarkLoneFilteredScan(b *testing.B) {
 // drilldown shape — result materialization shows), City x Month a few
 // hundred (accumulation dominates). serial is Cube.ExecuteParallel, batch
 // Cube.ExecuteBatchOpt on a batch of one — what the scheduler runs for a
-// lone query; both drive the one batch executor. allocs/op is the gated
-// number: finalize allocates per Result, not per row.
+// lone query; both drive the one batch executor. StoreXFamily/filtered is
+// the drilldown workload's query itself: a fresh City.population floor
+// every run, so the lone query fills its own stage-1 bitmap and
+// accumulates off it. allocs/op is the gated number: finalize allocates
+// per Result, not per row.
 func BenchmarkMultiLevelGroupBy(b *testing.B) {
 	env := getBenchEnv(b, 200000)
+	storeXFamily := []LevelRef{{Dimension: "Store", Level: "Store"}, {Dimension: "Product", Level: "Family"}}
 	shapes := []struct {
 		name    string
 		groupBy []LevelRef
 	}{
-		{"StoreXFamily", []LevelRef{{Dimension: "Store", Level: "Store"}, {Dimension: "Product", Level: "Family"}}},
+		{"StoreXFamily", storeXFamily},
 		{"CityXMonth", []LevelRef{{Dimension: "Store", Level: "City"}, {Dimension: "Time", Level: "Month"}}},
 	}
+	b.Run("StoreXFamily/filtered", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			q := Query{
+				Fact:       "Sales",
+				GroupBy:    storeXFamily,
+				Aggregates: []MeasureAgg{{Measure: "UnitSales", Agg: SUM}},
+				Filters: []AttrFilter{{LevelRef: LevelRef{Dimension: "Store", Level: "City"},
+					Attr: "population", Op: OpGe, Value: freshConst(200000)}},
+				OrderBy: &cube.OrderBy{Agg: 0, Desc: true},
+			}
+			if _, err := env.ds.Cube.ExecuteParallel(q, nil, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, sh := range shapes {
 		q := Query{
 			Fact:       "Sales",
@@ -1282,6 +1303,50 @@ func BenchmarkMultiLevelGroupBy(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkEncodeResult measures a drilldown answer's wire encoding:
+// webapi.AppendResult over a Store x Family result of about 10 000 rows,
+// into a reused buffer as the server's pooled one is. SUM sums an integer
+// measure, so its values take the integer path; AVG's are fractions, the
+// shortest-float path. Bytes equal json.Encoder's (internal/webapi pins
+// them), and the encoder allocates nothing once the buffer is warm.
+func BenchmarkEncodeResult(b *testing.B) {
+	env := getBenchEnv(b, 200000)
+	for _, arm := range []struct {
+		name string
+		agg  MeasureAgg
+	}{
+		{"sum", MeasureAgg{Measure: "UnitSales", Agg: SUM}},
+		{"avg", MeasureAgg{Measure: "StoreSales", Agg: AVG}},
+	} {
+		res, err := env.ds.Cube.Execute(Query{
+			Fact:       "Sales",
+			GroupBy:    []LevelRef{{Dimension: "Store", Level: "Store"}, {Dimension: "Product", Level: "Family"}},
+			Aggregates: []MeasureAgg{arm.agg},
+			OrderBy:    &cube.OrderBy{Agg: 0, Desc: true},
+		}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) < 9000 {
+			b.Fatalf("answer has %d rows, want about 10 000", len(res.Rows))
+		}
+		b.Run(arm.name, func(b *testing.B) {
+			buf, err := webapi.AppendResult(nil, res) // warms the buffer
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if buf, err = webapi.AppendResult(buf[:0], res); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(buf)))
 		})
 	}
 }

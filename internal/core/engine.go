@@ -147,6 +147,9 @@ func (l *lockedCubeExec) ExecuteBatchCompiledOpt(cqs []*cube.CompiledQuery, vs [
 	return l.c.ExecuteBatchCompiledOpt(cqs, vs, opts)
 }
 
+// FactVersion reads the table's atomic mutation counter; it needs no lock.
+func (l *lockedCubeExec) FactVersion(fact string) uint64 { return l.c.FactVersion(fact) }
+
 // addFact appends under the write lock: no scan or compile is mid-flight
 // while fact columns reallocate.
 func (l *lockedCubeExec) addFact(fact string, keys map[string]int32, measures map[string]float64) error {

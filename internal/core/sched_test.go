@@ -375,3 +375,58 @@ func TestNoStaleCachedResultsUnderSpatialSelect(t *testing.T) {
 		t.Log("note: stress run recorded no cache hits (timing-dependent)")
 	}
 }
+
+// TestBaselineAnswersFollowAppends pins that the result cache never serves
+// an answer from before an append: repeated baseline queries warm the
+// cache (the doorkeeper admits a repeat), 500 AddFact calls follow, and
+// the next answers must count every fact — the cache key carries the fact
+// table's version — and equal the reference over the grown table. It
+// covers the unsharded and the sharded executor, which both report their
+// table versions to the scheduler.
+func TestBaselineAnswersFollowAppends(t *testing.T) {
+	q := cube.Query{Fact: "Sales", GroupBy: []cube.LevelRef{{Dimension: "Store", Level: "City"}},
+		Aggregates: []cube.MeasureAgg{{Measure: "UnitSales", Agg: cube.AggSum}}}
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e, ds := newTestEngineOpts(t, Options{ResultCacheBytes: 32 << 20, FactShards: shards})
+			t.Cleanup(e.Close)
+			s, err := e.StartSession("alice", ds.CityLocs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := ds.Cube.FactData("Sales").Len()
+			query := func() *cube.Result {
+				t.Helper()
+				res, err := s.QueryBaseline(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			for range 4 {
+				if res := query(); res.ScannedFacts != n {
+					t.Fatalf("before the appends: scanned %d facts, want %d", res.ScannedFacts, n)
+				}
+			}
+			if st := e.SchedulerStats(); st.CacheHits == 0 {
+				t.Fatalf("repeats never hit the result cache: %+v", st)
+			}
+			for i := 0; i < 500; i++ {
+				err := e.AddFact("Sales",
+					map[string]int32{"Store": int32(i % 50), "Customer": int32(i % 30), "Product": int32(i % 20), "Time": int32(i % 40)},
+					map[string]float64{"UnitSales": float64(i%7 + 1), "StoreSales": 2, "StoreCost": 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := cubetest.NaiveExecute(ds.Cube, q, nil)
+			for k := range 4 {
+				res := query()
+				if res.ScannedFacts != n+500 || !sameAnswer(res, want) {
+					t.Fatalf("query %d after 500 appends: scanned %d facts, want %d (same answer as the reference: %v)",
+						k, res.ScannedFacts, n+500, sameAnswer(res, want))
+				}
+			}
+		})
+	}
+}

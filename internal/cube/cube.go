@@ -122,10 +122,13 @@ type DimData struct {
 	// finest-level member (computed lazily; queries then resolve roll-ups
 	// with one array lookup instead of climbing the parent chain per fact).
 	// It also guards rankCache: per level, the members' name-order ranks
-	// (nameRanks), so result ordering compares integers, not strings.
-	ancMu     sync.Mutex
-	ancCache  map[int][]int32
-	rankCache map[int][]int32
+	// (nameRanks), so result ordering compares integers, not strings; and
+	// keyTermCache: per (level, stride), the roll-up scaled into a dense
+	// plan's group-key term (keyTerms).
+	ancMu        sync.Mutex
+	ancCache     map[int][]int32
+	rankCache    map[int][]int32
+	keyTermCache map[[2]int32][]int32
 }
 
 // Level returns the level table by name, or nil.
@@ -168,6 +171,34 @@ func (dd *DimData) Ancestor(from, to int, member int32) int32 {
 func (dd *DimData) ancestorsFromFinest(to int) []int32 {
 	dd.ancMu.Lock()
 	defer dd.ancMu.Unlock()
+	return dd.ancestorsLocked(to)
+}
+
+// keyTerms returns (building on first use) the roll-up to level position
+// li scaled into a dense plan's group-key term: (ancestor+1)·stride for
+// every finest-level member, so a member without an ancestor there adds
+// slot 0's zero. A plan sums one term per level and fact.
+func (dd *DimData) keyTerms(li int, stride int32) []int32 {
+	dd.ancMu.Lock()
+	defer dd.ancMu.Unlock()
+	key := [2]int32{int32(li), stride}
+	if cached, ok := dd.keyTermCache[key]; ok {
+		return cached
+	}
+	anc := dd.ancestorsLocked(li)
+	out := make([]int32, len(anc))
+	for i, a := range anc {
+		out[i] = (a + 1) * stride
+	}
+	if dd.keyTermCache == nil {
+		dd.keyTermCache = map[[2]int32][]int32{}
+	}
+	dd.keyTermCache[key] = out
+	return out
+}
+
+// ancestorsLocked is ancestorsFromFinest with dd.ancMu held.
+func (dd *DimData) ancestorsLocked(to int) []int32 {
 	if cached, ok := dd.ancCache[to]; ok {
 		return cached
 	}
@@ -214,12 +245,13 @@ func (dd *DimData) nameRanks(li int) []int32 {
 	return rank
 }
 
-// invalidateDerived drops the roll-up and name-rank caches after
+// invalidateDerived drops the roll-up, key-term and name-rank caches after
 // membership or descriptor changes.
 func (dd *DimData) invalidateDerived() {
 	dd.ancMu.Lock()
 	dd.ancCache = nil
 	dd.rankCache = nil
+	dd.keyTermCache = nil
 	dd.ancMu.Unlock()
 }
 
@@ -290,6 +322,15 @@ func newFactData(f *mdmodel.Fact) *FactData {
 
 // Version returns the table's mutation counter (see the field comment).
 func (fd *FactData) Version() uint64 { return fd.version.Load() }
+
+// FactVersion returns fact table fact's mutation counter
+// (FactData.Version), 0 for an unknown fact.
+func (c *Cube) FactVersion(fact string) uint64 {
+	if fd := c.facts[fact]; fd != nil {
+		return fd.Version()
+	}
+	return 0
+}
 
 // Len returns the number of fact instances.
 func (fd *FactData) Len() int { return fd.n }

@@ -18,8 +18,9 @@ import (
 // only — no plans, partials, group tables, packed columns or kernels. It
 // folds measures in fact order (the serial fold order, so SUM/AVG bits
 // match whenever per-group sums are exact) and orders rows by the
-// documented total order: OrderBy value, then group names level by level,
-// then member indices. Result.Cost is left zero. q must be valid for c;
+// documented total order: OrderBy value (−0 equal to +0, NaN after every
+// number in either direction), then group names level by level, then
+// member indices. Result.Cost is left zero. q must be valid for c;
 // filter values are compared as strings or float64, and a value of
 // another type than its attribute's, or an unknown operator, matches no
 // fact.
@@ -145,7 +146,10 @@ facts:
 	sort.Slice(ordered, func(x, y int) bool {
 		a, b := ordered[x], ordered[y]
 		if ob := q.OrderBy; ob != nil {
-			if va, vb := value(a, ob.Agg), value(b, ob.Agg); va != vb {
+			va, vb := value(a, ob.Agg), value(b, ob.Agg)
+			if an, bn := math.IsNaN(va), math.IsNaN(vb); an != bn {
+				return bn
+			} else if !an && va != vb {
 				return (va < vb) != ob.Desc
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -82,8 +83,9 @@ func chunkCount(n int) int {
 // the level's descriptor column and rank the slots' positions in name
 // order (DimData.nameRanks), so finalize orders groups by comparing
 // integers. stride is the level's mixed-radix weight in the composite
-// group key of a dense plan (see queryPlan.denseCells), unused on hashed
-// plans.
+// group key of a dense plan (see queryPlan.denseCells) and terms the
+// roll-up pre-scaled by it ((anc[k]+1)·stride, DimData.keyTerms), so a
+// fact's key is one term load per level; both are unused on hashed plans.
 type groupSpec struct {
 	dd     *DimData
 	li     int
@@ -92,6 +94,7 @@ type groupSpec struct {
 	names  []string
 	rank   []int32
 	stride int32
+	terms  []int32
 }
 
 // decode is stage 2 for one fact: the member of the grouping level that
@@ -108,42 +111,49 @@ func slotName(names []string, slot int32) string {
 	return names[slot-1]
 }
 
-// maxDenseCells bounds the composite group-key space a plan aggregates
-// into an array-indexed table; above it the plan hashes. The table is one
-// int32 per key, so a pooled partial tops out at 1 MB of table — small
-// beside the fact columns — and every group-by of the paper's star schema
-// short of Store x Customer fits. A constant rather than a knob: hashing
-// costs more per fact than clearing and walking the whole table costs per
-// scan, so no workload on the dense side wants the other path.
-const maxDenseCells = 1 << 18
+// maxDenseCells and maxDenseBytes bound the group tables a plan
+// addresses directly (dense plans); above either the plan hashes. A dense
+// plan's partial is its cell store with one cell per composite group key
+// — (1+3·aggregates) float64s each — so maxDenseBytes caps one pooled
+// partial at 8 MB: every single-aggregate plan up to maxDenseCells fits,
+// and a plan with more aggregates fits proportionally fewer keys. Every
+// group-by of the paper's star schema short of Store x Customer is dense.
+// Constants rather than knobs: hashing costs more per fact than a dense
+// plan's touched-cell bookkeeping costs per group, so no workload on the
+// dense side wants the other path.
+const (
+	maxDenseCells = 1 << 18
+	maxDenseBytes = maxDenseCells * 8 * (1 + 3)
+)
 
-// cellIndex is stage 2 for one fact of a dense plan: the composite group
-// key Σ (member_g + 1) · stride_g indexing partial.dense. A single level
-// is the one-stride case (member + 1); no levels is the one-cell table.
-func (p *queryPlan) cellIndex(i int32) int32 {
+// groupKeyOf is stage 2 for one fact of a dense plan: the composite group
+// key Σ (member_g + 1) · stride_g, one key-term load per level. No levels
+// is the one-cell table's key 0. The scan drives decode one and two
+// levels inline (scanDrive.key); this is their general form.
+func (p *queryPlan) groupKeyOf(i int32) int32 {
 	var ck int32
 	for gi := range p.groups {
 		g := &p.groups[gi]
-		ck += (g.anc[g.keys[i]] + 1) * g.stride
+		ck += g.terms[g.keys[i]]
 	}
 	return ck
 }
 
 // materializeGroupKeys runs stage 2 over facts [lo, hi) into the shared
-// composite key column (col[i] = cellIndex(i) for i in [lo, hi)
+// composite key column (col[i] = groupKeyOf(i) for i in [lo, hi)
 // afterwards), one pass per level so each pass streams two columns.
 func (p *queryPlan) materializeGroupKeys(lo, hi int, col []int32) {
 	for gi := range p.groups {
 		g := &p.groups[gi]
-		anc, keys, stride := g.anc, g.keys, g.stride
+		terms, keys := g.terms, g.keys
 		if gi == 0 {
 			for i := lo; i < hi; i++ {
-				col[i] = (anc[keys[i]] + 1) * stride
+				col[i] = terms[keys[i]]
 			}
 			continue
 		}
 		for i := lo; i < hi; i++ {
-			col[i] += (anc[keys[i]] + 1) * stride
+			col[i] += terms[keys[i]]
 		}
 	}
 }
@@ -288,9 +298,10 @@ type queryPlan struct {
 	// was compiled.
 	n      int
 	groups []groupSpec
-	// denseCells is the size of the plan's array-indexed group table: the
-	// product of the levels' slot counts (1 without group-by) when that is
-	// at most maxDenseCells, else 0 — the plan then hashes its group keys.
+	// denseCells is the size of the plan's directly addressed group table:
+	// the product of the levels' slot counts (1 without group-by) when the
+	// table fits maxDenseCells and maxDenseBytes, else 0 — the plan then
+	// hashes its group keys.
 	denseCells int
 	// groupKey is the group-by list's sub-fingerprint ("" unless the plan
 	// is dense and has at least one level): the identity under which a
@@ -307,8 +318,9 @@ type queryPlan struct {
 	// measureCols holds the measure column per aggregate (nil for COUNT),
 	// hoisted out of the scan loop.
 	measureCols [][]float64
-	// blankCell is the untouched-cell template partials append per new
-	// group (newBlankCell).
+	// blankCell is the untouched-cell template a partial copies into a
+	// group's cell when the group first appears (newBlankCell); its length
+	// is the cell stride.
 	blankCell []float64
 	// kern is the stage-3 accumulate kernel selected for this plan (see
 	// exec_kernels.go); kernGeneric keeps the classic accumulateFact loop
@@ -447,18 +459,23 @@ func (c *Cube) compile(q Query) (*queryPlan, error) {
 // is the product of the slot counts of the levels after it — the first
 // level is the most significant digit, so composite keys order like the
 // GroupBy list — and the plan is dense when the whole key space fits
-// maxDenseCells. The decision depends only on dimension cardinalities,
-// so a plan and its shard rebinds always agree on it.
+// maxDenseCells and its cell store maxDenseBytes. The decision depends
+// only on dimension cardinalities and the aggregate count, so a plan and
+// its shard rebinds always agree on it.
 func (p *queryPlan) bindGroupTable() {
+	maxCells := min(maxDenseCells, maxDenseBytes/(8*(1+3*len(p.q.Aggregates))))
 	cells := 1
 	for gi := len(p.groups) - 1; gi >= 0; gi-- {
-		g := &p.groups[gi]
-		slots := len(g.names) + 1
-		if cells > maxDenseCells/slots {
+		slots := len(p.groups[gi].names) + 1
+		if cells > maxCells/slots {
 			return
 		}
-		g.stride = int32(cells)
+		p.groups[gi].stride = int32(cells)
 		cells *= slots
+	}
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		g.terms = g.dd.keyTerms(g.li, g.stride)
 	}
 	p.denseCells = cells
 	p.groupKey = p.q.GroupFingerprint()
@@ -483,10 +500,10 @@ func (p *queryPlan) bindPacked(fd *FactData) {
 // A group's aggregation state is a cell: 1+3n consecutive float64s for a
 // plan with n aggregates — the fact count, then n sums, n minima, n maxima
 // (AVG needs no state of its own; it divides sum by count at finalize). A
-// partial stores its cells back to back in one slice and names a cell by
-// its offset there, so a scan's random access over the touched groups
-// covers 32 bytes per group per aggregate, not a pointer-linked struct and
-// its slices.
+// partial stores its cells in one slice — a dense plan's at their group
+// key times the stride, a hashed plan's back to back in creation order —
+// so a scan's random access over the touched groups covers 32 bytes per
+// group per aggregate, not a pointer-linked struct and its slices.
 const (
 	cellCount = 0 // offset of the fact count within a cell
 	cellSums  = 1 // offset of the first sum; minima and maxima follow
@@ -522,23 +539,30 @@ func mergeCell(dst, src []float64, n int) {
 // partial is one thread-local partial aggregation table plus scan
 // statistics. A dense plan (queryPlan.denseCells > 0 — every group-by whose
 // composite key space is small, which includes single levels and grand
-// totals) finds a group's cell through dense, a slice indexed by composite
-// group key; only plans above maxDenseCells hash the key through cells.
-// Partials recycle through FactData.partialPool: rebind resets one for its
-// next plan, and every slice and map below survives pooling as reusable
-// capacity.
+// totals) addresses a group's cell by its composite group key; only plans
+// above the dense bounds hash the key through cells. Partials recycle
+// through FactData.partialPool: rebind resets one for its next plan, and
+// every slice and map below survives pooling as reusable capacity.
 type partial struct {
 	p  *queryPlan
 	fd *FactData
-	// recs holds the cells back to back (see cellCount). Offset 0 is a
-	// reserved blank, so 0 means "no cell yet" in dense and cells.
-	recs  []float64
-	dense []int32          // composite group key → cell offset (dense plans)
-	cells map[string]int32 // group members' bytes → cell offset (hashed plans)
+	// recs is the cell store (see cellCount), stride floats per cell. A
+	// dense plan's cell for group key ck is at ck·stride, seen[ck] is 1 once
+	// the cell is in use, and touched lists the keys in use in first-touch
+	// order. A hashed plan appends its cells, the c-th at c·stride, and
+	// finds them through cells. Between plans every float of recs' and
+	// every byte of seen's backing arrays is zero (rebind).
+	recs    []float64
+	seen    []uint8          // dense plans: 1 per group key in use
+	touched []int32          // dense plans: group keys of the cells in use
+	cells   map[string]int32 // hashed plans: group members' bytes → cell offset
 	// members holds the hashed plans' group members, len(p.groups) per
 	// cell in creation order (cellMembers). A dense plan's cell is
 	// identified by its key and stores none.
 	members []int32
+	// stride is the cell stride of the bound plan, kept so rebind can
+	// clear its touched cells after the plan is gone.
+	stride  int
 	scanned int
 	matched int
 	// cost carries this partial's share of batch artifact bytes (set by
@@ -546,9 +570,9 @@ type partial struct {
 	// per-shard partials conserve the batch totals.
 	cost obs.QueryCost
 
-	keyBuf   []byte   // builds the hashed path's map key
-	denseBuf []int32  // backing storage dense reslices from
-	order    []rowKey // finalize's sort scratch
+	keyBuf []byte   // builds the hashed path's map key
+	order  []rowKey // finalize's sort scratch
+	spare  []rowKey // finalize's radix-sort double buffer
 }
 
 // newPartial builds an unpooled partial — the fresh-allocation path the
@@ -560,29 +584,36 @@ func newPartial(p *queryPlan) *partial {
 }
 
 // rebind resets a partial for a new plan, recycling every allocation from
-// its previous life: the cell store truncates to the reserved blank, the
-// dense table clears and reslices denseBuf to the new plan's key space,
-// and the hash table clears in place. After rebind the partial is
+// its previous life. The previous plan wrote only its touched cells and
+// their seen bytes (dense) or the prefix it appended its cells to
+// (hashed); zeroing just those keeps the whole cell store and seen array
+// zero, so a dense plan reslices them to its key space without clearing
+// the rest. After rebind the partial is
 // indistinguishable from a freshly constructed one — the pooled-partial
 // hygiene test pins this.
 func (pt *partial) rebind(p *queryPlan) {
+	for _, ck := range pt.touched {
+		clear(pt.recs[int(ck)*pt.stride:][:pt.stride])
+		pt.seen[ck] = 0
+	}
+	if len(pt.cells) > 0 {
+		clear(pt.recs)
+		clear(pt.cells)
+	}
 	pt.p = p
+	pt.stride = len(p.blankCell)
 	pt.scanned, pt.matched = 0, 0
 	pt.cost = obs.QueryCost{}
-	pt.recs = append(pt.recs[:0], p.blankCell...)
+	pt.touched = pt.touched[:0]
 	pt.members = pt.members[:0]
-	// Clearing the previous plan's extent keeps all of denseBuf zero:
-	// offsets are only ever stored within the table in use.
-	clear(pt.dense)
-	pt.dense = nil
-	clear(pt.cells)
 	if n := p.denseCells; n > 0 {
-		if cap(pt.denseBuf) < n {
-			pt.denseBuf = make([]int32, n)
+		pt.recs = slices.Grow(pt.recs[:0], n*pt.stride)[:n*pt.stride]
+		pt.seen = slices.Grow(pt.seen[:0], n)[:n]
+	} else {
+		pt.recs = pt.recs[:0]
+		if pt.cells == nil {
+			pt.cells = map[string]int32{}
 		}
-		pt.dense = pt.denseBuf[:n]
-	} else if pt.cells == nil {
-		pt.cells = map[string]int32{}
 	}
 }
 
@@ -636,15 +667,6 @@ func (sp *scanPartials) release() {
 	sp.parts = nil
 }
 
-// newCell appends a blank cell and returns its offset. Appending may move
-// recs, so callers index pt.recs afresh after any call that can create a
-// cell instead of holding the slice across it.
-func (pt *partial) newCell() int32 {
-	off := len(pt.recs)
-	pt.recs = append(pt.recs, pt.p.blankCell...)
-	return int32(off)
-}
-
 // process folds fact instance i into the partial: the fused form of the
 // three-stage pipeline (filter, decode, accumulate — one fact at a time),
 // which only a filtered query over a sparse view still runs.
@@ -658,17 +680,21 @@ func (pt *partial) process(i int32, d *scanDrive) {
 }
 
 // accumulateFact is stage 3 for one fact that already passed the filters:
-// look up (or create) the fact's group cell and fold the measures in.
+// find (or claim) the fact's group cell and fold the measures in.
 func (pt *partial) accumulateFact(i int32, d *scanDrive) {
 	p := pt.p
-	var off int32
-	if pt.dense != nil {
-		off = pt.cellFor(d.key(i))
+	var off int
+	if p.denseCells > 0 {
+		ck := d.key(i)
+		off = int(ck) * pt.stride
+		if pt.seen[ck] == 0 {
+			pt.touch(ck)
+		}
 	} else {
 		off = pt.hashCell(i)
 	}
 	n := len(p.measureCols)
-	cell := pt.recs[off:][:len(p.blankCell)]
+	cell := pt.recs[off:][:pt.stride]
 	cell[cellCount]++
 	for j, col := range p.measureCols {
 		if col == nil { // COUNT
@@ -742,17 +768,17 @@ func (pt *partial) merge(src *partial) {
 	pt.scanned += src.scanned
 	pt.matched += src.matched
 	pt.cost.Add(src.cost)
-	n, stride := len(pt.p.measureCols), len(pt.p.blankCell)
-	if pt.dense != nil {
-		for ck, so := range src.dense {
-			if so == 0 {
-				continue
-			}
-			if do := pt.dense[ck]; do != 0 {
-				mergeCell(pt.recs[do:], src.recs[so:], n)
+	n, stride := len(pt.p.measureCols), pt.stride
+	if pt.p.denseCells > 0 {
+		for _, ck := range src.touched {
+			off := int(ck) * stride
+			dst := pt.recs[off : off+stride]
+			if pt.seen[ck] == 0 {
+				copy(dst, src.recs[off:off+stride])
+				pt.seen[ck] = 1
+				pt.touched = append(pt.touched, ck)
 			} else {
-				pt.dense[ck] = int32(len(pt.recs))
-				pt.recs = append(pt.recs, src.recs[so:int(so)+stride]...)
+				mergeCell(dst, src.recs[off:], n)
 			}
 		}
 		return
@@ -764,25 +790,48 @@ func (pt *partial) merge(src *partial) {
 		}
 		pt.cells[k] = int32(len(pt.recs))
 		pt.recs = append(pt.recs, src.recs[so:int(so)+stride]...)
-		pt.members = append(pt.members, src.cellMembers(int(so)/stride-1)...)
+		pt.members = append(pt.members, src.cellMembers(int(so)/stride)...)
 	}
 }
 
 // cellMembers returns the group members of a hashed plan's c-th cell in
-// creation order (the cell at offset (c+1)·stride).
+// creation order (the cell at offset c·stride).
 func (pt *partial) cellMembers(c int) []int32 {
 	nl := len(pt.p.groups)
 	return pt.members[c*nl : (c+1)*nl]
 }
 
 // rowKey is one group's sort key in finalize: the OrderBy aggregate's
-// value (0 without OrderBy), the group's position in name order, and the
-// cell it stands for. Pointer-free, so the scratch slice pools on the
-// partial without pinning anything.
+// value as an order-preserving integer (orderKey; 0 without OrderBy), the
+// group's position in name order, and the cell it stands for.
+// Pointer-free, so the scratch slices pool on the partial without pinning
+// anything.
 type rowKey struct {
-	val float64
+	key uint64
 	ord int32 // dense plans: composite of the levels' name ranks
 	idx int32 // dense plans: the group key; hashed: the cell's creation number
+}
+
+// orderKey maps an OrderBy value to a uint64 whose unsigned order is the
+// row order: ascending, or descending when desc, with −0 equal to +0 and
+// NaN after every number either way.
+func orderKey(v float64, desc bool) uint64 {
+	if v != v {
+		return math.MaxUint64
+	}
+	if v == 0 {
+		v = 0 // −0 ties +0
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		b = ^b // a negative number sorts below zero, the larger magnitude first
+	} else {
+		b |= 1 << 63
+	}
+	if desc {
+		b = ^b
+	}
+	return b
 }
 
 // aggValue is cell's final value for aggregate j (AVG divides here).
@@ -805,7 +854,8 @@ func (p *queryPlan) aggValue(cell []float64, j int) float64 {
 // nameOrder maps a dense plan's group key to the group's position in
 // group-name order: the same mixed-radix number with every slot replaced
 // by its name rank, so comparing two groups' names level by level is one
-// integer compare.
+// integer compare. Equal names share a rank, so two groups can share a
+// position.
 func (p *queryPlan) nameOrder(ck int32) int32 {
 	var ord int32
 	for gi := range p.groups {
@@ -831,50 +881,40 @@ func (p *queryPlan) compareMembers(a, b []int32) int {
 }
 
 // finalize turns a fully merged partial into the query Result: AVG
-// division, ordering, limit, group names. It sorts pointer-free keys (one
-// per touched cell) rather than rows, then materializes only the rows
-// that survive Limit, carving their Groups and Values out of two flat
-// slabs — three allocations per Result however many rows, and a
-// truncated Result retains nothing sized by the groups it dropped.
+// division, ordering, limit, group names. Rows are ordered by the OrderBy
+// value, then group names level by level, then members (group key). It
+// sorts pointer-free keys (one per touched cell) rather than rows — a
+// dense plan by radix (sortDense), a hashed one by comparator — then
+// materializes only the rows that survive Limit, carving their Groups and
+// Values out of two flat slabs: three allocations per Result however many
+// rows, and a truncated Result retains nothing sized by the groups it
+// dropped.
 func (p *queryPlan) finalize(pt *partial) *Result {
 	res := &Result{GroupCols: p.groupCols, AggCols: p.aggCols,
 		ScannedFacts: pt.scanned, MatchedFacts: pt.matched}
 
-	// One key per touched cell. idx is the group key on a dense plan and
-	// the cell's creation number on a hashed one; cellAt maps it back.
-	dense := pt.dense != nil
-	nl, na, stride := len(p.groups), len(p.measureCols), len(p.blankCell)
-	cellAt := func(idx int32) []float64 {
-		off := (int(idx) + 1) * stride
-		if dense {
-			off = int(pt.dense[idx])
-		}
-		return pt.recs[off : off+stride]
+	// One key per cell in use. idx is the group key on a dense plan and
+	// the cell's creation number on a hashed one; either way the cell is
+	// at idx·stride.
+	dense := p.denseCells > 0
+	nl, na, stride := len(p.groups), len(p.measureCols), pt.stride
+	rows := len(pt.recs) / stride
+	if dense {
+		rows = len(pt.touched)
 	}
 	ob := p.q.OrderBy
-	order := pt.order[:0]
-	add := func(idx int32) {
-		k := rowKey{idx: idx}
-		if ob != nil {
-			k.val = p.aggValue(cellAt(idx), ob.Agg)
-		}
+	order := slices.Grow(pt.order[:0], rows)[:rows]
+	for r := range order {
+		k := rowKey{idx: int32(r)}
 		if dense {
-			k.ord = p.nameOrder(idx)
+			k.idx = pt.touched[r]
+			k.ord = p.nameOrder(k.idx)
 		}
-		order = append(order, k)
+		if ob != nil {
+			k.key = orderKey(p.aggValue(pt.recs[int(k.idx)*stride:], ob.Agg), ob.Desc)
+		}
+		order[r] = k
 	}
-	if dense {
-		for ck, off := range pt.dense {
-			if off != 0 {
-				add(int32(ck))
-			}
-		}
-	} else {
-		for c := range len(pt.recs)/stride - 1 {
-			add(int32(c))
-		}
-	}
-	pt.order = order
 
 	// The cost vector: artifact-byte shares accumulated on the partial
 	// by the staged scan, plus the scan counters and the distinct group
@@ -884,22 +924,17 @@ func (p *queryPlan) finalize(pt *partial) *Result {
 	res.Cost.FactsMatched += int64(pt.matched)
 	res.Cost.CellsTouched += int64(len(order))
 
-	desc := ob != nil && ob.Desc
-	slices.SortFunc(order, func(a, b rowKey) int {
-		if a.val != b.val {
-			if (a.val < b.val) != desc {
-				return -1
+	if dense {
+		order = pt.sortDense(order, ob != nil)
+	} else {
+		slices.SortFunc(order, func(a, b rowKey) int {
+			if a.key != b.key {
+				return cmp.Compare(a.key, b.key)
 			}
-			return 1
-		}
-		if !dense {
 			return p.compareMembers(pt.cellMembers(int(a.idx)), pt.cellMembers(int(b.idx)))
-		}
-		if a.ord != b.ord {
-			return cmp.Compare(a.ord, b.ord)
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+		})
+		pt.order = order
+	}
 	if p.q.Limit > 0 && len(order) > p.q.Limit {
 		order = order[:p.q.Limit]
 	}
@@ -928,12 +963,84 @@ func (p *queryPlan) finalize(pt *partial) *Result {
 			row.Groups[gi] = slotName(g.names, slot)
 		}
 		row.Values = values[r*na : (r+1)*na : (r+1)*na]
-		cell := cellAt(k.idx)
+		cell := pt.recs[int(k.idx)*stride:]
 		for j := range row.Values {
 			row.Values[j] = p.aggValue(cell, j)
 		}
 	}
 	return res
+}
+
+// sortDense orders a dense plan's row keys by (key, ord, idx) without a
+// comparator: a stable radix sort on ord, then the rare runs of equal ord
+// (same-named groups) into group-key order, then — when the plan orders by
+// an aggregate — a stable radix sort on key. Both buffers stay on the
+// partial for its next plan.
+func (pt *partial) sortDense(order []rowKey, byKey bool) []rowKey {
+	spare := slices.Grow(pt.spare[:0], len(order))[:len(order)]
+	ordBytes := (bits.Len32(uint32(pt.p.denseCells-1)) + 7) / 8
+	order, spare = radixSort(order, spare, ordBytes, false)
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && order[hi].ord == order[lo].ord {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(order[lo:hi], func(a, b rowKey) int { return cmp.Compare(a.idx, b.idx) })
+		}
+		lo = hi
+	}
+	if byKey {
+		order, spare = radixSort(order, spare, 8, true)
+	}
+	pt.order, pt.spare = order, spare
+	return order
+}
+
+// radix is the integer radixSort orders a row key by: key, or ord.
+func (r *rowKey) radix(byKey bool) uint64 {
+	if byKey {
+		return r.key
+	}
+	return uint64(uint32(r.ord))
+}
+
+// radixSort stably sorts a by the low digits bytes of its radix (key or
+// ord), least significant byte first, through the equally long b, and
+// returns the sorted slice and the other buffer. One pass counts every
+// byte position; a position where all rows share one byte value is
+// skipped, so small or clustered values cost few passes.
+func radixSort(a, b []rowKey, digits int, byKey bool) (sorted, spare []rowKey) {
+	if len(a) < 2 {
+		return a, b
+	}
+	var hist [8][256]int32
+	for i := range a {
+		v := a[i].radix(byKey)
+		for d := range digits {
+			hist[d][byte(v>>(8*d))]++
+		}
+	}
+	first := a[0].radix(byKey)
+	for d := range digits {
+		shift := 8 * uint(d)
+		h := &hist[d]
+		if h[byte(first>>shift)] == int32(len(a)) {
+			continue
+		}
+		var sum int32
+		for i, c := range h {
+			h[i] = sum
+			sum += c
+		}
+		for i := range a {
+			dg := byte(a[i].radix(byKey) >> shift)
+			b[h[dg]] = a[i]
+			h[dg]++
+		}
+		a, b = b, a
+	}
+	return a, b
 }
 
 // normalizeWorkers maps the worker-count knob to a concrete pool size for

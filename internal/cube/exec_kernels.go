@@ -13,16 +13,29 @@ import (
 // measure column for COUNT and updating sum, min and max whether the
 // query asked for them or not; a plan with exactly one aggregate — the
 // overwhelmingly common OLAP shape — instead runs a tight loop that
-// hoists the measure column, key column and roll-up table into locals
-// and performs only the one update its aggregate needs. The kernels run
-// on dense plans only (queryPlan.denseCells): the group shape is always
-// "index one table by one composite key", so there is one kernel per
-// measure-op and the group-by depth only changes how the key is decoded.
+// hoists the measure column, key source and cell store into locals and
+// performs only the one update its aggregate needs.
+// The kernels run on dense plans only (queryPlan.denseCells): the group
+// shape is always "address one cell store by one composite key", so
+// there is one kernel per measure-op and the group-by depth only changes
+// how the key is decoded.
+//
+// A dense plan's cell for group key ck lives at recs[ck·stride] — the key
+// is the address, so there is no offset table between them. One byte per
+// key, partial.seen, marks the cells in use: the first touch copies the
+// plan's blank cell in, sets the byte and records ck in partial.touched,
+// which merge, finalize and the next rebind walk instead of the whole
+// store. The marker is not the cell's count: a SUM, MIN or MAX kernel
+// then writes one float per fact, and its touch test reads a small,
+// read-mostly array rather than the cell line the loop is writing
+// (marking by count cost the unfiltered single-level scans a fifth to
+// a half on a 2-vCPU Xeon, BenchmarkParallelScan and
+// BenchmarkShardedScan).
 //
 // Skipping the untouched accumulator fields is safe for byte-identical
 // results: finalize reads only the field its aggregate defines (sums for
 // SUM, count for COUNT/AVG, mins/maxs for MIN/MAX), and merge folds the
-// untouched fields as identities (adding zero counts/sums, narrowing
+// untouched fields as identities (adding zero counts and sums, narrowing
 // against ±Inf), so a kernel-filled partial finalizes and merges exactly
 // like a generically filled one. The equivalence harness pins this
 // against the executor-independent reference (package cubetest).
@@ -43,7 +56,7 @@ const (
 
 // selectKernel maps a plan to its accumulate kernel: a dense plan with
 // exactly one aggregate specializes per op — whatever its group-by depth,
-// since every dense plan indexes one table by one composite key.
+// since every dense plan addresses one cell store by one composite key.
 // Multi-aggregate plans and hashed plans keep the generic loop.
 func selectKernel(p *queryPlan) kernelKind {
 	if len(p.q.Aggregates) != 1 || p.denseCells == 0 {
@@ -64,61 +77,75 @@ func selectKernel(p *queryPlan) kernelKind {
 	return kernGeneric
 }
 
+// keySource says where a dense plan's drive reads stage 2 from.
+type keySource uint8
+
+const (
+	keyInline keySource = iota // no level, or three and more: queryPlan.groupKeyOf
+	keyColumn                  // the batch's shared composite key column
+	keyOne                     // one level: one key-term load
+	keyTwo                     // two levels: two key-term loads and an add
+)
+
 // scanDrive is one scan range's hoisted stage-2/3 state, loaded once per
 // range instead of once per fact: the group-key source (the shared
-// composite column when the batch materialized one, else inline decode)
-// and, for the kernels, the single aggregate's measure column.
+// composite column when the batch materialized one, else the levels' key
+// terms) and, for the kernels, the single aggregate's measure column.
 type scanDrive struct {
 	p   *queryPlan
 	col []float64 // first aggregate's measure column (nil for COUNT)
-	kc  []int32   // shared composite key column (nil → inline decode)
-	// anc/keys are the single-level inline decode (roll-up table + fact
-	// keys), nil for any other depth.
-	anc, keys []int32
+	src keySource
+	kc  []int32 // shared composite key column (keyColumn)
+	// t0/k0 and t1/k1 are the first two levels' key terms and fact key
+	// columns (keyOne, keyTwo).
+	t0, k0, t1, k1 []int32
 }
 
 // drive builds the plan's scanDrive over an optional shared composite key
 // column.
 func (p *queryPlan) drive(kc []int32) scanDrive {
 	d := scanDrive{p: p, col: p.measureCols[0], kc: kc}
-	if len(p.groups) == 1 {
-		d.anc, d.keys = p.groups[0].anc, p.groups[0].keys
+	switch {
+	case kc != nil:
+		d.src = keyColumn
+	case len(p.groups) == 1:
+		d.src, d.t0, d.k0 = keyOne, p.groups[0].terms, p.groups[0].keys
+	case len(p.groups) == 2:
+		d.src, d.t0, d.k0 = keyTwo, p.groups[0].terms, p.groups[0].keys
+		d.t1, d.k1 = p.groups[1].terms, p.groups[1].keys
 	}
 	return d
 }
 
 // key is stage 2 for one fact of a dense plan: its composite group key.
 func (d *scanDrive) key(i int32) int32 {
-	if d.kc != nil {
+	switch d.src {
+	case keyColumn:
 		return d.kc[i]
+	case keyOne:
+		return d.t0[d.k0[i]]
+	case keyTwo:
+		return d.t0[d.k0[i]] + d.t1[d.k1[i]]
 	}
-	if d.anc != nil {
-		return d.anc[d.keys[i]] + 1
-	}
-	return d.p.cellIndex(i)
+	return d.p.groupKeyOf(i)
 }
 
-// cellFor is the dense table's cell fetch, shaped to inline into the
-// kernel loops: an existing cell's offset returns directly, creation is
-// one outlined call (newDenseCell must stay out of line, or it is inlined
-// here and pushes cellFor itself past the inline budget).
-func (pt *partial) cellFor(ck int32) int32 {
-	if off := pt.dense[ck]; off != 0 {
-		return off
-	}
-	return pt.newDenseCell(ck)
-}
-
+// touch claims the untouched dense cell ck: it takes the blank cell, is
+// marked seen and joins the touched list. Out of line, so the kernel
+// loops stay small.
+//
 //go:noinline
-func (pt *partial) newDenseCell(ck int32) int32 {
-	off := pt.newCell()
-	pt.dense[ck] = off
-	return off
+func (pt *partial) touch(ck int32) {
+	stride := len(pt.p.blankCell)
+	copy(pt.recs[int(ck)*stride:], pt.p.blankCell)
+	pt.seen[ck] = 1
+	pt.touched = append(pt.touched, ck)
 }
 
 // hashCell is the hashed plans' cell fetch: the string-keyed fallback for
-// group key spaces above maxDenseCells.
-func (pt *partial) hashCell(i int32) int32 {
+// group key spaces above the dense bounds. It returns the cell's offset;
+// creating a cell appends to recs.
+func (pt *partial) hashCell(i int32) int {
 	p := pt.p
 	pt.keyBuf = pt.keyBuf[:0]
 	for gi := range p.groups {
@@ -126,58 +153,68 @@ func (pt *partial) hashCell(i int32) int32 {
 	}
 	off, ok := pt.cells[string(pt.keyBuf)]
 	if !ok {
-		off = pt.newCell()
+		off = int32(len(pt.recs))
+		pt.recs = append(pt.recs, p.blankCell...)
 		pt.cells[string(pt.keyBuf)] = off
 		for gi := range p.groups {
 			pt.members = append(pt.members, p.groups[gi].decode(i))
 		}
 	}
-	return off
+	return int(off)
 }
 
 // The kernels below run on a plan with one aggregate, whose cells are
-// [count, sum, min, max]. Each takes the cell's offset first and indexes
-// pt.recs after: cellFor may append to recs.
+// [count, sum, min, max]: kernStride floats at recs[ck·kernStride].
 const (
+	kernStride  = cellSums + 3
 	kernCellSum = cellSums
 	kernCellMin = cellSums + 1
 	kernCellMax = cellSums + 2
 )
 
+// kernCell is the kernels' cell access: the offset of group key ck's
+// cell, claimed on its first touch.
+func (pt *partial) kernCell(seen []uint8, ck int32) int {
+	if seen[ck] == 0 {
+		pt.touch(ck)
+	}
+	return int(ck) * kernStride
+}
+
 // accumRange folds every fact in [lo, hi) through the plan's kernel —
 // the unfiltered, unmasked stage 3. Callers must only invoke it when
 // p.kern != kernGeneric.
 func (pt *partial) accumRange(lo, hi int, d *scanDrive) {
-	col := d.col
+	col, recs, seen := d.col, pt.recs, pt.seen
 	switch pt.p.kern {
 	case kernSum:
 		for i := lo; i < hi; i++ {
-			off := pt.cellFor(d.key(int32(i)))
-			pt.recs[off+kernCellSum] += col[i]
+			off := pt.kernCell(seen, d.key(int32(i)))
+			recs[off+kernCellSum] += col[i]
 		}
 	case kernCount:
 		for i := lo; i < hi; i++ {
-			off := pt.cellFor(d.key(int32(i)))
-			pt.recs[off+cellCount]++
+			off := pt.kernCell(seen, d.key(int32(i)))
+			recs[off+cellCount]++
 		}
 	case kernAvg:
 		for i := lo; i < hi; i++ {
-			off := pt.cellFor(d.key(int32(i)))
-			pt.recs[off+cellCount]++
-			pt.recs[off+kernCellSum] += col[i]
+			off := pt.kernCell(seen, d.key(int32(i)))
+			recs[off+cellCount]++
+			recs[off+kernCellSum] += col[i]
 		}
 	case kernMin:
 		for i := lo; i < hi; i++ {
-			off := pt.cellFor(d.key(int32(i)))
-			if mv := col[i]; mv < pt.recs[off+kernCellMin] {
-				pt.recs[off+kernCellMin] = mv
+			off := pt.kernCell(seen, d.key(int32(i)))
+			if mv := col[i]; mv < recs[off+kernCellMin] {
+				recs[off+kernCellMin] = mv
 			}
 		}
 	case kernMax:
 		for i := lo; i < hi; i++ {
-			off := pt.cellFor(d.key(int32(i)))
-			if mv := col[i]; mv > pt.recs[off+kernCellMax] {
-				pt.recs[off+kernCellMax] = mv
+			off := pt.kernCell(seen, d.key(int32(i)))
+			if mv := col[i]; mv > recs[off+kernCellMax] {
+				recs[off+kernCellMax] = mv
 			}
 		}
 	}
@@ -216,45 +253,46 @@ func (pt *partial) accumMask(m *bitset.Set, lo, hi int, d *scanDrive) {
 // accumWord folds the set bits of one mask word (facts [base, base+64))
 // through the kernel. The kind switch runs once per word, not per fact.
 func (pt *partial) accumWord(w uint64, base int32, d *scanDrive) {
+	col, recs, seen := d.col, pt.recs, pt.seen
 	switch pt.p.kern {
 	case kernSum:
 		for w != 0 {
 			i := base + int32(bits.TrailingZeros64(w))
 			w &= w - 1
-			off := pt.cellFor(d.key(i))
-			pt.recs[off+kernCellSum] += d.col[i]
+			off := pt.kernCell(seen, d.key(i))
+			recs[off+kernCellSum] += col[i]
 		}
 	case kernCount:
 		for w != 0 {
 			i := base + int32(bits.TrailingZeros64(w))
 			w &= w - 1
-			off := pt.cellFor(d.key(i))
-			pt.recs[off+cellCount]++
+			off := pt.kernCell(seen, d.key(i))
+			recs[off+cellCount]++
 		}
 	case kernAvg:
 		for w != 0 {
 			i := base + int32(bits.TrailingZeros64(w))
 			w &= w - 1
-			off := pt.cellFor(d.key(i))
-			pt.recs[off+cellCount]++
-			pt.recs[off+kernCellSum] += d.col[i]
+			off := pt.kernCell(seen, d.key(i))
+			recs[off+cellCount]++
+			recs[off+kernCellSum] += col[i]
 		}
 	case kernMin:
 		for w != 0 {
 			i := base + int32(bits.TrailingZeros64(w))
 			w &= w - 1
-			off := pt.cellFor(d.key(i))
-			if mv := d.col[i]; mv < pt.recs[off+kernCellMin] {
-				pt.recs[off+kernCellMin] = mv
+			off := pt.kernCell(seen, d.key(i))
+			if mv := col[i]; mv < recs[off+kernCellMin] {
+				recs[off+kernCellMin] = mv
 			}
 		}
 	case kernMax:
 		for w != 0 {
 			i := base + int32(bits.TrailingZeros64(w))
 			w &= w - 1
-			off := pt.cellFor(d.key(i))
-			if mv := d.col[i]; mv > pt.recs[off+kernCellMax] {
-				pt.recs[off+kernCellMax] = mv
+			off := pt.kernCell(seen, d.key(i))
+			if mv := col[i]; mv > recs[off+kernCellMax] {
+				recs[off+kernCellMax] = mv
 			}
 		}
 	}

@@ -8,6 +8,7 @@ package cube
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"sdwp/internal/bitset"
 	"sdwp/internal/geomd"
 	"sdwp/internal/mdmodel"
+	"sdwp/internal/obs"
 )
 
 func TestNormalizeWorkersClampsToChunkCount(t *testing.T) {
@@ -114,8 +116,10 @@ func wideWarehouse(t testing.TB) *Cube {
 // composite-key plan and a single-level kernel plan through one partial —
 // exactly what the pool does on reuse — and pins that rebind leaves no
 // trace of the previous query whatever shape it had: no stale cells in
-// either group table, no stale scan counters, results identical to a
-// freshly allocated partial's.
+// the cell store or the hash table, no stale scan counters, results
+// identical to a freshly allocated partial's. It then merges worker
+// partials over disjoint and overlapping touched sets at 1, 2 and 4
+// workers and pins that the merged results stay bit-identical.
 func TestPartialPoolNoStateBleed(t *testing.T) {
 	c := wideWarehouse(t)
 	compile := func(q Query) *queryPlan {
@@ -133,7 +137,8 @@ func TestPartialPoolNoStateBleed(t *testing.T) {
 		Aggregates: []MeasureAgg{{Measure: "m", Agg: AggSum}, {Agg: AggCount}},
 		Filters:    []AttrFilter{{LevelRef: LevelRef{"A", "a"}, Attr: "weight", Op: OpGt, Value: 2.0}},
 	})
-	// Dense composite key: unfiltered, three aggregates, a wider cell.
+	// Dense composite key: unfiltered, three aggregates, a wider cell
+	// whose blank carries ±Inf.
 	pDense := compile(Query{
 		Fact:    "F",
 		GroupBy: []LevelRef{{"A", "a"}, {"B", "region"}},
@@ -143,14 +148,14 @@ func TestPartialPoolNoStateBleed(t *testing.T) {
 			{Measure: "m", Agg: AggAvg},
 		},
 	})
-	// Single level, one aggregate: the kernel path.
+	// Single level, one aggregate: the kernel path, a different stride.
 	pSingle := compile(Query{
 		Fact:       "F",
 		GroupBy:    []LevelRef{{"B", "b"}},
 		Aggregates: []MeasureAgg{{Measure: "m", Agg: AggSum}},
 	})
 	if pHash.denseCells != 0 || pDense.denseCells != 601*4 || pSingle.denseCells != 601 ||
-		pSingle.kern != kernSum {
+		pSingle.kern != kernSum || len(pDense.blankCell) == len(pSingle.blankCell) {
 		t.Fatalf("plans have the wrong shapes: dense cells %d/%d/%d, kernel %d",
 			pHash.denseCells, pDense.denseCells, pSingle.denseCells, pSingle.kern)
 	}
@@ -171,30 +176,106 @@ func TestPartialPoolNoStateBleed(t *testing.T) {
 		}
 	}
 
+	// fresh checks that a rebound partial is indistinguishable from a
+	// freshly constructed one: the same cell-store length over an
+	// all-zero backing array, and no cells, keys or counts.
+	fresh := func(label string, pt *partial, p *queryPlan) {
+		t.Helper()
+		f := newPartial(p)
+		if pt.scanned != 0 || pt.matched != 0 || pt.cost != (obs.QueryCost{}) {
+			t.Fatalf("%s: stale scan counters after rebind: %d/%d %+v", label, pt.scanned, pt.matched, pt.cost)
+		}
+		if len(pt.cells) != 0 || len(pt.members) != 0 || len(pt.touched) != 0 {
+			t.Fatalf("%s: stale cells after rebind: %d hashed, %d members, %d touched",
+				label, len(pt.cells), len(pt.members), len(pt.touched))
+		}
+		if len(pt.recs) != len(f.recs) || pt.stride != f.stride {
+			t.Fatalf("%s: cell store has %d floats of stride %d, fresh %d of stride %d",
+				label, len(pt.recs), pt.stride, len(f.recs), f.stride)
+		}
+		for i, v := range pt.recs[:cap(pt.recs)] {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("%s: stale float %v at %d of the cell store after rebind", label, v, i)
+			}
+		}
+		for ck, b := range pt.seen[:cap(pt.seen)] {
+			if b != 0 {
+				t.Fatalf("%s: group key %d still marked in use after rebind", label, ck)
+			}
+		}
+	}
+
 	pt := &partial{}
 	for step, p := range []*queryPlan{pHash, pDense, pSingle, pHash, pSingle, pDense, pHash} {
 		// Rebind — the reset-on-get path — and check the partial is
 		// indistinguishable from fresh before it scans anything.
+		label := fmt.Sprintf("step %d", step)
 		pt.rebind(p)
-		if pt.scanned != 0 || pt.matched != 0 {
-			t.Fatalf("step %d: stale scan counters after rebind: %d/%d", step, pt.scanned, pt.matched)
-		}
-		if len(pt.cells) != 0 || len(pt.members) != 0 || len(pt.recs) != len(p.blankCell) {
-			t.Fatalf("step %d: stale cells after rebind: %d hashed, %d members, %d floats",
-				step, len(pt.cells), len(pt.members), len(pt.recs))
-		}
-		if len(pt.dense) != p.denseCells {
-			t.Fatalf("step %d: dense table has %d slots, want %d", step, len(pt.dense), p.denseCells)
-		}
-		for i, off := range pt.denseBuf[:cap(pt.denseBuf)] {
-			if off != 0 {
-				t.Fatalf("step %d: stale dense cell %d after rebind", step, i)
-			}
-		}
-		if got := run(p, pt); !reflect.DeepEqual(got, want[p]) {
-			t.Fatalf("step %d: reused partial diverged:\ngot  %+v\nwant %+v", step, got, want[p])
+		fresh(label, pt, p)
+		if got := run(p, pt); !sameResult(got, want[p]) {
+			t.Fatalf("%s: reused partial diverged:\ngot  %+v\nwant %+v", label, got, want[p])
 		}
 	}
+
+	// Worker partials, each over its own facts, merged in worker order.
+	// Disjoint: a worker sees whole groups (by the first level's member),
+	// so no two workers touch one cell; overlapping: facts interleave
+	// across workers, so every cell is touched by several and merges.
+	pool := []*partial{pt}
+	for _, workers := range []int{1, 2, 4} {
+		for len(pool) < workers {
+			pool = append(pool, &partial{})
+		}
+		for _, disjoint := range []bool{true, false} {
+			for _, p := range []*queryPlan{pDense, pSingle, pHash} {
+				label := fmt.Sprintf("%d workers disjoint=%v plan %d cells", workers, disjoint, p.denseCells)
+				masks := make([]*bitset.Set, workers)
+				for w := range masks {
+					masks[w] = bitset.New(p.n)
+				}
+				for i := 0; i < p.n; i++ {
+					w := i % workers
+					if disjoint {
+						w = int(p.groups[0].decode(int32(i))) % workers
+					}
+					masks[w].Set(i)
+				}
+				for w := range workers {
+					pool[w].rebind(p)
+					fresh(label, pool[w], p)
+					d := p.drive(nil)
+					pool[w].scanFused(0, p.n, masks[w], &d)
+				}
+				for w := 1; w < workers; w++ {
+					pool[0].merge(pool[w])
+				}
+				if got := p.finalize(pool[0]); !sameResult(got, want[p]) {
+					t.Fatalf("%s: merged result diverged:\ngot  %+v\nwant %+v", label, got, want[p])
+				}
+			}
+		}
+	}
+}
+
+// sameResult reports whether two Results are equal with every float
+// compared by its bits, so a −0 for a +0 or a lost NaN payload counts.
+func sameResult(a, b *Result) bool {
+	if len(a.Rows) != len(b.Rows) || !reflect.DeepEqual(a.GroupCols, b.GroupCols) ||
+		!reflect.DeepEqual(a.AggCols, b.AggCols) || a.ScannedFacts != b.ScannedFacts ||
+		a.MatchedFacts != b.MatchedFacts || a.Cost.CellsTouched != b.Cost.CellsTouched {
+		return false
+	}
+	for r := range a.Rows {
+		if !reflect.DeepEqual(a.Rows[r].Groups, b.Rows[r].Groups) || len(a.Rows[r].Values) != len(b.Rows[r].Values) {
+			return false
+		}
+		for j, v := range a.Rows[r].Values {
+			if math.Float64bits(v) != math.Float64bits(b.Rows[r].Values[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestBatchPartialPoolReuseStats pins the pool round-trip through the

@@ -104,7 +104,8 @@ type Query struct {
 	Aggregates []MeasureAgg
 	Filters    []AttrFilter
 	// OrderBy optionally replaces the default group-name ordering with an
-	// aggregate-value ordering (ties broken by group names).
+	// aggregate-value ordering (ties broken by group names). −0 ties +0,
+	// and a NaN value sorts after every number in either direction.
 	OrderBy *OrderBy
 	// Limit truncates the result to the first n rows when positive (top-n
 	// with OrderBy).

@@ -17,14 +17,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
-	"strconv"
-	"unicode/utf8"
 
 	"sdwp/internal/bitset"
 	"sdwp/internal/core"
 	"sdwp/internal/cube"
 	"sdwp/internal/geom"
+	"sdwp/internal/jsonenc"
 )
 
 // Options configures a session export.
@@ -117,7 +115,7 @@ func (e *encoder) appendFeature(dst []byte, f *feature) ([]byte, error) {
 		return appendSelected(appendMemberProps(dst, f.dim, f.level, f.name), f.selected), nil
 	}
 	dst = append(dst, `,"properties":{"kind":"userLocation","user":`...)
-	return append(appendString(dst, f.name), "}}"...), nil
+	return append(jsonenc.AppendString(dst, f.name), "}}"...), nil
 }
 
 // layerText is the layer's per-object feature text.
@@ -172,20 +170,20 @@ func openLineFeature(dst []byte, pts []geom.Point) ([]byte, error) {
 // (keys in sorted order, as encoding/json writes a map).
 func appendLayerProps(dst []byte, layer, name string) []byte {
 	dst = append(dst, `,"properties":{"kind":"layer","layer":`...)
-	dst = appendString(dst, layer)
+	dst = jsonenc.AppendString(dst, layer)
 	dst = append(dst, `,"name":`...)
-	return append(appendString(dst, name), "}}"...)
+	return append(jsonenc.AppendString(dst, name), "}}"...)
 }
 
 // appendMemberProps appends a member's properties up to and including
 // its "name" value; appendSelected closes the feature.
 func appendMemberProps(dst []byte, dim, level, name string) []byte {
 	dst = append(dst, `,"properties":{"dimension":`...)
-	dst = appendString(dst, dim)
+	dst = jsonenc.AppendString(dst, dim)
 	dst = append(dst, `,"kind":"member","level":`...)
-	dst = appendString(dst, level)
+	dst = jsonenc.AppendString(dst, level)
 	dst = append(dst, `,"name":`...)
-	return appendString(dst, name)
+	return jsonenc.AppendString(dst, name)
 }
 
 func appendSelected(dst []byte, selected bool) []byte {
@@ -256,84 +254,9 @@ func appendPoints(dst []byte, pts []geom.Point, closed bool) []byte {
 }
 
 func appendPoint(dst []byte, p geom.Point) []byte {
-	dst = appendFloat(append(dst, '['), p.X)
-	dst = appendFloat(append(dst, ','), p.Y)
+	dst = jsonenc.AppendFloat(append(dst, '['), p.X)
+	dst = jsonenc.AppendFloat(append(dst, ','), p.Y)
 	return append(dst, ']')
-}
-
-// appendFloat formats a finite f as encoding/json does: the shortest
-// representation, in exponent form below 1e-6 and from 1e21, with a
-// one-digit negative exponent unpadded (1e-7, not 1e-07).
-func appendFloat(dst []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendString appends s as a JSON string escaped as encoding/json escapes
-// it by default: quotes, backslashes and control characters, the HTML
-// characters <, > and &, U+2028 and U+2029, and each byte of invalid UTF-8
-// as the escaped replacement character (\ufffd).
-func appendString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '"', '\\':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, "\\ufffd"...)
-			i++
-			start = i
-			continue
-		}
-		if c == 0x2028 || c == 0x2029 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	return append(append(dst, s[start:]...), '"')
 }
 
 // featureKind names what a map feature depicts (its "kind" property).

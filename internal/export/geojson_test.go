@@ -15,6 +15,7 @@ import (
 	"sdwp/internal/cube"
 	"sdwp/internal/datagen"
 	"sdwp/internal/geom"
+	"sdwp/internal/jsonenc"
 	"sdwp/internal/prml"
 )
 
@@ -116,8 +117,9 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
-// FuzzGeoJSONScalars checks appendFloat and appendString against
-// encoding/json for arbitrary float64 bits and strings.
+// FuzzGeoJSONScalars checks the GeoJSON scalars (jsonenc.AppendFloat and
+// jsonenc.AppendString) against encoding/json for arbitrary float64 bits
+// and strings.
 func FuzzGeoJSONScalars(f *testing.F) {
 	for _, x := range []float64{0, math.Copysign(0, -1), 1, -2.25, 1e-6, 9.99e-7, 1e-7, 1e20, 1e21, -1e21,
 		123456789012345678, math.MaxFloat64, math.SmallestNonzeroFloat64, -3.7, 40.4} {
@@ -129,15 +131,15 @@ func FuzzGeoJSONScalars(f *testing.F) {
 	f.Fuzz(func(t *testing.T, bits uint64, s string) {
 		x := math.Float64frombits(bits)
 		if want, err := json.Marshal(x); err == nil {
-			if got := appendFloat([]byte("["), x); string(got[1:]) != string(want) {
-				t.Errorf("appendFloat(%v) = %s, encoding/json %s", x, got[1:], want)
+			if got := jsonenc.AppendFloat([]byte("["), x); string(got[1:]) != string(want) {
+				t.Errorf("AppendFloat(%v) = %s, encoding/json %s", x, got[1:], want)
 			}
 		} else if !math.IsNaN(x) && !math.IsInf(x, 0) {
 			t.Errorf("encoding/json refused finite %v: %v", x, err)
 		}
 		want, _ := json.Marshal(s)
-		if got := appendString([]byte("x"), s); string(got[1:]) != string(want) {
-			t.Errorf("appendString(%q) = %s, encoding/json %s", s, got[1:], want)
+		if got := jsonenc.AppendString([]byte("x"), s); string(got[1:]) != string(want) {
+			t.Errorf("AppendString(%q) = %s, encoding/json %s", s, got[1:], want)
 		}
 	})
 }

@@ -61,6 +61,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,6 +82,15 @@ type Executor interface {
 	Compile(q cube.Query) (*cube.CompiledQuery, error)
 	// ExecuteBatchCompiledOpt runs one coalesced shared scan.
 	ExecuteBatchCompiledOpt(cqs []*cube.CompiledQuery, vs []*cube.View, opts cube.BatchOptions) ([]*cube.Result, cube.SharingStats, error)
+}
+
+// FactVersioner is the Executor method the result cache keys answers by
+// (*cube.Cube has it): a fact table's mutation counter
+// (cube.FactData.Version), which every append and member change moves. An
+// executor without it reads as version 0 throughout, so its tables must
+// not change under the scheduler.
+type FactVersioner interface {
+	FactVersion(fact string) uint64
 }
 
 // DefaultMaxBatch bounds one coalesced shared scan and — shared through
@@ -232,6 +242,7 @@ type request struct {
 // use.
 type Scheduler struct {
 	c        Executor
+	versions FactVersioner // c's fact table versions, nil if it has none
 	opts     Options
 	cache    *resultCache // nil when caching is disabled
 	door     *doorkeeper  // nil when caching is disabled
@@ -299,8 +310,10 @@ func New(c Executor, opts Options) *Scheduler {
 	if opts.Costs == nil {
 		opts.Costs = obs.NewAccountant(obs.AccountantOptions{})
 	}
+	versions, _ := c.(FactVersioner)
 	s := &Scheduler{
 		c:          c,
+		versions:   versions,
 		opts:       opts,
 		tenants:    map[string]*tenant{},
 		byKey:      map[string]*request{},
@@ -467,7 +480,7 @@ func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View,
 		// make the entry fresher, which is within the view's
 		// query-vs-selection semantics (and runBatch skips caching in that
 		// case anyway).
-		key, epoch := s.cacheKey(fp, v)
+		key, epoch := s.cacheKey(fp, qs[i].Fact, v)
 		var admit bool
 		if s.cache != nil {
 			if res, ok := s.cache.get(key); ok {
@@ -561,17 +574,27 @@ func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View,
 	return idx, firstErr
 }
 
-// cacheKey builds the cache/dedup key — plan fingerprint plus the view's
-// (id, epoch) — and returns the epoch it observed. The comment block in
-// admit explains why reading the epoch before execution is the safe side
-// of the race with concurrent selections.
-func (s *Scheduler) cacheKey(fp string, v *cube.View) (key string, epoch uint64) {
-	var viewID uint64
+// cacheKey builds the cache/dedup key — plan fingerprint, the view's (id,
+// epoch) and the fact table's version — and returns the epoch it
+// observed. Both counters are read before execution: the comment block in
+// admit explains why that is the safe side of the race with concurrent
+// selections, and the same holds for appends, because the plan compiled
+// after the read scans at least the facts the version counted. An answer
+// cached before an append is therefore never served after it.
+func (s *Scheduler) cacheKey(fp, fact string, v *cube.View) (key string, epoch uint64) {
+	var viewID, version uint64
 	if v != nil {
 		viewID = v.ID()
 		epoch = v.Epoch()
 	}
-	return fmt.Sprintf("%d@%d|%s", viewID, epoch, fp), epoch
+	if s.versions != nil {
+		version = s.versions.FactVersion(fact)
+	}
+	var buf [128]byte
+	b := strconv.AppendUint(buf[:0], viewID, 10)
+	b = strconv.AppendUint(append(b, '@'), epoch, 10)
+	b = strconv.AppendUint(append(b, '#'), version, 10)
+	return string(append(append(b, '|'), fp...)), epoch
 }
 
 // enqueueLocked admits one request: identical queued requests merge (the

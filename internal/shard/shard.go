@@ -210,6 +210,10 @@ func (t *Table) AddFact(fact string, keys map[string]int32, measures map[string]
 	return nil
 }
 
+// FactVersion returns the parent's fact table version: every append goes
+// through the parent, and member changes bump the whole shard family.
+func (t *Table) FactVersion(fact string) uint64 { return t.parent.FactVersion(fact) }
+
 // FactCounts returns every shard's total fact count (summed across fact
 // tables) — the per-shard balance GET /api/stats reports.
 func (t *Table) FactCounts() []int {

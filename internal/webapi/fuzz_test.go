@@ -3,10 +3,12 @@ package webapi
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"sdwp/internal/cube"
 	"sdwp/internal/datagen"
+	"sdwp/internal/obs"
 )
 
 // FuzzQuerySpec fuzzes the query wire path: arbitrary bytes are decoded
@@ -77,6 +79,69 @@ func FuzzQuerySpec(f *testing.F) {
 		}
 		if _, err := c.Execute(q, v); err != nil {
 			t.Fatalf("compiled query failed to execute over a view: %v", err)
+		}
+	})
+}
+
+// FuzzAppendResult checks AppendResult and AppendBatch against
+// encoding/json: fuzz bytes pick a Result's shape — nil or empty column
+// headers and rows, rows without groups or values, a batch around it,
+// nil entries — and fill its strings and values. The bytes must equal
+// json.Marshal's, and a value encoding/json refuses must fail with its
+// error.
+func FuzzAppendResult(f *testing.F) {
+	values := []float64{0, math.Copysign(0, -1), 1, -7, 1e-6, 9.999999999999999e-7, 1e15 - 1, -(1e15 - 1), 1e15,
+		999999999999999.9, 1 << 53, 1<<53 + 2, 1e21, 999999999999999900000, 1e20, 5e-324, 2.2250738585072014e-308,
+		math.MaxFloat64, 0.1, 123.456, math.NaN(), math.Inf(1), math.Inf(-1)}
+	strs := []string{"", "Store 7", "(none)", `<&>"\`, "café", "  ", "\xff\xfe", "a\x00\b\f\n\r\t\x1f\x7f", "\xe2\x80"}
+	for i, x := range values {
+		f.Add(uint8(i*37), strs[i%len(strs)], strs[(i+3)%len(strs)], math.Float64bits(x), math.Float64bits(values[(i+5)%len(values)]))
+	}
+	f.Fuzz(func(t *testing.T, shape uint8, s1, s2 string, b1, b2 uint64) {
+		x, y := math.Float64frombits(b1), math.Float64frombits(b2)
+		bit := func(k uint) bool { return shape>>k&1 == 1 }
+		res := &cube.Result{ScannedFacts: int(b1 >> 40), MatchedFacts: int(b2 >> 40),
+			Cost: obs.QueryCost{FactsScanned: int64(b1), CPUNs: -int64(b2 >> 1), CacheCreditNs: int64(shape)}}
+		if bit(0) {
+			res.GroupCols = []string{s1, s2}
+		} else if bit(1) {
+			res.GroupCols = []string{}
+		}
+		if bit(2) {
+			res.AggCols = []string{s2}
+		}
+		switch shape >> 3 & 3 {
+		case 1:
+			res.Rows = []cube.Row{}
+		case 2:
+			res.Rows = []cube.Row{{Groups: []string{s1}, Values: []float64{x, y}}}
+		case 3:
+			res.Rows = []cube.Row{{Values: []float64{y}}, {Groups: []string{s2, s1}}, {Groups: []string{}, Values: []float64{}}}
+		}
+		var v any = res
+		var got []byte
+		var err error
+		if bit(5) {
+			batch := batchQueryResponse{Results: []*cube.Result{res}}
+			if bit(6) {
+				batch.Results = append(batch.Results, nil, res)
+			}
+			if bit(7) {
+				batch.Results = nil
+			}
+			v = batch
+			got, err = AppendBatch([]byte("x"), batch.Results)
+		} else {
+			got, err = AppendResult([]byte("x"), res)
+		}
+		want, jerr := json.Marshal(v)
+		switch {
+		case jerr != nil && (err == nil || err.Error() != jerr.Error()):
+			t.Fatalf("encoding/json fails with %v, the appender with %v", jerr, err)
+		case jerr == nil && err != nil:
+			t.Fatalf("the appender fails with %v where encoding/json encodes %s", err, want)
+		case jerr == nil && !bytes.Equal(got[1:], want):
+			t.Fatalf("appended %s\nencoding/json %s", got[1:], want)
 		}
 	})
 }

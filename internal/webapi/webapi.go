@@ -144,11 +144,26 @@ const maxPooledJSONBuf = 4 << 20
 // Content-Length set — the bytes are exactly json.Encoder's (trailing
 // newline included), but a 500 KB result costs one write to the
 // connection instead of one per encoder flush, and a value that cannot be
-// encoded becomes a clean 500 instead of a truncated 200.
+// encoded becomes a clean 500 instead of a truncated 200. Query answers
+// (a *cube.Result, a batch of them) are appended by AppendResult and
+// AppendBatch, everything else by json.Encoder.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeBody(w, status, "application/json", func(buf *bytes.Buffer) error {
-		if err := json.NewEncoder(buf).Encode(v); err != nil {
+		var body []byte
+		var err error
+		switch v := v.(type) {
+		case *cube.Result:
+			body, err = AppendResult(buf.AvailableBuffer(), v)
+		case batchQueryResponse:
+			body, err = AppendBatch(buf.AvailableBuffer(), v.Results)
+		default:
+			err = json.NewEncoder(buf).Encode(v)
+		}
+		if err != nil {
 			return fmt.Errorf("encode response: %w", err)
+		}
+		if body != nil {
+			buf.Write(append(body, '\n'))
 		}
 		return nil
 	})

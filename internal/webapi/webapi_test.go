@@ -911,15 +911,42 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 		check(batch)
 	}
 
+	// The nil and empty slice shapes: encoding/json writes null for a nil
+	// slice (a group-by-less answer's groupCols and groups, an empty
+	// answer's rows, an empty batch) and [] for an empty one.
+	shapes := []*cube.Result{
+		{},
+		{GroupCols: []string{}, AggCols: []string{}, Rows: []cube.Row{}},
+		{AggCols: []string{"COUNT(*)"}, Rows: []cube.Row{{Values: []float64{3}}}},
+		{Rows: []cube.Row{{}, {Groups: []string{}, Values: []float64{}}}},
+		{GroupCols: []string{"Store.City"}, Rows: []cube.Row{{Groups: []string{"(none)"}, Values: []float64{math.Copysign(0, -1), 1e15, 1e21, 5e-324}}}},
+	}
+	for _, res := range shapes {
+		check(res)
+		check(batchQueryResponse{Results: []*cube.Result{res, nil}})
+	}
+	check(batchQueryResponse{})
+	check(batchQueryResponse{Results: []*cube.Result{}})
+	check(batchQueryResponse{Results: []*cube.Result{nil}})
+
 	// A value encoding/json refuses is a well-formed 500, not a 200 cut
-	// short.
-	rec := httptest.NewRecorder()
-	rec.Header().Set("X-Request-Id", "req-1")
-	writeJSON(rec, http.StatusOK, &cube.Result{Rows: []cube.Row{{Values: []float64{math.NaN()}}}})
-	var apiErr apiError
-	if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil || rec.Code != http.StatusInternalServerError ||
-		apiErr.Error == "" || apiErr.RequestID != "req-1" {
-		t.Fatalf("unencodable value: status %d body %q (%v)", rec.Code, rec.Body.Bytes(), err)
+	// short, alone or in a batch, and carries encoding/json's error.
+	for _, v := range []any{
+		&cube.Result{Rows: []cube.Row{{Values: []float64{math.NaN()}}}},
+		batchQueryResponse{Results: []*cube.Result{randResult(), {Rows: []cube.Row{{Values: []float64{1, math.Inf(-1)}}}}}},
+	} {
+		rec := httptest.NewRecorder()
+		rec.Header().Set("X-Request-Id", "req-1")
+		writeJSON(rec, http.StatusOK, v)
+		var apiErr apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil || rec.Code != http.StatusInternalServerError ||
+			apiErr.RequestID != "req-1" {
+			t.Fatalf("unencodable value: status %d body %q (%v)", rec.Code, rec.Body.Bytes(), err)
+		}
+		_, jerr := json.Marshal(v)
+		if want := "encode response: " + jerr.Error(); apiErr.Error != want {
+			t.Fatalf("unencodable value: error %q, want %q", apiErr.Error, want)
+		}
 	}
 }
 

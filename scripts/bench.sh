@@ -67,7 +67,7 @@ fi
 # The manifest: the benchmarks whose trajectory the repo records. The
 # -bench regexp is derived from it, so one edit adds a benchmark to both
 # the run and the existence gate.
-MANIFEST="BenchmarkSharedSubexprBatch,BenchmarkParallelScan,BenchmarkBatchPartialPooling,BenchmarkShardedScan,BenchmarkArtifactCacheHit,BenchmarkPerFilterSharing,BenchmarkTraceOverhead,BenchmarkPackedScan,BenchmarkPackedPredicateKernel,BenchmarkCostAccountingOverhead,BenchmarkFairAdmissionOverhead,BenchmarkMultiLevelGroupBy,BenchmarkSessionStartInterested,BenchmarkSessionStartColdRules,BenchmarkViewMaterialize,BenchmarkLoneFilteredScan,BenchmarkSessionGeoJSON,BenchmarkSessionSVG"
+MANIFEST="BenchmarkSharedSubexprBatch,BenchmarkParallelScan,BenchmarkBatchPartialPooling,BenchmarkShardedScan,BenchmarkArtifactCacheHit,BenchmarkPerFilterSharing,BenchmarkTraceOverhead,BenchmarkPackedScan,BenchmarkPackedPredicateKernel,BenchmarkCostAccountingOverhead,BenchmarkFairAdmissionOverhead,BenchmarkMultiLevelGroupBy,BenchmarkSessionStartInterested,BenchmarkSessionStartColdRules,BenchmarkViewMaterialize,BenchmarkLoneFilteredScan,BenchmarkSessionGeoJSON,BenchmarkSessionSVG,BenchmarkEncodeResult"
 
 # Absolute allocs/op ceilings: an interested login (compiled rule plans,
 # postings-built view) allocates per rule and per selection, not per loop
@@ -75,8 +75,9 @@ MANIFEST="BenchmarkSharedSubexprBatch,BenchmarkParallelScan,BenchmarkBatchPartia
 # view materialization allocates per call, not per fact; a lone filtered scan allocates per plan
 # and per scan (its own stage-1 bitmap comes from the pool); a GeoJSON map
 # export allocates per call, not per feature (cached text, scratch lines),
-# and so does an SVG map (two walks, simplified lines in one slice).
-ALLOC_BARS="BenchmarkSessionStartInterested=300,BenchmarkSessionStartColdRules=1000,BenchmarkViewMaterialize=100,BenchmarkLoneFilteredScan=50,BenchmarkSessionGeoJSON=20,BenchmarkSessionSVG=20"
+# and so does an SVG map (two walks, simplified lines in one slice); a
+# query answer's wire encoding allocates nothing into a warm buffer.
+ALLOC_BARS="BenchmarkSessionStartInterested=300,BenchmarkSessionStartColdRules=1000,BenchmarkViewMaterialize=100,BenchmarkLoneFilteredScan=50,BenchmarkSessionGeoJSON=20,BenchmarkSessionSVG=20,BenchmarkEncodeResult=1"
 
 go test -run '^$' \
   -bench "^(${MANIFEST//,/|})\$" \
