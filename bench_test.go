@@ -521,32 +521,9 @@ func BenchmarkC5CubeRollup(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelScan measures the partitioned parallel query executor
-// against the serial scan on the full (non-personalized) fact table, across
-// worker counts. workers=1 is the serial fallback path.
-func BenchmarkParallelScan(b *testing.B) {
-	env := getBenchEnv(b, 200000)
-	q := Query{
-		Fact:       "Sales",
-		GroupBy:    []LevelRef{{Dimension: "Store", Level: "City"}},
-		Aggregates: []MeasureAgg{{Measure: "UnitSales", Agg: SUM}},
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := env.ds.Cube.ExecuteParallel(q, nil, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSharedScanBatch measures the shared-scan batch API: eight
 // aggregate queries over the same fact table answered one by one vs in one
-// ExecuteBatch call (GLADE-style multi-query optimization), serial and
-// parallel.
+// shared scan (GLADE-style multi-query optimization).
 func BenchmarkSharedScanBatch(b *testing.B) {
 	env := getBenchEnv(b, 200000)
 	var qs []Query
@@ -569,16 +546,14 @@ func BenchmarkSharedScanBatch(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("batch/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := env.ds.Cube.ExecuteBatch(qs, nil, workers); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("batch/workers=1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := executeBatch(env.ds.Cube, qs); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSharedSubexprBatch measures cross-query subexpression sharing
@@ -604,20 +579,32 @@ func BenchmarkSharedSubexprBatch(b *testing.B) {
 			}
 		}
 	}
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d/shared=true", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				setFilters(qs, []AttrFilter{{
-					LevelRef: LevelRef{Dimension: "Store", Level: "City"},
-					Attr:     "population", Op: OpGt, Value: freshConst(100000),
-				}})
-				if _, _, err := env.ds.Cube.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("workers=1/shared=true", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			setFilters(qs, []AttrFilter{{
+				LevelRef: LevelRef{Dimension: "Store", Level: "City"},
+				Attr:     "population", Op: OpGt, Value: freshConst(100000),
+			}})
+			if _, _, err := executeBatch(env.ds.Cube, qs); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+	})
+}
+
+// executeBatch compiles qs and runs them as one shared batch over the
+// whole table, returning the scan's sharing statistics too.
+func executeBatch(c *Cube, qs []Query) ([]*Result, SharingStats, error) {
+	cqs := make([]*cube.CompiledQuery, len(qs))
+	for i, q := range qs {
+		cq, err := c.Compile(q)
+		if err != nil {
+			return nil, SharingStats{}, err
+		}
+		cqs[i] = cq
 	}
+	return c.ExecuteBatchCompiledOpt(cqs, nil, BatchOptions{})
 }
 
 // setFilters gives every query of qs the filter set fs.
@@ -628,7 +615,7 @@ func setFilters(qs []Query, fs []AttrFilter) {
 }
 
 // BenchmarkBatchPartialPooling measures the pooled-partial discipline of
-// the morsel executor: the same 16-query sharing batch as
+// the executor: the same 16-query sharing batch as
 // BenchmarkSharedSubexprBatch, re-run on a warm per-table pool so every
 // scan should take its partial tables from FactData.partialPool instead
 // of allocating them. poolhit/op is reused/(reused+allocated) across the
@@ -654,28 +641,25 @@ func BenchmarkBatchPartialPooling(b *testing.B) {
 			}
 		}
 	}
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := BatchOptions{Workers: workers}
-			if _, _, err := env.ds.Cube.ExecuteBatchOpt(qs, nil, opts); err != nil {
-				b.Fatal(err) // warm the pool outside the timer
+	b.Run("workers=1", func(b *testing.B) {
+		if _, _, err := executeBatch(env.ds.Cube, qs); err != nil {
+			b.Fatal(err) // warm the pool outside the timer
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var reused, allocated int
+		for i := 0; i < b.N; i++ {
+			_, st, err := executeBatch(env.ds.Cube, qs)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var reused, allocated int
-			for i := 0; i < b.N; i++ {
-				_, st, err := env.ds.Cube.ExecuteBatchOpt(qs, nil, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reused += st.PartialsReused
-				allocated += st.PartialsAllocated
-			}
-			if total := reused + allocated; total > 0 {
-				b.ReportMetric(float64(reused)/float64(total), "poolhit/op")
-			}
-		})
-	}
+			reused += st.PartialsReused
+			allocated += st.PartialsAllocated
+		}
+		if total := reused + allocated; total > 0 {
+			b.ReportMetric(float64(reused)/float64(total), "poolhit/op")
+		}
+	})
 }
 
 // BenchmarkPerFilterSharing measures per-predicate bitmap sharing with
@@ -721,25 +705,23 @@ func BenchmarkPerFilterSharing(b *testing.B) {
 			qs[k].Filters = sets[k%len(sets)]
 		}
 	}
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d/perfilter=true", workers), func(b *testing.B) {
-			var stats SharingStats
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fill()
-				var err error
-				_, stats, err = env.ds.Cube.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
+	b.Run("workers=1/perfilter=true", func(b *testing.B) {
+		var stats SharingStats
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fill()
+			var err error
+			_, stats, err = executeBatch(env.ds.Cube, qs)
+			if err != nil {
+				b.Fatal(err)
 			}
-			if stats.DistinctPredicates > 0 {
-				b.ReportMetric(float64(stats.FilterPredicates)/float64(stats.DistinctPredicates),
-					"preds/mask")
-				b.ReportMetric(float64(stats.ComposedMasks), "composed")
-			}
-		})
-	}
+		}
+		if stats.DistinctPredicates > 0 {
+			b.ReportMetric(float64(stats.FilterPredicates)/float64(stats.DistinctPredicates),
+				"preds/mask")
+			b.ReportMetric(float64(stats.ComposedMasks), "composed")
+		}
+	})
 }
 
 // BenchmarkCoalescedConcurrentQueries measures the query scheduler under
@@ -955,7 +937,7 @@ func BenchmarkShardedScan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := NewEngine(env.ds.Cube, users, EngineOptions{FactShards: shards, QueryWorkers: 2})
+			e := NewEngine(env.ds.Cube, users, EngineOptions{FactShards: shards})
 			defer e.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -1106,7 +1088,7 @@ func BenchmarkArtifactCacheHit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := NewEngine(env.ds.Cube, users, EngineOptions{QueryWorkers: 2})
+			e := NewEngine(env.ds.Cube, users, EngineOptions{})
 			defer e.Close()
 			// Prime twice: the admission doorkeeper only caches a
 			// fingerprint offered at least twice (the warm arm needs the
@@ -1137,7 +1119,7 @@ func BenchmarkArtifactCacheHit(b *testing.B) {
 }
 
 // BenchmarkPackedScan measures the compressed column layer on the hot
-// single-query scan shape (the BenchmarkParallelScan query, serial): the
+// single-query scan shape (Store.City SUM over the whole table): the
 // monomorphic single-level SUM kernel over the dictionary-encoded
 // bit-packed key column — the kernel must stay fast, not just correct.
 func BenchmarkPackedScan(b *testing.B) {
@@ -1150,7 +1132,7 @@ func BenchmarkPackedScan(b *testing.B) {
 	b.Run("packed=true", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := env.ds.Cube.ExecuteParallel(q, nil, 1); err != nil {
+			if _, err := env.ds.Cube.Execute(q, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1181,7 +1163,7 @@ func BenchmarkPackedPredicateKernel(b *testing.B) {
 				LevelRef: LevelRef{Dimension: "Store", Level: "City"},
 				Attr:     "population", Op: OpGt, Value: freshConst(100000),
 			}})
-			if _, _, err := env.ds.Cube.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: 1}); err != nil {
+			if _, _, err := executeBatch(env.ds.Cube, qs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1236,7 +1218,7 @@ func BenchmarkLoneFilteredScan(b *testing.B) {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.ExecuteParallel(q, arm.v, 1); err != nil {
+				if _, err := c.Execute(q, arm.v); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1247,8 +1229,8 @@ func BenchmarkLoneFilteredScan(b *testing.B) {
 // BenchmarkMultiLevelGroupBy measures the dense composite-key group table
 // on two-level group-bys: Store x Family materializes 10 000 rows (the
 // drilldown shape — result materialization shows), City x Month a few
-// hundred (accumulation dominates). serial is Cube.ExecuteParallel, batch
-// Cube.ExecuteBatchOpt on a batch of one — what the scheduler runs for a
+// hundred (accumulation dominates). serial is Cube.Execute, batch
+// Cube.ExecuteBatchCompiledOpt on a batch of one — what the scheduler runs for a
 // lone query; both drive the one batch executor. StoreXFamily/filtered is
 // the drilldown workload's query itself: a fresh City.population floor
 // every run, so the lone query fills its own stage-1 bitmap and
@@ -1275,7 +1257,7 @@ func BenchmarkMultiLevelGroupBy(b *testing.B) {
 					Attr: "population", Op: OpGe, Value: freshConst(200000)}},
 				OrderBy: &cube.OrderBy{Agg: 0, Desc: true},
 			}
-			if _, err := env.ds.Cube.ExecuteParallel(q, nil, 1); err != nil {
+			if _, err := env.ds.Cube.Execute(q, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1290,7 +1272,7 @@ func BenchmarkMultiLevelGroupBy(b *testing.B) {
 		b.Run(sh.name+"/serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := env.ds.Cube.ExecuteParallel(q, nil, 1); err != nil {
+				if _, err := env.ds.Cube.Execute(q, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1299,7 +1281,7 @@ func BenchmarkMultiLevelGroupBy(b *testing.B) {
 			qs := []Query{q}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := env.ds.Cube.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: 1}); err != nil {
+				if _, _, err := executeBatch(env.ds.Cube, qs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,12 +7,10 @@
 //
 //	solapd [-addr :8080] [-seed 1] [-stores 300] [-sales 20000]
 //	       [-rules file.prml] [-users alice=RegionalSalesManager,bob=Accountant]
-//	       [-threshold 2] [-workers -1]
+//	       [-threshold 2]
 //	       [-max-inflight-scans 2] [-result-cache-mb 32]
-//	       [-max-batch-queries 64]
 //	       [-fact-shards 0] [-query-timeout 0]
 //	       [-trace-sample-rate 0] [-slow-query 0] [-pprof-addr ""]
-//	       [-profile-registry-size 0] [-profile-decay 0] [-tenant-label-cap 0]
 //	       [-max-queue-depth 0] [-target-queue-wait 0]
 //	       [-tenant-weights alice=2,bob=1]
 //
@@ -66,15 +64,11 @@ func main() {
 		profiles  = flag.String("profiles", "", "user-profile JSON file: loaded at boot if present, saved on SIGINT/SIGTERM")
 		usersSpec = flag.String("users", "alice=RegionalSalesManager,bob=Accountant",
 			"comma-separated user=role assignments")
-		threshold = flag.Float64("threshold", 2, "designer threshold for the TrainAirportCity rule")
-		workers   = flag.Int("workers", 0,
-			"query scan workers: 0 or 1 = serial, N = parallel partitioned scans, -1 = one per CPU")
+		threshold   = flag.Float64("threshold", 2, "designer threshold for the TrainAirportCity rule")
 		maxInFlight = flag.Int("max-inflight-scans", 0,
 			"concurrent shared scans the scheduler dispatches (0 = default)")
 		cacheMB = flag.Int("result-cache-mb", 32,
 			"personalized result cache size in MiB, keyed by query fingerprint + view epoch (0 = off)")
-		maxBatch = flag.Int("max-batch-queries", 0,
-			"max queries per batch, shared by coalesced scans and POST /api/query/batch (0 = default 64)")
 		factShards = flag.Int("fact-shards", 0,
 			"hash-partition every fact table into N shards behind the scheduler (scatter-gather scans, per-shard ingest locks); 0 or 1 = single-table path")
 		queryTimeout = flag.Duration("query-timeout", 0,
@@ -83,12 +77,6 @@ func main() {
 			"query-lifecycle tracing: probability a successful query's span tree is retained for GET /api/trace/{id} (errors and timeouts are always retained; 0 = tracing off)")
 		slowQuery = flag.Duration("slow-query", 0,
 			"log a structured warning for any query at or above this end-to-end latency, with trace ID and stage breakdown (0 = off)")
-		profileRegistrySize = flag.Int("profile-registry-size", 0,
-			"heavy-query profile registry capacity: top-K query fingerprints by decay-weighted cost served at GET /api/queries/top (0 = default 128)")
-		profileDecay = flag.Duration("profile-decay", 0,
-			"half-life of heavy-query profile scores: a fingerprint idle this long weighs half as much in the top-K ranking (0 = default 10m)")
-		tenantLabelCap = flag.Int("tenant-label-cap", 0,
-			"max distinct tenant label values on /metrics and in the cost accountant; overflow tenants collapse into \"other\" (0 = default 64)")
 		pprofAddr = flag.String("pprof-addr", "",
 			"serve net/http/pprof on this separate address (e.g. localhost:6060; empty = off)")
 		maxQueueDepth = flag.Int("max-queue-depth", 0,
@@ -166,17 +154,12 @@ func main() {
 	}
 
 	engine := sdwp.NewEngine(warehouse, users, sdwp.EngineOptions{
-		QueryWorkers:       *workers,
 		MaxInFlightScans:   *maxInFlight,
 		ResultCacheBytes:   int64(*cacheMB) << 20,
-		MaxBatchQueries:    *maxBatch,
 		FactShards:         *factShards,
 		QueryTimeout:       *queryTimeout,
 		TraceSampleRate:    *traceSampleRate,
 		SlowQueryThreshold: *slowQuery,
-		QueryCostProfiles:  *profileRegistrySize,
-		QueryCostDecay:     *profileDecay,
-		TenantLabelCap:     *tenantLabelCap,
 		MaxQueueDepth:      *maxQueueDepth,
 		TargetQueueWait:    *targetQueueWait,
 		TenantWeights:      weights,

@@ -47,7 +47,7 @@ func dashboardBatch(ageBelow float64) []cube.Query {
 // first run is doorkept, the second admitted, the third hits), and every
 // run answers exactly what the reference does.
 func TestDefaultEngineCachesDashboardArtifacts(t *testing.T) {
-	e, ds := newTestEngineOpts(t, Options{})
+	e, ds := newTestEngine(t)
 	defer e.Close()
 	s, err := e.StartSession("bob", ds.CityLocs[0])
 	if err != nil {
@@ -87,7 +87,7 @@ func TestDefaultEngineCachesDashboardArtifacts(t *testing.T) {
 // -race in CI (scripts/stress.sh). Once ingest stops, repeated batches
 // must be served from the cache again and match the reference.
 func TestArtifactCacheUnderConcurrentIngest(t *testing.T) {
-	e, ds := newTestEngineOpts(t, Options{QueryWorkers: 2})
+	e, ds := newTestEngine(t)
 	defer e.Close()
 	qs := dashboardBatch(40.25)
 	baseline := make([]bool, len(qs))

@@ -74,7 +74,7 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueriesVsViewMutation stress-tests the parallel and batch
+// TestConcurrentQueriesVsViewMutation stress-tests the lone and batch
 // executors against live session-view mutation: readers hammer Execute /
 // ExecuteBatch through the personalized view while writers keep firing
 // spatial selections that mutate the same view and invalidate its
@@ -83,7 +83,7 @@ func TestConcurrentSessions(t *testing.T) {
 // selection, so MatchedFacts can only shrink over time (selections
 // intersect) and must never exceed the baseline.
 func TestConcurrentQueriesVsViewMutation(t *testing.T) {
-	e, ds := newTestEngineOpts(t, Options{QueryWorkers: 4})
+	e, ds := newTestEngine(t)
 	s, err := e.StartSession("alice", ds.CityLocs[0])
 	if err != nil {
 		t.Fatal(err)

@@ -41,16 +41,6 @@ type Options struct {
 	// optimize.go), forcing the generic rule interpreter. Used by the
 	// ablation benchmarks.
 	DisableRuleOptimizer bool
-	// QueryWorkers sizes the worker pool of the partitioned parallel query
-	// executor used by Session.Query/QueryBaseline/QueryBatch: 0 or 1 runs
-	// every query serially (the default, and the serial fallback), > 1
-	// splits each fact scan across that many goroutines, and < 0 uses one
-	// worker per logical CPU. Results are deterministic run to run for a
-	// given setting, and identical across settings whenever per-group
-	// measure sums are exact in float64 (always for COUNT/MIN/MAX and for
-	// integer-valued measures; otherwise equal up to floating-point
-	// summation order — see internal/cube/exec.go).
-	QueryWorkers int
 	// CoalesceWindow is ignored. The scheduler dispatches on arrival: a
 	// query that finds a free scan slot starts scanning at once, and
 	// concurrent queries coalesce behind busy slots (MaxInFlightScans).
@@ -66,10 +56,6 @@ type Options struct {
 	// result cache; 0 disables caching (the default: repeated queries in
 	// benchmarks and experiments then measure real scans).
 	ResultCacheBytes int64
-	// MaxBatchQueries caps queries per batch — one coalesced shared scan
-	// and one POST /api/query/batch request share the limit
-	// (0 = qsched.DefaultMaxBatch).
-	MaxBatchQueries int
 	// FactShards hash-partitions every fact table into this many shards
 	// behind the scheduler (internal/shard): ingest and scans then scale
 	// across independent per-shard locks and the scatter-gather executor
@@ -94,19 +80,6 @@ type Options struct {
 	// whose end-to-end latency — admission wait included — meets or
 	// exceeds it, with its trace ID and stage breakdown (0 = off).
 	SlowQueryThreshold time.Duration
-	// QueryCostProfiles sizes the heavy-query profile registry: the top-K
-	// query fingerprints by decay-weighted cumulative cost, served by
-	// GET /api/queries/top (0 = the obs default, 128).
-	QueryCostProfiles int
-	// QueryCostDecay is the half-life of the profile registry's scores: a
-	// fingerprint idle this long counts half as heavy as a fresh one, so
-	// yesterday's hot dashboard ages out of the top-K (0 = the obs
-	// default, 10 minutes).
-	QueryCostDecay time.Duration
-	// TenantLabelCap bounds per-tenant metric label cardinality: past this
-	// many distinct tenants, new ones collapse into the "other" series on
-	// /metrics and in the accountant (0 = the obs default, 64).
-	TenantLabelCap int
 	// MaxQueueDepth turns on overload shedding by queue depth: when the
 	// scheduler's admission queue is at or past it, queries from tenants
 	// at or over their fair share are refused with qsched.ErrOverloaded
@@ -238,20 +211,14 @@ func NewEngine(c *cube.Cube, users *usermodel.Store, opts Options) *Engine {
 		e.exec = e.locked
 	}
 	e.registry = obs.NewRegistry()
-	e.metrics = obs.NewQueryMetricsCap(e.registry, opts.TenantLabelCap)
-	e.costs = obs.NewAccountant(obs.AccountantOptions{
-		ProfileCapacity: opts.QueryCostProfiles,
-		DecayHalfLife:   opts.QueryCostDecay,
-		TenantCap:       opts.TenantLabelCap,
-	})
+	e.metrics = obs.NewQueryMetrics(e.registry)
+	e.costs = obs.NewAccountant(obs.AccountantOptions{})
 	if opts.TraceSampleRate > 0 {
 		e.tracer = obs.NewTracer(obs.TracerOptions{SampleRate: opts.TraceSampleRate})
 	}
 	e.sched = qsched.New(e.exec, qsched.Options{
-		MaxBatch:        opts.MaxBatchQueries,
 		MaxInFlight:     opts.MaxInFlightScans,
 		CacheBytes:      opts.ResultCacheBytes,
-		Workers:         opts.QueryWorkers,
 		Timeout:         opts.QueryTimeout,
 		Metrics:         e.metrics,
 		SlowQuery:       opts.SlowQueryThreshold,
@@ -336,7 +303,7 @@ func (e *Engine) collectSchedulerSamples(emit func(obs.Sample)) {
 
 // collectCostSamples re-emits the tenant cost accounts and profile
 // registry counters on every /metrics scrape. Tenant series are bounded
-// by Options.TenantLabelCap — the accountant already collapsed overflow
+// by the accountant's tenant cap (64) — it already collapsed overflow
 // tenants into "other" — so scrape size cannot grow with tenant churn.
 func (e *Engine) collectCostSamples(emit func(obs.Sample)) {
 	counter := func(name, help, tenant string, v float64) {
@@ -430,15 +397,6 @@ func (e *Engine) AddFact(fact string, keys map[string]int32, measures map[string
 		return e.shards.AddFact(fact, keys, measures)
 	}
 	return e.locked.addFact(fact, keys, measures)
-}
-
-// MaxBatchQueries returns the effective per-batch query cap shared by the
-// scheduler's coalesced scans and the web API's batch endpoint.
-func (e *Engine) MaxBatchQueries() int {
-	if e.opts.MaxBatchQueries > 0 {
-		return e.opts.MaxBatchQueries
-	}
-	return qsched.DefaultMaxBatch
 }
 
 // Cube returns the engine's cube.
@@ -678,9 +636,7 @@ func (e *Engine) ExecuteBatch(qs []cube.Query, sessions []*Session) ([]*cube.Res
 		}
 		cqs[i] = cq
 	}
-	res, _, err := e.exec.ExecuteBatchCompiledOpt(cqs, vs, cube.BatchOptions{
-		Workers: e.opts.QueryWorkers,
-	})
+	res, _, err := e.exec.ExecuteBatchCompiledOpt(cqs, vs, cube.BatchOptions{})
 	return res, err
 }
 

@@ -55,7 +55,7 @@ func newTestEngine(t testing.TB) (*Engine, *datagen.Dataset) {
 }
 
 // newTestEngineOpts is newTestEngine with explicit engine options (e.g.
-// QueryWorkers for the parallel-executor stress tests).
+// FactShards or ResultCacheBytes).
 func newTestEngineOpts(t testing.TB, opts Options) (*Engine, *datagen.Dataset) {
 	t.Helper()
 	cfg := datagen.Default()

@@ -1,9 +1,8 @@
 package core
 
-// Race-stress companion of the pooled-partial morsel executor: parallel
-// batches (QueryWorkers > 1, so every scan takes several partial tables
-// from the per-fact-table pool, steals morsels off the shared cursor, and
-// releases the partials after finalize) run against concurrent AddFact
+// Race-stress companion of the pooled-partial executor: batches (every
+// scan takes its partial tables from the per-fact-table pool and releases
+// them after finalize) run against concurrent AddFact
 // ingest and SpatialSelect selection churn. The run must be data-race
 // free (-race in CI; scripts/stress.sh runs the PooledPartial pattern),
 // batches must stay internally consistent, and the quiescent state must
@@ -27,7 +26,7 @@ import (
 // column layer's repack path: the warehouse is seeded with low dimension
 // keys (every packed column starts at width 1), then concurrent ingest
 // ramps the keys so each column overflows its bit width several times —
-// each overflow repacks into a fresh word array — while parallel batch
+// each overflow repacks into a fresh word array — while concurrent batch
 // scans hold packed views taken at compile time, and lone filtered
 // queries fill their own stage-1 bitmaps from those views. A scan reading
 // past its compile-time bound, or through a torn repack, breaks the SUM ==
@@ -86,7 +85,7 @@ func TestPackedRepackUnderIngestRespectsScanBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(c, users, Options{QueryWorkers: 4})
+	e := NewEngine(c, users, Options{})
 	defer e.Close()
 
 	// Single-level SUM and COUNT (the dense monomorphic kernels) plus a
@@ -229,9 +228,7 @@ func TestPackedRepackUnderIngestRespectsScanBound(t *testing.T) {
 
 func TestPooledPartialBatchUnderIngestAndSpatialSelect(t *testing.T) {
 	t.Run("shared", func(t *testing.T) {
-		e, ds := newTestEngineOpts(t, Options{
-			QueryWorkers: 4, // parallel scans: several pooled partials per query
-		})
+		e, ds := newTestEngine(t)
 		defer e.Close()
 		s, err := e.StartSession("alice", ds.CityLocs[0])
 		if err != nil {

@@ -19,7 +19,6 @@ import (
 func TestSchedulerRoutedQueryEquivalence(t *testing.T) {
 	e1, ds := newTestEngineOpts(t, Options{
 		ResultCacheBytes: 1 << 20,
-		QueryWorkers:     2,
 	})
 	defer e1.Close()
 
@@ -155,9 +154,7 @@ func TestEngineCloseRejectsQueries(t *testing.T) {
 // must equal the executor-independent reference.
 func TestSharedSubexprBatchUnderSpatialSelect(t *testing.T) {
 	t.Run("shared", func(t *testing.T) {
-		e, ds := newTestEngineOpts(t, Options{
-			QueryWorkers: 2,
-		})
+		e, ds := newTestEngine(t)
 		defer e.Close()
 		s, err := e.StartSession("alice", ds.CityLocs[0])
 		if err != nil {
@@ -253,7 +250,6 @@ func TestSharedSubexprBatchUnderSpatialSelect(t *testing.T) {
 func TestNoStaleCachedResultsUnderSpatialSelect(t *testing.T) {
 	e, ds := newTestEngineOpts(t, Options{
 		ResultCacheBytes: 1 << 20,
-		QueryWorkers:     2,
 	})
 	defer e.Close()
 	s, err := e.StartSession("alice", ds.CityLocs[0])
@@ -411,14 +407,7 @@ func TestBaselineAnswersFollowAppends(t *testing.T) {
 			if st := e.SchedulerStats(); st.CacheHits == 0 {
 				t.Fatalf("repeats never hit the result cache: %+v", st)
 			}
-			for i := 0; i < 500; i++ {
-				err := e.AddFact("Sales",
-					map[string]int32{"Store": int32(i % 50), "Customer": int32(i % 30), "Product": int32(i % 20), "Time": int32(i % 40)},
-					map[string]float64{"UnitSales": float64(i%7 + 1), "StoreSales": 2, "StoreCost": 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
+			appendSales(t, e, 500)
 			want := cubetest.NaiveExecute(ds.Cube, q, nil)
 			for k := range 4 {
 				res := query()
@@ -428,5 +417,61 @@ func TestBaselineAnswersFollowAppends(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSessionAnswersFollowAppends is TestBaselineAnswersFollowAppends over
+// a personalized view: the session's cached view mask (and, sharded, its
+// per-shard split) is stamped with the fact table's version, so rows
+// appended under the session's level selections become visible to its
+// next query instead of the mask built before them answering again.
+func TestSessionAnswersFollowAppends(t *testing.T) {
+	q := cube.Query{Fact: "Sales", GroupBy: []cube.LevelRef{{Dimension: "Store", Level: "City"}},
+		Aggregates: []cube.MeasureAgg{{Measure: "UnitSales", Agg: cube.AggSum}}}
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e, ds := newTestEngineOpts(t, Options{ResultCacheBytes: 32 << 20, FactShards: shards})
+			t.Cleanup(e.Close)
+			s, err := e.StartSession("alice", ds.CityLocs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.View().Restricted() {
+				t.Fatal("alice's view is unrestricted: the test needs a personalized view")
+			}
+			query := func() *cube.Result {
+				t.Helper()
+				res, err := s.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			if res, want := query(), cubetest.NaiveExecute(ds.Cube, q, s.View()); !sameAnswer(res, want) {
+				t.Fatalf("before the appends: scanned %d facts, the reference %d", res.ScannedFacts, want.ScannedFacts)
+			}
+			appendSales(t, e, 500)
+			want := cubetest.NaiveExecute(ds.Cube, q, s.View())
+			for k := range 2 {
+				if res := query(); !sameAnswer(res, want) {
+					t.Fatalf("query %d after 500 appends: scanned %d facts, the reference %d",
+						k, res.ScannedFacts, want.ScannedFacts)
+				}
+			}
+		})
+	}
+}
+
+// appendSales appends n Sales facts through the engine, cycling over the
+// first members of every dimension.
+func appendSales(t *testing.T, e *Engine, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		err := e.AddFact("Sales",
+			map[string]int32{"Store": int32(i % 50), "Customer": int32(i % 30), "Product": int32(i % 20), "Time": int32(i % 40)},
+			map[string]float64{"UnitSales": float64(i%7 + 1), "StoreSales": 2, "StoreCost": 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -44,8 +44,7 @@ func TestShardedEngineEquivalence(t *testing.T) {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			sharded, ds := newTestEngineOpts(t, Options{
-				FactShards:   shards,
-				QueryWorkers: 2,
+				FactShards: shards,
 			})
 			defer sharded.Close()
 			if got := sharded.FactShards(); got != shards {
@@ -168,7 +167,6 @@ func TestShardedEngineEquivalence(t *testing.T) {
 func TestShardedBatchUnderSpatialSelectAndIngest(t *testing.T) {
 	e, ds := newTestEngineOpts(t, Options{
 		FactShards:       3,
-		QueryWorkers:     2,
 		ResultCacheBytes: 1 << 20,
 	})
 	defer e.Close()
@@ -259,7 +257,7 @@ func TestShardedBatchUnderSpatialSelectAndIngest(t *testing.T) {
 // (fact-column appends can reallocate the backing arrays mid-scan
 // otherwise). Run under -race in CI.
 func TestUnshardedAddFactUnderQueries(t *testing.T) {
-	e, ds := newTestEngineOpts(t, Options{QueryWorkers: 2})
+	e, ds := newTestEngine(t)
 	defer e.Close()
 	s, err := e.StartSession("alice", ds.CityLocs[0])
 	if err != nil {

@@ -148,7 +148,7 @@ func FuzzArtifactKeys(f *testing.F) {
 				t.Fatalf("predicate key %q: want %q, starting with 'w'", key, fl.Fingerprint())
 			}
 			m := bitset.New(p.n)
-			p.filters[0].materializePredicateMask(0, p.n, m)
+			p.filters[0].materializePredicateMask(p.n, m)
 			return m
 		}
 		if ma, mb := pred(fa), pred(fb); fa.Fingerprint() == fb.Fingerprint() && !ma.Equal(mb) {
@@ -168,7 +168,7 @@ func FuzzArtifactKeys(f *testing.F) {
 				t.Fatalf("set key %q: want %q, starting with a digit", keys[i], q.FilterFingerprint())
 			}
 			masks[i] = bitset.New(p.n)
-			p.fillFilterMask(0, p.n, masks[i], bitset.New(p.n), nil, nil)
+			p.fillFilterMask(p.n, masks[i], bitset.New(p.n), nil, nil)
 		}
 		for i := range sets {
 			for j := i + 1; j < len(sets); j++ {
@@ -194,7 +194,7 @@ func FuzzArtifactKeys(f *testing.F) {
 				t.Fatalf("grouping key %q: want %q, starting with 'g'", gkeys[i], q.GroupFingerprint())
 			}
 			cols[i] = make([]int32, p.n)
-			p.materializeGroupKeys(0, p.n, cols[i])
+			p.materializeGroupKeys(p.n, cols[i])
 		}
 		for i := range lists {
 			for j := i + 1; j < len(lists); j++ {

@@ -74,8 +74,8 @@ func checkCostConservation(t *testing.T, label string, res []*cube.Result, stats
 	}
 }
 
-// TestBatchCostConservation sweeps worker counts over a sharing-heavy
-// batch and pins the conservation law.
+// TestBatchCostConservation pins the conservation law on a sharing-heavy
+// batch.
 func TestBatchCostConservation(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Config{
 		Seed: 11, States: 5, Cities: 15, Stores: 80, Customers: 60,
@@ -86,14 +86,11 @@ func TestBatchCostConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := costTestBatch()
-	for _, workers := range []int{1, 4} {
-		label := fmt.Sprintf("workers=%d", workers)
-		res, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		checkCostConservation(t, label, res, stats)
+	res, stats, err := cube.ExecuteBatchStats(ds.Cube, qs, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkCostConservation(t, "batch", res, stats)
 }
 
 // TestBatchCostChargesSharedArtifacts checks the attribution is not
@@ -109,7 +106,7 @@ func TestBatchCostChargesSharedArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := ds.Cube.ExecuteBatchOpt(costTestBatch(), nil, cube.BatchOptions{})
+	res, stats, err := cube.ExecuteBatchStats(ds.Cube, costTestBatch(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +143,7 @@ func TestCachedArtifactsChargeNothing(t *testing.T) {
 	var lastStats cube.SharingStats
 	for i := 0; i < 3; i++ { // 1st doorkept, 2nd admits, 3rd hits
 		last = nil
-		last, lastStats, err = ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
+		last, lastStats, err = cube.ExecuteBatchStats(ds.Cube, qs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,23 +178,20 @@ func TestLoneOwnedBitmapCost(t *testing.T) {
 	qs := costTestBatch()
 	own := qs[len(qs)-1]
 	bitmap := int64((ds.Cube.FactData("Sales").Len() + 7) / 8)
-	for _, workers := range []int{1, 3} {
-		label := fmt.Sprintf("workers=%d", workers)
-		res, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		checkCostConservation(t, label, res, stats)
-		if c := res[len(res)-1].Cost; c.BitmapBytes != bitmap || c.SharedSavedBytes != 0 {
-			t.Errorf("%s: unique-set query charged %+v, want its whole %d-byte bitmap and no discount", label, c, bitmap)
-		}
-		lone, stats, err := ds.Cube.ExecuteBatchOpt([]cube.Query{own}, nil, cube.BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if c := lone[0].Cost; c.BitmapBytes != bitmap || stats.BitmapBytesBuilt != bitmap || c.SharedSavedBytes != 0 {
-			t.Errorf("%s: lone query charged %+v of %d bytes built, want its whole %d-byte bitmap",
-				label, c, stats.BitmapBytesBuilt, bitmap)
-		}
+	res, stats, err := cube.ExecuteBatchStats(ds.Cube, qs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCostConservation(t, "batch", res, stats)
+	if c := res[len(res)-1].Cost; c.BitmapBytes != bitmap || c.SharedSavedBytes != 0 {
+		t.Errorf("unique-set query charged %+v, want its whole %d-byte bitmap and no discount", c, bitmap)
+	}
+	lone, stats, err := cube.ExecuteBatchStats(ds.Cube, []cube.Query{own}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := lone[0].Cost; c.BitmapBytes != bitmap || stats.BitmapBytesBuilt != bitmap || c.SharedSavedBytes != 0 {
+		t.Errorf("lone query charged %+v of %d bytes built, want its whole %d-byte bitmap",
+			c, stats.BitmapBytesBuilt, bitmap)
 	}
 }

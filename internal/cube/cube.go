@@ -298,7 +298,7 @@ type FactData struct {
 	postMu sync.Mutex
 	posts  map[string]*postings
 
-	// partialPool recycles per-worker partial aggregation tables (and the
+	// partialPool recycles partial aggregation tables (and the
 	// cell stores behind them) across queries and batches; see
 	// FactData.getPartial in exec.go. A partial is rebound (fully reset) to
 	// its new plan on Get, so pooled entries may carry arbitrary state from

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"sdwp/internal/bitset"
@@ -16,21 +14,13 @@ import (
 )
 
 // This file is the query executor: a compiled plan (queryPlan) over
-// thread-local partial aggregation tables (partial) that one goroutine or a
-// worker pool can fill and merge.
+// partial aggregation tables (partial) that the goroutine dispatching a
+// scan fills and finalizes.
 //
-// The fact table is split into contiguous fixed-size chunks and scanned
-// morsel-driven: workers claim the next unclaimed chunk off a shared
-// atomic cursor (forEachMorsel), so which worker scans which chunk follows
-// execution speed, not a static stride, and a straggler holds back at most
-// one chunk of work. Determinism comes from the merge, not from chunk
-// ownership: the per-worker partials are always merged in worker index
-// order, which fixes the fold order of COUNT (exact) and MIN/MAX
-// (order-insensitive), and fixes SUM/AVG byte-for-byte whenever the
-// per-group sums are exact in float64 (integer-valued or dyadic measures —
-// what the equivalence harness pins); otherwise SUM/AVG are equal up to
-// floating-point summation order, exactly the contract ExecuteParallel has
-// always had across differing worker counts.
+// The fact table is split into contiguous fixed-size chunks, and a scan
+// walks them in order on the goroutine that dispatched it. One goroutine
+// folds the chunks in order, so every answer is reproducible: the same
+// facts always aggregate in the same order, SUM and AVG included.
 //
 // Partial tables themselves are pooled per fact table (FactData.getPartial):
 // a partial and the flat cell store behind it are reset and rebound to the
@@ -40,22 +30,8 @@ import (
 // execChunkSize is the facts-per-chunk scan granularity. Chunks are the
 // unit of work interleaving: the shared-scan batch executor walks one
 // chunk of the fact columns (a few hundred KB, cache-hot) through every
-// query of the batch before moving to the next. It must stay a multiple
-// of 64 so chunk bounds are bitset-word-aligned and workers can fill one
-// shared filter bitmap chunk-by-chunk without write races.
+// query of the batch before moving to the next.
 const execChunkSize = 8192
-
-// Compile-time guard for the word alignment buildArtifacts relies on.
-var _ = [1]struct{}{}[execChunkSize%64]
-
-// chunkCount returns the number of contiguous scan chunks for n facts.
-func chunkCount(n int) int {
-	chunks := (n + execChunkSize - 1) / execChunkSize
-	if chunks < 1 {
-		chunks = 1
-	}
-	return chunks
-}
 
 // The executor is a three-stage pipeline over the fact columns:
 //
@@ -139,20 +115,20 @@ func (p *queryPlan) groupKeyOf(i int32) int32 {
 	return ck
 }
 
-// materializeGroupKeys runs stage 2 over facts [lo, hi) into the shared
-// composite key column (col[i] = groupKeyOf(i) for i in [lo, hi)
-// afterwards), one pass per level so each pass streams two columns.
-func (p *queryPlan) materializeGroupKeys(lo, hi int, col []int32) {
+// materializeGroupKeys runs stage 2 over facts [0, n) into the shared
+// composite key column (col[i] = groupKeyOf(i) for i < n afterwards), one
+// pass per level so each pass streams two columns.
+func (p *queryPlan) materializeGroupKeys(n int, col []int32) {
 	for gi := range p.groups {
 		g := &p.groups[gi]
 		terms, keys := g.terms, g.keys
 		if gi == 0 {
-			for i := lo; i < hi; i++ {
+			for i := 0; i < n; i++ {
 				col[i] = terms[keys[i]]
 			}
 			continue
 		}
-		for i := lo; i < hi; i++ {
+		for i := 0; i < n; i++ {
 			col[i] += terms[keys[i]]
 		}
 	}
@@ -217,27 +193,23 @@ func (fs *filterSpec) match(i int32) bool {
 	return fs.codes.test(fs.keys[i])
 }
 
-// materializePredicateMask runs this one predicate over facts [lo, hi)
-// into a bitmap with the packed word-at-a-time kernel. It writes only bits
-// [lo, hi), so workers owning disjoint word-aligned chunks fill one bitmap
-// without racing.
-func (fs *filterSpec) materializePredicateMask(lo, hi int, out *bitset.Set) {
-	fs.pk.fillMask(fs.codes, lo, hi, out)
+// materializePredicateMask runs this one predicate over facts [0, n)
+// into a bitmap with the packed word-at-a-time kernel.
+func (fs *filterSpec) materializePredicateMask(n int, out *bitset.Set) {
+	fs.pk.fillMask(fs.codes, 0, n, out)
 }
 
 // fillFilterMask is the stage-1 builder: the conjunction of the plan's
-// distinct predicates over facts [lo, hi) into m, zero there on entry. A
+// distinct predicates over facts [0, n) into m, zero there on entry. A
 // predicate the batch holds a bitmap for (preds, by predicate
 // sub-fingerprint) is ANDed in from it; any other runs the packed kernel,
 // the first straight into m and every further one into scratch, ANDed in
-// word by word. view, when non-nil, narrows the result (intersectView). lo
-// is word-aligned and hi is word-aligned or the scan bound, as
-// parallelFill's chunks are, so workers filling disjoint chunks write
-// disjoint words of m and scratch; the words of m past hi may take bits
-// from a predicate bitmap, which no scan reads.
-func (p *queryPlan) fillFilterMask(lo, hi int, m, scratch, view *bitset.Set, preds map[string]*bitset.Set) {
-	loW, hiW := lo>>6, (hi+63)>>6
-	mw := m.Words()[loW:hiW]
+// word by word. view, when non-nil, narrows the result (intersectView).
+// The last word of m may take bits past n from a predicate bitmap, which
+// no scan reads.
+func (p *queryPlan) fillFilterMask(n int, m, scratch, view *bitset.Set, preds map[string]*bitset.Set) {
+	nw := (n + 63) >> 6
+	mw := m.Words()[:nw]
 	first := true
 	for fi := range p.filters {
 		if p.repeatsFilter(fi) {
@@ -246,17 +218,17 @@ func (p *queryPlan) fillFilterMask(lo, hi int, m, scratch, view *bitset.Set, pre
 		fs := &p.filters[fi]
 		switch pm := preds[fs.key]; {
 		case pm != nil && first:
-			copy(mw, pm.Words()[loW:hiW])
+			copy(mw, pm.Words()[:nw])
 		case pm != nil:
-			for i, w := range pm.Words()[loW:hiW] {
+			for i, w := range pm.Words()[:nw] {
 				mw[i] &= w
 			}
 		case first:
-			fs.materializePredicateMask(lo, hi, m)
+			fs.materializePredicateMask(n, m)
 		default:
-			sw := scratch.Words()[loW:hiW]
+			sw := scratch.Words()[:nw]
 			clear(sw)
-			fs.materializePredicateMask(lo, hi, scratch)
+			fs.materializePredicateMask(n, scratch)
 			for i, w := range sw {
 				mw[i] &= w
 			}
@@ -264,19 +236,20 @@ func (p *queryPlan) fillFilterMask(lo, hi int, m, scratch, view *bitset.Set, pre
 		first = false
 	}
 	if view != nil {
-		intersectView(mw, mw, loW, view)
+		intersectView(mw, mw, view)
 	}
 }
 
-// intersectView sets dst to src ∩ view over the words of the table from
-// word loW on (dst and src cover the same words and may alias). Facts past
-// the view's length are invisible, as they are to a walk of its set bits:
-// a view sized before AddFact grew the table is ANDed over its own length.
-func intersectView(dst, src []uint64, loW int, view *bitset.Set) {
+// intersectView sets dst to src ∩ view over the table's first len(src)
+// words (dst and src cover the same words and may alias). Facts past the
+// view's length are invisible, as they are to a walk of its set bits: a
+// view mask shorter than the table (a direct fact selection taken before
+// AddFact grew it) is ANDed over its own length.
+func intersectView(dst, src []uint64, view *bitset.Set) {
 	vw := view.Words()
 	for i, w := range src {
-		if wi := loW + i; wi < len(vw) {
-			dst[i] = w & vw[wi]
+		if i < len(vw) {
+			dst[i] = w & vw[i]
 		} else {
 			dst[i] = 0
 		}
@@ -285,7 +258,7 @@ func intersectView(dst, src []uint64, loW int, view *bitset.Set) {
 
 // queryPlan is a validated, resolved query: every name bound to column
 // data, ready to scan. Plans are read-only after compile, so any number of
-// workers can share one.
+// concurrent scans can share one.
 type queryPlan struct {
 	q  Query
 	fd *FactData
@@ -756,11 +729,9 @@ func (pt *partial) scanFused(lo, hi int, mask *bitset.Set, d *scanDrive) {
 	pt.accumulate(mask, lo, hi, d)
 }
 
-// merge folds src into pt. Callers merge the per-worker partials in worker
-// index order — the stable-merge half of the determinism contract: with
-// work stealing the chunk→worker assignment varies run to run, but COUNT/
-// MIN/MAX are order-insensitive and SUM folds are byte-stable whenever the
-// per-group sums are exact in float64 (see the file header).
+// merge folds src into pt: MergeFinalize folds sibling shards' partials
+// in shard order, so a sharded answer is as reproducible as an unsharded
+// one.
 //
 // A group pt has no cell for yet takes a copy of src's cell as is (not a
 // fold into a blank one), so single-source groups keep their exact bits.
@@ -1043,54 +1014,11 @@ func radixSort(a, b []rowKey, digits int, byKey bool) (sorted, spare []rowKey) {
 	return a, b
 }
 
-// normalizeWorkers maps the worker-count knob to a concrete pool size for
-// a scan over n facts: negative = one worker per logical CPU, 0 or 1 =
-// serial — and never more workers than there are scan chunks. A surplus
-// worker would take a partial table from the pool, scan nothing, and
-// still be merged; post-sharding (shards × workers partials per batch)
-// that waste was the norm for small shards, not the exception.
-func normalizeWorkers(workers, n int) int {
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 {
-		return 1
-	}
-	if chunks := chunkCount(n); workers > chunks {
-		workers = chunks
-	}
-	return workers
-}
-
-// forEachMorsel is the work-stealing scan loop: claim the next unclaimed
-// execChunkSize chunk off the shared cursor and hand its fact range to
-// body, until the table is drained. Chunk→worker assignment follows
-// execution speed (a straggling worker holds back at most one chunk, not
-// a 1/W stripe of the table); chunk bounds stay word-aligned, so the
-// shared-bitmap fill phases keep their racelessness.
-func forEachMorsel(cur *atomic.Int64, chunks, n int, body func(lo, hi int)) {
-	for {
-		ci := int(cur.Add(1)) - 1
-		if ci >= chunks {
-			return
-		}
-		lo := ci * execChunkSize
-		hi := lo + execChunkSize
-		if hi > n {
-			hi = n
-		}
-		body(lo, hi)
-	}
-}
-
-// ExecuteParallel runs the query like Execute with the fact scan spread
-// across a pool of workers goroutines, each aggregating into a thread-local
-// partial table; partials are merged in worker order before ordering/limit.
-// workers <= 1 is the serial fallback (identical to Execute); workers < 0
-// uses one worker per logical CPU. It is the batch executor over a batch
-// of one: a filtered query fills its own stage-1 bitmap with the packed
-// predicate kernels and accumulates off it (loneScan).
-func (c *Cube) ExecuteParallel(q Query, v *View, workers int) (*Result, error) {
+// Execute runs the query through the given view (nil view = the whole
+// warehouse, the non-personalized baseline). It is the batch executor over
+// a batch of one: a filtered query fills its own stage-1 bitmap with the
+// packed predicate kernels and accumulates off it (loneScan).
+func (c *Cube) Execute(q Query, v *View) (*Result, error) {
 	p, err := c.compile(q)
 	if err != nil {
 		return nil, err
@@ -1105,10 +1033,16 @@ func (c *Cube) ExecuteParallel(q Query, v *View, workers int) (*Result, error) {
 	}
 	var sp scanPartials
 	out := []*partial{nil}
-	executeBatchPartials([]*queryPlan{p}, []*bitset.Set{mask}, out, &sp, BatchOptions{Workers: workers})
+	executeBatchPartials([]*queryPlan{p}, []*bitset.Set{mask}, out, &sp, BatchOptions{})
 	res := p.finalize(out[0])
 	sp.release()
 	return res, nil
+}
+
+// ExecuteParallel is Execute; workers is ignored. It stays only for the
+// benchmark's executor shim until that shim goes (ROADMAP item 5(a)).
+func (c *Cube) ExecuteParallel(q Query, v *View, workers int) (*Result, error) {
+	return c.Execute(q, v)
 }
 
 // CompiledQuery is a validated query plan bound to its cube. Plans are
@@ -1197,13 +1131,11 @@ func (cq *CompiledQuery) Rebind(target *Cube) (*CompiledQuery, error) {
 
 // BatchOptions configures one shared batch scan.
 type BatchOptions struct {
-	// Workers sizes the chunk worker pool exactly as in ExecuteParallel.
-	Workers int
 	// Trace optionally collects per-stage wall times of this scan (one
 	// ShardScan per fact group, plus gather/finalize time). nil — the
 	// default — records nothing; every timing hook is guarded by a single
 	// pointer test taken once per scan phase, never per fact, so the
-	// morsel loop is untouched.
+	// scan loop is untouched.
 	Trace *obs.ScanTrace
 	// TraceShard labels recorded ShardScans with the shard index of this
 	// scan (the shard executor sets it per fan-out goroutine; 0 when
@@ -1244,9 +1176,8 @@ type SharingStats struct {
 	// ArtifactCacheHits counts artifacts this scan took from the table's
 	// cross-batch cache instead of re-materializing.
 	ArtifactCacheHits int `json:"artifactCacheHits"`
-	// PartialsReused / PartialsAllocated count the per-worker partial
-	// aggregation tables this scan took from the per-table pool vs
-	// allocated fresh — the pool's effectiveness on the parallel path (a
+	// PartialsReused / PartialsAllocated count the partial aggregation
+	// tables this scan took from the per-table pool vs allocated fresh (a
 	// warm steady state is all reuse).
 	PartialsReused    int `json:"partialsReused"`
 	PartialsAllocated int `json:"partialsAllocated"`
@@ -1286,38 +1217,23 @@ func (s *SharingStats) Add(o SharingStats) {
 	s.KeyColBytesBuilt += o.KeyColBytesBuilt
 }
 
-// ExecuteBatch answers a batch of queries — e.g. many users' personalized
-// views of the same fact table — in one shared scan per fact table,
-// GLADE-style: queries are grouped by fact, the fact table is walked chunk
-// by chunk, and every query of the group aggregates from the same
-// cache-hot chunk before the scan moves on, sharing filter and group-key
-// work across queries (see ExecuteBatchCompiledOpt). Each result is
-// identical to running its query through Execute/ExecuteParallel alone.
-//
-// vs pairs each query with its personalized view; nil vs (or a nil entry)
-// means the non-personalized baseline. workers sizes the chunk worker pool
-// exactly as in ExecuteParallel. Validation errors of any query abort the
-// whole batch before scanning starts.
+// ExecuteBatch answers a batch of queries in one shared scan per fact
+// table (see ExecuteBatchCompiledOpt); vs pairs each query with its
+// personalized view (nil vs or a nil entry = the baseline). workers is
+// ignored: the method stays only for the benchmark's executor shim until
+// that shim goes (ROADMAP item 5(a)). Validation errors of any query abort
+// the whole batch before scanning starts.
 func (c *Cube) ExecuteBatch(qs []Query, vs []*View, workers int) ([]*Result, error) {
-	res, _, err := c.ExecuteBatchOpt(qs, vs, BatchOptions{Workers: workers})
-	return res, err
-}
-
-// ExecuteBatchOpt is ExecuteBatch with explicit batch options, also
-// returning the scan's sharing statistics.
-func (c *Cube) ExecuteBatchOpt(qs []Query, vs []*View, opts BatchOptions) ([]*Result, SharingStats, error) {
-	if vs != nil && len(vs) != len(qs) {
-		return nil, SharingStats{}, fmt.Errorf("cube: batch has %d queries but %d views", len(qs), len(vs))
-	}
 	cqs := make([]*CompiledQuery, len(qs))
 	for i, q := range qs {
 		cq, err := c.Compile(q)
 		if err != nil {
-			return nil, SharingStats{}, fmt.Errorf("cube: batch query %d: %w", i, err)
+			return nil, fmt.Errorf("cube: batch query %d: %w", i, err)
 		}
 		cqs[i] = cq
 	}
-	return c.ExecuteBatchCompiledOpt(cqs, vs, opts)
+	res, _, err := c.ExecuteBatchCompiledOpt(cqs, vs, BatchOptions{})
+	return res, err
 }
 
 // ExecuteBatchCompiledOpt runs one shared scan per fact table over
@@ -1404,14 +1320,13 @@ func executeBatchPartials(plans []*queryPlan, masks []*bitset.Set, out []*partia
 			}
 		}
 		n := groupScanBound(gp)
-		w := normalizeWorkers(opts.Workers, n)
 		var sc *obs.ShardScan
 		var t0 time.Time
 		if opts.Trace != nil {
 			sc = &obs.ShardScan{Shard: opts.TraceShard, Facts: n}
 			t0 = time.Now()
 		}
-		stats.Add(scanSharedStaged(gp, gm, gout, w, n, sp, sc))
+		stats.Add(scanSharedStaged(gp, gm, gout, n, sp, sc))
 		if sc != nil {
 			sc.Wall = time.Since(t0)
 			opts.Trace.AddShard(*sc)
@@ -1440,7 +1355,7 @@ func factGroup(plans []*queryPlan, fact string, start int) []int {
 // of the group's compile-time fact counts. Plans in a group always target
 // the same fact table but may have been compiled at different times —
 // under concurrent ingest a later plan's column snapshots are longer — so
-// the group's single morsel walk must stop where the shortest snapshot
+// the group's single walk must stop where the shortest snapshot
 // does. Facts past the bound are simply invisible to this batch, exactly
 // as they are to a serial execution of the earliest-compiled plan.
 func groupScanBound(plans []*queryPlan) int {
@@ -1496,9 +1411,8 @@ func (c *Cube) ExecuteBatchCompiledPartials(cqs []*CompiledQuery, masks []*bitse
 }
 
 // MergeFinalize gathers a scatter: shards[s][i] is query i's partial from
-// shard s. Per query, the shard partials are merged in shard order — the
-// same deterministic convention as the executor's worker-order merge — and
-// finalized into the Result the unsharded engine would return (AVG divides
+// shard s. Per query, the shard partials are merged in shard order, so
+// the answer is reproducible, and finalized into the Result the unsharded engine would return (AVG divides
 // merged sums by merged counts, MIN/MAX narrow). The partials are consumed.
 func MergeFinalize(shards [][]*BatchPartial) ([]*Result, error) {
 	if len(shards) == 0 {

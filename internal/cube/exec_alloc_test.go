@@ -1,7 +1,7 @@
 package cube_test
 
-// Allocation-budget assertion for the single-worker batch paths: BENCH_5
-// showed workers=1/shared=true allocating ~1.6MB/op more than
+// Allocation-budget assertion for the batch paths: BENCH_5 showed the
+// single-worker shared batch allocating ~1.6MB/op more than
 // shared=false, which turned out to be cold-start artifact allocation
 // amortized over too few benchmark iterations rather than a leak — the
 // release path does return artifacts to the per-table pools. This test
@@ -74,13 +74,13 @@ func TestSingleWorkerSharedBatchAllocBudget(t *testing.T) {
 	}
 	lone := func() {
 		for _, q := range qs {
-			if _, err := ds.Cube.ExecuteParallel(q, nil, 1); err != nil {
+			if _, err := ds.Cube.Execute(q, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	batch := func() {
-		if _, _, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Workers: 1}); err != nil {
+		if _, _, err := cube.ExecuteBatchStats(ds.Cube, qs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -48,7 +48,7 @@ func TestArtifactCacheHitStaleAndEquivalence(t *testing.T) {
 	qs := cacheTestBatch()
 	stats := ds.Cube.ArtifactCacheStats
 	run := func(label string) []*cube.Result {
-		res, _, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
+		res, _, err := cube.ExecuteBatchStats(ds.Cube, qs, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -146,7 +146,7 @@ func TestArtifactCacheEviction(t *testing.T) {
 				{Fact: "Sales", GroupBy: []cube.LevelRef{{Dimension: "Store", Level: level}},
 					Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}},
 			}
-			res, _, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
+			res, _, err := cube.ExecuteBatchStats(ds.Cube, qs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,8 +203,7 @@ func TestArtifactCacheDoorkeeperAdmission(t *testing.T) {
 	}
 	stats := ds.Cube.ArtifactCacheStats
 	run := func(v float64) {
-		if _, _, err := ds.Cube.ExecuteBatchOpt(doorkeeperBatch(v), nil,
-			cube.BatchOptions{}); err != nil {
+		if _, _, err := cube.ExecuteBatchStats(ds.Cube, doorkeeperBatch(v), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,8 +253,7 @@ func TestArtifactCacheDoorkeeperRotation(t *testing.T) {
 	cube.SetArtifactCacheLimits(ds.Cube, "Sales", 0, 1)
 	stats := ds.Cube.ArtifactCacheStats
 	run := func(v float64) {
-		if _, _, err := ds.Cube.ExecuteBatchOpt(doorkeeperBatch(v), nil,
-			cube.BatchOptions{}); err != nil {
+		if _, _, err := cube.ExecuteBatchStats(ds.Cube, doorkeeperBatch(v), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,7 +309,7 @@ func TestArtifactCacheDefaultBudget(t *testing.T) {
 				{Fact: "Sales", GroupBy: []cube.LevelRef{g},
 					Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}},
 			}
-			res, _, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
+			res, _, err := cube.ExecuteBatchStats(ds.Cube, qs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

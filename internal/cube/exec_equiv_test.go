@@ -1,9 +1,9 @@
 package cube_test
 
 // Randomized equivalence harness for the query executor: for generated
-// warehouses and randomized queries/views, lone queries (every worker
-// count 1–8) and shared-scan batches must return Results identical to the
-// executor-independent reference (cubetest.NaiveExecute) — rows, row
+// warehouses and randomized queries/views, lone queries and shared-scan
+// batches must return Results identical to the executor-independent
+// reference (cubetest.NaiveExecute) — rows, row
 // order, group/aggregate columns, and ScannedFacts/MatchedFacts.
 //
 // SUM/AVG aggregates are drawn over UnitSales only: it is integer-valued,
@@ -190,18 +190,18 @@ func reference(c *cube.Cube, qs []cube.Query, vs []*cube.View) []*cube.Result {
 // served from the cache), and warm again after one AddFact and one
 // SetMemberAttr, where every entry built before them must be dropped as
 // stale. The batch must share at least one artifact.
-func cachePhases(t *testing.T, c *cube.Cube, qs []cube.Query, vs []*cube.View, workers int) {
+func cachePhases(t *testing.T, c *cube.Cube, qs []cube.Query, vs []*cube.View) {
 	t.Helper()
 	cube.ResetArtifactCaches(c)
 	run := func(phase string, vs []*cube.View) cube.SharingStats {
 		t.Helper()
-		res, stats, err := c.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: workers})
+		res, stats, err := cube.ExecuteBatchStats(c, qs, vs)
 		if err != nil {
 			t.Fatalf("%s: %v", phase, err)
 		}
 		want := reference(c, qs, vs)
 		for i := range qs {
-			diffResults(t, fmt.Sprintf("%s case %d workers %d", phase, i, workers), res[i], want[i])
+			diffResults(t, fmt.Sprintf("%s case %d", phase, i), res[i], want[i])
 		}
 		return stats
 	}
@@ -221,16 +221,9 @@ func cachePhases(t *testing.T, c *cube.Cube, qs []cube.Query, vs []*cube.View, w
 	if err := c.SetMemberAttr("Store", "City", 1, "population", float64(2500000)); err != nil {
 		t.Fatal(err)
 	}
-	// A view's materialized mask is a snapshot of the table it was taken
-	// over; clones re-materialize over the grown table.
-	var grown []*cube.View
-	for _, v := range vs {
-		if v != nil {
-			v = v.Clone()
-		}
-		grown = append(grown, v)
-	}
-	mutated := run("after mutation", grown)
+	// The views' materialized masks were built before the append; their
+	// version stamps rebuild them over the grown table.
+	mutated := run("after mutation", vs)
 	if st := c.ArtifactCacheStats(); st.Stale == cached.Stale || mutated.ArtifactCacheHits != 0 {
 		t.Errorf("mutation left cached artifacts live: %d hits after it, stale %d -> %d",
 			mutated.ArtifactCacheHits, cached.Stale, st.Stale)
@@ -261,29 +254,25 @@ func TestExecutorEquivalenceRandomized(t *testing.T) {
 			}
 			want := reference(ds.Cube, qs, vs)
 
-			// Lone queries across worker counts (workers 1 is Execute).
+			// Lone queries.
 			for i := range qs {
-				for w := 1; w <= 8; w++ {
-					got, err := ds.Cube.ExecuteParallel(qs[i], vs[i], w)
-					if err != nil {
-						t.Fatalf("case %d workers %d: %v", i, w, err)
-					}
-					diffResults(t, fmt.Sprintf("case %d workers %d", i, w), got, want[i])
+				got, err := ds.Cube.Execute(qs[i], vs[i])
+				if err != nil {
+					t.Fatalf("case %d: %v", i, err)
 				}
+				diffResults(t, fmt.Sprintf("case %d", i), got, want[i])
 			}
 
 			// All cases in one shared-scan batch.
-			for _, w := range []int{1, 3, 8} {
-				batch, _, err := ds.Cube.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
-				if err != nil {
-					t.Fatalf("batch workers %d: %v", w, err)
-				}
-				if len(batch) != cases {
-					t.Fatalf("batch workers %d: %d results, want %d", w, len(batch), cases)
-				}
-				for i := range qs {
-					diffResults(t, fmt.Sprintf("batch case %d workers %d", i, w), batch[i], want[i])
-				}
+			batch, _, err := cube.ExecuteBatchStats(ds.Cube, qs, vs)
+			if err != nil {
+				t.Fatalf("batch: %v", err)
+			}
+			if len(batch) != cases {
+				t.Fatalf("batch: %d results, want %d", len(batch), cases)
+			}
+			for i := range qs {
+				diffResults(t, fmt.Sprintf("batch case %d", i), batch[i], want[i])
 			}
 		})
 	}
@@ -292,7 +281,7 @@ func TestExecutorEquivalenceRandomized(t *testing.T) {
 // TestSharedSubexprBatchEquivalence targets the sharing-heavy shape the
 // staged executor exists for: many queries differing only in selection
 // mask, measure, or limit over a handful of filter sets and groupings.
-// Every result — across worker counts and randomized views, and cold,
+// Every result — across randomized views, and cold,
 // warm and stale in the table's artifact cache (cachePhases) — must be
 // byte-identical to the reference, and the reported SharingStats must
 // account for every query.
@@ -366,37 +355,35 @@ func TestSharedSubexprBatchEquivalence(t *testing.T) {
 			}
 			want := reference(ds.Cube, qs, vs)
 
-			for _, w := range []int{1, 2, 5, 8} {
-				batch, stats, err := ds.Cube.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
-				if err != nil {
-					t.Fatalf("workers %d: %v", w, err)
-				}
-				for i := range qs {
-					diffResults(t, fmt.Sprintf("shared case %d workers %d", i, w), batch[i], want[i])
-				}
-				if stats.Queries != cases {
-					t.Errorf("workers %d: stats.Queries = %d, want %d", w, stats.Queries, cases)
-				}
-				// The pool admits at most 6 distinct non-empty filter sets
-				// (the reordered {pop,age} pair shares one key) built from 3
-				// distinct predicates, and 3 groupings.
-				if stats.DistinctFilterSets > 6 {
-					t.Errorf("workers %d: distinct filter sets = %d, want <= 6 (reordered sets must share)",
-						w, stats.DistinctFilterSets)
-				}
-				if stats.DistinctPredicates > 3 {
-					t.Errorf("workers %d: distinct predicates = %d, want <= 3", w, stats.DistinctPredicates)
-				}
-				if stats.DistinctGroupings > 4 {
-					t.Errorf("workers %d: distinct groupings = %d, want <= 4", w, stats.DistinctGroupings)
-				}
-				if stats.FilterSets < stats.DistinctFilterSets ||
-					stats.FilterPredicates < stats.DistinctPredicates ||
-					stats.GroupKeySets < stats.DistinctGroupings {
-					t.Errorf("workers %d: instances below distinct counts: %+v", w, stats)
-				}
+			batch, stats, err := cube.ExecuteBatchStats(ds.Cube, qs, vs)
+			if err != nil {
+				t.Fatal(err)
 			}
-			cachePhases(t, ds.Cube, qs, vs, 2)
+			for i := range qs {
+				diffResults(t, fmt.Sprintf("shared case %d", i), batch[i], want[i])
+			}
+			if stats.Queries != cases {
+				t.Errorf("stats.Queries = %d, want %d", stats.Queries, cases)
+			}
+			// The pool admits at most 6 distinct non-empty filter sets
+			// (the reordered {pop,age} pair shares one key) built from 3
+			// distinct predicates, and 3 groupings.
+			if stats.DistinctFilterSets > 6 {
+				t.Errorf("distinct filter sets = %d, want <= 6 (reordered sets must share)",
+					stats.DistinctFilterSets)
+			}
+			if stats.DistinctPredicates > 3 {
+				t.Errorf("distinct predicates = %d, want <= 3", stats.DistinctPredicates)
+			}
+			if stats.DistinctGroupings > 4 {
+				t.Errorf("distinct groupings = %d, want <= 4", stats.DistinctGroupings)
+			}
+			if stats.FilterSets < stats.DistinctFilterSets ||
+				stats.FilterPredicates < stats.DistinctPredicates ||
+				stats.GroupKeySets < stats.DistinctGroupings {
+				t.Errorf("instances below distinct counts: %+v", stats)
+			}
+			cachePhases(t, ds.Cube, qs, vs)
 		})
 	}
 }
@@ -482,34 +469,32 @@ func TestPerFilterCompositionPaths(t *testing.T) {
 		{Fact: "Sales", GroupBy: group, Aggregates: agg, Filters: []cube.AttrFilter{shared, d}},
 	}
 	want := reference(ds.Cube, qs, nil)
-	for _, w := range []int{1, 4} {
-		// Each count starts cold, so the stats below count builds.
-		cube.ResetArtifactCaches(ds.Cube)
-		batch, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Workers: w})
-		if err != nil {
-			t.Fatalf("workers %d: %v", w, err)
-		}
-		for i := range qs {
-			diffResults(t, fmt.Sprintf("case %d workers %d", i, w), batch[i], want[i])
-		}
-		// All three sets compose the shared bitmap and run b, c or d once
-		// per set: four kernels and four bitmaps (one predicate bitmap,
-		// three set masks).
-		if stats.DistinctPredicates != 4 || stats.FilterPredicates != 10 {
-			t.Errorf("workers %d: predicates = %d/%d, want 4 distinct / 10 instances",
-				w, stats.DistinctPredicates, stats.FilterPredicates)
-		}
-		if stats.ComposedMasks != 3 {
-			t.Errorf("workers %d: composed masks = %d, want 3", w, stats.ComposedMasks)
-		}
-		bitmap := int64((ds.Cube.FactData("Sales").Len() + 7) / 8)
-		if stats.PackedPredicateKernels != 4 || stats.BitmapBytesBuilt != 4*bitmap {
-			t.Errorf("workers %d: %d kernels and %d bitmap bytes, want 4 and %d",
-				w, stats.PackedPredicateKernels, stats.BitmapBytesBuilt, 4*bitmap)
-		}
-		checkCostConservation(t, fmt.Sprintf("workers %d", w), batch, stats)
+	// Start cold, so the stats below count builds.
+	cube.ResetArtifactCaches(ds.Cube)
+	batch, stats, err := cube.ExecuteBatchStats(ds.Cube, qs, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cachePhases(t, ds.Cube, qs, nil, 4)
+	for i := range qs {
+		diffResults(t, fmt.Sprintf("case %d", i), batch[i], want[i])
+	}
+	// All three sets compose the shared bitmap and run b, c or d once
+	// per set: four kernels and four bitmaps (one predicate bitmap,
+	// three set masks).
+	if stats.DistinctPredicates != 4 || stats.FilterPredicates != 10 {
+		t.Errorf("predicates = %d/%d, want 4 distinct / 10 instances",
+			stats.DistinctPredicates, stats.FilterPredicates)
+	}
+	if stats.ComposedMasks != 3 {
+		t.Errorf("composed masks = %d, want 3", stats.ComposedMasks)
+	}
+	bitmap := int64((ds.Cube.FactData("Sales").Len() + 7) / 8)
+	if stats.PackedPredicateKernels != 4 || stats.BitmapBytesBuilt != 4*bitmap {
+		t.Errorf("%d kernels and %d bitmap bytes, want 4 and %d",
+			stats.PackedPredicateKernels, stats.BitmapBytesBuilt, 4*bitmap)
+	}
+	checkCostConservation(t, "batch", batch, stats)
+	cachePhases(t, ds.Cube, qs, nil)
 }
 
 // TestPredicateBitmapCountsCachedSets pins rule (c) of the stage-1
@@ -547,12 +532,12 @@ func TestPredicateBitmapCountsCachedSets(t *testing.T) {
 	// One set alone: the doorkeeper admits its mask on the second offer,
 	// and shared, in no second set, gets no bitmap of its own.
 	for i := 0; i < 2; i++ {
-		if _, _, err := ds.Cube.ExecuteBatchOpt(batch(mk(30)), nil, cube.BatchOptions{}); err != nil {
+		if _, _, err := cube.ExecuteBatchStats(ds.Cube, batch(mk(30)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	qs := batch(mk(30), mk(40))
-	res, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
+	res, stats, err := cube.ExecuteBatchStats(ds.Cube, qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +558,7 @@ func TestPredicateBitmapCountsCachedSets(t *testing.T) {
 	cube.ResetArtifactCaches(ds.Cube)
 	for _, o := range []cube.AttrFilter{mk(30), mk(50)} {
 		for i := 0; i < 2; i++ {
-			if _, _, err := ds.Cube.ExecuteBatchOpt(batch(o), nil, cube.BatchOptions{}); err != nil {
+			if _, _, err := cube.ExecuteBatchStats(ds.Cube, batch(o), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -592,7 +577,7 @@ func TestPredicateBitmapCountsCachedSets(t *testing.T) {
 	vs[len(qs)-1] = tiny
 	want = reference(ds.Cube, qs, vs)
 	for run := 0; run < 2; run++ { // the doorkeeper admits shared on the second offer
-		res, stats, err = ds.Cube.ExecuteBatchOpt(qs, vs, cube.BatchOptions{})
+		res, stats, err = cube.ExecuteBatchStats(ds.Cube, qs, vs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -606,7 +591,7 @@ func TestPredicateBitmapCountsCachedSets(t *testing.T) {
 	}
 	qs = []cube.Query{sparseQ(shared), sparseQ()}
 	vs = []*cube.View{tiny, nil}
-	res, stats, err = ds.Cube.ExecuteBatchOpt(qs, vs, cube.BatchOptions{})
+	res, stats, err = cube.ExecuteBatchStats(ds.Cube, qs, vs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +635,7 @@ func TestPerFilterArtifactCachePredicates(t *testing.T) {
 	want := reference(ds.Cube, qs, nil)
 	var last cube.SharingStats
 	for i := 0; i < 3; i++ {
-		res, stats, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
+		res, stats, err := cube.ExecuteBatchStats(ds.Cube, qs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -796,26 +781,17 @@ func TestMultiLevelGroupByEquivalence(t *testing.T) {
 		t.Error("no (none) group in any result: NoParent slots are not covered")
 	}
 
+	// Start cold, so KeyColBytesBuilt counts a build.
+	cube.ResetArtifactCaches(c)
+	batch, stats, err := cube.ExecuteBatchStats(c, qs, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range qs {
-		got, err := c.ExecuteParallel(qs[i], vs[i], 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffResults(t, fmt.Sprintf("case %d workers 3", i), got, want[i])
+		diffResults(t, fmt.Sprintf("batch case %d", i), batch[i], want[i])
 	}
-	for _, w := range []int{1, 4} {
-		// Each count starts cold, so KeyColBytesBuilt counts a build.
-		cube.ResetArtifactCaches(c)
-		batch, stats, err := c.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range qs {
-			diffResults(t, fmt.Sprintf("batch case %d workers %d", i, w), batch[i], want[i])
-		}
-		if stats.KeyColBytesBuilt == 0 {
-			t.Errorf("workers %d: no composite key column materialized", w)
-		}
+	if stats.KeyColBytesBuilt == 0 {
+		t.Error("no composite key column materialized")
 	}
-	cachePhases(t, c, qs, vs, 4)
+	cachePhases(t, c, qs, vs)
 }

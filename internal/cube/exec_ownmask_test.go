@@ -6,7 +6,7 @@ package cube_test
 // kernels and accumulates off it, unless its view is sparse. Across every
 // code-set kind, 1–3 predicates (repeats included), views on both sides
 // of the sparse-view constant, a fact count that is neither a multiple of
-// 64 nor of the scan chunk, and workers 1–3, results must equal the
+// 64 nor of the scan chunk, results must equal the
 // executor-independent reference — rows and ScannedFacts/MatchedFacts —
 // and across AddFact a plan must aggregate exactly its compile-time
 // prefix, seen through a view mask however stale.
@@ -154,13 +154,11 @@ func TestOwnMaskEquivalence(t *testing.T) {
 	want := reference(c, qs, vs)
 
 	for i := range qs {
-		for w := 1; w <= 3; w++ {
-			got, err := c.ExecuteParallel(qs[i], vs[i], w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffResults(t, fmt.Sprintf("lone case %d workers %d", i, w), got, want[i])
+		got, err := c.Execute(qs[i], vs[i])
+		if err != nil {
+			t.Fatal(err)
 		}
+		diffResults(t, fmt.Sprintf("lone case %d", i), got, want[i])
 	}
 
 	// Batches whose filter sets are pairwise distinct: every set is unique
@@ -176,16 +174,14 @@ func TestOwnMaskEquivalence(t *testing.T) {
 			bqs, bvs, bwant = append(bqs, q), append(bvs, vs[i]), append(bwant, want[i])
 		}
 	}
-	for w := 1; w <= 3; w++ {
-		res, stats, err := c.ExecuteBatchOpt(bqs, bvs, cube.BatchOptions{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range bqs {
-			diffResults(t, fmt.Sprintf("unique-set batch case %d workers %d", i, w), res[i], bwant[i])
-		}
-		checkCostConservation(t, fmt.Sprintf("unique-set batch workers %d", w), res, stats)
+	res, stats, err := cube.ExecuteBatchStats(c, bqs, bvs)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := range bqs {
+		diffResults(t, fmt.Sprintf("unique-set batch case %d", i), res[i], bwant[i])
+	}
+	checkCostConservation(t, "unique-set batch", res, stats)
 }
 
 // TestOwnMaskOnlyBatch pins a batch of unique filter sets sharing no
@@ -210,24 +206,22 @@ func TestOwnMaskOnlyBatch(t *testing.T) {
 	}
 	want := reference(c, qs, nil)
 	bitmap := int64((c.FactData("Sales").Len() + 7) / 8)
-	for w := 1; w <= 3; w++ {
-		res, stats, err := c.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.ComposedMasks != 0 || stats.BitmapBytesBuilt != 3*bitmap {
-			t.Errorf("workers %d: want three own bitmaps of %d bytes and no composition: %+v", w, bitmap, stats)
-		}
-		// Four distinct predicates, every one on a packed column.
-		if stats.PackedPredicateKernels != 4 {
-			t.Errorf("workers %d: PackedPredicateKernels = %d, want 4", w, stats.PackedPredicateKernels)
-		}
-		for i := range qs {
-			diffResults(t, fmt.Sprintf("case %d workers %d", i, w), res[i], want[i])
-			if res[i].Cost.BitmapBytes != bitmap || res[i].Cost.SharedSavedBytes != 0 {
-				t.Errorf("case %d workers %d: charged %+v, want the whole bitmap (%d bytes) and no discount",
-					i, w, res[i].Cost, bitmap)
-			}
+	res, stats, err := cube.ExecuteBatchStats(c, qs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ComposedMasks != 0 || stats.BitmapBytesBuilt != 3*bitmap {
+		t.Errorf("want three own bitmaps of %d bytes and no composition: %+v", bitmap, stats)
+	}
+	// Four distinct predicates, every one on a packed column.
+	if stats.PackedPredicateKernels != 4 {
+		t.Errorf("PackedPredicateKernels = %d, want 4", stats.PackedPredicateKernels)
+	}
+	for i := range qs {
+		diffResults(t, fmt.Sprintf("case %d", i), res[i], want[i])
+		if res[i].Cost.BitmapBytes != bitmap || res[i].Cost.SharedSavedBytes != 0 {
+			t.Errorf("case %d: charged %+v, want the whole bitmap (%d bytes) and no discount",
+				i, res[i].Cost, bitmap)
 		}
 	}
 }
@@ -278,51 +272,48 @@ func TestStage1PricingRule(t *testing.T) {
 	}
 	bitmap := int64((n + 7) / 8)
 	want := reference(c, qs, vs)
-	for w := 1; w <= 3; w++ {
-		label := fmt.Sprintf("workers %d", w)
-		cube.ResetArtifactCaches(c)
-		// Cold: B's predicates have no bitmaps, so its sparse users walk
-		// their views; A's mask runs p[3]'s kernel.
-		res, stats, err := c.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
-		if err != nil {
+	cube.ResetArtifactCaches(c)
+	// Cold: B's predicates have no bitmaps, so its sparse users walk
+	// their views; A's mask runs p[3]'s kernel.
+	res, stats, err := cube.ExecuteBatchStats(c, qs, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range qs {
+		diffResults(t, fmt.Sprintf("cold case %d", i), res[i], want[i])
+	}
+	checkCostConservation(t, "cold", res, stats)
+	if stats.BitmapBytesBuilt != bitmap || stats.PackedPredicateKernels != 1 || stats.ComposedMasks != 0 {
+		t.Errorf("cold: want one mask from one kernel: %+v", stats)
+	}
+	if res[0].Cost.BitmapBytes+res[1].Cost.BitmapBytes != bitmap || res[2].Cost.BitmapBytes+res[3].Cost.BitmapBytes != 0 {
+		t.Errorf("cold: set A's users charged %d + %d, B's %d + %d; want the one mask split over A",
+			res[0].Cost.BitmapBytes, res[1].Cost.BitmapBytes, res[2].Cost.BitmapBytes, res[3].Cost.BitmapBytes)
+	}
+	for i := 0; i < 2; i++ { // the doorkeeper admits on the second offer
+		if _, _, err := cube.ExecuteBatchStats(c, warm, nil); err != nil {
 			t.Fatal(err)
-		}
-		for i := range qs {
-			diffResults(t, fmt.Sprintf("%s cold case %d", label, i), res[i], want[i])
-		}
-		checkCostConservation(t, label+" cold", res, stats)
-		if stats.BitmapBytesBuilt != bitmap || stats.PackedPredicateKernels != 1 || stats.ComposedMasks != 0 {
-			t.Errorf("%s cold: want one mask from one kernel: %+v", label, stats)
-		}
-		if res[0].Cost.BitmapBytes+res[1].Cost.BitmapBytes != bitmap || res[2].Cost.BitmapBytes+res[3].Cost.BitmapBytes != 0 {
-			t.Errorf("%s cold: set A's users charged %d + %d, B's %d + %d; want the one mask split over A",
-				label, res[0].Cost.BitmapBytes, res[1].Cost.BitmapBytes, res[2].Cost.BitmapBytes, res[3].Cost.BitmapBytes)
-		}
-		for i := 0; i < 2; i++ { // the doorkeeper admits on the second offer
-			if _, _, err := c.ExecuteBatchOpt(warm, nil, cube.BatchOptions{Workers: w}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, stats, err = c.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range qs {
-			diffResults(t, fmt.Sprintf("%s warm case %d", label, i), res[i], want[i])
-		}
-		checkCostConservation(t, label+" warm", res, stats)
-		// B is composed from the two cached predicate bitmaps and runs no
-		// kernel; A's mask (offered once, in the cold run) is built again.
-		if stats.ArtifactCacheHits != 2 || stats.ComposedMasks != 1 ||
-			stats.PackedPredicateKernels != 1 || stats.BitmapBytesBuilt != 2*bitmap {
-			t.Errorf("%s warm: want B's predicates from the cache and B composed: %+v", label, stats)
-		}
-		if res[2].Cost.BitmapBytes+res[3].Cost.BitmapBytes != bitmap {
-			t.Errorf("%s warm: set B's users charged %d + %d, want its mask (%d)",
-				label, res[2].Cost.BitmapBytes, res[3].Cost.BitmapBytes, bitmap)
 		}
 	}
-	cachePhases(t, c, qs, vs, 2)
+	res, stats, err = cube.ExecuteBatchStats(c, qs, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range qs {
+		diffResults(t, fmt.Sprintf("warm case %d", i), res[i], want[i])
+	}
+	checkCostConservation(t, "warm", res, stats)
+	// B is composed from the two cached predicate bitmaps and runs no
+	// kernel; A's mask (offered once, in the cold run) is built again.
+	if stats.ArtifactCacheHits != 2 || stats.ComposedMasks != 1 ||
+		stats.PackedPredicateKernels != 1 || stats.BitmapBytesBuilt != 2*bitmap {
+		t.Errorf("warm: want B's predicates from the cache and B composed: %+v", stats)
+	}
+	if res[2].Cost.BitmapBytes+res[3].Cost.BitmapBytes != bitmap {
+		t.Errorf("warm: set B's users charged %d + %d, want its mask (%d)",
+			res[2].Cost.BitmapBytes, res[3].Cost.BitmapBytes, bitmap)
+	}
+	cachePhases(t, c, qs, vs)
 }
 
 // TestOwnMaskAcrossAddFact runs lone filtered plans across ingest. A plan
@@ -384,41 +375,39 @@ func TestOwnMaskAcrossAddFact(t *testing.T) {
 		fresh = append(fresh, cq)
 	}
 
-	for w := 1; w <= 3; w++ {
-		opts := cube.BatchOptions{Workers: w}
-		for i, cq := range cqs {
-			label := fmt.Sprintf("query %d workers %d", i, w)
-			res, _, err := c.ExecuteBatchCompiledOpt(cqs[i:i+1], nil, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffResults(t, label+" baseline", res[0], wantBase[i])
-			parts, _, err := c.ExecuteBatchCompiledPartials([]*cube.CompiledQuery{cq}, []*bitset.Set{oldMask}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err = cube.MergeFinalize([][]*cube.BatchPartial{parts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffResults(t, label+" pre-ingest view mask", res[0], wantView[i])
-			parts, _, err = c.ExecuteBatchCompiledPartials(fresh[i:i+1], []*bitset.Set{oldMask}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err = cube.MergeFinalize([][]*cube.BatchPartial{parts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffResults(t, label+" post-ingest plan, pre-ingest view mask", res[0], wantView[i])
-		}
-		// Both stale plans in one batch of unique sets.
-		res, _, err := c.ExecuteBatchCompiledOpt(cqs, nil, opts)
+	var opts cube.BatchOptions
+	for i, cq := range cqs {
+		label := fmt.Sprintf("query %d", i)
+		res, _, err := c.ExecuteBatchCompiledOpt(cqs[i:i+1], nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range cqs {
-			diffResults(t, fmt.Sprintf("batch query %d workers %d", i, w), res[i], wantBase[i])
+		diffResults(t, label+" baseline", res[0], wantBase[i])
+		parts, _, err := c.ExecuteBatchCompiledPartials([]*cube.CompiledQuery{cq}, []*bitset.Set{oldMask}, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		res, err = cube.MergeFinalize([][]*cube.BatchPartial{parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffResults(t, label+" pre-ingest view mask", res[0], wantView[i])
+		parts, _, err = c.ExecuteBatchCompiledPartials(fresh[i:i+1], []*bitset.Set{oldMask}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err = cube.MergeFinalize([][]*cube.BatchPartial{parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffResults(t, label+" post-ingest plan, pre-ingest view mask", res[0], wantView[i])
+	}
+	// Both stale plans in one batch of unique sets.
+	res, _, err := c.ExecuteBatchCompiledOpt(cqs, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cqs {
+		diffResults(t, fmt.Sprintf("batch query %d", i), res[i], wantBase[i])
 	}
 }

@@ -1,16 +1,12 @@
 package cube
 
-// Pooled-partial hygiene and worker-clamp regression tests for the
-// morsel-driven executor: partials recycle through FactData.partialPool
-// with a full reset-on-get (rebind), and normalizeWorkers never sizes a
-// pool past the chunk count, so a tiny table (or shard) at workers=8 no
-// longer allocates seven partial tables that scan nothing.
+// Pooled-partial hygiene tests for the executor: partials recycle through
+// FactData.partialPool with a full reset-on-get (rebind).
 
 import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"sdwp/internal/bitset"
@@ -18,62 +14,6 @@ import (
 	"sdwp/internal/mdmodel"
 	"sdwp/internal/obs"
 )
-
-func TestNormalizeWorkersClampsToChunkCount(t *testing.T) {
-	big := 10 * execChunkSize // 10 chunks
-	cases := []struct {
-		workers, n, want int
-	}{
-		{0, big, 1},
-		{1, big, 1},
-		{8, big, 8},
-		{16, big, 10},             // more workers than chunks
-		{8, 6, 1},                 // tiny table: one chunk
-		{8, execChunkSize, 1},     // exactly one chunk
-		{8, execChunkSize + 1, 2}, // just past the boundary
-		{3, 2 * execChunkSize, 2}, // clamp below requested
-		{2, 4 * execChunkSize, 2}, // no clamp needed
-		{8, 0, 1},                 // empty table still scans as one chunk
-	}
-	for _, tc := range cases {
-		if got := normalizeWorkers(tc.workers, tc.n); got != tc.want {
-			t.Errorf("normalizeWorkers(%d, %d) = %d, want %d", tc.workers, tc.n, got, tc.want)
-		}
-	}
-	// Negative = one worker per logical CPU, still chunk-clamped.
-	if got := normalizeWorkers(-1, big); got != min(runtime.GOMAXPROCS(0), 10) {
-		t.Errorf("normalizeWorkers(-1, big) = %d", got)
-	}
-	if got := normalizeWorkers(-1, 6); got != 1 {
-		t.Errorf("normalizeWorkers(-1, tiny) = %d, want 1", got)
-	}
-}
-
-// TestTinyTableWorkersAllocateOnePartial is the regression test for the
-// surplus-partials bug: 6 facts fit one chunk, so workers=8 must take
-// exactly one partial from the pool, not eight.
-func TestTinyTableWorkersAllocateOnePartial(t *testing.T) {
-	c := testWarehouse(t)
-	p, err := c.compile(Query{
-		Fact:       "Sales",
-		GroupBy:    []LevelRef{{"Store", "City"}},
-		Aggregates: []MeasureAgg{{Measure: "UnitSales", Agg: AggSum}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := &scanPartials{}
-	parts := []*partial{nil}
-	executeBatchPartials([]*queryPlan{p}, []*bitset.Set{nil}, parts, sp, BatchOptions{Workers: 8})
-	if got := len(sp.parts); got != 1 {
-		t.Fatalf("tiny-table scan at workers=8 took %d partials, want 1", got)
-	}
-	res := p.finalize(parts[0])
-	sp.release()
-	if len(res.Rows) != 3 || res.ScannedFacts != 6 {
-		t.Fatalf("clamped scan result wrong: %+v", res)
-	}
-}
 
 // wideWarehouse builds a warehouse whose A x B group-by has 601² keys —
 // past maxDenseCells, so it takes the hashed group table — while A x
@@ -117,9 +57,10 @@ func wideWarehouse(t testing.TB) *Cube {
 // exactly what the pool does on reuse — and pins that rebind leaves no
 // trace of the previous query whatever shape it had: no stale cells in
 // the cell store or the hash table, no stale scan counters, results
-// identical to a freshly allocated partial's. It then merges worker
-// partials over disjoint and overlapping touched sets at 1, 2 and 4
-// workers and pins that the merged results stay bit-identical.
+// identical to a freshly allocated partial's. It then merges 1, 2 and 4
+// partials over disjoint and overlapping touched sets, as MergeFinalize
+// folds sibling shards', and pins that the merged results stay
+// bit-identical.
 func TestPartialPoolNoStateBleed(t *testing.T) {
 	c := wideWarehouse(t)
 	compile := func(q Query) *queryPlan {
@@ -163,7 +104,7 @@ func TestPartialPoolNoStateBleed(t *testing.T) {
 	// run drives one plan's pipeline over the whole table into pt: the
 	// filtered plan's own stage-1 bitmap, then stage 3.
 	run := func(p *queryPlan, pt *partial) *Result {
-		scans := []queryScan{loneScan(p, nil, p.n, 1, &SharingStats{}, nil)}
+		scans := []queryScan{loneScan(p, nil, p.n, &SharingStats{}, nil)}
 		pt.scanRangeStaged(0, p.n, &scans[0])
 		releaseArtifacts(p.fd, nil, scans)
 		return p.finalize(pt)
@@ -217,36 +158,37 @@ func TestPartialPoolNoStateBleed(t *testing.T) {
 		}
 	}
 
-	// Worker partials, each over its own facts, merged in worker order.
-	// Disjoint: a worker sees whole groups (by the first level's member),
-	// so no two workers touch one cell; overlapping: facts interleave
-	// across workers, so every cell is touched by several and merges.
+	// Partials, each over its own facts, merged in order (as sibling
+	// shards' are). Disjoint: a partial sees whole groups (by the first
+	// level's member), so no two touch one cell; overlapping: facts
+	// interleave across partials, so every cell is touched by several and
+	// merges.
 	pool := []*partial{pt}
-	for _, workers := range []int{1, 2, 4} {
-		for len(pool) < workers {
+	for _, parts := range []int{1, 2, 4} {
+		for len(pool) < parts {
 			pool = append(pool, &partial{})
 		}
 		for _, disjoint := range []bool{true, false} {
 			for _, p := range []*queryPlan{pDense, pSingle, pHash} {
-				label := fmt.Sprintf("%d workers disjoint=%v plan %d cells", workers, disjoint, p.denseCells)
-				masks := make([]*bitset.Set, workers)
+				label := fmt.Sprintf("%d partials disjoint=%v plan %d cells", parts, disjoint, p.denseCells)
+				masks := make([]*bitset.Set, parts)
 				for w := range masks {
 					masks[w] = bitset.New(p.n)
 				}
 				for i := 0; i < p.n; i++ {
-					w := i % workers
+					w := i % parts
 					if disjoint {
-						w = int(p.groups[0].decode(int32(i))) % workers
+						w = int(p.groups[0].decode(int32(i))) % parts
 					}
 					masks[w].Set(i)
 				}
-				for w := range workers {
+				for w := range parts {
 					pool[w].rebind(p)
 					fresh(label, pool[w], p)
 					d := p.drive(nil)
 					pool[w].scanFused(0, p.n, masks[w], &d)
 				}
-				for w := 1; w < workers; w++ {
+				for w := 1; w < parts; w++ {
 					pool[0].merge(pool[w])
 				}
 				if got := p.finalize(pool[0]); !sameResult(got, want[p]) {
@@ -297,14 +239,14 @@ func TestBatchPartialPoolReuseStats(t *testing.T) {
 			Aggregates: []MeasureAgg{{Agg: AggCount}},
 		},
 	}
-	res1, st1, err := c.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: 1})
+	res1, st1, err := ExecuteBatchStats(c, qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st1.PartialsAllocated == 0 {
 		t.Fatalf("cold batch reported no allocated partials: %+v", st1)
 	}
-	res2, st2, err := c.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: 1})
+	res2, st2, err := ExecuteBatchStats(c, qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +258,8 @@ func TestBatchPartialPoolReuseStats(t *testing.T) {
 	}
 }
 
-// TestSingleWorkerSharedArtifactsReturnToPools audits the workers=1
-// staged-path release discipline end to end: after a sharing batch whose
+// TestSingleWorkerSharedArtifactsReturnToPools audits the staged-path
+// release discipline end to end: after a sharing batch whose
 // filter bitmap and key column materialized, both artifacts — and the
 // scan's partials — must be back in their per-table pools; after a lone
 // filtered query, its own stage-1 bitmap must be. The pool-identity
@@ -346,10 +288,10 @@ func TestSingleWorkerSharedArtifactsReturnToPools(t *testing.T) {
 			return
 		}
 		if v, ok := fd.maskPool.Get().(*bitset.Set); !ok || v.Len() != fd.n {
-			t.Errorf("%s: filter bitmap was not returned to maskPool after the single-worker scan", label)
+			t.Errorf("%s: filter bitmap was not returned to maskPool after the scan", label)
 		}
 		if v, ok := fd.colPool.Get().(*[]int32); keyCol && (!ok || len(*v) != fd.n) {
-			t.Errorf("%s: key column was not returned to colPool after the single-worker scan", label)
+			t.Errorf("%s: key column was not returned to colPool after the scan", label)
 		}
 		if _, ok := fd.partialPool.Get().(*partial); !ok {
 			t.Errorf("%s: partials were not returned to partialPool after finalize", label)
@@ -373,7 +315,7 @@ func TestSingleWorkerSharedArtifactsReturnToPools(t *testing.T) {
 		},
 	}
 	drain()
-	_, st, err := c.ExecuteBatchOpt(qs, nil, BatchOptions{Workers: 1})
+	_, st, err := ExecuteBatchStats(c, qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +326,7 @@ func TestSingleWorkerSharedArtifactsReturnToPools(t *testing.T) {
 
 	// A lone filtered query: nothing is shared, so it fills its own bitmap.
 	drain()
-	res, err := c.ExecuteParallel(qs[0], nil, 1)
+	res, err := c.Execute(qs[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,8 +364,8 @@ func TestLoneStatsMatchesPlanner(t *testing.T) {
 		}
 		for _, view := range []*bitset.Set{nil, bitset.FromIndices(n, []int{0, 2, 3})} {
 			got := loneStats(p)
-			lone := []queryScan{loneScan(p, view, p.n, 1, &got, nil)}
-			art, want := buildArtifacts([]*queryPlan{p}, []*bitset.Set{view}, 1, p.n, nil, nil)
+			lone := []queryScan{loneScan(p, view, p.n, &got, nil)}
+			art, want := buildArtifacts([]*queryPlan{p}, []*bitset.Set{view}, p.n, nil, nil)
 			planned := []queryScan{planScan(p, view, art)}
 			label := fmt.Sprintf("query %d view %v", i, view)
 			if got != want {

@@ -2,8 +2,6 @@ package cube
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sdwp/internal/bitset"
@@ -132,56 +130,6 @@ func (pt *partial) scanRangeStaged(lo, hi int, qs *queryScan) {
 	pt.scanFused(lo, hi, qs.view, &d)
 }
 
-// workerPanic carries the first panic of a pool's worker goroutines to
-// the goroutine that waits for them, which re-raises it: a panic left in a
-// worker goroutine would end the process before any caller could recover
-// it. The zero value is ready to use.
-type workerPanic struct {
-	once sync.Once
-	val  any
-}
-
-// capture records a panic of the calling goroutine; defer it directly.
-func (wp *workerPanic) capture() {
-	if r := recover(); r != nil {
-		wp.once.Do(func() { wp.val = r })
-	}
-}
-
-// reraise panics with the captured value, if any. Call it after every
-// worker has finished.
-func (wp *workerPanic) reraise() {
-	if wp.val != nil {
-		panic(wp.val)
-	}
-}
-
-// parallelFill runs fill over [0, n) with the worker pool, morsel-driven
-// exactly like the scan phases (chunk bounds are word-aligned and each
-// chunk is claimed by exactly one worker, so workers write disjoint
-// bitmap words). workers must already be normalized. A panicking worker's
-// panic is re-raised here once every worker has stopped.
-func parallelFill(n, workers int, fill func(lo, hi int)) {
-	if workers <= 1 {
-		fill(0, n)
-		return
-	}
-	chunks := chunkCount(n)
-	var cur atomic.Int64
-	var wg sync.WaitGroup
-	var wp workerPanic
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer wp.capture()
-			forEachMorsel(&cur, chunks, n, fill)
-		}()
-	}
-	wg.Wait()
-	wp.reraise()
-}
-
 // sparseViewK prices stage 1; it is the decision's only constant. A
 // filter set gets a mask when Σ over its users of visible facts ×
 // sparseViewK reaches the scan's n facts, a user with no view counting n.
@@ -215,14 +163,13 @@ type maskFill struct {
 	users []int
 }
 
-// fillMasks is stage 1 of one scan over [0, n) with the worker pool. Per
-// chunk it fills the fresh predicate bitmaps first (fresh names the spec
-// of each; the bitmaps are preds' entries) and then every set mask of
-// fills through fillFilterMask, which ANDs in the chunk's words of
-// whichever predicate bitmaps preds holds — fresh ones still cache-hot —
-// and runs the packed kernels for the rest. It counts the set masks'
+// fillMasks is stage 1 of one scan over [0, n). It fills the fresh
+// predicate bitmaps first (fresh names the spec of each; the bitmaps are
+// preds' entries) and then every set mask of fills through fillFilterMask,
+// which ANDs in the words of whichever predicate bitmaps preds holds and
+// runs the packed kernels for the rest. It counts the set masks'
 // kernels and compositions in stats and charges each mask to its users.
-func fillMasks(fills []maskFill, preds map[string]*bitset.Set, fresh map[string]*filterSpec, n, workers int, stats *SharingStats, costs []obs.QueryCost) {
+func fillMasks(fills []maskFill, preds map[string]*bitset.Set, fresh map[string]*filterSpec, n int, stats *SharingStats, costs []obs.QueryCost) {
 	var scratch *bitset.Set
 	for _, f := range fills {
 		kernels, composed := 0, false
@@ -247,14 +194,12 @@ func fillMasks(fills []maskFill, preds map[string]*bitset.Set, fresh map[string]
 		stats.BitmapBytesBuilt += b
 		chargeArtifact(costs, f.users, b, true)
 	}
-	parallelFill(n, workers, func(lo, hi int) {
-		for pk, fs := range fresh {
-			fs.materializePredicateMask(lo, hi, preds[pk])
-		}
-		for _, f := range fills {
-			f.p.fillFilterMask(lo, hi, f.m, scratch, f.view, preds)
-		}
-	})
+	for pk, fs := range fresh {
+		fs.materializePredicateMask(n, preds[pk])
+	}
+	for _, f := range fills {
+		f.p.fillFilterMask(n, f.m, scratch, f.view, preds)
+	}
 	if scratch != nil {
 		fills[0].p.fd.maskPool.Put(scratch)
 	}
@@ -268,27 +213,26 @@ var loneUser = []int{0}
 // the planner is skipped: a filtered query whose set the pricing rule
 // gives a mask (sparseViewK) fills one of its own with its view ANDed in,
 // and iterates it.
-func loneScan(p *queryPlan, view *bitset.Set, n, workers int, stats *SharingStats, costs []obs.QueryCost) queryScan {
+func loneScan(p *queryPlan, view *bitset.Set, n int, stats *SharingStats, costs []obs.QueryCost) queryScan {
 	qs := queryScan{view: view, iter: view}
 	if p.filterKey == "" || view != nil && view.CountRange(0, n)*sparseViewK < n {
 		return qs
 	}
 	fill := []maskFill{{p: p, m: p.fd.getMask(), view: view, users: loneUser}}
-	fillMasks(fill, nil, nil, n, workers, stats, costs)
+	fillMasks(fill, nil, nil, n, stats, costs)
 	qs.iter, qs.prefiltered, qs.ownIter = fill[0].m, true, true
 	return qs
 }
 
 // buildArtifacts materializes the filter-set masks, predicate bitmaps and
-// key columns a fact group's plans share, filling them with the worker
-// pool chunk by chunk, and returns them plus the batch's sharing
-// statistics. Stage 1 follows the pricing rule in buildFilterMasks. A key
-// column needs at least two sharing queries whose combined decode mass
-// exceeds one table pass; it is decided after the filter masks are
-// filled, so a filtered query weighs the popcount of its set mask rather
-// than its full visible mass (stage 2 runs only on facts that passed
-// stage 1). Results are byte-identical whichever way either decision
-// goes.
+// key columns a fact group's plans share, and returns them plus the
+// batch's sharing statistics. Stage 1 follows the pricing rule in
+// buildFilterMasks. A key column needs at least two sharing queries whose
+// combined decode mass exceeds one table pass; it is decided after the
+// filter masks are filled, so a filtered query weighs the popcount of its
+// set mask rather than its full visible mass (stage 2 runs only on facts
+// that passed stage 1). Results are byte-identical whichever way either
+// decision goes.
 //
 // Every distinct sub-fingerprint — set masks, predicate bitmaps and key
 // columns alike — is first looked up in the table's cross-batch cache by
@@ -306,7 +250,7 @@ func loneScan(p *queryPlan, view *bitset.Set, n, workers int, stats *SharingStat
 // costs (indexed like plans) receives each query's byte share of the
 // artifacts this scan freshly materializes — see chargeArtifact for the
 // split.
-func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, workers, n int, sc *obs.ShardScan, costs []obs.QueryCost) (*sharedArtifacts, SharingStats) {
+func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, n int, sc *obs.ShardScan, costs []obs.QueryCost) (*sharedArtifacts, SharingStats) {
 	stats := SharingStats{Queries: len(plans)}
 	sets := map[string]*filterSet{}       // set sub-fingerprint → census
 	predOwner := map[string]*filterSpec{} // any resolved spec for the predicate
@@ -381,7 +325,7 @@ func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, workers, n int, sc 
 	if sc != nil {
 		t0 = time.Now()
 	}
-	buildFilterMasks(art, &stats, sets, predOwner, predUsers, n, version, workers, cachePut, costs)
+	buildFilterMasks(art, &stats, sets, predOwner, predUsers, n, version, cachePut, costs)
 	if sc != nil {
 		sc.FilterMask = time.Since(t0)
 		t0 = time.Now()
@@ -419,11 +363,9 @@ func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, workers, n int, sc 
 		}
 	}
 	if len(fillCols) > 0 {
-		parallelFill(n, workers, func(lo, hi int) {
-			for key, col := range fillCols {
-				groupOwner[key].materializeGroupKeys(lo, hi, col)
-			}
-		})
+		for key, col := range fillCols {
+			groupOwner[key].materializeGroupKeys(n, col)
+		}
 		if cachePut {
 			for key, col := range fillCols {
 				if fd.offerCol(version, key, col) {
@@ -457,7 +399,7 @@ func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, workers, n int, sc 
 // cache treat them alike however they were built.
 func buildFilterMasks(art *sharedArtifacts, stats *SharingStats, sets map[string]*filterSet,
 	predOwner map[string]*filterSpec, predUsers map[string][]int,
-	n int, version uint64, workers int, cachePut bool, costs []obs.QueryCost) {
+	n int, version uint64, cachePut bool, costs []obs.QueryCost) {
 	fd := art.fd
 	var need []*filterSet
 	predSets := map[string]int{} // predicate key → sets from (b) holding it
@@ -511,7 +453,7 @@ func buildFilterMasks(art *sharedArtifacts, stats *SharingStats, sets map[string
 	if len(fills) == 0 && len(fresh) == 0 {
 		return
 	}
-	fillMasks(fills, art.predMasks, fresh, n, workers, stats, costs)
+	fillMasks(fills, art.predMasks, fresh, n, stats, costs)
 	if cachePut {
 		for pk := range fresh {
 			if fd.offerMask(version, pk, art.predMasks[pk]) {
@@ -543,7 +485,7 @@ func planScan(p *queryPlan, view *bitset.Set, art *sharedArtifacts) queryScan {
 		// The set mask ∩ view in a pooled buffer (released with the
 		// artifacts at scan end).
 		eff := art.fd.getMask()
-		intersectView(eff.Words(), fm.Words(), 0, view)
+		intersectView(eff.Words(), fm.Words(), view)
 		qs.iter, qs.prefiltered, qs.ownIter = eff, true, true
 	}
 	return qs
@@ -607,17 +549,16 @@ func loneStats(p *queryPlan) SharingStats {
 
 // scanSharedStaged runs one fact group's shared scan through the staged
 // pipeline: materialize stage 1 and the shared stage-2 artifacts (taking
-// the table's cached ones where it has them), then accumulate every query
-// morsel by morsel (accumulateMorsels). plans, masks and out are the
-// group's, every plan over the same FactData; workers must already be
-// normalized and n is the group's scan bound (groupScanBound). A lone
+// the table's cached ones where it has them), then walk the chunks in
+// order, folding each one into every query's partial while it is
+// cache-hot. plans, masks and out are the group's, every plan over the
+// same FactData, and n is the group's scan bound (groupScanBound). A lone
 // query has nothing to share, and its own bitmap is never offered to the
 // cache, so it skips both the planner and the cache (loneScan). The
-// merged partial per query lands in out (callers finalize, then release
-// sp; the scan-scoped artifacts are released here, since no partial or
-// Result references them). A non-nil sc receives the scan's per-stage
-// wall times.
-func scanSharedStaged(plans []*queryPlan, masks []*bitset.Set, out []*partial, workers, n int, sp *scanPartials, sc *obs.ShardScan) SharingStats {
+// partial per query lands in out (callers finalize, then release sp; the
+// scan-scoped artifacts are released here, since no partial or Result
+// references them). A non-nil sc receives the scan's per-stage wall times.
+func scanSharedStaged(plans []*queryPlan, masks []*bitset.Set, out []*partial, n int, sp *scanPartials, sc *obs.ShardScan) SharingStats {
 	var art *sharedArtifacts
 	var stats SharingStats
 	// A lone query's drive and cost stay on the stack.
@@ -630,10 +571,10 @@ func scanSharedStaged(plans []*queryPlan, masks []*bitset.Set, out []*partial, w
 		if sc != nil {
 			t0 = time.Now()
 		}
-		scans[0] = loneScan(plans[0], masks[0], n, workers, &stats, costs)
+		scans[0] = loneScan(plans[0], masks[0], n, &stats, costs)
 	} else {
 		scans, costs = make([]queryScan, len(plans)), make([]obs.QueryCost, len(plans))
-		art, stats = buildArtifacts(plans, masks, workers, n, sc, costs)
+		art, stats = buildArtifacts(plans, masks, n, sc, costs)
 		if sc != nil {
 			t0 = time.Now()
 		}
@@ -645,87 +586,22 @@ func scanSharedStaged(plans []*queryPlan, masks []*bitset.Set, out []*partial, w
 		sc.FilterMask += time.Since(t0)
 	}
 
-	// Worker 0 accumulates straight into out; the other workers each get
-	// a row of partials of their own, merged into out in worker order.
-	nq := len(plans)
 	for k, p := range plans {
 		out[k] = sp.get(p)
-	}
-	var rest []*partial // [worker-1][query]
-	if workers > 1 {
-		rest = make([]*partial, (workers-1)*nq)
-		for i := range rest {
-			rest[i] = sp.get(plans[i%nq])
-		}
-	}
-	if sc != nil {
-		t0 = time.Now()
-	}
-	accumulateMorsels(out, rest, scans, n)
-	if sc != nil {
-		sc.Accumulate = time.Since(t0)
-		t0 = time.Now()
-	}
-	for k := range plans {
-		for w := 0; w < workers-1; w++ {
-			out[k].merge(rest[w*nq+k])
-		}
-		// Land the artifact-byte attribution on the merged partial only —
-		// worker partials carry zero cost, so the merges above added
-		// nothing and each share is counted exactly once.
 		out[k].cost.Add(costs[k])
 	}
 	if sc != nil {
-		sc.Merge = time.Since(t0)
+		t0 = time.Now()
+	}
+	for lo := 0; lo < n; lo += execChunkSize {
+		hi := min(lo+execChunkSize, n)
+		for k := range scans {
+			out[k].scanRangeStaged(lo, hi, &scans[k])
+		}
+	}
+	if sc != nil {
+		sc.Accumulate = time.Since(t0)
 	}
 	releaseArtifacts(plans[0].fd, art, scans)
 	return stats
-}
-
-// accumulateMorsels runs stage 3 for a fact group over facts [0, n): each
-// worker claims execChunkSize morsels off a shared cursor and walks each
-// one through every query of the group while the chunk is cache-hot, so
-// which worker scans which chunk follows execution speed. row0 holds worker
-// 0's partial per query — worker 0 is the calling goroutine — and rest the
-// other workers' rows back to back. Without other workers the chunks are
-// walked in order with no cursor or goroutine. A worker's panic is
-// re-raised on the calling goroutine once every worker has stopped.
-func accumulateMorsels(row0, rest []*partial, scans []queryScan, n int) {
-	chunks := chunkCount(n)
-	if len(rest) == 0 {
-		for ci := 0; ci < chunks; ci++ {
-			lo := ci * execChunkSize
-			for k := range scans {
-				row0[k].scanRangeStaged(lo, min(lo+execChunkSize, n), &scans[k])
-			}
-		}
-		return
-	}
-	// The workers read their own copy of the drives, so a serial caller's
-	// drives never leave its stack.
-	shared := slices.Clone(scans)
-	walk := func(row []*partial, lo, hi int) {
-		for k := range shared {
-			row[k].scanRangeStaged(lo, hi, &shared[k])
-		}
-	}
-	var cur atomic.Int64
-	var wg sync.WaitGroup
-	var wp workerPanic
-	for w := 0; w < len(rest); w += len(row0) {
-		wg.Add(1)
-		go func(row []*partial) {
-			defer wg.Done()
-			defer wp.capture()
-			forEachMorsel(&cur, chunks, n, func(lo, hi int) { walk(row, lo, hi) })
-		}(rest[w : w+len(row0)])
-	}
-	// Worker 0's panic too waits for the others, so no worker outlives
-	// the scan.
-	func() {
-		defer wp.capture()
-		forEachMorsel(&cur, chunks, n, func(lo, hi int) { walk(row0, lo, hi) })
-	}()
-	wg.Wait()
-	wp.reraise()
 }

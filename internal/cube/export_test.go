@@ -1,5 +1,7 @@
 package cube
 
+import "fmt"
+
 // Test-only exports for the external (cube_test) harnesses.
 
 // MaxDenseCells is the dense/hashed group-table boundary, so tests can
@@ -59,4 +61,18 @@ func ResetArtifactCaches(c *Cube) {
 	for _, fd := range c.facts {
 		fd.artifacts = artifactCache{}
 	}
+}
+
+// ExecuteBatchStats compiles qs and runs them as one shared batch (vs as
+// in ExecuteBatchCompiledOpt), returning the scan's sharing statistics.
+func ExecuteBatchStats(c *Cube, qs []Query, vs []*View) ([]*Result, SharingStats, error) {
+	cqs := make([]*CompiledQuery, len(qs))
+	for i, q := range qs {
+		cq, err := c.Compile(q)
+		if err != nil {
+			return nil, SharingStats{}, fmt.Errorf("batch query %d: %w", i, err)
+		}
+		cqs[i] = cq
+	}
+	return c.ExecuteBatchCompiledOpt(cqs, vs, BatchOptions{})
 }

@@ -203,7 +203,7 @@ func TestExecuteBatchCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ds.Cube.ExecuteBatchCompiledOpt(cqs, nil, cube.BatchOptions{Workers: 2})
+	got, _, err := ds.Cube.ExecuteBatchCompiledOpt(cqs, nil, cube.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,11 +206,8 @@ func scatterLanes(ow []uint64, i int, lanes uint64, k int) {
 
 // fillMask is the stage-1 predicate kernel: set out's bit for every fact
 // in [lo, hi) whose packed code is in cs, reading 64/width codes per
-// word load. It writes only bits in [lo, hi), so the word-aligned-chunk
-// contract of the shared fill phases holds (a worker owning a 64-aligned
-// chunk writes only its own output words; the lone packed word spanning a
-// chunk boundary is handled by the scalar head/tail, which stay inside
-// the chunk). Results are bit-identical to testing cs.test(get(i)) per
+// word load. It writes only bits in [lo, hi): the lone packed word
+// spanning either bound is handled by the scalar head/tail. Results are bit-identical to testing cs.test(get(i)) per
 // fact, which in turn equals the scalar predicate by construction of the
 // code set — the equivalence the packed-vs-unpacked harness pins.
 func (pv packedView) fillMask(cs *codeSet, lo, hi int, out *bitset.Set) {

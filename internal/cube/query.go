@@ -135,14 +135,6 @@ type Result struct {
 	Cost obs.QueryCost `json:"cost"`
 }
 
-// Execute runs the query through the given view (nil view = the whole
-// warehouse, the non-personalized baseline) on a single goroutine. See
-// ExecuteParallel for the partitioned executor and ExecuteBatch for the
-// shared-scan batch API; all three produce identical Results.
-func (c *Cube) Execute(q Query, v *View) (*Result, error) {
-	return c.ExecuteParallel(q, v, 1)
-}
-
 func appendInt32(b []byte, v int32) []byte {
 	u := uint32(v)
 	return append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))

@@ -10,7 +10,7 @@ import (
 
 // TestExecuteValidationErrors covers every validation error path of query
 // compilation, through each executor entry point (the paths are shared by
-// Execute, ExecuteParallel and ExecuteBatch).
+// Execute and ExecuteBatch).
 func TestExecuteValidationErrors(t *testing.T) {
 	c := testWarehouse(t)
 	count := []MeasureAgg{{Agg: AggCount}}
@@ -63,10 +63,7 @@ func TestExecuteValidationErrors(t *testing.T) {
 			if _, err := c.Execute(tc.q, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("Execute err = %v, want containing %q", err, tc.want)
 			}
-			if _, err := c.ExecuteParallel(tc.q, nil, 4); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("ExecuteParallel err = %v, want containing %q", err, tc.want)
-			}
-			if _, err := c.ExecuteBatch([]Query{tc.q}, nil, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := c.ExecuteBatch([]Query{tc.q}, nil, 0); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("ExecuteBatch err = %v, want containing %q", err, tc.want)
 			}
 		})

@@ -17,11 +17,11 @@ import (
 // and with the fact mask (a fact is visible only if every constrained
 // coordinate is selected).
 //
-// A View is safe for concurrent use: queries (serial, parallel and batch
-// executors) may run while the session mutates the view through new
-// selections. A query that races with a selection sees either the view
-// before or after that selection — never a torn state — because executors
-// work from the materialized snapshot mask taken at query start.
+// A View is safe for concurrent use: queries may run while the session
+// mutates the view through new selections. A query that races with a
+// selection sees either the view before or after that selection — never a
+// torn state — because executors work from the materialized snapshot mask
+// taken at query start.
 type View struct {
 	cube *Cube
 	// id is process-unique: result caches key entries by (view id, epoch)
@@ -43,8 +43,16 @@ type View struct {
 	// factMasks maps fact names to directly selected fact instances.
 	factMasks map[string]*bitset.Set
 	// materialized caches the per-fact combination of all masks so queries
-	// iterate only visible facts; invalidated on every new selection.
-	materialized map[string]*bitset.Set
+	// iterate only visible facts; invalidated on every new selection, and
+	// rebuilt when the fact table's version moves past its stamp.
+	materialized map[string]stampedMask
+}
+
+// stampedMask is a materialized view mask and the fact table version
+// (FactData.Version) it was built under.
+type stampedMask struct {
+	m       *bitset.Set
+	version uint64
 }
 
 // viewSeq issues process-unique view ids.
@@ -135,9 +143,12 @@ func (v *View) SelectFact(fact string, idx int32) error {
 
 // Materialize returns the combined per-fact visibility mask for one fact
 // table (nil when the view leaves that fact unrestricted). The result is
-// cached until the next selection, so the per-query cost of a personalized
-// view is one bitset iteration instead of per-fact mask checks. The
-// returned set is an immutable snapshot: later selections build a new one.
+// cached until the next selection or the next change to the fact table
+// (its Version), so the per-query cost of a personalized view is one
+// bitset iteration instead of per-fact mask checks. The returned set is an
+// immutable snapshot: later selections and appends build a new one. Level
+// selections admit appended rows; direct fact selections (SelectFact) do
+// not, since they name rows by index.
 //
 // The mask is built from the fact table's member→facts postings
 // (postings.go), so it costs O(visible facts × constrained dimensions),
@@ -157,14 +168,15 @@ func (v *View) Materialize(fact string) *bitset.Set {
 	if !v.restrictsLocked(fd) {
 		return nil
 	}
-	if m, ok := v.materialized[fact]; ok {
-		return m
+	version := fd.Version()
+	if sm, ok := v.materialized[fact]; ok && sm.version == version {
+		return sm.m
 	}
 	m := v.materializeLocked(fd)
 	if v.materialized == nil {
-		v.materialized = map[string]*bitset.Set{}
+		v.materialized = map[string]stampedMask{}
 	}
-	v.materialized[fact] = m
+	v.materialized[fact] = stampedMask{m: m, version: version}
 	return m
 }
 

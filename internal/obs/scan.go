@@ -9,15 +9,17 @@ import (
 // ShardScan is the executor's stage-timing breakdown for one shard's
 // portion of a coalesced batch (shard 0 on the unsharded path). The
 // executor fills it with a handful of time.Now() calls per batch —
-// never per fact — so the morsel loop stays untouched.
+// never per fact — so the scan loop stays untouched.
 type ShardScan struct {
 	Shard       int           // shard index (0 when unsharded)
 	Facts       int           // fact rows scanned by this shard
 	FilterMask  time.Duration // per-predicate bitmap fills + composition
 	GroupDecode time.Duration // shared group-key column decode
-	Accumulate  time.Duration // morsel scan + accumulate
-	Merge       time.Duration // worker-partial merge
-	Wall        time.Duration // whole shard scan, wall clock
+	Accumulate  time.Duration // chunk walk + accumulate
+	// Merge is always zero: the executor folds every chunk into one
+	// partial per query. It stays while bench/trace.go reads it.
+	Merge time.Duration
+	Wall  time.Duration // whole shard scan, wall clock
 }
 
 // ScanTrace collects per-shard stage timings for one executor batch.

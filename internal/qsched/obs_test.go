@@ -49,7 +49,7 @@ func TestTraceLifecycleSpans(t *testing.T) {
 	for _, c := range scan.Children {
 		if c.Name == "shardScan" {
 			shardScans++
-			for _, attr := range []string{"shard", "facts", "filterMaskNs", "groupDecodeNs", "accumulateNs", "mergeNs"} {
+			for _, attr := range []string{"shard", "facts", "filterMaskNs", "groupDecodeNs", "accumulateNs"} {
 				if _, ok := c.Attrs[attr]; !ok {
 					t.Errorf("shardScan span missing attr %q: %v", attr, c.Attrs)
 				}

@@ -93,10 +93,9 @@ type FactVersioner interface {
 	FactVersion(fact string) uint64
 }
 
-// DefaultMaxBatch bounds one coalesced shared scan and — shared through
-// core.Options.MaxBatchQueries — one POST /api/query/batch request. Every
-// query in a batch holds its own partial aggregation tables during the
-// scan, so the cap bounds per-scan memory.
+// DefaultMaxBatch bounds one coalesced shared scan and one POST
+// /api/query/batch request. Every query in a batch holds its own partial
+// aggregation tables during the scan, so the cap bounds per-scan memory.
 const DefaultMaxBatch = 64
 
 // DefaultMaxInFlight bounds concurrent shared scans when
@@ -135,9 +134,6 @@ type Options struct {
 	MaxInFlight int
 	// CacheBytes sizes the result cache; 0 disables caching.
 	CacheBytes int64
-	// Workers sizes each shared scan's worker pool
-	// (cube.BatchOptions.Workers).
-	Workers int
 	// Timeout is the admission deadline: a query still queued this long
 	// after Submit is dropped with ErrTimeout instead of executing — under
 	// overload the queue sheds its oldest waiters deterministically rather
@@ -755,20 +751,16 @@ func (s *Scheduler) runBatch(batch []*request) {
 	s.stScans.Add(int64(len(facts)))
 	st := &obs.ScanTrace{}
 	scanStart := time.Now()
-	results, sharing, err := s.execute(cqs, vs, cube.BatchOptions{
-		Workers: s.opts.Workers,
-		Trace:   st,
-	})
+	results, sharing, err := s.execute(cqs, vs, cube.BatchOptions{Trace: st})
 	scanEnd := time.Now()
 	scanDur := scanEnd.Sub(scanStart)
 	shardScans, gather := st.Snapshot()
-	merge, batchCPU := gather, gather.Nanoseconds()
+	batchCPU := gather.Nanoseconds()
 	for _, ss := range shardScans {
-		merge += ss.Merge
-		batchCPU += (ss.FilterMask + ss.GroupDecode + ss.Accumulate + ss.Merge).Nanoseconds()
+		batchCPU += (ss.FilterMask + ss.GroupDecode + ss.Accumulate).Nanoseconds()
 	}
 	s.opts.Metrics.ObserveScan(scanDur)
-	s.opts.Metrics.ObserveMerge(merge)
+	s.opts.Metrics.ObserveMerge(gather)
 	var scanSpan *obs.Span
 	if traced {
 		// One scan span is shared by every trace of the batch (the scan
@@ -789,7 +781,6 @@ func (s *Scheduler) runBatch(batch []*request) {
 					"filterMaskNs":  ss.FilterMask.Nanoseconds(),
 					"groupDecodeNs": ss.GroupDecode.Nanoseconds(),
 					"accumulateNs":  ss.Accumulate.Nanoseconds(),
-					"mergeNs":       ss.Merge.Nanoseconds(),
 				},
 			})
 		}

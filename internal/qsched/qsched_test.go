@@ -671,7 +671,6 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 				MaxInFlight: 2,
 				MaxBatch:    8, // force several batches per round
 				CacheBytes:  1 << 20,
-				Workers:     3,
 			})
 			defer s.Close()
 
@@ -835,7 +834,7 @@ func TestSubmitBatchCtxDeadline(t *testing.T) {
 func TestCloseUnderInFlightLoad(t *testing.T) {
 	ds := testDataset(t)
 	for round := 0; round < 5; round++ {
-		s := New(ds.Cube, Options{MaxInFlight: 1, Workers: 2})
+		s := New(ds.Cube, Options{MaxInFlight: 1})
 		const n = 24
 		var wg sync.WaitGroup
 		errs := make(chan error, n)

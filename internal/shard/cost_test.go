@@ -5,7 +5,7 @@ package shard_test
 // the per-shard partials carry those charges through merge/finalize, and
 // the gathered SharingStats sums the per-shard byte totals — so summing
 // Result.Cost across the batch must reproduce the summed stats exactly,
-// for every shard count and worker count.
+// for every shard count.
 
 import (
 	"fmt"
@@ -37,8 +37,7 @@ func costTestBatch() []cube.Query {
 	return append(qs, cube.Query{Fact: "Sales", Aggregates: agg, Filters: []cube.AttrFilter{old}})
 }
 
-// TestShardedCostConservation sweeps shard counts {1,2,4,7} × worker
-// counts and pins the conservation law on the gathered results: nothing
+// TestShardedCostConservation sweeps shard counts {1,2,4,7} and pins the conservation law on the gathered results: nothing
 // leaks and nothing double-counts across the fan-out.
 func TestShardedCostConservation(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7} {
@@ -47,34 +46,27 @@ func TestShardedCostConservation(t *testing.T) {
 			ds, _ := testDataset(t, int64(300+shards))
 			table := shard.New(ds.Cube, shard.Options{Shards: shards})
 			qs := costTestBatch()
-			for _, workers := range []int{1, 3} {
-				label := fmt.Sprintf("workers=%d", workers)
-				res, stats, err := table.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Workers: workers})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+			res, stats, err := executeBatch(table, qs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bitmap, keyCol int64
+			for i, r := range res {
+				c := r.Cost
+				if c.FactsScanned != int64(r.ScannedFacts) {
+					t.Errorf("query %d: Cost.FactsScanned %d != ScannedFacts %d", i, c.FactsScanned, r.ScannedFacts)
 				}
-				var bitmap, keyCol int64
-				for i, r := range res {
-					c := r.Cost
-					if c.FactsScanned != int64(r.ScannedFacts) {
-						t.Errorf("%s query %d: Cost.FactsScanned %d != ScannedFacts %d",
-							label, i, c.FactsScanned, r.ScannedFacts)
-					}
-					if c.FactsMatched != int64(r.MatchedFacts) {
-						t.Errorf("%s query %d: Cost.FactsMatched %d != MatchedFacts %d",
-							label, i, c.FactsMatched, r.MatchedFacts)
-					}
-					bitmap += c.BitmapBytes
-					keyCol += c.KeyColBytes
+				if c.FactsMatched != int64(r.MatchedFacts) {
+					t.Errorf("query %d: Cost.FactsMatched %d != MatchedFacts %d", i, c.FactsMatched, r.MatchedFacts)
 				}
-				if bitmap != stats.BitmapBytesBuilt {
-					t.Errorf("%s: Σ BitmapBytes %d != BitmapBytesBuilt %d across %d shards",
-						label, bitmap, stats.BitmapBytesBuilt, shards)
-				}
-				if keyCol != stats.KeyColBytesBuilt {
-					t.Errorf("%s: Σ KeyColBytes %d != KeyColBytesBuilt %d across %d shards",
-						label, keyCol, stats.KeyColBytesBuilt, shards)
-				}
+				bitmap += c.BitmapBytes
+				keyCol += c.KeyColBytes
+			}
+			if bitmap != stats.BitmapBytesBuilt {
+				t.Errorf("Σ BitmapBytes %d != BitmapBytesBuilt %d across %d shards", bitmap, stats.BitmapBytesBuilt, shards)
+			}
+			if keyCol != stats.KeyColBytesBuilt {
+				t.Errorf("Σ KeyColBytes %d != KeyColBytesBuilt %d across %d shards", keyCol, stats.KeyColBytesBuilt, shards)
 			}
 		})
 	}
@@ -88,12 +80,12 @@ func TestShardedCostConservation(t *testing.T) {
 func TestShardedCostMatchesUnsharded(t *testing.T) {
 	ds, _ := testDataset(t, 77)
 	qs := costTestBatch()
-	base, _, err := ds.Cube.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
+	base, _, err := executeBatch(ds.Cube, qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	table := shard.New(ds.Cube, shard.Options{Shards: 4})
-	res, _, err := table.ExecuteBatchOpt(qs, nil, cube.BatchOptions{})
+	res, _, err := executeBatch(table, qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ package shard_test
 // filtered query, from its own slice of the view, whether to fill the
 // query a bitmap of its own or walk a sparse view fact by fact. Lone
 // queries and batches of unique filter sets must gather into exactly the
-// reference answer for shard counts {1, 2, 4} and workers {1, 2, 3}.
+// reference answer for shard counts {1, 2, 4}.
 
 import (
 	"fmt"
@@ -72,32 +72,29 @@ func TestShardedOwnMaskEquivalence(t *testing.T) {
 				want[i] = cubetest.NaiveExecute(c, qs[i], vs[i])
 			}
 			table := shard.New(c, shard.Options{Shards: shards})
-			for _, w := range []int{1, 2, 3} {
-				opts := cube.BatchOptions{Workers: w}
-				for i := range qs {
-					got, _, err := table.ExecuteBatchOpt(qs[i:i+1], vs[i:i+1], opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					diffResults(t, fmt.Sprintf("lone %d workers %d", i, w), got[0], want[i])
-				}
-				seen := map[string]bool{}
-				var bqs []cube.Query
-				var bvs []*cube.View
-				var bwant []*cube.Result
-				for i, q := range qs {
-					if fp := q.FilterFingerprint(); !seen[fp] {
-						seen[fp] = true
-						bqs, bvs, bwant = append(bqs, q), append(bvs, vs[i]), append(bwant, want[i])
-					}
-				}
-				res, _, err := table.ExecuteBatchOpt(bqs, bvs, opts)
+			for i := range qs {
+				got, _, err := executeBatch(table, qs[i:i+1], vs[i:i+1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range bqs {
-					diffResults(t, fmt.Sprintf("unique-set batch %d workers %d", i, w), res[i], bwant[i])
+				diffResults(t, fmt.Sprintf("lone %d", i), got[0], want[i])
+			}
+			seen := map[string]bool{}
+			var bqs []cube.Query
+			var bvs []*cube.View
+			var bwant []*cube.Result
+			for i, q := range qs {
+				if fp := q.FilterFingerprint(); !seen[fp] {
+					seen[fp] = true
+					bqs, bvs, bwant = append(bqs, q), append(bvs, vs[i]), append(bwant, want[i])
 				}
+			}
+			res, _, err := executeBatch(table, bqs, bvs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range bqs {
+				diffResults(t, fmt.Sprintf("unique-set batch %d", i), res[i], bwant[i])
 			}
 		})
 	}

@@ -70,11 +70,12 @@ type factShard struct {
 }
 
 // splitKey identifies one split view mask: a view state (id, epoch) over
-// one fact table.
+// one fact table at one version (appends move it and grow the shards).
 type splitKey struct {
-	viewID uint64
-	epoch  uint64
-	fact   string
+	viewID  uint64
+	epoch   uint64
+	version uint64
+	fact    string
 }
 
 // splitCacheCap bounds the split-mask cache (a plain memory bound; every
@@ -293,24 +294,6 @@ func (t *Table) Compile(q cube.Query) (*cube.CompiledQuery, error) {
 	return t.parent.Compile(q)
 }
 
-// ExecuteBatchOpt answers a batch of queries with one scatter-gather per
-// fact table, mirroring cube.ExecuteBatchOpt (a lone query is a batch of
-// one).
-func (t *Table) ExecuteBatchOpt(qs []cube.Query, vs []*cube.View, opts cube.BatchOptions) ([]*cube.Result, cube.SharingStats, error) {
-	if vs != nil && len(vs) != len(qs) {
-		return nil, cube.SharingStats{}, fmt.Errorf("shard: batch has %d queries but %d views", len(qs), len(vs))
-	}
-	cqs := make([]*cube.CompiledQuery, len(qs))
-	for i, q := range qs {
-		cq, err := t.Compile(q)
-		if err != nil {
-			return nil, cube.SharingStats{}, fmt.Errorf("shard: batch query %d: %w", i, err)
-		}
-		cqs[i] = cq
-	}
-	return t.ExecuteBatchCompiledOpt(cqs, vs, opts)
-}
-
 // ExecuteBatchCompiledOpt is the scatter-gather executor: split every
 // query's view mask by shard, fan the batch out (each shard rebinds the
 // plans onto its columns under its read lock and runs the shared staged
@@ -433,16 +416,16 @@ func (t *Table) ExecuteBatchCompiledOpt(cqs []*cube.CompiledQuery, vs []*cube.Vi
 // splitLocked returns the per-shard visibility masks of one view over one
 // fact table: the view's materialized global mask scattered through the
 // routing table (nil when the view leaves the fact unrestricted). Splits
-// are cached by (view id, epoch, fact) — per-shard bitmaps are exactly
-// the "selection epochs scale across shards" exchange unit: a selection
-// bumps the epoch and the next query re-splits once, not once per shard
-// scan. Callers hold t.mu (read).
+// are cached by (view id, epoch, fact version, fact) — per-shard bitmaps
+// are exactly the "selection epochs scale across shards" exchange unit: a
+// selection or an append bumps the key and the next query re-splits once,
+// not once per shard scan. Callers hold t.mu (read).
 func (t *Table) splitLocked(fact string, v *cube.View) ([]*bitset.Set, error) {
 	r := t.routes[fact]
 	if r == nil {
 		return nil, fmt.Errorf("shard: unknown fact %q", fact)
 	}
-	key := splitKey{viewID: v.ID(), epoch: v.Epoch(), fact: fact}
+	key := splitKey{viewID: v.ID(), epoch: v.Epoch(), version: t.parent.FactVersion(fact), fact: fact}
 	t.splitMu.Lock()
 	if ms, ok := t.splits[key]; ok {
 		t.splitMu.Unlock()

@@ -2,10 +2,10 @@ package shard_test
 
 // Equivalence and race harness for the sharded executor: for generated
 // warehouses, randomized queries and randomized personalized views, the
-// scatter-gather Table — across shard counts {1, 2, 4, 7} and worker
-// counts — must return Results identical to the executor-independent
-// reference (cubetest.NaiveExecute over the parent cube), before and after
-// routed ingest. SUM/AVG draw over the integer-valued UnitSales measure so
+// scatter-gather Table — across shard counts {1, 2, 4, 7} — must return
+// Results identical to the executor-independent reference
+// (cubetest.NaiveExecute over the parent cube), before and after routed
+// ingest. SUM/AVG draw over the integer-valued UnitSales measure so
 // per-group sums are exact in float64 and byte-for-byte equality holds
 // regardless of merge order (the same convention as the executor harness
 // in internal/cube).
@@ -21,8 +21,23 @@ import (
 	"sdwp/internal/cube/cubetest"
 	"sdwp/internal/datagen"
 	"sdwp/internal/obs"
+	"sdwp/internal/qsched"
 	"sdwp/internal/shard"
 )
+
+// executeBatch compiles qs on ex (a sharded table or its parent cube) and
+// runs them as one batch.
+func executeBatch(ex qsched.Executor, qs []cube.Query, vs []*cube.View) ([]*cube.Result, cube.SharingStats, error) {
+	cqs := make([]*cube.CompiledQuery, len(qs))
+	for i, q := range qs {
+		cq, err := ex.Compile(q)
+		if err != nil {
+			return nil, cube.SharingStats{}, fmt.Errorf("batch query %d: %w", i, err)
+		}
+		cqs[i] = cq
+	}
+	return ex.ExecuteBatchCompiledOpt(cqs, vs, cube.BatchOptions{})
+}
 
 func testDataset(t testing.TB, seed int64) (*datagen.Dataset, datagen.Config) {
 	t.Helper()
@@ -178,7 +193,7 @@ func randomFact(rng *rand.Rand, cfg datagen.Config) (map[string]int32, map[strin
 }
 
 // TestShardedEquivalenceRandomized is the extended equivalence harness of
-// the sharded executor: shard counts × workers × random views must match
+// the sharded executor: shard counts × random views must match
 // the reference exactly — including after a round of routed ingest
 // re-hashes new facts across the shards.
 func TestShardedEquivalenceRandomized(t *testing.T) {
@@ -204,22 +219,19 @@ func TestShardedEquivalenceRandomized(t *testing.T) {
 				}
 				// Per-predicate composition happens per shard and must
 				// stay byte-identical after the gather.
-				for _, w := range []int{1, 3} {
-					batch, stats, err := table.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
-					if err != nil {
-						t.Fatalf("%s workers %d: %v", phase, w, err)
-					}
-					if stats.Queries != cases {
-						t.Errorf("%s: stats.Queries = %d, want %d", phase, stats.Queries, cases)
-					}
-					for i := range qs {
-						diffResults(t, fmt.Sprintf("%s case %d shards %d workers %d",
-							phase, i, shards, w), batch[i], want[i])
-					}
+				batch, stats, err := executeBatch(table, qs, vs)
+				if err != nil {
+					t.Fatalf("%s: %v", phase, err)
+				}
+				if stats.Queries != cases {
+					t.Errorf("%s: stats.Queries = %d, want %d", phase, stats.Queries, cases)
+				}
+				for i := range qs {
+					diffResults(t, fmt.Sprintf("%s case %d shards %d", phase, i, shards), batch[i], want[i])
 				}
 				// Lone queries: the scatter-gather of a batch of one.
 				for i := 0; i < 4; i++ {
-					got, _, err := table.ExecuteBatchOpt(qs[i:i+1], vs[i:i+1], cube.BatchOptions{Workers: 2})
+					got, _, err := executeBatch(table, qs[i:i+1], vs[i:i+1])
 					if err != nil {
 						t.Fatalf("%s single %d: %v", phase, i, err)
 					}
@@ -311,14 +323,12 @@ func TestShardedMultiLevelGroupBy(t *testing.T) {
 
 	for _, shards := range []int{2, 5} {
 		table := shard.New(ds.Cube, shard.Options{Shards: shards})
-		for _, w := range []int{1, 3} {
-			batch, _, err := table.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: w})
-			if err != nil {
-				t.Fatalf("shards %d workers %d: %v", shards, w, err)
-			}
-			for i := range qs {
-				diffResults(t, fmt.Sprintf("case %d shards %d workers %d", i, shards, w), batch[i], serial[i])
-			}
+		batch, _, err := executeBatch(table, qs, vs)
+		if err != nil {
+			t.Fatalf("shards %d: %v", shards, err)
+		}
+		for i := range qs {
+			diffResults(t, fmt.Sprintf("case %d shards %d", i, shards), batch[i], serial[i])
 		}
 	}
 }
@@ -353,7 +363,7 @@ func TestShardedArtifactCacheAcrossBatches(t *testing.T) {
 		}
 	}
 	run := func(label string) []*cube.Result {
-		res, _, err := table.ExecuteBatchOpt(qs, nil, cube.BatchOptions{Workers: 2})
+		res, _, err := executeBatch(table, qs, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -476,7 +486,7 @@ func TestShardedBatchUnderIngestAndSelection(t *testing.T) {
 			for n := 0; n < 30; n++ {
 				qs := []cube.Query{randomQuery(rng), randomQuery(rng)}
 				vs := []*cube.View{v, nil}
-				if _, _, err := table.ExecuteBatchOpt(qs, vs, cube.BatchOptions{Workers: 2}); err != nil {
+				if _, _, err := executeBatch(table, qs, vs); err != nil {
 					t.Errorf("querier %d: %v", g, err)
 					return
 				}

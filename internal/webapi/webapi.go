@@ -555,12 +555,11 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// The cap bounds the per-request scan memory (each query holds its own
 	// partial aggregation tables) and is the same limit the scheduler uses
-	// for one coalesced shared scan: core.Options.MaxBatchQueries.
-	if max := s.engine.MaxBatchQueries(); len(req.Queries) > max {
+	// for one coalesced shared scan: qsched.DefaultMaxBatch.
+	if len(req.Queries) > qsched.DefaultMaxBatch {
 		tr.Finish(errBadRequest)
-		writeErr(w, http.StatusBadRequest,
-			"batch has %d queries, max %d (configurable via core.Options.MaxBatchQueries)",
-			len(req.Queries), max)
+		writeErr(w, http.StatusBadRequest, "batch has %d queries, max %d",
+			len(req.Queries), qsched.DefaultMaxBatch)
 		return
 	}
 	qs := make([]cube.Query, len(req.Queries))

@@ -824,11 +824,11 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatchCapConfigurable checks that core.Options.MaxBatchQueries drives
-// the /api/query/batch limit and that over-limit requests get a
-// descriptive 400.
-func TestBatchCapConfigurable(t *testing.T) {
-	srv, ds := newTestServerOpts(t, core.Options{MaxBatchQueries: 2})
+// TestBatchCapFixed checks the /api/query/batch limit: a batch of
+// qsched.DefaultMaxBatch queries runs, and one more query gets a 400 that
+// names the cap.
+func TestBatchCapFixed(t *testing.T) {
+	srv, ds := newTestServer(t)
 	loc := ds.CityLocs[0]
 	tok := login(t, srv, "bob", fmt.Sprintf("POINT (%f %f)", loc.X, loc.Y))
 
@@ -836,18 +836,25 @@ func TestBatchCapConfigurable(t *testing.T) {
 		"fact":       "Sales",
 		"aggregates": []map[string]string{{"agg": "COUNT"}},
 	}
+	batch := func(n int) []map[string]any {
+		qs := make([]map[string]any, n)
+		for i := range qs {
+			qs[i] = spec
+		}
+		return qs
+	}
 	resp, body := postJSON(t, srv.URL+"/api/query/batch", map[string]any{
-		"session": tok, "queries": []map[string]any{spec, spec}})
+		"session": tok, "queries": batch(qsched.DefaultMaxBatch)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("at-limit batch: %s %s", resp.Status, body)
 	}
 	resp, body = postJSON(t, srv.URL+"/api/query/batch", map[string]any{
-		"session": tok, "queries": []map[string]any{spec, spec, spec}})
+		"session": tok, "queries": batch(qsched.DefaultMaxBatch + 1)})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("over-limit batch: %s, want 400", resp.Status)
 	}
 	msg := string(body)
-	for _, want := range []string{"3 queries", "max 2", "MaxBatchQueries"} {
+	for _, want := range []string{"65 queries", "max 64"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("over-limit error %q missing %q", msg, want)
 		}

@@ -67,7 +67,7 @@ fi
 # The manifest: the benchmarks whose trajectory the repo records. The
 # -bench regexp is derived from it, so one edit adds a benchmark to both
 # the run and the existence gate.
-MANIFEST="BenchmarkSharedSubexprBatch,BenchmarkParallelScan,BenchmarkBatchPartialPooling,BenchmarkShardedScan,BenchmarkArtifactCacheHit,BenchmarkPerFilterSharing,BenchmarkTraceOverhead,BenchmarkPackedScan,BenchmarkPackedPredicateKernel,BenchmarkCostAccountingOverhead,BenchmarkFairAdmissionOverhead,BenchmarkMultiLevelGroupBy,BenchmarkSessionStartInterested,BenchmarkSessionStartColdRules,BenchmarkViewMaterialize,BenchmarkLoneFilteredScan,BenchmarkSessionGeoJSON,BenchmarkSessionSVG,BenchmarkEncodeResult"
+MANIFEST="BenchmarkSharedSubexprBatch,BenchmarkBatchPartialPooling,BenchmarkShardedScan,BenchmarkArtifactCacheHit,BenchmarkPerFilterSharing,BenchmarkTraceOverhead,BenchmarkPackedScan,BenchmarkPackedPredicateKernel,BenchmarkCostAccountingOverhead,BenchmarkFairAdmissionOverhead,BenchmarkMultiLevelGroupBy,BenchmarkSessionStartInterested,BenchmarkSessionStartColdRules,BenchmarkViewMaterialize,BenchmarkLoneFilteredScan,BenchmarkSessionGeoJSON,BenchmarkSessionSVG,BenchmarkEncodeResult"
 
 # Absolute allocs/op ceilings: an interested login (compiled rule plans,
 # postings-built view) allocates per rule and per selection, not per loop

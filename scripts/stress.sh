@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # stress.sh — the race-stress and benchmark-smoke suite CI runs per
-# GOMAXPROCS matrix cell (the multi-CPU cell exercises the parallelism
-# single-CPU runners never did). One script instead of five copy-pasted
+# GOMAXPROCS matrix cell (the multi-CPU cell races concurrent scans
+# across scheduler slots and shards, which single-CPU runners never did). One script instead of five copy-pasted
 # workflow steps; run locally with e.g. `GOMAXPROCS=4 scripts/stress.sh`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -18,11 +18,11 @@ go test -race -count=3 ./internal/qsched/
 # busy" invariant, answer every waiter and leak no goroutine.
 go test -race -count=10 -run 'DispatchOnArrival' ./internal/qsched/
 
-# The batch executor fills cross-worker artifacts (predicate bitmaps,
-# composed set masks) while views mutate underneath (SharedSubexpr,
-# PerFilter); the pooled-partial pattern additionally recycles partial
-# tables through the per-fact-table pool while AddFact ingest and
-# SpatialSelect churn run against the morsel-stealing scans. The Packed
+# The batch executor fills shared artifacts (predicate bitmaps, composed
+# set masks) while views mutate underneath (SharedSubexpr, PerFilter); the
+# pooled-partial pattern additionally recycles partial tables through the
+# per-fact-table pool while AddFact ingest and SpatialSelect churn run
+# against concurrent scans. The Packed
 # pattern adds the compressed-column kernels: packed views held across
 # ingest-driven width repacks and word-at-a-time predicate fills racing
 # the appenders. Every pattern's quiescent check compares against the

@@ -15,12 +15,12 @@
 //   - start per-user Sessions: schema rules personalize the GeoMD schema,
 //     instance rules personalize the cube view, and spatial selections fire
 //     tracking rules that learn the user's interests;
-//   - query at scale: EngineOptions.QueryWorkers partitions every fact scan
-//     across a worker pool (Cube.ExecuteParallel), and Session.QueryBatch /
-//     Engine.ExecuteBatch / Cube.ExecuteBatch answer many queries in one
-//     shared scan per fact table; every Session query routes through the
-//     engine's scheduler (internal/qsched), which coalesces concurrent
-//     queries into shared scans under cost-driven fair admission (each
+//   - query at scale: Session.QueryBatch / Engine.ExecuteBatch /
+//     Cube.ExecuteBatchCompiledOpt answer many queries in one shared scan
+//     per fact table, run on the goroutine that dispatches it; every
+//     Session query routes through the engine's scheduler
+//     (internal/qsched), which coalesces concurrent queries into shared
+//     scans under cost-driven fair admission (each
 //     tenant's share of batch slots tracks its attributed scan cost per
 //     unit EngineOptions.TenantWeights weight, so a heavy tenant is
 //     boundedly isolated), sheds over-share tenants under overload
@@ -33,8 +33,8 @@
 //     hot filter bitmaps and roll-up key columns each fact table keeps
 //     alive between scans in a cross-batch artifact cache sized from the
 //     table (20 bytes per fact; no option) — see
-//     EngineOptions.MaxInFlightScans / ResultCacheBytes / MaxBatchQueries
-//     and Engine.SchedulerStats
+//     EngineOptions.MaxInFlightScans / ResultCacheBytes and
+//     Engine.SchedulerStats
 //     (docs/ARCHITECTURE.md has the architecture, docs/OPERATIONS.md the
 //     operator guide);
 //   - shard for write and scan scale: EngineOptions.FactShards
@@ -143,8 +143,7 @@ type (
 	// View is a personalized window over a cube.
 	View = cube.View
 	// BatchOptions configures one shared batch scan
-	// (Cube.ExecuteBatchOpt): worker count and an optional per-stage scan
-	// trace.
+	// (Cube.ExecuteBatchCompiledOpt): an optional per-stage scan trace.
 	BatchOptions = cube.BatchOptions
 	// SharingStats reports how much cross-query stage work one batch scan
 	// shared (filter bitmaps — per set and per predicate — and group-key
