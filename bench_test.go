@@ -363,7 +363,12 @@ func BenchmarkSessionStartColdRules(b *testing.B) {
 // interested login after one airport-city selection (store and city masks
 // on the Store dimension), "threeDims" adds a product-family and a
 // customer-segment restriction and direct fact selections. Each iteration
-// materializes a fresh clone (the cache a selection invalidates).
+// materializes a fresh clone after rewriting one customer's age to its
+// own value (untimed), which moves the fact table's version the way an
+// append does but leaves the postings current, so the clone's mask is a
+// real postings-driven build. "equalView" skips the rewrite:
+// the clone has the session's content key, so its mask is the
+// artifact-cache entry the session's build left.
 func BenchmarkViewMaterialize(b *testing.B) {
 	env := getBenchEnv(b, 400000)
 	e := interestedEngine(b, env)
@@ -389,13 +394,22 @@ func BenchmarkViewMaterialize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	age, _ := env.ds.Cube.Dimension("Customer").Level("Customer").Attr("age", 0)
 	for _, bc := range []struct {
-		name string
-		v    *View
-	}{{"session", s.View()}, {"threeDims", wide}} {
+		name  string
+		v     *View
+		build bool
+	}{{"session", s.View(), true}, {"threeDims", wide, true}, {"equalView", s.View(), false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				if bc.build {
+					b.StopTimer()
+					if err := env.ds.Cube.SetMemberAttr("Customer", "Customer", 0, "age", age); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
 				if bc.v.Clone().Materialize("Sales") == nil {
 					b.Fatal("view left Sales unrestricted")
 				}
@@ -782,7 +796,7 @@ endWhen`); err != nil {
 	})
 }
 
-// BenchmarkResultCacheHit measures the epoch-keyed result cache: the same
+// BenchmarkResultCacheHit measures the content-keyed result cache: the same
 // personalized query repeated against an unchanged view must cost a map
 // lookup, not a fact scan.
 func BenchmarkResultCacheHit(b *testing.B) {

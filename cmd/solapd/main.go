@@ -68,7 +68,7 @@ func main() {
 		maxInFlight = flag.Int("max-inflight-scans", 0,
 			"concurrent shared scans the scheduler dispatches (0 = default)")
 		cacheMB = flag.Int("result-cache-mb", 32,
-			"personalized result cache size in MiB, keyed by query fingerprint + view epoch (0 = off)")
+			"personalized result cache size in MiB, keyed by query fingerprint + view content + fact table version (0 = off)")
 		factShards = flag.Int("fact-shards", 0,
 			"hash-partition every fact table into N shards behind the scheduler (scatter-gather scans, per-shard ingest locks); 0 or 1 = single-table path")
 		queryTimeout = flag.Duration("query-timeout", 0,

@@ -52,8 +52,8 @@ type Options struct {
 	// MaxInFlightScans bounds concurrent shared scans dispatched by the
 	// scheduler (0 = qsched.DefaultMaxInFlight).
 	MaxInFlightScans int
-	// ResultCacheBytes sizes the scheduler's epoch-keyed personalized
-	// result cache; 0 disables caching (the default: repeated queries in
+	// ResultCacheBytes sizes the scheduler's result cache, keyed by view
+	// content; 0 disables caching (the default: repeated queries in
 	// benchmarks and experiments then measure real scans).
 	ResultCacheBytes int64
 	// FactShards hash-partitions every fact table into this many shards
@@ -133,11 +133,11 @@ func (l *lockedCubeExec) addFact(fact string, keys map[string]int32, measures ma
 
 // materializeView builds a view's combined fact masks under the read
 // lock (mask building walks the fact key columns).
-func (l *lockedCubeExec) materializeView(v *cube.View, facts []string) {
+func (l *lockedCubeExec) materializeView(v *cube.View) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	for _, f := range facts {
-		v.Materialize(f)
+	for _, f := range l.c.Schema().MD.Facts {
+		v.Materialize(f.Name)
 	}
 }
 
@@ -387,11 +387,9 @@ func (e *Engine) FactShards() int {
 // cube.AddFact directly bypasses both the locking and, when sharded, the
 // routing (such facts are invisible to shard scans).
 //
-// The scheduler's result cache is keyed by view epochs, which track
-// selections, not ingest: deployments querying repeatedly during live
-// ingest should run with ResultCacheBytes 0 or accept entries up to one
-// cache lifetime stale (the cross-batch artifact cache, by contrast, is
-// version-keyed and never serves pre-ingest artifacts).
+// Every append moves the fact table's version, which keys the result
+// cache, the view masks and the artifact cache alike, so no cached
+// answer or artifact from before an append is served after it.
 func (e *Engine) AddFact(fact string, keys map[string]int32, measures map[string]float64) error {
 	if e.shards != nil {
 		return e.shards.AddFact(fact, keys, measures)
@@ -589,14 +587,10 @@ func (e *Engine) newSession(userID string, location geom.Geometry) (*Session, er
 // columns, so it takes the same read lock the scans use — safe against
 // concurrent Engine.AddFact on both paths.
 func (e *Engine) materialize(v *cube.View) {
-	facts := make([]string, 0, len(e.cube.Schema().MD.Facts))
-	for _, f := range e.cube.Schema().MD.Facts {
-		facts = append(facts, f.Name)
-	}
 	if e.shards != nil {
-		e.shards.MaterializeView(v, facts)
+		e.shards.MaterializeView(v)
 	} else {
-		e.locked.materializeView(v, facts)
+		e.locked.materializeView(v)
 	}
 }
 

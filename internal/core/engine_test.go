@@ -58,6 +58,16 @@ func newTestEngine(t testing.TB) (*Engine, *datagen.Dataset) {
 // FactShards or ResultCacheBytes).
 func newTestEngineOpts(t testing.TB, opts Options) (*Engine, *datagen.Dataset) {
 	t.Helper()
+	return newTestEngineUsers(t, opts, map[string]string{
+		"alice": "RegionalSalesManager",
+		"bob":   "Accountant",
+	})
+}
+
+// newTestEngineUsers is newTestEngineOpts with the given user → role
+// assignments.
+func newTestEngineUsers(t testing.TB, opts Options, roles map[string]string) (*Engine, *datagen.Dataset) {
+	t.Helper()
 	cfg := datagen.Default()
 	cfg.Cities = 30
 	cfg.Stores = 150
@@ -68,10 +78,7 @@ func newTestEngineOpts(t testing.TB, opts Options) (*Engine, *datagen.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	users, err := datagen.NewUserStore(map[string]string{
-		"alice": "RegionalSalesManager",
-		"bob":   "Accountant",
-	})
+	users, err := datagen.NewUserStore(roles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +320,7 @@ func TestFig1ProcessPipeline(t *testing.T) {
 		t.Errorf("missing schema deltas: %v (got %v)", wantDiff, diff)
 	}
 	// Phase 2 (instance rules) produced a restricted view.
-	if !s.View().Restricted() {
+	if s.View().Materialize("Sales") == nil {
 		t.Fatal("view not personalized")
 	}
 	// Succeeding OLAP analysis works through the view.

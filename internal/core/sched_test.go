@@ -240,13 +240,14 @@ func TestSharedSubexprBatchUnderSpatialSelect(t *testing.T) {
 	})
 }
 
-// TestNoStaleCachedResultsUnderSpatialSelect is the stale-epoch stress
+// TestNoStaleCachedResultsUnderSpatialSelect is the stale-view stress
 // test: readers hammer cached personalized queries while a writer keeps
 // widening the session's selection through SpatialSelect. Selections only
 // ever union within a level, so the personalized fact count is
-// monotonically nondecreasing; a reader that observes view epoch E before
-// querying must get a result reflecting at least every selection recorded
-// at an epoch <= E — anything smaller is a stale pre-epoch cache entry.
+// monotonically nondecreasing; a reader that observes view content K
+// before querying must get a result reflecting at least every selection
+// recorded before it queried, and at least K's own recorded count once K
+// is recorded — anything smaller is a cache entry of an older view state.
 func TestNoStaleCachedResultsUnderSpatialSelect(t *testing.T) {
 	e, ds := newTestEngineOpts(t, Options{
 		ResultCacheBytes: 1 << 20,
@@ -258,10 +259,11 @@ func TestNoStaleCachedResultsUnderSpatialSelect(t *testing.T) {
 	}
 	q := cube.Query{Fact: "Sales", Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}}
 
-	// checkpoints record (epoch, direct personalized count) after each
-	// completed selection; the slice only grows.
+	// checkpoints record (content key, direct personalized count) after
+	// each completed selection; the slice only grows, and so do the counts
+	// (a wider radius only adds stores).
 	type checkpoint struct {
-		epoch uint64
+		key   string
 		count int
 	}
 	var (
@@ -269,14 +271,14 @@ func TestNoStaleCachedResultsUnderSpatialSelect(t *testing.T) {
 		checkpoints []checkpoint
 	)
 	record := func() {
+		key := s.View().Key()
 		direct, err := e.Cube().Execute(q, s.View())
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ep := s.View().Epoch()
 		cpMu.Lock()
-		checkpoints = append(checkpoints, checkpoint{epoch: ep, count: direct.MatchedFacts})
+		checkpoints = append(checkpoints, checkpoint{key: key, count: direct.MatchedFacts})
 		cpMu.Unlock()
 	}
 	record() // post-login state
@@ -286,8 +288,8 @@ func TestNoStaleCachedResultsUnderSpatialSelect(t *testing.T) {
 	done := make(chan struct{})
 
 	// Writer: widen the selection radius step by step. Each SpatialSelect
-	// unions more stores into the Store.Store level mask, bumping the
-	// view's epoch per selected instance.
+	// unions more stores into the Store.Store level mask, changing the
+	// view's content key.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -314,24 +316,30 @@ func TestNoStaleCachedResultsUnderSpatialSelect(t *testing.T) {
 					return
 				default:
 				}
-				e0 := s.View().Epoch()
+				// Strongest state the reader provably observed: the
+				// last checkpoint recorded before its query, and the
+				// content it saw before querying if that is recorded by
+				// now (its selection may have finished before the query
+				// but recorded after it).
+				k0 := s.View().Key()
+				cpMu.Lock()
+				floor := checkpoints[len(checkpoints)-1].count
+				cpMu.Unlock()
 				res, err := s.Query(q)
 				if err != nil {
 					errs <- err
 					return
 				}
-				// Strongest recorded state the reader provably observed.
 				cpMu.Lock()
-				floor := -1
 				for _, cp := range checkpoints {
-					if cp.epoch <= e0 && cp.count > floor {
+					if cp.key == k0 && cp.count > floor {
 						floor = cp.count
 					}
 				}
 				cpMu.Unlock()
 				if res.MatchedFacts < floor {
-					errs <- fmt.Errorf("stale result: matched %d < %d recorded at epoch <= %d",
-						res.MatchedFacts, floor, e0)
+					errs <- fmt.Errorf("stale result: matched %d < %d recorded for the content observed before the query",
+						res.MatchedFacts, floor)
 					return
 				}
 			}
@@ -346,10 +354,10 @@ func TestNoStaleCachedResultsUnderSpatialSelect(t *testing.T) {
 	// The radii must have actually widened the selection, or the harness
 	// proves nothing.
 	cpMu.Lock()
-	first, last := checkpoints[0], checkpoints[len(checkpoints)-1]
+	first, last := checkpoints[0].count, checkpoints[len(checkpoints)-1].count
 	cpMu.Unlock()
-	if last.count <= first.count {
-		t.Fatalf("selection never widened: %d -> %d facts", first.count, last.count)
+	if last <= first {
+		t.Fatalf("selection never widened: %d -> %d facts", first, last)
 	}
 
 	// Quiescent state: a fresh query (possibly cached) must equal direct
@@ -436,7 +444,7 @@ func TestSessionAnswersFollowAppends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !s.View().Restricted() {
+			if s.View().Materialize("Sales") == nil {
 				t.Fatal("alice's view is unrestricted: the test needs a personalized view")
 			}
 			query := func() *cube.Result {

@@ -57,7 +57,8 @@ func (s *Session) Location() geom.Geometry { return s.location }
 // Query runs an OLAP query through the personalized view — what the
 // paper's "succeeding analysis in any BI tool" sees. The query routes
 // through the engine's scheduler (internal/qsched): it may be answered
-// from the epoch-keyed result cache, coalesce into a shared scan with
+// from the content-keyed result cache (with another session's answer when
+// both views hold equal selections), coalesce into a shared scan with
 // other sessions' concurrent queries, or execute alone — always with a
 // result identical to the direct serial path.
 func (s *Session) Query(q cube.Query) (*cube.Result, error) {

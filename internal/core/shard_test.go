@@ -66,7 +66,7 @@ func TestShardedEngineEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			// A spatial selection narrows both sessions' views identically
-			// and bumps the view epochs (re-splitting the shard masks).
+			// and changes their keys (re-splitting the shard masks).
 			const sel = "Distance(GeoMD.Store.City.geometry, GeoMD.Airport.geometry) < 40km"
 			if _, err := s1.SpatialSelect("GeoMD.Store.City", sel); err != nil {
 				t.Fatal(err)
@@ -208,7 +208,7 @@ func TestShardedBatchUnderSpatialSelectAndIngest(t *testing.T) {
 		}
 	}()
 
-	// Selection stream: epochs bump, shard masks re-split.
+	// Selection stream: view keys change, shard masks re-split.
 	mutators.Add(1)
 	go func() {
 		defer mutators.Done()

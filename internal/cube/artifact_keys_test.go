@@ -1,9 +1,11 @@
 package cube
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -108,15 +110,17 @@ func keysFilter(attr, kind uint8, num float64, str string) AttrFilter {
 	return f
 }
 
-// FuzzArtifactKeys checks that the three keys of the tables' artifact
-// caches are semantically injective: equal AttrFilter.Fingerprint ⇒
-// identical predicate bitmaps, equal Query.FilterFingerprint ⇒ identical
-// composed set masks, equal GroupFingerprint ⇒ identical key columns. It
-// also pins what the cache relies on to key artifacts by bare
-// fingerprint: the compiled plan carries exactly those keys, and the
-// three keyspaces are disjoint (predicate keys start with 'w', set keys
-// with a length digit, grouping keys with 'g'). A collision would let the
-// cache serve one filter's bitmap to another.
+// FuzzArtifactKeys checks that the three fingerprint keys of the tables'
+// artifact caches are semantically injective: equal
+// AttrFilter.Fingerprint ⇒ identical predicate bitmaps, equal
+// Query.FilterFingerprint ⇒ identical composed set masks, equal
+// GroupFingerprint ⇒ identical key columns (FuzzViewKey holds the fourth,
+// View.Key, to its contract). It also pins what the cache relies on to
+// key artifacts by bare key: the compiled plan carries exactly those
+// keys, and the four keyspaces are disjoint (predicate keys start with
+// 'w', set keys with a length digit, grouping keys with 'g', view keys
+// with 'v'). A collision would let the cache serve one filter's bitmap to
+// another, or a view's mask to a filter.
 func FuzzArtifactKeys(f *testing.F) {
 	c := keysWarehouse(f)
 	// int vs float64 of one number; -0 vs 0; NaN vs NaN; strings holding
@@ -203,5 +207,168 @@ func FuzzArtifactKeys(f *testing.F) {
 				}
 			}
 		}
+
+		// View keys: a view selecting from g's levels lives in its own
+		// keyspace, beside every key above.
+		v := NewView(c)
+		for _, l := range []LevelRef{x, y} {
+			if err := v.SelectMember(l.Dimension, l.Level, int32(g)%2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vk := v.Key()
+		if vk[0] != 'v' || vk == fa.Fingerprint() || vk == fb.Fingerprint() ||
+			slices.Contains(keys, vk) || slices.Contains(gkeys, vk) {
+			t.Fatalf("view key %q: want 'v' first, apart from the fingerprint keyspaces", vk)
+		}
 	})
+}
+
+// viewOps applies a fuzzed selection program to v and to ref, the
+// reference content it must reach: two bytes per step, a kind and an
+// argument. Kinds select a member of one of keysWarehouse's five levels,
+// select a fact over the whole table, select a fact in a selection first
+// made when the table had 290 facts (as after later ingest: same bits,
+// shorter length), or replace v by its clone. Returns the final view.
+func viewOps(t *testing.T, v *View, ops []byte, ref map[string]map[int]bool, refLen map[string]int) *View {
+	t.Helper()
+	levels := []struct {
+		dim, level string
+		n          int32
+	}{{"Store", "Store", 24}, {"Store", "City", 9}, {"Store", "State", 4}, {"Time", "Day", 6}, {"Time", "Month", 2}}
+	add := func(key string, i, n int) {
+		if ref[key] == nil {
+			ref[key], refLen[key] = map[int]bool{}, n
+		}
+		ref[key][i] = true
+	}
+	for k := 0; k+1 < len(ops); k += 2 {
+		kind, arg := ops[k]%8, ops[k+1]
+		switch {
+		case int(kind) < len(levels):
+			l := levels[kind]
+			m := int32(arg) % l.n
+			if err := v.SelectMember(l.dim, l.level, m); err != nil {
+				t.Fatal(err)
+			}
+			add(levelKey(l.dim, l.level), int(m), 0)
+		case kind == 5:
+			if err := v.SelectFact("Sales", int32(arg)); err != nil {
+				t.Fatal(err)
+			}
+			add("Sales", int(arg), 300)
+		case kind == 6:
+			v.mu.Lock()
+			if v.factMasks["Sales"] == nil {
+				v.factMasks["Sales"] = bitset.New(290)
+			}
+			v.mu.Unlock()
+			if err := v.SelectFact("Sales", int32(arg)); err != nil {
+				t.Fatal(err)
+			}
+			add("Sales", int(arg), 290)
+		default:
+			v = v.Clone()
+		}
+	}
+	return v
+}
+
+// FuzzViewKey holds View.Key to its contract: two views reach equal
+// canonical bytes exactly when they hold equal content — the same members
+// selected per level, the same facts directly selected with the same
+// selection length — whatever order, repetition or cloning got them
+// there; equal content gives equal keys, and a key starts with the view
+// keyspace's 'v'. The seeds mirror FuzzQueryFingerprint's pairs of one
+// base and one variant: reorderings, re-selections and clones (equal),
+// member sets whose indices print alike, a level's bits on another level
+// or dimension, and a fact selection against the same bits at a shorter
+// length (different).
+func FuzzViewKey(f *testing.F) {
+	c := keysWarehouse(f)
+	for _, seed := range [][2]string{
+		{"\x01\x03\x00\x05", "\x00\x05\x01\x03"},                 // order
+		{"\x01\x03\x01\x03\x01\x0c", "\x01\x03"},                 // re-selection (12 % 9 = 3)
+		{"\x01\x03\x07\x00\x00\x02", "\x00\x02\x01\x03"},         // clone midway
+		{"\x00\x01\x00\x0c", "\x00\x0b\x00\x02"},                 // members {1, 12} and {11, 2} print alike
+		{"\x01\x02", "\x02\x02"},                                 // same bits, other level
+		{"\x01\x02", "\x03\x02"},                                 // same bits, other dimension
+		{"\x05\x07", "\x06\x07"},                                 // same bits, shorter selection
+		{"\x06\x07\x05\x09", "\x05\x09\x06\x07"},                 // length fixed by the first selection
+		{"", "\x07\x00"},                                         // empty vs its clone
+		{"\x04\x00\x04\x01", "\x04\x01\x07\x00\x04\x00\x04\x00"}, // a full level stays a selection
+	} {
+		f.Add([]byte(seed[0]), []byte(seed[1]))
+	}
+	f.Fuzz(func(t *testing.T, ops1, ops2 []byte) {
+		refA, lenA := map[string]map[int]bool{}, map[string]int{}
+		refB, lenB := map[string]map[int]bool{}, map[string]int{}
+		a := viewOps(t, NewView(c), ops1, refA, lenA)
+		b := viewOps(t, NewView(c), ops2, refB, lenB)
+		same := reflect.DeepEqual(refA, refB) && reflect.DeepEqual(lenA, lenB)
+		a.mu.Lock()
+		bytesA := a.appendContentLocked(nil)
+		a.mu.Unlock()
+		b.mu.Lock()
+		bytesB := b.appendContentLocked(nil)
+		b.mu.Unlock()
+		if same != bytes.Equal(bytesA, bytesB) {
+			t.Fatalf("content equal %v, canonical bytes equal %v:\n%v %v\n%v %v", same, !same, refA, lenA, refB, lenB)
+		}
+		ka, kb := a.Key(), b.Key()
+		if same != (ka == kb) || ka[0] != 'v' || a.Clone().Key() != ka {
+			t.Fatalf("content equal %v: keys %x and %x (clone %x)", same, ka, kb, a.Clone().Key())
+		}
+	})
+}
+
+// TestSelectionsAfterGrowth pins that a selection made after its level or
+// fact table grew past an earlier selection's capacity extends that
+// selection instead of indexing past it, that the view shows it, and that
+// a level's capacity is not part of the view's content.
+func TestSelectionsAfterGrowth(t *testing.T) {
+	c := keysWarehouse(t)
+	v := NewView(c)
+	if err := v.SelectFact("Sales", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.SelectMember("Store", "State", 0); err != nil {
+		t.Fatal(err)
+	}
+	early := NewView(c)
+	if err := early.SelectMember("Store", "State", 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 70; i++ {
+		if err := c.AddFact("Sales", map[string]int32{"Store": 0, "Time": 0}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var state int32
+	for i := 0; i < 70; i++ { // past the selection's first word
+		var err error
+		if state, err = c.AddMember("Store", "State", fmt.Sprintf("S-late%d", i), NoParent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A selection made over the grown level has more words, but the same
+	// content as one made before, so the same key.
+	fresh := NewView(c)
+	if err := fresh.SelectMember("Store", "State", 0); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Key() != early.Key() {
+		t.Fatal("equal level selections of different capacities have different keys")
+	}
+	before := v.Key()
+	if err := v.SelectFact("Sales", 360); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.SelectMember("Store", "State", state); err != nil {
+		t.Fatal(err)
+	}
+	if v.Key() == before || !v.FactMask("Sales").Test(0) || !v.FactMask("Sales").Test(360) ||
+		!v.LevelMask("Store", "State").Test(int(state)) {
+		t.Fatal("selections past the grown capacity were lost")
+	}
 }

@@ -294,7 +294,8 @@ type FactData struct {
 
 	// postMu guards posts: per dimension, the member→facts postings that
 	// View.Materialize builds view masks from (postings.go), built on
-	// first use and rebuilt once version moves.
+	// first use and rebuilt once the table length or the dimension's
+	// finest member count moves.
 	postMu sync.Mutex
 	posts  map[string]*postings
 

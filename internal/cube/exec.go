@@ -1286,7 +1286,7 @@ func (c *Cube) ExecuteBatchCompiledOpt(cqs []*CompiledQuery, vs []*View, opts Ba
 // queries by fact (first-appearance order) so each fact table is scanned
 // once per batch, run the shared scans, and leave one fully merged (but
 // not yet finalized) partial per query in out (len(plans), all nil on
-// entry). masks are pre-materialized view masks (nil = whole table). sp
+// entry). masks are the views' Materialize masks (nil = whole table). sp
 // takes every pooled partial of the scan; callers release it after
 // finalizing.
 func executeBatchPartials(plans []*queryPlan, masks []*bitset.Set, out []*partial, sp *scanPartials, opts BatchOptions) SharingStats {
@@ -1381,7 +1381,7 @@ type BatchPartial struct {
 
 // ExecuteBatchCompiledPartials runs the same shared scan as
 // ExecuteBatchCompiledOpt but stops before finalize, returning each
-// query's merged partial. masks pairs each query with a pre-materialized
+// query's merged partial. masks pairs each query with a precomputed
 // visibility mask over this cube's fact table (nil entry or nil slice =
 // whole table); the shard layer passes the per-shard slice of a split
 // view mask here. Plans must be compiled for (or rebound onto) this cube.

@@ -2,6 +2,7 @@ package cube
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -14,15 +15,16 @@ import (
 // per-predicate bitmaps keyed by AttrFilter.Fingerprint, and composite
 // roll-up key columns keyed by Query.GroupFingerprint — so a hot
 // dashboard filter or group-by survives between scans instead of being
-// re-materialized per batch. Every FactData owns one (always on); every
-// shared scan of the table consults it, and a fact shard is a FactData of
-// its own, so a sharded table caches per shard with no split code.
+// re-materialized per batch — and views' masks keyed by View.Key. Every
+// FactData owns one (always on); every shared scan of the table consults
+// it, and a fact shard is a FactData of its own, so a sharded table
+// caches per shard with no split code.
 //
-// The three fingerprint keyspaces are disjoint by their first byte — a
-// set fingerprint starts with a length digit, a predicate fingerprint
-// with 'w', a grouping fingerprint with 'g' — so the fingerprint itself
-// is the cache key (FuzzArtifactKeys pins this and the keys' semantic
-// injectivity).
+// The four keyspaces are disjoint by their first byte — a set
+// fingerprint starts with a length digit, a predicate fingerprint with
+// 'w', a grouping fingerprint with 'g', a view key with 'v' — so the key
+// needs no namespace (FuzzArtifactKeys pins this and the keys' semantic
+// injectivity, FuzzViewKey the view keys').
 //
 // Entries are validated against the fact table's version (FactData bumps
 // it on AddFact, and the cube bumps every table on member/attribute
@@ -35,7 +37,8 @@ import (
 // artifact is admitted only once its fingerprint (not version — a hot
 // filter stays admitted across ingest) has been offered at least twice,
 // so a one-off exploratory filter passes through without evicting hot
-// artifacts. Two map generations bound the doorkeeper's footprint: when
+// artifacts; view masks skip it (every query of a session reads its
+// mask). Two map generations bound the doorkeeper's footprint: when
 // the current generation fills it becomes the old one and a fresh map
 // starts, forgetting fingerprints roughly FIFO.
 //
@@ -179,7 +182,7 @@ func (ac *artifactCache) put(e *artifactEntry, n int) bool {
 	if e.bytes > budget {
 		return false
 	}
-	if !ac.admitLocked(e.key) {
+	if !strings.HasPrefix(e.key, viewKeyPrefix) && !ac.admitLocked(e.key) {
 		// First offer of this fingerprint: the doorkeeper turns it away so
 		// one-off filters cannot evict hot artifacts; the caller keeps
 		// ownership (the buffer returns to the scan pools).

@@ -439,9 +439,10 @@ func TestExecuteBatchValidation(t *testing.T) {
 // TestPerFilterCompositionPaths pins the stage-1 planner on a
 // deterministic batch: a predicate shared across three filter sets
 // materializes one bitmap, and every set — used twice or once, all with no
-// view — gets a whole mask that ANDs the shared bitmap in and runs its
-// unshared predicate's kernel. Results must match the reference, cold,
-// warm and stale in the artifact cache (cachePhases).
+// view — gets a whole mask that ANDs the shared bitmap with a bitmap of
+// its unshared predicate (offered to the cache like the shared one).
+// Results must match the reference, cold, warm and stale in the artifact
+// cache (cachePhases).
 func TestPerFilterCompositionPaths(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Config{
 		Seed: 13, States: 5, Cities: 15, Stores: 80, Customers: 60,
@@ -478,9 +479,9 @@ func TestPerFilterCompositionPaths(t *testing.T) {
 	for i := range qs {
 		diffResults(t, fmt.Sprintf("case %d", i), batch[i], want[i])
 	}
-	// All three sets compose the shared bitmap and run b, c or d once
-	// per set: four kernels and four bitmaps (one predicate bitmap,
-	// three set masks).
+	// All three sets compose from the shared bitmap, so b, c and d get
+	// bitmaps of their own: four kernels and seven bitmaps (four
+	// predicate bitmaps, three set masks).
 	if stats.DistinctPredicates != 4 || stats.FilterPredicates != 10 {
 		t.Errorf("predicates = %d/%d, want 4 distinct / 10 instances",
 			stats.DistinctPredicates, stats.FilterPredicates)
@@ -489,9 +490,9 @@ func TestPerFilterCompositionPaths(t *testing.T) {
 		t.Errorf("composed masks = %d, want 3", stats.ComposedMasks)
 	}
 	bitmap := int64((ds.Cube.FactData("Sales").Len() + 7) / 8)
-	if stats.PackedPredicateKernels != 4 || stats.BitmapBytesBuilt != 4*bitmap {
+	if stats.PackedPredicateKernels != 4 || stats.BitmapBytesBuilt != 7*bitmap {
 		t.Errorf("%d kernels and %d bitmap bytes, want 4 and %d",
-			stats.PackedPredicateKernels, stats.BitmapBytesBuilt, 4*bitmap)
+			stats.PackedPredicateKernels, stats.BitmapBytesBuilt, 7*bitmap)
 	}
 	checkCostConservation(t, "batch", batch, stats)
 	cachePhases(t, ds.Cube, qs, nil)
@@ -501,7 +502,8 @@ func TestPerFilterCompositionPaths(t *testing.T) {
 // planner across the artifact cache: a predicate shared with a set whose
 // mask the cache serves still counts as shared, so the one set left to
 // build ANDs in a fresh bitmap of it (offered to the cache) instead of
-// running its kernel into the set mask.
+// running its kernel into the set mask — and, composing anyway, takes a
+// bitmap of its other predicate too.
 func TestPredicateBitmapCountsCachedSets(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Config{
 		Seed: 15, States: 5, Cities: 15, Stores: 80, Customers: 60,
@@ -548,8 +550,8 @@ func TestPredicateBitmapCountsCachedSets(t *testing.T) {
 	checkCostConservation(t, "mixed cached batch", res, stats)
 	bitmap := int64((ds.Cube.FactData("Sales").Len() + 7) / 8)
 	if stats.ArtifactCacheHits != 1 || stats.ComposedMasks != 1 || stats.PackedPredicateKernels != 2 ||
-		stats.BitmapBytesBuilt != 2*bitmap {
-		t.Errorf("want {shared, age>30} from the cache and {shared, age>40} composed from a fresh bitmap of shared: %+v", stats)
+		stats.BitmapBytesBuilt != 3*bitmap {
+		t.Errorf("want {shared, age>30} from the cache and {shared, age>40} composed from fresh bitmaps of shared and age>40: %+v", stats)
 	}
 
 	// Both sets holding shared hit the cache and the set that needs it is

@@ -29,7 +29,7 @@ import (
 // then writes one float per fact, and its touch test reads a small,
 // read-mostly array rather than the cell line the loop is writing
 // (marking by count cost the unfiltered single-level scans a fifth to
-// a half on a 2-vCPU Xeon, BenchmarkParallelScan and
+// a half on a 2-vCPU Xeon, BenchmarkPackedScan and
 // BenchmarkShardedScan).
 //
 // Skipping the untouched accumulator fields is safe for byte-identical

@@ -391,9 +391,11 @@ func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, n int, sc *obs.Shar
 // of a set still to build gets a bitmap when the cache holds one or it
 // recurs across two sets from (b) — sets served by (a) count, so a batch
 // whose other sets hit the cache still builds, and offers, the bitmap the
-// next batch of those sets may miss; (d) a set left out by (b) whose
-// predicates all have bitmaps gets a mask too, composed by word-ANDs
-// alone. fillMasks then builds the
+// next batch of those sets may miss — and so does each other predicate
+// of a (b) set composing from such a bitmap (its kernel runs anyway; as a
+// bitmap it is offered, so a predicate recurring across batches is cached
+// too); (d) a set left out by (b) whose predicates all have bitmaps gets
+// a mask too, composed by word-ANDs alone. fillMasks then builds the
 // fresh predicate bitmaps and set masks in one pass. Every set mask is the
 // conjunction of the set's predicates, so planScan, accumulation and the
 // cache treat them alike however they were built.
@@ -431,6 +433,15 @@ func buildFilterMasks(art *sharedArtifacts, stats *SharingStats, sets map[string
 			} else if predSets[pk] >= 2 {
 				art.predMasks[pk] = fd.getMask()
 				fresh[pk] = predOwner[pk]
+			}
+		}
+	}
+	for _, s := range need {
+		if s.mass >= n && slices.ContainsFunc(s.preds, func(pk string) bool { return art.predMasks[pk] != nil }) {
+			for _, pk := range s.preds {
+				if art.predMasks[pk] == nil {
+					art.predMasks[pk], fresh[pk] = fd.getMask(), predOwner[pk]
+				}
 			}
 		}
 	}

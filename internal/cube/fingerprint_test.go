@@ -237,10 +237,11 @@ func TestExecuteBatchCompiled(t *testing.T) {
 	}
 }
 
-// TestViewEpochAndID checks the cache-key substrate: ids are unique, the
-// epoch bumps on every selection (member and fact), and clones get fresh
-// identities.
-func TestViewEpochAndID(t *testing.T) {
+// TestViewKeyFollowsContent checks the cache-key substrate: fresh views
+// share one key, every selection that changes the content (member and
+// fact) changes it, failed and repeated selections do not, and a clone
+// keeps its original's key until one of them diverges.
+func TestViewKeyFollowsContent(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Config{
 		Seed: 1, States: 3, Cities: 6, Stores: 12, Customers: 10,
 		Products: 8, Days: 10, Sales: 200,
@@ -251,37 +252,35 @@ func TestViewEpochAndID(t *testing.T) {
 	}
 	v1 := cube.NewView(ds.Cube)
 	v2 := cube.NewView(ds.Cube)
-	if v1.ID() == v2.ID() {
-		t.Fatalf("view ids collide: %d", v1.ID())
+	fresh := v1.Key()
+	if fresh != v2.Key() || fresh[0] != 'v' {
+		t.Fatalf("fresh view keys %x and %x: want equal, starting with 'v'", fresh, v2.Key())
 	}
-	if v1.Epoch() != 0 {
-		t.Fatalf("fresh view epoch = %d, want 0", v1.Epoch())
+	prev, seen := fresh, map[string]bool{fresh: true}
+	step := func(what string, err error, changes bool) {
+		t.Helper()
+		k := v1.Key()
+		if (k != prev) != changes || (changes && seen[k]) {
+			t.Fatalf("%s (err %v): key %x after %x, want changed %v to a new key", what, err, k, prev, changes)
+		}
+		prev, seen[k] = k, true
 	}
-	if err := v1.SelectMember("Store", "City", 0); err != nil {
-		t.Fatal(err)
-	}
-	if v1.Epoch() != 1 {
-		t.Fatalf("epoch after member selection = %d, want 1", v1.Epoch())
-	}
-	if err := v1.SelectFact("Sales", 0); err != nil {
-		t.Fatal(err)
-	}
-	if v1.Epoch() != 2 {
-		t.Fatalf("epoch after fact selection = %d, want 2", v1.Epoch())
-	}
-	// Failed selections must not bump the epoch.
+	step("member selection", v1.SelectMember("Store", "City", 0), true)
+	step("fact selection", v1.SelectFact("Sales", 0), true)
+	step("repeated member selection", v1.SelectMember("Store", "City", 0), false)
 	if err := v1.SelectMember("Store", "City", 10_000); err == nil {
 		t.Fatal("out-of-range member accepted")
 	}
-	if v1.Epoch() != 2 {
-		t.Fatalf("epoch after failed selection = %d, want 2", v1.Epoch())
-	}
+	step("failed selection", nil, false)
 	c := v1.Clone()
-	if c.ID() == v1.ID() {
-		t.Error("clone shares the original's id")
+	if c.Key() != v1.Key() {
+		t.Fatalf("clone key %x, want %x", c.Key(), v1.Key())
 	}
-	if c.Epoch() != v1.Epoch() {
-		t.Errorf("clone epoch = %d, want %d", c.Epoch(), v1.Epoch())
+	if err := c.SelectMember("Store", "City", 1); err != nil {
+		t.Fatal(err)
+	}
+	if c.Key() == v1.Key() {
+		t.Error("diverged clone kept its original's key")
 	}
 }
 

@@ -9,15 +9,15 @@ package cube
 // An index is built lazily, the first time a view constrains its
 // dimension — a counting sort over the key column, O(facts + members),
 // 4 bytes per fact plus 4 per member (1.6 MB for 400 000 facts) — and is
-// rebuilt on the next use once the table's version or length has moved
-// (AddFact, member mutations): ingest then costs one O(n) rebuild per
-// materialization at most, what the per-fact mask walk it replaced cost
-// every time.
+// rebuilt on the next use once the table's length or the dimension's
+// finest member count has moved (AddFact, AddMember): key columns are
+// append-only, so nothing else can stale it, and ingest costs one O(n)
+// rebuild per materialization at most, what the per-fact mask walk it
+// replaced cost every time.
 type postings struct {
-	version uint64
-	n       int
-	offs    []int32
-	rows    []int32
+	n    int
+	offs []int32
+	rows []int32
 }
 
 // member returns the fact rows of finest member m.
@@ -33,12 +33,11 @@ func (p *postings) count(m int) int { return int(p.offs[m+1] - p.offs[m]) }
 func (fd *FactData) postingsFor(dim string, members int) *postings {
 	fd.postMu.Lock()
 	defer fd.postMu.Unlock()
-	version := fd.version.Load()
-	if p := fd.posts[dim]; p != nil && p.version == version && p.n == fd.n && len(p.offs) == members+1 {
+	if p := fd.posts[dim]; p != nil && p.n == fd.n && len(p.offs) == members+1 {
 		return p
 	}
 	keys := fd.dimKeys[dim][:fd.n]
-	p := &postings{version: version, n: fd.n,
+	p := &postings{n: fd.n,
 		offs: make([]int32, members+1), rows: make([]int32, len(keys))}
 	for _, k := range keys {
 		p.offs[k+1]++

@@ -1,9 +1,12 @@
 package cube
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 
 	"sdwp/internal/bitset"
 )
@@ -20,68 +23,90 @@ import (
 // A View is safe for concurrent use: queries may run while the session
 // mutates the view through new selections. A query that races with a
 // selection sees either the view before or after that selection — never a
-// torn state — because executors work from the materialized snapshot mask
-// taken at query start.
+// torn state — because executors work from the immutable mask
+// Materialize returns at query start (and the scheduler scans a Clone
+// taken at admission).
 type View struct {
 	cube *Cube
-	// id is process-unique: result caches key entries by (view id, epoch)
-	// so entries of a dead view can never alias a new one.
-	id uint64
 
-	// mu guards all mutable state below. Materialized snapshots are built
-	// and replaced under the lock and never mutated in place afterwards,
-	// so queries can iterate them lock-free. Level/fact masks returned by
-	// the accessors are live sets: they must not be read concurrently
-	// with new selections on the same view.
+	// mu guards the selections and the cached key. Level/fact masks
+	// returned by the accessors are live sets: they must not be read
+	// concurrently with new selections on the same view.
 	mu sync.RWMutex
-	// epoch counts selections applied to this view. Every mutation bumps
-	// it, so an (id, epoch) pair names one immutable state of the view —
-	// the invalidation key of the scheduler's result cache.
-	epoch uint64
 	// levelMasks maps "Dim.Level" to the selected members of that level.
 	levelMasks map[string]*bitset.Set
 	// factMasks maps fact names to directly selected fact instances.
 	factMasks map[string]*bitset.Set
-	// materialized caches the per-fact combination of all masks so queries
-	// iterate only visible facts; invalidated on every new selection, and
-	// rebuilt when the fact table's version moves past its stamp.
-	materialized map[string]stampedMask
+	// key caches Key; every mutation clears it.
+	key string
 }
 
-// stampedMask is a materialized view mask and the fact table version
-// (FactData.Version) it was built under.
-type stampedMask struct {
-	m       *bitset.Set
-	version uint64
-}
-
-// viewSeq issues process-unique view ids.
-var viewSeq atomic.Uint64
+// viewKeyPrefix starts every view key, apart from the artifact caches'
+// set, predicate and grouping fingerprints (a digit, 'w', 'g').
+const viewKeyPrefix = "v"
 
 // NewView returns an unrestricted view over the cube.
 func NewView(c *Cube) *View {
 	return &View{
 		cube:       c,
-		id:         viewSeq.Add(1),
 		levelMasks: map[string]*bitset.Set{},
 		factMasks:  map[string]*bitset.Set{},
 	}
 }
 
-// Cube returns the underlying cube.
-func (v *View) Cube() *Cube { return v.cube }
+// Key returns the view's content key: viewKeyPrefix and the SHA-256 of
+// its canonical bytes (appendContentLocked), computed once after a
+// mutation. Views with equal selections have equal keys, whatever session
+// made them in whatever order, so the key names a view state in the
+// result cache, the artifact cache (Materialize) and the shard splits.
+func (v *View) Key() string {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.keyLocked()
+}
 
-// ID returns the view's process-unique identity.
-func (v *View) ID() uint64 { return v.id }
+// keyLocked is Key. Callers hold v.mu (write).
+func (v *View) keyLocked() string {
+	if v.key == "" {
+		sum := sha256.Sum256(v.appendContentLocked(nil))
+		v.key = viewKeyPrefix + string(sum[:])
+	}
+	return v.key
+}
 
-// Epoch returns the view's mutation counter. Two reads returning the same
-// value bracket a window in which no selection was applied, so any result
-// computed from the view in between reflects exactly that state — the
-// property the scheduler's result cache relies on.
-func (v *View) Epoch() uint64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.epoch
+// appendContentLocked appends the view's canonical bytes: level
+// selections, then direct fact selections, each in sorted order of its
+// map key ("Dim.Level" or the fact name) as a tag, the length-prefixed
+// key, for a fact selection its length, and the mask's words up to its
+// last non-zero one (a level that grew since its first selection keeps
+// its content). Callers hold v.mu.
+func (v *View) appendContentLocked(b []byte) []byte {
+	for _, sel := range [...]struct {
+		tag   byte
+		masks map[string]*bitset.Set
+	}{{'L', v.levelMasks}, {'F', v.factMasks}} {
+		keys := make([]string, 0, len(sel.masks))
+		for k := range sel.masks {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			m := sel.masks[k]
+			b = append(binary.AppendUvarint(append(b, sel.tag), uint64(len(k))), k...)
+			if sel.tag == 'F' {
+				b = binary.AppendUvarint(b, uint64(m.Len()))
+			}
+			words := m.Words()
+			for len(words) > 0 && words[len(words)-1] == 0 {
+				words = words[:len(words)-1]
+			}
+			b = binary.AppendUvarint(b, uint64(len(words)))
+			for _, w := range words {
+				b = binary.LittleEndian.AppendUint64(b, w)
+			}
+		}
+	}
+	return b
 }
 
 func levelKey(dim, level string) string { return dim + "." + level }
@@ -97,22 +122,11 @@ func (v *View) SelectMember(dim, level string, member int32) error {
 	if member < 0 || int(member) >= ld.Len() {
 		return fmt.Errorf("cube: member %d out of range for %s.%s", member, dim, level)
 	}
-	key := levelKey(dim, level)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	m := v.levelMasks[key]
-	if m == nil {
-		m = bitset.New(ld.Len())
-		v.levelMasks[key] = m
+	if selectBit(v.levelMasks, levelKey(dim, level), int(member), ld.Len()) {
+		v.key = ""
 	}
-	if m.Test(int(member)) {
-		// Re-selecting an already-selected member changes nothing: keep
-		// the epoch (and every cached result keyed by it) valid.
-		return nil
-	}
-	m.Set(int(member))
-	v.epoch++
-	v.materialized = nil
 	return nil
 }
 
@@ -127,30 +141,40 @@ func (v *View) SelectFact(fact string, idx int32) error {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	m := v.factMasks[fact]
-	if m == nil {
-		m = bitset.New(fd.n)
-		v.factMasks[fact] = m
+	if selectBit(v.factMasks, fact, int(idx), fd.n) {
+		v.key = ""
 	}
-	if m.Test(int(idx)) {
-		return nil // no-op re-selection, see SelectMember
-	}
-	m.Set(int(idx))
-	v.epoch++
-	v.materialized = nil
 	return nil
 }
 
-// Materialize returns the combined per-fact visibility mask for one fact
-// table (nil when the view leaves that fact unrestricted). The result is
-// cached until the next selection or the next change to the fact table
-// (its Version), so the per-query cost of a personalized view is one
-// bitset iteration instead of per-fact mask checks. The returned set is an
-// immutable snapshot: later selections and appends build a new one. Level
-// selections admit appended rows; direct fact selections (SelectFact) do
-// not, since they name rows by index.
+// selectBit sets bit i of masks[key], creating the selection with
+// capacity n or regrowing it to n when its level or table grew since, and
+// reports whether the content changed. Callers hold v.mu.
+func selectBit(masks map[string]*bitset.Set, key string, i, n int) bool {
+	m := masks[key]
+	if m != nil && m.Test(i) {
+		return false
+	}
+	if i >= m.Len() {
+		grown := bitset.New(n)
+		m.ForEach(func(j int) bool {
+			grown.Set(j)
+			return true
+		})
+		m = grown
+		masks[key] = m
+	}
+	m.Set(i)
+	return true
+}
+
+// Materialize returns the combined, immutable visibility mask of one fact
+// table (nil when the view leaves it unrestricted), cached in the table's
+// artifact cache under the view's Key and the table's Version: views with
+// equal selections share one build. Level selections admit appended rows;
+// direct fact selections (SelectFact) do not, since they name rows.
 //
-// The mask is built from the fact table's member→facts postings
+// A miss builds the mask from the fact table's member→facts postings
 // (postings.go), so it costs O(visible facts × constrained dimensions),
 // not a walk over the whole table: per constrained dimension, the level
 // masks are pushed down to the finest level and ANDed — one ancestor
@@ -168,15 +192,12 @@ func (v *View) Materialize(fact string) *bitset.Set {
 	if !v.restrictsLocked(fd) {
 		return nil
 	}
-	version := fd.Version()
-	if sm, ok := v.materialized[fact]; ok && sm.version == version {
-		return sm.m
+	key, version := v.keyLocked(), fd.Version()
+	if e := fd.artifacts.get(key, version); e != nil {
+		return e.mask
 	}
 	m := v.materializeLocked(fd)
-	if v.materialized == nil {
-		v.materialized = map[string]stampedMask{}
-	}
-	v.materialized[fact] = stampedMask{m: m, version: version}
+	fd.offerMask(version, key, m)
 	return m
 }
 
@@ -196,7 +217,7 @@ func (v *View) materializeLocked(fd *FactData) *bitset.Set {
 	fm := v.factMasks[fd.fact.Name]
 	var dims []*dimFilter
 	for key, mask := range v.levelMasks {
-		dim, level := splitKey(key)
+		dim, level, _ := strings.Cut(key, ".")
 		dd := v.cube.dims[dim]
 		if dd == nil || !fd.fact.HasDimension(dim) {
 			continue
@@ -278,7 +299,7 @@ func (v *View) restrictsLocked(fd *FactData) bool {
 		return true
 	}
 	for key := range v.levelMasks {
-		dim, _ := splitKey(key)
+		dim, _, _ := strings.Cut(key, ".")
 		if v.cube.dims[dim] != nil && fd.fact.HasDimension(dim) {
 			return true
 		}
@@ -299,13 +320,6 @@ func (v *View) FactMask(fact string) *bitset.Set {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.factMasks[fact]
-}
-
-// Restricted reports whether any selection has been applied.
-func (v *View) Restricted() bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.levelMasks) > 0 || len(v.factMasks) > 0
 }
 
 // AppendLevelSelection appends the words of the level's selection mask
@@ -342,7 +356,7 @@ func (v *View) factVisibleLocked(fact string, idx int32) bool {
 		return false
 	}
 	for key, mask := range v.levelMasks {
-		dim, level := splitKey(key)
+		dim, level, _ := strings.Cut(key, ".")
 		dd := v.cube.dims[dim]
 		if dd == nil || !fd.fact.HasDimension(dim) {
 			continue
@@ -359,42 +373,14 @@ func (v *View) factVisibleLocked(fact string, idx int32) bool {
 	return true
 }
 
-func splitKey(key string) (dim, level string) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '.' {
-			return key[:i], key[i+1:]
-		}
-	}
-	return key, ""
-}
-
-// VisibleFactCount counts the fact instances visible through the view.
-func (v *View) VisibleFactCount(fact string) int {
-	fd := v.cube.facts[fact]
-	if fd == nil {
-		return 0
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if len(v.levelMasks) == 0 && len(v.factMasks) == 0 {
-		return fd.n
-	}
-	n := 0
-	for i := int32(0); int(i) < fd.n; i++ {
-		if v.factVisibleLocked(fact, i) {
-			n++
-		}
-	}
-	return n
-}
-
-// Clone returns an independent copy of the view's masks under a fresh view
-// identity (cached results of the original never alias the clone).
+// Clone returns an independent copy of the view's selections. It has the
+// original's content, so it shares the original's key and every entry
+// cached under it.
 func (v *View) Clone() *View {
 	c := NewView(v.cube)
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	c.epoch = v.epoch
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	c.key = v.keyLocked()
 	for k, m := range v.levelMasks {
 		c.levelMasks[k] = m.Clone()
 	}

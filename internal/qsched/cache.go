@@ -8,9 +8,10 @@ import (
 )
 
 // resultCache is a byte-bounded LRU over immutable query results. Keys are
-// the scheduler's (view id, view epoch, plan fingerprint) triples, so a
-// view mutation retires all of that view's entries simply by never looking
-// them up again — old-epoch entries age out through normal LRU pressure.
+// the scheduler's (view key, fact version, plan fingerprint) triples, so a
+// selection or an append retires the entries of the content before it
+// simply by never looking them up again — they age out through normal LRU
+// pressure.
 type resultCache struct {
 	mu    sync.Mutex
 	max   int64
@@ -100,7 +101,7 @@ func (c *resultCache) stats() (hits, misses, evictions, bytes int64, entries int
 // doorkeeper is the result cache's admission filter: a result is cached
 // only once its plan fingerprint has been requested at least twice, so
 // one-off exploratory queries pass through without evicting hot entries.
-// It is keyed by the bare plan fingerprint (not the view epoch), so a
+// It is keyed by the bare plan fingerprint (not the view key), so a
 // recurring dashboard tile stays admitted across selections and across
 // users. Two map generations bound the footprint: when the current
 // generation fills up it becomes the old one and a fresh map starts, which
@@ -137,7 +138,7 @@ func (d *doorkeeper) request(fp string) bool {
 
 // errCache is the negative cache for invalid queries: compile errors keyed
 // by query fingerprint. Validation depends only on the cube schema — never
-// on view state — so entries are epoch-agnostic; the bounded FIFO simply
+// on view state — so entries are view-agnostic; the bounded FIFO simply
 // forgets old mistakes. A hit answers a repeated malformed query without
 // re-deriving the error or touching the coalesce queue.
 type errCache struct {

@@ -434,3 +434,74 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestEqualViewsDedupAcrossSessions pins cross-session dedup by view
+// content: two sessions' queries over equal views merge into one scan,
+// and a selection the first session (whose request the second joined)
+// makes while the merged query is still queued reaches neither answer —
+// the scan reads the view as it was at admission, the content both
+// waiters' shared key names.
+func TestEqualViewsDedupAcrossSessions(t *testing.T) {
+	ds := testDataset(t)
+	ge := newGatedExec(ds.Cube)
+	s := New(ge, Options{MaxInFlight: 1, CacheBytes: 1 << 20})
+	defer s.Close()
+	defer ge.open()
+	stalled := stallSlot(t, s, ge, "stall")
+
+	v1, v2 := cube.NewView(ds.Cube), cube.NewView(ds.Cube)
+	for _, v := range []*cube.View{v1, v2} {
+		if err := v.SelectMember("Store", "City", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := ds.Cube.Execute(countQuery, v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		res *cube.Result
+		err error
+	}
+	answers := make(chan answer, 2)
+	submit := func(v *cube.View, user string) {
+		res, err := s.Submit(countQuery, v, user)
+		answers <- answer{res, err}
+	}
+	// alice's query queues first, so the merged request is hers.
+	go submit(v1, "alice")
+	waitFor(t, "the first session's query to queue", func() bool { return s.Stats().QueueDepth == 1 })
+	go submit(v2, "carol")
+	waitFor(t, "the second session's query to merge", func() bool { return s.Stats().Shared == 1 })
+	if err := v1.SelectMember("Store", "City", 1); err != nil {
+		t.Fatal(err)
+	}
+	ge.open()
+	if err := <-stalled; err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		a := <-answers
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if !sameAnswer(a.res, want) {
+			t.Fatalf("a merged waiter matched %d facts, the admitted content %d", a.res.MatchedFacts, want.MatchedFacts)
+		}
+	}
+	// The merged answer was cached under the admitted content: the second
+	// session hits it, the first (now wider) misses and rescans.
+	if res, err := s.Submit(countQuery, v2, "carol"); err != nil || res.MatchedFacts != want.MatchedFacts {
+		t.Fatalf("carol's repeat: %v, %v", res, err)
+	}
+	wider, err := ds.Cube.Execute(countQuery, v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Submit(countQuery, v1, "alice"); err != nil || !sameAnswer(res, wider) {
+		t.Fatalf("alice's query after her selection: %v, %v", res, err)
+	}
+	if st := s.Stats(); st.CacheHits != 1 || st.Executed != 3 {
+		t.Errorf("cache hits %d, executed %d; want 1 and 3 (stall, merged pair, alice's rescan)", st.CacheHits, st.Executed)
+	}
+}

@@ -30,12 +30,15 @@
 //     scheduling over the obs.QueryCost attribution; see fair.go). With
 //     identical cost profiles this degrades exactly to round-robin.
 //  2. Deduplication. Identical queued queries (same plan fingerprint,
-//     same view state) execute once; every waiter shares the one result.
-//  3. Result cache. A byte-bounded LRU keyed by plan fingerprint plus the
-//     view's (id, epoch) pair answers repeats without any scan. A view
-//     mutation bumps its epoch, so PRML-driven selections invalidate
-//     exactly that session's entries — no scavenging, no stale reads.
-//     Admission is doorkept: a result is cached only once its fingerprint
+//     view content and fact version, from any sessions) execute once;
+//     every waiter shares the one result.
+//  3. Result cache. A byte-bounded LRU keyed by the view's content key
+//     (cube.View.Key), the fact table's version and the plan fingerprint
+//     answers repeats — any session's with equal selections — without a
+//     scan. Selections change the key and appends the version, so no
+//     stale reads; a miss scans its view as admitted (a Clone), so its
+//     answer is exactly what the key names. Admission is doorkept: a
+//     result is cached only once its fingerprint
 //     has been requested at least twice, so one-off exploratory queries
 //     cannot evict hot entries. A bounded negative cache likewise answers
 //     repeated invalid queries from their cached compile error without
@@ -209,10 +212,9 @@ type waiter struct {
 // identical queries into a single request with several waiters). The plan
 // compiled at admission is reused for the scan.
 type request struct {
-	cq    *cube.CompiledQuery
-	view  *cube.View
-	epoch uint64
-	key   string
+	cq   *cube.CompiledQuery
+	view *cube.View // the submitter's view as admitted (a Clone)
+	key  string
 	// fp is the plan fingerprint (the heavy-query profile registry's
 	// key; also a prefix-free component of key).
 	fp string
@@ -234,7 +236,7 @@ type request struct {
 }
 
 // Scheduler coalesces concurrent queries into shared scans and fronts them
-// with the epoch-keyed result cache. All methods are safe for concurrent
+// with the content-keyed result cache. All methods are safe for concurrent
 // use.
 type Scheduler struct {
 	c        Executor
@@ -469,14 +471,7 @@ func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View,
 			s.stNegHits.Add(1)
 			return fail(i, err)
 		}
-		// The epoch is read before execution, so a cached entry's result
-		// was computed from a view state at least as new as its key. A
-		// reader that observes epoch E and hits (id, E, fp) therefore never
-		// gets data from before E — a selection racing the scan can only
-		// make the entry fresher, which is within the view's
-		// query-vs-selection semantics (and runBatch skips caching in that
-		// case anyway).
-		key, epoch := s.cacheKey(fp, qs[i].Fact, v)
+		key := s.cacheKey(fp, qs[i].Fact, v)
 		var admit bool
 		if s.cache != nil {
 			if res, ok := s.cache.get(key); ok {
@@ -499,7 +494,13 @@ func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View,
 			// has been requested before earns a cache slot for its result.
 			admit = s.door.request(fp)
 		}
-		misses = append(misses, miss{i: i, req: &request{view: v, epoch: epoch,
+		if v != nil {
+			// A later selection cannot reach an answer other sessions
+			// share under this content's key.
+			v = v.Clone()
+			key = s.cacheKey(fp, qs[i].Fact, v)
+		}
+		misses = append(misses, miss{i: i, req: &request{view: v,
 			key: key, fp: fp, admit: admit, user: userKey}})
 	}
 	if len(misses) == 0 {
@@ -570,27 +571,24 @@ func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View,
 	return idx, firstErr
 }
 
-// cacheKey builds the cache/dedup key — plan fingerprint, the view's (id,
-// epoch) and the fact table's version — and returns the epoch it
-// observed. Both counters are read before execution: the comment block in
-// admit explains why that is the safe side of the race with concurrent
-// selections, and the same holds for appends, because the plan compiled
-// after the read scans at least the facts the version counted. An answer
-// cached before an append is therefore never served after it.
-func (s *Scheduler) cacheKey(fp, fact string, v *cube.View) (key string, epoch uint64) {
-	var viewID, version uint64
-	if v != nil {
-		viewID = v.ID()
-		epoch = v.Epoch()
-	}
+// cacheKey builds the cache/dedup key: the view's content key (none for a
+// baseline query; a view key has a fixed length and starts with 'v'), the
+// fact table's version and the plan fingerprint. The version is read
+// before execution, and the plan compiled after the read scans at least
+// the facts it counted, so an answer cached before an append is never
+// served after it.
+func (s *Scheduler) cacheKey(fp, fact string, v *cube.View) string {
+	var version uint64
 	if s.versions != nil {
 		version = s.versions.FactVersion(fact)
 	}
 	var buf [128]byte
-	b := strconv.AppendUint(buf[:0], viewID, 10)
-	b = strconv.AppendUint(append(b, '@'), epoch, 10)
+	b := buf[:0]
+	if v != nil {
+		b = append(b, v.Key()...)
+	}
 	b = strconv.AppendUint(append(b, '#'), version, 10)
-	return string(append(append(b, '|'), fp...)), epoch
+	return string(append(append(b, '|'), fp...))
 }
 
 // enqueueLocked admits one request: identical queued requests merge (the
@@ -826,14 +824,11 @@ func (s *Scheduler) runBatch(batch []*request) {
 		if err == nil {
 			out.res = results[i]
 			// Cache only if the doorkeeper admitted the fingerprint (a
-			// repeat, not a one-off) and the view did not mutate during
-			// the scan: the executor may have seen the newer mask, and an
-			// entry must never claim an epoch older than the data it
-			// holds.
+			// repeat, not a one-off).
 			if s.cache != nil {
 				if !r.admit {
 					s.stDoorkept.Add(1)
-				} else if r.view == nil || r.view.Epoch() == r.epoch {
+				} else {
 					s.cache.put(r.key, out.res)
 				}
 			}

@@ -184,8 +184,8 @@ func TestDedupIdenticalConcurrentQueries(t *testing.T) {
 // TestCacheHitAndEpochInvalidation checks the personalized cache path:
 // the doorkeeper admits a fingerprint on its second request (the first
 // request of a one-off is never cached), a later repeat is a hit, a view
-// mutation (epoch bump) is a miss that recomputes against the new state,
-// and the stale entry is never served.
+// mutation (a new content key) is a miss that recomputes against the new
+// state, and the stale entry is never served.
 func TestCacheHitAndEpochInvalidation(t *testing.T) {
 	ds := testDataset(t)
 	s := New(ds.Cube, Options{CacheBytes: 1 << 20})
@@ -220,7 +220,7 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 		t.Errorf("cache hits = %d, want 1", st.CacheHits)
 	}
 
-	// Mutating the view bumps its epoch: the next lookup must miss and see
+	// Mutating the view changes its key: the next lookup must miss and see
 	// the wider selection.
 	if err := v.SelectMember("Store", "City", 1); err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after == first {
-		t.Fatal("post-mutation query served the pre-epoch cached result")
+		t.Fatal("post-mutation query served the pre-mutation cached result")
 	}
 	want, err := ds.Cube.Execute(countQuery, v)
 	if err != nil {

@@ -69,11 +69,10 @@ type factShard struct {
 	c  *cube.Cube
 }
 
-// splitKey identifies one split view mask: a view state (id, epoch) over
-// one fact table at one version (appends move it and grow the shards).
+// splitKey identifies one split view mask: a view's content key over one
+// fact table at one version (appends move it and grow the shards).
 type splitKey struct {
-	viewID  uint64
-	epoch   uint64
+	view    string
 	version uint64
 	fact    string
 }
@@ -238,7 +237,8 @@ type Stats struct {
 	// scans they fanned out to (ShardScans/Batches is the fan-out ratio).
 	Batches    int64 `json:"batches"`
 	ShardScans int64 `json:"shardScans"`
-	// ArtifactCache sums the shards' cross-batch artifact caches.
+	// ArtifactCache sums the shards' cross-batch artifact caches and the
+	// parent's (view masks).
 	ArtifactCache cube.ArtifactCacheStats `json:"artifactCache"`
 	// Packed aggregates the per-shard compressed-column storage stats
 	// (bytes sum across shards; per-column bit widths max-merge).
@@ -248,11 +248,12 @@ type Stats struct {
 // Stats snapshots the table's counters.
 func (t *Table) Stats() Stats {
 	st := Stats{
-		Shards:     len(t.shards),
-		FactCounts: t.FactCounts(),
-		Batches:    t.stBatches.Load(),
-		ShardScans: t.stShardScans.Load(),
-		Packed:     t.PackedStats(),
+		Shards:        len(t.shards),
+		FactCounts:    t.FactCounts(),
+		Batches:       t.stBatches.Load(),
+		ShardScans:    t.stShardScans.Load(),
+		Packed:        t.PackedStats(),
+		ArtifactCache: t.parent.ArtifactCacheStats(),
 	}
 	for _, sh := range t.shards {
 		st.ArtifactCache.Add(sh.c.ArtifactCacheStats())
@@ -272,14 +273,14 @@ func (t *Table) PackedStats() cube.PackedStats {
 	return ps
 }
 
-// MaterializeView builds a view's combined visibility masks over the
-// given fact tables under the ingest read lock (mask building walks the
+// MaterializeView builds a view's combined visibility masks over every
+// fact table under the ingest read lock (mask building walks the
 // parent's fact key columns, which AddFact grows under the write lock).
-func (t *Table) MaterializeView(v *cube.View, facts []string) {
+func (t *Table) MaterializeView(v *cube.View) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for _, f := range facts {
-		v.Materialize(f)
+	for _, f := range t.parent.Schema().MD.Facts {
+		v.Materialize(f.Name)
 	}
 }
 
@@ -414,18 +415,18 @@ func (t *Table) ExecuteBatchCompiledOpt(cqs []*cube.CompiledQuery, vs []*cube.Vi
 }
 
 // splitLocked returns the per-shard visibility masks of one view over one
-// fact table: the view's materialized global mask scattered through the
+// fact table: the view's global mask (View.Materialize) scattered through the
 // routing table (nil when the view leaves the fact unrestricted). Splits
-// are cached by (view id, epoch, fact version, fact) — per-shard bitmaps
-// are exactly the "selection epochs scale across shards" exchange unit: a
-// selection or an append bumps the key and the next query re-splits once,
-// not once per shard scan. Callers hold t.mu (read).
+// are cached by (view key, fact version, fact), so sessions with equal
+// selections share one split: a selection or an append changes the key
+// and the next query re-splits once, not once per shard scan. Callers
+// hold t.mu (read).
 func (t *Table) splitLocked(fact string, v *cube.View) ([]*bitset.Set, error) {
 	r := t.routes[fact]
 	if r == nil {
 		return nil, fmt.Errorf("shard: unknown fact %q", fact)
 	}
-	key := splitKey{viewID: v.ID(), epoch: v.Epoch(), version: t.parent.FactVersion(fact), fact: fact}
+	key := splitKey{view: v.Key(), version: t.parent.FactVersion(fact), fact: fact}
 	t.splitMu.Lock()
 	if ms, ok := t.splits[key]; ok {
 		t.splitMu.Unlock()
@@ -452,7 +453,9 @@ func (t *Table) splitLocked(fact string, v *cube.View) ([]*bitset.Set, error) {
 		return true
 	})
 	t.splitMu.Lock()
-	if _, ok := t.splits[key]; !ok {
+	// A selection between reading the key and materializing would file
+	// the newer mask under the older content's key.
+	if _, ok := t.splits[key]; !ok && v.Key() == key.view {
 		if len(t.splitOrder) >= splitCacheCap {
 			oldest := t.splitOrder[0]
 			t.splitOrder = t.splitOrder[1:]

@@ -456,8 +456,8 @@ func TestShardedBatchUnderIngestAndSelection(t *testing.T) {
 		}
 	}()
 
-	// Selection: the shared view keeps growing (epoch bumps re-split the
-	// per-shard masks).
+	// Selection: the shared view keeps growing (each new key re-splits
+	// the per-shard masks).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -44,8 +44,11 @@ go test -race -count=3 -run 'ConcurrentSessions|ConcurrentExport' ./internal/cor
 # Logins of different users share each pure rule loop's memo (an atomic
 # pointer on the compiled plan) while a city's geometry moves under them:
 # every login must see one generation's data, and none after the move
-# may replay a memo recorded before it.
-go test -race -count=10 -run 'ConcurrentLoginsShareRuleMemo' ./internal/core/
+# may replay a memo recorded before it. Sessions with equal selections
+# share one view key, so their masks, shard splits and cached answers are
+# shared too: random appends, selections and concurrent queries (two
+# sessions selecting alike, one diverging) must each match the reference.
+go test -race -count=10 -run 'ConcurrentLoginsShareRuleMemo|AppendSelectQueryRandomized' ./internal/core/
 
 # The sharded executor interleaves scatter-gather scans with routed
 # ingest and view selections across per-shard locks.

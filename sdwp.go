@@ -27,12 +27,13 @@
 //     (EngineOptions.MaxQueueDepth / TargetQueueWait → HTTP 429 +
 //     Retry-After) before the EngineOptions.QueryTimeout deadline drops
 //     stale queued work (per-request contexts via Session.QueryCtx), and
-//     fronts everything with an epoch-keyed result cache; a query that
-//     finds a free scan slot starts scanning at once, and queries arriving
-//     while every slot is busy coalesce into the next shared scan, whose
-//     hot filter bitmaps and roll-up key columns each fact table keeps
-//     alive between scans in a cross-batch artifact cache sized from the
-//     table (20 bytes per fact; no option) — see
+//     fronts everything with a result cache keyed by view content, so
+//     sessions with equal selections share answers; a query that finds a
+//     free scan slot starts scanning at once, and queries arriving while
+//     every slot is busy coalesce into the next shared scan, whose hot
+//     filter bitmaps, roll-up key columns and view masks each fact table
+//     keeps alive between scans in a cross-batch artifact cache sized from
+//     the table (20 bytes per fact; no option) — see
 //     EngineOptions.MaxInFlightScans / ResultCacheBytes and
 //     Engine.SchedulerStats
 //     (docs/ARCHITECTURE.md has the architecture, docs/OPERATIONS.md the
