@@ -362,13 +362,15 @@ func BenchmarkSessionStartColdRules(b *testing.B) {
 // 400 000 facts from the member→facts postings: "session" is an
 // interested login after one airport-city selection (store and city masks
 // on the Store dimension), "threeDims" adds a product-family and a
-// customer-segment restriction and direct fact selections. Each iteration
-// materializes a fresh clone after rewriting one customer's age to its
-// own value (untimed), which moves the fact table's version the way an
-// append does but leaves the postings current, so the clone's mask is a
-// real postings-driven build. "equalView" skips the rewrite:
-// the clone has the session's content key, so its mask is the
-// artifact-cache entry the session's build left.
+// customer-segment restriction and direct fact selections, both built
+// through a ViewBuilder. Each iteration materializes the view after
+// rewriting one customer's age to its own value (untimed), which moves
+// the fact table's version the way an append does but leaves the
+// postings current, so the mask is a real postings-driven build.
+// "equalView" skips the rewrite and materializes another view, built
+// member by member with the session's selections: it has the session's
+// content key, so its mask is the artifact-cache entry the session's
+// build left.
 func BenchmarkViewMaterialize(b *testing.B) {
 	env := getBenchEnv(b, 400000)
 	e := interestedEngine(b, env)
@@ -380,26 +382,42 @@ func BenchmarkViewMaterialize(b *testing.B) {
 		"Distance(GeoMD.Store.City.geometry, GeoMD.Airport.geometry) < 20km"); err != nil {
 		b.Fatal(err)
 	}
-	wide := s.View().Clone()
+	sv := s.View()
+	wb := sv.Builder()
 	for _, sel := range []struct {
 		dim, level string
 		member     int32
 	}{{"Product", "Family", 0}, {"Product", "Family", 2}, {"Customer", "Segment", 1}} {
-		if err := wide.SelectMember(sel.dim, sel.level, sel.member); err != nil {
+		if err := wb.SelectMember(sel.dim, sel.level, sel.member); err != nil {
 			b.Fatal(err)
 		}
 	}
 	for i := int32(0); i < 400000; i += 7 {
-		if err := wide.SelectFact("Sales", i); err != nil {
+		if err := wb.SelectFact("Sales", i); err != nil {
 			b.Fatal(err)
 		}
+	}
+	eb := cube.NewView(env.ds.Cube).Builder()
+	for _, dim := range env.ds.Cube.Schema().MD.Dimensions {
+		for _, l := range dim.Levels {
+			sv.LevelMask(dim.Name, l.Name).ForEach(func(m int) bool {
+				if err := eb.SelectMember(dim.Name, l.Name, int32(m)); err != nil {
+					b.Fatal(err)
+				}
+				return true
+			})
+		}
+	}
+	equal := eb.View()
+	if equal == sv || equal.Key() != sv.Key() {
+		b.Fatal("the member-by-member view is not an equal, separate view")
 	}
 	age, _ := env.ds.Cube.Dimension("Customer").Level("Customer").Attr("age", 0)
 	for _, bc := range []struct {
 		name  string
 		v     *View
 		build bool
-	}{{"session", s.View(), true}, {"threeDims", wide, true}, {"equalView", s.View(), false}} {
+	}{{"session", sv, true}, {"threeDims", wb.View(), true}, {"equalView", equal, false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -410,7 +428,7 @@ func BenchmarkViewMaterialize(b *testing.B) {
 					}
 					b.StartTimer()
 				}
-				if bc.v.Clone().Materialize("Sales") == nil {
+				if bc.v.Materialize("Sales") == nil {
 					b.Fatal("view left Sales unrestricted")
 				}
 			}
@@ -1201,11 +1219,11 @@ func BenchmarkLoneFilteredScan(b *testing.B) {
 		Attr: "name", Op: OpLt, Value: "Customer00250"}
 	pop := AttrFilter{LevelRef: LevelRef{Dimension: "Store", Level: "City"},
 		Attr: "population", Op: OpGe, Value: float64(200000)}
-	dense := cube.NewView(c)
+	dense := cube.NewView(c).Builder()
 	if err := dense.SelectMember("Product", "Family", 0); err != nil {
 		b.Fatal(err)
 	}
-	sparse := cube.NewView(c)
+	sparse := cube.NewView(c).Builder()
 	for s := int32(0); s < 30; s++ {
 		if err := sparse.SelectMember("Store", "Store", s); err != nil {
 			b.Fatal(err)
@@ -1219,8 +1237,8 @@ func BenchmarkLoneFilteredScan(b *testing.B) {
 		{"sparse", []AttrFilter{age}, nil},
 		{"range", []AttrFilter{names}, nil},
 		{"twoPreds", []AttrFilter{age, pop}, nil},
-		{"denseView", []AttrFilter{age}, dense},
-		{"sparseView", []AttrFilter{age}, sparse},
+		{"denseView", []AttrFilter{age}, dense.View()},
+		{"sparseView", []AttrFilter{age}, sparse.View()},
 	}
 	for _, arm := range arms {
 		q := Query{

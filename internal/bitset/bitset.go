@@ -81,13 +81,6 @@ func (s *Set) Test(i int) bool {
 	return s.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }
 
-// TestWords is Test over a copy of a set's Words(): bits past the words,
-// and negative indices, report false.
-func TestWords(words []uint64, i int) bool {
-	w := i / wordBits
-	return i >= 0 && w < len(words) && words[w]&(1<<(uint(i)%wordBits)) != 0
-}
-
 // Count returns the number of set bits. A nil set has count 0 (callers that
 // treat nil as universe must special-case it before asking for a count).
 func (s *Set) Count() int {

@@ -39,18 +39,6 @@ func TestSetTestClear(t *testing.T) {
 	}
 }
 
-func TestTestWords(t *testing.T) {
-	s := FromIndices(130, []int{0, 63, 64, 129})
-	for i := -1; i < 200; i++ {
-		if got := TestWords(s.Words(), i); got != s.Test(i) {
-			t.Fatalf("TestWords(%d) = %v, Test %v", i, got, s.Test(i))
-		}
-	}
-	if TestWords(nil, 0) {
-		t.Fatal("TestWords(nil, 0) = true")
-	}
-}
-
 func TestFull(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 128, 200} {
 		s := Full(n)

@@ -537,13 +537,15 @@ func (e *Engine) StartSession(userID string, location geom.Geometry) (*Session, 
 	if err != nil {
 		return nil, err
 	}
+	env := &sessionEnv{s: s} // unshared yet: the start rules are one phase
 	for _, phase := range e.rules().start {
 		for _, p := range phase {
-			if _, err := s.exec(p); err != nil {
+			if _, err := env.exec(p); err != nil {
 				return nil, fmt.Errorf("core: session start: %w", err)
 			}
 		}
 	}
+	env.publish()
 	e.materialize(s.view)
 	e.mu.Lock()
 	e.sessions[s.ID] = s

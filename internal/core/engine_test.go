@@ -476,6 +476,52 @@ func TestEnvPathResolutionErrors(t *testing.T) {
 	}
 }
 
+// partialRule is a tracking rule whose body selects a store and then a
+// layer object, which fails.
+const partialRule = `
+Rule:partial When SpatialSelection(GeoMD.Store.City,
+    Distance(GeoMD.Store.City.geometry, GeoMD.Airport.geometry) < 20km) do
+  Foreach s in (GeoMD.Store)
+    If (s.name = 'Store0007') then
+      SelectInstance(s)
+    endIf
+  endForeach
+  Foreach a in (GeoMD.Airport)
+    SelectInstance(a)
+  endForeach
+endWhen
+`
+
+// TestSelectionsBeforeARuleErrorStay pins that a rule body failing
+// midway keeps the selections it made before the failure: the selection
+// call returns the error, and both the selected cities and the rule's
+// store are in the session's view.
+func TestSelectionsBeforeARuleErrorStay(t *testing.T) {
+	e, _ := newTestEngine(t)
+	if _, err := e.AddRules(partialRule); err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.StartSession("alice", geom.Pt(0, 0)) // no store within 5 km
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := e.Cube().Dimension("Store").LevelAt(0).IndexOf("Store0007")
+	if store < 0 || s.View().LevelMask("Store", "Store") != nil {
+		t.Fatal("want Store0007 and an unrestricted store level after login")
+	}
+	_, err = s.SpatialSelect("GeoMD.Store.City", "Distance(GeoMD.Store.City.geometry, GeoMD.Airport.geometry) < 20km")
+	if err == nil || !strings.Contains(err.Error(), "layer objects are reference data") {
+		t.Fatalf("err = %v, want the layer-object selection's error", err)
+	}
+	v := s.View()
+	if m := v.LevelMask("Store", "Store"); m == nil || !m.Test(int(store)) || m.Count() != 1 {
+		t.Fatalf("store selection after the error: %v, want {%d}", m, store)
+	}
+	if m := v.LevelMask("Store", "City"); m == nil || m.Count() == 0 {
+		t.Fatal("the selected cities were lost")
+	}
+}
+
 func TestEnvActionsErrors(t *testing.T) {
 	e, ds := newTestEngine(t)
 	s, err := e.StartSession("alice", ds.CityLocs[0])

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"sdwp/internal/cube"
 	"sdwp/internal/geom"
 	"sdwp/internal/prml"
 	"sdwp/internal/usermodel"
@@ -31,6 +32,8 @@ import (
 //     Example 5.3 event condition).
 type sessionEnv struct {
 	s *Session
+	// sel holds the phase's selections until publish.
+	sel *cube.ViewBuilder
 
 	bound     bool
 	boundElem elemRef
@@ -302,23 +305,41 @@ func (env *sessionEnv) SetContent(target *prml.PathExpr, v prml.Value) error {
 	return env.s.user.SetPath(target.Segs[1:], v.ToAny())
 }
 
-// SelectInstance implements prml.Env: adds the instance to the session's
-// personalized view.
+// SelectInstance implements prml.Env: adds the instance to the phase's
+// selections, which publish adds to the session's personalized view.
 func (env *sessionEnv) SelectInstance(v prml.Value) error {
 	if v.Kind != prml.KindInstance {
 		return fmt.Errorf("core: SelectInstance needs an instance, got %s", v.Kind)
 	}
-	s := env.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	if env.sel == nil {
+		env.sel = env.s.View().Builder()
+	}
 	inst := v.Inst
 	switch inst.Kind {
 	case prml.InstMember:
-		return s.view.SelectMember(inst.Dimension, inst.Level, inst.Index)
+		return env.sel.SelectMember(inst.Dimension, inst.Level, inst.Index)
 	case prml.InstFact:
-		return s.view.SelectFact(inst.Fact, inst.Index)
+		return env.sel.SelectFact(inst.Fact, inst.Index)
 	}
 	return fmt.Errorf("core: cannot select %s (layer objects are reference data, not warehouse instances)", inst)
+}
+
+// exec runs one compiled rule body under the user's rule-run lock; its
+// selections join the phase's.
+func (env *sessionEnv) exec(p *prml.Plan) (prml.Stats, error) {
+	env.s.rulesMu.Lock()
+	defer env.s.rulesMu.Unlock()
+	return prml.NewEvaluator(env).ExecPlan(p)
+}
+
+// publish adds the phase's selections to the session's view in one step,
+// ORed into the view of any phase that published meanwhile.
+func (env *sessionEnv) publish() {
+	if env.sel != nil {
+		env.s.mu.Lock()
+		env.s.view = env.sel.Onto(env.s.view)
+		env.s.mu.Unlock()
+	}
 }
 
 // BecomeSpatial implements prml.Env: promotes a level of the session's

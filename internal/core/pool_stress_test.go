@@ -334,13 +334,14 @@ func TestPooledPartialBatchUnderIngestAndSpatialSelect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := cube.NewView(e.Cube())
+		snapB := cube.NewView(e.Cube()).Builder()
 		s.View().Materialize("Sales").ForEach(func(i int) bool {
-			if err := snap.SelectFact("Sales", int32(i)); err != nil {
+			if err := snapB.SelectFact("Sales", int32(i)); err != nil {
 				t.Fatal(err)
 			}
 			return true
 		})
+		snap := snapB.View()
 		for i, q := range qs {
 			if !sameAnswer(res[i], cubetest.NaiveExecute(e.Cube(), q, snap)) {
 				t.Fatalf("quiescent batch entry %d differs from the reference", i)

@@ -98,7 +98,7 @@ func startRef(e *Engine, user string, loc geom.Geometry) (*Session, []ruleRun, e
 			if prml.Classify(r) != kind || r.Event.Kind != prml.EvSessionStart {
 				continue
 			}
-			st, err := newRefEvaluator(&sessionEnv{s: s}).Exec(r)
+			st, err := refExec(s, r)
 			runs = append(runs, ruleRun{r.Name, st, errText(err)})
 			if err != nil {
 				return s, runs, nil
@@ -434,8 +434,8 @@ endWhen`,
 				p := prml.Compile(r, d.plan.compileOptions())
 				for run := 1; run <= 2; run++ {
 					ps, rs := newPair()
-					pst, perr := prml.NewEvaluator(&sessionEnv{s: ps}).ExecPlan(p)
-					rst, rerr := newRefEvaluator(&sessionEnv{s: rs}).Exec(r)
+					pst, perr := ps.exec(p)
+					rst, rerr := refExec(rs, r)
 					if errText(perr) != errText(rerr) || pst != rst {
 						t.Fatalf("rule %s, run %d: plan %+v %q, reference %+v %q", r.Name, run, pst, errText(perr), rst, errText(rerr))
 					}

@@ -406,6 +406,14 @@ func (ev *refEvaluator) evalCall(c *prml.CallExpr, sc refScope) (prml.Value, err
 	return prml.Value{}, fmt.Errorf("prml: %s: unknown spatial operator", c.Pos)
 }
 
+// refExec is Session.exec driven by the reference interpreter: one rule
+// run, its selections published.
+func refExec(s *Session, r *prml.Rule) (prml.Stats, error) {
+	env := &sessionEnv{s: s}
+	defer env.publish()
+	return newRefEvaluator(env).Exec(r)
+}
+
 // refSpatialSelect is Session.SpatialSelect driven by the reference
 // interpreter: the predicate re-evaluated per instance, the tracking rules
 // re-classified from the rule list.
@@ -439,6 +447,7 @@ func refSpatialSelect(s *Session, target, predicate string) (*SelectionResult, e
 		}
 		return nil
 	})
+	env.publish()
 	if err != nil {
 		return nil, err
 	}
@@ -468,7 +477,7 @@ func refSpatialSelect(s *Session, target, predicate string) (*SelectionResult, e
 		if !fired {
 			continue
 		}
-		if _, err := newRefEvaluator(&sessionEnv{s: s}).Exec(r); err != nil {
+		if _, err := refExec(s, r); err != nil {
 			return nil, err
 		}
 		res.RulesFired = append(res.RulesFired, r.Name)

@@ -271,14 +271,14 @@ func TestNoStaleCachedResultsUnderSpatialSelect(t *testing.T) {
 		checkpoints []checkpoint
 	)
 	record := func() {
-		key := s.View().Key()
-		direct, err := e.Cube().Execute(q, s.View())
+		v := s.View() // one view: the key and the count describe one content
+		direct, err := e.Cube().Execute(q, v)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		cpMu.Lock()
-		checkpoints = append(checkpoints, checkpoint{key: key, count: direct.MatchedFacts})
+		checkpoints = append(checkpoints, checkpoint{key: v.Key(), count: direct.MatchedFacts})
 		cpMu.Unlock()
 	}
 	record() // post-login state

@@ -37,7 +37,8 @@ func (s *Session) Schema() *geomd.Schema {
 	return s.schema
 }
 
-// View returns the session's personalized cube view.
+// View returns the session's personalized cube view. A view never
+// changes: a later selection gives the session a new one.
 func (s *Session) View() *cube.View {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -110,12 +111,12 @@ func (s *Session) QueryBatchCtx(ctx context.Context, qs []cube.Query, baseline [
 	return s.engine.sched.SubmitBatchCtx(ctx, qs, vs, s.UserID)
 }
 
-// exec runs one compiled rule body in this session's environment.
+// exec runs one compiled rule body in this session's environment and
+// publishes its selections, also those made before an error.
 func (s *Session) exec(p *prml.Plan) (prml.Stats, error) {
-	s.rulesMu.Lock()
-	defer s.rulesMu.Unlock()
 	env := &sessionEnv{s: s}
-	return prml.NewEvaluator(env).ExecPlan(p)
+	defer env.publish()
+	return env.exec(p)
 }
 
 // SelectionResult reports what a SpatialSelect did.
@@ -148,7 +149,9 @@ func (s *Session) SpatialSelect(target string, predicate string) (*SelectionResu
 	}
 	pred := prml.CompileExpr(predExpr)
 
+	// The matches and the tracking rules' selections publish as one phase.
 	env := &sessionEnv{s: s}
+	defer env.publish()
 	ev := prml.NewEvaluator(env)
 	res := &SelectionResult{}
 
@@ -201,7 +204,7 @@ func (s *Session) SpatialSelect(target string, predicate string) (*SelectionResu
 		if !fired {
 			continue
 		}
-		if _, err := s.exec(p); err != nil {
+		if _, err := env.exec(p); err != nil {
 			return nil, err
 		}
 		res.RulesFired = append(res.RulesFired, r.Name)

@@ -8,6 +8,7 @@ import (
 
 	"sdwp/internal/cube"
 	"sdwp/internal/cube/cubetest"
+	"sdwp/internal/prml"
 )
 
 // TestEqualViewsShareMaskAndResults pins what content keys buy: two users
@@ -154,14 +155,14 @@ func TestAppendSelectQueryRandomized(t *testing.T) {
 				case 2:
 					m := rng.Int31n(stores)
 					for _, s := range group {
-						if err := s.View().SelectMember("Store", "Store", m); err != nil {
+						if err := selectDirect(s, prml.Instance{Kind: prml.InstMember, Dimension: "Store", Level: "Store", Index: m}); err != nil {
 							t.Fatal(err)
 						}
 					}
 				case 3:
 					f := rng.Int31n(int32(ds.Cube.FactData("Sales").Len()))
 					for _, s := range group {
-						if err := s.View().SelectFact("Sales", f); err != nil {
+						if err := selectDirect(s, prml.Instance{Kind: prml.InstFact, Fact: "Sales", Index: f}); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -250,4 +251,12 @@ func randomQueries(s *Session, kind int, queries []cube.Query, picks []int) erro
 		}
 	}
 	return nil
+}
+
+// selectDirect adds one instance to the session's view as a rule's
+// SelectInstance action does.
+func selectDirect(s *Session, inst prml.Instance) error {
+	env := &sessionEnv{s: s}
+	defer env.publish()
+	return env.SelectInstance(prml.InstVal(inst))
 }

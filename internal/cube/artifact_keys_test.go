@@ -210,13 +210,13 @@ func FuzzArtifactKeys(f *testing.F) {
 
 		// View keys: a view selecting from g's levels lives in its own
 		// keyspace, beside every key above.
-		v := NewView(c)
+		vb := NewView(c).Builder()
 		for _, l := range []LevelRef{x, y} {
-			if err := v.SelectMember(l.Dimension, l.Level, int32(g)%2); err != nil {
+			if err := vb.SelectMember(l.Dimension, l.Level, int32(g)%2); err != nil {
 				t.Fatal(err)
 			}
 		}
-		vk := v.Key()
+		vk := vb.View().Key()
 		if vk[0] != 'v' || vk == fa.Fingerprint() || vk == fb.Fingerprint() ||
 			slices.Contains(keys, vk) || slices.Contains(gkeys, vk) {
 			t.Fatalf("view key %q: want 'v' first, apart from the fingerprint keyspaces", vk)
@@ -224,100 +224,94 @@ func FuzzArtifactKeys(f *testing.F) {
 	})
 }
 
-// viewOps applies a fuzzed selection program to v and to ref, the
-// reference content it must reach: two bytes per step, a kind and an
-// argument. Kinds select a member of one of keysWarehouse's five levels,
-// select a fact over the whole table, select a fact in a selection first
-// made when the table had 290 facts (as after later ingest: same bits,
-// shorter length), or replace v by its clone. Returns the final view.
-func viewOps(t *testing.T, v *View, ops []byte, ref map[string]map[int]bool, refLen map[string]int) *View {
+// viewOps applies a fuzzed selection program to a builder over an
+// unrestricted view and to ref, the reference content it must reach: two
+// bytes per step, a kind and an argument. Kinds select a member of one of
+// keysWarehouse's five levels, select a fact, or build the view midway
+// and go on with the same builder (6) or one taken from the built view
+// (7). Returns the final view and the ones built midway.
+func viewOps(t *testing.T, c *Cube, ops []byte, ref map[string]map[int]bool) (*View, []*View) {
 	t.Helper()
 	levels := []struct {
 		dim, level string
 		n          int32
 	}{{"Store", "Store", 24}, {"Store", "City", 9}, {"Store", "State", 4}, {"Time", "Day", 6}, {"Time", "Month", 2}}
-	add := func(key string, i, n int) {
+	add := func(key string, i int) {
 		if ref[key] == nil {
-			ref[key], refLen[key] = map[int]bool{}, n
+			ref[key] = map[int]bool{}
 		}
 		ref[key][i] = true
 	}
+	b := NewView(c).Builder()
+	var midway []*View
 	for k := 0; k+1 < len(ops); k += 2 {
 		kind, arg := ops[k]%8, ops[k+1]
 		switch {
 		case int(kind) < len(levels):
 			l := levels[kind]
 			m := int32(arg) % l.n
-			if err := v.SelectMember(l.dim, l.level, m); err != nil {
+			if err := b.SelectMember(l.dim, l.level, m); err != nil {
 				t.Fatal(err)
 			}
-			add(levelKey(l.dim, l.level), int(m), 0)
+			add(levelKey(l.dim, l.level), int(m))
 		case kind == 5:
-			if err := v.SelectFact("Sales", int32(arg)); err != nil {
+			if err := b.SelectFact("Sales", int32(arg)); err != nil {
 				t.Fatal(err)
 			}
-			add("Sales", int(arg), 300)
-		case kind == 6:
-			v.mu.Lock()
-			if v.factMasks["Sales"] == nil {
-				v.factMasks["Sales"] = bitset.New(290)
-			}
-			v.mu.Unlock()
-			if err := v.SelectFact("Sales", int32(arg)); err != nil {
-				t.Fatal(err)
-			}
-			add("Sales", int(arg), 290)
+			add("Sales", int(arg))
 		default:
-			v = v.Clone()
+			v := b.View()
+			midway = append(midway, v)
+			if kind == 7 {
+				b = v.Builder()
+			}
 		}
 	}
-	return v
+	return b.View(), midway
 }
 
 // FuzzViewKey holds View.Key to its contract: two views reach equal
 // canonical bytes exactly when they hold equal content — the same members
-// selected per level, the same facts directly selected with the same
-// selection length — whatever order, repetition or cloning got them
-// there; equal content gives equal keys, and a key starts with the view
-// keyspace's 'v'. The seeds mirror FuzzQueryFingerprint's pairs of one
-// base and one variant: reorderings, re-selections and clones (equal),
-// member sets whose indices print alike, a level's bits on another level
-// or dimension, and a fact selection against the same bits at a shorter
-// length (different).
+// selected per level, the same facts directly selected — whatever order,
+// repetition or midway builds got them there; equal content gives equal
+// keys, a key starts with the view keyspace's 'v', and a view built
+// midway keeps its content and key under its successors' selections. The
+// seeds mirror FuzzQueryFingerprint's pairs of one base and one variant:
+// reorderings, re-selections and midway builds (equal), member sets
+// whose indices print alike, and a level's bits on another level, another
+// dimension or the fact table (different).
 func FuzzViewKey(f *testing.F) {
 	c := keysWarehouse(f)
 	for _, seed := range [][2]string{
 		{"\x01\x03\x00\x05", "\x00\x05\x01\x03"},                 // order
 		{"\x01\x03\x01\x03\x01\x0c", "\x01\x03"},                 // re-selection (12 % 9 = 3)
-		{"\x01\x03\x07\x00\x00\x02", "\x00\x02\x01\x03"},         // clone midway
+		{"\x01\x03\x07\x00\x00\x02", "\x00\x02\x01\x03"},         // built midway
 		{"\x00\x01\x00\x0c", "\x00\x0b\x00\x02"},                 // members {1, 12} and {11, 2} print alike
 		{"\x01\x02", "\x02\x02"},                                 // same bits, other level
 		{"\x01\x02", "\x03\x02"},                                 // same bits, other dimension
-		{"\x05\x07", "\x06\x07"},                                 // same bits, shorter selection
-		{"\x06\x07\x05\x09", "\x05\x09\x06\x07"},                 // length fixed by the first selection
-		{"", "\x07\x00"},                                         // empty vs its clone
+		{"\x05\x07", "\x00\x07"},                                 // same bits, a level instead of the facts
+		{"\x05\x07\x05\x09", "\x05\x09\x06\x00\x05\x07"},         // facts across a midway build, one builder
+		{"", "\x07\x00"},                                         // empty vs built midway
 		{"\x04\x00\x04\x01", "\x04\x01\x07\x00\x04\x00\x04\x00"}, // a full level stays a selection
 	} {
 		f.Add([]byte(seed[0]), []byte(seed[1]))
 	}
 	f.Fuzz(func(t *testing.T, ops1, ops2 []byte) {
-		refA, lenA := map[string]map[int]bool{}, map[string]int{}
-		refB, lenB := map[string]map[int]bool{}, map[string]int{}
-		a := viewOps(t, NewView(c), ops1, refA, lenA)
-		b := viewOps(t, NewView(c), ops2, refB, lenB)
-		same := reflect.DeepEqual(refA, refB) && reflect.DeepEqual(lenA, lenB)
-		a.mu.Lock()
-		bytesA := a.appendContentLocked(nil)
-		a.mu.Unlock()
-		b.mu.Lock()
-		bytesB := b.appendContentLocked(nil)
-		b.mu.Unlock()
-		if same != bytes.Equal(bytesA, bytesB) {
-			t.Fatalf("content equal %v, canonical bytes equal %v:\n%v %v\n%v %v", same, !same, refA, lenA, refB, lenB)
+		refA, refB := map[string]map[int]bool{}, map[string]map[int]bool{}
+		a, midA := viewOps(t, c, ops1, refA)
+		b, midB := viewOps(t, c, ops2, refB)
+		same := reflect.DeepEqual(refA, refB)
+		if same != bytes.Equal(a.appendContent(nil), b.appendContent(nil)) {
+			t.Fatalf("content equal %v, canonical bytes equal %v:\n%v\n%v", same, !same, refA, refB)
 		}
 		ka, kb := a.Key(), b.Key()
-		if same != (ka == kb) || ka[0] != 'v' || a.Clone().Key() != ka {
-			t.Fatalf("content equal %v: keys %x and %x (clone %x)", same, ka, kb, a.Clone().Key())
+		if same != (ka == kb) || ka[0] != 'v' {
+			t.Fatalf("content equal %v: keys %x and %x", same, ka, kb)
+		}
+		for _, v := range append(midA, midB...) {
+			if v.contentKey() != v.Key() {
+				t.Fatal("a later selection reached a view built midway")
+			}
 		}
 	})
 }
@@ -325,20 +319,21 @@ func FuzzViewKey(f *testing.F) {
 // TestSelectionsAfterGrowth pins that a selection made after its level or
 // fact table grew past an earlier selection's capacity extends that
 // selection instead of indexing past it, that the view shows it, and that
-// a level's capacity is not part of the view's content.
+// a selection's capacity is not part of the view's content.
 func TestSelectionsAfterGrowth(t *testing.T) {
 	c := keysWarehouse(t)
-	v := NewView(c)
-	if err := v.SelectFact("Sales", 0); err != nil {
+	b := NewView(c).Builder()
+	if err := b.SelectFact("Sales", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.SelectMember("Store", "State", 0); err != nil {
+	if err := b.SelectMember("Store", "State", 0); err != nil {
 		t.Fatal(err)
 	}
-	early := NewView(c)
+	early := NewView(c).Builder()
 	if err := early.SelectMember("Store", "State", 0); err != nil {
 		t.Fatal(err)
 	}
+	earlyKey := early.View().Key()
 	for i := 0; i < 70; i++ {
 		if err := c.AddFact("Sales", map[string]int32{"Store": 0, "Time": 0}, nil); err != nil {
 			t.Fatal(err)
@@ -353,20 +348,21 @@ func TestSelectionsAfterGrowth(t *testing.T) {
 	}
 	// A selection made over the grown level has more words, but the same
 	// content as one made before, so the same key.
-	fresh := NewView(c)
+	fresh := NewView(c).Builder()
 	if err := fresh.SelectMember("Store", "State", 0); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Key() != early.Key() {
+	if fresh.View().Key() != earlyKey {
 		t.Fatal("equal level selections of different capacities have different keys")
 	}
-	before := v.Key()
-	if err := v.SelectFact("Sales", 360); err != nil {
+	before := b.View().Key()
+	if err := b.SelectFact("Sales", 360); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.SelectMember("Store", "State", state); err != nil {
+	if err := b.SelectMember("Store", "State", state); err != nil {
 		t.Fatal(err)
 	}
+	v := b.View()
 	if v.Key() == before || !v.FactMask("Sales").Test(0) || !v.FactMask("Sales").Test(360) ||
 		!v.LevelMask("Store", "State").Test(int(state)) {
 		t.Fatal("selections past the grown capacity were lost")

@@ -410,21 +410,23 @@ func TestQueryValidation(t *testing.T) {
 
 func TestViewSelection(t *testing.T) {
 	c := testWarehouse(t)
-	v := NewView(c)
-	if v.Materialize("Sales") != nil {
+	base := NewView(c)
+	if base.Materialize("Sales") != nil {
 		t.Fatal("fresh view must be unrestricted")
 	}
-	if !v.FactVisible("Sales", 3) || !v.LevelMask("Store", "City").Test(2) {
+	if !base.FactVisible("Sales", 3) || !base.LevelMask("Store", "City").Test(2) {
 		t.Fatal("unrestricted view must show everything")
 	}
 	// Select the two Alicante stores (s0=0, s1=1).
-	if err := v.SelectMember("Store", "Store", 0); err != nil {
+	b := base.Builder()
+	if err := b.SelectMember("Store", "Store", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.SelectMember("Store", "Store", 1); err != nil {
+	if err := b.SelectMember("Store", "Store", 1); err != nil {
 		t.Fatal(err)
 	}
-	if v.Materialize("Sales") == nil {
+	v := b.View()
+	if v.Materialize("Sales") == nil || base.Materialize("Sales") != nil {
 		t.Fatal("view should be restricted")
 	}
 	res, err := c.Execute(Query{
@@ -460,11 +462,12 @@ func visibleFacts(v *View, fact string) int {
 
 func TestViewLevelMaskAtCoarserLevel(t *testing.T) {
 	c := testWarehouse(t)
-	v := NewView(c)
+	b := NewView(c).Builder()
 	// Select the City "MadridCity" (index 2): only s3,s4 facts remain.
-	if err := v.SelectMember("Store", "City", 2); err != nil {
+	if err := b.SelectMember("Store", "City", 2); err != nil {
 		t.Fatal(err)
 	}
+	v := b.View()
 	res, err := c.Execute(Query{
 		Fact:       "Sales",
 		Aggregates: []MeasureAgg{{Measure: "UnitSales", Agg: AggSum}},
@@ -479,51 +482,59 @@ func TestViewLevelMaskAtCoarserLevel(t *testing.T) {
 
 func TestViewFactMask(t *testing.T) {
 	c := testWarehouse(t)
-	v := NewView(c)
-	if err := v.SelectFact("Sales", 0); err != nil {
+	b := NewView(c).Builder()
+	if err := b.SelectFact("Sales", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.SelectFact("Sales", 5); err != nil {
+	if err := b.SelectFact("Sales", 5); err != nil {
 		t.Fatal(err)
 	}
+	v := b.View()
 	if got := visibleFacts(v, "Sales"); got != 2 {
 		t.Fatalf("visible = %d", got)
 	}
 	// Combined with a level mask: intersection semantics.
-	if err := v.SelectMember("Store", "Store", 1); err != nil { // s1 only
+	if err := b.SelectMember("Store", "Store", 1); err != nil { // s1 only
 		t.Fatal(err)
 	}
-	if got := visibleFacts(v, "Sales"); got != 0 {
+	if got := visibleFacts(b.View(), "Sales"); got != 0 {
 		t.Fatalf("intersected visible = %d", got)
 	}
 }
 
-func TestViewValidationAndClone(t *testing.T) {
+func TestViewValidationAndBuilder(t *testing.T) {
 	c := testWarehouse(t)
-	v := NewView(c)
-	if err := v.SelectMember("Ghost", "X", 0); err == nil {
+	b := NewView(c).Builder()
+	if err := b.SelectMember("Ghost", "X", 0); err == nil {
 		t.Error("unknown dimension")
 	}
-	if err := v.SelectMember("Store", "Ghost", 0); err == nil {
+	if err := b.SelectMember("Store", "Ghost", 0); err == nil {
 		t.Error("unknown level")
 	}
-	if err := v.SelectMember("Store", "Store", 99); err == nil {
+	if err := b.SelectMember("Store", "Store", 99); err == nil {
 		t.Error("out-of-range member")
 	}
-	if err := v.SelectFact("Ghost", 0); err == nil {
+	if err := b.SelectFact("Ghost", 0); err == nil {
 		t.Error("unknown fact")
 	}
-	if err := v.SelectFact("Sales", 99); err == nil {
+	if err := b.SelectFact("Sales", 99); err == nil {
 		t.Error("out-of-range fact")
 	}
-	_ = v.SelectMember("Store", "Store", 0)
-	cl := v.Clone()
-	_ = cl.SelectMember("Store", "Store", 1)
-	if v.LevelMask("Store", "Store").Test(1) {
-		t.Error("clone selection leaked into source")
+	if v := b.View(); v != b.View() || v.LevelMask("Store", "Store") != nil {
+		t.Error("failed selections built a new view")
 	}
-	if !cl.LevelMask("Store", "Store").Test(0) {
-		t.Error("clone lost source selection")
+	_ = b.SelectMember("Store", "Store", 0)
+	v := b.View()
+	key := v.Key()
+	nb := v.Builder()
+	_ = nb.SelectMember("Store", "Store", 1)
+	_ = nb.SelectFact("Sales", 2)
+	w := nb.View()
+	if v.LevelMask("Store", "Store").Test(1) || v.FactMask("Sales") != nil || v.Key() != key {
+		t.Error("a builder altered its base")
+	}
+	if !w.LevelMask("Store", "Store").Test(0) || !w.FactMask("Sales").Test(2) {
+		t.Error("a builder lost its base's selection")
 	}
 	if v.FactVisible("Ghost", 0) {
 		t.Error("unknown fact never visible")

@@ -242,9 +242,7 @@ func (p *queryPlan) fillFilterMask(n int, m, scratch, view *bitset.Set, preds ma
 
 // intersectView sets dst to src ∩ view over the table's first len(src)
 // words (dst and src cover the same words and may alias). Facts past the
-// view's length are invisible, as they are to a walk of its set bits: a
-// view mask shorter than the table (a direct fact selection taken before
-// AddFact grew it) is ANDed over its own length.
+// view's length are invisible, as they are to a walk of its set bits.
 func intersectView(dst, src []uint64, view *bitset.Set) {
 	vw := view.Words()
 	for i, w := range src {

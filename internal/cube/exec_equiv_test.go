@@ -112,10 +112,10 @@ func randomView(rng *rand.Rand, c *cube.Cube, cfg datagen.Config) *cube.View {
 	if rng.Intn(3) == 0 {
 		return nil
 	}
-	v := cube.NewView(c)
+	b := cube.NewView(c).Builder()
 	pick := func(dim, level string, max, n int) {
 		for i := 0; i < n; i++ {
-			if err := v.SelectMember(dim, level, int32(rng.Intn(max))); err != nil {
+			if err := b.SelectMember(dim, level, int32(rng.Intn(max))); err != nil {
 				panic(err)
 			}
 		}
@@ -133,12 +133,12 @@ func randomView(rng *rand.Rand, c *cube.Cube, cfg datagen.Config) *cube.View {
 	}
 	if rng.Intn(4) == 0 {
 		for i := 0; i < 50; i++ {
-			if err := v.SelectFact("Sales", int32(rng.Intn(cfg.Sales))); err != nil {
+			if err := b.SelectFact("Sales", int32(rng.Intn(cfg.Sales))); err != nil {
 				panic(err)
 			}
 		}
 	}
-	return v
+	return b.View()
 }
 
 // sameAnswer compares two Results ignoring the Cost vector: cost
@@ -416,10 +416,11 @@ func TestExecuteBatchValidation(t *testing.T) {
 
 	// A batch mixing facts... the schema has one fact, so instead check a
 	// batch mixing personalized and baseline views of the same query.
-	v := cube.NewView(ds.Cube)
-	if err := v.SelectMember("Store", "City", 0); err != nil {
+	b := cube.NewView(ds.Cube).Builder()
+	if err := b.SelectMember("Store", "City", 0); err != nil {
 		t.Fatal(err)
 	}
+	v := b.View()
 	batch, err := ds.Cube.ExecuteBatch([]cube.Query{good, good}, []*cube.View{v, nil}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -565,9 +566,9 @@ func TestPredicateBitmapCountsCachedSets(t *testing.T) {
 			}
 		}
 	}
-	tiny := cube.NewView(ds.Cube)
+	tinyB := cube.NewView(ds.Cube).Builder()
 	for i := int32(0); i < 10; i++ {
-		if err := tiny.SelectFact("Sales", i*97); err != nil {
+		if err := tinyB.SelectFact("Sales", i*97); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -576,6 +577,7 @@ func TestPredicateBitmapCountsCachedSets(t *testing.T) {
 	}
 	qs = append(batch(mk(30), mk(50)), sparseQ(shared, mk(60)))
 	vs := make([]*cube.View, len(qs))
+	tiny := tinyB.View()
 	vs[len(qs)-1] = tiny
 	want = reference(ds.Cube, qs, vs)
 	for run := 0; run < 2; run++ { // the doorkeeper admits shared on the second offer

@@ -76,27 +76,27 @@ func ownMaskQuery(rng *rand.Rand, preds []cube.AttrFilter) cube.Query {
 func ownMaskViews(t *testing.T, rng *rand.Rand, c *cube.Cube) []*cube.View {
 	t.Helper()
 	n := c.FactData("Sales").Len()
-	dense := cube.NewView(c)
+	dense := cube.NewView(c).Builder()
 	if err := dense.SelectMember("Product", "Family", 1); err != nil {
 		t.Fatal(err)
 	}
 	facts := func(count int) *cube.View {
-		v := cube.NewView(c)
+		b := cube.NewView(c).Builder()
 		for _, i := range rng.Perm(n)[:count] {
-			if err := v.SelectFact("Sales", int32(i)); err != nil {
+			if err := b.SelectFact("Sales", int32(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return v
+		return b.View()
 	}
 	below := (n - 1) / cube.SparseViewK // the largest count still sparse
-	stores := cube.NewView(c)
+	stores := cube.NewView(c).Builder()
 	for _, s := range []int32{3, 40, 77} {
 		if err := stores.SelectMember("Store", "Store", s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	vs := []*cube.View{nil, dense, facts(below), facts(below + 1), stores}
+	vs := []*cube.View{nil, dense.View(), facts(below), facts(below + 1), stores.View()}
 	for i, wantSparse := range []bool{false, false, true, false, true} {
 		if vs[i] == nil {
 			continue
@@ -246,13 +246,13 @@ func TestStage1PricingRule(t *testing.T) {
 	sparse := ownMaskViews(t, rng, c)[2]
 	// B's two users together still see fewer than n/SparseViewK facts.
 	tiny := func() *cube.View {
-		v := cube.NewView(c)
+		b := cube.NewView(c).Builder()
 		for _, i := range rng.Perm(n)[:n/(4*cube.SparseViewK)] {
-			if err := v.SelectFact("Sales", int32(i)); err != nil {
+			if err := b.SelectFact("Sales", int32(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return v
+		return b.View()
 	}
 	sum := []cube.MeasureAgg{{Measure: "UnitSales", Agg: cube.AggSum}}
 	city := []cube.LevelRef{{Dimension: "Store", Level: "City"}}
@@ -330,10 +330,11 @@ func TestOwnMaskAcrossAddFact(t *testing.T) {
 	}
 	c := ds.Cube
 	p := ownMaskPredicates()
-	v := cube.NewView(c)
-	if err := v.SelectMember("Product", "Family", 2); err != nil {
+	b := cube.NewView(c).Builder()
+	if err := b.SelectMember("Product", "Family", 2); err != nil {
 		t.Fatal(err)
 	}
+	v := b.View()
 	qs := []cube.Query{
 		{Fact: "Sales", GroupBy: []cube.LevelRef{{Dimension: "Store", Level: "City"}},
 			Aggregates: []cube.MeasureAgg{{Measure: "UnitSales", Agg: cube.AggSum}},

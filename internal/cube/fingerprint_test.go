@@ -239,8 +239,8 @@ func TestExecuteBatchCompiled(t *testing.T) {
 
 // TestViewKeyFollowsContent checks the cache-key substrate: fresh views
 // share one key, every selection that changes the content (member and
-// fact) changes it, failed and repeated selections do not, and a clone
-// keeps its original's key until one of them diverges.
+// fact) changes it, failed and repeated selections do not, and the view
+// a builder was taken from keeps its key.
 func TestViewKeyFollowsContent(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Config{
 		Seed: 1, States: 3, Cities: 6, Stores: 12, Customers: 10,
@@ -256,31 +256,25 @@ func TestViewKeyFollowsContent(t *testing.T) {
 	if fresh != v2.Key() || fresh[0] != 'v' {
 		t.Fatalf("fresh view keys %x and %x: want equal, starting with 'v'", fresh, v2.Key())
 	}
+	b := v1.Builder()
 	prev, seen := fresh, map[string]bool{fresh: true}
 	step := func(what string, err error, changes bool) {
 		t.Helper()
-		k := v1.Key()
+		k := b.View().Key()
 		if (k != prev) != changes || (changes && seen[k]) {
 			t.Fatalf("%s (err %v): key %x after %x, want changed %v to a new key", what, err, k, prev, changes)
 		}
 		prev, seen[k] = k, true
 	}
-	step("member selection", v1.SelectMember("Store", "City", 0), true)
-	step("fact selection", v1.SelectFact("Sales", 0), true)
-	step("repeated member selection", v1.SelectMember("Store", "City", 0), false)
-	if err := v1.SelectMember("Store", "City", 10_000); err == nil {
+	step("member selection", b.SelectMember("Store", "City", 0), true)
+	step("fact selection", b.SelectFact("Sales", 0), true)
+	step("repeated member selection", b.SelectMember("Store", "City", 0), false)
+	if err := b.SelectMember("Store", "City", 10_000); err == nil {
 		t.Fatal("out-of-range member accepted")
 	}
 	step("failed selection", nil, false)
-	c := v1.Clone()
-	if c.Key() != v1.Key() {
-		t.Fatalf("clone key %x, want %x", c.Key(), v1.Key())
-	}
-	if err := c.SelectMember("Store", "City", 1); err != nil {
-		t.Fatal(err)
-	}
-	if c.Key() == v1.Key() {
-		t.Error("diverged clone kept its original's key")
+	if v1.Key() != fresh {
+		t.Fatal("selections reached the view the builder was taken from")
 	}
 }
 
@@ -415,10 +409,11 @@ func FuzzQueryFingerprint(f *testing.F) {
 		f.Fatal(err)
 	}
 	c := ds.Cube
-	v := cube.NewView(c)
-	if err := v.SelectMember("Store", "City", 0); err != nil {
+	b := cube.NewView(c).Builder()
+	if err := b.SelectMember("Store", "City", 0); err != nil {
 		f.Fatal(err)
 	}
+	v := b.View()
 	f.Fuzz(func(t *testing.T, base uint8, patch string) {
 		var qa, qb cube.Query
 		a := []byte(bases[int(base)%len(bases)])

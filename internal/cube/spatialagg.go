@@ -53,11 +53,9 @@ func (c *Cube) SpatialSummary(dim, level, groupLevel string, v *View) ([]Spatial
 		return nil, fmt.Errorf("cube: level %s.%s has no geometry", dim, level)
 	}
 	groupLd := dd.levels[to]
-	// The view's selection for the level, read once.
-	var sel []uint64
-	restricted := false
+	var sel *bitset.Set
 	if v != nil {
-		sel, restricted = v.AppendLevelSelection(nil, dim, level)
+		sel = v.LevelMask(dim, level)
 	}
 
 	type acc struct {
@@ -73,7 +71,7 @@ func (c *Cube) SpatialSummary(dim, level, groupLevel string, v *View) ([]Spatial
 		if g == nil {
 			continue
 		}
-		if restricted && !bitset.TestWords(sel, int(i)) {
+		if !sel.Test(int(i)) {
 			continue
 		}
 		anc := dd.Ancestor(from, to, i)

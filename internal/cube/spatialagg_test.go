@@ -72,9 +72,10 @@ func TestSpatialSummaryAtCoarserLevels(t *testing.T) {
 
 func TestSpatialSummaryHonoursView(t *testing.T) {
 	c := testWarehouse(t)
-	v := NewView(c)
-	_ = v.SelectMember("Store", "Store", 0)
-	_ = v.SelectMember("Store", "Store", 3)
+	b := NewView(c).Builder()
+	_ = b.SelectMember("Store", "Store", 0)
+	_ = b.SelectMember("Store", "Store", 3)
+	v := b.View()
 	rows, err := c.SpatialSummary("Store", "Store", "City", v)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"sdwp/internal/bitset"
 )
@@ -20,25 +19,19 @@ import (
 // and with the fact mask (a fact is visible only if every constrained
 // coordinate is selected).
 //
-// A View is safe for concurrent use: queries may run while the session
-// mutates the view through new selections. A query that races with a
-// selection sees either the view before or after that selection — never a
-// torn state — because executors work from the immutable mask
-// Materialize returns at query start (and the scheduler scans a Clone
-// taken at admission).
+// A View is a value: it never changes once built. Selections go through a
+// ViewBuilder taken from a view (Builder), whose View call returns a new
+// View and computes its content key once. So any number of goroutines may
+// read a view and its masks without a lock, a query sees exactly the
+// content its view's key names, and a session moves to new content by
+// replacing its view.
 type View struct {
 	cube *Cube
-
-	// mu guards the selections and the cached key. Level/fact masks
-	// returned by the accessors are live sets: they must not be read
-	// concurrently with new selections on the same view.
-	mu sync.RWMutex
 	// levelMasks maps "Dim.Level" to the selected members of that level.
 	levelMasks map[string]*bitset.Set
 	// factMasks maps fact names to directly selected fact instances.
 	factMasks map[string]*bitset.Set
-	// key caches Key; every mutation clears it.
-	key string
+	key       string
 }
 
 // viewKeyPrefix starts every view key, apart from the artifact caches'
@@ -47,40 +40,30 @@ const viewKeyPrefix = "v"
 
 // NewView returns an unrestricted view over the cube.
 func NewView(c *Cube) *View {
-	return &View{
-		cube:       c,
-		levelMasks: map[string]*bitset.Set{},
-		factMasks:  map[string]*bitset.Set{},
-	}
+	v := &View{cube: c}
+	v.key = v.contentKey()
+	return v
 }
 
 // Key returns the view's content key: viewKeyPrefix and the SHA-256 of
-// its canonical bytes (appendContentLocked), computed once after a
-// mutation. Views with equal selections have equal keys, whatever session
-// made them in whatever order, so the key names a view state in the
-// result cache, the artifact cache (Materialize) and the shard splits.
-func (v *View) Key() string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.keyLocked()
+// its canonical bytes (appendContent). Views with equal selections have
+// equal keys, whatever session made them in whatever order, so the key
+// names a view state in the result cache, the artifact cache
+// (Materialize) and the shard splits.
+func (v *View) Key() string { return v.key }
+
+func (v *View) contentKey() string {
+	var buf [512]byte // a login's selections fit: 2 000 stores are 250 B
+	sum := sha256.Sum256(v.appendContent(buf[:0]))
+	return viewKeyPrefix + string(sum[:])
 }
 
-// keyLocked is Key. Callers hold v.mu (write).
-func (v *View) keyLocked() string {
-	if v.key == "" {
-		sum := sha256.Sum256(v.appendContentLocked(nil))
-		v.key = viewKeyPrefix + string(sum[:])
-	}
-	return v.key
-}
-
-// appendContentLocked appends the view's canonical bytes: level
-// selections, then direct fact selections, each in sorted order of its
-// map key ("Dim.Level" or the fact name) as a tag, the length-prefixed
-// key, for a fact selection its length, and the mask's words up to its
-// last non-zero one (a level that grew since its first selection keeps
-// its content). Callers hold v.mu.
-func (v *View) appendContentLocked(b []byte) []byte {
+// appendContent appends the view's canonical bytes: level selections,
+// then direct fact selections, each in sorted order of its map key
+// ("Dim.Level" or the fact name) as a tag, the length-prefixed key and
+// the mask's words up to its last non-zero one (a selection made before
+// its level or table grew keeps its content).
+func (v *View) appendContent(b []byte) []byte {
 	for _, sel := range [...]struct {
 		tag   byte
 		masks map[string]*bitset.Set
@@ -91,12 +74,8 @@ func (v *View) appendContentLocked(b []byte) []byte {
 		}
 		slices.Sort(keys)
 		for _, k := range keys {
-			m := sel.masks[k]
 			b = append(binary.AppendUvarint(append(b, sel.tag), uint64(len(k))), k...)
-			if sel.tag == 'F' {
-				b = binary.AppendUvarint(b, uint64(m.Len()))
-			}
-			words := m.Words()
+			words := sel.masks[k].Words()
 			for len(words) > 0 && words[len(words)-1] == 0 {
 				words = words[:len(words)-1]
 			}
@@ -111,68 +90,133 @@ func (v *View) appendContentLocked(b []byte) []byte {
 
 func levelKey(dim, level string) string { return dim + "." + level }
 
-// SelectMember adds one member of a level to the view's selection. The
-// first selection on a level restricts the level to exactly the selected
+// ViewBuilder adds selections to a base view without changing it. The
+// first write to a level or fact selection copies that one set; the
+// others stay shared with the base. A builder is not safe for concurrent
+// use.
+type ViewBuilder struct {
+	base *View
+	// levels and facts hold the selections written since base: full
+	// copies of base's sets with the new bits, owned by the builder.
+	levels map[string]*bitset.Set
+	facts  map[string]*bitset.Set
+}
+
+// Builder returns a builder over the view's selections.
+func (v *View) Builder() *ViewBuilder { return &ViewBuilder{base: v} }
+
+// SelectMember adds one member of a level to the selection. The first
+// selection on a level restricts the level to exactly the selected
 // members; later selections extend the set.
-func (v *View) SelectMember(dim, level string, member int32) error {
-	ld, err := v.cube.levelData(dim, level)
+func (b *ViewBuilder) SelectMember(dim, level string, member int32) error {
+	ld, err := b.base.cube.levelData(dim, level)
 	if err != nil {
 		return err
 	}
 	if member < 0 || int(member) >= ld.Len() {
 		return fmt.Errorf("cube: member %d out of range for %s.%s", member, dim, level)
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if selectBit(v.levelMasks, levelKey(dim, level), int(member), ld.Len()) {
-		v.key = ""
-	}
+	b.levels = selectBit(b.levels, b.base.levelMasks, levelKey(dim, level), int(member), ld.Len())
 	return nil
 }
 
-// SelectFact adds one fact instance to the view's fact selection.
-func (v *View) SelectFact(fact string, idx int32) error {
-	fd := v.cube.facts[fact]
+// SelectFact adds one fact instance to the fact selection.
+func (b *ViewBuilder) SelectFact(fact string, idx int32) error {
+	fd := b.base.cube.facts[fact]
 	if fd == nil {
 		return fmt.Errorf("cube: unknown fact %q", fact)
 	}
 	if idx < 0 || int(idx) >= fd.n {
 		return fmt.Errorf("cube: fact index %d out of range for %q", idx, fact)
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if selectBit(v.factMasks, fact, int(idx), fd.n) {
-		v.key = ""
-	}
+	b.facts = selectBit(b.facts, b.base.factMasks, fact, int(idx), fd.n)
 	return nil
 }
 
-// selectBit sets bit i of masks[key], creating the selection with
-// capacity n or regrowing it to n when its level or table grew since, and
-// reports whether the content changed. Callers hold v.mu.
-func selectBit(masks map[string]*bitset.Set, key string, i, n int) bool {
-	m := masks[key]
-	if m != nil && m.Test(i) {
-		return false
-	}
-	if i >= m.Len() {
-		grown := bitset.New(n)
-		m.ForEach(func(j int) bool {
-			grown.Set(j)
-			return true
-		})
-		m = grown
-		masks[key] = m
+// selectBit sets bit i of the builder's selection key, whose level or
+// table has n entries: a bit the base already holds needs no write, and
+// the first write copies the base's set (or starts an empty one) at
+// capacity n, as does one past a capacity the level or table has since
+// outgrown. It returns own, allocated on first use.
+func selectBit(own, base map[string]*bitset.Set, key string, i, n int) map[string]*bitset.Set {
+	m := own[key]
+	if m == nil {
+		if bm := base[key]; bm != nil && bm.Test(i) {
+			return own
+		}
+		m = resized(base[key], n)
+		if own == nil {
+			own = map[string]*bitset.Set{}
+		}
+		own[key] = m
+	} else if i >= m.Len() {
+		m = resized(m, n)
+		own[key] = m
 	}
 	m.Set(i)
-	return true
+	return own
+}
+
+// resized returns a copy of m (nil copies as empty) at capacity n ≥ m.Len().
+func resized(m *bitset.Set, n int) *bitset.Set {
+	out := bitset.New(n)
+	copy(out.Words(), m.Words())
+	return out
+}
+
+// View returns the view holding the base's selections and the builder's,
+// the base itself when nothing was selected. The builder then continues
+// from the returned view: later selections copy again and never reach it.
+func (b *ViewBuilder) View() *View { return b.Onto(b.base) }
+
+// Onto returns cur with the selections written to the builder since it
+// was taken or last built ORed in (cur itself when there are none): the
+// built view when cur is the builder's base. Selections only add, so two
+// builders taken from one view and built onto each other's results lose
+// neither's selections. The builder then continues from the returned
+// view.
+func (b *ViewBuilder) Onto(cur *View) *View {
+	if len(b.levels) == 0 && len(b.facts) == 0 {
+		b.base = cur
+		return cur
+	}
+	v := &View{cube: cur.cube, levelMasks: union(cur.levelMasks, b.levels), factMasks: union(cur.factMasks, b.facts)}
+	v.key = v.contentKey()
+	b.base, b.levels, b.facts = v, nil, nil
+	return v
+}
+
+// union returns cur's selections with each of own's sets, ORed with
+// cur's, in its place. own's sets pass to the result.
+func union(cur, own map[string]*bitset.Set) map[string]*bitset.Set {
+	if len(own) == 0 {
+		return cur
+	}
+	out := make(map[string]*bitset.Set, len(cur)+len(own))
+	for k, m := range cur {
+		out[k] = m
+	}
+	for k, m := range own {
+		if c := cur[k]; c != nil {
+			if c.Len() > m.Len() {
+				m = resized(m, c.Len())
+			}
+			w := m.Words()
+			for i, x := range c.Words() {
+				w[i] |= x
+			}
+		}
+		out[k] = m
+	}
+	return out
 }
 
 // Materialize returns the combined, immutable visibility mask of one fact
-// table (nil when the view leaves it unrestricted), cached in the table's
-// artifact cache under the view's Key and the table's Version: views with
-// equal selections share one build. Level selections admit appended rows;
-// direct fact selections (SelectFact) do not, since they name rows.
+// table (nil when the view leaves it unrestricted), sized at the table's
+// length and cached in the table's artifact cache under the view's Key
+// and the table's Version: views with equal selections share one build.
+// Level selections admit appended rows; direct fact selections
+// (SelectFact) do not, since they name rows.
 //
 // A miss builds the mask from the fact table's member→facts postings
 // (postings.go), so it costs O(visible facts × constrained dimensions),
@@ -184,20 +228,15 @@ func selectBit(masks map[string]*bitset.Set, key string, i, n int) bool {
 // admitted and the direct fact mask holds it.
 func (v *View) Materialize(fact string) *bitset.Set {
 	fd := v.cube.facts[fact]
-	if fd == nil {
+	if fd == nil || !v.restricts(fd) {
 		return nil
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if !v.restrictsLocked(fd) {
-		return nil
-	}
-	key, version := v.keyLocked(), fd.Version()
-	if e := fd.artifacts.get(key, version); e != nil {
+	version := fd.Version()
+	if e := fd.artifacts.get(v.key, version); e != nil {
 		return e.mask
 	}
-	m := v.materializeLocked(fd)
-	fd.offerMask(version, key, m)
+	m := v.materialize(fd)
+	fd.offerMask(version, v.key, m)
 	return m
 }
 
@@ -211,9 +250,8 @@ type dimFilter struct {
 	rows    int // fact rows of the admitted members
 }
 
-// materializeLocked builds the visibility mask of a restricted fact table.
-// Callers hold v.mu.
-func (v *View) materializeLocked(fd *FactData) *bitset.Set {
+// materialize builds the visibility mask of a restricted fact table.
+func (v *View) materialize(fd *FactData) *bitset.Set {
 	fm := v.factMasks[fd.fact.Name]
 	var dims []*dimFilter
 	for key, mask := range v.levelMasks {
@@ -246,7 +284,7 @@ func (v *View) materializeLocked(fd *FactData) *bitset.Set {
 		if fm == nil {
 			return bitset.Full(fd.n)
 		}
-		return fm.Clone()
+		return resized(fm, fd.n)
 	}
 	driver := 0
 	for i, f := range dims {
@@ -259,18 +297,12 @@ func (v *View) materializeLocked(fd *FactData) *bitset.Set {
 			driver = i
 		}
 	}
-	// A direct fact selection taken before later ingest is shorter than the
-	// table; the mask keeps its capacity (facts past it are not visible).
-	size := fd.n
-	if fm != nil {
-		size = fm.Len()
-	}
-	out := bitset.New(size)
+	out := bitset.New(fd.n)
 	d := dims[driver]
 	others := append(dims[:driver:driver], dims[driver+1:]...)
 	d.allowed.ForEach(func(j int) bool {
 		for _, r := range d.post.member(j) {
-			if int(r) >= size {
+			if int(r) >= fd.n {
 				break // rows ascend
 			}
 			if fm != nil && !fm.Test(int(r)) {
@@ -292,9 +324,8 @@ func (v *View) materializeLocked(fd *FactData) *bitset.Set {
 	return out
 }
 
-// restrictsLocked reports whether any selection constrains the fact.
-// Callers hold v.mu.
-func (v *View) restrictsLocked(fd *FactData) bool {
+// restricts reports whether any selection constrains the fact.
+func (v *View) restricts(fd *FactData) bool {
 	if v.factMasks[fd.fact.Name] != nil {
 		return true
 	}
@@ -307,47 +338,20 @@ func (v *View) restrictsLocked(fd *FactData) bool {
 	return false
 }
 
-// LevelMask returns the mask for a level (nil = unrestricted). The
-// returned set is live: do not read it concurrently with new selections.
+// LevelMask returns the selection of a level (nil = unrestricted).
 func (v *View) LevelMask(dim, level string) *bitset.Set {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
 	return v.levelMasks[levelKey(dim, level)]
 }
 
-// FactMask returns the mask for a fact (nil = unrestricted).
+// FactMask returns the direct selection of a fact (nil = unrestricted).
 func (v *View) FactMask(fact string) *bitset.Set {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
 	return v.factMasks[fact]
-}
-
-// AppendLevelSelection appends the words of the level's selection mask
-// (bitset word layout: member i is bit i%64 of word i/64) to dst, read
-// once under the view's lock, and reports whether the level is
-// restricted; an unrestricted level appends nothing. A caller testing many
-// members so reads one selection state, at one lock for the level instead
-// of one per member, and later selections do not touch its copy.
-func (v *View) AppendLevelSelection(dst []uint64, dim, level string) ([]uint64, bool) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	m := v.levelMasks[levelKey(dim, level)]
-	if m == nil {
-		return dst, false
-	}
-	return append(dst, m.Words()...), true
 }
 
 // FactVisible reports whether fact instance idx passes the fact mask and
 // every level mask (its coordinates' ancestors must be selected at each
 // constrained level).
 func (v *View) FactVisible(fact string, idx int32) bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.factVisibleLocked(fact, idx)
-}
-
-func (v *View) factVisibleLocked(fact string, idx int32) bool {
 	fd := v.cube.facts[fact]
 	if fd == nil {
 		return false
@@ -371,21 +375,4 @@ func (v *View) factVisibleLocked(fact string, idx int32) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns an independent copy of the view's selections. It has the
-// original's content, so it shares the original's key and every entry
-// cached under it.
-func (v *View) Clone() *View {
-	c := NewView(v.cube)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c.key = v.keyLocked()
-	for k, m := range v.levelMasks {
-		c.levelMasks[k] = m.Clone()
-	}
-	for k, m := range v.factMasks {
-		c.factMasks[k] = m.Clone()
-	}
-	return c
 }

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 
-	"sdwp/internal/bitset"
 	"sdwp/internal/core"
 	"sdwp/internal/cube"
 	"sdwp/internal/geom"
@@ -52,7 +51,7 @@ func AppendSession(dst []byte, s *core.Session, opts Options) ([]byte, error) {
 	e := encoder{tol: opts.SimplifyTolerance}
 	dst = append(dst, `{"type":"FeatureCollection","features":[`...)
 	start := len(dst)
-	err := walk(s, opts.SelectedOnly, func(f *feature) error {
+	err := walk(s, s.View(), opts.SelectedOnly, func(f *feature) error {
 		if len(dst) > start {
 			dst = append(dst, ',')
 		}
@@ -290,15 +289,14 @@ type feature struct {
 // layers its schema rules admitted, the members of the spatial levels its
 // schema rules promoted, the decision maker's location context — so
 // GeoJSON encodes from it and SVG draws from it without a round trip
-// through the wire form. The feature passed to visit is reused. Each
-// level's selection is read once, as a copy, so a walk racing a selection
-// draws every level from one selection state.
-func walk(s *core.Session, selectedOnly bool, visit func(*feature) error) error {
+// through the wire form. The feature passed to visit is reused. A member
+// is selected when view, a view of the session, selects it; a view never
+// changes, so a walk racing a selection draws every level from one
+// selection state.
+func walk(s *core.Session, view *cube.View, selectedOnly bool, visit func(*feature) error) error {
 	schema := s.Schema()
 	c := s.Engine().Cube()
 	var f feature
-	// A level's selection copy: 4 096 members fit on the stack.
-	var selBuf [64]uint64
 
 	// Thematic layers the user's schema rules admitted.
 	for _, layer := range schema.Layers() {
@@ -316,7 +314,6 @@ func walk(s *core.Session, selectedOnly bool, visit func(*feature) error) error 
 	}
 
 	// Spatial levels the user's schema rules promoted.
-	view := s.View()
 	for _, qualified := range schema.SpatialLevels() {
 		dim, level := splitQualified(qualified)
 		dd := c.Dimension(dim)
@@ -327,14 +324,14 @@ func walk(s *core.Session, selectedOnly bool, visit func(*feature) error) error 
 		if ld == nil {
 			continue
 		}
-		sel, restricted := view.AppendLevelSelection(selBuf[:0], dim, level)
+		sel := view.LevelMask(dim, level)
 		f = feature{kind: kindMember, dim: dim, level: level, members: ld}
 		for i := int32(0); int(i) < ld.Len(); i++ {
 			g := ld.Geometry(i)
 			if g == nil {
 				continue
 			}
-			selected := restricted && bitset.TestWords(sel, int(i))
+			selected := sel != nil && sel.Test(int(i))
 			if selectedOnly && !selected {
 				continue
 			}

@@ -578,10 +578,8 @@ func TestConcurrentExport(t *testing.T) {
 // GeoJSON while the same session runs a fixed sequence of selections,
 // under the race detector in scripts/stress.sh. Every body must be the
 // reference render of one of the sequence's selection states: an export
-// reads each level's selection once, so a selection landing mid-export
-// cannot tear it. (Each step selects one store: a SpatialSelect applies
-// its matches one SelectInstance at a time, so it passes through states
-// of its own.)
+// reads one view of the session, so a selection landing mid-export
+// cannot tear it.
 func TestConcurrentExportDuringSelect(t *testing.T) {
 	e, ds := exportEngine(t, airportRule+trainRule)
 	loc := ds.CityLocs[3]
@@ -612,9 +610,15 @@ func TestConcurrentExportDuringSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each step selects one store by name.
+	selectStore := func(s *core.Session, m int32) error {
+		name := e.Cube().Dimension("Store").LevelAt(0).Name(m)
+		_, err := s.SpatialSelect("GeoMD.Store", fmt.Sprintf("GeoMD.Store.name = '%s'", name))
+		return err
+	}
 	states := []state{render(ref)}
 	for _, m := range stores {
-		if err := ref.View().SelectMember("Store", "Store", m); err != nil {
+		if err := selectStore(ref, m); err != nil {
 			t.Fatal(err)
 		}
 		states = append(states, render(ref))
@@ -683,7 +687,7 @@ func TestConcurrentExportDuringSelect(t *testing.T) {
 			for seen := exports.Load(); exports.Load() < seen+2 && len(errs) == 0; {
 				runtime.Gosched()
 			}
-			if err := s.View().SelectMember("Store", "Store", m); err != nil {
+			if err := selectStore(s, m); err != nil {
 				t.Error(err)
 				break
 			}

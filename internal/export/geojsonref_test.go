@@ -48,7 +48,7 @@ func refSession(s *core.Session, opts Options) ([]byte, error) {
 // refCollection is the FeatureCollection the old export.Session built.
 func refCollection(s *core.Session, opts Options) (*refFeatureCollection, error) {
 	fc := &refFeatureCollection{Type: "FeatureCollection", Features: []refFeature{}}
-	err := walk(s, opts.SelectedOnly, func(f *feature) error {
+	err := walk(s, s.View(), opts.SelectedOnly, func(f *feature) error {
 		raw, err := refMarshalGeometry(geom.Simplify(f.g, opts.SimplifyTolerance))
 		if err != nil {
 			return err

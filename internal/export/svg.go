@@ -44,10 +44,8 @@ func SessionSVG(s *core.Session, opts SVGOptions) (string, error) {
 //
 // It walks the features twice, once for the data bounds and once to draw,
 // and keeps none of them in between, only what simplification made (see
-// simplified). Both walks yield the same features: of what an export
-// reads, only the selection may change under it, and the bounds do not
-// depend on the selection. The map shows the selection the second walk
-// reads.
+// simplified). Both walks read one view of the session, so they yield
+// the same features with the same selection state.
 func AppendSessionSVG(dst []byte, s *core.Session, opts SVGOptions) ([]byte, error) {
 	if opts.Width <= 0 {
 		opts.Width = 800
@@ -56,7 +54,8 @@ func AppendSessionSVG(dst []byte, s *core.Session, opts SVGOptions) ([]byte, err
 	bounds := geom.EmptyRect()
 	var user geom.Point // where the crosshair goes, if located
 	located := false
-	err := walk(s, false, func(f *feature) error {
+	view := s.View()
+	err := walk(s, view, false, func(f *feature) error {
 		r, ok := simp.add(f.g)
 		if !ok {
 			return nonFinite(f)
@@ -102,7 +101,7 @@ func AppendSessionSVG(dst []byte, s *core.Session, opts SVGOptions) ([]byte, err
 	p.b = append(p.b, `<rect width="100%" height="100%" fill="#fbfbf8"/>`+"\n"...)
 	// The walk yields layers, then members, then the user location: the
 	// paint order (layers under members under the user marker).
-	err = walk(s, false, func(f *feature) error {
+	err = walk(s, view, false, func(f *feature) error {
 		switch f.kind {
 		case kindLayer:
 			simp.draw(&p, f.g, layerStyles[layerColor(f.layer)])

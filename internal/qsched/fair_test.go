@@ -125,14 +125,15 @@ func TestSettleReplacesProvisionalDebit(t *testing.T) {
 // per-count round-robin would interleave them ~1:1 instead.
 func TestFairnessSkewedCost(t *testing.T) {
 	ds := testDataset(t)
-	v := cube.NewView(ds.Cube)
-	if err := v.SelectMember("Store", "City", 0); err != nil {
+	b := cube.NewView(ds.Cube).Builder()
+	if err := b.SelectMember("Store", "City", 0); err != nil {
 		t.Fatal(err)
 	}
 	heavyProbe, err := ds.Cube.Execute(countQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := b.View()
 	lightProbe, err := ds.Cube.Execute(countQuery, v)
 	if err != nil {
 		t.Fatal(err)
@@ -449,12 +450,13 @@ func TestEqualViewsDedupAcrossSessions(t *testing.T) {
 	defer ge.open()
 	stalled := stallSlot(t, s, ge, "stall")
 
-	v1, v2 := cube.NewView(ds.Cube), cube.NewView(ds.Cube)
-	for _, v := range []*cube.View{v1, v2} {
-		if err := v.SelectMember("Store", "City", 0); err != nil {
+	b1, b2 := cube.NewView(ds.Cube).Builder(), cube.NewView(ds.Cube).Builder()
+	for _, b := range []*cube.ViewBuilder{b1, b2} {
+		if err := b.SelectMember("Store", "City", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
+	v1, v2 := b1.View(), b2.View()
 	want, err := ds.Cube.Execute(countQuery, v2)
 	if err != nil {
 		t.Fatal(err)
@@ -473,9 +475,10 @@ func TestEqualViewsDedupAcrossSessions(t *testing.T) {
 	waitFor(t, "the first session's query to queue", func() bool { return s.Stats().QueueDepth == 1 })
 	go submit(v2, "carol")
 	waitFor(t, "the second session's query to merge", func() bool { return s.Stats().Shared == 1 })
-	if err := v1.SelectMember("Store", "City", 1); err != nil {
+	if err := b1.SelectMember("Store", "City", 1); err != nil {
 		t.Fatal(err)
 	}
+	v1 = b1.View()
 	ge.open()
 	if err := <-stalled; err != nil {
 		t.Fatal(err)

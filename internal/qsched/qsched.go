@@ -36,8 +36,8 @@
 //     (cube.View.Key), the fact table's version and the plan fingerprint
 //     answers repeats — any session's with equal selections — without a
 //     scan. Selections change the key and appends the version, so no
-//     stale reads; a miss scans its view as admitted (a Clone), so its
-//     answer is exactly what the key names. Admission is doorkept: a
+//     stale reads; a view never changes, so a miss's answer is exactly
+//     what its key names. Admission is doorkept: a
 //     result is cached only once its fingerprint
 //     has been requested at least twice, so one-off exploratory queries
 //     cannot evict hot entries. A bounded negative cache likewise answers
@@ -213,7 +213,7 @@ type waiter struct {
 // compiled at admission is reused for the scan.
 type request struct {
 	cq   *cube.CompiledQuery
-	view *cube.View // the submitter's view as admitted (a Clone)
+	view *cube.View // the submitter's view at admission
 	key  string
 	// fp is the plan fingerprint (the heavy-query profile registry's
 	// key; also a prefix-free component of key).
@@ -478,8 +478,8 @@ func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View,
 				// Fingerprints are injective, so a hit proves this exact
 				// query validated before — no need to compile on the hit
 				// path. The doorkeeper is still touched so a tile hot in the
-				// cache stays admitted when a view mutation forces its next
-				// miss.
+				// cache stays admitted when a new selection or an append
+				// forces its next miss.
 				s.door.request(fp)
 				s.opts.Costs.RecordCacheHit(userKey, res.Cost)
 				now := time.Now()
@@ -493,12 +493,6 @@ func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View,
 			// The doorkeeper decides on the miss: only a fingerprint that
 			// has been requested before earns a cache slot for its result.
 			admit = s.door.request(fp)
-		}
-		if v != nil {
-			// A later selection cannot reach an answer other sessions
-			// share under this content's key.
-			v = v.Clone()
-			key = s.cacheKey(fp, qs[i].Fact, v)
 		}
 		misses = append(misses, miss{i: i, req: &request{view: v,
 			key: key, fp: fp, admit: admit, user: userKey}})

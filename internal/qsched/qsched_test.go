@@ -183,17 +183,18 @@ func TestDedupIdenticalConcurrentQueries(t *testing.T) {
 
 // TestCacheHitAndEpochInvalidation checks the personalized cache path:
 // the doorkeeper admits a fingerprint on its second request (the first
-// request of a one-off is never cached), a later repeat is a hit, a view
-// mutation (a new content key) is a miss that recomputes against the new
+// request of a one-off is never cached), a later repeat is a hit, a wider
+// view (a new content key) is a miss that recomputes against the new
 // state, and the stale entry is never served.
 func TestCacheHitAndEpochInvalidation(t *testing.T) {
 	ds := testDataset(t)
 	s := New(ds.Cube, Options{CacheBytes: 1 << 20})
 	defer s.Close()
-	v := cube.NewView(ds.Cube)
-	if err := v.SelectMember("Store", "City", 0); err != nil {
+	b := cube.NewView(ds.Cube).Builder()
+	if err := b.SelectMember("Store", "City", 0); err != nil {
 		t.Fatal(err)
 	}
+	v := b.View()
 
 	first, err := s.Submit(countQuery, v, "alice") // one-off: not cached
 	if err != nil {
@@ -220,11 +221,12 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 		t.Errorf("cache hits = %d, want 1", st.CacheHits)
 	}
 
-	// Mutating the view changes its key: the next lookup must miss and see
+	// A wider view has another key: the next lookup must miss and see
 	// the wider selection.
-	if err := v.SelectMember("Store", "City", 1); err != nil {
+	if err := b.SelectMember("Store", "City", 1); err != nil {
 		t.Fatal(err)
 	}
+	v = b.View()
 	after, err := s.Submit(countQuery, v, "alice")
 	if err != nil {
 		t.Fatal(err)
@@ -325,11 +327,12 @@ func TestSubmitBatchPreservesOrder(t *testing.T) {
 	ds := testDataset(t)
 	s := New(ds.Cube, Options{})
 	defer s.Close()
-	v := cube.NewView(ds.Cube)
-	if err := v.SelectMember("Store", "City", 2); err != nil {
+	b := cube.NewView(ds.Cube).Builder()
+	if err := b.SelectMember("Store", "City", 2); err != nil {
 		t.Fatal(err)
 	}
 	qs := []cube.Query{cityQuery(0), countQuery, cityQuery(2)}
+	v := b.View()
 	vs := []*cube.View{nil, v, nil}
 	got, err := s.SubmitBatch(qs, vs, "alice")
 	if err != nil {
@@ -638,13 +641,13 @@ func randomView(rng *rand.Rand, c *cube.Cube) *cube.View {
 	if rng.Intn(3) == 0 {
 		return nil
 	}
-	v := cube.NewView(c)
+	b := cube.NewView(c).Builder()
 	for i := 0; i < 2+rng.Intn(6); i++ {
-		if err := v.SelectMember("Store", "City", int32(rng.Intn(15))); err != nil {
+		if err := b.SelectMember("Store", "City", int32(rng.Intn(15))); err != nil {
 			panic(err)
 		}
 	}
-	return v
+	return b.View()
 }
 
 // TestConcurrentEquivalenceRandomized is the correctness bar: randomized

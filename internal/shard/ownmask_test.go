@@ -44,17 +44,17 @@ func TestShardedOwnMaskEquivalence(t *testing.T) {
 			}
 			c := ds.Cube
 			rng := rand.New(rand.NewSource(int64(shards)))
-			dense := cube.NewView(c)
+			dense := cube.NewView(c).Builder()
 			if err := dense.SelectMember("Product", "Family", 1); err != nil {
 				t.Fatal(err)
 			}
-			sparse := cube.NewView(c)
+			sparse := cube.NewView(c).Builder()
 			for _, s := range []int32{3, 40, 77} {
 				if err := sparse.SelectMember("Store", "Store", s); err != nil {
 					t.Fatal(err)
 				}
 			}
-			views := []*cube.View{nil, dense, sparse}
+			views := []*cube.View{nil, dense.View(), sparse.View()}
 
 			var qs []cube.Query
 			var vs []*cube.View

@@ -453,9 +453,7 @@ func (t *Table) splitLocked(fact string, v *cube.View) ([]*bitset.Set, error) {
 		return true
 	})
 	t.splitMu.Lock()
-	// A selection between reading the key and materializing would file
-	// the newer mask under the older content's key.
-	if _, ok := t.splits[key]; !ok && v.Key() == key.view {
+	if _, ok := t.splits[key]; !ok {
 		if len(t.splitOrder) >= splitCacheCap {
 			oldest := t.splitOrder[0]
 			t.splitOrder = t.splitOrder[1:]

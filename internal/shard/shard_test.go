@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sdwp/internal/cube"
@@ -123,10 +124,10 @@ func randomView(rng *rand.Rand, c *cube.Cube, cfg datagen.Config) *cube.View {
 	if rng.Intn(3) == 0 {
 		return nil
 	}
-	v := cube.NewView(c)
+	b := cube.NewView(c).Builder()
 	pick := func(dim, level string, max, n int) {
 		for i := 0; i < n; i++ {
-			if err := v.SelectMember(dim, level, int32(rng.Intn(max))); err != nil {
+			if err := b.SelectMember(dim, level, int32(rng.Intn(max))); err != nil {
 				panic(err)
 			}
 		}
@@ -144,12 +145,12 @@ func randomView(rng *rand.Rand, c *cube.Cube, cfg datagen.Config) *cube.View {
 	}
 	if rng.Intn(4) == 0 {
 		for i := 0; i < 50; i++ {
-			if err := v.SelectFact("Sales", int32(rng.Intn(cfg.Sales))); err != nil {
+			if err := b.SelectFact("Sales", int32(rng.Intn(cfg.Sales))); err != nil {
 				panic(err)
 			}
 		}
 	}
-	return v
+	return b.View()
 }
 
 func diffResults(t *testing.T, label string, got, want *cube.Result) {
@@ -424,15 +425,17 @@ func TestShardedArtifactCacheAcrossBatches(t *testing.T) {
 
 // TestShardedBatchUnderIngestAndSelection is the race stress of the shard
 // subsystem: scatter-gather batches run while facts stream in through the
-// routed ingest path and a shared view mutates through new selections.
+// routed ingest path and a shared view is replaced by wider ones.
 // Every query must complete without error; run under -race in CI.
 func TestShardedBatchUnderIngestAndSelection(t *testing.T) {
 	ds, cfg := testDataset(t, 11)
 	table := shard.New(ds.Cube, shard.Options{Shards: 4})
-	v := cube.NewView(ds.Cube)
-	if err := v.SelectMember("Store", "City", 0); err != nil {
+	b := cube.NewView(ds.Cube).Builder()
+	if err := b.SelectMember("Store", "City", 0); err != nil {
 		t.Fatal(err)
 	}
+	var shared atomic.Pointer[cube.View]
+	shared.Store(b.View())
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -468,10 +471,11 @@ func TestShardedBatchUnderIngestAndSelection(t *testing.T) {
 				return
 			default:
 			}
-			if err := v.SelectMember("Store", "City", int32(rng.Intn(cfg.Cities))); err != nil {
+			if err := b.SelectMember("Store", "City", int32(rng.Intn(cfg.Cities))); err != nil {
 				t.Errorf("SelectMember: %v", err)
 				return
 			}
+			shared.Store(b.View())
 		}
 	}()
 
@@ -485,7 +489,7 @@ func TestShardedBatchUnderIngestAndSelection(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + g)))
 			for n := 0; n < 30; n++ {
 				qs := []cube.Query{randomQuery(rng), randomQuery(rng)}
-				vs := []*cube.View{v, nil}
+				vs := []*cube.View{shared.Load(), nil}
 				if _, _, err := executeBatch(table, qs, vs); err != nil {
 					t.Errorf("querier %d: %v", g, err)
 					return

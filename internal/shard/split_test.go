@@ -44,7 +44,7 @@ func TestSplitLockedMatchesFactVisible(t *testing.T) {
 			}
 		}
 	}
-	pick := func(v *cube.View) {
+	pick := func(v *cube.ViewBuilder) {
 		dim := dims[rng.Intn(len(dims))]
 		dd := c.Dimension(dim)
 		li := rng.Intn(dd.NumLevels())
@@ -53,10 +53,11 @@ func TestSplitLockedMatchesFactVisible(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 12; trial++ {
-		v := cube.NewView(c)
+		b := cube.NewView(c).Builder()
 		for n := 2 + rng.Intn(8); n > 0; n-- {
-			pick(v)
+			pick(b)
 		}
+		v := b.View()
 		check(v, "fresh")
 		for n := 1 + rng.Intn(40); n > 0; n-- {
 			keys := map[string]int32{}
@@ -67,7 +68,8 @@ func TestSplitLockedMatchesFactVisible(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pick(v)
-		check(v, "after ingest")
+		check(v, "built before ingest")
+		pick(b)
+		check(b.View(), "after ingest")
 	}
 }

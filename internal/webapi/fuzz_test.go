@@ -56,10 +56,11 @@ func FuzzQuerySpec(f *testing.F) {
 		f.Fatal(err)
 	}
 	c := ds.Cube
-	v := cube.NewView(c)
-	if err := v.SelectMember("Store", "City", 0); err != nil {
+	b := cube.NewView(c).Builder()
+	if err := b.SelectMember("Store", "City", 0); err != nil {
 		f.Fatal(err)
 	}
+	v := b.View()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()

@@ -19,7 +19,7 @@ go test -race -count=3 ./internal/qsched/
 go test -race -count=10 -run 'DispatchOnArrival' ./internal/qsched/
 
 # The batch executor fills shared artifacts (predicate bitmaps, composed
-# set masks) while views mutate underneath (SharedSubexpr, PerFilter); the
+# set masks) while sessions move to new views (SharedSubexpr, PerFilter); the
 # pooled-partial pattern additionally recycles partial tables through the
 # per-fact-table pool while AddFact ingest and SpatialSelect churn run
 # against concurrent scans. The Packed
@@ -48,7 +48,9 @@ go test -race -count=3 -run 'ConcurrentSessions|ConcurrentExport' ./internal/cor
 # share one view key, so their masks, shard splits and cached answers are
 # shared too: random appends, selections and concurrent queries (two
 # sessions selecting alike, one diverging) must each match the reference.
-go test -race -count=10 -run 'ConcurrentLoginsShareRuleMemo|AppendSelectQueryRandomized' ./internal/core/
+# Concurrent selection phases on one session publish their views as a
+# union: neither's selections may be lost.
+go test -race -count=10 -run 'ConcurrentLoginsShareRuleMemo|AppendSelectQueryRandomized|ConcurrentSelectsOnOneSessionUnion' ./internal/core/
 
 # The sharded executor interleaves scatter-gather scans with routed
 # ingest and view selections across per-shard locks.
