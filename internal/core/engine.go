@@ -248,7 +248,6 @@ func (e *Engine) collectSchedulerSamples(emit func(obs.Sample)) {
 	gauge("sdwp_uptime_seconds", "Seconds since the query scheduler started.", st.UptimeSeconds)
 	counter("sdwp_queries_submitted_total", "Queries handed to the scheduler.", st.Submitted)
 	counter("sdwp_queries_executed_total", "Queries answered by a shared scan.", st.Executed)
-	counter("sdwp_queries_coalesced_total", "Queries answered by joining an identical queued query.", st.Shared)
 	counter("sdwp_queries_timed_out_total", "Queries dropped past their admission deadline.", st.TimedOut)
 	counter("sdwp_batches_total", "Coalesced batches dispatched.", st.Batches)
 	counter("sdwp_fact_scans_total", "Shared fact scans executed.", st.FactScans)

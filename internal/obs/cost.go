@@ -61,37 +61,6 @@ func (c QueryCost) Weight() float64 {
 	return float64(c.CPUNs) + float64(c.FactsScanned)
 }
 
-// SplitCost divides c into parts shares that sum exactly to c: each
-// field splits by integer division with the remainder units going to
-// the earliest shares. Used when a deduplicated request fans out to
-// several waiters — conservation holds across tenants.
-func SplitCost(c QueryCost, parts int) []QueryCost {
-	if parts <= 1 {
-		return []QueryCost{c}
-	}
-	out := make([]QueryCost, parts)
-	split := func(total int64, field func(*QueryCost) *int64) {
-		q, r := total/int64(parts), total%int64(parts)
-		for i := range out {
-			v := q
-			if int64(i) < r {
-				v++
-			}
-			*field(&out[i]) += v
-		}
-	}
-	split(c.FactsScanned, func(q *QueryCost) *int64 { return &q.FactsScanned })
-	split(c.FactsMatched, func(q *QueryCost) *int64 { return &q.FactsMatched })
-	split(c.CellsTouched, func(q *QueryCost) *int64 { return &q.CellsTouched })
-	split(c.BitmapBytes, func(q *QueryCost) *int64 { return &q.BitmapBytes })
-	split(c.KeyColBytes, func(q *QueryCost) *int64 { return &q.KeyColBytes })
-	split(c.SharedSavedBytes, func(q *QueryCost) *int64 { return &q.SharedSavedBytes })
-	split(c.CPUNs, func(q *QueryCost) *int64 { return &q.CPUNs })
-	split(c.SharedSavedNs, func(q *QueryCost) *int64 { return &q.SharedSavedNs })
-	split(c.CacheCreditNs, func(q *QueryCost) *int64 { return &q.CacheCreditNs })
-	return out
-}
-
 // SplitTotal divides total nanoseconds (or any additive unit) across
 // weights proportionally, with exact conservation: the cumulative-target
 // method guarantees every share is non-negative and the shares sum to

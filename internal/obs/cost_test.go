@@ -53,29 +53,6 @@ func TestSplitTotalProportional(t *testing.T) {
 	}
 }
 
-// TestSplitCostConserves checks the field-wise even split over dedup'd
-// waiters: every cost field sums back to the original exactly.
-func TestSplitCostConserves(t *testing.T) {
-	c := QueryCost{
-		FactsScanned: 101, FactsMatched: 17, CellsTouched: 5,
-		BitmapBytes: 1003, KeyColBytes: 47, SharedSavedBytes: 999,
-		CPUNs: 123457, SharedSavedNs: 31, CacheCreditNs: 7,
-	}
-	for _, n := range []int{1, 2, 3, 7} {
-		parts := SplitCost(c, n)
-		if len(parts) != n {
-			t.Fatalf("SplitCost n=%d returned %d parts", n, len(parts))
-		}
-		var sum QueryCost
-		for _, p := range parts {
-			sum.Add(p)
-		}
-		if sum != c {
-			t.Errorf("n=%d: parts sum to %+v, want %+v", n, sum, c)
-		}
-	}
-}
-
 // TestAccountantAttributionAndTotals checks per-tenant accumulation, the
 // global totals, and the weight-ordered listing.
 func TestAccountantAttributionAndTotals(t *testing.T) {

@@ -58,7 +58,7 @@ type Trace struct {
 
 // SetUser stamps the tenant the query belongs to (set by the scheduler
 // once the session is resolved, so /api/traces/recent can filter by
-// tenant). Last write wins on the rare deduplicated multi-tenant trace.
+// tenant). A trace is one request's, so it has one tenant.
 func (t *Trace) SetUser(user string) {
 	if t == nil || user == "" {
 		return

@@ -136,52 +136,6 @@ func (d *doorkeeper) request(fp string) bool {
 	return false
 }
 
-// errCache is the negative cache for invalid queries: compile errors keyed
-// by query fingerprint. Validation depends only on the cube schema — never
-// on view state — so entries are view-agnostic; the bounded FIFO simply
-// forgets old mistakes. A hit answers a repeated malformed query without
-// re-deriving the error or touching the coalesce queue.
-type errCache struct {
-	mu       sync.Mutex
-	capacity int
-	m        map[string]error
-	order    []string // insertion order, the FIFO eviction queue
-}
-
-func newErrCache(capacity int) *errCache {
-	return &errCache{capacity: capacity, m: map[string]error{}}
-}
-
-// get returns the cached compile error for the fingerprint, if any.
-func (c *errCache) get(fp string) (error, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	err, ok := c.m[fp]
-	return err, ok
-}
-
-// put records a compile error, evicting the oldest entry over capacity.
-func (c *errCache) put(fp string, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[fp]; ok {
-		return
-	}
-	if len(c.m) >= c.capacity && len(c.order) > 0 {
-		delete(c.m, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.m[fp] = err
-	c.order = append(c.order, fp)
-}
-
-// size returns the number of cached errors.
-func (c *errCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // resultSize approximates a Result's memory footprint: struct and slice
 // headers plus string bytes and 8 bytes per aggregate value. It
 // deliberately overcounts a little (headers rounded up) so the byte bound

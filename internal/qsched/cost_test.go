@@ -2,11 +2,11 @@ package qsched
 
 // Scheduler-level cost attribution: the batch pays its measured scan CPU
 // once, every query of the batch gets a proportional share plus the
-// sharing discount, deduplicated waiters split their request's cost
-// across tenants, and result-cache hits credit the stored cost back.
-// The conservation laws here complement the byte-level ones in
-// internal/cube and internal/shard: Σ per-query CPU == batch CPU, and
-// per-tenant accounts sum to what was actually executed.
+// sharing discount, every query charges its own tenant, and result-cache
+// hits credit the stored cost back. The conservation laws here complement
+// the byte-level ones in internal/cube and internal/shard: Σ per-query
+// CPU == batch CPU, and per-tenant accounts sum to what was actually
+// executed.
 
 import (
 	"sync"
@@ -16,122 +16,112 @@ import (
 	"sdwp/internal/obs"
 )
 
-// TestBatchCPUAttributionConserves submits one multi-query batch and pins
-// the CPU split: shares sum to the batch total, and every query's share
-// plus its sharing discount reconstructs the same batch total.
+// TestBatchCPUAttributionConserves runs one batch per input and pins the
+// CPU split: shares sum to the batch total, every query's share plus its
+// sharing discount reconstructs the same batch total, and each tenant is
+// charged exactly its own queries' shares. The inputs are one tenant's
+// multi-query batch, and the identical query from two tenants queued
+// behind a stalled scan into one batch.
 func TestBatchCPUAttributionConserves(t *testing.T) {
 	ds := testDataset(t)
-	acct := obs.NewAccountant(obs.AccountantOptions{})
-	s := New(ds.Cube, Options{Costs: acct})
-	defer s.Close()
+	t.Run("one tenant batch", func(t *testing.T) {
+		acct := obs.NewAccountant(obs.AccountantOptions{})
+		s := New(ds.Cube, Options{Costs: acct})
+		defer s.Close()
+		qs := []cube.Query{cityQuery(0), cityQuery(1), cityQuery(2), countQuery}
+		res, err := s.SubmitBatch(qs, nil, "alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Batches != 1 {
+			t.Fatalf("batches = %d, want 1 (the conservation law is per batch)", st.Batches)
+		}
+		checkBatchConserves(t, acct, map[string][]*cube.Result{"alice": res})
+		// The profile registry folded every fingerprint in.
+		if top := acct.TopQueries(10); len(top) != len(qs) {
+			t.Errorf("profiles = %d, want %d distinct fingerprints", len(top), len(qs))
+		}
+	})
+	t.Run("identical query from two tenants", func(t *testing.T) {
+		acct := obs.NewAccountant(obs.AccountantOptions{})
+		ge := newGatedExec(ds.Cube)
+		s := New(ge, Options{MaxInFlight: 1, Costs: acct})
+		defer s.Close()
+		defer ge.open()
+		// A third tenant's scan holds the one slot, so both submissions
+		// queue and the runner takes them as one batch.
+		stalled := stallSlot(t, s, ge, "carol")
+		var wg sync.WaitGroup
+		results := make([]*cube.Result, 2)
+		errs := make([]error, 2)
+		for i, user := range []string{"alice", "bob"} {
+			wg.Add(1)
+			go func(i int, user string) {
+				defer wg.Done()
+				results[i], errs[i] = s.Submit(countQuery, nil, user)
+			}(i, user)
+		}
+		waitFor(t, "both submissions to queue", func() bool { return s.Stats().QueueDepth == 2 })
+		ge.open()
+		wg.Wait()
+		if err := <-stalled; err != nil {
+			t.Fatalf("stalling query: %v", err)
+		}
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+		}
+		if st := s.Stats(); st.Batches != 2 || st.Executed != 3 {
+			t.Fatalf("batches %d, executed %d; want the stall's batch and one batch of both", st.Batches, st.Executed)
+		}
+		checkBatchConserves(t, acct, map[string][]*cube.Result{"alice": results[:1], "bob": results[1:]})
+	})
+}
 
-	qs := []cube.Query{cityQuery(0), cityQuery(1), cityQuery(2), countQuery}
-	res, err := s.SubmitBatch(qs, nil, "alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Batches != 1 {
-		t.Fatalf("batches = %d, want 1 (the conservation law is per batch)", st.Batches)
-	}
-	var batchCPU, facts int64
-	for _, r := range res {
-		batchCPU += r.Cost.CPUNs
-		facts += int64(r.ScannedFacts)
+// checkBatchConserves checks one batch's CPU split over its results,
+// grouped by the tenant that submitted them: every share plus its sharing
+// discount is the batch's CPU, and each listed tenant's account holds
+// exactly its own results' CPU, facts and query count.
+func checkBatchConserves(t *testing.T, acct *obs.Accountant, byTenant map[string][]*cube.Result) {
+	t.Helper()
+	var batchCPU int64
+	for _, rs := range byTenant {
+		for _, r := range rs {
+			batchCPU += r.Cost.CPUNs
+		}
 	}
 	if batchCPU <= 0 {
 		t.Fatal("batch attributed no CPU")
 	}
-	for i, r := range res {
-		if got := r.Cost.CPUNs + r.Cost.SharedSavedNs; got != batchCPU {
-			t.Errorf("query %d: share %d + discount %d = %d != batch CPU %d",
-				i, r.Cost.CPUNs, r.Cost.SharedSavedNs, got, batchCPU)
+	accounts := map[string]obs.TenantStat{}
+	for _, ts := range acct.Tenants() {
+		accounts[ts.Tenant] = ts
+	}
+	for tenant, rs := range byTenant {
+		var cpu, facts int64
+		for i, r := range rs {
+			if got := r.Cost.CPUNs + r.Cost.SharedSavedNs; got != batchCPU {
+				t.Errorf("%s query %d: share %d + discount %d = %d != batch CPU %d",
+					tenant, i, r.Cost.CPUNs, r.Cost.SharedSavedNs, got, batchCPU)
+			}
+			cpu += r.Cost.CPUNs
+			facts += int64(r.ScannedFacts)
 		}
-	}
-
-	// The tenant account sums exactly what the batch attributed.
-	stats := acct.Tenants()
-	if len(stats) != 1 || stats[0].Tenant != "alice" {
-		t.Fatalf("tenants = %+v, want alice alone", stats)
-	}
-	if stats[0].Cost.CPUNs != batchCPU {
-		t.Errorf("alice CPU %d != Σ attributed %d", stats[0].Cost.CPUNs, batchCPU)
-	}
-	if stats[0].Cost.FactsScanned != facts {
-		t.Errorf("alice facts %d != Σ scanned %d", stats[0].Cost.FactsScanned, facts)
-	}
-	if stats[0].Queries != int64(len(qs)) {
-		t.Errorf("alice queries = %d, want %d", stats[0].Queries, len(qs))
-	}
-
-	// The profile registry folded every fingerprint in.
-	if top := acct.TopQueries(10); len(top) != len(qs) {
-		t.Errorf("profiles = %d, want %d distinct fingerprints", len(top), len(qs))
-	}
-}
-
-// TestDedupSplitsCostAcrossTenants coalesces the identical query from two
-// tenants into one scan and checks the split: each tenant is charged, and
-// the two shares sum to the single scan's cost.
-func TestDedupSplitsCostAcrossTenants(t *testing.T) {
-	ds := testDataset(t)
-	acct := obs.NewAccountant(obs.AccountantOptions{})
-	ge := newGatedExec(ds.Cube)
-	s := New(ge, Options{MaxInFlight: 1, Costs: acct})
-	defer s.Close()
-	defer ge.open()
-	// A third tenant's scan holds the one slot, so both submissions queue
-	// and merge before either can run.
-	stalled := stallSlot(t, s, ge, "carol")
-
-	var wg sync.WaitGroup
-	results := make([]*cube.Result, 2)
-	errs := make([]error, 2)
-	for i, user := range []string{"alice", "bob"} {
-		wg.Add(1)
-		go func(i int, user string) {
-			defer wg.Done()
-			results[i], errs[i] = s.Submit(countQuery, nil, user)
-		}(i, user)
-	}
-	waitFor(t, "the two submissions to merge", func() bool {
-		st := s.Stats()
-		return st.QueueDepth == 1 && st.Shared == 1
-	})
-	ge.open()
-	wg.Wait()
-	if err := <-stalled; err != nil {
-		t.Fatalf("stalling query: %v", err)
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	if st := s.Stats(); st.Shared != 1 {
-		t.Fatalf("shared = %d, want 1 (the two submissions must dedup)", st.Shared)
-	}
-
-	full := results[0].Cost
-	stats := acct.Tenants()
-	if len(stats) != 3 {
-		t.Fatalf("tenants = %d, want alice, bob and the stalling carol", len(stats))
-	}
-	var sum obs.QueryCost
-	for _, ts := range stats {
-		if ts.Tenant == "carol" {
+		ts, ok := accounts[tenant]
+		if !ok {
+			t.Errorf("tenant %s has no account", tenant)
 			continue
 		}
-		if ts.Queries != 1 {
-			t.Errorf("tenant %s recorded %d queries, want 1", ts.Tenant, ts.Queries)
+		if ts.Cost.CPUNs != cpu {
+			t.Errorf("%s CPU %d != its attributed shares %d", tenant, ts.Cost.CPUNs, cpu)
 		}
-		if ts.Cost.FactsScanned <= 0 {
-			t.Errorf("tenant %s charged no facts", ts.Tenant)
+		if ts.Cost.FactsScanned != facts {
+			t.Errorf("%s facts %d != Σ scanned %d", tenant, ts.Cost.FactsScanned, facts)
 		}
-		sum.Add(ts.Cost)
-	}
-	if sum.FactsScanned != full.FactsScanned || sum.CPUNs != full.CPUNs {
-		t.Errorf("tenant shares (facts %d, cpu %d) don't sum to the scan's cost (facts %d, cpu %d)",
-			sum.FactsScanned, sum.CPUNs, full.FactsScanned, full.CPUNs)
+		if ts.Queries != int64(len(rs)) {
+			t.Errorf("%s queries = %d, want %d", tenant, ts.Queries, len(rs))
+		}
 	}
 }
 

@@ -16,12 +16,12 @@ import (
 
 // TestLoneQueriesDispatchOnArrival pins dispatch on arrival: on an idle
 // two-slot scheduler two lone queries each start their own scan at once —
-// neither is held back for company, whatever the ignored Window says — and
-// Stats.InFlight counts both stalled scans.
+// neither is held back for company — and Stats.InFlight counts both
+// stalled scans.
 func TestLoneQueriesDispatchOnArrival(t *testing.T) {
 	ds := testDataset(t)
 	ge := newGatedExec(ds.Cube)
-	s := New(ge, Options{Window: 50 * time.Millisecond, MaxInFlight: 2})
+	s := New(ge, Options{MaxInFlight: 2})
 	defer s.Close()
 	defer ge.open()
 

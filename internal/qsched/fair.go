@@ -34,13 +34,10 @@ import (
 // Cost unit: usage is the attributed scan CPU in nanoseconds
 // (obs.QueryCost.CPUNs, the batch's measured CPU split proportionally to
 // facts scanned). Every scan is attributed, so the unit is the same for
-// every scheduler, and fairness only depends on ratios.
-//
-// Dedup note: waiters merged onto an identical queued request ride for
-// free — the request's cost is charged to the tenant that enqueued it
-// first. The cost accountant still splits the attributed cost across all
-// waiting tenants (conservation); the fair-share ledger deliberately
-// charges the instigator, since dedup'd joiners consumed no extra scan.
+// every scheduler, and fairness only depends on ratios. Every request
+// has one submitting tenant, so the ledger and the cost accountant charge
+// the same tenant the same attributed CPU; identical queries of two
+// tenants in one scan are two requests, each charged its own share.
 
 // DefaultFairShareHalfLife is the decay half-life of the per-tenant usage
 // window when Options.FairShareHalfLife is unset: a tenant idle this long

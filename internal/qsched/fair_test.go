@@ -19,10 +19,10 @@ import (
 // scheduling must give the cheap tenant ~10 slots for every expensive one,
 // not alternate per count.
 func TestCostWeightedAssembly(t *testing.T) {
-	s := &Scheduler{tenants: map[string]*tenant{}, byKey: map[string]*request{}}
+	s := &Scheduler{tenants: map[string]*tenant{}}
 	enqueue := func(user string, n int) {
 		for i := 0; i < n; i++ {
-			s.enqueueLocked(&request{key: fmt.Sprintf("%s-%d", user, i), user: user}, user)
+			s.enqueueLocked(&request{key: fmt.Sprintf("%s-%d", user, i), user: user})
 		}
 	}
 	enqueue("pricey", 4)
@@ -56,13 +56,13 @@ func TestCostWeightedAssembly(t *testing.T) {
 func TestWeightedAssembly(t *testing.T) {
 	s := &Scheduler{
 		opts:    Options{TenantWeights: map[string]float64{"A": 2, "B": 1}},
-		tenants: map[string]*tenant{}, byKey: map[string]*request{},
+		tenants: map[string]*tenant{},
 	}
 	for i := 0; i < 6; i++ {
-		s.enqueueLocked(&request{key: fmt.Sprintf("A-%d", i), user: "A"}, "A")
+		s.enqueueLocked(&request{key: fmt.Sprintf("A-%d", i), user: "A"})
 	}
 	for i := 0; i < 6; i++ {
-		s.enqueueLocked(&request{key: fmt.Sprintf("B-%d", i), user: "B"}, "B")
+		s.enqueueLocked(&request{key: fmt.Sprintf("B-%d", i), user: "B"})
 	}
 	batch := s.assembleLocked(9)
 	counts := map[string]int{}
@@ -79,8 +79,8 @@ func TestWeightedAssembly(t *testing.T) {
 // measured cost into usage (updating the estimate) — or, on a failed scan,
 // reverses the debit and charges nothing.
 func TestSettleReplacesProvisionalDebit(t *testing.T) {
-	s := &Scheduler{tenants: map[string]*tenant{}, byKey: map[string]*request{}}
-	s.enqueueLocked(&request{key: "A-0", user: "A"}, "A")
+	s := &Scheduler{tenants: map[string]*tenant{}}
+	s.enqueueLocked(&request{key: "A-0", user: "A"})
 	batch := s.assembleLocked(1)
 	if len(batch) != 1 {
 		t.Fatalf("batch size = %d, want 1", len(batch))
@@ -104,7 +104,7 @@ func TestSettleReplacesProvisionalDebit(t *testing.T) {
 	}
 
 	// A failed scan (nil costs) reverses the debit without charging.
-	s.enqueueLocked(&request{key: "A-1", user: "A"}, "A")
+	s.enqueueLocked(&request{key: "A-1", user: "A"})
 	batch = s.assembleLocked(1)
 	usage, est := tn.usage, tn.estimate
 	s.settleBatchLocked(batch, nil, now)
@@ -376,8 +376,7 @@ func TestShedStorm(t *testing.T) {
 	}
 
 	// A batch from the flooder is shed the same way, once for the whole
-	// call and before any entry compiles — a malformed entry included, so
-	// it neither compiles nor lands in the negative cache.
+	// call and before any entry compiles — a malformed entry included.
 	compiled := ge.compiles.Load()
 	ghost := cube.Query{Fact: "Ghost", Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}}
 	_, err = s.SubmitBatch([]cube.Query{cityQuery(depth + 2), ghost, cityQuery(depth + 3)}, nil, "flood")
@@ -392,9 +391,8 @@ func TestShedStorm(t *testing.T) {
 		t.Errorf("after the shed batch: ShedTotal = %d, flood = %d; want 2 and 2 (one per call)",
 			st.ShedTotal, st.ShedByTenant["flood"][ShedQueueDepth])
 	}
-	if st.NegCacheEntries != 0 || st.QueueDepth != depth {
-		t.Errorf("shed batch left negCache %d entries, queue depth %d; want 0 and %d",
-			st.NegCacheEntries, st.QueueDepth, depth)
+	if st.QueueDepth != depth {
+		t.Errorf("shed batch left queue depth %d, want %d", st.QueueDepth, depth)
 	}
 
 	// An under-share tenant is never shed: it queues past the threshold.
@@ -436,13 +434,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestEqualViewsDedupAcrossSessions pins cross-session dedup by view
-// content: two sessions' queries over equal views merge into one scan,
-// and a selection the first session (whose request the second joined)
-// makes while the merged query is still queued reaches neither answer —
-// the scan reads the view as it was at admission, the content both
-// waiters' shared key names.
-func TestEqualViewsDedupAcrossSessions(t *testing.T) {
+// TestEqualViewsShareCacheAcrossSessions pins the cross-session answers of
+// equal views: two sessions' equal-view queries queue as two requests, a
+// selection the first session makes while they are queued reaches
+// neither answer — each scan reads the view as it was at admission, the
+// content its key names — and the second session's repeat is answered
+// from the cache under that content, while the first session's wider view
+// misses and rescans.
+func TestEqualViewsShareCacheAcrossSessions(t *testing.T) {
 	ds := testDataset(t)
 	ge := newGatedExec(ds.Cube)
 	s := New(ge, Options{MaxInFlight: 1, CacheBytes: 1 << 20})
@@ -470,11 +469,12 @@ func TestEqualViewsDedupAcrossSessions(t *testing.T) {
 		res, err := s.Submit(countQuery, v, user)
 		answers <- answer{res, err}
 	}
-	// alice's query queues first, so the merged request is hers.
+	// alice's query queues first, so the doorkeeper keeps her answer out of
+	// the cache and admits carol's, the fingerprint's second request.
 	go submit(v1, "alice")
 	waitFor(t, "the first session's query to queue", func() bool { return s.Stats().QueueDepth == 1 })
 	go submit(v2, "carol")
-	waitFor(t, "the second session's query to merge", func() bool { return s.Stats().Shared == 1 })
+	waitFor(t, "the second session's query to queue", func() bool { return s.Stats().QueueDepth == 2 })
 	if err := b1.SelectMember("Store", "City", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -489,11 +489,11 @@ func TestEqualViewsDedupAcrossSessions(t *testing.T) {
 			t.Fatal(a.err)
 		}
 		if !sameAnswer(a.res, want) {
-			t.Fatalf("a merged waiter matched %d facts, the admitted content %d", a.res.MatchedFacts, want.MatchedFacts)
+			t.Fatalf("a queued query matched %d facts, the admitted content %d", a.res.MatchedFacts, want.MatchedFacts)
 		}
 	}
-	// The merged answer was cached under the admitted content: the second
-	// session hits it, the first (now wider) misses and rescans.
+	// The second session hits the answer cached under the admitted content;
+	// the first (now wider) misses and rescans.
 	if res, err := s.Submit(countQuery, v2, "carol"); err != nil || res.MatchedFacts != want.MatchedFacts {
 		t.Fatalf("carol's repeat: %v, %v", res, err)
 	}
@@ -504,7 +504,7 @@ func TestEqualViewsDedupAcrossSessions(t *testing.T) {
 	if res, err := s.Submit(countQuery, v1, "alice"); err != nil || !sameAnswer(res, wider) {
 		t.Fatalf("alice's query after her selection: %v, %v", res, err)
 	}
-	if st := s.Stats(); st.CacheHits != 1 || st.Executed != 3 {
-		t.Errorf("cache hits %d, executed %d; want 1 and 3 (stall, merged pair, alice's rescan)", st.CacheHits, st.Executed)
+	if st := s.Stats(); st.CacheHits != 1 || st.Executed != 4 {
+		t.Errorf("cache hits %d, executed %d; want 1 and 4 (stall, alice, carol, alice's rescan)", st.CacheHits, st.Executed)
 	}
 }

@@ -30,9 +30,9 @@ func (p *panicExec) ExecuteBatchCompiledOpt(cqs []*cube.CompiledQuery, vs []*cub
 }
 
 // TestScanPanicFailsOneBatch pins the fault contract of the scan slot: an
-// executor panic fails every waiter of its batch with ErrInternal — a
-// held lone query, then a coalesced batch of queued queries with a
-// deduplicated waiter — instead of ending the process; the slot is given
+// executor panic fails every query of its batch with ErrInternal — a
+// held lone query, then a coalesced batch of queued queries, two of them
+// identical — instead of ending the process; the slot is given
 // back, the next Submit succeeds, and no goroutine outlives Close.
 func TestScanPanicFailsOneBatch(t *testing.T) {
 	ds := testDataset(t)
@@ -45,7 +45,7 @@ func TestScanPanicFailsOneBatch(t *testing.T) {
 
 	stalled := stallSlot(t, s, pe.gatedExec, "alice")
 	// Queued behind the held scan: three lone queries, two of them equal
-	// (one request, two waiters), and a batch.
+	// (two requests), and a batch of two.
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	for _, i := range []int{1, 2, 2} {
@@ -62,7 +62,7 @@ func TestScanPanicFailsOneBatch(t *testing.T) {
 		_, err := s.SubmitBatch([]cube.Query{cityQuery(3), cityQuery(4)}, nil, "carol")
 		errs <- err
 	}()
-	waitFor(t, "the queries to queue", func() bool { return s.Stats().QueueDepth == 4 })
+	waitFor(t, "the queries to queue", func() bool { return s.Stats().QueueDepth == 5 })
 	pe.open()
 	if err := <-stalled; !errors.Is(err, ErrInternal) {
 		t.Errorf("held query: err = %v, want ErrInternal", err)

@@ -7,14 +7,14 @@
 //
 // Every query enters through one admission routine: a lone Submit is a
 // batch of one, and SubmitBatch differs only in how many entries it
-// hands over. Per entry the routine consults the negative cache, then the
-// result cache; if anything missed, the overload gate runs once for the
-// call; then each miss compiles, and all misses are enqueued under one
-// lock hold. Telemetry is always on: every scan is timed, its CPU is
-// attributed to its queries, and the fair-share ledger is charged from
-// that attribution.
+// hands over. Per entry the routine consults the result cache; if anything
+// missed, the overload gate runs once for the call; then each miss
+// compiles, and all misses are enqueued under one lock hold. A queued
+// request belongs to exactly one caller. Telemetry is always on: every
+// scan is timed, its CPU is attributed to its queries, and the fair-share
+// ledger is charged from that attribution.
 //
-// Four mechanisms compose:
+// Three mechanisms compose:
 //
 //  1. Coalescing with cost-driven fair admission. Concurrent Submit calls
 //     queue per user. Dispatch happens on arrival: while a scan slot
@@ -29,21 +29,17 @@
 //     cost per unit weight over a decaying window (deficit-weighted
 //     scheduling over the obs.QueryCost attribution; see fair.go). With
 //     identical cost profiles this degrades exactly to round-robin.
-//  2. Deduplication. Identical queued queries (same plan fingerprint,
-//     view content and fact version, from any sessions) execute once;
-//     every waiter shares the one result.
-//  3. Result cache. A byte-bounded LRU keyed by the view's content key
+//     Identical queries that queue together each keep their own request;
+//     the shared scan builds their filter and group-key artifacts once.
+//  2. Result cache. A byte-bounded LRU keyed by the view's content key
 //     (cube.View.Key), the fact table's version and the plan fingerprint
 //     answers repeats — any session's with equal selections — without a
 //     scan. Selections change the key and appends the version, so no
 //     stale reads; a view never changes, so a miss's answer is exactly
-//     what its key names. Admission is doorkept: a
-//     result is cached only once its fingerprint
-//     has been requested at least twice, so one-off exploratory queries
-//     cannot evict hot entries. A bounded negative cache likewise answers
-//     repeated invalid queries from their cached compile error without
-//     re-deriving it or touching the coalesce queue.
-//  4. Overload control. When the admission queue is past MaxQueueDepth or
+//     what its key names. Admission is doorkept: a result is cached only
+//     once its fingerprint has been requested at least twice, so one-off
+//     exploratory queries cannot evict hot entries.
+//  3. Overload control. When the admission queue is past MaxQueueDepth or
 //     smoothed admission waits exceed TargetQueueWait, calls from tenants
 //     at or over their fair share are refused up front — before any entry
 //     compiles — with ErrOverloaded and a drain-rate-derived retry hint
@@ -109,7 +105,7 @@ const DefaultMaxInFlight = 2
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("qsched: scheduler closed")
 
-// ErrInternal is the base error every waiter of a batch gets when its
+// ErrInternal is the base error every query of a batch gets when its
 // scan panicked: that batch fails, while the scheduler, its scan slot and
 // every other batch carry on. Callers match it with errors.Is.
 var ErrInternal = errors.New("qsched: internal error in shared scan")
@@ -139,7 +135,7 @@ type Options struct {
 	CacheBytes int64
 	// Timeout is the admission deadline: a query still queued this long
 	// after Submit is dropped with ErrTimeout instead of executing — under
-	// overload the queue sheds its oldest waiters deterministically rather
+	// overload the queue sheds its oldest queries deterministically rather
 	// than growing unboundedly stale. 0 = no deadline. A request context
 	// with an earlier deadline tightens it per query.
 	Timeout time.Duration
@@ -173,7 +169,7 @@ type Options struct {
 	FairShareHalfLife time.Duration
 	// MaxQueueDepth, when > 0, is the overload threshold on admission-queue
 	// depth: at or past it, over-share tenants are shed with ErrOverloaded
-	// instead of queueing (see mechanism 4 in the package comment).
+	// instead of queueing (see mechanism 3 in the package comment).
 	MaxQueueDepth int
 	// TargetQueueWait, when > 0, is the overload threshold on the smoothed
 	// admission wait: when the EWMA of observed queue waits exceeds it,
@@ -182,13 +178,9 @@ type Options struct {
 	TargetQueueWait time.Duration
 }
 
-// negCacheCapacity bounds the negative cache for invalid queries;
 // doorkeeperCapacity bounds one generation of the result-cache admission
-// filter. Both are plain memory bounds, not tuning knobs.
-const (
-	negCacheCapacity   = 512
-	doorkeeperCapacity = 4096
-)
+// filter: a plain memory bound, not a tuning knob.
+const doorkeeperCapacity = 4096
 
 // outcome is one delivered query result.
 type outcome struct {
@@ -196,21 +188,8 @@ type outcome struct {
 	err error
 }
 
-// waiter is one caller blocked on a request. Dedup merges waiters of
-// different tenants (and traces) onto one request, so the telemetry
-// identity — trace, tenant label for the end-to-end histogram, submit
-// time — rides per waiter, not per request. tr is nil for an untraced
-// call.
-type waiter struct {
-	ch    chan outcome
-	tr    *obs.Trace
-	user  string
-	start time.Time
-}
-
-// request is one admitted query plus everyone waiting on it (dedup merges
-// identical queries into a single request with several waiters). The plan
-// compiled at admission is reused for the scan.
+// request is one admitted query and the one caller waiting on it. The
+// plan compiled at admission is reused for the scan.
 type request struct {
 	cq   *cube.CompiledQuery
 	view *cube.View // the submitter's view at admission
@@ -220,10 +199,14 @@ type request struct {
 	fp string
 	// admit records the doorkeeper's verdict at admission: cache the
 	// result only if the plan fingerprint had been requested before.
-	admit   bool
-	waiters []waiter
-	// user is the tenant that enqueued the request first — the fair-share
-	// ledger's charge target (dedup'd joiners ride free; see fair.go).
+	admit bool
+	// ch delivers the outcome (buffered, so delivery never blocks); tr is
+	// the caller's trace (nil when untraced) and start its submit time.
+	ch    chan outcome
+	tr    *obs.Trace
+	start time.Time
+	// user is the submitting tenant: the fair-share ledger's charge
+	// target and the label of its latency and cost records.
 	user string
 	// debit is the provisional fair-share charge taken at batch assembly
 	// and reversed at settle (zero until assembled).
@@ -244,7 +227,6 @@ type Scheduler struct {
 	opts     Options
 	cache    *resultCache // nil when caching is disabled
 	door     *doorkeeper  // nil when caching is disabled
-	negCache *errCache    // compile errors by fingerprint (always on)
 
 	wg sync.WaitGroup // one count per running runner
 
@@ -258,9 +240,8 @@ type Scheduler struct {
 
 	mu      sync.Mutex
 	closed  bool
-	tenants map[string]*tenant  // userKey → queue + fair-share ledger
-	active  []string            // tenants with queued work, arrival order
-	byKey   map[string]*request // dedup index over queued requests
+	tenants map[string]*tenant // userKey → queue + fair-share ledger
+	active  []string           // tenants with queued work, arrival order
 	queued  int
 	// inFlight counts runners, each holding one of MaxInFlight scan slots.
 	inFlight int
@@ -276,12 +257,10 @@ type Scheduler struct {
 	shedDecayAt    time.Time
 
 	stSubmitted atomic.Int64
-	stShared    atomic.Int64
 	stExecuted  atomic.Int64
 	stBatches   atomic.Int64
 	stScans     atomic.Int64
 	stMaxQueue  atomic.Int64
-	stNegHits   atomic.Int64
 	stDoorkept  atomic.Int64
 	stTimedOut  atomic.Int64
 
@@ -314,9 +293,7 @@ func New(c Executor, opts Options) *Scheduler {
 		versions:   versions,
 		opts:       opts,
 		tenants:    map[string]*tenant{},
-		byKey:      map[string]*request{},
 		shedCounts: map[string]map[string]int64{},
-		negCache:   newErrCache(negCacheCapacity),
 		startedAt:  time.Now(),
 	}
 	s.lastAssembleAt = s.startedAt
@@ -353,14 +330,14 @@ func (s *Scheduler) Close() {
 // error matching ErrOverloaded instead of queueing.
 //
 // v may be nil (the non-personalized baseline). The returned Result may be
-// shared with other waiters and with the cache: treat it as immutable.
+// shared with the cache: treat it as immutable.
 func (s *Scheduler) Submit(q cube.Query, v *cube.View, userKey string) (*cube.Result, error) {
 	return s.SubmitCtx(context.Background(), q, v, userKey)
 }
 
 // SubmitCtx is Submit with a request context: cancellation or a context
-// deadline unblocks the caller early (the query may still execute for its
-// other waiters), and a context deadline earlier than Options.Timeout
+// deadline unblocks the caller early (a query already queued still
+// executes), and a context deadline earlier than Options.Timeout
 // tightens this query's admission deadline. A lone query is a batch of
 // one: it takes the same admission path as SubmitBatchCtx, and its
 // errors come back unwrapped.
@@ -421,16 +398,17 @@ func (s *Scheduler) SubmitBatchCtx(ctx context.Context, qs []cube.Query, vs []*c
 }
 
 // admit is the scheduler's one admission routine; Submit and SubmitBatch
-// both call it. Every entry passes the negative cache, then the result
-// cache (a hit touches the doorkeeper and is answered at once). If any
-// entry missed, the overload gate runs once for the whole call. Then every
-// miss compiles, and all of them are enqueued under one lock hold and one
+// both call it. Every entry passes the result cache (a hit touches the
+// doorkeeper and is answered at once). If any entry missed, the overload
+// gate runs once for the whole call. Then every miss compiles — a
+// malformed entry fails here, alone and before the enqueue, each time it
+// is submitted — and all of them are enqueued under one lock hold and one
 // dispatchLocked, so on an idle scheduler the call lands in one shared
-// scan. A call that fails before the enqueue enqueues nothing: its valid
-// entries would only scan to be discarded. One trace (from the request
-// context) scopes the call; each entry adds its resultCache, shed and
-// compile spans to it, and the trace is finished at once when nothing was
-// enqueued.
+// scan. Each enqueued request is this call's alone. A call that fails
+// before the enqueue enqueues nothing: its valid entries would only scan
+// to be discarded. One trace (from the request context) scopes the call;
+// each entry adds its resultCache, shed and compile spans to it, and the
+// trace is finished at once when nothing was enqueued.
 //
 // admit fills results in entry order and blocks until every enqueued
 // entry is delivered or ctx is done. It returns the first error with the
@@ -447,7 +425,6 @@ func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View,
 	type miss struct {
 		i   int
 		req *request
-		ch  chan outcome
 	}
 	var one [1]miss // a lone query's miss never touches the heap
 	misses := one[:0]
@@ -463,14 +440,7 @@ func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View,
 		if vs != nil {
 			v = vs[i]
 		}
-		// A repeated malformed query is answered from the negative cache
-		// before any key building or compilation — invalid traffic never
-		// reaches the coalesce queue twice.
 		fp := qs[i].Fingerprint()
-		if err, ok := s.negCache.get(fp); ok {
-			s.stNegHits.Add(1)
-			return fail(i, err)
-		}
 		key := s.cacheKey(fp, qs[i].Fact, v)
 		var admit bool
 		if s.cache != nil {
@@ -494,8 +464,8 @@ func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View,
 			// has been requested before earns a cache slot for its result.
 			admit = s.door.request(fp)
 		}
-		misses = append(misses, miss{i: i, req: &request{view: v,
-			key: key, fp: fp, admit: admit, user: userKey}})
+		misses = append(misses, miss{i: i, req: &request{view: v, key: key, fp: fp,
+			admit: admit, ch: make(chan outcome, 1), tr: tr, start: start, user: userKey}})
 	}
 	if len(misses) == 0 {
 		tr.Finish(nil)
@@ -520,18 +490,14 @@ func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View,
 	// Compile on admission: a malformed query must fail alone, never abort
 	// the shared scan it would have joined — and the scan then reuses the
 	// plan instead of resolving the query a second time.
-	for k := range misses {
-		m := &misses[k]
+	for _, m := range misses {
 		compileStart := time.Now()
 		cq, err := s.c.Compile(qs[m.i])
 		tr.AddSpan("compile", compileStart, time.Since(compileStart), nil)
 		if err != nil {
-			s.negCache.put(m.req.fp, err)
 			return fail(m.i, err)
 		}
 		m.req.cq = cq
-		m.ch = make(chan outcome, 1)
-		m.req.waiters = []waiter{{ch: m.ch, tr: tr, user: userKey, start: start}}
 	}
 	now := time.Now()
 	deadline := s.requestDeadline(ctx, now)
@@ -542,18 +508,18 @@ func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View,
 	}
 	for _, m := range misses {
 		m.req.enqueuedAt, m.req.deadline = now, deadline
-		s.enqueueLocked(m.req, userKey)
+		s.enqueueLocked(m.req)
 	}
 	s.dispatchLocked()
 	s.mu.Unlock()
 	// Drain everything admitted, even after an error: those queries will
 	// execute regardless. Context cancellation unblocks the caller; the
-	// buffered per-waiter channels absorb the late deliveries.
+	// buffered per-request channels absorb the late deliveries.
 	idx, firstErr := -1, error(nil)
 	for _, m := range misses {
 		var out outcome
 		select {
-		case out = <-m.ch:
+		case out = <-m.req.ch:
 		case <-ctx.Done():
 			out = outcome{err: ctx.Err()}
 		}
@@ -565,7 +531,7 @@ func (s *Scheduler) admit(ctx context.Context, qs []cube.Query, vs []*cube.View,
 	return idx, firstErr
 }
 
-// cacheKey builds the cache/dedup key: the view's content key (none for a
+// cacheKey builds the result-cache key: the view's content key (none for a
 // baseline query; a view key has a fixed length and starts with 'v'), the
 // fact table's version and the plan fingerprint. The version is read
 // before execution, and the plan compiled after the read scans at least
@@ -585,29 +551,12 @@ func (s *Scheduler) cacheKey(fp, fact string, v *cube.View) string {
 	return string(append(append(b, '|'), fp...))
 }
 
-// enqueueLocked admits one request: identical queued requests merge (the
-// new request's waiters join the existing one), otherwise it joins its
-// user's FIFO. Callers hold s.mu.
-func (s *Scheduler) enqueueLocked(req *request, userKey string) {
-	if prev := s.byKey[req.key]; prev != nil {
-		prev.waiters = append(prev.waiters, req.waiters...)
-		// A second identical request proves the fingerprint is hot, so the
-		// merged execution may cache even if the first arrival was not yet
-		// admitted.
-		prev.admit = prev.admit || req.admit
-		// The merged request keeps the most generous admission deadline
-		// (zero = none): a fresh waiter must not inherit an instant
-		// timeout from an older identical one.
-		if req.deadline.IsZero() || (!prev.deadline.IsZero() && prev.deadline.Before(req.deadline)) {
-			prev.deadline = req.deadline
-		}
-		s.stShared.Add(int64(len(req.waiters)))
-		return
-	}
-	s.byKey[req.key] = req
-	t := s.tenantLocked(userKey, req.enqueuedAt)
+// enqueueLocked appends one request to its user's FIFO. Callers hold
+// s.mu.
+func (s *Scheduler) enqueueLocked(req *request) {
+	t := s.tenantLocked(req.user, req.enqueuedAt)
 	if len(t.fifo) == 0 {
-		s.active = append(s.active, userKey)
+		s.active = append(s.active, req.user)
 	}
 	t.fifo = append(t.fifo, req)
 	s.queued++
@@ -658,8 +607,8 @@ func (s *Scheduler) run(batch []*request) {
 // unused (with uniform costs this is exactly round-robin). Each admitted
 // request provisionally debits its tenant's per-query cost estimate,
 // reversed and replaced by the measured cost at settle. Requests popped
-// past their admission deadline are dropped — every waiter gets
-// ErrTimeout and the request never joins a scan — so under overload the
+// past their admission deadline are dropped — the caller gets ErrTimeout
+// and the request never joins a scan — so under overload the
 // queue sheds stale work deterministically instead of executing it late.
 // The pops also feed the overload controller's admission-wait and
 // drain-rate EWMAs. Callers hold s.mu.
@@ -679,22 +628,19 @@ func (s *Scheduler) assembleLocked(max int) []*request {
 		}
 		s.queued--
 		popped++
-		delete(s.byKey, req.key)
 		s.waitEWMA = (1-ewmaAlpha)*s.waitEWMA + ewmaAlpha*float64(now.Sub(req.enqueuedAt))
 		if !req.deadline.IsZero() && now.After(req.deadline) {
 			out := timeoutOutcome(req, now)
-			s.stTimedOut.Add(int64(len(req.waiters)))
+			s.stTimedOut.Add(1)
 			wait := now.Sub(req.enqueuedAt)
-			for _, w := range req.waiters {
-				s.opts.Metrics.ObserveQueueWait(w.user, wait)
-				s.opts.Metrics.ObserveEndToEnd(w.user, now.Sub(w.start))
-				if w.tr != nil {
-					w.tr.AddSpan("admissionWait", req.enqueuedAt, wait,
-						map[string]any{"timedOut": true})
-					w.tr.Finish(out.err)
-				}
-				w.ch <- out // buffered: never blocks under the lock
+			s.opts.Metrics.ObserveQueueWait(req.user, wait)
+			s.opts.Metrics.ObserveEndToEnd(req.user, now.Sub(req.start))
+			if req.tr != nil {
+				req.tr.AddSpan("admissionWait", req.enqueuedAt, wait,
+					map[string]any{"timedOut": true})
+				req.tr.Finish(out.err)
 			}
+			req.ch <- out // buffered: never blocks under the lock
 			continue
 		}
 		// Provisional debit: the tenant pays its estimated per-query cost
@@ -720,7 +666,7 @@ func (s *Scheduler) assembleLocked(max int) []*request {
 // results. Admission already validated every query, so an executor error
 // here is systemic and is delivered to the whole batch. Every batch is
 // measured, attributed and settled the same way: the stage timings, the
-// CPU split and the per-waiter records are a handful of clock reads and
+// CPU split and the per-query records are a handful of clock reads and
 // counter adds per batch against a scan that touches every fact row.
 func (s *Scheduler) runBatch(batch []*request) {
 	assembled := time.Now()
@@ -732,11 +678,7 @@ func (s *Scheduler) runBatch(batch []*request) {
 		cqs[i] = r.cq
 		vs[i] = r.view
 		facts[r.cq.Query().Fact] = struct{}{}
-		for _, w := range r.waiters {
-			if w.tr != nil {
-				traced = true
-			}
-		}
+		traced = traced || r.tr != nil
 	}
 	s.stBatches.Add(1)
 	s.stExecuted.Add(int64(len(batch)))
@@ -828,50 +770,34 @@ func (s *Scheduler) runBatch(batch []*request) {
 			}
 		}
 		wait := assembled.Sub(r.enqueuedAt)
-		// Deduplicated waiters split their request's cost evenly: the scan
-		// ran once for all of them, so the per-waiter shares sum back to
-		// the request's attributed cost (conservation again).
-		var wcosts []obs.QueryCost
-		if err == nil && len(r.waiters) > 1 {
-			wcosts = obs.SplitCost(out.res.Cost, len(r.waiters))
+		s.opts.Metrics.ObserveQueueWait(r.user, wait)
+		e2e := time.Since(r.start)
+		s.opts.Metrics.ObserveEndToEnd(r.user, e2e)
+		if err == nil {
+			s.opts.Costs.RecordQuery(r.user, r.fp, r.tr.ID(), e2e, out.res.Cost)
 		}
-		for wi, w := range r.waiters {
-			s.opts.Metrics.ObserveQueueWait(w.user, wait)
-			now := time.Now()
-			e2e := now.Sub(w.start)
-			s.opts.Metrics.ObserveEndToEnd(w.user, e2e)
+		if r.tr != nil {
+			r.tr.AddSpan("admissionWait", r.enqueuedAt, wait,
+				map[string]any{"batchQueries": len(batch)})
+			r.tr.Attach(scanSpan)
+			var costAttrs map[string]any
 			if err == nil {
 				c := out.res.Cost
-				if wcosts != nil {
-					c = wcosts[wi]
+				costAttrs = map[string]any{
+					"factsScanned":  c.FactsScanned,
+					"bitmapBytes":   c.BitmapBytes,
+					"keyColBytes":   c.KeyColBytes,
+					"cells":         c.CellsTouched,
+					"cpuNs":         c.CPUNs,
+					"sharedSavedNs": c.SharedSavedNs,
 				}
-				s.opts.Costs.RecordQuery(w.user, r.fp, w.tr.ID(), e2e, c)
 			}
-			if w.tr != nil {
-				w.tr.AddSpan("admissionWait", r.enqueuedAt, wait,
-					map[string]any{"batchQueries": len(batch)})
-				w.tr.Attach(scanSpan)
-				var costAttrs map[string]any
-				if err == nil {
-					c := out.res.Cost
-					costAttrs = map[string]any{
-						"factsScanned":  c.FactsScanned,
-						"bitmapBytes":   c.BitmapBytes,
-						"keyColBytes":   c.KeyColBytes,
-						"cells":         c.CellsTouched,
-						"cpuNs":         c.CPUNs,
-						"sharedSavedNs": c.SharedSavedNs,
-					}
-				}
-				w.tr.AddSpan("finalize", scanEnd, time.Since(scanEnd), costAttrs)
-				w.tr.Finish(err)
-			}
-			s.maybeLogSlow(w.tr.ID(), w.user, r.cq.Query().Fact,
-				e2e, wait, scanDur, len(batch), out.res, err)
+			r.tr.AddSpan("finalize", scanEnd, time.Since(scanEnd), costAttrs)
+			r.tr.Finish(err)
 		}
-		for _, w := range r.waiters {
-			w.ch <- out
-		}
+		s.maybeLogSlow(r.tr.ID(), r.user, r.cq.Query().Fact,
+			e2e, wait, scanDur, len(batch), out.res, err)
+		r.ch <- out
 	}
 }
 
@@ -941,9 +867,6 @@ type Stats struct {
 	// cache is disabled).
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
-	// Shared counts queries answered by joining an identical queued query
-	// instead of executing again.
-	Shared int64 `json:"shared"`
 	// Executed counts queries answered by a scan; Batches and FactScans
 	// count the shared scans that answered them. Executed/FactScans is the
 	// coalesce ratio.
@@ -960,12 +883,8 @@ type Stats struct {
 	CacheEntries   int   `json:"cacheEntries"`
 	CacheEvictions int64 `json:"cacheEvictions"`
 	// CacheDoorkept counts results not cached because their fingerprint
-	// had only been requested once (the admission doorkeeper); NegCacheHits
-	// counts invalid queries answered from the negative cache without
-	// re-compiling; NegCacheEntries is its current size.
-	CacheDoorkept   int64 `json:"cacheDoorkept"`
-	NegCacheHits    int64 `json:"negCacheHits"`
-	NegCacheEntries int   `json:"negCacheEntries"`
+	// had only been requested once (the admission doorkeeper).
+	CacheDoorkept int64 `json:"cacheDoorkept"`
 	// TimedOut counts queries dropped from the admission queue past their
 	// deadline (Options.Timeout / request context) without executing.
 	TimedOut int64 `json:"timedOut"`
@@ -1029,8 +948,8 @@ type Stats struct {
 	// per column, packed vs unpacked bytes; filled by the engine —
 	// aggregated across shards on a sharded engine).
 	Packed cube.PackedStats `json:"packed"`
-	// CoalesceRatio is queries answered per fact scan, (Executed + Shared)
-	// / FactScans: > 1 means the scheduler is saving scans. CacheHitRate
+	// CoalesceRatio is queries answered per fact scan, Executed /
+	// FactScans: > 1 means the scheduler is saving scans. CacheHitRate
 	// is hits / lookups. FilterMaskSharing, PredicateSharing and
 	// GroupKeySharing are instances per distinct artifact
 	// (FilterSets/FilterMasks, FilterPredicates/PredicateMasks and
@@ -1050,17 +969,12 @@ func (s *Scheduler) Stats() Stats {
 		SnapshotAt:    now.UTC().Format(time.RFC3339Nano),
 		UptimeSeconds: now.Sub(s.startedAt).Seconds(),
 		Submitted:     s.stSubmitted.Load(),
-		Shared:        s.stShared.Load(),
 		Executed:      s.stExecuted.Load(),
 		Batches:       s.stBatches.Load(),
 		FactScans:     s.stScans.Load(),
 		MaxQueueDepth: s.stMaxQueue.Load(),
 		CacheDoorkept: s.stDoorkept.Load(),
-		NegCacheHits:  s.stNegHits.Load(),
 		TimedOut:      s.stTimedOut.Load(),
-	}
-	if s.negCache != nil {
-		st.NegCacheEntries = s.negCache.size()
 	}
 	if s.cache != nil {
 		st.CacheHits, st.CacheMisses, st.CacheEvictions, st.CacheBytes, st.CacheEntries = s.cache.stats()
@@ -1097,7 +1011,7 @@ func (s *Scheduler) Stats() Stats {
 	st.PackedKernelScans = int64(sh.PackedKernelScans)
 	st.PackedPredicateKernels = int64(sh.PackedPredicateKernels)
 	if st.FactScans > 0 {
-		st.CoalesceRatio = float64(st.Executed+st.Shared) / float64(st.FactScans)
+		st.CoalesceRatio = float64(st.Executed) / float64(st.FactScans)
 	}
 	if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
 		st.CacheHitRate = float64(st.CacheHits) / float64(lookups)

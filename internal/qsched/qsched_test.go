@@ -105,7 +105,7 @@ func TestCoalescingSharedScan(t *testing.T) {
 	}
 	waitFor(t, "every user's first query to queue", func() bool {
 		st := s.Stats()
-		return int(st.Shared)+st.QueueDepth == users
+		return st.QueueDepth == users
 	})
 	ge.open()
 	wg.Wait()
@@ -120,64 +120,14 @@ func TestCoalescingSharedScan(t *testing.T) {
 	if st.Submitted != users*perUser+1 {
 		t.Errorf("submitted = %d, want %d", st.Submitted, users*perUser+1)
 	}
-	if st.Executed+st.Shared != st.Submitted {
-		t.Errorf("executed %d + shared %d != submitted %d", st.Executed, st.Shared, st.Submitted)
+	if st.Executed != st.Submitted {
+		t.Errorf("executed %d != submitted %d", st.Executed, st.Submitted)
 	}
 	if st.FactScans >= st.Submitted {
 		t.Errorf("fact scans %d not fewer than %d queries: no coalescing", st.FactScans, st.Submitted)
 	}
 	if st.CoalesceRatio <= 1 {
 		t.Errorf("coalesce ratio = %.2f, want > 1", st.CoalesceRatio)
-	}
-}
-
-// TestDedupIdenticalConcurrentQueries checks that identical concurrent
-// queries execute once and every waiter still gets the full result.
-func TestDedupIdenticalConcurrentQueries(t *testing.T) {
-	ds := testDataset(t)
-	ge := newGatedExec(ds.Cube)
-	s := New(ge, Options{MaxInFlight: 1})
-	defer s.Close()
-	defer ge.open()
-	stalled := stallSlot(t, s, ge, "staller")
-	want, err := ds.Cube.Execute(countQuery, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 24
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for g := 0; g < n; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			res, err := s.Submit(countQuery, nil, fmt.Sprintf("user%d", g%4))
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !sameAnswer(res, want) {
-				errs <- fmt.Errorf("goroutine %d: result differs", g)
-			}
-		}(g)
-	}
-	waitFor(t, "identical queries to merge", func() bool {
-		st := s.Stats()
-		return st.QueueDepth == 1 && st.Shared == n-1
-	})
-	ge.open()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if err := <-stalled; err != nil {
-		t.Fatal(err)
-	}
-	// The n identical queries ran as one execution beside the staller's.
-	st := s.Stats()
-	if st.Shared != n-1 || st.Executed != 2 {
-		t.Errorf("shared %d, executed %d; want %d shared and 2 executed", st.Shared, st.Executed, n-1)
 	}
 }
 
@@ -255,10 +205,10 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 // exactly to round-robin: one query per tenant before the flooder gets a
 // second slot.
 func TestFairAdmissionRoundRobin(t *testing.T) {
-	s := &Scheduler{tenants: map[string]*tenant{}, byKey: map[string]*request{}}
+	s := &Scheduler{tenants: map[string]*tenant{}}
 	enqueue := func(user string, n int) {
 		for i := 0; i < n; i++ {
-			s.enqueueLocked(&request{key: fmt.Sprintf("%s-%d", user, i), user: user}, user)
+			s.enqueueLocked(&request{key: fmt.Sprintf("%s-%d", user, i), user: user})
 		}
 	}
 	enqueue("heavy", 10)
@@ -282,9 +232,6 @@ func TestFairAdmissionRoundRobin(t *testing.T) {
 	rest := s.assembleLocked(64)
 	if len(rest) != 6 || s.queued != 0 {
 		t.Errorf("second batch = %d requests, queued = %d; want 6 / 0", len(rest), s.queued)
-	}
-	if len(s.byKey) != 0 {
-		t.Errorf("dedup index has %d stale entries", len(s.byKey))
 	}
 }
 
@@ -357,27 +304,78 @@ func TestSubmitBatchPreservesOrder(t *testing.T) {
 }
 
 // TestSubmitBatchFailedEnqueuesNothing pins that a batch failing on a
-// malformed entry scans none of its valid entries — on the compile error
-// and on the negative-cache hit that answers the repeat — so a bad query
-// appended to a batch can neither waste scans nor slip past the overload
-// check.
+// malformed entry scans none of its valid entries, on the first try and on
+// the repeat, so a bad query appended to a batch can neither waste scans nor
+// slip past the overload check.
 func TestSubmitBatchFailedEnqueuesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  cube.Query
+	}{
+		{"unknown fact", cube.Query{Fact: "Ghost", Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}}},
+		{"no aggregates", cube.Query{Fact: "Sales"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := testDataset(t)
+			s := New(ds.Cube, Options{})
+			defer s.Close()
+			qs := []cube.Query{countQuery, cityQuery(1), tc.bad}
+			for round := 0; round < 2; round++ {
+				if _, err := s.SubmitBatch(qs, nil, "mallory"); err == nil {
+					t.Fatalf("round %d: batch with malformed query succeeded", round)
+				}
+			}
+			st := s.Stats()
+			if st.Executed != 0 || st.FactScans != 0 || st.QueueDepth != 0 {
+				t.Errorf("failed batches executed %d queries in %d scans, %d queued; want none",
+					st.Executed, st.FactScans, st.QueueDepth)
+			}
+		})
+	}
+}
+
+// TestNegativeCacheRepeatedInvalidQueries checks what a repeated invalid
+// query gets now that no negative cache is kept: it fails at compile time
+// every time, lone or in a batch and whoever submits it, with the same error
+// text; distinct invalid queries get distinct errors; nothing is scanned; and
+// a valid query afterwards still passes.
+func TestNegativeCacheRepeatedInvalidQueries(t *testing.T) {
 	ds := testDataset(t)
 	s := New(ds.Cube, Options{})
 	defer s.Close()
-	ghost := cube.Query{Fact: "Ghost", Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}}
-	qs := []cube.Query{countQuery, cityQuery(1), ghost}
-	for round := 0; round < 2; round++ {
-		if _, err := s.SubmitBatch(qs, nil, "mallory"); err == nil {
-			t.Fatalf("round %d: batch with malformed query succeeded", round)
+	bad := cube.Query{Fact: "Ghost", Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}}
+
+	_, err1 := s.Submit(bad, nil, "alice")
+	if err1 == nil {
+		t.Fatal("invalid query accepted")
+	}
+	for _, user := range []string{"alice", "bob"} {
+		if _, err := s.Submit(bad, nil, user); err == nil || err.Error() != err1.Error() {
+			t.Fatalf("repeat by %s: error %v, first was %v", user, err, err1)
 		}
 	}
-	st := s.Stats()
-	if st.Executed != 0 || st.Batches != 0 {
-		t.Errorf("failed batches executed %d queries in %d batches, want none", st.Executed, st.Batches)
+	bad2 := cube.Query{Fact: "Sales"} // no aggregates
+	_, err2 := s.Submit(bad2, nil, "alice")
+	if err2 == nil {
+		t.Fatal("aggregate-less query accepted")
 	}
-	if st.NegCacheHits != 1 {
-		t.Errorf("negative-cache hits = %d, want 1 (the repeat)", st.NegCacheHits)
+	if err2.Error() == err1.Error() {
+		t.Errorf("distinct invalid queries share the error %q", err1)
+	}
+	// The batch path fails the same way, naming the entry.
+	for round := 0; round < 2; round++ {
+		_, err := s.SubmitBatch([]cube.Query{bad}, nil, "carol")
+		if want := "qsched: batch query 0: " + err1.Error(); err == nil || err.Error() != want {
+			t.Fatalf("round %d: batch error %v, want %q", round, err, want)
+		}
+	}
+	if st := s.Stats(); st.Executed != 0 || st.FactScans != 0 || st.QueueDepth != 0 {
+		t.Errorf("invalid queries executed %d queries in %d scans, %d queued; want none",
+			st.Executed, st.FactScans, st.QueueDepth)
+	}
+	// A valid query still passes untouched.
+	if _, err := s.Submit(countQuery, nil, "alice"); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -459,73 +457,6 @@ func TestCloseRejectsCachedQueries(t *testing.T) {
 	s.Close()
 	if _, err := s.Submit(countQuery, nil, "alice"); err != ErrClosed {
 		t.Errorf("cached query after close: err = %v, want ErrClosed", err)
-	}
-}
-
-// TestNegativeCacheRepeatedInvalidQueries checks that a repeated invalid
-// query is answered from the negative cache — same error, one compile —
-// and that distinct invalid queries occupy distinct entries.
-func TestNegativeCacheRepeatedInvalidQueries(t *testing.T) {
-	ds := testDataset(t)
-	s := New(ds.Cube, Options{})
-	defer s.Close()
-	bad := cube.Query{Fact: "Ghost", Aggregates: []cube.MeasureAgg{{Agg: cube.AggCount}}}
-
-	_, err1 := s.Submit(bad, nil, "alice")
-	if err1 == nil {
-		t.Fatal("invalid query accepted")
-	}
-	if st := s.Stats(); st.NegCacheHits != 0 || st.NegCacheEntries != 1 {
-		t.Fatalf("after first failure: negHits=%d entries=%d, want 0/1", st.NegCacheHits, st.NegCacheEntries)
-	}
-	_, err2 := s.Submit(bad, nil, "bob") // cached, regardless of user
-	if err2 == nil || err2.Error() != err1.Error() {
-		t.Fatalf("cached error differs: %v vs %v", err2, err1)
-	}
-	bad2 := cube.Query{Fact: "Sales"} // no aggregates
-	if _, err := s.Submit(bad2, nil, "alice"); err == nil {
-		t.Fatal("aggregate-less query accepted")
-	}
-	st := s.Stats()
-	if st.NegCacheHits != 1 || st.NegCacheEntries != 2 {
-		t.Errorf("negHits=%d entries=%d, want 1/2", st.NegCacheHits, st.NegCacheEntries)
-	}
-	// The batch path consults the same negative cache.
-	if _, err := s.SubmitBatch([]cube.Query{bad}, nil, "carol"); err == nil {
-		t.Fatal("batch with cached-invalid query accepted")
-	}
-	if st := s.Stats(); st.NegCacheHits != 2 {
-		t.Errorf("negHits after batch = %d, want 2", st.NegCacheHits)
-	}
-	// A valid query still passes untouched.
-	if _, err := s.Submit(countQuery, nil, "alice"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestErrCacheBounded checks the negative cache's FIFO bound directly.
-func TestErrCacheBounded(t *testing.T) {
-	c := newErrCache(3)
-	for i := 0; i < 5; i++ {
-		c.put(fmt.Sprintf("fp%d", i), fmt.Errorf("err%d", i))
-	}
-	if c.size() != 3 {
-		t.Fatalf("size = %d, want 3", c.size())
-	}
-	for _, fp := range []string{"fp0", "fp1"} {
-		if _, ok := c.get(fp); ok {
-			t.Errorf("%s survived FIFO eviction", fp)
-		}
-	}
-	for _, fp := range []string{"fp2", "fp3", "fp4"} {
-		if _, ok := c.get(fp); !ok {
-			t.Errorf("%s missing", fp)
-		}
-	}
-	// Re-putting an existing key neither duplicates nor evicts.
-	c.put("fp4", fmt.Errorf("other"))
-	if err, _ := c.get("fp4"); err == nil || err.Error() != "err4" {
-		t.Errorf("re-put replaced entry: %v", err)
 	}
 }
 
@@ -652,7 +583,7 @@ func randomView(rng *rand.Rand, c *cube.Cube) *cube.View {
 
 // TestConcurrentEquivalenceRandomized is the correctness bar: randomized
 // personalized queries hammered through the scheduler concurrently — with
-// dedup, the in-flight bound, and the result cache all active — must
+// the in-flight bound and the result cache active — must
 // return results byte-identical to the executor-independent
 // reference (cubetest.NaiveExecute).
 func TestConcurrentEquivalenceRandomized(t *testing.T) {
@@ -707,9 +638,9 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 			if st.CacheHits == 0 {
 				t.Error("harness never exercised the cache-hit path")
 			}
-			if st.Executed+st.Shared+st.CacheHits != st.Submitted {
-				t.Errorf("accounting: executed %d + shared %d + hits %d != submitted %d",
-					st.Executed, st.Shared, st.CacheHits, st.Submitted)
+			if st.Executed+st.CacheHits != st.Submitted {
+				t.Errorf("accounting: executed %d + hits %d != submitted %d",
+					st.Executed, st.CacheHits, st.Submitted)
 			}
 		})
 	}

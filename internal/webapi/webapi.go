@@ -22,8 +22,8 @@
 //	GET  /api/stats                                    → query-scheduler counters
 //	                                                     (coalesce ratio, cache hit rate, queue depth,
 //	                                                     filter-mask / group-key sharing ratios,
-//	                                                     negative-cache, admission-timeout and
-//	                                                     doorkeeper counters; shed counters and per-tenant
+//	                                                     admission-timeout and doorkeeper
+//	                                                     counters; shed counters and per-tenant
 //	                                                     fair shares, snapshotted under one scheduler lock;
 //	                                                     the fact tables' artifact-cache hit rates; on a
 //	                                                     sharded engine also shard count, per-shard fact
@@ -793,7 +793,7 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 
 // handleStats serves the query scheduler's counters: how many queries
 // coalesced into how few shared scans, result-cache effectiveness
-// (including doorkeeper admissions and the negative cache), how much
+// (including doorkeeper admissions), how much
 // cross-query stage work batch scans shared (filterMaskSharing,
 // predicateSharing — per-filter bitmaps AND-composed into set masks,
 // composedMasks — and groupKeySharing ratios), admission timeouts, the
