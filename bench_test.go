@@ -1258,6 +1258,55 @@ func BenchmarkLoneFilteredScan(b *testing.B) {
 	}
 }
 
+// BenchmarkDashboardBatch measures the dashboard workload's miss batch:
+// its twelve tiles (4 group-bys x 3 aggregates) share a Customer.age
+// floor with a fresh constant every run (freshConst, so no artifact cache
+// holds its bitmap), and each aggregate adds its own second predicate,
+// so the batch has three filter sets of four users each. Every tile looks
+// through one view of a fifth of the facts (one product family), so stage
+// 3 walks three set mask ∩ view intersections, four kernel plans each.
+func BenchmarkDashboardBatch(b *testing.B) {
+	env := getBenchEnv(b, 200000)
+	c := env.ds.Cube
+	vb := cube.NewView(c).Builder()
+	if err := vb.SelectMember("Product", "Family", 0); err != nil {
+		b.Fatal(err)
+	}
+	v := vb.View()
+	lv := func(dim, level string) LevelRef { return LevelRef{Dimension: dim, Level: level} }
+	city := lv("Store", "City")
+	groupBys := [][]LevelRef{{city}, {city, lv("Product", "Family")}, {city, lv("Time", "Month")}, {lv("Product", "Product")}}
+	aggs := []MeasureAgg{{Measure: "UnitSales", Agg: SUM}, {Measure: "StoreSales", Agg: AVG}, {Agg: COUNT}}
+	extra := []*AttrFilter{nil,
+		{LevelRef: city, Attr: "population", Op: OpGe, Value: float64(200000)},
+		{LevelRef: lv("Product", "Product"), Attr: "brand", Op: OpNe, Value: "Brand03"}}
+	vs := make([]*View, len(groupBys)*len(aggs))
+	for k := range vs {
+		vs[k] = v
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		age := AttrFilter{LevelRef: lv("Customer", "Customer"), Attr: "age", Op: OpLt, Value: freshConst(40)}
+		var cqs []*cube.CompiledQuery
+		for _, gb := range groupBys {
+			for a, agg := range aggs {
+				q := Query{Fact: "Sales", GroupBy: gb, Aggregates: []MeasureAgg{agg}, Filters: []AttrFilter{age}}
+				if extra[a] != nil {
+					q.Filters = append(q.Filters, *extra[a])
+				}
+				cq, err := c.Compile(q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cqs = append(cqs, cq)
+			}
+		}
+		if _, _, err := c.ExecuteBatchCompiledOpt(cqs, vs, BatchOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMultiLevelGroupBy measures the dense composite-key group table
 // on two-level group-bys: Store x Family materializes 10 000 rows (the
 // drilldown shape — result materialization shows), City x Month a few

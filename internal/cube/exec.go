@@ -44,9 +44,11 @@ const execChunkSize = 8192
 // whole conjunction of a filter set as one bitmap, ANDing in the
 // predicate bitmaps the batch holds and running the packed predicate
 // kernels for the rest. Every filtered query iterates such a set mask
-// (intersected with its view) unless its set is priced out by
-// sparseViewK, in which case it keeps the stages fused per visible fact
-// (process). Stage 2 is shared as one composite roll-up key column per
+// (intersected with its view, once per distinct set and view of the
+// batch) unless its set is priced out by sparseViewK, in which case it
+// keeps the stages fused per visible fact (process). Stage 3 walks each
+// mask once per chunk for every single-aggregate kernel plan iterating
+// it (maskWalk). Stage 2 is shared as one composite roll-up key column per
 // distinct group-by list when enough of the batch decodes it. Artifacts
 // are keyed by the sub-fingerprints in fingerprint.go.
 
@@ -683,48 +685,37 @@ func (pt *partial) accumulateFact(i int32, d *scanDrive) {
 }
 
 // accumulate is stage 3 over facts [lo, hi) that passed stage 1: the set
-// bits of m, or every fact when m is nil. A plan with a specialized kernel
-// runs it (accumRange, accumMask); the rest fold accumulateFact per fact.
+// bits of m, or every fact when m is nil. It folds accumulateFact per
+// fact, except that a plan with a specialized kernel runs accumRange over
+// every fact; a kernel plan over a mask takes the shared walk
+// (maskWalk.fold) instead.
 func (pt *partial) accumulate(m *bitset.Set, lo, hi int, d *scanDrive) {
 	switch {
-	case pt.p.kern != kernGeneric && m == nil:
-		pt.accumRange(lo, hi, d)
-	case pt.p.kern != kernGeneric:
-		pt.accumMask(m, lo, hi, d)
-	case m == nil:
-		for i := lo; i < hi; i++ {
-			pt.accumulateFact(int32(i), d)
-		}
-	default:
+	case m != nil:
 		m.ForEachRange(lo, hi, func(i int) bool {
 			pt.accumulateFact(int32(i), d)
 			return true
 		})
+	case pt.p.kern != kernGeneric:
+		pt.accumRange(lo, hi, d)
+	default:
+		for i := lo; i < hi; i++ {
+			pt.accumulateFact(int32(i), d)
+		}
 	}
 }
 
-// scanFused folds facts [lo, hi) of a query that has no stage-1 bitmap
-// into the partial. An unfiltered query accumulates every fact of the
-// range (nil mask) or of its view mask. A filtered one has no bitmap only
-// when its filter set is priced out by sparseViewK (sparse views only),
-// and walks the view's set bits with all three stages fused per fact. The
-// drive carries a shared key column when the staged scan materialized
-// stage 2.
-func (pt *partial) scanFused(lo, hi int, mask *bitset.Set, d *scanDrive) {
-	if len(pt.p.filters) > 0 {
-		mask.ForEachRange(lo, hi, func(i int) bool {
-			pt.process(int32(i), d)
-			return true
-		})
-		return
-	}
-	c := hi - lo
-	if mask != nil {
-		c = mask.CountRange(lo, hi)
-	}
-	pt.scanned += c
-	pt.matched += c
-	pt.accumulate(mask, lo, hi, d)
+// scanFused folds facts [lo, hi) of a filtered query that has no stage-1
+// bitmap into the partial: its filter set is priced out by sparseViewK
+// (its users see sparse views only), so it walks its view's set bits with
+// all three stages fused per fact (process), counting the facts it scans
+// and matches. The drive carries a shared key column when the staged
+// scan materialized stage 2.
+func (pt *partial) scanFused(lo, hi int, view *bitset.Set, d *scanDrive) {
+	view.ForEachRange(lo, hi, func(i int) bool {
+		pt.process(int32(i), d)
+		return true
+	})
 }
 
 // merge folds src into pt: MergeFinalize folds sibling shards' partials

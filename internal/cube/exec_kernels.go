@@ -220,32 +220,44 @@ func (pt *partial) accumRange(lo, hi int, d *scanDrive) {
 	}
 }
 
-// accumMask folds every set bit of m in [lo, hi) through the plan's
-// kernel — the prefiltered stage 3, iterating mask words directly
-// instead of taking a callback per fact. Bounds clamp to the mask's
-// capacity exactly as ForEachRange does. Callers must only invoke it
-// when p.kern != kernGeneric.
-func (pt *partial) accumMask(m *bitset.Set, lo, hi int, d *scanDrive) {
-	if hi > m.Len() {
-		hi = m.Len()
-	}
+// maskWalk is one mask of a scan and the kernel plans that iterate it
+// (users, indices into the scan's queries): foldScan walks it once per
+// chunk for all of them.
+type maskWalk struct {
+	m     *bitset.Set
+	users []int
+}
+
+// fold folds every set bit of w.m in [lo, hi) into each user's partial —
+// the prefiltered stage 3, iterating mask words directly instead of
+// taking a callback per fact. For each non-zero word every user's kernel
+// (accumWord) runs back to back, while the word's measure and key lines
+// are still in L1; each partial still folds its own facts in ascending
+// order. Bounds clamp to the mask's capacity exactly as ForEachRange
+// does. Every user's plan must have a kernel (p.kern != kernGeneric).
+func (w *maskWalk) fold(lo, hi int, out []*partial, scans []queryScan) {
+	hi = min(hi, w.m.Len())
 	if lo >= hi {
 		return
 	}
-	words := m.Words()
+	words := w.m.Words()
 	loW, hiW := lo>>6, (hi-1)>>6
 	for wi := loW; wi <= hiW; wi++ {
-		w := words[wi]
+		word := words[wi]
 		if wi == loW {
-			w &= ^uint64(0) << (uint(lo) & 63)
+			word &= ^uint64(0) << (uint(lo) & 63)
 		}
 		if wi == hiW {
 			if rem := uint(hi) & 63; rem != 0 {
-				w &= uint64(1)<<rem - 1
+				word &= uint64(1)<<rem - 1
 			}
 		}
-		if w != 0 {
-			pt.accumWord(w, int32(wi)<<6, d)
+		if word == 0 {
+			continue
+		}
+		base := int32(wi) << 6
+		for _, k := range w.users {
+			out[k].accumWord(word, base, &scans[k].d)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"sdwp/internal/bitset"
@@ -101,12 +102,20 @@ func TestPartialPoolNoStateBleed(t *testing.T) {
 			pHash.denseCells, pDense.denseCells, pSingle.denseCells, pSingle.kern)
 	}
 
-	// run drives one plan's pipeline over the whole table into pt: the
-	// filtered plan's own stage-1 bitmap, then stage 3.
+	// drive runs one plan's pipeline over the whole table into pt through
+	// the lone route (loneScan, foldScan): a filtered plan fills its own
+	// stage-1 bitmap with view ANDed in, the scan counts are taken once,
+	// and stage 3 folds off the plan's mask — the kernel plan over a view
+	// in a mask walk of one user.
+	drive := func(p *queryPlan, pt *partial, view *bitset.Set) {
+		qs, own := loneScan(p, view, p.n, &SharingStats{}, nil)
+		foldScan([]*partial{pt}, []queryScan{qs}, p.n)
+		if own != nil {
+			releaseArtifacts(p.fd, nil, []*bitset.Set{own})
+		}
+	}
 	run := func(p *queryPlan, pt *partial) *Result {
-		scans := []queryScan{loneScan(p, nil, p.n, &SharingStats{}, nil)}
-		pt.scanRangeStaged(0, p.n, &scans[0])
-		releaseArtifacts(p.fd, nil, scans)
+		drive(p, pt, nil)
 		return p.finalize(pt)
 	}
 	want := map[*queryPlan]*Result{}
@@ -185,8 +194,7 @@ func TestPartialPoolNoStateBleed(t *testing.T) {
 				for w := range parts {
 					pool[w].rebind(p)
 					fresh(label, pool[w], p)
-					d := p.drive(nil)
-					pool[w].scanFused(0, p.n, masks[w], &d)
+					drive(p, pool[w], masks[w])
 				}
 				for w := 1; w < parts; w++ {
 					pool[0].merge(pool[w])
@@ -338,7 +346,7 @@ func TestSingleWorkerSharedArtifactsReturnToPools(t *testing.T) {
 
 // TestLoneStatsMatchesPlanner pins the lone-query shortcut of
 // scanSharedStaged: what loneScan reports and builds without running the
-// artifact planner must equal what buildArtifacts and planScan give the
+// artifact planner must equal what buildArtifacts and planScans give the
 // same batch of one — repeated predicates count once, and both routes
 // hand a filtered query the same stage-1 mask from the one builder (with
 // and without a view).
@@ -364,22 +372,106 @@ func TestLoneStatsMatchesPlanner(t *testing.T) {
 		}
 		for _, view := range []*bitset.Set{nil, bitset.FromIndices(n, []int{0, 2, 3})} {
 			got := loneStats(p)
-			lone := []queryScan{loneScan(p, view, p.n, &got, nil)}
-			art, want := buildArtifacts([]*queryPlan{p}, []*bitset.Set{view}, p.n, nil, nil)
-			planned := []queryScan{planScan(p, view, art)}
+			lone, loneOwn := loneScan(p, view, p.n, &got, nil)
+			plans, masks := []*queryPlan{p}, []*bitset.Set{view}
+			art, visible, want := buildArtifacts(plans, masks, p.n, nil, nil)
+			planned := make([]queryScan, 1)
+			own := planScans(plans, masks, visible, p.n, art, planned)
 			label := fmt.Sprintf("query %d view %v", i, view)
 			if got != want {
 				t.Errorf("%s: lone route stats = %+v, planner route = %+v", label, got, want)
 			}
-			if filtered := p.filterKey != ""; (got.BitmapBytesBuilt > 0) != filtered || lone[0].prefiltered != filtered {
-				t.Errorf("%s: filtered=%v but built %d bitmap bytes, prefiltered=%v",
-					label, filtered, got.BitmapBytesBuilt, lone[0].prefiltered)
+			if filtered := p.filterKey != ""; (got.BitmapBytesBuilt > 0) != filtered || filtered != (loneOwn != nil) || !lone.prefiltered {
+				t.Errorf("%s: filtered=%v but built %d bitmap bytes, own mask %v, prefiltered=%v",
+					label, filtered, got.BitmapBytesBuilt, loneOwn != nil, lone.prefiltered)
 			}
-			if lone[0].prefiltered != planned[0].prefiltered || !lone[0].iter.Equal(planned[0].iter) {
-				t.Errorf("%s: routes built different stage-1 masks: %v vs %v", label, lone[0].iter, planned[0].iter)
+			if lone.prefiltered != planned[0].prefiltered || !lone.iter.Equal(planned[0].iter) {
+				t.Errorf("%s: routes built different stage-1 masks: %v vs %v", label, lone.iter, planned[0].iter)
 			}
-			releaseArtifacts(p.fd, nil, lone)
-			releaseArtifacts(p.fd, art, planned)
+			if lone.scanned != planned[0].scanned || lone.matched != planned[0].matched {
+				t.Errorf("%s: routes counted %d/%d vs %d/%d scanned/matched facts",
+					label, lone.scanned, lone.matched, planned[0].scanned, planned[0].matched)
+			}
+			if loneOwn != nil {
+				releaseArtifacts(p.fd, nil, []*bitset.Set{loneOwn})
+			}
+			releaseArtifacts(p.fd, art, own)
 		}
+	}
+}
+
+// TestSharedIntersectionReleasedOnce pins the ownership of stage 3's
+// shared masks: in a batch where several queries iterate one set mask ∩
+// view, the scan builds that intersection once per (filter set, view)
+// pair, and every mask buffer it took reaches maskPool exactly once after
+// the scan. A second Put would hand one buffer to two later scans. GC is
+// off so the pool keeps what the scan put back; the pool checks are off
+// under the race detector, which makes sync.Pool drop a random quarter of
+// its Puts (the batch still runs there).
+func TestSharedIntersectionReleasedOnce(t *testing.T) {
+	c := wideWarehouse(t)
+	fd := c.FactData("F")
+	heavy := []AttrFilter{{LevelRef: LevelRef{"A", "a"}, Attr: "weight", Op: OpGt, Value: 2.0}}
+	light := []AttrFilter{{LevelRef: LevelRef{"A", "a"}, Attr: "weight", Op: OpLe, Value: 1.0}}
+	vb := NewView(c).Builder()
+	if err := vb.SelectMember("B", "region", 0); err != nil {
+		t.Fatal(err)
+	}
+	view := vb.View()
+	sum := []MeasureAgg{{Measure: "m", Agg: AggSum}}
+	two := []MeasureAgg{{Measure: "m", Agg: AggSum}, {Agg: AggCount}}
+	byA := []LevelRef{{"A", "a"}}
+	byRegion := []LevelRef{{"B", "region"}}
+	// Five users of (heavy, view) — kernel and generic plans — two of
+	// (heavy, no view) and two of (light, view): two intersections.
+	var qs []Query
+	var vs []*View
+	add := func(f []AttrFilter, v *View, aggs []MeasureAgg, by []LevelRef) {
+		qs = append(qs, Query{Fact: "F", GroupBy: by, Aggregates: aggs, Filters: f})
+		vs = append(vs, v)
+	}
+	add(heavy, view, sum, byA)
+	add(heavy, view, sum, byRegion)
+	add(heavy, view, []MeasureAgg{{Agg: AggCount}}, byA)
+	add(heavy, view, two, byA)
+	add(heavy, view, two, nil)
+	add(heavy, nil, sum, byA)
+	add(heavy, nil, two, byRegion)
+	add(light, view, sum, byA)
+	add(light, view, two, byRegion)
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	view.Materialize("F") // the view's mask is the table cache's, never pooled
+	for fd.maskPool.Get() != nil {
+	}
+	res, _, err := ExecuteBatchStats(c, qs, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range qs {
+		if res[i].MatchedFacts == 0 {
+			t.Fatalf("query %d matched no facts: the batch does not exercise the walk", i)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	puts := map[*bitset.Set]int{}
+	for {
+		m, ok := fd.maskPool.Get().(*bitset.Set)
+		if !ok {
+			break
+		}
+		puts[m]++
+	}
+	for m, k := range puts {
+		if k > 1 {
+			t.Errorf("mask buffer %p reached maskPool %d times", m, k)
+		}
+	}
+	// The two set masks (offered once to a cold cache, whose doorkeeper
+	// turns them away) and one intersection per (set, view) pair.
+	if len(puts) != 4 {
+		t.Errorf("scan returned %d distinct mask buffers to maskPool, want 4 (2 set masks, 2 intersections)", len(puts))
 	}
 }

@@ -26,11 +26,21 @@ import (
 // predicate bitmaps cover all of its predicates, so that it costs only
 // word-ANDs. A predicate recurring across two priced sets gets a bitmap
 // of its own, which their fills AND in instead of re-running its kernel.
-// Every user of a set mask iterates it intersected with its view. A
-// filtered query whose set has no mask — all its users see sparse views —
-// walks its view's set bits with the stages fused per fact
+//
+// Stage 3 shares too (planScans, foldScan). The users of a set mask over
+// one view iterate one pooled intersection, set mask ∩ view, built and
+// counted once per distinct (filter set, view mask) pair; a user with no
+// view iterates the set mask itself, and an unfiltered query its view.
+// Each query's ScannedFacts and MatchedFacts are counted once per scan
+// (its visible facts, and its mask's popcount). Every chunk then walks
+// each such mask once for all the kernel plans iterating it: per non-zero
+// mask word, every user's accumWord runs back to back while the word's
+// measure and key lines are still in L1 (maskWalk). Generic plans
+// (several aggregates, or hashed) fold the chunk off their mask on their
+// own. A filtered query whose set has no mask — all its users see sparse
+// views — walks its view's set bits with the stages fused per fact
 // (partial.scanFused). A lone query (a batch of one) takes the same
-// decision in loneScan, which skips the planner and the artifact cache
+// decisions in loneScan, which skips the planner and the artifact cache
 // and ANDs its view in during the fill. A group-by unique in the batch
 // decodes its keys inline. Materialized artifacts are also the natural
 // per-shard exchange unit once the fact table is sharded across
@@ -83,51 +93,99 @@ func (fd *FactData) getMask() *bitset.Set {
 	return bitset.New(fd.n)
 }
 
-// queryScan is one query's precomputed accumulation drive: which mask to
-// iterate, whether filters are pre-applied through it, and the shared
-// composite key column (nil decodes inline).
+// queryScan is one query's stage-3 drive, planned once per scan: the mask
+// it iterates, whether that mask already encodes its filters, its counts
+// and its hoisted stage-2/3 state.
 type queryScan struct {
-	// view is the personalized visibility mask (nil = whole table); its
-	// per-chunk popcount is the query's ScannedFacts contribution.
-	view *bitset.Set
-	// iter is the mask accumulation iterates: the query's set mask
-	// intersected with its view when stage 1 ran ahead of the scan,
-	// otherwise view (and a filtered query runs matchFact inline). nil
-	// iterates every fact.
-	iter *bitset.Set
-	// prefiltered marks that iter already encodes the filters, so matched
-	// facts are counted by popcount instead of per-fact evaluation.
+	// iter is the mask stage 3 iterates (nil iterates every fact). A
+	// prefiltered iter holds exactly the query's visible matching facts:
+	// its set mask (no view), the set mask ∩ its view (one pooled
+	// intersection per distinct (filter set, view) pair of the scan,
+	// shared by every user of the pair), or an unfiltered query's view.
+	// Otherwise the query is filtered over a sparse view whose set got no
+	// mask, iter is that view, and stage 1 runs per visible fact
+	// (partial.scanFused).
+	iter        *bitset.Set
 	prefiltered bool
-	// ownIter marks an iter taken from the mask pool for this query alone
-	// (a lone query's mask, or a set mask intersected with the view),
-	// which releaseArtifacts returns to the pool.
-	ownIter bool
-	// keyCol is the plan's shared composite group-key column (nil → inline
-	// decode, scanDrive.key).
-	keyCol []int32
+	// scanned and matched are a prefiltered query's ScannedFacts and
+	// MatchedFacts: its visible facts and iter's popcount, counted once
+	// per scan and per distinct mask. The fused walk counts its own.
+	scanned, matched int
+	d                scanDrive
 }
 
-// scanRangeStaged folds facts [lo, hi) into pt, driving stage 3 off qs's
-// masks and key columns (partial.scanFused when nothing was prefiltered).
-func (pt *partial) scanRangeStaged(lo, hi int, qs *queryScan) {
-	d := pt.p.drive(qs.keyCol)
-	if qs.prefiltered {
-		// Stage 1 ran ahead of the scan: ScannedFacts is the view's
-		// popcount (identical to the fused path, which counts every
-		// visible fact it visits), and only facts passing every filter are
-		// visited at all.
-		if qs.view == nil {
-			pt.scanned += hi - lo
-		} else {
-			pt.scanned += qs.view.CountRange(lo, hi)
-		}
-		pt.matched += qs.iter.CountRange(lo, hi)
-		pt.accumulate(qs.iter, lo, hi, &d)
-		return
+// viewScan is query p's drive over view, visible of whose facts the scan
+// sees, before stage 1 is planned: an unfiltered query iterates its view,
+// which holds its matching facts too; a filtered one walks it fused
+// unless a set mask is handed to it (prefilter).
+func viewScan(p *queryPlan, view *bitset.Set, visible int, keyCol []int32) queryScan {
+	qs := queryScan{iter: view, d: p.drive(keyCol)}
+	if p.filterKey == "" {
+		qs.prefilter(view, visible, visible)
 	}
-	// No stage-1 bitmap: unfiltered, or filtered over a sparse view. Stage
-	// 2 may still come from the shared key column.
-	pt.scanFused(lo, hi, qs.view, &d)
+	return qs
+}
+
+// prefilter makes m, holding matched of the query's visible facts, the
+// mask the query iterates.
+func (qs *queryScan) prefilter(m *bitset.Set, visible, matched int) {
+	qs.iter, qs.prefiltered, qs.scanned, qs.matched = m, true, visible, matched
+}
+
+// walked reports whether the query folds its facts in a shared walk of
+// its mask (maskWalk): a kernel plan over a prefiltered mask.
+func (qs *queryScan) walked() bool {
+	return qs.prefiltered && qs.iter != nil && qs.d.p.kern != kernGeneric
+}
+
+// maskWalks groups the scan's walked queries (queryScan.walked) by the
+// mask they iterate, in order of first use.
+func maskWalks(scans []queryScan) []maskWalk {
+	var walks []maskWalk
+	for k := range scans {
+		if !scans[k].walked() {
+			continue
+		}
+		m := scans[k].iter
+		j := slices.IndexFunc(walks, func(w maskWalk) bool { return w.m == m })
+		if j < 0 {
+			j = len(walks)
+			walks = append(walks, maskWalk{m: m})
+		}
+		walks[j].users = append(walks[j].users, k)
+	}
+	return walks
+}
+
+// foldScan is stage 3 of one scan over [0, n) into out (one partial per
+// query, indexed like scans). Each partial takes its query's
+// once-per-scan counts; then, chunk by chunk in order, every mask that
+// kernel plans iterate is walked once for all of them (maskWalk.fold),
+// and every other query folds the chunk on its own: a prefiltered
+// generic plan per set bit of its mask (or per fact; a kernel plan over
+// every fact runs accumRange), a filtered query with no set mask fused
+// over its view.
+func foldScan(out []*partial, scans []queryScan, n int) {
+	for k := range scans {
+		out[k].scanned += scans[k].scanned
+		out[k].matched += scans[k].matched
+	}
+	walks := maskWalks(scans)
+	for lo := 0; lo < n; lo += execChunkSize {
+		hi := min(lo+execChunkSize, n)
+		for i := range walks {
+			walks[i].fold(lo, hi, out, scans)
+		}
+		for k := range scans {
+			switch qs := &scans[k]; {
+			case qs.walked():
+			case qs.prefiltered:
+				out[k].accumulate(qs.iter, lo, hi, &qs.d)
+			default:
+				out[k].scanFused(lo, hi, qs.iter, &qs.d)
+			}
+		}
+	}
 }
 
 // sparseViewK prices stage 1; it is the decision's only constant. A
@@ -212,21 +270,28 @@ var loneUser = []int{0}
 // shares nothing and never reads or offers the table's artifact cache, so
 // the planner is skipped: a filtered query whose set the pricing rule
 // gives a mask (sparseViewK) fills one of its own with its view ANDed in,
-// and iterates it.
-func loneScan(p *queryPlan, view *bitset.Set, n int, stats *SharingStats, costs []obs.QueryCost) queryScan {
-	qs := queryScan{view: view, iter: view}
-	if p.filterKey == "" || view != nil && view.CountRange(0, n)*sparseViewK < n {
-		return qs
+// iterates it, and returns it as own for the scan to release.
+func loneScan(p *queryPlan, view *bitset.Set, n int, stats *SharingStats, costs []obs.QueryCost) (qs queryScan, own *bitset.Set) {
+	visible := n
+	if view != nil {
+		visible = view.CountRange(0, n)
+	}
+	qs = viewScan(p, view, visible, nil)
+	if p.filterKey == "" || view != nil && visible*sparseViewK < n {
+		return qs, nil
 	}
 	fill := []maskFill{{p: p, m: p.fd.getMask(), view: view, users: loneUser}}
 	fillMasks(fill, nil, nil, n, stats, costs)
-	qs.iter, qs.prefiltered, qs.ownIter = fill[0].m, true, true
-	return qs
+	own = fill[0].m
+	qs.prefilter(own, visible, own.CountRange(0, n))
+	return qs, own
 }
 
 // buildArtifacts materializes the filter-set masks, predicate bitmaps and
-// key columns a fact group's plans share, and returns them plus the
-// batch's sharing statistics. Stage 1 follows the pricing rule in
+// key columns a fact group's plans share, and returns them, each query's
+// visible facts (its view's popcount over [0, n), n without a view; the
+// query's ScannedFacts, which planScans reuses) and the batch's sharing
+// statistics. Stage 1 follows the pricing rule in
 // buildFilterMasks. A key column needs at least two sharing queries whose
 // combined decode mass exceeds one table pass; it is decided after the
 // filter masks are filled, so a filtered query weighs the popcount of its
@@ -250,8 +315,8 @@ func loneScan(p *queryPlan, view *bitset.Set, n int, stats *SharingStats, costs 
 // costs (indexed like plans) receives each query's byte share of the
 // artifacts this scan freshly materializes — see chargeArtifact for the
 // split.
-func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, n int, sc *obs.ShardScan, costs []obs.QueryCost) (*sharedArtifacts, SharingStats) {
-	stats := SharingStats{Queries: len(plans)}
+func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, n int, sc *obs.ShardScan, costs []obs.QueryCost) (art *sharedArtifacts, visible []int, stats SharingStats) {
+	stats = SharingStats{Queries: len(plans)}
 	sets := map[string]*filterSet{}       // set sub-fingerprint → census
 	predOwner := map[string]*filterSpec{} // any resolved spec for the predicate
 	groupOwner := map[string]*queryPlan{}
@@ -259,7 +324,7 @@ func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, n int, sc *obs.Shar
 	// attribution.
 	predUsers := map[string][]int{}
 	groupUsers := map[string][]int{}
-	visible := make([]int, len(plans))
+	visible = make([]int, len(plans))
 	for k, p := range plans {
 		visible[k] = n
 		if masks[k] != nil {
@@ -318,7 +383,7 @@ func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, n int, sc *obs.Shar
 	// was filled full-length at this version, and scans never iterate past
 	// their own bound.
 	cachePut := n == fd.n
-	art := &sharedArtifacts{fd: fd, filterMasks: map[string]*bitset.Set{},
+	art = &sharedArtifacts{fd: fd, filterMasks: map[string]*bitset.Set{},
 		predMasks: map[string]*bitset.Set{}, keyCols: map[string][]int32{}}
 
 	var t0 time.Time
@@ -382,7 +447,7 @@ func buildArtifacts(plans []*queryPlan, masks []*bitset.Set, n int, sc *obs.Shar
 	if sc != nil {
 		sc.GroupDecode = time.Since(t0)
 	}
-	return art, stats
+	return art, visible, stats
 }
 
 // buildFilterMasks is buildArtifacts' stage-1 planner. It decides, in
@@ -482,37 +547,59 @@ func buildFilterMasks(art *sharedArtifacts, stats *SharingStats, sets map[string
 	}
 }
 
-// planScan builds one query's accumulation drive from the shared
-// artifacts. A filtered query whose set got no mask keeps its view as
-// iter and takes the fused walk.
-func planScan(p *queryPlan, view *bitset.Set, art *sharedArtifacts) queryScan {
-	// A hashed or group-less plan has no groupKey, hence no column.
-	qs := queryScan{view: view, iter: view, keyCol: art.keyCols[p.groupKey]}
-	switch fm := art.filterMasks[p.filterKey]; {
-	case fm == nil:
-	case view == nil:
-		qs.iter, qs.prefiltered = fm, true
-	default:
-		// The set mask ∩ view in a pooled buffer (released with the
-		// artifacts at scan end).
-		eff := art.fd.getMask()
-		intersectView(eff.Words(), fm.Words(), view)
-		qs.iter, qs.prefiltered, qs.ownIter = eff, true, true
+// planScans builds every query's drive from the shared artifacts into
+// scans (indexed like plans, masks and visible — buildArtifacts' visible
+// facts per query) and returns the masks it took from the pool. A
+// filtered query whose set got a mask iterates it: as is without a view,
+// else intersected with its view in a pooled buffer — built and counted
+// once per distinct (filter set, view mask) pair and shared by every
+// query of the pair. A filtered query whose set got no mask keeps its
+// view and takes the fused walk.
+func planScans(plans []*queryPlan, masks []*bitset.Set, visible []int, n int, art *sharedArtifacts, scans []queryScan) (own []*bitset.Set) {
+	type pair struct {
+		set  string
+		view *bitset.Set
 	}
-	return qs
+	type prefiltered struct {
+		m       *bitset.Set
+		matched int
+	}
+	pairs := map[pair]prefiltered{}
+	for k, p := range plans {
+		// A hashed or group-less plan has no groupKey, hence no column.
+		scans[k] = viewScan(p, masks[k], visible[k], art.keyCols[p.groupKey])
+		fm := art.filterMasks[p.filterKey]
+		if fm == nil {
+			continue
+		}
+		key := pair{p.filterKey, masks[k]}
+		pf, ok := pairs[key]
+		if !ok {
+			pf.m = fm
+			if key.view != nil {
+				pf.m = art.fd.getMask()
+				intersectView(pf.m.Words(), fm.Words(), key.view)
+				own = append(own, pf.m)
+			}
+			pf.matched = pf.m.CountRange(0, n)
+			pairs[key] = pf
+		}
+		scans[k].prefilter(pf.m, visible[k], pf.matched)
+	}
+	return own
 }
 
 // releaseArtifacts returns fact table fd's scan-scoped pooled buffers —
-// shared bitmaps, key columns, and every query's own mask (ownIter) — once
-// no partial needs them (after the final merge; Results never reference
-// artifacts). Cache-owned artifacts are skipped: the table's cache keeps
-// them for future scans (possibly reading them concurrently), so
-// pooling them would hand a mutable buffer to a reader.
-func releaseArtifacts(fd *FactData, art *sharedArtifacts, scans []queryScan) {
-	for _, qs := range scans {
-		if qs.ownIter {
-			fd.maskPool.Put(qs.iter)
-		}
+// shared bitmaps, key columns, and the masks the scan took for its
+// queries' iteration alone (own: a lone query's mask, or one set mask ∩
+// view per pair, each listed once) — once no partial needs them (after
+// the final merge; Results never reference artifacts). Cache-owned
+// artifacts are skipped: the table's cache keeps them for future scans
+// (possibly reading them concurrently), so pooling them would hand a
+// mutable buffer to a reader.
+func releaseArtifacts(fd *FactData, art *sharedArtifacts, own []*bitset.Set) {
+	for _, m := range own {
+		fd.maskPool.Put(m)
 	}
 	if art == nil {
 		return
@@ -560,38 +647,41 @@ func loneStats(p *queryPlan) SharingStats {
 
 // scanSharedStaged runs one fact group's shared scan through the staged
 // pipeline: materialize stage 1 and the shared stage-2 artifacts (taking
-// the table's cached ones where it has them), then walk the chunks in
-// order, folding each one into every query's partial while it is
-// cache-hot. plans, masks and out are the group's, every plan over the
-// same FactData, and n is the group's scan bound (groupScanBound). A lone
-// query has nothing to share, and its own bitmap is never offered to the
-// cache, so it skips both the planner and the cache (loneScan). The
-// partial per query lands in out (callers finalize, then release sp; the
-// scan-scoped artifacts are released here, since no partial or Result
-// references them). A non-nil sc receives the scan's per-stage wall times.
+// the table's cached ones where it has them), plan every query's drive,
+// then fold the chunks in order (foldScan). plans, masks and out are the
+// group's, every plan over the same FactData, and n is the group's scan
+// bound (groupScanBound). A lone query has nothing to share, and its own
+// bitmap is never offered to the cache, so it skips both the planner and
+// the cache (loneScan). The partial per query lands in out (callers
+// finalize, then release sp; the scan-scoped artifacts are released here,
+// since no partial or Result references them). A non-nil sc receives the
+// scan's per-stage wall times.
 func scanSharedStaged(plans []*queryPlan, masks []*bitset.Set, out []*partial, n int, sp *scanPartials, sc *obs.ShardScan) SharingStats {
 	var art *sharedArtifacts
 	var stats SharingStats
-	// A lone query's drive and cost stay on the stack.
+	// A lone query's drive, cost and own mask stay on the stack.
 	var lone [1]queryScan
 	var loneCost [1]obs.QueryCost
-	scans, costs := lone[:], loneCost[:]
+	var loneOwn [1]*bitset.Set
+	scans, costs, own := lone[:], loneCost[:], loneOwn[:0]
 	var t0 time.Time
 	if len(plans) == 1 {
 		stats = loneStats(plans[0])
 		if sc != nil {
 			t0 = time.Now()
 		}
-		scans[0] = loneScan(plans[0], masks[0], n, &stats, costs)
+		var m *bitset.Set
+		if scans[0], m = loneScan(plans[0], masks[0], n, &stats, costs); m != nil {
+			own = append(own, m)
+		}
 	} else {
 		scans, costs = make([]queryScan, len(plans)), make([]obs.QueryCost, len(plans))
-		art, stats = buildArtifacts(plans, masks, n, sc, costs)
+		var visible []int
+		art, visible, stats = buildArtifacts(plans, masks, n, sc, costs)
 		if sc != nil {
 			t0 = time.Now()
 		}
-		for k, p := range plans {
-			scans[k] = planScan(p, masks[k], art)
-		}
+		own = planScans(plans, masks, visible, n, art, scans)
 	}
 	if sc != nil {
 		sc.FilterMask += time.Since(t0)
@@ -604,15 +694,10 @@ func scanSharedStaged(plans []*queryPlan, masks []*bitset.Set, out []*partial, n
 	if sc != nil {
 		t0 = time.Now()
 	}
-	for lo := 0; lo < n; lo += execChunkSize {
-		hi := min(lo+execChunkSize, n)
-		for k := range scans {
-			out[k].scanRangeStaged(lo, hi, &scans[k])
-		}
-	}
+	foldScan(out, scans, n)
 	if sc != nil {
 		sc.Accumulate = time.Since(t0)
 	}
-	releaseArtifacts(plans[0].fd, art, scans)
+	releaseArtifacts(plans[0].fd, art, own)
 	return stats
 }

@@ -25,9 +25,12 @@ go test -race -count=10 -run 'DispatchOnArrival' ./internal/qsched/
 # against concurrent scans. The Packed
 # pattern adds the compressed-column kernels: packed views held across
 # ingest-driven width repacks and word-at-a-time predicate fills racing
-# the appenders. Every pattern's quiescent check compares against the
-# executor-independent reference (internal/cube/cubetest).
-go test -race -count=3 -run 'SharedSubexpr|PerFilter|PooledPartial|Packed' ./internal/core/ ./internal/cube/
+# the appenders. The SharedWalk and SharedIntersection patterns add stage
+# 3's shared walk: several users of one set mask ∩ view folding off one
+# pooled intersection, released once. Every pattern's quiescent check
+# compares against the executor-independent reference
+# (internal/cube/cubetest).
+go test -race -count=3 -run 'SharedSubexpr|PerFilter|PooledPartial|Packed|SharedWalk|SharedIntersection' ./internal/core/ ./internal/cube/
 
 # Every fact table caches its hot artifacts across batches (always on):
 # scheduler-routed scans hit and refill the cache while AddFact ingest
